@@ -37,6 +37,7 @@ from .frontend import (
     FrontendError,
     MalformedRule,
     Scenario,
+    SortMismatch,
     UnboundFrontierVariable,
     UnknownPredicate,
     load_scenario,
@@ -69,7 +70,6 @@ from .kernel import (
 from .magic import NoAdmissibleOrdering, adorn, magic, reorder
 from .relevance import (
     AbstractionFixpointDiverged,
-    SortMismatch,
     abstract_functions_to_constants,
     critical_instance,
     relevance,

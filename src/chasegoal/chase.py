@@ -5,32 +5,33 @@ function-, constant- and equality-free (what the pipeline produces): equality
 heads merge union-find classes, the class representative is the term-order
 minimum, and facts holding a losing term at an argument position are
 rewritten in place.  `naive_fixpoint` evaluates arbitrary logic programs with
-explicit equality atoms and serves as the reference semantics.
+explicit equality atoms and serves as the reference semantics.  Both run the
+same semi-naive loop over rules compiled once into one join plan per pivot.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import product
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Optional
 
 from .kernel import (
     Atom,
     Constant,
     Instance,
+    JoinPlan,
     Predicate,
     Program,
     Rule,
     Term,
     Variable,
-    enumerate_matches,
     eq,
+    instantiator,
     is_ground,
     iter_subterms,
-    match_atom,
+    iter_vars,
     occurs_in,
-    substitute,
     map_shallow,
     term_depth,
     term_key,
@@ -152,30 +153,35 @@ def _check_chase_contract(program: Program):
                     )
 
 
-class _ChaseState:
+class _Store:
+    """An instance and the facts added to it since the current round began."""
+
     def __init__(self, limits: Limits):
         self.instance = Instance()
-        self.uf = UnionFind()
         self.limits = limits
         self.delta: set[Atom] = set()
+
+    def insert(self, fact: Atom) -> bool:
+        if not self.instance.add(fact):
+            return False
+        _guard_fact(fact, len(self.instance), self.limits)
+        self.delta.add(fact)
+        return True
+
+
+class _ChaseState(_Store):
+    def __init__(self, limits: Limits):
+        super().__init__(limits)
+        self.uf = UnionFind()
         self.derived: list[Atom] = []
         self.merges = 0
         self.insertions = 0
+        self.applications = 0
         self.epoch = 0
         self.losers: set[Term] = set()
 
     def is_stale(self, term: Term) -> bool:
         return any(s in self.losers for s in iter_subterms(term))
-
-    def insert(self, fact: Atom, count: bool) -> bool:
-        if not self.instance.add(fact):
-            return False
-        _guard_fact(fact, len(self.instance), self.limits)
-        self.delta.add(fact)
-        if count:
-            self.insertions += 1
-            self.derived.append(fact)
-        return True
 
     def merge(self, s: Term, t: Term, count: bool):
         merged = self.uf.union(s, t)
@@ -208,7 +214,74 @@ class _ChaseState:
             if s != t:
                 self.merge(s, t, count)
             return
-        self.insert(Atom(head.predicate, args), count)
+        fact = Atom(head.predicate, args)
+        if self.insert(fact) and count:
+            self.insertions += 1
+            self.derived.append(fact)
+
+
+class _CompiledRule:
+    """A rule with body of at least one atom, compiled once: a join plan per
+    pivot (the body atom matched against the delta), all sharing one slot
+    layout, so a match is one tuple whatever pivot produced it."""
+
+    __slots__ = ("pivots", "head", "body", "head_is_eq")
+
+    def __init__(self, rule: Rule):
+        slots: dict[Variable, int] = {}
+        for v in iter_vars(rule.body):
+            slots.setdefault(v, len(slots))
+        self.pivots = tuple(
+            (a.predicate, JoinPlan(rule.body[:i] + rule.body[i + 1 :], entry=a, slots=slots))
+            for i, a in enumerate(rule.body)
+        )
+        self.head = instantiator(rule.head, slots)
+        self.body = tuple(instantiator(a, slots) for a in rule.body)
+        self.head_is_eq = rule.head.is_equality
+
+    def matches(self, by_pred: dict, instance: Instance) -> "list[tuple]":
+        out: list[tuple] = []
+        for pred, plan in self.pivots:
+            for fact in by_pred.get(pred, ()):
+                # A fact rewritten away by a merge is stale; its normalized
+                # form re-entered the delta on its own.
+                if fact in instance:
+                    plan.run_from(fact, instance, out)
+        return out
+
+
+def _compile(rules: Iterable[Rule], add) -> "list[_CompiledRule]":
+    """Compile the rules that have a body; pass the others' heads to `add`."""
+    compiled = []
+    for r in rules:
+        if r.body:
+            compiled.append(_CompiledRule(r))
+        else:
+            add(r.head)
+    return compiled
+
+
+def _saturate(rules: "list[_CompiledRule]", state: _Store, fire, rng=None) -> int:
+    """Semi-naive rounds until the delta is empty: every rule is matched with
+    each body atom pivoted on the previous round's new facts, and `fire`
+    applies one rule's batch of matches before the next rule is matched.
+    Returns the number of rounds."""
+    rounds = 0
+    while state.delta:
+        rounds += 1
+        delta = list(state.delta)
+        state.delta = set()
+        if rng is not None:
+            rng.shuffle(delta)
+        by_pred: dict = {}
+        for fact in delta:
+            by_pred.setdefault(fact.predicate, []).append(fact)
+        order = list(rules)
+        if rng is not None:
+            rng.shuffle(order)
+        for rule in order:
+            fire(rule, rule.matches(by_pred, state.instance))
+    return rounds
 
 
 def chase(
@@ -226,80 +299,41 @@ def chase(
     """
     _check_chase_contract(program)
     state = _ChaseState(limits)
-    rng = random.Random(seed) if seed is not None else None
 
     for fact in base:
         if not is_ground(fact):
             raise BodyContractViolation("non-ground base fact %r" % (fact,))
         state.apply_head(fact, count=False)
+    rules = _compile(program.rules, state.apply_head)
 
-    rules = []
-    for r in program.rules:
-        if not r.body:
-            state.apply_head(r.head)
-            continue
-        pivots = [
-            (a, r.body[:i] + r.body[i + 1 :]) for i, a in enumerate(r.body)
-        ]
-        rules.append((r, pivots))
+    def fire(rule: _CompiledRule, matches: "list[tuple]"):
+        epoch0 = state.epoch
+        for vals in matches:
+            if state.epoch != epoch0:
+                # Merges landed while this batch was being applied, so the
+                # facts this match was built from may be gone.
+                if rule.head_is_eq:
+                    # The equality was entailed when the body matched and
+                    # entailed equalities only grow, so merging the
+                    # normalized sides now is sound.  Skip only a side that
+                    # still mentions a merged-away term; the rewritten body
+                    # facts re-enter the delta and re-derive it.
+                    s, t = (state.uf.find(v) for v in rule.head(vals).args)
+                    if state.is_stale(s) or state.is_stale(t):
+                        continue
+                    state.applications += 1
+                    if s != t:
+                        state.merge(s, t, True)
+                    continue
+                # Relational head: fire only if the premise still holds;
+                # rewritten facts re-enter the delta and re-match later.
+                if any(atom(vals) not in state.instance for atom in rule.body):
+                    continue
+            state.applications += 1
+            state.apply_head(rule.head(vals))
 
-    applications = 0
-    rounds = 0
-    while state.delta:
-        rounds += 1
-        delta = list(state.delta)
-        state.delta = set()
-        if rng is not None:
-            rng.shuffle(delta)
-        by_pred: dict = {}
-        for fact in delta:
-            by_pred.setdefault(fact.predicate, []).append(fact)
-        order = list(rules)
-        if rng is not None:
-            rng.shuffle(order)
-        for rule, pivots in order:
-            firings: list[dict] = []
-            for pivot, rest in pivots:
-                for fact in by_pred.get(pivot.predicate, ()):
-                    # A fact rewritten away by a merge is stale; its
-                    # normalized form re-entered the delta on its own.
-                    if fact not in state.instance:
-                        continue
-                    sigma0 = match_atom(pivot, fact)
-                    if sigma0 is None:
-                        continue
-                    firings.extend(enumerate_matches(rest, state.instance, sigma0))
-            epoch0 = state.epoch
-            head_is_eq = rule.head.is_equality
-            for sigma in firings:
-                if state.epoch != epoch0:
-                    # Merges landed while this batch was being applied, so
-                    # the facts this match was built from may be gone.
-                    if head_is_eq:
-                        # The equality was entailed when the body matched and
-                        # entailed equalities only grow, so merging the
-                        # normalized sides now is sound.  Skip only a side
-                        # that still mentions a merged-away term; the rewritten
-                        # body facts re-enter the delta and re-derive it.
-                        s, t = (
-                            state.uf.find(v)
-                            for v in substitute(sigma, rule.head).args
-                        )
-                        if state.is_stale(s) or state.is_stale(t):
-                            continue
-                        applications += 1
-                        if s != t:
-                            state.merge(s, t, True)
-                        continue
-                    # Relational head: fire only if the premise still holds;
-                    # rewritten facts re-enter the delta and re-match later.
-                    if any(
-                        substitute(sigma, a) not in state.instance
-                        for a in rule.body
-                    ):
-                        continue
-                applications += 1
-                state.apply_head(substitute(sigma, rule.head))
+    rng = random.Random(seed) if seed is not None else None
+    rounds = _saturate(rules, state, fire, rng)
 
     mu = state.uf.as_map()
     classes: dict[Term, set[Term]] = {}
@@ -308,7 +342,7 @@ def chase(
     stats = ChaseStats(
         derived_facts=state.insertions + state.merges,
         merges=state.merges,
-        rule_applications=applications,
+        rule_applications=state.applications,
         iterations=rounds,
     )
     return ChaseResult(
@@ -338,43 +372,17 @@ def naive_fixpoint(
         if vars_of(r.head) - vars_of(r.body):
             raise BodyContractViolation("unbound head variable in %r" % (r,))
 
-    instance = Instance()
-    delta: set[Atom] = set()
-
-    def insert(fact: Atom):
-        if instance.add(fact):
-            _guard_fact(fact, len(instance), limits)
-            delta.add(fact)
-
+    store = _Store(limits)
     for fact in base:
-        insert(fact)
-    for r in rules:
-        if not r.body:
-            insert(r.head)
+        store.insert(fact)
+    compiled = _compile(rules, store.insert)
 
-    body_rules = [
-        (r, [(a, r.body[:i] + r.body[i + 1 :]) for i, a in enumerate(r.body)])
-        for r in rules
-        if r.body
-    ]
-    while delta:
-        current = list(delta)
-        delta = set()
-        by_pred: dict = {}
-        for fact in current:
-            by_pred.setdefault(fact.predicate, []).append(fact)
-        new_facts: list[Atom] = []
-        for rule, pivots in body_rules:
-            for pivot, rest in pivots:
-                for fact in by_pred.get(pivot.predicate, ()):
-                    sigma0 = match_atom(pivot, fact)
-                    if sigma0 is None:
-                        continue
-                    for sigma in enumerate_matches(rest, instance, sigma0):
-                        new_facts.append(substitute(sigma, rule.head))
-        for fact in new_facts:
-            insert(fact)
-    return instance
+    def fire(rule: _CompiledRule, matches: "list[tuple]"):
+        for vals in matches:
+            store.insert(rule.head(vals))
+
+    _saturate(compiled, store, fire)
+    return store.instance
 
 
 # ---------------------------------------------------------------------------

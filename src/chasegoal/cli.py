@@ -9,7 +9,7 @@ import click
 from .chase import DepthLimitExceeded, FactLimitExceeded, Limits
 from .driver import MODES, PipelineConfig, PipelineError, dump_stage, emit_report, run_pipeline
 from .frontend import FrontendError, load_scenario
-from .relevance import AbstractionFixpointDiverged, SortMismatch
+from .relevance import AbstractionFixpointDiverged
 
 _GUARDS = (DepthLimitExceeded, FactLimitExceeded, AbstractionFixpointDiverged)
 
@@ -60,7 +60,7 @@ def run(rules_path, data_dir, schema_path, query_pred, mode, una, typed_critical
     except PipelineError as err:
         click.echo("error: %s" % err, err=True)
         sys.exit(2 if isinstance(err.cause, _GUARDS) else 1)
-    except (FrontendError, SortMismatch, ValueError) as err:
+    except ValueError as err:
         click.echo("error: %s" % err, err=True)
         sys.exit(1)
 

@@ -6,14 +6,14 @@ from __future__ import annotations
 import csv
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
 
 from .chase import ChaseResult, ChaseStats, Limits, chase, extract_answers
 from .eqprep import check_eq_safety, singularize, skolemize
 from .finalize import defunctionalize, desingularize
-from .frontend import Scenario, render_rule, serialize_program
+from .frontend import Scenario, serialize_program
 from .kernel import Program
 from .magic import magic
 from .relevance import AbstractionFixpointDiverged, relevance

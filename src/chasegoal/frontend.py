@@ -33,6 +33,7 @@ from .kernel import (
     Term,
     Variable,
     eq,
+    rule_atoms,
     vars_of,
 )
 
@@ -68,6 +69,10 @@ class UnknownPredicate(FrontendError):
 
 class UnboundFrontierVariable(FrontendError):
     pass
+
+
+class SortMismatch(FrontendError):
+    """A constant occurs at positions of two different sorts."""
 
 
 # ---------------------------------------------------------------------------
@@ -406,9 +411,6 @@ def parse_program(text: str, source: str = "<program>") -> Program:
 # Base instances and schemas
 # ---------------------------------------------------------------------------
 
-Schema = "dict[tuple[str, int], tuple[str, ...]]"
-
-
 def parse_schema(text: str, source: str = "<schema>") -> "dict[tuple[str, int], tuple[str, ...]]":
     """Parse sort declarations, one per line: `pred/arity: sort1, sort2`."""
     out: dict[tuple[str, int], tuple[str, ...]] = {}
@@ -438,8 +440,10 @@ def parse_instance(
 ) -> Instance:
     """Read one headerless CSV file per predicate (file stem = predicate
     name) from a directory.  Sorts from the schema are attached to the
-    constants as annotations."""
+    constants as annotations; a constant at positions of two different
+    sorts is rejected."""
     instance = Instance()
+    first_sort: dict[str, tuple[str, str]] = {}  # name -> (sort, file:line)
     data_dir = Path(data_dir)
     for path in sorted(data_dir.glob("*.csv")):
         pred = signature.get(path.stem)
@@ -461,12 +465,49 @@ def parse_instance(
                         1,
                         str(path),
                     )
+                if sorts:
+                    for i, cell in enumerate(row):
+                        sort, first = first_sort.setdefault(
+                            cell, (sorts[i], "%s:%d" % (path.name, lineno))
+                        )
+                        if sort != sorts[i]:
+                            raise SortMismatch(
+                                "constant %s has sort %s here and sort %s at %s"
+                                % (cell, sorts[i], sort, first),
+                                lineno,
+                                i + 1,
+                                str(path),
+                            )
                 args = tuple(
                     Constant(cell, sorts[i] if sorts else None)
                     for i, cell in enumerate(row)
                 )
                 instance.add(Atom(pred, args))
     return instance
+
+
+def constant_sorts(rules: Iterable, schema) -> "dict[Constant, str]":
+    """Sorts of rule constants as schema positions imply them.  A constant
+    at positions of two different sorts is an error; a constant whose sort
+    the schema does not determine stays unknown."""
+    inferred: dict[Constant, str] = {}
+    for r in rules:
+        for atom in rule_atoms(r):
+            if not isinstance(atom.predicate, Predicate):
+                continue
+            sorts = schema.get((atom.predicate.name, atom.predicate.arity))
+            if sorts is None:
+                continue
+            for i, t in enumerate(atom.args):
+                if isinstance(t, Constant):
+                    seen = inferred.get(t)
+                    if seen is not None and seen != sorts[i]:
+                        raise SortMismatch(
+                            "constant %s used at positions of sort %s and %s"
+                            % (t.name, seen, sorts[i])
+                        )
+                    inferred[t] = sorts[i]
+    return inferred
 
 
 # ---------------------------------------------------------------------------
@@ -613,4 +654,17 @@ def load_scenario(
                     source=str(schema_path),
                 )
     instance = parse_instance(data_dir, sig, schema)
+    if schema is not None:
+        # The typed relevance abstraction assumes data and rules agree on
+        # the sort of every constant; where they do not, it would prune
+        # rules that derive answers.
+        implied = constant_sorts(rules, schema)
+        for fact in instance:
+            for c in fact.args:
+                if c.sort is not None and implied.get(c, c.sort) != c.sort:
+                    raise SortMismatch(
+                        "constant %s has sort %s in the data and sort %s in the rules"
+                        % (c.name, c.sort, implied[c]),
+                        source=str(data_dir),
+                    )
     return Scenario(tuple(rules), instance, query, schema, una_known)

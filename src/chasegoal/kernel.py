@@ -1,4 +1,5 @@
-"""Terms, atoms, rules and indexed fact stores shared by every pipeline stage."""
+"""Terms, atoms, rules and indexed fact stores shared by every pipeline stage,
+and the join plans that match rule bodies against the stores."""
 
 from __future__ import annotations
 
@@ -296,9 +297,6 @@ def program_predicates(rules: Iterable) -> "set[PredicateId]":
 # Substitutions and shallow term maps
 # ---------------------------------------------------------------------------
 
-Substitution = "dict[Variable, Term]"
-TermMap = "dict[Term, Term]"
-
 
 def substitute(sigma: "dict[Variable, Term]", x):
     """Apply a variable substitution to a term or atom, at any depth."""
@@ -414,62 +412,158 @@ class Instance:
 
 
 # ---------------------------------------------------------------------------
-# Matching
+# Join plans
 # ---------------------------------------------------------------------------
 
-
-def match_term(pattern: Term, ground: Term, out: "dict[Variable, Term]") -> bool:
-    """One-way structural match of a pattern term against a ground term,
-    extending `out` in place."""
-    if isinstance(pattern, Variable):
-        bound = out.get(pattern)
-        if bound is None:
-            out[pattern] = ground
-            return True
-        return bound == ground
-    if isinstance(pattern, Constant):
-        return pattern == ground
-    return (
-        isinstance(ground, Functional)
-        and pattern.symbol == ground.symbol
-        and len(pattern.args) == len(ground.args)
-        and all(match_term(p, g, out) for p, g in zip(pattern.args, ground.args))
-    )
+# Operations on one argument position of a compiled atom pattern, as
+# (kind, position, x) triples executed in position order.
+_BIND = 0  # x is a slot: store the argument in it
+_CHECK = 1  # x is a slot: the argument must equal the slot's value
+_CONST = 2  # x is a ground term: the argument must equal it
+_FUNC = 3  # x is (symbol, arity, ops): a function term whose arguments match ops
 
 
-def match_atom(pattern: Atom, fact: Atom, sigma=None) -> "dict[Variable, Term] | None":
-    if pattern.predicate != fact.predicate or len(pattern.args) != len(fact.args):
-        return None
-    out = dict(sigma) if sigma else {}
-    for p, g in zip(pattern.args, fact.args):
-        if not match_term(p, g, out):
-            return None
-    return out
+def _compile_term(pos: int, t: Term, slots, bound: "set[Variable]") -> tuple:
+    if isinstance(t, Variable):
+        if t in bound:
+            return (_CHECK, pos, slots[t])
+        bound.add(t)
+        return (_BIND, pos, slots[t])
+    if is_ground(t):
+        return (_CONST, pos, t)
+    return (_FUNC, pos, (t.symbol, len(t.args), _compile_args(t.args, slots, bound)))
 
 
-def _candidates(atom: Atom, instance: Instance, sigma) -> "set[Atom]":
-    # Prefer the most selective index: the first argument that is ground
-    # under the current bindings.
-    for i, arg in enumerate(atom.args):
-        t = substitute(sigma, arg)
-        if is_ground(t):
-            return instance.with_term_at(atom.predicate, i, t)
-    return instance.with_predicate(atom.predicate)
+def _compile_args(args, slots, bound: "set[Variable]", skip: int = -1) -> tuple:
+    """Operations matching `args`; variables in `bound` are checked, the
+    others are bound (and added to `bound`) at their first occurrence."""
+    return tuple(_compile_term(i, t, slots, bound) for i, t in enumerate(args) if i != skip)
+
+
+def _match_args(ops: tuple, args: tuple, b: list) -> bool:
+    for kind, pos, x in ops:
+        t = args[pos]
+        if kind == _BIND:
+            b[x] = t
+        elif kind == _CHECK:
+            if t != b[x]:
+                return False
+        elif kind == _CONST:
+            if t != x:
+                return False
+        elif not (
+            isinstance(t, Functional)
+            and t.symbol == x[0]
+            and len(t.args) == x[1]
+            and _match_args(x[2], t.args, b)
+        ):
+            return False
+    return True
+
+
+def _is_key(t: Term, bound: "set[Variable]") -> bool:
+    return t in bound if isinstance(t, Variable) else is_ground(t)
+
+
+def _join(steps: tuple, k: int, instance: "Instance", b: list, out: list) -> None:
+    if k == len(steps):
+        out.append(tuple(b))
+        return
+    pred, key_pos, key_slot, key, ops = steps[k]
+    if key_slot is not None:
+        candidates = instance._by_pos.get((pred, key_pos, b[key_slot]))
+    elif key is not None:
+        candidates = instance._by_pos.get(key)
+    else:
+        candidates = instance._by_pred.get(pred)
+    if not candidates:
+        return
+    k += 1
+    for fact in candidates:
+        if _match_args(ops, fact.args, b):
+            _join(steps, k, instance, b, out)
+
+
+class JoinPlan:
+    """A conjunction compiled once for the variables bound on entry.
+
+    Those variables are `bound`, or the ones an `entry` atom binds when it is
+    matched against a given fact (a delta fact for a pivoted rule, a traced
+    fact for a rule head).  The remaining atoms are ordered greedily: next
+    comes the atom with the most positions that hold a ground term or a
+    bound variable, ties broken by body order; its first such position is
+    the index key.  Each step then binds, checks or structurally matches
+    the other positions.
+
+    Variables live in the slots of one list (`slots` maps each variable to
+    its slot).  Every variable is bound by exactly one operation and read
+    only after it, so matching overwrites the list in place and backtracking
+    needs no undo.  A match is the tuple of all slot values.
+    """
+
+    __slots__ = ("slots", "entry", "steps")
+
+    def __init__(self, body, entry: Optional[Atom] = None, bound=(), slots=None):
+        body = tuple(body)
+        if slots is None:
+            slots = {}
+            for v in itertools.chain(bound, iter_vars(entry or ()), iter_vars(body)):
+                slots.setdefault(v, len(slots))
+        self.slots: "dict[Variable, int]" = slots
+        known = set(bound)
+        self.entry = None if entry is None else _compile_args(entry.args, slots, known)
+        steps = []
+        remaining = list(body)
+        while remaining:
+            scores = [sum(_is_key(t, known) for t in a.args) for a in remaining]
+            atom = remaining.pop(scores.index(max(scores)))
+            key_pos = next((i for i, t in enumerate(atom.args) if _is_key(t, known)), -1)
+            key_slot = key = None
+            if key_pos >= 0 and isinstance(atom.args[key_pos], Variable):
+                key_slot = slots[atom.args[key_pos]]
+            elif key_pos >= 0:
+                key = (atom.predicate, key_pos, atom.args[key_pos])
+            ops = _compile_args(atom.args, slots, known, skip=key_pos)
+            steps.append((atom.predicate, key_pos, key_slot, key, ops))
+        self.steps: tuple = tuple(steps)
+
+    def run(self, instance: "Instance", bindings=None) -> "list[tuple]":
+        """Matches extending `bindings`, a map from the `bound` variables to
+        ground terms."""
+        b = [None] * len(self.slots)
+        for v, t in (bindings or {}).items():
+            b[self.slots[v]] = t
+        out: list = []
+        _join(self.steps, 0, instance, b, out)
+        return out
+
+    def run_from(self, fact: Atom, instance: "Instance", out: list) -> None:
+        """Append to `out` the matches whose entry atom is `fact`; the
+        caller has checked that the predicates agree."""
+        b = [None] * len(self.slots)
+        if _match_args(self.entry, fact.args, b):
+            _join(self.steps, 0, instance, b, out)
+
+
+def _term_instantiator(t: Term, slots):
+    if isinstance(t, Variable):
+        i = slots[t]
+        return lambda vals: vals[i]
+    if is_ground(t):
+        return lambda vals: t
+    symbol, subs = t.symbol, tuple(_term_instantiator(a, slots) for a in t.args)
+    return lambda vals: Functional(symbol, tuple([f(vals) for f in subs]))
+
+
+def instantiator(atom: Atom, slots: "dict[Variable, int]"):
+    """Function from a match (a tuple of slot values) to the instance of
+    `atom` under it."""
+    pred, fs = atom.predicate, tuple(_term_instantiator(t, slots) for t in atom.args)
+    return lambda vals: Atom(pred, tuple([f(vals) for f in fs]))
 
 
 def enumerate_matches(body, instance: Instance, bindings=None) -> Iterator["dict[Variable, Term]"]:
     """Substitutions that extend `bindings` and match every body atom against
-    the instance.  Atoms are joined left to right through the indexes."""
-    body = tuple(body)
-
-    def walk(k: int, sigma):
-        if k == len(body):
-            yield dict(sigma)
-            return
-        atom = body[k]
-        for fact in _candidates(atom, instance, sigma):
-            ext = match_atom(atom, fact, sigma)
-            if ext is not None:
-                yield from walk(k + 1, ext)
-
-    yield from walk(0, dict(bindings) if bindings else {})
+    the instance, joined through the indexes in `JoinPlan` order."""
+    plan = JoinPlan(body, bound=bindings or ())
+    return (dict(zip(plan.slots, vals)) for vals in plan.run(instance, bindings))

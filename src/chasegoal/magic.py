@@ -68,15 +68,13 @@ def reorder(body: Iterable[Atom], bound_terms: Iterable[Term]) -> "tuple[Atom, .
     return tuple(result)
 
 
-def magic(program: Program, sips: str = "maximal") -> Program:
+def magic(program: Program) -> Program:
     """Magic-set transformation seeded by an all-free demand on the query
     predicate.  Magic rules are emitted for body atoms that are equalities
     or whose predicate occurs in some head of the program; an equality
     demand bound on one side is processed under both orientations."""
     if program.query is None:
         raise ValueError("magic needs a program with a query predicate")
-    if sips != "maximal":
-        raise ValueError("only the maximal-binding sips is implemented")
 
     by_head: dict[PredicateId, list[Rule]] = {}
     for r in program.rules:

@@ -21,19 +21,20 @@ from .chase import (
     naive_fixpoint,
 )
 from .eqprep import reflexivity_axioms, sym_trans
+from .frontend import constant_sorts
 from .kernel import (
     Atom,
     Constant,
     Functional,
     Instance,
+    JoinPlan,
     Predicate,
     PredicateId,
     Program,
     Rule,
     Term,
     Variable,
-    enumerate_matches,
-    match_atom,
+    instantiator,
     pred_label,
     rule_atoms,
     substitute,
@@ -43,10 +44,6 @@ from .kernel import (
 class AbstractionFixpointDiverged(RuntimeError):
     """The forward fixpoint on the abstract instance hit a guard; retry with
     function symbols abstracted to constants."""
-
-
-class SortMismatch(ValueError):
-    pass
 
 
 # ---------------------------------------------------------------------------
@@ -78,30 +75,6 @@ def _fresh_name(base: str, taken: "set[str]") -> str:
     return name
 
 
-def _constant_sorts(program: Program, schema) -> "dict[Constant, str]":
-    """Sorts of program constants as schema positions imply them.  A constant
-    at positions of two different sorts is an error; a constant whose sort
-    the schema does not determine stays unknown."""
-    inferred: dict[Constant, str] = {}
-    for r in program.rules:
-        for atom in rule_atoms(r):
-            if not isinstance(atom.predicate, Predicate):
-                continue
-            sorts = schema.get((atom.predicate.name, atom.predicate.arity))
-            if sorts is None:
-                continue
-            for i, t in enumerate(atom.args):
-                if isinstance(t, Constant):
-                    seen = inferred.get(t)
-                    if seen is not None and seen != sorts[i]:
-                        raise SortMismatch(
-                            "constant %s used at positions of sort %s and %s"
-                            % (t.name, seen, sorts[i])
-                        )
-                    inferred[t] = sorts[i]
-    return inferred
-
-
 def critical_instance(
     program: Program,
     base: "Instance | Iterable[PredicateId]",
@@ -126,7 +99,7 @@ def critical_instance(
                 out.add(Atom(pred, args))
         return out
 
-    inferred = _constant_sorts(program, schema)
+    inferred = constant_sorts(program.rules, schema)
     stars: dict[Optional[str], Constant] = {}
 
     def star_of(sort: Optional[str]) -> Constant:
@@ -224,19 +197,24 @@ def relevance(
     seen = set(queue)
     kept: set[int] = set()
     blocked: set[tuple[int, int]] = set()
-    sources = list(enumerate(analysis.rules)) + [(None, r) for r in sym_trans()]
+    # Source rules by head predicate, each body compiled for the variables
+    # its head binds.
+    sources: dict[PredicateId, list] = {}
+    for idx, rule in list(enumerate(analysis.rules)) + [(None, r) for r in sym_trans()]:
+        plan = JoinPlan(rule.body, entry=rule.head)
+        body = tuple(instantiator(b, plan.slots) for b in rule.body)
+        sources.setdefault(rule.head.predicate, []).append((idx, plan, body))
 
     while queue:
         fact = queue.popleft()
-        for idx, rule in sources:
-            sigma0 = match_atom(rule.head, fact)
-            if sigma0 is None:
-                continue
-            for nu in enumerate_matches(rule.body, fixpoint, sigma0):
+        for idx, plan, body in sources.get(fact.predicate, ()):
+            matches: list[tuple] = []
+            plan.run_from(fact, fixpoint, matches)
+            for vals in matches:
                 if idx is not None:
                     kept.add(idx)
-                for i, b in enumerate(rule.body):
-                    g = substitute(nu, b)
+                for i, build in enumerate(body):
+                    g = build(vals)
                     if (
                         una_known
                         and g.is_equality

@@ -209,3 +209,24 @@ def test_cli_una_changes_nothing_here_but_is_accepted(tmp_path):
     )
     assert result.exit_code == 0, result.output
     assert "2 answer(s)" in result.output
+
+
+def test_cli_rejects_constant_of_two_sorts_in_every_mode(tmp_path):
+    # Unchecked, mat answered a while the typed relevance abstraction of
+    # all pruned the only rule and answered nothing.
+    rules_path, data = write_inputs(
+        tmp_path,
+        rules="S(?x), D(?x) -> Q(?x)\n",
+        facts={"S": [("a",)], "D": [("a",)]},
+    )
+    schema = tmp_path / "schema.txt"
+    schema.write_text("S/1: student\nD/1: dept\n", encoding="utf-8")
+    for mode in ("mat", "all"):
+        result = CliRunner().invoke(
+            main,
+            ["run", "--rules", str(rules_path), "--data", str(data),
+             "--schema", str(schema), "--query-pred", "Q", "--mode", mode,
+             "--out", str(tmp_path / "out")],
+        )
+        assert result.exit_code == 1, result.output
+        assert "constant a has sort" in result.output

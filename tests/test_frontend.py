@@ -7,6 +7,7 @@ from chasegoal import (
     MalformedRule,
     PipelineConfig,
     Scenario,
+    SortMismatch,
     UnboundFrontierVariable,
     UnknownPredicate,
     load_scenario,
@@ -187,6 +188,17 @@ def test_load_scenario_end_to_end(tmp_path):
     assert sc.una_known
     rep = run_pipeline(sc, PipelineConfig(mode="all"))
     assert rep.answers == (("a1",),)
+
+
+def test_load_scenario_rejects_data_sort_the_rules_contradict(tmp_path):
+    # the rules put c at a dept position, the data has c as a student
+    (tmp_path / "rules.txt").write_text("S(?x), D(c) -> Q(?x)", encoding="utf-8")
+    (tmp_path / "schema.txt").write_text("S/1: student\nD/1: dept\n", encoding="utf-8")
+    data = tmp_path / "data"
+    data.mkdir()
+    write_csvs(data, {"S.csv": "c\n"})
+    with pytest.raises(SortMismatch, match="constant c"):
+        load_scenario(tmp_path / "rules.txt", data, "Q", tmp_path / "schema.txt")
 
 
 def test_load_scenario_unknown_query(tmp_path):

@@ -1,4 +1,4 @@
-"""Term model, orderings, substitutions, and the indexed instance."""
+"""Term model, orderings, substitutions, join plans and the indexed instance."""
 
 import random
 
@@ -10,6 +10,7 @@ from chasegoal.kernel import (
     Constant,
     Functional,
     Instance,
+    JoinPlan,
     Predicate,
     Variable,
     compare_terms,
@@ -18,7 +19,6 @@ from chasegoal.kernel import (
     is_ground,
     iter_subterms,
     map_shallow,
-    match_atom,
     occurs_in,
     substitute,
     term_depth,
@@ -131,6 +131,36 @@ def test_term_order_well_founded_on_subterms():
 # -- matching -----------------------------------------------------------
 
 
+def match_term(pattern, ground, out):
+    """One-way structural match of a pattern term against a ground term,
+    extending `out` in place: the reference the join plans are checked
+    against."""
+    if isinstance(pattern, Variable):
+        bound = out.get(pattern)
+        if bound is None:
+            out[pattern] = ground
+            return True
+        return bound == ground
+    if isinstance(pattern, Constant):
+        return pattern == ground
+    return (
+        isinstance(ground, Functional)
+        and pattern.symbol == ground.symbol
+        and len(pattern.args) == len(ground.args)
+        and all(match_term(p, g, out) for p, g in zip(pattern.args, ground.args))
+    )
+
+
+def match_atom(pattern, fact, sigma=None):
+    if pattern.predicate != fact.predicate or len(pattern.args) != len(fact.args):
+        return None
+    out = dict(sigma) if sigma else {}
+    for p, g in zip(pattern.args, fact.args):
+        if not match_term(p, g, out):
+            return None
+    return out
+
+
 def test_match_atom_repeated_variable():
     pat = Atom(R2, (x, x))
     assert match_atom(pat, Atom(R2, (a, a))) == {x: a}
@@ -162,29 +192,56 @@ def brute_force_matches(body, facts, bindings=None):
 
 
 def test_enumerate_matches_agrees_with_brute_force():
+    # Bodies mix function-term patterns, constants and repeated variables
+    # over predicates up to arity 3, some with variables bound up front, so
+    # every index key (bound variable, ground term, scan) and every position
+    # operation (bind, check, constant, function term) meets brute force.
     rng = random.Random(7)
-    preds = [Predicate("E", 2), Predicate("F", 1)]
-    consts = [Constant(c) for c in "abcde"]
-    for _ in range(60):
+    preds = [Predicate("E", 2), Predicate("F", 1), Predicate("T", 3)]
+    consts = [Constant(c) for c in "abcd"]
+    ground = consts + [f(a), f(b), f(a, b), g(a, b), g(b, b)]
+    vs = [Variable(n) for n in ("x", "y", "z")]
+
+    def pattern():
+        r = rng.random()
+        if r < 0.6:
+            return rng.choice(vs)
+        if r < 0.75:
+            return rng.choice(ground)
+        if r < 0.9:
+            return f(rng.choice(vs))
+        return g(rng.choice(vs), rng.choice(vs + consts))
+
+    def canon(sigma):
+        return sorted(map(repr, sigma.items()))
+
+    nonempty = 0
+    for _ in range(300):
         facts = {
-            Atom(p, tuple(rng.choice(consts) for _ in range(p.arity)))
+            Atom(p, tuple(rng.choice(ground) for _ in range(p.arity)))
             for p in preds
-            for _ in range(rng.randrange(1, 8))
+            for _ in range(rng.randrange(1, 12))
         }
         inst = Instance(facts)
-        vs = [Variable(n) for n in ("x", "y", "z")]
-        body = []
-        for _ in range(rng.randrange(1, 4)):
-            p = rng.choice(preds)
-            args = tuple(
-                rng.choice(vs) if rng.random() < 0.8 else rng.choice(consts)
-                for _ in range(p.arity)
-            )
-            body.append(Atom(p, args))
-        body = tuple(body)
-        got = sorted(enumerate_matches(body, inst), key=repr)
-        want = sorted(brute_force_matches(body, facts), key=repr)
-        assert got == want
+        body = tuple(
+            Atom(p, tuple(pattern() for _ in range(p.arity)))
+            for p in (rng.choice(preds) for _ in range(rng.randrange(1, 4)))
+        )
+        bindings = {v: rng.choice(ground) for v in rng.sample(vs, rng.randrange(0, 3))}
+        got = sorted(map(canon, enumerate_matches(body, inst, bindings)))
+        want = sorted(map(canon, brute_force_matches(body, facts, bindings)))
+        assert got == want, (body, bindings)
+        nonempty += bool(want)
+    assert nonempty >= 40
+
+
+def test_join_plan_keys_the_chain_egd_on_the_bound_variable():
+    # ?y = ?y2 :- R(?s3,?y), S(?s3,?s4), R(?s4,?y2) pivoted on its last
+    # atom: S is keyed on ?s4 (position 1) before R is keyed on ?s3.
+    S2 = Predicate("S", 2)
+    s3, s4, y2 = Variable("s3"), Variable("s4"), Variable("y2")
+    plan = JoinPlan((Atom(R2, (s3, y)), Atom(S2, (s3, s4))), entry=Atom(R2, (s4, y2)))
+    assert [step[:2] for step in plan.steps] == [(S2, 1), (R2, 0)]
 
 
 # -- instance indexes -----------------------------------------------------
