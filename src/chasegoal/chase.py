@@ -175,13 +175,11 @@ class _ChaseState(_Store):
         self.uf = UnionFind()
         self.derived: list[Atom] = []
         self.merges = 0
-        self.insertions = 0
         self.applications = 0
         self.epoch = 0
-        self.losers: set[Term] = set()
 
     def is_stale(self, term: Term) -> bool:
-        return any(s in self.losers for s in iter_subterms(term))
+        return any(s in self.uf.parent for s in iter_subterms(term))
 
     def merge(self, s: Term, t: Term, count: bool):
         merged = self.uf.union(s, t)
@@ -192,7 +190,6 @@ class _ChaseState(_Store):
             self.merges += 1
             self.derived.append(eq(s, t))
         self.epoch += 1
-        self.losers.add(loser)
         # Rewrite every fact holding the losing term at an argument position.
         # A fact that still mentions the loser below a function symbol after
         # the rewrite is dropped instead: its body facts were rewritten too,
@@ -216,7 +213,6 @@ class _ChaseState(_Store):
             return
         fact = Atom(head.predicate, args)
         if self.insert(fact) and count:
-            self.insertions += 1
             self.derived.append(fact)
 
 
@@ -340,7 +336,7 @@ def chase(
     for t, rep in mu.items():
         classes.setdefault(rep, {rep}).add(t)
     stats = ChaseStats(
-        derived_facts=state.insertions + state.merges,
+        derived_facts=len(state.derived),
         merges=state.merges,
         rule_applications=state.applications,
         iterations=rounds,

@@ -7,7 +7,7 @@ import sys
 import click
 
 from .chase import DepthLimitExceeded, FactLimitExceeded, Limits
-from .driver import MODES, PipelineConfig, PipelineError, dump_stage, emit_report, run_pipeline
+from .driver import MODES, STAGES, PipelineConfig, PipelineError, dump_stage, emit_report, run_pipeline
 from .frontend import FrontendError, load_scenario
 from .relevance import AbstractionFixpointDiverged
 
@@ -34,11 +34,11 @@ def main():
 )
 @click.option("--defun-abstraction", is_flag=True,
               help="Run relevance on the function-abstracted program from the start.")
-@click.option("--max-depth", type=int, default=20, show_default=True)
-@click.option("--max-facts", type=int, default=10_000_000, show_default=True)
+@click.option("--max-depth", type=int, default=Limits.max_depth, show_default=True)
+@click.option("--max-facts", type=int, default=Limits.max_facts, show_default=True)
 @click.option("--out", "out_dir", required=True, type=click.Path(file_okay=False))
 @click.option("--stats-json", type=click.Path(dir_okay=False))
-@click.option("--dump-stage", "dump", type=click.Choice(("sg", "sk", "rel", "magic", "defun", "desg")))
+@click.option("--dump-stage", "dump", type=click.Choice(STAGES))
 def run(rules_path, data_dir, schema_path, query_pred, mode, una, typed_critical,
         defun_abstraction, max_depth, max_facts, out_dir, stats_json, dump):
     """Answer a query over a rule file and a directory of CSV facts."""

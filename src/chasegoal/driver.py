@@ -6,7 +6,7 @@ from __future__ import annotations
 import csv
 import json
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Optional
 
@@ -92,29 +92,23 @@ def run_pipeline(scenario: Scenario, cfg: PipelineConfig = PipelineConfig()) -> 
 
         def run_relevance():
             nonlocal retried
-            try:
-                return relevance(
-                    current,
-                    scenario.instance,
-                    una_known=una,
-                    typed=typed,
-                    schema=scenario.schema,
-                    abstract_functions=cfg.defun_abstraction,
-                    fixpoint_limits=cfg.relevance_limits,
-                )
-            except AbstractionFixpointDiverged:
-                if cfg.defun_abstraction:
-                    raise
-                retried = True
-                return relevance(
-                    current,
-                    scenario.instance,
-                    una_known=una,
-                    typed=typed,
-                    schema=scenario.schema,
-                    abstract_functions=True,
-                    fixpoint_limits=cfg.relevance_limits,
-                )
+            # A diverging abstract fixpoint is retried once with function
+            # symbols abstracted to constants.
+            for abstract in (cfg.defun_abstraction, True):
+                try:
+                    return relevance(
+                        current,
+                        scenario.instance,
+                        una_known=una,
+                        typed=typed,
+                        schema=scenario.schema,
+                        abstract_functions=abstract,
+                        fixpoint_limits=cfg.relevance_limits,
+                    )
+                except AbstractionFixpointDiverged:
+                    if abstract:
+                        raise
+                    retried = True
 
         current = stage("rel", run_relevance, safety=True)
 
@@ -161,13 +155,8 @@ def format_stats(report: RunReport) -> str:
     for name in STAGES:
         if name in report.rule_counts:
             lines.append("rules after %s: %d" % (name, report.rule_counts[name]))
-    s = report.chase_stats
-    lines += [
-        "chase derived facts: %d" % s.derived_facts,
-        "chase merges: %d" % s.merges,
-        "chase rule applications: %d" % s.rule_applications,
-        "chase iterations: %d" % s.iterations,
-    ]
+    for key, value in asdict(report.chase_stats).items():
+        lines.append("chase %s: %d" % (key.replace("_", " "), value))
     for name in list(STAGES) + ["chase"]:
         if name in report.timings:
             lines.append("time %s: %.6fs" % (name, report.timings[name]))
@@ -193,12 +182,7 @@ def emit_report(report: RunReport, out_dir, stats_json=None) -> None:
             "answers": [list(a) for a in report.answers],
             "rule_counts": report.rule_counts,
             "timings": report.timings,
-            "chase": {
-                "derived_facts": report.chase_stats.derived_facts,
-                "merges": report.chase_stats.merges,
-                "rule_applications": report.chase_stats.rule_applications,
-                "iterations": report.chase_stats.iterations,
-            },
+            "chase": asdict(report.chase_stats),
             "relevance_retried": report.relevance_retried,
         }
         Path(stats_json).write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")

@@ -21,7 +21,6 @@ from .kernel import (
     ExistentialRule,
     FreshVars,
     Functional,
-    Instance,
     Predicate,
     PredicateId,
     Program,
@@ -179,12 +178,7 @@ def skolemize(rules: Iterable[ExistentialRule], query: Optional[Predicate] = Non
 
 
 def _predicates_of(p, extra: Iterable[PredicateId]) -> "list[PredicateId]":
-    if isinstance(p, Program):
-        preds = program_predicates(p.rules)
-    elif isinstance(p, Instance):
-        preds = set(p.predicates())
-    else:
-        preds = program_predicates(p)
+    preds = program_predicates(p.rules if isinstance(p, Program) else p)
     preds |= set(extra)
     preds.discard(EQUALITY)
     return sorted(

@@ -6,6 +6,7 @@ After both, rule bodies contain nothing but variables."""
 from __future__ import annotations
 
 import itertools
+from typing import Iterable
 
 from .kernel import (
     Atom,
@@ -132,29 +133,29 @@ def defunctionalize(program: Program) -> Program:
 # ---------------------------------------------------------------------------
 
 
+def inline_equalities(rule: Rule, positions: "Iterable[int]") -> Rule:
+    """Fold the body equalities ?x = t at `positions` away, left to right,
+    each by substituting t for ?x in the whole rule.  An equality whose left
+    side is not a variable (after the earlier substitutions) cannot be
+    folded."""
+    positions = set(positions)
+    head, body = rule.head, list(rule.body)
+    for j in sorted(positions):
+        lhs, rhs = body[j].args
+        if not isinstance(lhs, Variable):
+            raise NonVariableEqualityBody(
+                "left side of %r is not a variable in %r" % (body[j], rule)
+            )
+        sub = {lhs: rhs}
+        head = substitute(sub, head)
+        body = [substitute(sub, a) for a in body]
+    return Rule(head, tuple(a for j, a in enumerate(body) if j not in positions))
+
+
 def desingularize(program: Program) -> Program:
-    """Remove every body equality ?x = t by substituting t for ?x in the
-    whole rule, then drop duplicate body atoms.  Equality atoms whose left
-    side is not a variable cannot be folded."""
+    """Inline every body equality, then drop duplicate body atoms."""
     out = []
     for rule in program.rules:
-        head, body = rule.head, list(rule.body)
-        while True:
-            idx = next((i for i, a in enumerate(body) if a.is_equality), None)
-            if idx is None:
-                break
-            lhs, rhs = body[idx].args
-            if not isinstance(lhs, Variable):
-                raise NonVariableEqualityBody(
-                    "left side of %r is not a variable in %r" % (body[idx], rule)
-                )
-            del body[idx]
-            sub = {lhs: rhs}
-            head = substitute(sub, head)
-            body = [substitute(sub, a) for a in body]
-        deduped: list[Atom] = []
-        for a in body:
-            if a not in deduped:
-                deduped.append(a)
-        out.append(Rule(head, tuple(deduped)))
+        r = inline_equalities(rule, [j for j, a in enumerate(rule.body) if a.is_equality])
+        out.append(Rule(r.head, tuple(dict.fromkeys(r.body))))
     return Program(tuple(out), program.query)

@@ -33,6 +33,8 @@ from .kernel import (
     Term,
     Variable,
     eq,
+    pred_label,
+    program_predicates,
     rule_atoms,
     vars_of,
 )
@@ -173,20 +175,20 @@ def _unquote(text: str) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _parse_term(cur: _Cursor, functions: bool, fresh_ok: bool) -> Term:
+def _parse_term(cur: _Cursor, dump: bool) -> Term:
     t = cur.next()
     if t is None:
         cur.fail("expected a term")
     if t.kind == "VAR":
         name = t.text[1:]
-        if not fresh_ok and name.startswith(FRESH_PREFIX):
+        if not dump and name.startswith(FRESH_PREFIX):
             raise MalformedRule(
                 "variable name %s uses the reserved prefix %r" % (t.text, FRESH_PREFIX),
                 cur.line,
                 t.col,
                 cur.source,
             )
-        if not fresh_ok and "#" in name:
+        if not dump and "#" in name:
             raise MalformedRule(
                 "variable name %s uses the reserved character '#'" % t.text,
                 cur.line,
@@ -197,13 +199,13 @@ def _parse_term(cur: _Cursor, functions: bool, fresh_ok: bool) -> Term:
     if t.kind == "QUOTED":
         return Constant(_unquote(t.text))
     if t.kind == "NAME":
-        if not functions and "#" in t.text:
+        if not dump and "#" in t.text:
             raise MalformedRule(
                 "'#' is not allowed in constants", cur.line, t.col, cur.source
             )
         nxt = cur.peek()
         if nxt is not None and nxt.kind == "LP":
-            if not functions:
+            if not dump:
                 raise MalformedRule(
                     "function terms are not allowed in input rules",
                     cur.line,
@@ -211,17 +213,25 @@ def _parse_term(cur: _Cursor, functions: bool, fresh_ok: bool) -> Term:
                     cur.source,
                 )
             cur.expect("LP")
-            args = [_parse_term(cur, functions, fresh_ok)]
+            args = [_parse_term(cur, dump)]
             while cur.peek() is not None and cur.peek().kind == "COMMA":
                 cur.next()
-                args.append(_parse_term(cur, functions, fresh_ok))
+                args.append(_parse_term(cur, dump))
             cur.expect("RP")
             return Functional(t.text, tuple(args))
         return Constant(t.text)
     raise MalformedRule("expected a term, found %r" % t.text, cur.line, t.col, cur.source)
 
 
-def _decode_predicate(name: str, arity: int, cur: _Cursor, col: int) -> PredicateId:
+def _predicate(name: str, arity: int, cur: _Cursor, col: int, dump: bool) -> PredicateId:
+    """The predicate a name denotes.  Input rules allow ordinary names only;
+    dumps also decode the names the pipeline generates."""
+    if not dump:
+        if "#" in name:
+            raise MalformedRule(
+                "'#' is not allowed in predicate names", cur.line, col, cur.source
+            )
+        return Predicate(name, arity)
     if name.startswith("m_") and "#" in name:
         base_label, adornment = name[2:].rsplit("#", 1)
         if base_label == "eq":
@@ -253,50 +263,38 @@ def _decode_predicate(name: str, arity: int, cur: _Cursor, col: int) -> Predicat
     return Predicate(name, arity)
 
 
-def _parse_atom(cur: _Cursor, functions: bool, decode: bool, fresh_ok: bool) -> Atom:
+def _parse_atom(cur: _Cursor, dump: bool) -> Atom:
+    """An atom of an input rule (`dump` false) or of a program dump (`dump`
+    true: function terms, generated variables and generated predicates)."""
     t = cur.peek()
     if t is None:
         cur.fail("expected an atom")
     if t.kind == "NAME" and cur.i + 1 < len(cur.toks) and cur.toks[cur.i + 1].kind == "LP":
         cur.next()
         cur.expect("LP")
-        args = [_parse_term(cur, functions, fresh_ok)]
+        args = [_parse_term(cur, dump)]
         while cur.peek() is not None and cur.peek().kind == "COMMA":
             cur.next()
-            args.append(_parse_term(cur, functions, fresh_ok))
+            args.append(_parse_term(cur, dump))
         cur.expect("RP")
-        pred = (
-            _decode_predicate(t.text, len(args), cur, t.col)
-            if decode
-            else Predicate(t.text, len(args))
-        )
-        if not decode and "#" in t.text:
-            raise MalformedRule(
-                "'#' is not allowed in predicate names", cur.line, t.col, cur.source
-            )
-        return Atom(pred, tuple(args))
+        return Atom(_predicate(t.text, len(args), cur, t.col, dump), tuple(args))
     # Either a nullary atom or an equality s = t.
     if t.kind == "NAME" and (
         cur.i + 1 >= len(cur.toks) or cur.toks[cur.i + 1].kind in ("COMMA", "ARROW", "IMPL", "DOT")
     ):
         cur.next()
-        if not decode and "#" in t.text:
-            raise MalformedRule(
-                "'#' is not allowed in predicate names", cur.line, t.col, cur.source
-            )
-        pred = _decode_predicate(t.text, 0, cur, t.col) if decode else Predicate(t.text, 0)
-        return Atom(pred, ())
-    lhs = _parse_term(cur, functions, fresh_ok)
+        return Atom(_predicate(t.text, 0, cur, t.col, dump), ())
+    lhs = _parse_term(cur, dump)
     cur.expect("EQ")
-    rhs = _parse_term(cur, functions, fresh_ok)
+    rhs = _parse_term(cur, dump)
     return eq(lhs, rhs)
 
 
-def _parse_atom_list(cur: _Cursor, functions: bool, decode: bool, fresh_ok: bool) -> "list[Atom]":
-    atoms = [_parse_atom(cur, functions, decode, fresh_ok)]
+def _parse_atom_list(cur: _Cursor, dump: bool) -> "list[Atom]":
+    atoms = [_parse_atom(cur, dump)]
     while cur.peek() is not None and cur.peek().kind == "COMMA":
         cur.next()
-        atoms.append(_parse_atom(cur, functions, decode, fresh_ok))
+        atoms.append(_parse_atom(cur, dump))
     return atoms
 
 
@@ -320,9 +318,9 @@ def parse_rules(text: str, source: str = "<rules>") -> "list[ExistentialRule]":
         if not toks:
             continue
         cur = _Cursor(toks, lineno, source)
-        body = _parse_atom_list(cur, functions=False, decode=False, fresh_ok=False)
+        body = _parse_atom_list(cur, dump=False)
         cur.expect("ARROW")
-        head = _parse_atom_list(cur, functions=False, decode=False, fresh_ok=False)
+        head = _parse_atom_list(cur, dump=False)
         if cur.peek() is not None and cur.peek().kind == "DOT":
             cur.next()
         if cur.peek() is not None:
@@ -393,12 +391,12 @@ def parse_program(text: str, source: str = "<program>") -> Program:
         if not toks:
             continue
         cur = _Cursor(toks, lineno, source)
-        head = _parse_atom(cur, functions=True, decode=True, fresh_ok=True)
+        head = _parse_atom(cur, dump=True)
         body: list[Atom] = []
         nxt = cur.peek()
         if nxt is not None and nxt.kind == "IMPL":
             cur.next()
-            body = _parse_atom_list(cur, functions=True, decode=True, fresh_ok=True)
+            body = _parse_atom_list(cur, dump=True)
         if cur.peek() is not None and cur.peek().kind == "DOT":
             cur.next()
         if cur.peek() is not None:
@@ -527,24 +525,12 @@ def _render_term(t: Term) -> str:
     return "%s(%s)" % (t.symbol, ",".join(_render_term(a) for a in t.args))
 
 
-def _render_pred(p: PredicateId) -> str:
-    if isinstance(p, Predicate):
-        return p.name
-    if p is EQUALITY or isinstance(p, type(EQUALITY)):
-        return "eq"
-    if isinstance(p, MagicPredicate):
-        return "m_%s#%s" % (_render_pred(p.base), p.adornment)
-    if isinstance(p, FunPredicate):
-        return ("con_" if p.of_constant else "fun_") + p.symbol
-    raise TypeError("not a predicate: %r" % (p,))
-
-
 def render_atom(a: Atom) -> str:
     if a.is_equality:
         return "%s = %s" % (_render_term(a.args[0]), _render_term(a.args[1]))
     if not a.args:
-        return _render_pred(a.predicate)
-    return "%s(%s)" % (_render_pred(a.predicate), ",".join(map(_render_term, a.args)))
+        return pred_label(a.predicate)
+    return "%s(%s)" % (pred_label(a.predicate), ",".join(map(_render_term, a.args)))
 
 
 def render_rule(r) -> str:
@@ -573,9 +559,9 @@ def serialize_program(p) -> str:
 
     def key(r):
         if isinstance(r, Rule):
-            return (_render_pred(r.head.predicate), render_rule(r))
+            return (pred_label(r.head.predicate), render_rule(r))
         if isinstance(r, TGD):
-            return (_render_pred(r.head[0].predicate), render_rule(r))
+            return (pred_label(r.head[0].predicate), render_rule(r))
         return ("=", render_rule(r))
 
     return "\n".join(render_rule(r) for r in sorted(rules, key=key)) + "\n"
@@ -599,13 +585,7 @@ class Scenario:
 
 
 def rules_signature(rules: Iterable) -> "dict[str, Predicate]":
-    sig: dict[str, Predicate] = {}
-    for r in rules:
-        atoms = (r.head if isinstance(r, TGD) else ()) + r.body
-        for a in atoms:
-            if isinstance(a.predicate, Predicate):
-                sig.setdefault(a.predicate.name, a.predicate)
-    return sig
+    return {p.name: p for p in program_predicates(rules) if isinstance(p, Predicate)}
 
 
 def check_query_predicate(rules: Iterable, query: Predicate, source: str = "<rules>"):

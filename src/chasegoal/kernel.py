@@ -63,8 +63,6 @@ def is_ground(x: "Term | Atom") -> bool:
         return False
     if isinstance(x, Constant):
         return True
-    if isinstance(x, Functional):
-        return all(is_ground(a) for a in x.args)
     return all(is_ground(a) for a in x.args)
 
 
@@ -341,12 +339,25 @@ class FreshVars:
 _EMPTY: "frozenset[Atom]" = frozenset()
 
 
+def _unindex(index: dict, key, fact: Atom) -> None:
+    """Remove `fact` from the index entry under `key`, dropping the entry
+    once it is empty.  A term occurring twice in one fact (T(a, sk(a))) is
+    unindexed twice, so the entry may already be gone."""
+    s = index.get(key)
+    if s is not None:
+        s.discard(fact)
+        if not s:
+            del index[key]
+
+
 class Instance:
     """Mutable set of ground atoms with hash indexes by predicate, by
     (predicate, position, term) and by term occurrence.
 
     Single writer: the sets returned by the lookup methods are live views
     and must be copied before mutating the instance while iterating them.
+    An index entry is dropped once it empties, so a view held across that
+    does not see facts added later.
     """
 
     def __init__(self, facts: Iterable[Atom] = ()):
@@ -372,15 +383,11 @@ class Instance:
         if fact not in self._facts:
             return False
         self._facts.discard(fact)
-        self._by_pred[fact.predicate].discard(fact)
+        _unindex(self._by_pred, fact.predicate, fact)
         for i, t in enumerate(fact.args):
-            self._by_pos[(fact.predicate, i, t)].discard(fact)
+            _unindex(self._by_pos, (fact.predicate, i, t), fact)
             for sub in iter_subterms(t):
-                s = self._by_term.get(sub)
-                if s is not None:
-                    s.discard(fact)
-                    if not s:
-                        del self._by_term[sub]
+                _unindex(self._by_term, sub, fact)
         return True
 
     def __contains__(self, fact: Atom) -> bool:
@@ -401,11 +408,8 @@ class Instance:
     def containing(self, term: Term) -> "set[Atom]":
         return self._by_term.get(term, _EMPTY)
 
-    def terms(self) -> Iterator[Term]:
-        return iter(self._by_term)
-
     def predicates(self) -> "set[PredicateId]":
-        return {p for p, s in self._by_pred.items() if s}
+        return set(self._by_pred)
 
     def copy(self) -> "Instance":
         return Instance(self._facts)

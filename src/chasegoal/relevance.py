@@ -21,6 +21,7 @@ from .chase import (
     naive_fixpoint,
 )
 from .eqprep import reflexivity_axioms, sym_trans
+from .finalize import inline_equalities
 from .frontend import constant_sorts
 from .kernel import (
     Atom,
@@ -33,11 +34,10 @@ from .kernel import (
     Program,
     Rule,
     Term,
-    Variable,
     instantiator,
+    iter_subterms,
     pred_label,
     rule_atoms,
-    substitute,
 )
 
 
@@ -51,21 +51,15 @@ class AbstractionFixpointDiverged(RuntimeError):
 # ---------------------------------------------------------------------------
 
 
-def _iter_constants(t: Term):
-    if isinstance(t, Constant):
-        yield t
-    elif isinstance(t, Functional):
-        for a in t.args:
-            yield from _iter_constants(a)
-
-
 def _program_constants(rules) -> "set[Constant]":
-    out: set[Constant] = set()
-    for r in rules:
-        for atom in rule_atoms(r):
-            for t in atom.args:
-                out.update(_iter_constants(t))
-    return out
+    return {
+        s
+        for r in rules
+        for atom in rule_atoms(r)
+        for t in atom.args
+        for s in iter_subterms(t)
+        if isinstance(s, Constant)
+    }
 
 
 def _fresh_name(base: str, taken: "set[str]") -> str:
@@ -89,16 +83,8 @@ def critical_instance(
     base_preds = base.predicates() if isinstance(base, Instance) else set(base)
     constants = _program_constants(program.rules)
     taken = {c.name for c in constants}
-
-    out = Instance()
-    if not typed or not schema:
-        star = Constant(_fresh_name("*", taken))
-        pool = sorted(constants | {star}, key=lambda c: c.name)
-        for pred in sorted(base_preds, key=pred_label):
-            for args in product(pool, repeat=pred.arity):
-                out.add(Atom(pred, args))
-        return out
-
+    if not (typed and schema):
+        schema = {}
     inferred = constant_sorts(program.rules, schema)
     stars: dict[Optional[str], Constant] = {}
 
@@ -110,18 +96,12 @@ def critical_instance(
             stars[sort] = c
         return c
 
+    out = Instance()
     for pred in sorted(base_preds, key=pred_label):
-        if not isinstance(pred, Predicate):
-            continue
-        sorts = schema.get((pred.name, pred.arity)) or (None,) * pred.arity
+        sorts = schema.get((pred.name, pred.arity)) if isinstance(pred, Predicate) else None
         pools = []
-        for i in range(pred.arity):
-            sort = sorts[i]
-            ok = [
-                c
-                for c in constants
-                if sort is None or inferred.get(c) in (None, sort)
-            ]
+        for sort in sorts or (None,) * pred.arity:
+            ok = [c for c in constants if sort is None or inferred.get(c) in (None, sort)]
             pools.append(sorted(ok + [star_of(sort)], key=lambda c: c.name))
         for args in product(*pools):
             out.add(Atom(pred, args))
@@ -232,26 +212,10 @@ def relevance(
     for idx, rule in enumerate(program.rules):
         if idx not in kept:
             continue
-        unblocked = {
+        unblocked = [
             j
             for j, a in enumerate(rule.body)
             if a.is_equality and (idx, j) not in blocked
-        }
-        out.append(_inline_equalities(rule, unblocked) if unblocked else rule)
+        ]
+        out.append(inline_equalities(rule, unblocked))
     return Program(tuple(out), program.query)
-
-
-def _inline_equalities(rule: Rule, positions: "set[int]") -> Rule:
-    sub: dict[Variable, Term] = {}
-    for j in sorted(positions):
-        atom = substitute(sub, rule.body[j])
-        lhs, rhs = atom.args
-        if not isinstance(lhs, Variable):
-            raise ValueError("cannot inline %r in %r" % (atom, rule))
-        for k in list(sub):
-            sub[k] = substitute({lhs: rhs}, sub[k])
-        sub[lhs] = rhs
-    body = tuple(
-        substitute(sub, a) for j, a in enumerate(rule.body) if j not in positions
-    )
-    return Rule(substitute(sub, rule.head), body)

@@ -78,6 +78,10 @@ def test_comment_and_blank_lines_skipped():
         ("P(?x) -> ?x = ?y, Q(?x)", MalformedRule),     # equality not alone
         ("P(?_s1) -> Q(?_s1)", MalformedRule),          # reserved prefix
         ("P(f(?x)) -> Q(?x)", MalformedRule),           # input rules are function free
+        ("P#x(?x) -> Q(?x)", MalformedRule),            # '#' in a predicate name
+        ("P(?x), N#x -> Q(?x)", MalformedRule),         # '#' in a nullary predicate name
+        ("P(a#b) -> Q(?x)", MalformedRule),             # '#' in a constant
+        ("P(?x#1) -> Q(?x#1)", MalformedRule),          # '#' in a variable name
     ],
 )
 def test_parse_rules_rejects(bad, err):

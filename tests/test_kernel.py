@@ -261,6 +261,21 @@ def test_instance_add_and_discard_round_trip():
     assert inst.with_term_at(R2, 0, a) == set()
 
 
+def test_instance_discard_drops_emptied_index_entries():
+    # the last fact holding `a` holds it twice, so its entry empties on the
+    # first of the two removals
+    inst = Instance()
+    facts = [Atom(R2, (a, b)), Atom(P1, (a,)), Atom(R2, (a, f(a)))]
+    for fact in facts:
+        inst.add(fact)
+    for fact in facts:
+        inst.discard(fact)
+    assert inst._by_pos == {}
+    assert inst._by_pred == {}
+    assert inst._by_term == {}
+    assert inst.predicates() == set()
+
+
 def test_instance_containing_finds_nested_subterms():
     inst = Instance()
     nested = Atom(P1, (g(f(b)),))

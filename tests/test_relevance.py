@@ -96,6 +96,16 @@ def test_typed_critical_instance_uses_one_star_per_sort():
     (s_fact,) = crit.with_predicate(S2)
     assert [t.name for t in s_fact.args] == ["*student", "*dept"]
     assert [t.sort for t in s_fact.args] == ["student", "dept"]
+    # a predicate the schema omits gets the star of unknown sort
+    crit = critical_instance(sk, [B1, S2], typed=True, schema={("B", 1): ("student",)})
+    (b_fact,) = crit.with_predicate(B1)
+    (s_fact,) = crit.with_predicate(S2)
+    assert [t.name for t in b_fact.args] == ["*student"]
+    assert [(t.name, t.sort) for t in s_fact.args] == [("*", None), ("*", None)]
+    # typed without a schema is untyped
+    crit = critical_instance(sk, [B1, S2], typed=True, schema=None)
+    assert set(crit) == set(critical_instance(sk, [B1, S2]))
+    assert {t.name for f in crit for t in f.args} == {"*"}
 
 
 # -- divergence and function abstraction ----------------------------------
