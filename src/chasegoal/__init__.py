@@ -61,7 +61,6 @@ from .kernel import (
     Rule,
     TGD,
     Variable,
-    compare_terms,
     enumerate_matches,
     eq,
     map_shallow,

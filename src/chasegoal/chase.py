@@ -5,8 +5,16 @@ function-, constant- and equality-free (what the pipeline produces): equality
 heads merge union-find classes, the class representative is the term-order
 minimum, and facts holding a losing term at an argument position are
 rewritten in place.  `naive_fixpoint` evaluates arbitrary logic programs with
-explicit equality atoms and serves as the reference semantics.  Both run the
-same semi-naive loop over rules compiled once into one join plan per pivot.
+explicit equality atoms and serves as the reference semantics.
+
+Both run the same semi-naive loop over rules compiled once into one join
+plan per pivot.  A round finds each new match once, at the first body atom
+whose fact is new.  A part of a body that no chain of shared variables
+links to the head is only checked for one witness: the rule fires for the
+matches of the rest once it holds, never once per witness.  On the output
+of the magic rewriting, `chase` does not compile the demand rules that a
+rule with fewer bound positions covers, so demand on a predicate stays as
+free as the freest demand that reaches it.
 """
 
 from __future__ import annotations
@@ -21,6 +29,7 @@ from .kernel import (
     Constant,
     Instance,
     JoinPlan,
+    MagicPredicate,
     Predicate,
     Program,
     Rule,
@@ -159,13 +168,16 @@ class _Store:
     def __init__(self, limits: Limits):
         self.instance = Instance()
         self.limits = limits
-        self.delta: set[Atom] = set()
+        # A dict used as a set: a round keeps its delta for the duplicate-free
+        # pivots, and with thousands of facts a dict grown fact by fact takes
+        # a third to a half of the memory of a set.
+        self.delta: dict[Atom, None] = {}
 
     def insert(self, fact: Atom) -> bool:
         if not self.instance.add(fact):
             return False
         _guard_fact(fact, len(self.instance), self.limits)
-        self.delta.add(fact)
+        self.delta[fact] = None
         return True
 
 
@@ -202,7 +214,7 @@ class _ChaseState(_Store):
             if any(occurs_in(loser, a) for a in new.args):
                 continue
             if self.instance.add(new):
-                self.delta.add(new)
+                self.delta[new] = None
 
     def apply_head(self, head: Atom, count: bool = True):
         args = tuple(self.uf.find(t) for t in head.args)
@@ -216,34 +228,138 @@ class _ChaseState(_Store):
             self.derived.append(fact)
 
 
-class _CompiledRule:
-    """A rule with body of at least one atom, compiled once: a join plan per
-    pivot (the body atom matched against the delta), all sharing one slot
-    layout, so a match is one tuple whatever pivot produced it."""
+def _components(rule: Rule) -> "tuple[tuple[Atom, ...], list[tuple[Atom, ...]]]":
+    """The body split into its components, the groups of atoms connected by
+    shared variables: (the atoms of the components that hold a head
+    variable, in body order; the other, head-free components)."""
+    head = vars_of(rule.head)
+    comps: list = []  # (variables, atom indices)
+    for i, a in enumerate(rule.body):
+        vs, idx = vars_of(a), [i]
+        for c in [c for c in comps if not c[0].isdisjoint(vs)]:
+            comps.remove(c)
+            vs |= c[0]
+            idx += c[1]
+        comps.append((vs, idx))
+    linked = sorted(i for vs, idx in comps if not vs.isdisjoint(head) for i in idx)
+    free = [tuple(rule.body[i] for i in sorted(idx)) for vs, idx in comps if vs.isdisjoint(head)]
+    return tuple(rule.body[i] for i in linked), free
 
-    __slots__ = ("pivots", "head", "body", "head_is_eq")
+
+def _pivots(atoms: "tuple[Atom, ...]", slots) -> tuple:
+    """A join plan per atom of a conjunction, the atom matched against a
+    delta fact; the atoms before it may only match facts outside the delta."""
+    return tuple(
+        (a.predicate, JoinPlan(atoms[:i] + atoms[i + 1 :], entry=a, slots=slots, old=i))
+        for i, a in enumerate(atoms)
+    )
+
+
+def _holds(pivots: tuple, by_pred: dict, instance: Instance) -> bool:
+    """Whether a conjunction has a match holding one of the delta facts."""
+    return any(
+        plan.holds_from(fact, instance)
+        for pred, plan in pivots
+        for fact in by_pred.get(pred, ())
+        if fact in instance
+    )
+
+
+class _CompiledRule:
+    """A rule with a body of at least one atom, compiled once.
+
+    A head-free component of the body (see `_components`) only has to
+    hold: it waits for one witness and is never joined with the rest, since
+    its matches cannot change the head.  The head-linked atoms get a join
+    plan per pivot, all sharing one slot layout, so a match is one tuple
+    whatever pivot produced it.  In the round the last waiting component
+    gets its witness, the head-linked atoms are joined in full once, by the
+    first pivot's plan from every fact of its predicate; from then on they
+    are pivoted on the delta.  `waiting` is the per-call state of that
+    switch."""
+
+    __slots__ = ("pivots", "waiting", "head", "body", "head_is_eq")
 
     def __init__(self, rule: Rule):
         slots: dict[Variable, int] = {}
         for v in iter_vars(rule.body):
             slots.setdefault(v, len(slots))
-        self.pivots = tuple(
-            (a.predicate, JoinPlan(rule.body[:i] + rule.body[i + 1 :], entry=a, slots=slots))
-            for i, a in enumerate(rule.body)
-        )
+        linked, free = _components(rule)
+        self.pivots = _pivots(linked, slots)
+        self.waiting = [_pivots(c, slots) for c in free]
         self.head = instantiator(rule.head, slots)
-        self.body = tuple(instantiator(a, slots) for a in rule.body)
         self.head_is_eq = rule.head.is_equality
+        # Only the chase's re-check of a relational head rebuilds the body,
+        # and only its head-linked atoms: chase bodies hold only variables,
+        # so a merge rewrites a witness into another witness.
+        self.body = () if self.head_is_eq else tuple(instantiator(a, slots) for a in linked)
 
-    def matches(self, by_pred: dict, instance: Instance) -> "list[tuple]":
+    def matches(self, by_pred: dict, delta: "dict[Atom, None]", instance: Instance) -> "list[tuple]":
+        """This round's new matches of the head-linked atoms, given the
+        round's `delta` and its facts grouped by predicate."""
         out: list[tuple] = []
+        if self.waiting:
+            self.waiting = [c for c in self.waiting if not _holds(c, by_pred, instance)]
+            if self.waiting:
+                return out
+            if not self.pivots:
+                return [()]  # no head-linked atom, so the head is ground
+            pred, plan = self.pivots[0]
+            for fact in instance.with_predicate(pred):
+                plan.run_from(fact, instance, out)
+            return out
         for pred, plan in self.pivots:
             for fact in by_pred.get(pred, ()):
                 # A fact rewritten away by a merge is stale; its normalized
                 # form re-entered the delta on its own.
                 if fact in instance:
-                    plan.run_from(fact, instance, out)
+                    plan.run_from(fact, instance, out, delta)
         return out
+
+
+def _subsumed_demand(rules: "Iterable[Rule]") -> "set[Rule]":
+    """Demand rules that a freer demand rule always outruns.
+
+    A rule deriving m_R#α(t̄), α other than the equality's eqb, is subsumed
+    by a rule deriving m_R#β(ȳ) when β binds a strict subset of α's
+    positions, ȳ are distinct variables, and the second body maps into the
+    first with ȳ sent to the arguments of t̄ at β's positions; the test runs
+    the second body's join plan on the first body frozen into an instance.
+    Whenever the first rule fires, the second fires on the same facts and
+    demands R with fewer positions fixed, and in the magic rewriting's
+    output every rule a demand m_R#α feeds has a copy under β that fires on
+    that freer demand (subsumptive demand, Tekle and Liu, SIGMOD 2011)."""
+    by_base: dict = {}
+    for r in rules:
+        p = r.head.predicate
+        if isinstance(p, MagicPredicate) and p.adornment != "eqb":
+            by_base.setdefault(p.base, []).append(r)
+    out: set[Rule] = set()
+    for group in by_base.values():
+        for r in group:
+            alpha = r.head.predicate.adornment
+            frozen = None
+            for s in group:
+                beta, ys = s.head.predicate.adornment, s.head.args
+                if not (
+                    len(ys) < len(r.head.args)
+                    and all(a == "b" for a, b in zip(alpha, beta) if b == "b")
+                    and all(isinstance(y, Variable) for y in ys)
+                    and len(set(ys)) == len(ys)
+                ):
+                    continue
+                args = dict(zip(_bound_positions(alpha), r.head.args))
+                bindings = {y: args[i] for y, i in zip(ys, _bound_positions(beta))}
+                if frozen is None:
+                    frozen = Instance(r.body)
+                if JoinPlan(s.body, bound=ys).run(frozen, bindings):
+                    out.add(r)
+                    break
+    return out
+
+
+def _bound_positions(adornment: str) -> "list[int]":
+    return [i for i, c in enumerate(adornment) if c == "b"]
 
 
 def _compile(rules: Iterable[Rule], add) -> "list[_CompiledRule]":
@@ -258,25 +374,27 @@ def _compile(rules: Iterable[Rule], add) -> "list[_CompiledRule]":
 
 
 def _saturate(rules: "list[_CompiledRule]", state: _Store, fire, rng=None) -> int:
-    """Semi-naive rounds until the delta is empty: every rule is matched with
-    each body atom pivoted on the previous round's new facts, and `fire`
-    applies one rule's batch of matches before the next rule is matched.
-    Returns the number of rounds."""
+    """Semi-naive rounds until the delta is empty.  Each round matches every
+    rule against the facts the previous round added (its delta) and `fire`
+    applies one rule's batch of matches before the next rule is matched, so
+    later rules see what earlier ones added.  A batch holds each new match
+    of the head-linked atoms once, found at the first of its atoms whose
+    fact is in the delta; a rule with head-free components has none until
+    they all hold (`_CompiledRule`).  Returns the number of rounds."""
     rounds = 0
     while state.delta:
         rounds += 1
-        delta = list(state.delta)
-        state.delta = set()
-        if rng is not None:
-            rng.shuffle(delta)
+        fresh, state.delta = state.delta, {}
         by_pred: dict = {}
-        for fact in delta:
+        for fact in fresh:
             by_pred.setdefault(fact.predicate, []).append(fact)
         order = list(rules)
         if rng is not None:
+            for facts in by_pred.values():
+                rng.shuffle(facts)
             rng.shuffle(order)
         for rule in order:
-            fire(rule, rule.matches(by_pred, state.instance))
+            fire(rule, rule.matches(by_pred, fresh, state.instance))
     return rounds
 
 
@@ -292,6 +410,12 @@ def chase(
     front) and are not counted as derived.  The `seed` only shuffles the
     evaluation order; the resulting instance and term map are the same for
     every seed.
+
+    On a program marked `magic_rewritten` (the magic rewriting's output,
+    as the finalize steps pass it on) the demand rules that a freer demand
+    rule covers are not compiled (`_subsumed_demand`).  The instance then
+    lacks the demand facts only they derive, and every other fact is kept.
+    Any other program is chased as given.
     """
     _check_chase_contract(program)
     state = _ChaseState(limits)
@@ -300,7 +424,8 @@ def chase(
         if not is_ground(fact):
             raise BodyContractViolation("non-ground base fact %r" % (fact,))
         state.apply_head(fact, count=False)
-    rules = _compile(program.rules, state.apply_head)
+    subsumed = _subsumed_demand(program.rules) if program.magic_rewritten else set()
+    rules = _compile((r for r in program.rules if r not in subsumed), state.apply_head)
 
     def fire(rule: _CompiledRule, matches: "list[tuple]"):
         epoch0 = state.epoch

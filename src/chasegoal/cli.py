@@ -11,7 +11,7 @@ from .driver import MODES, STAGES, PipelineConfig, PipelineError, dump_stage, em
 from .frontend import FrontendError, load_scenario
 from .relevance import AbstractionFixpointDiverged
 
-_GUARDS = (DepthLimitExceeded, FactLimitExceeded, AbstractionFixpointDiverged)
+_GUARDS = (DepthLimitExceeded, FactLimitExceeded, AbstractionFixpointDiverged, MemoryError)
 
 
 @click.group()

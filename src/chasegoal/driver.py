@@ -29,7 +29,8 @@ class PipelineError(RuntimeError):
     def __init__(self, stage: str, cause: BaseException):
         self.stage = stage
         self.cause = cause
-        super().__init__("stage %s: %s" % (stage, cause))
+        # A MemoryError usually carries no message; name its type instead.
+        super().__init__("stage %s: %s" % (stage, str(cause) or type(cause).__name__))
 
 
 @dataclass(frozen=True)

@@ -123,15 +123,6 @@ def term_key(t: Term):
     )
 
 
-def compare_terms(t1: Term, t2: Term) -> int:
-    k1, k2 = term_key(t1), term_key(t2)
-    if k1 < k2:
-        return -1
-    if k1 > k2:
-        return 1
-    return 0
-
-
 # ---------------------------------------------------------------------------
 # Predicates and atoms
 # ---------------------------------------------------------------------------
@@ -243,6 +234,10 @@ class Rule:
 class Program:
     rules: "tuple[Rule, ...]"
     query: Optional[Predicate] = None
+    # Set on the output of the magic rewriting and kept by the finalize
+    # steps: every demand m_R#β a rule derives guards a copy of each rule of
+    # R.  The chase relies on it to drop demand rules a freer one covers.
+    magic_rewritten: bool = False
 
 
 @dataclass(frozen=True)
@@ -469,11 +464,11 @@ def _is_key(t: Term, bound: "set[Variable]") -> bool:
     return t in bound if isinstance(t, Variable) else is_ground(t)
 
 
-def _join(steps: tuple, k: int, instance: "Instance", b: list, out: list) -> None:
+def _join(steps: tuple, k: int, instance: "Instance", b: list, out, delta) -> None:
     if k == len(steps):
         out.append(tuple(b))
         return
-    pred, key_pos, key_slot, key, ops = steps[k]
+    pred, key_pos, key_slot, key, ops, old = steps[k]
     if key_slot is not None:
         candidates = instance._by_pos.get((pred, key_pos, b[key_slot]))
     elif key is not None:
@@ -484,8 +479,24 @@ def _join(steps: tuple, k: int, instance: "Instance", b: list, out: list) -> Non
         return
     k += 1
     for fact in candidates:
-        if _match_args(ops, fact.args, b):
-            _join(steps, k, instance, b, out)
+        if _match_args(ops, fact.args, b) and not (old and fact in delta):
+            _join(steps, k, instance, b, out, delta)
+
+
+class _Found(Exception):
+    pass
+
+
+class _FirstMatch:
+    """A match sink that stops the join at its first match."""
+
+    __slots__ = ()
+
+    def append(self, vals):
+        raise _Found
+
+
+_FIRST_MATCH = _FirstMatch()
 
 
 class JoinPlan:
@@ -499,6 +510,11 @@ class JoinPlan:
     the index key.  Each step then binds, checks or structurally matches
     the other positions.
 
+    With `old=k`, the first k atoms of `body` may only match facts outside
+    the `delta` that `run_from` is given: a rule pivoted on its body atom k
+    then finds a match that holds several delta facts only once, at the
+    first of them.
+
     Variables live in the slots of one list (`slots` maps each variable to
     its slot).  Every variable is bound by exactly one operation and read
     only after it, so matching overwrites the list in place and backtracking
@@ -507,7 +523,7 @@ class JoinPlan:
 
     __slots__ = ("slots", "entry", "steps")
 
-    def __init__(self, body, entry: Optional[Atom] = None, bound=(), slots=None):
+    def __init__(self, body, entry: Optional[Atom] = None, bound=(), slots=None, old: int = 0):
         body = tuple(body)
         if slots is None:
             slots = {}
@@ -517,10 +533,10 @@ class JoinPlan:
         known = set(bound)
         self.entry = None if entry is None else _compile_args(entry.args, slots, known)
         steps = []
-        remaining = list(body)
+        remaining = list(enumerate(body))
         while remaining:
-            scores = [sum(_is_key(t, known) for t in a.args) for a in remaining]
-            atom = remaining.pop(scores.index(max(scores)))
+            scores = [sum(_is_key(t, known) for t in a.args) for _, a in remaining]
+            j, atom = remaining.pop(scores.index(max(scores)))
             key_pos = next((i for i, t in enumerate(atom.args) if _is_key(t, known)), -1)
             key_slot = key = None
             if key_pos >= 0 and isinstance(atom.args[key_pos], Variable):
@@ -528,7 +544,7 @@ class JoinPlan:
             elif key_pos >= 0:
                 key = (atom.predicate, key_pos, atom.args[key_pos])
             ops = _compile_args(atom.args, slots, known, skip=key_pos)
-            steps.append((atom.predicate, key_pos, key_slot, key, ops))
+            steps.append((atom.predicate, key_pos, key_slot, key, ops, j < old))
         self.steps: tuple = tuple(steps)
 
     def run(self, instance: "Instance", bindings=None) -> "list[tuple]":
@@ -538,15 +554,24 @@ class JoinPlan:
         for v, t in (bindings or {}).items():
             b[self.slots[v]] = t
         out: list = []
-        _join(self.steps, 0, instance, b, out)
+        _join(self.steps, 0, instance, b, out, _EMPTY)
         return out
 
-    def run_from(self, fact: Atom, instance: "Instance", out: list) -> None:
+    def run_from(self, fact: Atom, instance: "Instance", out: list, delta=_EMPTY) -> None:
         """Append to `out` the matches whose entry atom is `fact`; the
         caller has checked that the predicates agree."""
         b = [None] * len(self.slots)
         if _match_args(self.entry, fact.args, b):
-            _join(self.steps, 0, instance, b, out)
+            _join(self.steps, 0, instance, b, out, delta)
+
+    def holds_from(self, fact: Atom, instance: "Instance") -> bool:
+        """Whether some match has `fact` as its entry atom; the join stops
+        at the first."""
+        try:
+            self.run_from(fact, instance, _FIRST_MATCH)
+        except _Found:
+            return True
+        return False
 
 
 def _term_instantiator(t: Term, slots):

@@ -136,4 +136,4 @@ def magic(program: Program) -> Program:
             for beta in betas:
                 process(rule, m, beta)
 
-    return Program(tuple(out), program.query)
+    return Program(tuple(out), program.query, magic_rewritten=True)

@@ -2,6 +2,7 @@
 
 import csv
 import json
+import time
 
 import pytest
 from click.testing import CliRunner
@@ -18,7 +19,7 @@ from chasegoal import (
 from chasegoal.cli import main
 from chasegoal.kernel import Atom, Constant, Instance, Predicate
 
-from helpers import Q1, running_example
+from helpers import Q1, campus_fixture, running_example
 
 
 def test_all_modes_agree_on_the_worked_example():
@@ -27,6 +28,24 @@ def test_all_modes_agree_on_the_worked_example():
         rep = run_pipeline(sc, PipelineConfig(mode=mode))
         assert rep.answers == (("a1",),), mode
         assert rep.mode == mode
+
+
+@pytest.mark.parametrize("n", [100, 1000])
+def test_magic_mode_demand_stays_linear_on_the_chain(n):
+    t0 = time.perf_counter()
+    rep = run_pipeline(running_example(n), PipelineConfig(mode="magic"))
+    took = time.perf_counter() - t0
+    assert rep.answers == (("a1",),)
+    assert rep.chase_stats.derived_facts <= 6 * n
+    assert rep.chase_stats.rule_applications <= 8 * n
+    assert n < 1000 or took < 5.0
+
+
+def test_magic_mode_answers_campus_like_mat():
+    sc = campus_fixture()
+    want = run_pipeline(sc, PipelineConfig(mode="mat")).answers
+    assert len(want) == 100
+    assert run_pipeline(sc, PipelineConfig(mode="magic")).answers == want
 
 
 def test_report_carries_rule_counts_and_timings():
@@ -197,6 +216,21 @@ def test_cli_guard_trip_exits_two(tmp_path):
     )
     assert result.exit_code == 2
     assert "error:" in result.output
+
+
+def test_cli_memory_error_in_a_stage_exits_two(tmp_path, monkeypatch):
+    def out_of_memory(*args):
+        raise MemoryError
+
+    monkeypatch.setattr("chasegoal.driver.chase", out_of_memory)
+    rules_path, data = write_inputs(tmp_path)
+    result = CliRunner().invoke(
+        main,
+        ["run", "--rules", str(rules_path), "--data", str(data),
+         "--query-pred", "Q", "--out", str(tmp_path / "out")],
+    )
+    assert result.exit_code == 2, result.output
+    assert "error: stage chase: MemoryError" in result.output
 
 
 def test_cli_una_changes_nothing_here_but_is_accepted(tmp_path):

@@ -13,7 +13,6 @@ from chasegoal.kernel import (
     JoinPlan,
     Predicate,
     Variable,
-    compare_terms,
     enumerate_matches,
     eq,
     is_ground,
@@ -75,6 +74,13 @@ def test_map_shallow_on_equality_atom():
 
 
 # -- term order ----------------------------------------------------------
+
+
+def compare_terms(t1, t2):
+    """Three-way comparison under `term_key`, the order representatives
+    are picked by."""
+    k1, k2 = term_key(t1), term_key(t2)
+    return (k1 > k2) - (k1 < k2)
 
 
 def test_constants_precede_function_terms():
