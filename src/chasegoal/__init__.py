@@ -61,7 +61,6 @@ from .kernel import (
     Rule,
     TGD,
     Variable,
-    enumerate_matches,
     eq,
     map_shallow,
     substitute,

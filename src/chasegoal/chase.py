@@ -11,10 +11,7 @@ Both run the same semi-naive loop over rules compiled once into one join
 plan per pivot.  A round finds each new match once, at the first body atom
 whose fact is new.  A part of a body that no chain of shared variables
 links to the head is only checked for one witness: the rule fires for the
-matches of the rest once it holds, never once per witness.  On the output
-of the magic rewriting, `chase` does not compile the demand rules that a
-rule with fewer bound positions covers, so demand on a predicate stays as
-free as the freest demand that reaches it.
+matches of the rest once it holds, never once per witness.
 """
 
 from __future__ import annotations
@@ -29,7 +26,6 @@ from .kernel import (
     Constant,
     Instance,
     JoinPlan,
-    MagicPredicate,
     Predicate,
     Program,
     Rule,
@@ -317,51 +313,6 @@ class _CompiledRule:
         return out
 
 
-def _subsumed_demand(rules: "Iterable[Rule]") -> "set[Rule]":
-    """Demand rules that a freer demand rule always outruns.
-
-    A rule deriving m_R#α(t̄), α other than the equality's eqb, is subsumed
-    by a rule deriving m_R#β(ȳ) when β binds a strict subset of α's
-    positions, ȳ are distinct variables, and the second body maps into the
-    first with ȳ sent to the arguments of t̄ at β's positions; the test runs
-    the second body's join plan on the first body frozen into an instance.
-    Whenever the first rule fires, the second fires on the same facts and
-    demands R with fewer positions fixed, and in the magic rewriting's
-    output every rule a demand m_R#α feeds has a copy under β that fires on
-    that freer demand (subsumptive demand, Tekle and Liu, SIGMOD 2011)."""
-    by_base: dict = {}
-    for r in rules:
-        p = r.head.predicate
-        if isinstance(p, MagicPredicate) and p.adornment != "eqb":
-            by_base.setdefault(p.base, []).append(r)
-    out: set[Rule] = set()
-    for group in by_base.values():
-        for r in group:
-            alpha = r.head.predicate.adornment
-            frozen = None
-            for s in group:
-                beta, ys = s.head.predicate.adornment, s.head.args
-                if not (
-                    len(ys) < len(r.head.args)
-                    and all(a == "b" for a, b in zip(alpha, beta) if b == "b")
-                    and all(isinstance(y, Variable) for y in ys)
-                    and len(set(ys)) == len(ys)
-                ):
-                    continue
-                args = dict(zip(_bound_positions(alpha), r.head.args))
-                bindings = {y: args[i] for y, i in zip(ys, _bound_positions(beta))}
-                if frozen is None:
-                    frozen = Instance(r.body)
-                if JoinPlan(s.body, bound=ys).run(frozen, bindings):
-                    out.add(r)
-                    break
-    return out
-
-
-def _bound_positions(adornment: str) -> "list[int]":
-    return [i for i, c in enumerate(adornment) if c == "b"]
-
-
 def _compile(rules: Iterable[Rule], add) -> "list[_CompiledRule]":
     """Compile the rules that have a body; pass the others' heads to `add`."""
     compiled = []
@@ -410,12 +361,6 @@ def chase(
     front) and are not counted as derived.  The `seed` only shuffles the
     evaluation order; the resulting instance and term map are the same for
     every seed.
-
-    On a program marked `magic_rewritten` (the magic rewriting's output,
-    as the finalize steps pass it on) the demand rules that a freer demand
-    rule covers are not compiled (`_subsumed_demand`).  The instance then
-    lacks the demand facts only they derive, and every other fact is kept.
-    Any other program is chased as given.
     """
     _check_chase_contract(program)
     state = _ChaseState(limits)
@@ -424,8 +369,7 @@ def chase(
         if not is_ground(fact):
             raise BodyContractViolation("non-ground base fact %r" % (fact,))
         state.apply_head(fact, count=False)
-    subsumed = _subsumed_demand(program.rules) if program.magic_rewritten else set()
-    rules = _compile((r for r in program.rules if r not in subsumed), state.apply_head)
+    rules = _compile(program.rules, state.apply_head)
 
     def fire(rule: _CompiledRule, matches: "list[tuple]"):
         epoch0 = state.epoch

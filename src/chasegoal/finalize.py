@@ -125,7 +125,7 @@ def defunctionalize(program: Program) -> Program:
                 out.append(companion)
     for name in sorted(fact_rules):
         out.append(fact_rules[name])
-    return Program(tuple(out), program.query, program.magic_rewritten)
+    return Program(tuple(out), program.query)
 
 
 # ---------------------------------------------------------------------------
@@ -158,4 +158,4 @@ def desingularize(program: Program) -> Program:
     for rule in program.rules:
         r = inline_equalities(rule, [j for j, a in enumerate(rule.body) if a.is_equality])
         out.append(Rule(r.head, tuple(dict.fromkeys(r.body))))
-    return Program(tuple(out), program.query, program.magic_rewritten)
+    return Program(tuple(out), program.query)

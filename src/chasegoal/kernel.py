@@ -234,10 +234,6 @@ class Rule:
 class Program:
     rules: "tuple[Rule, ...]"
     query: Optional[Predicate] = None
-    # Set on the output of the magic rewriting and kept by the finalize
-    # steps: every demand m_R#β a rule derives guards a copy of each rule of
-    # R.  The chase relies on it to drop demand rules a freer one covers.
-    magic_rewritten: bool = False
 
 
 @dataclass(frozen=True)
@@ -589,10 +585,3 @@ def instantiator(atom: Atom, slots: "dict[Variable, int]"):
     `atom` under it."""
     pred, fs = atom.predicate, tuple(_term_instantiator(t, slots) for t in atom.args)
     return lambda vals: Atom(pred, tuple([f(vals) for f in fs]))
-
-
-def enumerate_matches(body, instance: Instance, bindings=None) -> Iterator["dict[Variable, Term]"]:
-    """Substitutions that extend `bindings` and match every body atom against
-    the instance, joined through the indexes in `JoinPlan` order."""
-    plan = JoinPlan(body, bound=bindings or ())
-    return (dict(zip(plan.slots, vals)) for vals in plan.run(instance, bindings))

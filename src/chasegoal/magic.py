@@ -7,6 +7,13 @@ equality demands each side separately, and ff is not allowed.  Bodies are
 reordered so that every equality atom has a variable bound by the magic
 seed or by an earlier relational atom; programs where no such ordering
 exists are rejected.
+
+Demand is emitted only for body atoms some rule can derive, equalities
+included: a body equality is demanded only when some rule has an equality
+head.  A demand rule that a freer demand rule on the same predicate always
+outruns is left out of the output (subsumptive demand, Tekle and Liu,
+SIGMOD 2011), so demand on a predicate stays as free as the freest demand
+that reaches it.
 """
 
 from __future__ import annotations
@@ -17,11 +24,14 @@ from typing import Iterable
 from .kernel import (
     EQUALITY,
     Atom,
+    Instance,
+    JoinPlan,
     MagicPredicate,
     PredicateId,
     Program,
     Rule,
     Term,
+    Variable,
     vars_of,
 )
 
@@ -70,9 +80,10 @@ def reorder(body: Iterable[Atom], bound_terms: Iterable[Term]) -> "tuple[Atom, .
 
 def magic(program: Program) -> Program:
     """Magic-set transformation seeded by an all-free demand on the query
-    predicate.  Magic rules are emitted for body atoms that are equalities
-    or whose predicate occurs in some head of the program; an equality
-    demand bound on one side is processed under both orientations."""
+    predicate.  Magic rules are emitted for body atoms whose predicate
+    occurs in some head of the program, the equality predicate included; an
+    equality demand bound on one side is processed under both orientations.
+    The demand rules `_subsumed_demand` finds are dropped from the output."""
     if program.query is None:
         raise ValueError("magic needs a program with a query predicate")
 
@@ -101,7 +112,7 @@ def magic(program: Program) -> Program:
         emit(Rule(rule.head, (magic_atom,) + ordered))
         bound = vars_of(bound_terms)
         for i, b in enumerate(ordered):
-            if b.is_equality or b.predicate in head_preds:
+            if b.predicate in head_preds:
                 raw = adorn(b, bound)
                 if b.is_equality:
                     if raw == "ff":
@@ -136,4 +147,50 @@ def magic(program: Program) -> Program:
             for beta in betas:
                 process(rule, m, beta)
 
-    return Program(tuple(out), program.query, magic_rewritten=True)
+    subsumed = _subsumed_demand(out)
+    return Program(tuple(r for r in out if r not in subsumed), program.query)
+
+
+def _subsumed_demand(rules: "Iterable[Rule]") -> "set[Rule]":
+    """Demand rules that a freer demand rule always outruns.
+
+    A rule deriving m_R#α(t̄), α other than the equality's eqb, is subsumed
+    by a rule deriving m_R#β(ȳ) when β binds a strict subset of α's
+    positions, ȳ are distinct variables, and the second body maps into the
+    first with ȳ sent to the arguments of t̄ at β's positions; the test runs
+    the second body's join plan on the first body frozen into an instance.
+    Whenever the first rule fires, the second fires on the same facts and
+    demands R with fewer positions fixed, and `magic` copies every rule of R
+    under each demand m_R#β it emits, so each rule the demand m_R#α would
+    feed has a copy that fires on the freer demand."""
+    by_base: dict = {}
+    for r in rules:
+        p = r.head.predicate
+        if isinstance(p, MagicPredicate) and p.adornment != "eqb":
+            by_base.setdefault(p.base, []).append(r)
+    out: set[Rule] = set()
+    for group in by_base.values():
+        for r in group:
+            alpha = r.head.predicate.adornment
+            frozen = None
+            for s in group:
+                beta, ys = s.head.predicate.adornment, s.head.args
+                if not (
+                    len(ys) < len(r.head.args)
+                    and all(a == "b" for a, b in zip(alpha, beta) if b == "b")
+                    and all(isinstance(y, Variable) for y in ys)
+                    and len(set(ys)) == len(ys)
+                ):
+                    continue
+                args = dict(zip(_bound_positions(alpha), r.head.args))
+                bindings = {y: args[i] for y, i in zip(ys, _bound_positions(beta))}
+                if frozen is None:
+                    frozen = Instance(r.body)
+                if JoinPlan(s.body, bound=ys).run(frozen, bindings):
+                    out.add(r)
+                    break
+    return out
+
+
+def _bound_positions(adornment: str) -> "list[int]":
+    return [i for i, c in enumerate(adornment) if c == "b"]

@@ -26,11 +26,11 @@ from chasegoal.kernel import (
     Atom,
     Constant,
     Instance,
+    JoinPlan,
     Predicate,
     Program,
     Rule,
     Variable,
-    enumerate_matches,
     eq,
     iter_vars,
     map_shallow,
@@ -124,6 +124,13 @@ def merged_distinct_constants(instance: Instance) -> bool:
 # Second reference model: restricted chase with labelled nulls over the raw
 # existential rules (no Skolem terms). Used to cross-check skolemize.
 # ---------------------------------------------------------------------------
+
+
+def enumerate_matches(body, instance: Instance, bindings=None):
+    """Substitutions that extend `bindings` and match every body atom against
+    the instance, joined through the indexes in `JoinPlan` order."""
+    plan = JoinPlan(body, bound=bindings or ())
+    return (dict(zip(plan.slots, vals)) for vals in plan.run(instance, bindings))
 
 
 def null_chase_answers(rules, base, query, max_rounds=200):

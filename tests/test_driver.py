@@ -10,6 +10,7 @@ from click.testing import CliRunner
 from chasegoal import (
     PipelineConfig,
     Scenario,
+    chase,
     dump_stage,
     emit_report,
     parse_program,
@@ -72,6 +73,17 @@ def test_dump_stage_round_trips():
         assert len(parse_program(dump_stage(rep, name)).rules) == rep.rule_counts[name]
     with pytest.raises(KeyError):
         dump_stage(run_pipeline(running_example(3), PipelineConfig(mode="mat")), "magic")
+
+
+def test_dumped_final_program_chases_like_the_run():
+    # The desg dump of a magic run, read back and chased, is the run: the
+    # same instance and term map.  The derived fact count is not compared,
+    # because it depends on the rule order.
+    sc = running_example(150)
+    rep = run_pipeline(sc, PipelineConfig(mode="magic"))
+    again = chase(parse_program(dump_stage(rep, "desg")), sc.instance)
+    assert set(again.instance) == set(rep.chase_result.instance)
+    assert again.mu == rep.chase_result.mu
 
 
 def test_emit_report_writes_answers_and_stats(tmp_path):

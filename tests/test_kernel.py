@@ -13,7 +13,6 @@ from chasegoal.kernel import (
     JoinPlan,
     Predicate,
     Variable,
-    enumerate_matches,
     eq,
     is_ground,
     iter_subterms,
@@ -24,6 +23,8 @@ from chasegoal.kernel import (
     term_key,
     vars_of,
 )
+
+from helpers import enumerate_matches
 
 a, b, d = Constant("a"), Constant("b"), Constant("d")
 x, y = Variable("x"), Variable("y")

@@ -38,8 +38,17 @@ from chasegoal.kernel import (
     Variable,
     eq,
 )
+from chasegoal.magic import _subsumed_demand
 
-from helpers import ORACLE_LIMITS, RUNNING_RULES, Q1, canon_rules, running_example, scenario_stream
+from helpers import (
+    ORACLE_LIMITS,
+    RUNNING_RULES,
+    Q1,
+    campus_fixture,
+    canon_rules,
+    running_example,
+    scenario_stream,
+)
 
 x, y, z = Variable("x"), Variable("y"), Variable("z")
 
@@ -98,6 +107,57 @@ def test_zero_ary_query_seed():
     got = magic(p)
     seeds = [r for r in got.rules if not r.body]
     assert seeds[0].head.predicate == MagicPredicate(Predicate("Q", 0), "")
+
+
+# -- demand the rewriting leaves out ----------------------------------------
+
+SUBSUMED_DEMAND = """
+m_R#bb(?s4,?y2) :- m_eq#eqb(?y2), R(?s3,?y), S(?s3,?s4).
+m_R#fb(?y) :- %s.
+"""
+
+
+def test_subsumed_demand_rule_is_dropped():
+    def subsumed(sibling_body):
+        rules = parse_program(SUBSUMED_DEMAND % sibling_body).rules
+        return {r.head.predicate for r in _subsumed_demand(rules)}
+
+    # m_R#fb(?y) :- m_eq#eqb(?y) fires on every match of the bb rule and
+    # demands R with only the second position bound: the bb rule goes.
+    assert subsumed("m_eq#eqb(?y)") == {MagicPredicate(Predicate("R", 2), "bb")}
+    # A freer sibling whose body does not map into the bb rule's keeps it,
+    assert subsumed("m_eq#eqb(?y), U(?y)") == set()
+    # and so does one whose body maps only with ?y sent elsewhere than ?y2.
+    assert subsumed("R(?s,?y)") == set()
+
+
+def test_demand_rule_with_repeated_head_variable_subsumes_nothing():
+    # m_T#bbf(?x,?x) demands only T facts whose first two arguments agree,
+    # so it covers no demand m_T#bbb(s,t,u) with s and t apart.
+    prog = parse_program("m_T#bbb(?x,?y,?z) :- U(?x), U(?y), U(?z).\nm_T#bbf(?x,?x) :- U(?x).")
+    assert _subsumed_demand(prog.rules) == set()
+
+
+def test_magic_output_has_no_subsumed_demand():
+    # Without relevance, three of the chain's demand rules on R are covered
+    # by freer ones, and the rewriting drops them: 24 rules instead of 27.
+    got = magic(skolemize(singularize(parse_rules(RUNNING_RULES), Q1), Q1))
+    assert len(got.rules) == 24
+    assert _subsumed_demand(got.rules) == set()
+
+
+def test_equality_is_demanded_only_when_some_rule_derives_one():
+    eqb = MagicPredicate(eq(x, y).predicate, "eqb")
+    prog = parse_program("Q(?x) :- A(?x), ?x = ?y, B(?y).\nA(?x) :- C(?x).")
+    prog = type(prog)(prog.rules, Predicate("Q", 1))
+    assert all(r.head.predicate != eqb for r in magic(prog).rules)
+    # campus has no equality head: magic derives no eqb demand and no more
+    # facts than relevance plus magic.
+    sc = campus_fixture()
+    rep = run_pipeline(sc, PipelineConfig(mode="magic"))
+    assert not rep.chase_result.instance.with_predicate(eqb)
+    all_facts = run_pipeline(sc, PipelineConfig(mode="all")).chase_stats.derived_facts
+    assert rep.chase_stats.derived_facts <= all_facts
 
 
 # -- adorn / reorder -------------------------------------------------------
