@@ -2,7 +2,16 @@
 equality: singularize, Skolemize, prune by relevance, focus with equality-
 aware magic sets, defunctionalize, and chase with representatives."""
 
-from .chase import (
+from .driver import (
+    PipelineConfig,
+    PipelineError,
+    RunReport,
+    dump_stage,
+    emit_report,
+    format_stats,
+    run_pipeline,
+)
+from .engine import (
     BodyContractViolation,
     ChaseResult,
     ChaseStats,
@@ -13,15 +22,6 @@ from .chase import (
     constant_answers,
     extract_answers,
     naive_fixpoint,
-)
-from .driver import (
-    PipelineConfig,
-    PipelineError,
-    RunReport,
-    dump_stage,
-    emit_report,
-    format_stats,
-    run_pipeline,
 )
 from .eqprep import (
     check_eq_safety,
@@ -65,8 +65,8 @@ from .kernel import (
     map_shallow,
     substitute,
 )
-from .magic import NoAdmissibleOrdering, adorn, magic, reorder
-from .relevance import (
+from .magicsets import NoAdmissibleOrdering, adorn, magic, reorder
+from .pruning import (
     AbstractionFixpointDiverged,
     abstract_functions_to_constants,
     critical_instance,

@@ -6,10 +6,10 @@ import sys
 
 import click
 
-from .chase import DepthLimitExceeded, FactLimitExceeded, Limits
 from .driver import MODES, STAGES, PipelineConfig, PipelineError, dump_stage, emit_report, run_pipeline
+from .engine import DepthLimitExceeded, FactLimitExceeded, Limits
 from .frontend import FrontendError, load_scenario
-from .relevance import AbstractionFixpointDiverged
+from .pruning import AbstractionFixpointDiverged
 
 _GUARDS = (DepthLimitExceeded, FactLimitExceeded, AbstractionFixpointDiverged, MemoryError)
 
@@ -50,7 +50,6 @@ def run(rules_path, data_dir, schema_path, query_pred, mode, una, typed_critical
 
     cfg = PipelineConfig(
         mode=mode,
-        una_known=True if una else None,
         typed_critical=typed_critical,
         defun_abstraction=defun_abstraction,
         limits=Limits(max_depth=max_depth, max_facts=max_facts),

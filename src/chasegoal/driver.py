@@ -10,13 +10,13 @@ from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Optional
 
-from .chase import ChaseResult, ChaseStats, Limits, chase, extract_answers
+from .engine import ChaseResult, ChaseStats, Limits, chase, extract_answers
 from .eqprep import check_eq_safety, singularize, skolemize
 from .finalize import defunctionalize, desingularize
 from .frontend import Scenario, serialize_program
 from .kernel import Program
-from .magic import magic
-from .relevance import AbstractionFixpointDiverged, relevance
+from .magicsets import magic
+from .pruning import FIXPOINT_LIMITS, AbstractionFixpointDiverged, relevance
 
 MODES = ("mat", "rel", "magic", "all")
 
@@ -40,7 +40,7 @@ class PipelineConfig:
     typed_critical: Optional[bool] = None     # None: typed iff a schema exists
     defun_abstraction: bool = False           # abstract functions before relevance
     limits: Limits = Limits()
-    relevance_limits: Limits = Limits(max_depth=10, max_facts=100_000)
+    relevance_limits: Limits = FIXPOINT_LIMITS
     seed: Optional[int] = None
 
 

@@ -2,10 +2,15 @@
 
 `chase` runs the representative-based chase for programs whose bodies are
 function-, constant- and equality-free (what the pipeline produces): equality
-heads merge union-find classes, the class representative is the term-order
-minimum, and facts holding a losing term at an argument position are
-rewritten in place.  `naive_fixpoint` evaluates arbitrary logic programs with
-explicit equality atoms and serves as the reference semantics.
+heads merge union-find classes and facts holding a losing term at an argument
+position are rewritten in place.  A class forms with the term-order minimum
+as its representative.  A merge can leave a representative mentioning the
+loser below a function symbol; the class then passes to its least member
+that mentions no merged-away term, and the facts holding the old
+representative are rewritten to it.  Only when no such member exists are
+those facts dropped, to be re-derived in normalized form.  Such stale terms
+stay out of the term map.  `naive_fixpoint` evaluates arbitrary logic
+programs with explicit equality atoms and serves as the reference semantics.
 
 Both run the same semi-naive loop over rules compiled once into one join
 plan per pivot.  A round finds each new match once, at the first body atom
@@ -24,6 +29,7 @@ from typing import Iterable, Optional
 from .kernel import (
     Atom,
     Constant,
+    Functional,
     Instance,
     JoinPlan,
     Predicate,
@@ -86,7 +92,8 @@ def _guard_fact(fact: Atom, n_facts: int, limits: Limits):
 
 
 class UnionFind:
-    """Union-find whose class representative is the term-order minimum."""
+    """Union-find over ground terms.  A union makes the term-order lesser
+    root the representative; `reroot` hands a class to another member."""
 
     def __init__(self):
         self.parent: dict[Term, Term] = {}
@@ -104,18 +111,21 @@ class UnionFind:
             t = nxt
         return root
 
-    def union(self, s: Term, t: Term) -> "tuple[Term, Term] | None":
-        """Merge the classes of s and t; returns (representative, loser)
-        roots, or None if they were already the same class."""
+    def union(self, s: Term, t: Term) -> "tuple[Term, Term]":
+        """Merge the classes of s and t, which the caller has found to
+        differ; returns the (representative, loser) roots."""
         rs, rt = self.find(s), self.find(t)
-        if rs == rt:
-            return None
         if term_key(rs) <= term_key(rt):
             rep, loser = rs, rt
         else:
             rep, loser = rt, rs
         self.parent[loser] = rep
         return rep, loser
+
+    def reroot(self, root: Term, member: Term):
+        """Make `member` the representative of the class `root` heads."""
+        del self.parent[member]
+        self.parent[root] = member
 
     def as_map(self) -> "dict[Term, Term]":
         return {t: self.find(t) for t in list(self.parent)}
@@ -177,6 +187,11 @@ class _Store:
         return True
 
 
+def _below(needle: Term, term: Term) -> bool:
+    """Whether `needle` occurs in `term` below a function symbol."""
+    return isinstance(term, Functional) and any(occurs_in(needle, a) for a in term.args)
+
+
 class _ChaseState(_Store):
     def __init__(self, limits: Limits):
         super().__init__(limits)
@@ -184,44 +199,70 @@ class _ChaseState(_Store):
         self.derived: list[Atom] = []
         self.merges = 0
         self.applications = 0
-        self.epoch = 0
 
     def is_stale(self, term: Term) -> bool:
-        return any(s in self.uf.parent for s in iter_subterms(term))
+        """Whether `term` mentions a merged-away term below a function symbol."""
+        parent = self.uf.parent
+        return isinstance(term, Functional) and any(
+            s in parent for a in term.args for s in iter_subterms(a)
+        )
 
     def merge(self, s: Term, t: Term, count: bool):
-        merged = self.uf.union(s, t)
-        if merged is None:
-            return
-        rep, loser = merged
+        rep, loser = self.uf.union(s, t)
         if count:
             self.merges += 1
             self.derived.append(eq(s, t))
-        self.epoch += 1
-        # Rewrite every fact holding the losing term at an argument position.
-        # A fact that still mentions the loser below a function symbol after
-        # the rewrite is dropped instead: its body facts were rewritten too,
-        # re-enter the delta, and re-derive the normalized form.  Keeping it
-        # would make the instance depend on the order rules fired in.
+        # Rewrite every fact holding the losing term at an argument position,
+        # and every fact holding a representative the merge made stale.
+        facts = list(self.instance.containing(loser))
         mu = {loser: rep}
-        for fact in list(self.instance.containing(loser)):
+        stale = {a for fact in facts for a in fact.args if _below(loser, a)}
+        dead = self._rehome(stale, mu) if stale else ()
+        for fact in facts:
             self.instance.discard(fact)
-            new = map_shallow(mu, fact)
-            if any(occurs_in(loser, a) for a in new.args):
+            # A fact holding a stale representative with no live member is
+            # dropped: its body facts were rewritten too, re-enter the
+            # delta, and re-derive it in normalized form.
+            if dead and not dead.isdisjoint(fact.args):
                 continue
+            new = map_shallow(mu, fact)
             if self.instance.add(new):
                 self.delta[new] = None
 
-    def apply_head(self, head: Atom, count: bool = True):
+    def _rehome(self, stale: "set[Term]", mu: "dict[Term, Term]") -> "set[Term]":
+        """Hand the class of each representative in `stale` to its least
+        member that mentions no merged-away term, adding the change to `mu`;
+        returns the representatives whose class has no such member.  Every
+        choice is made before any class changes hands, so none depends on
+        the order the facts were visited in."""
+        live: dict[Term, list[Term]] = {}
+        for m in self.uf.parent:
+            root = self.uf.find(m)
+            if root in stale and not self.is_stale(m):
+                live.setdefault(root, []).append(m)
+        for root, members in live.items():
+            mu[root] = min(members, key=term_key)
+            self.uf.reroot(root, mu[root])
+        return stale - live.keys()
+
+    def apply_head(self, head: Atom, count: bool = True) -> bool:
+        """Insert a ground head's fact or merge its equality's sides, each
+        side normalized.  Returns False, skipping the equality, when a side
+        still mentions a merged-away term: a merge earlier in the same batch
+        rewrote the facts the match was built from, and the rewritten facts
+        re-enter the delta and re-derive the equality."""
         args = tuple(self.uf.find(t) for t in head.args)
         if head.is_equality:
             s, t = args
+            if self.is_stale(s) or self.is_stale(t):
+                return False
             if s != t:
                 self.merge(s, t, count)
-            return
+            return True
         fact = Atom(head.predicate, args)
         if self.insert(fact) and count:
             self.derived.append(fact)
+        return True
 
 
 def _components(rule: Rule) -> "tuple[tuple[Atom, ...], list[tuple[Atom, ...]]]":
@@ -272,9 +313,10 @@ class _CompiledRule:
     gets its witness, the head-linked atoms are joined in full once, by the
     first pivot's plan from every fact of its predicate; from then on they
     are pivoted on the delta.  `waiting` is the per-call state of that
-    switch."""
+    switch.  `head` builds the head of a match; nothing rebuilds the body,
+    since the chase does not re-check a match once it is found."""
 
-    __slots__ = ("pivots", "waiting", "head", "body", "head_is_eq")
+    __slots__ = ("pivots", "waiting", "head")
 
     def __init__(self, rule: Rule):
         slots: dict[Variable, int] = {}
@@ -284,11 +326,6 @@ class _CompiledRule:
         self.pivots = _pivots(linked, slots)
         self.waiting = [_pivots(c, slots) for c in free]
         self.head = instantiator(rule.head, slots)
-        self.head_is_eq = rule.head.is_equality
-        # Only the chase's re-check of a relational head rebuilds the body,
-        # and only its head-linked atoms: chase bodies hold only variables,
-        # so a merge rewrites a witness into another witness.
-        self.body = () if self.head_is_eq else tuple(instantiator(a, slots) for a in linked)
 
     def matches(self, by_pred: dict, delta: "dict[Atom, None]", instance: Instance) -> "list[tuple]":
         """This round's new matches of the head-linked atoms, given the
@@ -372,35 +409,18 @@ def chase(
     rules = _compile(program.rules, state.apply_head)
 
     def fire(rule: _CompiledRule, matches: "list[tuple]"):
-        epoch0 = state.epoch
+        """Apply a rule's batch of matches.  Only an equality head merges,
+        so only an equality rule's batch can hold matches built from facts
+        a merge in the same batch has rewritten.  The equality such a match
+        entails still holds, so `apply_head` merges its normalized sides,
+        unless a side is stale."""
         for vals in matches:
-            if state.epoch != epoch0:
-                # Merges landed while this batch was being applied, so the
-                # facts this match was built from may be gone.
-                if rule.head_is_eq:
-                    # The equality was entailed when the body matched and
-                    # entailed equalities only grow, so merging the
-                    # normalized sides now is sound.  Skip only a side that
-                    # still mentions a merged-away term; the rewritten body
-                    # facts re-enter the delta and re-derive it.
-                    s, t = (state.uf.find(v) for v in rule.head(vals).args)
-                    if state.is_stale(s) or state.is_stale(t):
-                        continue
-                    state.applications += 1
-                    if s != t:
-                        state.merge(s, t, True)
-                    continue
-                # Relational head: fire only if the premise still holds;
-                # rewritten facts re-enter the delta and re-match later.
-                if any(atom(vals) not in state.instance for atom in rule.body):
-                    continue
-            state.applications += 1
-            state.apply_head(rule.head(vals))
+            state.applications += state.apply_head(rule.head(vals))
 
     rng = random.Random(seed) if seed is not None else None
     rounds = _saturate(rules, state, fire, rng)
 
-    mu = state.uf.as_map()
+    mu = {t: rep for t, rep in state.uf.as_map().items() if not state.is_stale(t)}
     classes: dict[Term, set[Term]] = {}
     for t, rep in mu.items():
         classes.setdefault(rep, {rep}).add(t)

@@ -100,27 +100,15 @@ def occurs_in(needle: Term, hay: Term) -> bool:
     return False
 
 
-# Total order on terms: shallower terms first, then constants before
-# functional terms, then names (and argument keys, recursively).  Variables
-# sort after ground terms of the same depth so that class representatives
-# picked by this order are always constants when a constant is available.
-
-_KIND_CONSTANT = 0
-_KIND_FUNCTIONAL = 1
-_KIND_VARIABLE = 2
+# Total order on ground terms: shallower terms first, then names (and
+# argument keys, recursively).  Depth 0 holds exactly the constants, so class
+# representatives picked by this order are constants when one is available.
 
 
 def term_key(t: Term):
     if isinstance(t, Constant):
-        return (0, _KIND_CONSTANT, t.name, ())
-    if isinstance(t, Variable):
-        return (0, _KIND_VARIABLE, t.name, ())
-    return (
-        term_depth(t),
-        _KIND_FUNCTIONAL,
-        t.symbol,
-        tuple(term_key(a) for a in t.args),
-    )
+        return (0, t.name, ())
+    return (term_depth(t), t.symbol, tuple(term_key(a) for a in t.args))
 
 
 # ---------------------------------------------------------------------------
@@ -402,9 +390,6 @@ class Instance:
     def predicates(self) -> "set[PredicateId]":
         return set(self._by_pred)
 
-    def copy(self) -> "Instance":
-        return Instance(self._facts)
-
 
 # ---------------------------------------------------------------------------
 # Join plans
@@ -498,13 +483,13 @@ _FIRST_MATCH = _FirstMatch()
 class JoinPlan:
     """A conjunction compiled once for the variables bound on entry.
 
-    Those variables are `bound`, or the ones an `entry` atom binds when it is
-    matched against a given fact (a delta fact for a pivoted rule, a traced
-    fact for a rule head).  The remaining atoms are ordered greedily: next
-    comes the atom with the most positions that hold a ground term or a
-    bound variable, ties broken by body order; its first such position is
-    the index key.  Each step then binds, checks or structurally matches
-    the other positions.
+    Those variables are the ones the `entry` atom binds when it is matched
+    against a given fact (a delta fact for a pivoted rule, a traced fact for
+    a rule head, a demand head for a subsumption test).  The body atoms are
+    ordered greedily: next comes the atom with the most positions that hold
+    a ground term or a bound variable, ties broken by body order; its first
+    such position is the index key.  Each step then binds, checks or
+    structurally matches the other positions.
 
     With `old=k`, the first k atoms of `body` may only match facts outside
     the `delta` that `run_from` is given: a rule pivoted on its body atom k
@@ -519,15 +504,15 @@ class JoinPlan:
 
     __slots__ = ("slots", "entry", "steps")
 
-    def __init__(self, body, entry: Optional[Atom] = None, bound=(), slots=None, old: int = 0):
+    def __init__(self, body, entry: Atom, slots=None, old: int = 0):
         body = tuple(body)
         if slots is None:
             slots = {}
-            for v in itertools.chain(bound, iter_vars(entry or ()), iter_vars(body)):
+            for v in itertools.chain(iter_vars(entry), iter_vars(body)):
                 slots.setdefault(v, len(slots))
         self.slots: "dict[Variable, int]" = slots
-        known = set(bound)
-        self.entry = None if entry is None else _compile_args(entry.args, slots, known)
+        known: set[Variable] = set()
+        self.entry = _compile_args(entry.args, slots, known)
         steps = []
         remaining = list(enumerate(body))
         while remaining:
@@ -542,16 +527,6 @@ class JoinPlan:
             ops = _compile_args(atom.args, slots, known, skip=key_pos)
             steps.append((atom.predicate, key_pos, key_slot, key, ops, j < old))
         self.steps: tuple = tuple(steps)
-
-    def run(self, instance: "Instance", bindings=None) -> "list[tuple]":
-        """Matches extending `bindings`, a map from the `bound` variables to
-        ground terms."""
-        b = [None] * len(self.slots)
-        for v, t in (bindings or {}).items():
-            b[self.slots[v]] = t
-        out: list = []
-        _join(self.steps, 0, instance, b, out, _EMPTY)
-        return out
 
     def run_from(self, fact: Atom, instance: "Instance", out: list, delta=_EMPTY) -> None:
         """Append to `out` the matches whose entry atom is `fact`; the

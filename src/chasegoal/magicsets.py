@@ -158,7 +158,8 @@ def _subsumed_demand(rules: "Iterable[Rule]") -> "set[Rule]":
     by a rule deriving m_R#β(ȳ) when β binds a strict subset of α's
     positions, ȳ are distinct variables, and the second body maps into the
     first with ȳ sent to the arguments of t̄ at β's positions; the test runs
-    the second body's join plan on the first body frozen into an instance.
+    the second body's join plan, entered at its head, on the first body
+    frozen into an instance.
     Whenever the first rule fires, the second fires on the same facts and
     demands R with fewer positions fixed, and `magic` copies every rule of R
     under each demand m_R#β it emits, so each rule the demand m_R#α would
@@ -183,10 +184,10 @@ def _subsumed_demand(rules: "Iterable[Rule]") -> "set[Rule]":
                 ):
                     continue
                 args = dict(zip(_bound_positions(alpha), r.head.args))
-                bindings = {y: args[i] for y, i in zip(ys, _bound_positions(beta))}
+                demand = Atom(s.head.predicate, tuple(args[i] for i in _bound_positions(beta)))
                 if frozen is None:
                     frozen = Instance(r.body)
-                if JoinPlan(s.body, bound=ys).run(frozen, bindings):
+                if JoinPlan(s.body, entry=s.head).holds_from(demand, frozen):
                     out.add(r)
                     break
     return out

@@ -14,7 +14,7 @@ from collections import deque
 from itertools import product
 from typing import Iterable, Optional
 
-from .chase import (
+from .engine import (
     DepthLimitExceeded,
     FactLimitExceeded,
     Limits,
@@ -39,6 +39,10 @@ from .kernel import (
     pred_label,
     rule_atoms,
 )
+
+
+# Guards of the forward fixpoint on the critical instance.
+FIXPOINT_LIMITS = Limits(max_depth=10, max_facts=100_000)
 
 
 class AbstractionFixpointDiverged(RuntimeError):
@@ -146,7 +150,7 @@ def relevance(
     typed: bool = False,
     schema=None,
     abstract_functions: bool = False,
-    fixpoint_limits: Limits = Limits(max_depth=10, max_facts=100_000),
+    fixpoint_limits: Limits = FIXPOINT_LIMITS,
 ) -> Program:
     """Subset of the program's rules reachable backwards from the query facts
     of the abstract fixpoint, in input order.

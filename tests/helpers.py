@@ -5,14 +5,14 @@ import itertools
 import random
 from dataclasses import dataclass
 
-from chasegoal.chase import (
+from chasegoal.driver import PipelineConfig, run_pipeline
+from chasegoal.engine import (
     ChaseError,
     Limits,
     UnionFind,
     constant_answers,
     naive_fixpoint,
 )
-from chasegoal.driver import PipelineConfig, run_pipeline
 from chasegoal.eqprep import (
     congruence_axioms,
     reflexivity_axioms,
@@ -129,8 +129,12 @@ def merged_distinct_constants(instance: Instance) -> bool:
 def enumerate_matches(body, instance: Instance, bindings=None):
     """Substitutions that extend `bindings` and match every body atom against
     the instance, joined through the indexes in `JoinPlan` order."""
-    plan = JoinPlan(body, bound=bindings or ())
-    return (dict(zip(plan.slots, vals)) for vals in plan.run(instance, bindings))
+    bindings = bindings or {}
+    pred = Predicate("bindings", len(bindings))
+    plan = JoinPlan(body, entry=Atom(pred, tuple(bindings)))
+    out: list = []
+    plan.run_from(Atom(pred, tuple(bindings.values())), instance, out)
+    return (dict(zip(plan.slots, vals)) for vals in out)
 
 
 def null_chase_answers(rules, base, query, max_rounds=200):
@@ -139,14 +143,10 @@ def null_chase_answers(rules, base, query, max_rounds=200):
     fresh = itertools.count(1)
 
     def merge(s, t):
-        merged = uf.union(s, t)
-        if merged is None:
-            return False
-        rep, loser = merged
+        rep, loser = uf.union(s, t)
         for fact in list(inst.containing(loser)):
             inst.discard(fact)
             inst.add(map_shallow({loser: rep}, fact))
-        return True
 
     def normalized(atoms):
         # rule constants must be looked up through the union-find, or a
@@ -164,7 +164,8 @@ def null_chase_answers(rules, base, query, max_rounds=200):
                     s = uf.find(substitute(sigma, r.lhs))
                     t = uf.find(substitute(sigma, r.rhs))
                     if s != t:
-                        changed |= merge(s, t)
+                        merge(s, t)
+                        changed = True
             else:
                 body, head = normalized(r.body), normalized(r.head)
                 for sigma in list(enumerate_matches(body, inst)):

@@ -10,6 +10,7 @@ from chasegoal import (
     FactLimitExceeded,
     Limits,
     PipelineConfig,
+    Scenario,
     chase,
     extract_answers,
     naive_fixpoint,
@@ -17,7 +18,7 @@ from chasegoal import (
     parse_rules,
     run_pipeline,
 )
-from chasegoal.chase import constant_answers
+from chasegoal.engine import constant_answers
 from chasegoal.kernel import (
     Atom,
     Constant,
@@ -34,7 +35,7 @@ from chasegoal.kernel import (
     vars_of,
 )
 
-from helpers import Q1, running_example, scenario_stream
+from helpers import Q1, oracle_answers, running_example, scenario_stream
 from test_kernel import brute_force_matches
 
 a, b, c = Constant("a"), Constant("b"), Constant("c")
@@ -123,8 +124,6 @@ def test_merged_away_term_never_survives_nested():
     R(?x), R(?y) -> ?x = ?y
     R(?x) -> Q(?x)
     """
-    from chasegoal import Scenario
-
     R1 = Predicate("R", 1)
     sc = Scenario(
         rules=tuple(parse_rules(text)),
@@ -137,6 +136,69 @@ def test_merged_away_term_never_survives_nested():
         for fact in rep.chase_result.instance:
             assert not any(occurs_in(b, t) for t in fact.args), (seed, fact)
         assert rep.answers == (("a",), ("b",))
+
+
+def stale_representative_scenarios():
+    """Two inputs on which a merge leaves a class representative that
+    mentions the merged-away constant b below a Skolem symbol.  In the
+    first, sk_z(a) is merged into sk_y(b) before b = a, and the fact
+    S(a, sk_y(b)) can only be kept by handing that class to sk_z(a): its
+    body fact P(a) never mentions b, so nothing re-derives it."""
+    L2, M2 = Predicate("L", 2), Predicate("M", 2)
+    first = Scenario(
+        rules=tuple(
+            parse_rules(
+                """
+                P(?x) -> R(?x, ?y)
+                P(?x) -> S(?x, ?z)
+                R(?u, ?y), S(?v, ?z), L(?u, ?v) -> ?y = ?z
+                M(?x, ?y) -> ?x = ?y
+                S(?x, ?y) -> Q(?x)
+                """
+            )
+        ),
+        instance=Instance([Atom(P1, (a,)), Atom(P1, (b,)), Atom(L2, (b, a)), Atom(M2, (b, a))]),
+        query=Q1,
+        una_known=False,
+    )
+    second = Scenario(
+        rules=tuple(
+            parse_rules(
+                """
+                P(?x) -> E(?y, c), R(?x, ?y)
+                P(?x) -> E(?x, a)
+                E(?x, ?y) -> ?x = ?y
+                E(?x, ?y) -> Q(?x)
+                """
+            )
+        ),
+        instance=Instance([Atom(P1, (b,))]),
+        query=Q1,
+        una_known=False,
+    )
+    return first, second
+
+
+CHASE_SEEDS = [None] + list(range(40))
+
+
+def test_stale_representative_keeps_answers_in_every_mode():
+    sc = stale_representative_scenarios()[0]
+    assert oracle_answers(sc) == {("a",), ("b",)}
+    for mode in ("mat", "rel", "magic", "all"):
+        for seed in CHASE_SEEDS:
+            rep = run_pipeline(sc, PipelineConfig(mode=mode, seed=seed))
+            assert rep.answers == (("a",), ("b",)), (mode, seed)
+
+
+def test_stale_representative_gives_one_instance_and_term_map_per_mode():
+    for sc in stale_representative_scenarios():
+        for mode in ("mat", "rel", "magic", "all"):
+            outcomes = set()
+            for seed in CHASE_SEEDS:
+                cr = run_pipeline(sc, PipelineConfig(mode=mode, seed=seed)).chase_result
+                outcomes.add((frozenset(cr.instance), frozenset(cr.mu.items())))
+            assert len(outcomes) == 1, mode
 
 
 def test_base_equality_facts_merge_upfront_uncounted():

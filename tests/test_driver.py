@@ -1,14 +1,20 @@
 """Pipeline driver, report emission and the command line."""
 
 import csv
+import importlib
 import json
 import time
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
+import chasegoal
 from chasegoal import (
+    AbstractionFixpointDiverged,
+    Limits,
     PipelineConfig,
+    PipelineError,
     Scenario,
     chase,
     dump_stage,
@@ -130,6 +136,24 @@ def test_relevance_divergence_falls_back_to_abstraction():
     direct = run_pipeline(sc, PipelineConfig(mode="rel", defun_abstraction=True))
     assert not direct.relevance_retried
     assert direct.answers == rep.answers
+
+
+def test_relevance_fixpoint_past_its_limits_fails_stage_rel():
+    with pytest.raises(PipelineError) as exc:
+        run_pipeline(
+            running_example(3),
+            PipelineConfig(mode="rel", relevance_limits=Limits(max_facts=5)),
+        )
+    assert exc.value.stage == "rel"
+    assert isinstance(exc.value.cause, AbstractionFixpointDiverged)
+
+
+def test_every_module_is_reachable_as_a_package_attribute():
+    # A package-level name that equals a module's name would hide it.
+    for path in Path(chasegoal.__file__).parent.glob("*.py"):
+        if path.stem != "__init__":
+            module = importlib.import_module("chasegoal." + path.stem)
+            assert getattr(chasegoal, path.stem) is module, path.stem
 
 
 # -- command line -------------------------------------------------------------
@@ -276,3 +300,45 @@ def test_cli_rejects_constant_of_two_sorts_in_every_mode(tmp_path):
         )
         assert result.exit_code == 1, result.output
         assert "constant a has sort" in result.output
+
+
+def test_cli_rejects_rule_constant_of_two_sorts(tmp_path):
+    rules_path, data = write_inputs(
+        tmp_path,
+        rules="S(?x), D(c), E(c) -> Q(?x)\n",
+        facts={"S": [("a",)]},
+    )
+    schema = tmp_path / "schema.txt"
+    schema.write_text("S/1: student\nD/1: dept\nE/1: student\n", encoding="utf-8")
+    result = CliRunner().invoke(
+        main,
+        ["run", "--rules", str(rules_path), "--data", str(data),
+         "--schema", str(schema), "--query-pred", "Q", "--out", str(tmp_path / "out")],
+    )
+    assert result.exit_code == 1, result.output
+    assert "constant c used at positions of sort dept and student" in result.output
+
+
+def test_cli_rejects_schema_arity_the_rules_disagree_with(tmp_path):
+    rules_path, data = write_inputs(tmp_path)
+    schema = tmp_path / "schema.txt"
+    schema.write_text("B/2: student, dept\n", encoding="utf-8")
+    result = CliRunner().invoke(
+        main,
+        ["run", "--rules", str(rules_path), "--data", str(data),
+         "--schema", str(schema), "--query-pred", "Q", "--out", str(tmp_path / "out")],
+    )
+    assert result.exit_code == 1, result.output
+    assert "schema declares B/2, rules use arity 1" in result.output
+
+
+def test_cli_dump_of_a_skipped_stage_exits_one(tmp_path):
+    rules_path, data = write_inputs(tmp_path)
+    result = CliRunner().invoke(
+        main,
+        ["run", "--rules", str(rules_path), "--data", str(data),
+         "--query-pred", "Q", "--mode", "mat", "--dump-stage", "rel",
+         "--out", str(tmp_path / "out")],
+    )
+    assert result.exit_code == 1, result.output
+    assert "error: stage rel was not computed in mode mat" in result.output

@@ -19,7 +19,16 @@ from chasegoal import (
     serialize_program,
 )
 from chasegoal.frontend import check_query_predicate, render_rule, rules_signature
-from chasegoal.kernel import EGD, TGD, Constant, MagicPredicate, Predicate, Variable
+from chasegoal.kernel import (
+    EGD,
+    TGD,
+    Constant,
+    FunPredicate,
+    Functional,
+    MagicPredicate,
+    Predicate,
+    Variable,
+)
 
 from helpers import RUNNING_RULES, running_example
 
@@ -110,6 +119,23 @@ def test_program_grammar_decodes_special_predicates():
     assert isinstance(rule.head.predicate, MagicPredicate)
     assert rule.head.predicate.adornment == "bf"
     assert rule.body[0].predicate.arity == 0
+
+
+def test_program_grammar_round_trips_generated_shapes():
+    # a constant's graph predicate, a function's graph predicate and a
+    # function term of two arguments
+    text = "Q(?x) :- con_c(?x), fun_g(?x,?y), R(?x,f(?x,?y)).\n"
+    prog = parse_program(text)
+    assert serialize_program(prog) == text
+    con, fun, r = prog.rules[0].body
+    assert con.predicate == FunPredicate("c", 1, of_constant=True)
+    assert fun.predicate == FunPredicate("g", 2)
+    assert r.args[1] == Functional("f", (Variable("x"), Variable("y")))
+
+
+def test_program_grammar_rejects_binary_constant_graph_predicate():
+    with pytest.raises(MalformedRule, match="con_c must be unary"):
+        parse_program("Q(?x) :- con_c(?x,?y).\n")
 
 
 def test_serialize_program_is_deterministic():

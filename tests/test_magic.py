@@ -22,7 +22,7 @@ from chasegoal import (
     skolemize,
     sym_trans,
 )
-from chasegoal.chase import (
+from chasegoal.engine import (
     DepthLimitExceeded,
     FactLimitExceeded,
     Limits,
@@ -38,7 +38,7 @@ from chasegoal.kernel import (
     Variable,
     eq,
 )
-from chasegoal.magic import _subsumed_demand
+from chasegoal.magicsets import _subsumed_demand
 
 from helpers import (
     ORACLE_LIMITS,

@@ -146,7 +146,7 @@ def test_abstract_functions_to_constants_shape():
 
 
 def test_relevance_output_answers_unchanged_on_worked_example():
-    from chasegoal.chase import chase, extract_answers
+    from chasegoal.engine import chase, extract_answers
     from chasegoal.finalize import defunctionalize, desingularize
 
     sk = prepared_running_example()
