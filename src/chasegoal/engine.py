@@ -12,11 +12,17 @@ those facts dropped, to be re-derived in normalized form.  Such stale terms
 stay out of the term map.  `naive_fixpoint` evaluates arbitrary logic
 programs with explicit equality atoms and serves as the reference semantics.
 
-Both run the same semi-naive loop over rules compiled once into one join
-plan per pivot.  A round finds each new match once, at the first body atom
-whose fact is new.  A part of a body that no chain of shared variables
-links to the head is only checked for one witness: the rule fires for the
-matches of the rest once it holds, never once per witness.
+Both start from the base they are given: an `Instance` base is copied with
+its indexes, not re-indexed, and its facts are checked once per distinct
+argument term.  Base facts never enter a delta.  The first round is naive:
+it joins each rule once in full, entered at the body atom whose relation is
+smallest at that moment, against the facts present when the round began.
+Every later round is semi-naive, over rules compiled once into one join
+plan per pivot: it finds each new match once, at the first body atom whose
+fact is new.  A part of a body that no chain of shared variables links to
+the head is only checked for one witness: the rule fires for the matches of
+the rest once it holds, never once per witness.  The term index only
+merges read is built at the first merge.
 """
 
 from __future__ import annotations
@@ -28,6 +34,7 @@ from typing import Iterable, Optional
 
 from .kernel import (
     Atom,
+    EQUALITY,
     Constant,
     Functional,
     Instance,
@@ -84,6 +91,23 @@ def _guard_fact(fact: Atom, n_facts: int, limits: Limits):
             )
     if n_facts > limits.max_facts:
         raise FactLimitExceeded("more than %d facts" % limits.max_facts)
+
+
+def _intake(base: "Instance | Iterable[Atom]", limits: Limits) -> Instance:
+    """The instance a fixpoint starts from: a copy of an `Instance` base,
+    which the caller keeps unchanged, or a list base indexed once.  Its
+    facts are checked once per distinct argument term, not per fact."""
+    instance = base.copy() if isinstance(base, Instance) else Instance(base)
+    for t in instance.argument_terms():
+        if isinstance(t, Constant) or (is_ground(t) and term_depth(t) <= limits.max_depth):
+            continue
+        fact = next(f for f in instance if t in f.args)
+        if not is_ground(fact):
+            raise BodyContractViolation("non-ground base fact %r" % (fact,))
+        _guard_fact(fact, len(instance), limits)
+    if len(instance) > limits.max_facts:
+        raise FactLimitExceeded("more than %d facts" % limits.max_facts)
+    return instance
 
 
 # ---------------------------------------------------------------------------
@@ -171,8 +195,8 @@ def _check_chase_contract(program: Program):
 class _Store:
     """An instance and the facts added to it since the current round began."""
 
-    def __init__(self, limits: Limits):
-        self.instance = Instance()
+    def __init__(self, instance: Instance, limits: Limits):
+        self.instance = instance
         self.limits = limits
         # A dict used as a set: a round keeps its delta for the duplicate-free
         # pivots, and with thousands of facts a dict grown fact by fact takes
@@ -193,8 +217,8 @@ def _below(needle: Term, term: Term) -> bool:
 
 
 class _ChaseState(_Store):
-    def __init__(self, limits: Limits):
-        super().__init__(limits)
+    def __init__(self, instance: Instance, limits: Limits):
+        super().__init__(instance, limits)
         self.uf = UnionFind()
         self.derived: list[Atom] = []
         self.merges = 0
@@ -292,8 +316,13 @@ def _pivots(atoms: "tuple[Atom, ...]", slots) -> tuple:
     )
 
 
-def _holds(pivots: tuple, by_pred: dict, instance: Instance) -> bool:
-    """Whether a conjunction has a match holding one of the delta facts."""
+def _holds(pivots: tuple, by_pred: "dict | None", instance: Instance) -> bool:
+    """Whether a conjunction has a match holding one of the delta facts,
+    grouped by predicate in `by_pred`, or, with None, any match at all,
+    entered at the atom whose predicate has the fewest facts."""
+    if by_pred is None:
+        pred, plan = min(pivots, key=lambda p: len(instance.with_predicate(p[0])))
+        return any(plan.holds_from(fact, instance) for fact in instance.with_predicate(pred))
     return any(
         plan.holds_from(fact, instance)
         for pred, plan in pivots
@@ -307,46 +336,70 @@ class _CompiledRule:
 
     A head-free component of the body (see `_components`) only has to
     hold: it waits for one witness and is never joined with the rest, since
-    its matches cannot change the head.  The head-linked atoms get a join
-    plan per pivot, all sharing one slot layout, so a match is one tuple
-    whatever pivot produced it.  In the round the last waiting component
-    gets its witness, the head-linked atoms are joined in full once, by the
-    first pivot's plan from every fact of its predicate; from then on they
-    are pivoted on the delta.  `waiting` is the per-call state of that
-    switch.  `head` builds the head of a match; nothing rebuilds the body,
-    since the chase does not re-check a match once it is found."""
+    its matches cannot change the head.  The head-linked atoms are joined
+    in full once, in the first round or, for a rule with such components,
+    in the round the last of them gets its witness; from then on they are
+    pivoted on the delta, by a join plan per pivot.  All plans share one
+    slot layout, so a match is one tuple whatever plan produced it.  The
+    full join starts from the head-linked atom with the fewest facts at that
+    moment, so its plan is compiled then.  `waiting` and `joined` are the
+    per-call state of that switch.  `head` builds the head of a match;
+    nothing rebuilds the body, since the chase does not re-check a match
+    once it is found."""
 
-    __slots__ = ("pivots", "waiting", "head")
+    __slots__ = ("slots", "linked", "pivots", "waiting", "joined", "head")
 
     def __init__(self, rule: Rule):
         slots: dict[Variable, int] = {}
         for v in iter_vars(rule.body):
             slots.setdefault(v, len(slots))
-        linked, free = _components(rule)
-        self.pivots = _pivots(linked, slots)
+        self.slots = slots
+        self.linked, free = _components(rule)
+        self.pivots = _pivots(self.linked, slots)
         self.waiting = [_pivots(c, slots) for c in free]
+        self.joined = False
         self.head = instantiator(rule.head, slots)
 
-    def matches(self, by_pred: dict, delta: "dict[Atom, None]", instance: Instance) -> "list[tuple]":
-        """This round's new matches of the head-linked atoms, given the
-        round's `delta` and its facts grouped by predicate."""
-        out: list[tuple] = []
+    def matches(self, by_pred: "dict | None", fresh, store: "_Store", rng) -> "list[tuple]":
+        """This round's new matches of the head-linked atoms.  `by_pred`
+        groups the previous round's delta `fresh` by predicate; both are
+        None in the first round, which checks and joins in full."""
+        instance = store.instance
         if self.waiting:
             self.waiting = [c for c in self.waiting if not _holds(c, by_pred, instance)]
             if self.waiting:
-                return out
-            if not self.pivots:
-                return [()]  # no head-linked atom, so the head is ground
-            pred, plan = self.pivots[0]
-            for fact in instance.with_predicate(pred):
-                plan.run_from(fact, instance, out)
-            return out
+                return []
+        if not self.joined:
+            self.joined = True
+            return self._join_in_full(store, rng)
+        out: list[tuple] = []
         for pred, plan in self.pivots:
             for fact in by_pred.get(pred, ()):
                 # A fact rewritten away by a merge is stale; its normalized
                 # form re-entered the delta on its own.
                 if fact in instance:
-                    plan.run_from(fact, instance, out, delta)
+                    plan.run_from(fact, instance, out, fresh)
+        return out
+
+    def _join_in_full(self, store: "_Store", rng) -> "list[tuple]":
+        """Every match of the head-linked atoms over the facts present when
+        the round began, entered at the atom whose predicate has the fewest
+        facts now.  The facts added since are in the round's delta, which
+        the next round pivots on, so they are left out here."""
+        atoms = self.linked
+        if not atoms:
+            return [()]  # no head-linked atom, so the head is ground
+        instance, delta = store.instance, store.delta
+        sizes = [len(instance.with_predicate(a.predicate)) for a in atoms]
+        i = sizes.index(min(sizes))
+        rest = atoms[:i] + atoms[i + 1 :]
+        plan = JoinPlan(rest, entry=atoms[i], slots=self.slots, old=len(rest))
+        facts = [f for f in instance.with_predicate(atoms[i].predicate) if f not in delta]
+        if rng is not None:
+            rng.shuffle(facts)
+        out: list[tuple] = []
+        for fact in facts:
+            plan.run_from(fact, instance, out, delta)
         return out
 
 
@@ -362,28 +415,38 @@ def _compile(rules: Iterable[Rule], add) -> "list[_CompiledRule]":
 
 
 def _saturate(rules: "list[_CompiledRule]", state: _Store, fire, rng=None) -> int:
-    """Semi-naive rounds until the delta is empty.  Each round matches every
-    rule against the facts the previous round added (its delta) and `fire`
-    applies one rule's batch of matches before the next rule is matched, so
-    later rules see what earlier ones added.  A batch holds each new match
-    of the head-linked atoms once, found at the first of its atoms whose
-    fact is in the delta; a rule with head-free components has none until
-    they all hold (`_CompiledRule`).  Returns the number of rounds."""
+    """Rounds until one adds no fact.  The first round is naive: it joins
+    every rule in full against the facts present when it began, the base
+    among them, so base facts never enter a delta.  Each later round is
+    semi-naive: it matches every rule against the facts the previous round
+    added (its delta).  `fire` applies one rule's batch of matches before
+    the next rule is matched, so later rules see what earlier ones added;
+    a batch leaves out the matches the next round finds.  A batch holds
+    each new match of the head-linked atoms once, found at the first of its
+    atoms whose fact is in the delta; a rule with head-free components has
+    none until they all hold (`_CompiledRule`).  Returns the number of
+    rounds."""
+    # What entered the delta before the first round (the heads of bodiless
+    # rules, facts rewritten by base equalities) is present when it begins.
+    state.delta = {}
+    fresh = by_pred = None
     rounds = 0
-    while state.delta:
+    while True:
         rounds += 1
+        order = list(rules)
+        if rng is not None:
+            rng.shuffle(order)
+        for rule in order:
+            fire(rule, rule.matches(by_pred, fresh, state, rng))
+        if not state.delta:
+            return rounds
         fresh, state.delta = state.delta, {}
-        by_pred: dict = {}
+        by_pred = {}
         for fact in fresh:
             by_pred.setdefault(fact.predicate, []).append(fact)
-        order = list(rules)
         if rng is not None:
             for facts in by_pred.values():
                 rng.shuffle(facts)
-            rng.shuffle(order)
-        for rule in order:
-            fire(rule, rule.matches(by_pred, fresh, state.instance))
-    return rounds
 
 
 def chase(
@@ -394,17 +457,19 @@ def chase(
 ) -> ChaseResult:
     """Run the representative-based chase of `program` over `base`.
 
+    An `Instance` base is copied, not re-indexed, and left unchanged.
     Base facts may contain equality atoms (their classes are merged up
     front) and are not counted as derived.  The `seed` only shuffles the
     evaluation order; the resulting instance and term map are the same for
     every seed.
     """
     _check_chase_contract(program)
-    state = _ChaseState(limits)
-
-    for fact in base:
-        if not is_ground(fact):
-            raise BodyContractViolation("non-ground base fact %r" % (fact,))
+    instance = _intake(base, limits)
+    equalities = list(instance.with_predicate(EQUALITY))
+    for fact in equalities:
+        instance.discard(fact)
+    state = _ChaseState(instance, limits)
+    for fact in equalities:
         state.apply_head(fact, count=False)
     rules = _compile(program.rules, state.apply_head)
 
@@ -457,9 +522,7 @@ def naive_fixpoint(
         if vars_of(r.head) - vars_of(r.body):
             raise BodyContractViolation("unbound head variable in %r" % (r,))
 
-    store = _Store(limits)
-    for fact in base:
-        store.insert(fact)
+    store = _Store(_intake(base, limits), limits)
     compiled = _compile(rules, store.insert)
 
     def fire(rule: _CompiledRule, matches: "list[tuple]"):

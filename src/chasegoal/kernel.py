@@ -318,6 +318,12 @@ class FreshVars:
 _EMPTY: "frozenset[Atom]" = frozenset()
 
 
+def _index_terms(index: dict, fact: Atom) -> None:
+    for t in fact.args:
+        for s in iter_subterms(t):
+            index.setdefault(s, set()).add(fact)
+
+
 def _unindex(index: dict, key, fact: Atom) -> None:
     """Remove `fact` from the index entry under `key`, dropping the entry
     once it is empty.  A term occurring twice in one fact (T(a, sk(a))) is
@@ -333,6 +339,9 @@ class Instance:
     """Mutable set of ground atoms with hash indexes by predicate, by
     (predicate, position, term) and by term occurrence.
 
+    The term index serves merges alone, so it is built by the first
+    `containing` call and kept up to date only from then on.
+
     Single writer: the sets returned by the lookup methods are live views
     and must be copied before mutating the instance while iterating them.
     An index entry is dropped once it empties, so a view held across that
@@ -343,9 +352,18 @@ class Instance:
         self._facts: set[Atom] = set()
         self._by_pred: dict[PredicateId, set[Atom]] = {}
         self._by_pos: dict[tuple, set[Atom]] = {}
-        self._by_term: dict[Term, set[Atom]] = {}
+        self._by_term: Optional[dict[Term, set[Atom]]] = None
         for f in facts:
             self.add(f)
+
+    def copy(self) -> "Instance":
+        """An instance with the same facts and its own indexes, sharing the
+        atoms; the term index is left to be built on demand."""
+        new = Instance()
+        new._facts = set(self._facts)
+        new._by_pred = {k: set(v) for k, v in self._by_pred.items()}
+        new._by_pos = {k: set(v) for k, v in self._by_pos.items()}
+        return new
 
     def add(self, fact: Atom) -> bool:
         if fact in self._facts:
@@ -354,8 +372,8 @@ class Instance:
         self._by_pred.setdefault(fact.predicate, set()).add(fact)
         for i, t in enumerate(fact.args):
             self._by_pos.setdefault((fact.predicate, i, t), set()).add(fact)
-            for s in iter_subterms(t):
-                self._by_term.setdefault(s, set()).add(fact)
+        if self._by_term is not None:
+            _index_terms(self._by_term, fact)
         return True
 
     def discard(self, fact: Atom) -> bool:
@@ -365,8 +383,9 @@ class Instance:
         _unindex(self._by_pred, fact.predicate, fact)
         for i, t in enumerate(fact.args):
             _unindex(self._by_pos, (fact.predicate, i, t), fact)
-            for sub in iter_subterms(t):
-                _unindex(self._by_term, sub, fact)
+            if self._by_term is not None:
+                for sub in iter_subterms(t):
+                    _unindex(self._by_term, sub, fact)
         return True
 
     def __contains__(self, fact: Atom) -> bool:
@@ -381,10 +400,16 @@ class Instance:
     def with_predicate(self, pred: PredicateId) -> "set[Atom]":
         return self._by_pred.get(pred, _EMPTY)
 
-    def with_term_at(self, pred: PredicateId, pos: int, term: Term) -> "set[Atom]":
-        return self._by_pos.get((pred, pos, term), _EMPTY)
+    def argument_terms(self) -> "set[Term]":
+        """The terms that some fact holds at an argument position."""
+        return {t for _, _, t in self._by_pos}
 
     def containing(self, term: Term) -> "set[Atom]":
+        """The facts holding `term` at any depth of an argument."""
+        if self._by_term is None:
+            self._by_term = {}
+            for fact in self._facts:
+                _index_terms(self._by_term, fact)
         return self._by_term.get(term, _EMPTY)
 
     def predicates(self) -> "set[PredicateId]":

@@ -295,18 +295,76 @@ def random_scenario(rng: random.Random) -> Scenario:
     return Scenario(tuple(rules), Instance(facts), query, None, una_known=False)
 
 
-def scenario_stream(seed: int, want: int, with_oracle: bool = True, limits: Limits = ORACLE_LIMITS):
-    """Deterministic stream of `want` random scenarios. With `with_oracle`,
-    only draws whose naive reference fixpoint terminates inside `limits` are
-    produced, the honest UNA flag is attached and the oracle answers come
-    along for the ride."""
+def stale_merge_scenario(rng: random.Random) -> Scenario:
+    """A draw from a template whose merges can leave a class representative
+    mentioning a merged-away term below a function symbol.  Existential
+    rules build Skolem terms over subject constants; these are equated with
+    each other (joined through base L facts) or with value constants
+    (through a value in an existential head or base N facts); then base M
+    facts merge subjects with subjects and values with values.  Keeping
+    the two pools apart keeps every Skolem term out of the body of an
+    existential rule, so the naive reference fixpoint stays finite."""
+    P, E, L, M, N = (Predicate(n, k) for n, k in (("P", 1), ("E", 2), ("L", 2), ("M", 2), ("N", 2)))
+    x, y, z, u, v = (Variable(n) for n in "xyzuv")
+    subjects = [Constant("s%d" % i) for i in range(rng.randint(2, 4))]
+    values = [Constant("c%d" % i) for i in range(rng.randint(1, 3))]
+    skolem = [Predicate("R%d" % i, 2) for i in range(rng.randint(2, 3))]
+    rules = []
+    for r in skolem:
+        head = [Atom(r, (x, y))]
+        if rng.random() < 0.25:
+            head.append(Atom(E, (y, rng.choice(values))))
+        rules.append(TGD((Atom(P, (x,)),), tuple(head)))
+    for _ in range(rng.randint(1, 2)):
+        r1, r2 = rng.choice(skolem), rng.choice(skolem)
+        rules.append(EGD((Atom(r1, (u, y)), Atom(r2, (v, z)), Atom(L, (u, v))), y, z))
+    rules.append(EGD((Atom(E, (x, y)),), x, y))
+    if rng.random() < 0.35:
+        rules.append(EGD((Atom(rng.choice(skolem), (x, y)), Atom(N, (x, z))), y, z))
+    # A merge of constants may wait for a Skolem term, or for two of them
+    # to be merged first.
+    r1, r2 = rng.choice(skolem), rng.choice(skolem)
+    wait = rng.choice(((), (Atom(r1, (x, z)),), (Atom(r1, (x, z)), Atom(r2, (y, z)))))
+    rules.append(EGD((Atom(M, (x, y)),) + wait, x, y))
+    r1, r2 = rng.choice(skolem), rng.choice(skolem)
+    body = rng.choice(
+        ((Atom(r1, (x, y)),), (Atom(r1, (y, x)),), (Atom(r1, (x, y)), Atom(r2, (u, y))))
+    )
+    rules.append(TGD(body, (Atom(Q1, (x,)),)))
+
+    def pairs(pool, other, lo, hi):
+        return [(rng.choice(pool), rng.choice(other)) for _ in range(rng.randint(lo, hi))]
+
+    facts = [Atom(P, (c,)) for c in rng.sample(subjects, rng.randint(2, len(subjects)))]
+    linked = pairs(subjects, subjects, 1, 3)
+    facts += [Atom(L, p) for p in linked]
+    # Half the time, merge two subjects whose Skolem terms may be equated.
+    merged = pairs(subjects, subjects, 1, 2) + pairs(values, values, 0, 1)
+    if rng.random() < 0.5:
+        merged.append(rng.choice(linked))
+    facts += [Atom(M, p) for p in merged]
+    facts += [Atom(N, p) for p in pairs(subjects, values, 0, 2)]
+    return Scenario(tuple(rules), Instance(facts), Q1, None, una_known=False)
+
+
+def scenario_stream(
+    seed: int,
+    want: int,
+    with_oracle: bool = True,
+    limits: Limits = ORACLE_LIMITS,
+    draw=random_scenario,
+):
+    """Deterministic stream of `want` scenarios from `draw`. With
+    `with_oracle`, only draws whose naive reference fixpoint terminates
+    inside `limits` are produced, the honest UNA flag is attached and the
+    oracle answers come along for the ride."""
     rng = random.Random(seed)
     produced = attempts = 0
     while produced < want:
         attempts += 1
         if attempts > 80 * want + 200:
             raise RuntimeError("scenario generator rejection rate too high")
-        sc = random_scenario(rng)
+        sc = draw(rng)
         if not any(isinstance(r, TGD) and r.head[0].predicate == sc.query for r in sc.rules):
             continue
         if not with_oracle:

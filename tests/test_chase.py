@@ -35,7 +35,14 @@ from chasegoal.kernel import (
     vars_of,
 )
 
-from helpers import Q1, oracle_answers, running_example, scenario_stream
+from helpers import (
+    Q1,
+    merged_distinct_constants,
+    oracle_answers,
+    running_example,
+    scenario_stream,
+    stale_merge_scenario,
+)
 from test_kernel import brute_force_matches
 
 a, b, c = Constant("a"), Constant("b"), Constant("c")
@@ -201,6 +208,25 @@ def test_stale_representative_gives_one_instance_and_term_map_per_mode():
             assert len(outcomes) == 1, mode
 
 
+def test_stale_merge_template_agrees_with_oracle_and_across_seeds():
+    # Skolem terms equated with each other or with constants, then
+    # constants merged: every mode answers as the reference fixpoint, and
+    # each mode's final program chases to one instance and term map for
+    # every evaluation order.
+    merged = 0
+    for drawn in scenario_stream(1, 200, draw=stale_merge_scenario):
+        merged += merged_distinct_constants(drawn.naive)
+        for mode in ("mat", "rel", "magic", "all"):
+            rep = run_pipeline(drawn.scenario, PipelineConfig(mode=mode))
+            assert set(map(tuple, rep.answers)) == drawn.oracle, (mode, drawn.scenario)
+            outcomes = set()
+            for seed in (None, 0, 1, 2):
+                cr = chase(rep.stages["desg"], drawn.scenario.instance, seed=seed)
+                outcomes.add((frozenset(cr.instance), frozenset(cr.mu.items())))
+            assert len(outcomes) == 1, (mode, drawn.scenario)
+    assert merged >= 80
+
+
 def test_base_equality_facts_merge_upfront_uncounted():
     result = chase(Program(()), [Atom(P1, (b,)), eq(a, b)])
     assert set(result.instance) == {Atom(P1, (a,))}
@@ -265,15 +291,34 @@ def test_head_free_body_part_without_witness_blocks_the_rule():
 
 
 def test_rule_is_applied_once_per_match_of_facts_from_one_round():
-    # Every E fact is in the first round's delta, so a two-atom path is
-    # reachable from both pivots; it must still be applied only once.
-    E, H = Predicate("E", 2), Predicate("H", 2)
+    # The first round joins the rule once in full over the base E facts.
+    # Copied from F, the same E facts all enter the second round's delta
+    # instead, so a two-atom path is reachable from both pivots; either
+    # way each path is applied only once.
+    E, F, H = Predicate("E", 2), Predicate("F", 2), Predicate("H", 2)
     rule = Rule(Atom(H, (x, z)), (Atom(E, (x, y)), Atom(E, (y, z))))
-    base = [Atom(E, pair) for pair in ((a, b), (b, c), (c, a), (a, a), (b, b))]
-    result = chase(Program((rule,)), base)
-    paths = brute_force_matches(rule.body, set(base))
+    pairs = ((a, b), (b, c), (c, a), (a, a), (b, b))
+    paths = brute_force_matches(rule.body, {Atom(E, pair) for pair in pairs})
     assert len(paths) == 9
+    result = chase(Program((rule,)), [Atom(E, pair) for pair in pairs])
     assert result.stats.rule_applications == len(paths)
+    copy = Rule(Atom(E, (x, y)), (Atom(F, (x, y)),))
+    result = chase(Program((copy, rule)), [Atom(F, pair) for pair in pairs])
+    assert result.stats.rule_applications == len(pairs) + len(paths)
+
+
+def test_first_round_leaves_facts_of_the_same_round_to_the_next():
+    # B facts derived in the first round are the second round's delta; the
+    # first round's join of the B rule must not also see them.
+    A, B, C = Predicate("A", 1), Predicate("B", 1), Predicate("C", 1)
+    rules = (Rule(Atom(B, (x,)), (Atom(A, (x,)),)), Rule(Atom(C, (x,)), (Atom(B, (x,)),)))
+    base = [Atom(A, (Constant("a%d" % i),)) for i in range(10)]
+    base += [Atom(B, (Constant("b%d" % i),)) for i in range(5)]
+    for seed in [None] + list(range(8)):
+        result = chase(Program(rules), base, seed=seed)
+        n_a, n_b = (len(result.instance.with_predicate(p)) for p in (A, B))
+        assert (n_a, n_b) == (10, 15)
+        assert result.stats.rule_applications == n_a + n_b, seed
 
 
 def test_demand_rules_are_chased_as_given():
@@ -355,6 +400,63 @@ def test_semi_naive_loop_agrees_with_brute_force_closure():
             chased += 1
             assert set(chase(Program(tuple(rules)), base).instance) == want, rules
     assert disconnected >= 100 and chased >= 50
+
+
+# -- base intake ---------------------------------------------------------------
+
+
+def _index_snapshot(instance):
+    return (
+        set(instance),
+        {k: set(v) for k, v in instance._by_pred.items()},
+        {k: set(v) for k, v in instance._by_pos.items()},
+        instance._by_term,
+    )
+
+
+def test_pipeline_leaves_the_loaded_instance_unchanged():
+    # The chase copies an Instance base; its merges rewrite the copy only.
+    sc = running_example(4)
+    before = _index_snapshot(sc.instance)
+    for mode in ("mat", "rel", "magic", "all"):
+        rep = run_pipeline(sc, PipelineConfig(mode=mode))
+        assert rep.chase_stats.merges >= 1
+        assert _index_snapshot(sc.instance) == before, mode
+
+
+@pytest.mark.parametrize("as_instance", [False, True])
+def test_base_guards_trip_for_list_and_instance_bases(as_instance):
+    def run(facts, limits=Limits()):
+        chase(Program(()), Instance(facts) if as_instance else facts, limits)
+
+    with pytest.raises(BodyContractViolation):
+        run([Atom(P1, (a,)), Atom(T2, (a, Functional("f", (x,))))])
+    deep = Functional("f", (Functional("f", (a,)),))
+    with pytest.raises(DepthLimitExceeded):
+        run([Atom(P1, (deep,))], Limits(max_depth=1))
+    run([Atom(P1, (deep,))], Limits(max_depth=2))
+    with pytest.raises(FactLimitExceeded):
+        run([Atom(P1, (t,)) for t in (a, b, c)], Limits(max_facts=2))
+    run([Atom(P1, (t,)) for t in (a, b, c)], Limits(max_facts=3))
+
+
+def test_base_equality_in_an_instance_merges_uncounted():
+    base = Instance([Atom(P1, (b,)), Atom(T2, (c, b)), eq(a, b)])
+    result = chase(Program(()), base)
+    assert set(result.instance) == {Atom(P1, (a,)), Atom(T2, (c, a))}
+    assert result.stats.derived_facts == 0 and result.stats.merges == 0
+    assert result.mu == {b: a}
+    assert eq(a, b) in base and Atom(P1, (b,)) in base
+
+
+def test_term_index_is_built_only_by_a_merge():
+    A, B = Predicate("A", 1), Predicate("B", 2)
+    rule = Rule(Atom(B, (x, x)), (Atom(A, (x,)),))
+    result = chase(Program((rule,)), Instance([Atom(A, (a,)), Atom(A, (b,))]))
+    assert result.instance._by_term is None
+    egd = Rule(eq(x, y), (Atom(T2, (x, y)),))
+    result = chase(Program((egd,)), [Atom(T2, (a, b))])
+    assert result.instance._by_term is not None
 
 
 # -- contract checks ---------------------------------------------------------

@@ -261,11 +261,11 @@ def test_instance_add_and_discard_round_trip():
     assert not inst.add(fact)
     assert fact in inst
     assert inst.with_predicate(R2) == {fact}
-    assert inst.with_term_at(R2, 0, a) == {fact}
+    assert inst._by_pos[(R2, 0, a)] == {fact}
     assert inst.discard(fact)
     assert not inst.discard(fact)
     assert len(inst) == 0
-    assert inst.with_term_at(R2, 0, a) == set()
+    assert (R2, 0, a) not in inst._by_pos
 
 
 def test_instance_discard_drops_emptied_index_entries():
@@ -275,6 +275,7 @@ def test_instance_discard_drops_emptied_index_entries():
     facts = [Atom(R2, (a, b)), Atom(P1, (a,)), Atom(R2, (a, f(a)))]
     for fact in facts:
         inst.add(fact)
+    inst.containing(a)  # builds the term index
     for fact in facts:
         inst.discard(fact)
     assert inst._by_pos == {}
