@@ -14,11 +14,12 @@ programs with explicit equality atoms and serves as the reference semantics.
 
 Both start from the base they are given: an `Instance` base is copied with
 its indexes, not re-indexed, and its facts are checked once per distinct
-argument term.  Base facts never enter a delta.  The first round is naive:
-it joins each rule once in full, entered at the body atom whose relation is
-smallest at that moment, against the facts present when the round began.
-Every later round is semi-naive, over rules compiled once into one join
-plan per pivot: it finds each new match once, at the first body atom whose
+argument term.  Base facts never enter a delta.  Each rule is compiled once
+into one join plan per body atom, and one routine (`_match`) matches every
+conjunction with them.  The first round is naive: it joins each rule once
+in full, entered at the body atom whose relation is smallest at that
+moment, against the facts present when the round began.  Every later round
+is semi-naive: it finds each new match once, at the first body atom whose
 fact is new.  A part of a body that no chain of shared variables links to
 the head is only checked for one witness: the rule fires for the matches of
 the rest once it holds, never once per witness.  The term index only
@@ -35,10 +36,12 @@ from typing import Iterable, Optional
 from .kernel import (
     Atom,
     EQUALITY,
+    FIRST_MATCH,
     Constant,
     Functional,
     Instance,
     JoinPlan,
+    MatchFound,
     Predicate,
     Program,
     Rule,
@@ -128,9 +131,7 @@ class UnionFind:
         while root in parent:
             root = parent[root]
         while t is not root:
-            nxt = parent.get(t)
-            if nxt is None:
-                break
+            nxt = parent[t]
             parent[t] = root
             t = nxt
         return root
@@ -210,6 +211,11 @@ class _Store:
         self.delta[fact] = None
         return True
 
+    def fire(self, rule: "_CompiledRule", matches: "list[tuple]"):
+        """Apply a rule's batch of matches: insert the head of each."""
+        for vals in matches:
+            self.insert(rule.head(vals))
+
 
 def _below(needle: Term, term: Term) -> bool:
     """Whether `needle` occurs in `term` below a function symbol."""
@@ -223,6 +229,15 @@ class _ChaseState(_Store):
         self.derived: list[Atom] = []
         self.merges = 0
         self.applications = 0
+
+    def fire(self, rule: "_CompiledRule", matches: "list[tuple]"):
+        """Apply a rule's batch of matches.  Only an equality head merges,
+        so only an equality rule's batch can hold matches built from facts
+        a merge in the same batch has rewritten.  The equality such a match
+        entails still holds, so `apply_head` merges its normalized sides,
+        unless a side is stale."""
+        for vals in matches:
+            self.applications += self.apply_head(rule.head(vals))
 
     def is_stale(self, term: Term) -> bool:
         """Whether `term` mentions a merged-away term below a function symbol."""
@@ -289,10 +304,10 @@ class _ChaseState(_Store):
         return True
 
 
-def _components(rule: Rule) -> "tuple[tuple[Atom, ...], list[tuple[Atom, ...]]]":
+def _components(rule: Rule) -> "list[tuple[Atom, ...]]":
     """The body split into its components, the groups of atoms connected by
-    shared variables: (the atoms of the components that hold a head
-    variable, in body order; the other, head-free components)."""
+    shared variables: first the atoms of the components that hold a head
+    variable, in body order, then each head-free component."""
     head = vars_of(rule.head)
     comps: list = []  # (variables, atom indices)
     for i, a in enumerate(rule.body):
@@ -304,102 +319,93 @@ def _components(rule: Rule) -> "tuple[tuple[Atom, ...], list[tuple[Atom, ...]]]"
         comps.append((vs, idx))
     linked = sorted(i for vs, idx in comps if not vs.isdisjoint(head) for i in idx)
     free = [tuple(rule.body[i] for i in sorted(idx)) for vs, idx in comps if vs.isdisjoint(head)]
-    return tuple(rule.body[i] for i in linked), free
+    return [tuple(rule.body[i] for i in linked)] + free
 
 
-def _pivots(atoms: "tuple[Atom, ...]", slots) -> tuple:
-    """A join plan per atom of a conjunction, the atom matched against a
-    delta fact; the atoms before it may only match facts outside the delta."""
-    return tuple(
-        (a.predicate, JoinPlan(atoms[:i] + atoms[i + 1 :], entry=a, slots=slots, old=i))
-        for i, a in enumerate(atoms)
-    )
+def _match(plans: tuple, by_pred: "dict | None", delta, instance: Instance, out, rng=None):
+    """Append to `out` the matches of a conjunction compiled into one join
+    plan per atom, as (atom predicate, plan) pairs.
 
-
-def _holds(pivots: tuple, by_pred: "dict | None", instance: Instance) -> bool:
-    """Whether a conjunction has a match holding one of the delta facts,
-    grouped by predicate in `by_pred`, or, with None, any match at all,
-    entered at the atom whose predicate has the fewest facts."""
+    Full mode (`by_pred` None): every match over the facts outside `delta`,
+    entered at the atom whose predicate has the fewest facts, its facts in
+    an order `rng` shuffles.  An empty conjunction has one match, ().
+    Semi-naive mode: every match holding a fact of `delta`, grouped by
+    predicate in `by_pred`, found once, by the plan of the first of its
+    atoms whose fact is in `delta`; the atoms before it are kept off it."""
     if by_pred is None:
-        pred, plan = min(pivots, key=lambda p: len(instance.with_predicate(p[0])))
-        return any(plan.holds_from(fact, instance) for fact in instance.with_predicate(pred))
-    return any(
-        plan.holds_from(fact, instance)
-        for pred, plan in pivots
-        for fact in by_pred.get(pred, ())
-        if fact in instance
-    )
+        if not plans:
+            out.append(())
+            return
+        pred, plan = min(plans, key=lambda p: len(instance.with_predicate(p[0])))
+        facts = [f for f in instance.with_predicate(pred) if f not in delta]
+        if rng is not None:
+            rng.shuffle(facts)
+        for fact in facts:
+            plan.run_from(fact, instance, out, delta, len(plans))
+        return
+    for i, (pred, plan) in enumerate(plans):
+        for fact in by_pred.get(pred, ()):
+            # A fact rewritten away by a merge is stale; its normalized
+            # form re-entered the delta on its own.
+            if fact in instance:
+                plan.run_from(fact, instance, out, delta, i)
+
+
+def _holds(plans: tuple, by_pred: "dict | None", fresh, instance: Instance) -> bool:
+    """Whether a conjunction has a match: in the first round (`by_pred`
+    None) any match, later one holding a fact of the previous round's
+    delta `fresh`.  The join stops at the first."""
+    try:
+        _match(plans, by_pred, fresh, instance, FIRST_MATCH)
+    except MatchFound:
+        return True
+    return False
 
 
 class _CompiledRule:
-    """A rule with a body of at least one atom, compiled once.
+    """A rule with a body of at least one atom, compiled once into one join
+    plan per body atom, all sharing one slot layout, so a match is one
+    tuple whatever plan produced it.
 
     A head-free component of the body (see `_components`) only has to
     hold: it waits for one witness and is never joined with the rest, since
-    its matches cannot change the head.  The head-linked atoms are joined
-    in full once, in the first round or, for a rule with such components,
-    in the round the last of them gets its witness; from then on they are
-    pivoted on the delta, by a join plan per pivot.  All plans share one
-    slot layout, so a match is one tuple whatever plan produced it.  The
-    full join starts from the head-linked atom with the fewest facts at that
-    moment, so its plan is compiled then.  `waiting` and `joined` are the
-    per-call state of that switch.  `head` builds the head of a match;
-    nothing rebuilds the body, since the chase does not re-check a match
-    once it is found."""
+    its matches cannot change the head.  The head-linked atoms are matched
+    in full mode (`_match`) once, in the first round or, for a rule with
+    head-free components, in the round the last of them gets its witness;
+    in every later round, in semi-naive mode.  A rule with no head-linked
+    atom thus fires once.  `head` builds the head of a match; nothing
+    rebuilds the body, since the chase does not re-check a match once it
+    is found."""
 
-    __slots__ = ("slots", "linked", "pivots", "waiting", "joined", "head")
+    __slots__ = ("plans", "waiting", "head")
 
     def __init__(self, rule: Rule):
         slots: dict[Variable, int] = {}
         for v in iter_vars(rule.body):
             slots.setdefault(v, len(slots))
-        self.slots = slots
-        self.linked, free = _components(rule)
-        self.pivots = _pivots(self.linked, slots)
-        self.waiting = [_pivots(c, slots) for c in free]
-        self.joined = False
+        self.plans, *self.waiting = [
+            tuple(
+                (a.predicate, JoinPlan(atoms[:i] + atoms[i + 1 :], entry=a, slots=slots))
+                for i, a in enumerate(atoms)
+            )
+            for atoms in _components(rule)
+        ]
         self.head = instantiator(rule.head, slots)
 
     def matches(self, by_pred: "dict | None", fresh, store: "_Store", rng) -> "list[tuple]":
         """This round's new matches of the head-linked atoms.  `by_pred`
-        groups the previous round's delta `fresh` by predicate; both are
-        None in the first round, which checks and joins in full."""
+        groups the previous round's delta `fresh` by predicate; it is None
+        in the first round, which checks and joins in full.  A full join
+        keeps off the facts added since the round began: they are the
+        round's delta, which the next round pivots on."""
         instance = store.instance
         if self.waiting:
-            self.waiting = [c for c in self.waiting if not _holds(c, by_pred, instance)]
+            self.waiting = [c for c in self.waiting if not _holds(c, by_pred, fresh, instance)]
             if self.waiting:
                 return []
-        if not self.joined:
-            self.joined = True
-            return self._join_in_full(store, rng)
+            by_pred = None
         out: list[tuple] = []
-        for pred, plan in self.pivots:
-            for fact in by_pred.get(pred, ()):
-                # A fact rewritten away by a merge is stale; its normalized
-                # form re-entered the delta on its own.
-                if fact in instance:
-                    plan.run_from(fact, instance, out, fresh)
-        return out
-
-    def _join_in_full(self, store: "_Store", rng) -> "list[tuple]":
-        """Every match of the head-linked atoms over the facts present when
-        the round began, entered at the atom whose predicate has the fewest
-        facts now.  The facts added since are in the round's delta, which
-        the next round pivots on, so they are left out here."""
-        atoms = self.linked
-        if not atoms:
-            return [()]  # no head-linked atom, so the head is ground
-        instance, delta = store.instance, store.delta
-        sizes = [len(instance.with_predicate(a.predicate)) for a in atoms]
-        i = sizes.index(min(sizes))
-        rest = atoms[:i] + atoms[i + 1 :]
-        plan = JoinPlan(rest, entry=atoms[i], slots=self.slots, old=len(rest))
-        facts = [f for f in instance.with_predicate(atoms[i].predicate) if f not in delta]
-        if rng is not None:
-            rng.shuffle(facts)
-        out: list[tuple] = []
-        for fact in facts:
-            plan.run_from(fact, instance, out, delta)
+        _match(self.plans, by_pred, store.delta if by_pred is None else fresh, instance, out, rng)
         return out
 
 
@@ -414,22 +420,21 @@ def _compile(rules: Iterable[Rule], add) -> "list[_CompiledRule]":
     return compiled
 
 
-def _saturate(rules: "list[_CompiledRule]", state: _Store, fire, rng=None) -> int:
+def _saturate(rules: "list[_CompiledRule]", state: _Store, rng=None) -> int:
     """Rounds until one adds no fact.  The first round is naive: it joins
     every rule in full against the facts present when it began, the base
     among them, so base facts never enter a delta.  Each later round is
     semi-naive: it matches every rule against the facts the previous round
-    added (its delta).  `fire` applies one rule's batch of matches before
-    the next rule is matched, so later rules see what earlier ones added;
-    a batch leaves out the matches the next round finds.  A batch holds
-    each new match of the head-linked atoms once, found at the first of its
-    atoms whose fact is in the delta; a rule with head-free components has
-    none until they all hold (`_CompiledRule`).  Returns the number of
-    rounds."""
+    added (its delta).  `state.fire` applies one rule's batch of matches
+    before the next rule is matched, so later rules see what earlier ones
+    added.  A batch holds each new match of the head-linked atoms once,
+    found at the first of its atoms whose fact is in the delta; a rule with
+    head-free components has none until they all hold (`_CompiledRule`).
+    Returns the number of rounds."""
     # What entered the delta before the first round (the heads of bodiless
     # rules, facts rewritten by base equalities) is present when it begins.
     state.delta = {}
-    fresh = by_pred = None
+    fresh, by_pred = {}, None
     rounds = 0
     while True:
         rounds += 1
@@ -437,7 +442,7 @@ def _saturate(rules: "list[_CompiledRule]", state: _Store, fire, rng=None) -> in
         if rng is not None:
             rng.shuffle(order)
         for rule in order:
-            fire(rule, rule.matches(by_pred, fresh, state, rng))
+            state.fire(rule, rule.matches(by_pred, fresh, state, rng))
         if not state.delta:
             return rounds
         fresh, state.delta = state.delta, {}
@@ -472,18 +477,8 @@ def chase(
     for fact in equalities:
         state.apply_head(fact, count=False)
     rules = _compile(program.rules, state.apply_head)
-
-    def fire(rule: _CompiledRule, matches: "list[tuple]"):
-        """Apply a rule's batch of matches.  Only an equality head merges,
-        so only an equality rule's batch can hold matches built from facts
-        a merge in the same batch has rewritten.  The equality such a match
-        entails still holds, so `apply_head` merges its normalized sides,
-        unless a side is stale."""
-        for vals in matches:
-            state.applications += state.apply_head(rule.head(vals))
-
     rng = random.Random(seed) if seed is not None else None
-    rounds = _saturate(rules, state, fire, rng)
+    rounds = _saturate(rules, state, rng)
 
     mu = {t: rep for t, rep in state.uf.as_map().items() if not state.is_stale(t)}
     classes: dict[Term, set[Term]] = {}
@@ -523,13 +518,7 @@ def naive_fixpoint(
             raise BodyContractViolation("unbound head variable in %r" % (r,))
 
     store = _Store(_intake(base, limits), limits)
-    compiled = _compile(rules, store.insert)
-
-    def fire(rule: _CompiledRule, matches: "list[tuple]"):
-        for vals in matches:
-            store.insert(rule.head(vals))
-
-    _saturate(compiled, store, fire)
+    _saturate(_compile(rules, store.insert), store)
     return store.instance
 
 

@@ -588,9 +588,15 @@ def rules_signature(rules: Iterable) -> "dict[str, Predicate]":
     return {p.name: p for p in program_predicates(rules) if isinstance(p, Predicate)}
 
 
+# The goal-driven modes close answers under equality only through the
+# variables of query-rule heads, so the query predicate must get all its
+# facts through such variables.
+_QUERY_WORKAROUND = "; use a non-query predicate and a rule from it into %s"
+
+
 def check_query_predicate(rules: Iterable, query: Predicate, source: str = "<rules>"):
     """The query predicate may appear in TGD heads only, never in a body and
-    never with an existential variable in its arguments."""
+    never with an existential variable or a constant in its arguments."""
     for r in rules:
         for a in r.body:
             if a.predicate == query:
@@ -599,11 +605,28 @@ def check_query_predicate(rules: Iterable, query: Predicate, source: str = "<rul
                 )
         if isinstance(r, TGD):
             for a in r.head:
-                if a.predicate == query and (vars_of(a) & r.existential_vars):
+                if a.predicate != query:
+                    continue
+                if vars_of(a) & r.existential_vars:
                     raise MalformedRule(
                         "query predicate %s has an existential argument" % query.name,
                         source=source,
                     )
+                if not all(isinstance(t, Variable) for t in a.args):
+                    raise MalformedRule(
+                        "query predicate %s has a constant argument in rule %s"
+                        % (query.name, render_rule(r)) + _QUERY_WORKAROUND % query.name,
+                        source=source,
+                    )
+
+
+def check_query_facts(instance: Instance, query: Predicate, data_dir):
+    """The query predicate has no base facts."""
+    if instance.with_predicate(query):
+        raise FrontendError(
+            "query predicate %s has base facts" % query.name + _QUERY_WORKAROUND % query.name,
+            source=str(Path(data_dir) / ("%s.csv" % query.name)),
+        )
 
 
 def load_scenario(
@@ -634,6 +657,7 @@ def load_scenario(
                     source=str(schema_path),
                 )
     instance = parse_instance(data_dir, sig, schema)
+    check_query_facts(instance, query, data_dir)
     if schema is not None:
         # The typed relevance abstraction assumes data and rules agree on
         # the sort of every constant; where they do not, it would prune

@@ -470,11 +470,11 @@ def _is_key(t: Term, bound: "set[Variable]") -> bool:
     return t in bound if isinstance(t, Variable) else is_ground(t)
 
 
-def _join(steps: tuple, k: int, instance: "Instance", b: list, out, delta) -> None:
+def _join(steps: tuple, k: int, instance: "Instance", b: list, out, delta, old: int) -> None:
     if k == len(steps):
         out.append(tuple(b))
         return
-    pred, key_pos, key_slot, key, ops, old = steps[k]
+    pred, key_pos, key_slot, key, ops, j = steps[k]
     if key_slot is not None:
         candidates = instance._by_pos.get((pred, key_pos, b[key_slot]))
     elif key is not None:
@@ -485,24 +485,24 @@ def _join(steps: tuple, k: int, instance: "Instance", b: list, out, delta) -> No
         return
     k += 1
     for fact in candidates:
-        if _match_args(ops, fact.args, b) and not (old and fact in delta):
-            _join(steps, k, instance, b, out, delta)
+        if _match_args(ops, fact.args, b) and not (j < old and fact in delta):
+            _join(steps, k, instance, b, out, delta, old)
 
 
-class _Found(Exception):
+class MatchFound(Exception):
     pass
 
 
 class _FirstMatch:
-    """A match sink that stops the join at its first match."""
+    """A match sink that stops the join at its first match: raises `MatchFound`."""
 
     __slots__ = ()
 
     def append(self, vals):
-        raise _Found
+        raise MatchFound
 
 
-_FIRST_MATCH = _FirstMatch()
+FIRST_MATCH = _FirstMatch()
 
 
 class JoinPlan:
@@ -516,10 +516,10 @@ class JoinPlan:
     such position is the index key.  Each step then binds, checks or
     structurally matches the other positions.
 
-    With `old=k`, the first k atoms of `body` may only match facts outside
-    the `delta` that `run_from` is given: a rule pivoted on its body atom k
-    then finds a match that holds several delta facts only once, at the
-    first of them.
+    Each step records its atom's index in `body`: `run_from` with `old=k`
+    keeps the first k atoms of `body` off the `delta` it is given, so a
+    conjunction pivoted on its atom k finds a match holding several delta
+    facts once, at the first, and `old=len(body)` keeps every atom off it.
 
     Variables live in the slots of one list (`slots` maps each variable to
     its slot).  Every variable is bound by exactly one operation and read
@@ -529,7 +529,7 @@ class JoinPlan:
 
     __slots__ = ("slots", "entry", "steps")
 
-    def __init__(self, body, entry: Atom, slots=None, old: int = 0):
+    def __init__(self, body, entry: Atom, slots=None):
         body = tuple(body)
         if slots is None:
             slots = {}
@@ -550,22 +550,22 @@ class JoinPlan:
             elif key_pos >= 0:
                 key = (atom.predicate, key_pos, atom.args[key_pos])
             ops = _compile_args(atom.args, slots, known, skip=key_pos)
-            steps.append((atom.predicate, key_pos, key_slot, key, ops, j < old))
+            steps.append((atom.predicate, key_pos, key_slot, key, ops, j))
         self.steps: tuple = tuple(steps)
 
-    def run_from(self, fact: Atom, instance: "Instance", out: list, delta=_EMPTY) -> None:
+    def run_from(self, fact: Atom, instance: "Instance", out, delta=_EMPTY, old: int = 0) -> None:
         """Append to `out` the matches whose entry atom is `fact`; the
         caller has checked that the predicates agree."""
         b = [None] * len(self.slots)
         if _match_args(self.entry, fact.args, b):
-            _join(self.steps, 0, instance, b, out, delta)
+            _join(self.steps, 0, instance, b, out, delta, old)
 
     def holds_from(self, fact: Atom, instance: "Instance") -> bool:
         """Whether some match has `fact` as its entry atom; the join stops
         at the first."""
         try:
-            self.run_from(fact, instance, _FIRST_MATCH)
-        except _Found:
+            self.run_from(fact, instance, FIRST_MATCH)
+        except MatchFound:
             return True
         return False
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from collections import deque
 from itertools import product
+from math import prod
 from typing import Iterable, Optional
 
 from .engine import (
@@ -46,8 +47,8 @@ FIXPOINT_LIMITS = Limits(max_depth=10, max_facts=100_000)
 
 
 class AbstractionFixpointDiverged(RuntimeError):
-    """The forward fixpoint on the abstract instance hit a guard; retry with
-    function symbols abstracted to constants."""
+    """The critical instance or the forward fixpoint on it hit a guard;
+    retry with function symbols abstracted to constants."""
 
 
 # ---------------------------------------------------------------------------
@@ -78,12 +79,15 @@ def critical_instance(
     base: "Instance | Iterable[PredicateId]",
     typed: bool = False,
     schema=None,
+    max_facts: Optional[int] = None,
 ) -> Instance:
     """All facts over the predicates of the base signature with arguments
     from the program's constants plus a star.  With a schema, each sort gets
     its own star and constants only appear at positions of their sort;
     constants of unknown sort are allowed everywhere (the abstraction stays
-    an over-approximation)."""
+    an over-approximation).  Its size grows as a power of the arity, so it
+    is counted before any fact is built, and more than `max_facts` facts
+    raise `FactLimitExceeded`."""
     base_preds = base.predicates() if isinstance(base, Instance) else set(base)
     constants = _program_constants(program.rules)
     taken = {c.name for c in constants}
@@ -100,16 +104,19 @@ def critical_instance(
             stars[sort] = c
         return c
 
-    out = Instance()
+    pools: dict[PredicateId, list] = {}
     for pred in sorted(base_preds, key=pred_label):
         sorts = schema.get((pred.name, pred.arity)) if isinstance(pred, Predicate) else None
-        pools = []
+        pools[pred] = []
         for sort in sorts or (None,) * pred.arity:
             ok = [c for c in constants if sort is None or inferred.get(c) in (None, sort)]
-            pools.append(sorted(ok + [star_of(sort)], key=lambda c: c.name))
-        for args in product(*pools):
-            out.add(Atom(pred, args))
-    return out
+            pools[pred].append(sorted(ok + [star_of(sort)], key=lambda c: c.name))
+    size = sum(prod(map(len, p)) for p in pools.values())
+    if max_facts is not None and size > max_facts:
+        raise FactLimitExceeded(
+            "critical instance of %d facts, more than %d" % (size, max_facts)
+        )
+    return Instance(Atom(pred, args) for pred, p in pools.items() for args in product(*p))
 
 
 def abstract_functions_to_constants(program: Program) -> Program:
@@ -163,9 +170,9 @@ def relevance(
         raise ValueError("relevance needs a program with a query predicate")
     analysis = abstract_functions_to_constants(program) if abstract_functions else program
 
-    bprime = critical_instance(analysis, base, typed, schema)
-    aux = reflexivity_axioms(analysis, bprime.predicates()) + sym_trans()
     try:
+        bprime = critical_instance(analysis, base, typed, schema, fixpoint_limits.max_facts)
+        aux = reflexivity_axioms(analysis, bprime.predicates()) + sym_trans()
         fixpoint = naive_fixpoint(
             tuple(analysis.rules) + tuple(aux), bprime, fixpoint_limits
         )

@@ -290,6 +290,23 @@ def test_head_free_body_part_without_witness_blocks_the_rule():
     assert Atom(H, (a,)) in result.instance
 
 
+def test_rule_with_no_head_linked_atom_fires_once_per_chase():
+    # Neither H(c) :- B(?y) nor the nullary demand rule has a body atom
+    # sharing a variable with its head: each holds or not, and fires once
+    # when it first holds, however many rounds follow.  Which round that is
+    # depends on the rule order; the count does not.
+    prog = parse_program(
+        "B(?x) :- A(?x).\nC(?x) :- B(?x).\nD(?x) :- C(?x).\n"
+        "H(c) :- B(?y).\nm_X#f :- m_Q#f.\nm_Q#f.\n"
+    )
+    base = [Atom(Predicate("A", 1), (Constant("a%d" % i),)) for i in range(3)]
+    for seed in [None] + list(range(6)):
+        result = chase(prog, base, seed=seed)
+        assert result.stats.iterations == 4, seed
+        # 3 B, 3 C and 3 D matches, one each for H and m_X
+        assert result.stats.rule_applications == 3 * 3 + 2, seed
+
+
 def test_rule_is_applied_once_per_match_of_facts_from_one_round():
     # The first round joins the rule once in full over the base E facts.
     # Copied from F, the same E facts all enter the second round's delta

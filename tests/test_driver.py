@@ -342,3 +342,72 @@ def test_cli_dump_of_a_skipped_stage_exits_one(tmp_path):
     )
     assert result.exit_code == 1, result.output
     assert "error: stage rel was not computed in mode mat" in result.output
+
+
+def test_cli_rejects_base_facts_of_the_query_predicate_in_every_mode(tmp_path):
+    # The goal-driven modes answered a b where the others answer a b c:
+    # they close answers under equality only through query-rule heads.
+    rules_path, data = write_inputs(
+        tmp_path,
+        rules="A(?x) -> Q(?x)\nS(?x,?y) -> ?x = ?y\n",
+        facts={"A": [("a",)], "Q": [("b",)], "S": [("b", "c")]},
+    )
+    for mode in ("mat", "rel", "magic", "all"):
+        result = CliRunner().invoke(
+            main,
+            ["run", "--rules", str(rules_path), "--data", str(data),
+             "--query-pred", "Q", "--mode", mode, "--out", str(tmp_path / "out")],
+        )
+        assert result.exit_code == 1, (mode, result.output)
+        assert "Q.csv: query predicate Q has base facts" in result.output
+        assert "a rule from it into Q" in result.output
+
+
+def test_cli_rejects_constant_in_a_query_head_in_every_mode(tmp_path):
+    # The goal-driven modes answered (a,c) where the others answer (a,c)
+    # and (a,d): the constant is not decoupled from its equality class.
+    rules_path, data = write_inputs(
+        tmp_path,
+        rules="B(?x) -> Q(?x,c)\nE(?x) -> ?x = c\n",
+        facts={"B": [("a",)], "E": [("d",)]},
+    )
+    for mode in ("mat", "rel", "magic", "all"):
+        result = CliRunner().invoke(
+            main,
+            ["run", "--rules", str(rules_path), "--data", str(data),
+             "--query-pred", "Q", "--mode", mode, "--out", str(tmp_path / "out")],
+        )
+        assert result.exit_code == 1, (mode, result.output)
+        assert "constant argument in rule B(?x) -> Q(?x,c)" in result.output
+        assert "a rule from it into Q" in result.output
+
+
+# One 5-ary base predicate and 11 rule constants: the critical instance
+# would hold (11 + 1)^5 = 248832 facts, past relevance's 100000.
+WIDE_RULES = "P(?a,?b,?c,?d,?e) -> Q(?a)\n" + "".join(
+    "P(?a,?b,?c,?d,?e) -> K(?a,c%d)\n" % i for i in range(1, 12)
+)
+
+
+def test_critical_instance_past_the_relevance_limit_trips_before_it_is_built(
+    tmp_path, monkeypatch
+):
+    rules_path, data = write_inputs(tmp_path, rules=WIDE_RULES, facts={"P": [("a",) * 5]})
+    result = CliRunner().invoke(
+        main,
+        ["run", "--rules", str(rules_path), "--data", str(data),
+         "--query-pred", "Q", "--mode", "rel", "--out", str(tmp_path / "out")],
+    )
+    assert result.exit_code == 2, result.output
+    assert "error: stage rel: critical instance of 248832 facts" in result.output
+
+    sc = chasegoal.load_scenario(rules_path, data, "Q")
+
+    def no_fact(self, fact):
+        raise AssertionError("built %r" % (fact,))
+
+    monkeypatch.setattr(Instance, "add", no_fact)
+    with pytest.raises(PipelineError) as exc:
+        run_pipeline(sc, PipelineConfig(mode="rel"))
+    assert exc.value.stage == "rel"
+    assert isinstance(exc.value.cause, AbstractionFixpointDiverged)

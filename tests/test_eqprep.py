@@ -1,6 +1,7 @@
 """Singularization, Skolemization, equality axioms, equality safety."""
 
 from chasegoal import (
+    Scenario,
     check_eq_safety,
     congruence_axioms,
     parse_program,
@@ -11,7 +12,7 @@ from chasegoal import (
     sym_trans,
 )
 from chasegoal.frontend import render_rule
-from chasegoal.kernel import EGD, TGD, Functional, Predicate, Variable
+from chasegoal.kernel import EGD, TGD, Atom, Constant, Functional, Instance, Predicate, Variable
 
 from helpers import (
     RUNNING_RULES,
@@ -19,6 +20,7 @@ from helpers import (
     canon_rules,
     null_chase_answers,
     oracle_answers,
+    pipeline_answers,
     scenario_stream,
 )
 
@@ -63,6 +65,19 @@ def test_singularize_splits_constants_too():
     assert all(all(isinstance(t, Variable) for t in a.args) for a in rels)
     assert all(isinstance(t, Variable) for a in rule.head for t in a.args)
     assert len(eqs) == 3
+
+
+def test_query_rule_with_a_non_query_head_atom():
+    # Only the Q argument is decoupled; T keeps the body variable, and the
+    # merge a = b it enables reaches the answers in every mode.
+    rules = parse_rules("B(?x) -> Q(?x), T(?x)\nT(?x), S(?x,?y) -> ?x = ?y\n")
+    assert canon_rules(singularize(rules, Q1))[0] == "B(?v2), ?v2 = ?v1 -> Q(?v1), T(?v2)"
+    B, S = Predicate("B", 1), Predicate("S", 2)
+    a, b = Constant("a"), Constant("b")
+    sc = Scenario(tuple(rules), Instance([Atom(B, (a,)), Atom(S, (a, b))]), Q1)
+    assert oracle_answers(sc) == {("a",), ("b",)}
+    for mode in ("mat", "rel", "magic", "all"):
+        assert pipeline_answers(sc, mode) == {("a",), ("b",)}, mode
 
 
 def test_skolemize_worked_example():

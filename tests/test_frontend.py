@@ -4,6 +4,7 @@ import pytest
 
 from chasegoal import (
     ArityMismatch,
+    FrontendError,
     MalformedRule,
     PipelineConfig,
     Scenario,
@@ -250,6 +251,21 @@ def test_query_predicate_never_existential():
     rules = parse_rules("P(?x) -> Q(?y)")
     with pytest.raises(MalformedRule):
         check_query_predicate(rules, Predicate("Q", 1))
+
+
+def test_query_predicate_never_with_a_constant():
+    rules = parse_rules("P(?x) -> Q(?x,c)")
+    with pytest.raises(MalformedRule, match="constant argument in rule P"):
+        check_query_predicate(rules, Predicate("Q", 2))
+
+
+def test_load_scenario_rejects_base_facts_of_the_query_predicate(tmp_path):
+    (tmp_path / "rules.txt").write_text("P(?x) -> Q(?x)", encoding="utf-8")
+    data = tmp_path / "data"
+    data.mkdir()
+    write_csvs(data, {"P.csv": "a\n", "Q.csv": "b\n"})
+    with pytest.raises(FrontendError, match="Q.csv: query predicate Q has base facts"):
+        load_scenario(tmp_path / "rules.txt", data, "Q")
 
 
 def test_rules_signature_collects_predicates():
