@@ -59,9 +59,6 @@ def run(rules_path, data_dir, schema_path, query_pred, mode, una, typed_critical
     except PipelineError as err:
         click.echo("error: %s" % err, err=True)
         sys.exit(2 if isinstance(err.cause, _GUARDS) else 1)
-    except ValueError as err:
-        click.echo("error: %s" % err, err=True)
-        sys.exit(1)
 
     emit_report(report, out_dir, stats_json)
     if dump is not None:

@@ -78,8 +78,6 @@ def run_pipeline(scenario: Scenario, cfg: PipelineConfig = PipelineConfig()) -> 
                     raise RuntimeError(
                         "equality safety lost after %s: %r (%s)" % (name, atom, why)
                     )
-        except PipelineError:
-            raise
         except Exception as err:
             raise PipelineError(name, err) from err
         timings[name] = time.perf_counter() - t0

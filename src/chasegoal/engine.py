@@ -246,11 +246,10 @@ class _ChaseState(_Store):
             s in parent for a in term.args for s in iter_subterms(a)
         )
 
-    def merge(self, s: Term, t: Term, count: bool):
+    def merge(self, s: Term, t: Term):
         rep, loser = self.uf.union(s, t)
-        if count:
-            self.merges += 1
-            self.derived.append(eq(s, t))
+        self.merges += 1
+        self.derived.append(eq(s, t))
         # Rewrite every fact holding the losing term at an argument position,
         # and every fact holding a representative the merge made stale.
         facts = list(self.instance.containing(loser))
@@ -284,7 +283,7 @@ class _ChaseState(_Store):
             self.uf.reroot(root, mu[root])
         return stale - live.keys()
 
-    def apply_head(self, head: Atom, count: bool = True) -> bool:
+    def apply_head(self, head: Atom) -> bool:
         """Insert a ground head's fact or merge its equality's sides, each
         side normalized.  Returns False, skipping the equality, when a side
         still mentions a merged-away term: a merge earlier in the same batch
@@ -296,10 +295,10 @@ class _ChaseState(_Store):
             if self.is_stale(s) or self.is_stale(t):
                 return False
             if s != t:
-                self.merge(s, t, count)
+                self.merge(s, t)
             return True
         fact = Atom(head.predicate, args)
-        if self.insert(fact) and count:
+        if self.insert(fact):
             self.derived.append(fact)
         return True
 
@@ -432,7 +431,7 @@ def _saturate(rules: "list[_CompiledRule]", state: _Store, rng=None) -> int:
     head-free components has none until they all hold (`_CompiledRule`).
     Returns the number of rounds."""
     # What entered the delta before the first round (the heads of bodiless
-    # rules, facts rewritten by base equalities) is present when it begins.
+    # rules) is present when it begins.
     state.delta = {}
     fresh, by_pred = {}, None
     rounds = 0
@@ -463,19 +462,17 @@ def chase(
     """Run the representative-based chase of `program` over `base`.
 
     An `Instance` base is copied, not re-indexed, and left unchanged.
-    Base facts may contain equality atoms (their classes are merged up
-    front) and are not counted as derived.  The `seed` only shuffles the
-    evaluation order; the resulting instance and term map are the same for
-    every seed.
+    Base facts are relational (an equality fact raises
+    `BodyContractViolation`) and are not counted as derived.  The `seed`
+    only shuffles the evaluation order; the resulting instance and term map
+    are the same for every seed.
     """
     _check_chase_contract(program)
     instance = _intake(base, limits)
-    equalities = list(instance.with_predicate(EQUALITY))
-    for fact in equalities:
-        instance.discard(fact)
+    equalities = instance.with_predicate(EQUALITY)
+    if equalities:
+        raise BodyContractViolation("equality fact %r in the base" % (next(iter(equalities)),))
     state = _ChaseState(instance, limits)
-    for fact in equalities:
-        state.apply_head(fact, count=False)
     rules = _compile(program.rules, state.apply_head)
     rng = random.Random(seed) if seed is not None else None
     rounds = _saturate(rules, state, rng)

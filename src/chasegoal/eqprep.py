@@ -46,7 +46,8 @@ def singularize(rules: Iterable[ExistentialRule], query: Optional[Predicate] = N
     no variable occurs in them more than once.
 
     Rules whose head uses the query predicate first get their answer
-    variables decoupled: each head argument x becomes a fresh x' with
+    variables decoupled: each head argument x (a variable, as the query
+    contract of `check_query_predicate` requires) becomes a fresh x' with
     x = x' appended to the body, so that answers are closed under the
     equalities the program derives.
     """
@@ -70,15 +71,9 @@ def _decouple_answers(r: TGD, query: Predicate, fresh: FreshVars) -> TGD:
         if a.predicate != query:
             head.append(a)
             continue
-        args = []
-        for t in a.args:
-            if isinstance(t, Variable):
-                v = fresh()
-                body.append(eq(t, v))
-                args.append(v)
-            else:
-                args.append(t)
-        head.append(Atom(a.predicate, tuple(args)))
+        args = tuple(fresh() for _ in a.args)
+        body.extend(map(eq, a.args, args))
+        head.append(Atom(a.predicate, args))
     return TGD(tuple(body), tuple(head))
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import re
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
 from typing import Iterable, Optional
 
@@ -236,7 +237,7 @@ def _predicate(name: str, arity: int, cur: _Cursor, col: int, dump: bool) -> Pre
         base_label, adornment = name[2:].rsplit("#", 1)
         if base_label == "eq":
             base: PredicateId = EQUALITY
-            ok = adornment in ("bb", "eqb")
+            ok = adornment == "eqb"
         else:
             base = Predicate(base_label, len(adornment))
             ok = adornment != "" and set(adornment) <= {"b", "f"}
@@ -431,17 +432,11 @@ def parse_schema(text: str, source: str = "<schema>") -> "dict[tuple[str, int], 
     return out
 
 
-def parse_instance(
-    data_dir,
-    signature: "dict[str, Predicate]",
-    schema: "dict[tuple[str, int], tuple[str, ...]] | None" = None,
-) -> Instance:
+def parse_instance(data_dir, signature: "dict[str, Predicate]") -> Instance:
     """Read one headerless CSV file per predicate (file stem = predicate
-    name) from a directory.  Sorts from the schema are attached to the
-    constants as annotations; a constant at positions of two different
-    sorts is rejected."""
+    name) from a directory.  Sorts are not checked here: `check_scenario`
+    checks them over the rules and the facts together."""
     instance = Instance()
-    first_sort: dict[str, tuple[str, str]] = {}  # name -> (sort, file:line)
     data_dir = Path(data_dir)
     for path in sorted(data_dir.glob("*.csv")):
         pred = signature.get(path.stem)
@@ -450,7 +445,6 @@ def parse_instance(
                 "file %s does not match any predicate of the rule set" % path.name,
                 source=str(path),
             )
-        sorts = (schema or {}).get((pred.name, pred.arity))
         with open(path, newline="", encoding="utf-8") as fh:
             for lineno, row in enumerate(csv.reader(fh), start=1):
                 if not row and pred.arity > 0:
@@ -463,49 +457,28 @@ def parse_instance(
                         1,
                         str(path),
                     )
-                if sorts:
-                    for i, cell in enumerate(row):
-                        sort, first = first_sort.setdefault(
-                            cell, (sorts[i], "%s:%d" % (path.name, lineno))
-                        )
-                        if sort != sorts[i]:
-                            raise SortMismatch(
-                                "constant %s has sort %s here and sort %s at %s"
-                                % (cell, sorts[i], sort, first),
-                                lineno,
-                                i + 1,
-                                str(path),
-                            )
-                args = tuple(
-                    Constant(cell, sorts[i] if sorts else None)
-                    for i, cell in enumerate(row)
-                )
-                instance.add(Atom(pred, args))
+                instance.add(Atom(pred, tuple(Constant(cell) for cell in row)))
     return instance
 
 
-def constant_sorts(rules: Iterable, schema) -> "dict[Constant, str]":
-    """Sorts of rule constants as schema positions imply them.  A constant
-    at positions of two different sorts is an error; a constant whose sort
-    the schema does not determine stays unknown."""
-    inferred: dict[Constant, str] = {}
-    for r in rules:
-        for atom in rule_atoms(r):
-            if not isinstance(atom.predicate, Predicate):
-                continue
-            sorts = schema.get((atom.predicate.name, atom.predicate.arity))
-            if sorts is None:
-                continue
-            for i, t in enumerate(atom.args):
-                if isinstance(t, Constant):
-                    seen = inferred.get(t)
-                    if seen is not None and seen != sorts[i]:
-                        raise SortMismatch(
-                            "constant %s used at positions of sort %s and %s"
-                            % (t.name, seen, sorts[i])
-                        )
-                    inferred[t] = sorts[i]
-    return inferred
+def constant_sorts(atoms: Iterable[Atom], schema) -> "dict[Constant, dict[str, Atom]]":
+    """The sorts that schema positions give each constant at an argument of
+    `atoms`, each with the first atom that gives it.  A constant the schema
+    gives no sort is absent.  Two sorts for one constant are not an error
+    here: `check_scenario` rejects them in input, and the program that
+    relevance abstracts can hold such a constant (one abstracted function
+    symbol stands for terms of several sorts)."""
+    found: dict[Constant, dict[str, Atom]] = {}
+    for atom in atoms:
+        if not isinstance(atom.predicate, Predicate):
+            continue
+        sorts = schema.get((atom.predicate.name, atom.predicate.arity))
+        if sorts is None:
+            continue
+        for t, sort in zip(atom.args, sorts):
+            if isinstance(t, Constant):
+                found.setdefault(t, {}).setdefault(sort, atom)
+    return found
 
 
 # ---------------------------------------------------------------------------
@@ -572,16 +545,24 @@ def serialize_program(p) -> str:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
+@dataclass(frozen=True)
 class Scenario:
     """A query answering problem: rules, base instance, query predicate,
-    optional schema, and whether distinct constants are known distinct."""
+    optional schema, and whether distinct constants are known distinct.
+
+    Building one checks the input contract (`check_scenario`) and raises
+    `FrontendError` on an input outside it, whether `load_scenario` or
+    other code builds it.  Its fields cannot be reassigned afterwards; the
+    check does not see later changes to the instance itself."""
 
     rules: "tuple[ExistentialRule, ...]"
     instance: Instance
     query: Predicate
     schema: "dict[tuple[str, int], tuple[str, ...]] | None" = None
     una_known: bool = False
+
+    def __post_init__(self):
+        check_scenario(self)
 
 
 def rules_signature(rules: Iterable) -> "dict[str, Predicate]":
@@ -594,39 +575,54 @@ def rules_signature(rules: Iterable) -> "dict[str, Predicate]":
 _QUERY_WORKAROUND = "; use a non-query predicate and a rule from it into %s"
 
 
-def check_query_predicate(rules: Iterable, query: Predicate, source: str = "<rules>"):
+def check_query_predicate(rules: Iterable, query: Predicate):
     """The query predicate may appear in TGD heads only, never in a body and
     never with an existential variable or a constant in its arguments."""
     for r in rules:
         for a in r.body:
             if a.predicate == query:
-                raise MalformedRule(
-                    "query predicate %s occurs in a rule body" % query.name, source=source
-                )
+                raise MalformedRule("query predicate %s occurs in a rule body" % query.name)
         if isinstance(r, TGD):
             for a in r.head:
                 if a.predicate != query:
                     continue
                 if vars_of(a) & r.existential_vars:
                     raise MalformedRule(
-                        "query predicate %s has an existential argument" % query.name,
-                        source=source,
+                        "query predicate %s has an existential argument" % query.name
                     )
                 if not all(isinstance(t, Variable) for t in a.args):
                     raise MalformedRule(
                         "query predicate %s has a constant argument in rule %s"
-                        % (query.name, render_rule(r)) + _QUERY_WORKAROUND % query.name,
-                        source=source,
+                        % (query.name, render_rule(r)) + _QUERY_WORKAROUND % query.name
                     )
 
 
-def check_query_facts(instance: Instance, query: Predicate, data_dir):
-    """The query predicate has no base facts."""
-    if instance.with_predicate(query):
+def check_scenario(sc: Scenario):
+    """Raise `FrontendError` unless a scenario keeps the input contract, on
+    which all four modes give the same answers:
+    - the query predicate keeps `check_query_predicate` and has no base
+      facts;
+    - under a schema, no constant has two sorts, counting the positions it
+      holds in rule atoms and in facts alike.  The typed relevance
+      abstraction assumes one sort per constant; with two, it would prune
+      rules that derive answers."""
+    check_query_predicate(sc.rules, sc.query)
+    if sc.instance.with_predicate(sc.query):
         raise FrontendError(
-            "query predicate %s has base facts" % query.name + _QUERY_WORKAROUND % query.name,
-            source=str(Path(data_dir) / ("%s.csv" % query.name)),
+            "query predicate %s has base facts" % sc.query.name
+            + _QUERY_WORKAROUND % sc.query.name,
+            source="%s.csv" % sc.query.name,
         )
+    if sc.schema is None:
+        return
+    atoms = chain((a for r in sc.rules for a in rule_atoms(r)), sc.instance)
+    for c, sorts in constant_sorts(atoms, sc.schema).items():
+        if len(sorts) > 1:
+            (s1, a1), (s2, a2) = sorted(sorts.items())[:2]
+            raise SortMismatch(
+                "constant %s has sort %s at %s and sort %s at %s"
+                % (c.name, s1, render_atom(a1), s2, render_atom(a2))
+            )
 
 
 def load_scenario(
@@ -636,6 +632,8 @@ def load_scenario(
     schema_path=None,
     una_known: bool = False,
 ) -> Scenario:
+    """Parse a rule file, a directory of CSV facts and an optional schema
+    into a `Scenario`, which checks the input contract as it is built."""
     rules_path = Path(rules_path)
     rules = parse_rules(rules_path.read_text(encoding="utf-8"), source=str(rules_path))
     sig = rules_signature(rules)
@@ -644,8 +642,6 @@ def load_scenario(
             "query predicate %s does not occur in the rules" % query_pred,
             source=str(rules_path),
         )
-    query = sig[query_pred]
-    check_query_predicate(rules, query, source=str(rules_path))
     schema = None
     if schema_path is not None:
         schema_path = Path(schema_path)
@@ -656,19 +652,5 @@ def load_scenario(
                     "schema declares %s/%d, rules use arity %d" % (name, arity, sig[name].arity),
                     source=str(schema_path),
                 )
-    instance = parse_instance(data_dir, sig, schema)
-    check_query_facts(instance, query, data_dir)
-    if schema is not None:
-        # The typed relevance abstraction assumes data and rules agree on
-        # the sort of every constant; where they do not, it would prune
-        # rules that derive answers.
-        implied = constant_sorts(rules, schema)
-        for fact in instance:
-            for c in fact.args:
-                if c.sort is not None and implied.get(c, c.sort) != c.sort:
-                    raise SortMismatch(
-                        "constant %s has sort %s in the data and sort %s in the rules"
-                        % (c.name, c.sort, implied[c]),
-                        source=str(data_dir),
-                    )
-    return Scenario(tuple(rules), instance, query, schema, una_known)
+    instance = parse_instance(data_dir, sig)
+    return Scenario(tuple(rules), instance, sig[query_pred], schema, una_known)

@@ -23,9 +23,6 @@ class Variable:
 @dataclass(frozen=True)
 class Constant:
     name: str
-    # The sort tag is annotation only: two constants with the same name denote
-    # the same object whether or not a schema assigned them a sort.
-    sort: Optional[str] = field(default=None, compare=False)
 
     def __repr__(self) -> str:
         return self.name

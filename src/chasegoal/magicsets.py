@@ -115,12 +115,11 @@ def magic(program: Program) -> Program:
             if b.predicate in head_preds:
                 raw = adorn(b, bound)
                 if b.is_equality:
-                    if raw == "ff":
-                        raise NoAdmissibleOrdering(
-                            "equality atom %r with no bound side" % (b,)
-                        )
-                    # One demand per bound side. A fully bound equality is a
-                    # check; demanding each side's class separately lets every
+                    # Body equality sides are variables or constants, and
+                    # `reorder` placed the equality after a binder of one of
+                    # its variables, so a side is bound.  One demand per
+                    # bound side. A fully bound equality is a check;
+                    # demanding each side's class separately lets every
                     # equality step that touches either class fire, and merge
                     # rewriting of the demand facts carries the interest along
                     # a proof chain. A two-sided demand predicate would need

@@ -83,23 +83,25 @@ def critical_instance(
 ) -> Instance:
     """All facts over the predicates of the base signature with arguments
     from the program's constants plus a star.  With a schema, each sort gets
-    its own star and constants only appear at positions of their sort;
-    constants of unknown sort are allowed everywhere (the abstraction stays
-    an over-approximation).  Its size grows as a power of the arity, so it
-    is counted before any fact is built, and more than `max_facts` facts
-    raise `FactLimitExceeded`."""
+    its own star, named after it, and a constant only appears at positions
+    of the sorts the rules give it (`constant_sorts`), of each of them when
+    there are several, as when function abstraction puts one constant in
+    place of terms of different sorts.  A constant of no known sort is
+    allowed everywhere (the abstraction stays an over-approximation).  Its
+    size grows as a power of the arity, so it is counted before any fact is
+    built, and more than `max_facts` facts raise `FactLimitExceeded`."""
     base_preds = base.predicates() if isinstance(base, Instance) else set(base)
     constants = _program_constants(program.rules)
     taken = {c.name for c in constants}
     if not (typed and schema):
         schema = {}
-    inferred = constant_sorts(program.rules, schema)
+    sorts_of = constant_sorts((a for r in program.rules for a in rule_atoms(r)), schema)
     stars: dict[Optional[str], Constant] = {}
 
     def star_of(sort: Optional[str]) -> Constant:
         c = stars.get(sort)
         if c is None:
-            c = Constant(_fresh_name("*%s" % (sort or ""), taken), sort)
+            c = Constant(_fresh_name("*%s" % (sort or ""), taken))
             taken.add(c.name)
             stars[sort] = c
         return c
@@ -109,7 +111,7 @@ def critical_instance(
         sorts = schema.get((pred.name, pred.arity)) if isinstance(pred, Predicate) else None
         pools[pred] = []
         for sort in sorts or (None,) * pred.arity:
-            ok = [c for c in constants if sort is None or inferred.get(c) in (None, sort)]
+            ok = [c for c in constants if sort is None or sort in sorts_of.get(c, (sort,))]
             pools[pred].append(sorted(ok + [star_of(sort)], key=lambda c: c.name))
     size = sum(prod(map(len, p)) for p in pools.values())
     if max_facts is not None and size > max_facts:

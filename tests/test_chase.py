@@ -227,11 +227,12 @@ def test_stale_merge_template_agrees_with_oracle_and_across_seeds():
     assert merged >= 80
 
 
-def test_base_equality_facts_merge_upfront_uncounted():
-    result = chase(Program(()), [Atom(P1, (b,)), eq(a, b)])
-    assert set(result.instance) == {Atom(P1, (a,))}
-    assert result.stats.derived_facts == 0
-    assert result.mu == {b: a}
+def test_base_equality_fact_is_rejected():
+    # Bases hold relational facts only: the front end makes no others.
+    facts = [Atom(P1, (b,)), Atom(T2, (c, b)), eq(a, b)]
+    for base in (facts, Instance(facts)):
+        with pytest.raises(BodyContractViolation, match="equality fact a = b in the base"):
+            chase(Program(()), base)
 
 
 def test_answers_read_through_the_term_map():
@@ -455,15 +456,6 @@ def test_base_guards_trip_for_list_and_instance_bases(as_instance):
     with pytest.raises(FactLimitExceeded):
         run([Atom(P1, (t,)) for t in (a, b, c)], Limits(max_facts=2))
     run([Atom(P1, (t,)) for t in (a, b, c)], Limits(max_facts=3))
-
-
-def test_base_equality_in_an_instance_merges_uncounted():
-    base = Instance([Atom(P1, (b,)), Atom(T2, (c, b)), eq(a, b)])
-    result = chase(Program(()), base)
-    assert set(result.instance) == {Atom(P1, (a,)), Atom(T2, (c, a))}
-    assert result.stats.derived_facts == 0 and result.stats.merges == 0
-    assert result.mu == {b: a}
-    assert eq(a, b) in base and Atom(P1, (b,)) in base
 
 
 def test_term_index_is_built_only_by_a_merge():

@@ -299,7 +299,7 @@ def test_cli_rejects_constant_of_two_sorts_in_every_mode(tmp_path):
              "--out", str(tmp_path / "out")],
         )
         assert result.exit_code == 1, result.output
-        assert "constant a has sort" in result.output
+        assert "constant a has sort dept at D(a) and sort student at S(a)" in result.output
 
 
 def test_cli_rejects_rule_constant_of_two_sorts(tmp_path):
@@ -316,7 +316,30 @@ def test_cli_rejects_rule_constant_of_two_sorts(tmp_path):
          "--schema", str(schema), "--query-pred", "Q", "--out", str(tmp_path / "out")],
     )
     assert result.exit_code == 1, result.output
-    assert "constant c used at positions of sort dept and student" in result.output
+    assert "constant c has sort dept at D(c) and sort student at E(c)" in result.output
+
+
+def test_cli_defun_abstraction_with_a_schema(tmp_path):
+    # Function abstraction puts one constant in place of the Skolem term
+    # at T's t position and A's u position; the typed critical instance
+    # allows it at both, as the untyped one allows it everywhere.
+    rules_path, data = write_inputs(
+        tmp_path,
+        rules="B(?x) -> T(?x,?y), A(?y)\nT(?x,?y), A(?y) -> Q(?x)\n",
+        facts={"B": [("a",)]},
+    )
+    schema = tmp_path / "schema.txt"
+    schema.write_text("B/1: s\nT/2: s, t\nA/1: u\n", encoding="utf-8")
+    for mode in ("rel", "all"):
+        out = tmp_path / mode
+        result = CliRunner().invoke(
+            main,
+            ["run", "--rules", str(rules_path), "--data", str(data),
+             "--schema", str(schema), "--query-pred", "Q", "--mode", mode,
+             "--defun-abstraction", "--out", str(out)],
+        )
+        assert result.exit_code == 0, (mode, result.output)
+        assert (out / "answers.csv").read_text(encoding="utf-8").split() == ["a"]
 
 
 def test_cli_rejects_schema_arity_the_rules_disagree_with(tmp_path):

@@ -26,6 +26,7 @@ from chasegoal.kernel import (
     Constant,
     FunPredicate,
     Functional,
+    Instance,
     MagicPredicate,
     Predicate,
     Variable,
@@ -182,17 +183,6 @@ def test_parse_instance_reads_csv_per_predicate(tmp_path):
     }
 
 
-def test_parse_instance_attaches_sorts(tmp_path):
-    write_csvs(tmp_path, {"B.csv": "a1\n"})
-    sig = {"B": Predicate("B", 1)}
-    schema = {("B", 1): ("student",)}
-    inst = parse_instance(tmp_path, sig, schema)
-    (fact,) = inst
-    assert fact.args[0].sort == "student"
-    # the sort is annotation only, never part of identity
-    assert fact.args[0] == Constant("a1")
-
-
 def test_parse_instance_unknown_file(tmp_path):
     write_csvs(tmp_path, {"Z.csv": "a\n"})
     with pytest.raises(UnknownPredicate):
@@ -266,6 +256,43 @@ def test_load_scenario_rejects_base_facts_of_the_query_predicate(tmp_path):
     write_csvs(data, {"P.csv": "a\n", "Q.csv": "b\n"})
     with pytest.raises(FrontendError, match="Q.csv: query predicate Q has base facts"):
         load_scenario(tmp_path / "rules.txt", data, "Q")
+
+
+# A Scenario built in code is checked like a loaded one.  Unchecked, each
+# of the next three inputs gets different answers in different modes.
+
+
+def facts(text):
+    """Ground atoms from the head of a bodiless rule: `P(a), S(b,c)`."""
+    (rule,) = parse_rules("Z(?x) -> " + text)
+    return Instance(rule.head)
+
+
+def test_scenario_built_in_code_rejects_a_constant_of_two_sorts():
+    # Unchecked, mat and magic answer a; typed relevance prunes the rule in
+    # rel and all.
+    schema = {("S", 1): ("student",), ("D", 1): ("dept",)}
+    rules = tuple(parse_rules("S(?x), D(?x) -> Q(?x)"))
+    with pytest.raises(SortMismatch, match="constant a has sort"):
+        Scenario(rules, facts("S(a), D(a)"), Predicate("Q", 1), schema)
+    # Without a schema, or with sorts that agree, the same input is accepted,
+    # and the checked schema cannot be swapped afterwards.
+    sc = Scenario(rules, facts("S(a), D(a)"), Predicate("Q", 1))
+    with pytest.raises(AttributeError):
+        sc.schema = schema
+    Scenario(rules, facts("S(a), D(a)"), Predicate("Q", 1), {("S", 1): ("s",), ("D", 1): ("s",)})
+
+
+def test_scenario_built_in_code_rejects_base_facts_of_the_query_predicate():
+    rules = tuple(parse_rules("A(?x) -> Q(?x)\nS(?x,?y) -> ?x = ?y"))
+    with pytest.raises(FrontendError, match="Q.csv: query predicate Q has base facts"):
+        Scenario(rules, facts("A(a), Q(b), S(b,c)"), Predicate("Q", 1))
+
+
+def test_scenario_built_in_code_rejects_a_constant_in_a_query_head():
+    rules = tuple(parse_rules("B(?x) -> Q(?x,c)\nE(?x) -> ?x = c"))
+    with pytest.raises(MalformedRule, match=r"constant argument in rule B\(\?x\) -> Q"):
+        Scenario(rules, facts("B(a), E(d)"), Predicate("Q", 2))
 
 
 def test_rules_signature_collects_predicates():
