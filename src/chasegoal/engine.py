@@ -18,12 +18,14 @@ argument term.  Base facts never enter a delta.  Each rule is compiled once
 into one join plan per body atom, and one routine (`_match`) matches every
 conjunction with them.  The first round is naive: it joins each rule once
 in full, entered at the body atom whose relation is smallest at that
-moment, against the facts present when the round began.  Every later round
-is semi-naive: it finds each new match once, at the first body atom whose
-fact is new.  A part of a body that no chain of shared variables links to
-the head is only checked for one witness: the rule fires for the matches of
-the rest once it holds, never once per witness.  The term index only
-merges read is built at the first merge.
+moment.  Every later round is semi-naive: it finds each new match once, at
+the first body atom whose fact the previous round added.  Every round joins
+only the facts present when it began, so a match holding a fact the round
+adds is left to the next round, which finds it once.  A part of a body
+that no chain of shared variables links to the head is only checked for
+one witness: the rule fires for the matches of the rest once it holds,
+never once per witness.  The term index only merges read is built at the
+first merge.
 """
 
 from __future__ import annotations
@@ -54,7 +56,6 @@ from .kernel import (
     iter_vars,
     occurs_in,
     map_shallow,
-    term_depth,
     term_key,
     vars_of,
 )
@@ -88,7 +89,7 @@ class BodyContractViolation(ChaseError):
 
 def _guard_fact(fact: Atom, n_facts: int, limits: Limits):
     for t in fact.args:
-        if term_depth(t) > limits.max_depth:
+        if t.depth > limits.max_depth:
             raise DepthLimitExceeded(
                 "term depth exceeds %d in %r" % (limits.max_depth, fact)
             )
@@ -102,7 +103,7 @@ def _intake(base: "Instance | Iterable[Atom]", limits: Limits) -> Instance:
     facts are checked once per distinct argument term, not per fact."""
     instance = base.copy() if isinstance(base, Instance) else Instance(base)
     for t in instance.argument_terms():
-        if isinstance(t, Constant) or (is_ground(t) and term_depth(t) <= limits.max_depth):
+        if t.key is not None and t.depth <= limits.max_depth:
             continue
         fact = next(f for f in instance if t in f.args)
         if not is_ground(fact):
@@ -140,7 +141,7 @@ class UnionFind:
         """Merge the classes of s and t, which the caller has found to
         differ; returns the (representative, loser) roots."""
         rs, rt = self.find(s), self.find(t)
-        if term_key(rs) <= term_key(rt):
+        if rs.key <= rt.key:
             rep, loser = rs, rt
         else:
             rep, loser = rt, rs
@@ -289,17 +290,20 @@ class _ChaseState(_Store):
         still mentions a merged-away term: a merge earlier in the same batch
         rewrote the facts the match was built from, and the rewritten facts
         re-enter the delta and re-derive the equality."""
-        args = tuple(self.uf.find(t) for t in head.args)
-        if head.is_equality:
+        pred, args = head
+        parent = self.uf.parent
+        if parent and not parent.keys().isdisjoint(args):
+            args = tuple([self.uf.find(t) for t in args])
+            head = Atom(pred, args)
+        if pred is EQUALITY:
             s, t = args
             if self.is_stale(s) or self.is_stale(t):
                 return False
-            if s != t:
+            if s is not t:
                 self.merge(s, t)
             return True
-        fact = Atom(head.predicate, args)
-        if self.insert(fact):
-            self.derived.append(fact)
+        if self.insert(head):
+            self.derived.append(head)
         return True
 
 
@@ -321,33 +325,34 @@ def _components(rule: Rule) -> "list[tuple[Atom, ...]]":
     return [tuple(rule.body[i] for i in linked)] + free
 
 
-def _match(plans: tuple, by_pred: "dict | None", delta, instance: Instance, out, rng=None):
+def _match(plans: tuple, by_pred: "dict | None", fresh, new, instance: Instance, out, rng=None):
     """Append to `out` the matches of a conjunction compiled into one join
-    plan per atom, as (atom predicate, plan) pairs.
+    plan per atom, as (atom predicate, plan) pairs, over the facts outside
+    `new` (the facts the current round has added so far).
 
-    Full mode (`by_pred` None): every match over the facts outside `delta`,
-    entered at the atom whose predicate has the fewest facts, its facts in
-    an order `rng` shuffles.  An empty conjunction has one match, ().
-    Semi-naive mode: every match holding a fact of `delta`, grouped by
+    Full mode (`by_pred` None): every match, entered at the atom whose
+    predicate has the fewest facts, its facts in an order `rng` shuffles.
+    An empty conjunction has one match, ().  Semi-naive mode: every match
+    holding a fact of `fresh` (the previous round's delta), grouped by
     predicate in `by_pred`, found once, by the plan of the first of its
-    atoms whose fact is in `delta`; the atoms before it are kept off it."""
+    atoms whose fact is in `fresh`; the atoms before it are kept off it."""
     if by_pred is None:
         if not plans:
             out.append(())
             return
         pred, plan = min(plans, key=lambda p: len(instance.with_predicate(p[0])))
-        facts = [f for f in instance.with_predicate(pred) if f not in delta]
+        facts = [f for f in instance.with_predicate(pred) if f not in new]
         if rng is not None:
             rng.shuffle(facts)
         for fact in facts:
-            plan.run_from(fact, instance, out, delta, len(plans))
+            plan.run_from(fact, instance, out, new)
         return
     for i, (pred, plan) in enumerate(plans):
         for fact in by_pred.get(pred, ()):
             # A fact rewritten away by a merge is stale; its normalized
             # form re-entered the delta on its own.
             if fact in instance:
-                plan.run_from(fact, instance, out, delta, i)
+                plan.run_from(fact, instance, out, new, fresh, i)
 
 
 def _holds(plans: tuple, by_pred: "dict | None", fresh, instance: Instance) -> bool:
@@ -355,7 +360,7 @@ def _holds(plans: tuple, by_pred: "dict | None", fresh, instance: Instance) -> b
     None) any match, later one holding a fact of the previous round's
     delta `fresh`.  The join stops at the first."""
     try:
-        _match(plans, by_pred, fresh, instance, FIRST_MATCH)
+        _match(plans, by_pred, fresh, (), instance, FIRST_MATCH)
     except MatchFound:
         return True
     return False
@@ -394,9 +399,9 @@ class _CompiledRule:
     def matches(self, by_pred: "dict | None", fresh, store: "_Store", rng) -> "list[tuple]":
         """This round's new matches of the head-linked atoms.  `by_pred`
         groups the previous round's delta `fresh` by predicate; it is None
-        in the first round, which checks and joins in full.  A full join
+        in the first round, which checks and joins in full.  Every join
         keeps off the facts added since the round began: they are the
-        round's delta, which the next round pivots on."""
+        round's delta, and the next round finds the matches holding them."""
         instance = store.instance
         if self.waiting:
             self.waiting = [c for c in self.waiting if not _holds(c, by_pred, fresh, instance)]
@@ -404,7 +409,7 @@ class _CompiledRule:
                 return []
             by_pred = None
         out: list[tuple] = []
-        _match(self.plans, by_pred, store.delta if by_pred is None else fresh, instance, out, rng)
+        _match(self.plans, by_pred, fresh, store.delta, instance, out, rng)
         return out
 
 
@@ -425,11 +430,12 @@ def _saturate(rules: "list[_CompiledRule]", state: _Store, rng=None) -> int:
     among them, so base facts never enter a delta.  Each later round is
     semi-naive: it matches every rule against the facts the previous round
     added (its delta).  `state.fire` applies one rule's batch of matches
-    before the next rule is matched, so later rules see what earlier ones
-    added.  A batch holds each new match of the head-linked atoms once,
-    found at the first of its atoms whose fact is in the delta; a rule with
-    head-free components has none until they all hold (`_CompiledRule`).
-    Returns the number of rounds."""
+    before the next rule is matched, but no join sees the facts the round
+    has added so far (`state.delta`): they are the next round's delta.  A
+    batch holds each new match of the head-linked atoms once, found at the
+    first of its atoms whose fact is in the delta; a rule with head-free
+    components has none until they all hold (`_CompiledRule`).  Returns the
+    number of rounds."""
     # What entered the delta before the first round (the heads of bodiless
     # rules) is present when it begins.
     state.delta = {}

@@ -1,46 +1,121 @@
 """Terms, atoms, rules and indexed fact stores shared by every pipeline stage,
-and the join plans that match rule bodies against the stores."""
+and the join plans that match rule bodies against the stores.
+
+Terms and predicates are hash-consed: a constructor returns the one object
+per value, so two equal terms are the same object and compare and hash by
+identity, in C.  A function term stores its depth and its place in the
+term order when it is built, so neither is recomputed.  An atom is a tuple
+(predicate, args) of such objects: the fact sets, the indexes and the deltas
+of the engine hash and compare atoms without running Python code."""
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from operator import itemgetter
 from typing import Iterable, Iterator, Optional, Union
+
+# ---------------------------------------------------------------------------
+# Hash-consing
+# ---------------------------------------------------------------------------
+
+
+class _Interned:
+    """Base of the hash-consed classes.  Each class keeps a table from value
+    to object, and its constructor returns the table's object for a value it
+    has built before, so equal values are the same object.  Equality and
+    hashing are therefore `object`'s identity defaults, which run in C.  The
+    table holds its objects for the life of the process.
+
+    Copying and pickling keep identity: a copy is the object itself, and an
+    unpickled object is looked up through the constructor."""
+
+    __slots__ = ()
+    _fields: "tuple[str, ...]" = ()
+
+    def __copy__(self):
+        return self
+
+    def __deepcopy__(self, memo):
+        return self
+
+    def __reduce__(self):
+        return (type(self), tuple(getattr(self, f) for f in self._fields))
+
+    def __setattr__(self, name, value):
+        raise AttributeError("%s is immutable" % type(self).__name__)
+
+    def __delattr__(self, name):
+        raise AttributeError("%s is immutable" % type(self).__name__)
+
+
+def _build(cls, table: dict, value, **attrs):
+    """The object of `cls` for `value`, with the given attributes, built and
+    recorded in `table` unless the table has one already."""
+    obj = object.__new__(cls)
+    for name, v in attrs.items():
+        object.__setattr__(obj, name, v)
+    return table.setdefault(value, obj)
+
 
 # ---------------------------------------------------------------------------
 # Terms
 # ---------------------------------------------------------------------------
 
+# Every term has a `depth` (0 for constants and variables, one more than its
+# deepest argument for a function term) and a `key`, its place in the total
+# order on ground terms (see `term_key`), None for a term with a variable.
+# Both are computed once, when the term is built.
 
-@dataclass(frozen=True)
-class Variable:
-    name: str
+
+class Variable(_Interned):
+    __slots__ = ("name",)
+    _fields = __slots__
+    _table: "dict[str, Variable]" = {}
+    depth = 0
+    key = None
+
+    def __new__(cls, name: str):
+        v = Variable._table.get(name)
+        if v is None:
+            v = _build(cls, Variable._table, name, name=name)
+        return v
 
     def __repr__(self) -> str:
         return "?" + self.name
 
 
-@dataclass(frozen=True)
-class Constant:
-    name: str
+class Constant(_Interned):
+    __slots__ = ("name", "key")
+    _fields = ("name",)
+    _table: "dict[str, Constant]" = {}
+    depth = 0
+
+    def __new__(cls, name: str):
+        c = Constant._table.get(name)
+        if c is None:
+            c = _build(cls, Constant._table, name, name=name, key=(0, name, ()))
+        return c
 
     def __repr__(self) -> str:
         return self.name
 
 
-@dataclass(frozen=True)
-class Functional:
-    symbol: str
-    args: "tuple[Term, ...]"
+class Functional(_Interned):
+    __slots__ = ("symbol", "args", "depth", "key")
+    _fields = ("symbol", "args")
+    _table: "dict[tuple, Functional]" = {}
 
-    # Terms are hashed constantly by the fact indexes; the generated dataclass
-    # hash would recompute the recursive tuple hash on every probe.
-    def __hash__(self) -> int:
-        h = self.__dict__.get("_h")
-        if h is None:
-            h = hash((self.symbol, self.args))
-            object.__setattr__(self, "_h", h)
-        return h
+    def __new__(cls, symbol: str, args: "tuple[Term, ...]"):
+        value = (symbol, tuple(args))
+        t = Functional._table.get(value)
+        if t is None:
+            args = value[1]
+            depth = 1 + max([a.depth for a in args], default=0)
+            keys = tuple([a.key for a in args])
+            key = None if None in keys else (depth, symbol, keys)
+            t = _build(cls, Functional._table, value, symbol=symbol, args=args, depth=depth, key=key)
+        return t
 
     def __repr__(self) -> str:
         return "%s(%s)" % (self.symbol, ",".join(map(repr, self.args)))
@@ -49,18 +124,10 @@ class Functional:
 Term = Union[Variable, Constant, Functional]
 
 
-def term_depth(t: Term) -> int:
-    if isinstance(t, Functional):
-        return 1 + max((term_depth(a) for a in t.args), default=0)
-    return 0
-
-
 def is_ground(x: "Term | Atom") -> bool:
-    if isinstance(x, Variable):
-        return False
-    if isinstance(x, Constant):
-        return True
-    return all(is_ground(a) for a in x.args)
+    if isinstance(x, Atom):
+        return all(a.key is not None for a in x.args)
+    return x.key is not None
 
 
 def iter_vars(x) -> Iterator[Variable]:
@@ -100,12 +167,11 @@ def occurs_in(needle: Term, hay: Term) -> bool:
 # Total order on ground terms: shallower terms first, then names (and
 # argument keys, recursively).  Depth 0 holds exactly the constants, so class
 # representatives picked by this order are constants when one is available.
+# The key is stored on the term when it is built.
 
 
 def term_key(t: Term):
-    if isinstance(t, Constant):
-        return (0, t.name, ())
-    return (term_depth(t), t.symbol, tuple(term_key(a) for a in t.args))
+    return t.key
 
 
 # ---------------------------------------------------------------------------
@@ -113,72 +179,117 @@ def term_key(t: Term):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Predicate:
+class Predicate(_Interned):
     """Ordinary relation symbol."""
 
-    name: str
-    arity: int
+    __slots__ = ("name", "arity")
+    _fields = __slots__
+    _table: "dict[tuple, Predicate]" = {}
+
+    def __new__(cls, name: str, arity: int):
+        value = (name, arity)
+        p = Predicate._table.get(value)
+        if p is None:
+            p = _build(cls, Predicate._table, value, name=name, arity=arity)
+        return p
+
+    def __repr__(self) -> str:
+        return "Predicate(name=%r, arity=%r)" % (self.name, self.arity)
 
 
-@dataclass(frozen=True)
-class _EqualityPredicate:
-    arity: int = field(default=2, init=False)
+class _EqualityPredicate(_Interned):
+    __slots__ = ()
+    arity = 2
+
+    def __new__(cls):
+        return EQUALITY
 
     def __repr__(self) -> str:
         return "<eq>"
 
 
-EQUALITY = _EqualityPredicate()
+EQUALITY = object.__new__(_EqualityPredicate)
 
 
-@dataclass(frozen=True)
-class MagicPredicate:
+class MagicPredicate(_Interned):
     """m_R^a. The adornment is a word over {b,f}; for the equality base only
     the one-sided word "eqb" occurs (bf, fb and the two halves of bb all
-    collapse into it)."""
+    collapse into it).  Its arity is the number of b's."""
 
-    base: "PredicateId"
-    adornment: str
+    __slots__ = ("base", "adornment", "arity")
+    _fields = ("base", "adornment")
+    _table: "dict[tuple, MagicPredicate]" = {}
 
-    @property
-    def arity(self) -> int:
-        return self.adornment.count("b")
+    def __new__(cls, base: "PredicateId", adornment: str):
+        value = (base, adornment)
+        p = MagicPredicate._table.get(value)
+        if p is None:
+            p = _build(
+                cls, MagicPredicate._table, value,
+                base=base, adornment=adornment, arity=adornment.count("b"),
+            )
+        return p
+
+    def __repr__(self) -> str:
+        return "MagicPredicate(base=%r, adornment=%r)" % (self.base, self.adornment)
 
 
-@dataclass(frozen=True)
-class FunPredicate:
+class FunPredicate(_Interned):
     """Graph predicate of a function symbol (or of a constant, arity 1)
     introduced by defunctionalization."""
 
-    symbol: str
-    arity: int
-    of_constant: bool = False
+    __slots__ = ("symbol", "arity", "of_constant")
+    _fields = __slots__
+    _table: "dict[tuple, FunPredicate]" = {}
+
+    def __new__(cls, symbol: str, arity: int, of_constant: bool = False):
+        value = (symbol, arity, of_constant)
+        p = FunPredicate._table.get(value)
+        if p is None:
+            p = _build(
+                cls, FunPredicate._table, value,
+                symbol=symbol, arity=arity, of_constant=of_constant,
+            )
+        return p
+
+    def __repr__(self) -> str:
+        return "FunPredicate(symbol=%r, arity=%r, of_constant=%r)" % (
+            self.symbol, self.arity, self.of_constant,
+        )
 
 
 PredicateId = Union[Predicate, _EqualityPredicate, MagicPredicate, FunPredicate]
 
 
-@dataclass(frozen=True)
-class Atom:
-    predicate: PredicateId
-    args: "tuple[Term, ...]"
+class Atom(tuple):
+    """A predicate applied to a tuple of terms, stored as the pair
+    (predicate, args).  Its parts are interned, so hashing and comparing an
+    atom is tuple hashing and comparison over identities, all in C."""
 
-    def __hash__(self) -> int:
-        h = self.__dict__.get("_h")
-        if h is None:
-            h = hash((self.predicate, self.args))
-            object.__setattr__(self, "_h", h)
-        return h
+    __slots__ = ()
+
+    def __new__(cls, predicate: PredicateId, args: "tuple[Term, ...]"):
+        return tuple.__new__(cls, (predicate, tuple(args)))
+
+    predicate = property(itemgetter(0))
+    args = property(itemgetter(1))
+
+    def __getnewargs__(self):
+        return tuple(self)
 
     @property
     def is_equality(self) -> bool:
-        return isinstance(self.predicate, _EqualityPredicate)
+        return self[0] is EQUALITY
 
     def __repr__(self) -> str:
-        if self.is_equality:
-            return "%r = %r" % self.args
-        return "%s(%s)" % (pred_label(self.predicate), ",".join(map(repr, self.args)))
+        if self[0] is EQUALITY:
+            return "%r = %r" % self[1]
+        return "%s(%s)" % (pred_label(self[0]), ",".join(map(repr, self[1])))
+
+
+# Builds an atom from a (predicate, args) pair whose args are a tuple,
+# skipping `Atom.__new__`: tuple.__new__(Atom, pair).
+_new_atom = tuple.__new__
 
 
 def eq(t1: Term, t2: Term) -> Atom:
@@ -289,7 +400,7 @@ def map_shallow(mu: "dict[Term, Term]", x):
     """Apply a ground term map to the occurrences that are not nested inside
     a function symbol: the atom's argument positions (or the term itself)."""
     if isinstance(x, Atom):
-        return Atom(x.predicate, tuple(mu.get(a, a) for a in x.args))
+        return _new_atom(Atom, (x[0], tuple([mu.get(a, a) for a in x[1]])))
     return mu.get(x, x)
 
 
@@ -316,8 +427,8 @@ _EMPTY: "frozenset[Atom]" = frozenset()
 
 
 def _index_terms(index: dict, fact: Atom) -> None:
-    for t in fact.args:
-        for s in iter_subterms(t):
+    for t in fact[1]:
+        for s in iter_subterms(t) if t.depth else (t,):
             index.setdefault(s, set()).add(fact)
 
 
@@ -363,12 +474,16 @@ class Instance:
         return new
 
     def add(self, fact: Atom) -> bool:
-        if fact in self._facts:
+        facts = self._facts
+        n = len(facts)
+        facts.add(fact)  # hashes the fact once; the size tells whether it was new
+        if len(facts) == n:
             return False
-        self._facts.add(fact)
-        self._by_pred.setdefault(fact.predicate, set()).add(fact)
-        for i, t in enumerate(fact.args):
-            self._by_pos.setdefault((fact.predicate, i, t), set()).add(fact)
+        pred, args = fact
+        self._by_pred.setdefault(pred, set()).add(fact)
+        by_pos = self._by_pos
+        for i, t in enumerate(args):
+            by_pos.setdefault((pred, i, t), set()).add(fact)
         if self._by_term is not None:
             _index_terms(self._by_term, fact)
         return True
@@ -381,7 +496,7 @@ class Instance:
         for i, t in enumerate(fact.args):
             _unindex(self._by_pos, (fact.predicate, i, t), fact)
             if self._by_term is not None:
-                for sub in iter_subterms(t):
+                for sub in iter_subterms(t) if t.depth else (t,):
                     _unindex(self._by_term, sub, fact)
         return True
 
@@ -467,7 +582,7 @@ def _is_key(t: Term, bound: "set[Variable]") -> bool:
     return t in bound if isinstance(t, Variable) else is_ground(t)
 
 
-def _join(steps: tuple, k: int, instance: "Instance", b: list, out, delta, old: int) -> None:
+def _join(steps: tuple, k: int, instance: "Instance", b: list, out, new, fresh, old: int) -> None:
     if k == len(steps):
         out.append(tuple(b))
         return
@@ -482,8 +597,12 @@ def _join(steps: tuple, k: int, instance: "Instance", b: list, out, delta, old: 
         return
     k += 1
     for fact in candidates:
-        if _match_args(ops, fact.args, b) and not (j < old and fact in delta):
-            _join(steps, k, instance, b, out, delta, old)
+        if (
+            _match_args(ops, fact[1], b)
+            and fact not in new
+            and not (j < old and fact in fresh)
+        ):
+            _join(steps, k, instance, b, out, new, fresh, old)
 
 
 class MatchFound(Exception):
@@ -513,10 +632,10 @@ class JoinPlan:
     such position is the index key.  Each step then binds, checks or
     structurally matches the other positions.
 
-    Each step records its atom's index in `body`: `run_from` with `old=k`
-    keeps the first k atoms of `body` off the `delta` it is given, so a
-    conjunction pivoted on its atom k finds a match holding several delta
-    facts once, at the first, and `old=len(body)` keeps every atom off it.
+    Each step records its atom's index in `body`.  `run_from` keeps every
+    atom off the facts in `new` and, with `old=k`, the first k atoms of
+    `body` off the facts in `fresh` as well, so a conjunction pivoted on its
+    atom k finds a match holding several `fresh` facts once, at the first.
 
     Variables live in the slots of one list (`slots` maps each variable to
     its slot).  Every variable is bound by exactly one operation and read
@@ -550,12 +669,14 @@ class JoinPlan:
             steps.append((atom.predicate, key_pos, key_slot, key, ops, j))
         self.steps: tuple = tuple(steps)
 
-    def run_from(self, fact: Atom, instance: "Instance", out, delta=_EMPTY, old: int = 0) -> None:
+    def run_from(
+        self, fact: Atom, instance: "Instance", out, new=_EMPTY, fresh=_EMPTY, old: int = 0
+    ) -> None:
         """Append to `out` the matches whose entry atom is `fact`; the
         caller has checked that the predicates agree."""
         b = [None] * len(self.slots)
-        if _match_args(self.entry, fact.args, b):
-            _join(self.steps, 0, instance, b, out, delta, old)
+        if _match_args(self.entry, fact[1], b):
+            _join(self.steps, 0, instance, b, out, new, fresh, old)
 
     def holds_from(self, fact: Atom, instance: "Instance") -> bool:
         """Whether some match has `fact` as its entry atom; the join stops
@@ -581,4 +702,4 @@ def instantiator(atom: Atom, slots: "dict[Variable, int]"):
     """Function from a match (a tuple of slot values) to the instance of
     `atom` under it."""
     pred, fs = atom.predicate, tuple(_term_instantiator(t, slots) for t in atom.args)
-    return lambda vals: Atom(pred, tuple([f(vals) for f in fs]))
+    return lambda vals: _new_atom(Atom, (pred, tuple([f(vals) for f in fs])))

@@ -339,6 +339,23 @@ def test_first_round_leaves_facts_of_the_same_round_to_the_next():
         assert result.stats.rule_applications == n_a + n_b, seed
 
 
+def test_semi_naive_round_leaves_facts_of_the_same_round_to_the_next():
+    # E(a,b) enters the second round's delta, where F(b,c) is derived by a
+    # rule before H's; H(a,c)'s match holds both and must be applied once,
+    # in the third round, whichever body atom comes first and whatever the
+    # rule order.
+    for body in ("E(?x,?y), F(?y,?z)", "F(?y,?z), E(?x,?y)"):
+        prog = parse_program(
+            "G(?y,?z) :- B(?y,?z).\nE(?x,?y) :- A(?x,?y).\n"
+            "F(?y,?z) :- G(?y,?z).\nH(?x,?z) :- %s.\n" % body
+        )
+        base = [Atom(Predicate("A", 2), (a, b)), Atom(Predicate("B", 2), (b, c))]
+        for seed in [None] + list(range(6)):
+            result = chase(prog, base, seed=seed)
+            assert result.stats.rule_applications == 4, (body, seed)
+            assert Atom(Predicate("H", 2), (a, c)) in result.instance
+
+
 def test_demand_rules_are_chased_as_given():
     # The chase compiles every rule it is given: the bb demand rule fires
     # although the fb rule beside it fires on every one of its matches.

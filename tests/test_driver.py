@@ -434,3 +434,62 @@ def test_critical_instance_past_the_relevance_limit_trips_before_it_is_built(
         run_pipeline(sc, PipelineConfig(mode="rel"))
     assert exc.value.stage == "rel"
     assert isinstance(exc.value.cause, AbstractionFixpointDiverged)
+
+
+# -- order independence across interpreters ----------------------------------
+
+# Terms and predicates hash by identity, so set iteration order follows
+# object addresses and changes from one interpreter to the next; the
+# counts and answers of a run must not.
+FRESH_RUN = """
+import json, sys
+from dataclasses import asdict
+from pathlib import Path
+from chasegoal import PipelineConfig, load_scenario, run_pipeline
+from helpers import running_example
+from workloads import ontology
+root = Path(sys.argv[1])
+onto = ontology(root, 1)
+fixtures = {
+    "chain-30": running_example(30),
+    "ontology": load_scenario(root / "rules.txt", root / "data", onto.query, una_known=onto.una),
+}
+out = {"ontology expected": sorted(onto.expected)}
+for name, sc in fixtures.items():
+    for mode in ("mat", "rel", "magic", "all"):
+        rep = run_pipeline(sc, PipelineConfig(mode=mode))
+        out[name + " " + mode] = {
+            "stats": asdict(rep.chase_stats),
+            "answers": rep.answers,
+            "rule_counts": rep.rule_counts,
+            "facts": len(rep.chase_result.instance),
+        }
+print(json.dumps(out, sort_keys=True))
+"""
+
+
+def test_counts_and_answers_agree_across_fresh_interpreters(tmp_path):
+    # The ontology fixture is the benchmark's ontology workload (132 rules,
+    # merges in mat and magic); each interpreter also has its own hash seed.
+    import os
+    import subprocess
+    import sys
+
+    repo = Path(__file__).resolve().parent.parent
+    path = os.pathsep.join(str(repo / d) for d in ("src", "tests", "bench"))
+    runs = []
+    for hash_seed in ("0", "1", "2"):
+        env = dict(os.environ, PYTHONPATH=path, PYTHONHASHSEED=hash_seed)
+        done = subprocess.run(
+            [sys.executable, "-c", FRESH_RUN, str(tmp_path / hash_seed)],
+            env=env, capture_output=True, text=True, timeout=300,
+        )
+        assert done.returncode == 0, done.stderr
+        runs.append(json.loads(done.stdout))
+    first = runs[0]
+    for mode in ("mat", "rel", "magic", "all"):
+        assert first["ontology " + mode]["answers"] == first["ontology expected"], mode
+        assert first["chain-30 " + mode]["answers"] == [["a1"]], mode
+    assert first["ontology mat"]["stats"]["merges"] > 0
+    for run in runs[1:]:
+        assert run == first

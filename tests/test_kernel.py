@@ -1,16 +1,23 @@
-"""Term model, orderings, substitutions, join plans and the indexed instance."""
+"""Term model, hash-consing, orderings, substitutions, join plans and the
+indexed instance."""
 
+import copy
+import pickle
 import random
 
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from chasegoal.kernel import (
+    EQUALITY,
     Atom,
     Constant,
+    FunPredicate,
     Functional,
     Instance,
     JoinPlan,
+    MagicPredicate,
     Predicate,
     Variable,
     eq,
@@ -19,7 +26,6 @@ from chasegoal.kernel import (
     map_shallow,
     occurs_in,
     substitute,
-    term_depth,
     term_key,
     vars_of,
 )
@@ -313,6 +319,149 @@ def test_is_ground_and_vars_of():
 
 
 def test_term_depth():
-    assert term_depth(a) == 0
-    assert term_depth(f(a)) == 1
-    assert term_depth(f(g(a), b)) == 2
+    assert a.depth == x.depth == 0
+    assert f(a).depth == 1
+    assert f(g(a), b).depth == 2
+    assert f().depth == 1
+
+
+# -- hash-consing -------------------------------------------------------------
+
+# The recursive definitions of a term's depth and order key.  A term stores
+# both when it is built; these are the reference they are checked against.
+
+
+def reference_depth(t) -> int:
+    if isinstance(t, Functional):
+        return 1 + max((reference_depth(s) for s in t.args), default=0)
+    return 0
+
+
+def reference_key(t):
+    if isinstance(t, Constant):
+        return (0, t.name, ())
+    return (reference_depth(t), t.symbol, tuple(reference_key(s) for s in t.args))
+
+
+def structure(x):
+    """A term, predicate or atom as nested plain tuples tagged with class
+    names: equal structures are what equal values must mean."""
+    if isinstance(x, Atom):
+        return ("Atom", structure(x.predicate), tuple(map(structure, x.args)))
+    if isinstance(x, (Variable, Constant)):
+        return (type(x).__name__, x.name)
+    if isinstance(x, Functional):
+        return ("Functional", x.symbol, tuple(map(structure, x.args)))
+    if isinstance(x, Predicate):
+        return ("Predicate", x.name, x.arity)
+    if isinstance(x, FunPredicate):
+        return ("FunPredicate", x.symbol, x.arity, x.of_constant)
+    if isinstance(x, MagicPredicate):
+        return ("MagicPredicate", structure(x.base), x.adornment)
+    assert x is EQUALITY
+    return ("eq",)
+
+
+names = st.sampled_from(["a", "b", "f", "P"])
+open_terms = st.recursive(
+    st.builds(Constant, names) | st.builds(Variable, names),
+    lambda kids: st.builds(
+        lambda sym, args: Functional(sym, tuple(args)),
+        names,
+        st.lists(kids, max_size=2),
+    ),
+    max_leaves=5,
+)
+plain_predicates = st.builds(Predicate, names, st.integers(0, 2))
+predicates = st.one_of(
+    plain_predicates,
+    st.builds(FunPredicate, names, st.integers(0, 2), st.booleans()),
+    st.builds(MagicPredicate, plain_predicates | st.just(EQUALITY), st.sampled_from(["b", "bf", "eqb"])),
+    st.just(EQUALITY),
+)
+atoms = st.builds(lambda p, args: Atom(p, tuple(args)), predicates, st.lists(open_terms, max_size=2))
+
+
+def rebuild(x):
+    """An equal value built anew from its parts, through the constructors."""
+    if isinstance(x, Atom):
+        return Atom(rebuild(x.predicate), [rebuild(t) for t in x.args])
+    if isinstance(x, (Variable, Constant)):
+        return type(x)(x.name)
+    if isinstance(x, Functional):
+        return Functional(x.symbol, [rebuild(t) for t in x.args])
+    if isinstance(x, Predicate):
+        return Predicate(x.name, x.arity)
+    if isinstance(x, FunPredicate):
+        return FunPredicate(x.symbol, x.arity, x.of_constant)
+    if isinstance(x, MagicPredicate):
+        return MagicPredicate(rebuild(x.base), x.adornment)
+    return type(x)()
+
+
+@given(open_terms | predicates)
+def test_equal_values_are_one_object(v):
+    assert rebuild(v) is v
+
+
+def test_function_predicate_default_is_not_a_constant_graph():
+    assert FunPredicate("f", 1) is FunPredicate("f", 1, False)
+    assert FunPredicate("f", 1) is not FunPredicate("f", 1, True)
+
+
+@given(names)
+def test_values_of_different_classes_never_compare_equal(n):
+    values = [
+        Variable(n),
+        Constant(n),
+        Functional(n, ()),
+        Predicate(n, 1),
+        FunPredicate(n, 1),
+        FunPredicate(n, 1, True),
+        MagicPredicate(Predicate(n, 1), "b"),
+    ]
+    for i, v in enumerate(values):
+        for w in values[i + 1 :]:
+            assert v != w and not v == w
+    assert len(set(values)) == len(values)
+    assert Atom(Predicate(n, 1), (Variable(n),)) != Atom(Predicate(n, 1), (Constant(n),))
+
+
+@given(open_terms | predicates)
+def test_copy_deepcopy_and_pickle_keep_identity(v):
+    assert copy.copy(v) is v
+    assert copy.deepcopy(v) is v
+    assert pickle.loads(pickle.dumps(v)) is v
+
+
+@given(atoms)
+def test_atom_survives_copy_and_pickle(atom):
+    for other in (copy.copy(atom), copy.deepcopy(atom), pickle.loads(pickle.dumps(atom))):
+        assert type(other) is Atom
+        assert other == atom and hash(other) == hash(atom)
+        assert other.predicate is atom.predicate and other.args == atom.args
+
+
+@given(atoms, atoms)
+def test_atom_equality_and_hash_are_structural(a1, a2):
+    assert (a1 == a2) == (structure(a1) == structure(a2))
+    assert rebuild(a1) == a1 and hash(rebuild(a1)) == hash(a1)
+    if a1 == a2:
+        assert hash(a1) == hash(a2)
+
+
+@given(open_terms)
+def test_stored_depth_and_key_match_the_recursive_definitions(t):
+    assert t.depth == reference_depth(t)
+    if is_ground(t):
+        assert term_key(t) == reference_key(t)
+    else:
+        assert term_key(t) is None
+
+
+def test_interned_values_are_immutable():
+    for v in (a, x, f(a), P1, EQUALITY, FunPredicate("f", 1), MagicPredicate(P1, "b")):
+        with pytest.raises(AttributeError):
+            v.name = "other"
+        with pytest.raises(AttributeError):
+            del v.arity
