@@ -12,9 +12,11 @@ those facts dropped, to be re-derived in normalized form.  Such stale terms
 stay out of the term map.  `naive_fixpoint` evaluates arbitrary logic
 programs with explicit equality atoms and serves as the reference semantics.
 
-Both start from the base they are given: an `Instance` base is copied with
-its indexes, not re-indexed, and its facts are checked once per distinct
-argument term.  Base facts never enter a delta.  Each rule is compiled once
+Both start from the base they are given: an `Instance` base is copied in
+O(predicates), sharing its per-predicate relations copy-on-write, so a
+merge that rewrites a base fact clones that fact's relation alone, and the
+base's facts are checked once per distinct argument term.  Base facts never
+enter a delta.  Each rule is compiled once
 into one join plan per body atom, and one routine (`_match`) matches every
 conjunction with them.  The first round is naive: it joins each rule once
 in full, entered at the body atom whose relation is smallest at that
@@ -24,8 +26,9 @@ only the facts present when it began, so a match holding a fact the round
 adds is left to the next round, which finds it once.  A part of a body
 that no chain of shared variables links to the head is only checked for
 one witness: the rule fires for the matches of the rest once it holds,
-never once per witness.  The term index only merges read is built at the
-first merge.
+never once per witness.  A join builds the index of a relation's argument
+position at its first lookup there, and the term index only merges read is
+built at the first merge.
 """
 
 from __future__ import annotations
@@ -98,9 +101,9 @@ def _guard_fact(fact: Atom, n_facts: int, limits: Limits):
 
 
 def _intake(base: "Instance | Iterable[Atom]", limits: Limits) -> Instance:
-    """The instance a fixpoint starts from: a copy of an `Instance` base,
-    which the caller keeps unchanged, or a list base indexed once.  Its
-    facts are checked once per distinct argument term, not per fact."""
+    """The instance a fixpoint starts from: a copy-on-write copy of the
+    base, which the caller keeps unchanged.  Its facts are checked once per
+    distinct argument term, not per fact."""
     instance = base.copy() if isinstance(base, Instance) else Instance(base)
     for t in instance.argument_terms():
         if t.key is not None and t.depth <= limits.max_depth:
@@ -253,7 +256,7 @@ class _ChaseState(_Store):
         self.derived.append(eq(s, t))
         # Rewrite every fact holding the losing term at an argument position,
         # and every fact holding a representative the merge made stale.
-        facts = list(self.instance.containing(loser))
+        facts = self.instance.containing(loser)
         mu = {loser: rep}
         stale = {a for fact in facts for a in fact.args if _below(loser, a)}
         dead = self._rehome(stale, mu) if stale else ()
@@ -348,10 +351,11 @@ def _match(plans: tuple, by_pred: "dict | None", fresh, new, instance: Instance,
             plan.run_from(fact, instance, out, new)
         return
     for i, (pred, plan) in enumerate(plans):
+        present = instance.with_predicate(pred)
         for fact in by_pred.get(pred, ()):
             # A fact rewritten away by a merge is stale; its normalized
             # form re-entered the delta on its own.
-            if fact in instance:
+            if fact in present:
                 plan.run_from(fact, instance, out, new, fresh, i)
 
 
@@ -467,7 +471,7 @@ def chase(
 ) -> ChaseResult:
     """Run the representative-based chase of `program` over `base`.
 
-    An `Instance` base is copied, not re-indexed, and left unchanged.
+    An `Instance` base is copied copy-on-write and left unchanged.
     Base facts are relational (an equality fact raises
     `BodyContractViolation`) and are not counted as derived.  The `seed`
     only shuffles the evaluation order; the resulting instance and term map

@@ -552,8 +552,10 @@ class Scenario:
 
     Building one checks the input contract (`check_scenario`) and raises
     `FrontendError` on an input outside it, whether `load_scenario` or
-    other code builds it.  Its fields cannot be reassigned afterwards; the
-    check does not see later changes to the instance itself."""
+    other code builds it.  Its fields cannot be reassigned afterwards, and
+    after the check it keeps a read-only snapshot of the instance it was
+    given (`Instance.snapshot`): the snapshot refuses writes, and later
+    writes to the given instance do not reach it."""
 
     rules: "tuple[ExistentialRule, ...]"
     instance: Instance
@@ -563,6 +565,7 @@ class Scenario:
 
     def __post_init__(self):
         check_scenario(self)
+        object.__setattr__(self, "instance", self.instance.snapshot())
 
 
 def rules_signature(rules: Iterable) -> "dict[str, Predicate]":

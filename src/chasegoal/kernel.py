@@ -426,106 +426,274 @@ class FreshVars:
 _EMPTY: "frozenset[Atom]" = frozenset()
 
 
-def _index_terms(index: dict, fact: Atom) -> None:
-    for t in fact[1]:
-        for s in iter_subterms(t) if t.depth else (t,):
-            index.setdefault(s, set()).add(fact)
+class _Relation:
+    """The facts of one predicate, and an index for each argument position
+    looked up so far: a map from each term to the facts holding it there."""
+
+    __slots__ = ("facts", "index")
+
+    def __init__(self, facts: Iterable[Atom] = (), index: "Optional[dict]" = None):
+        self.facts: set[Atom] = set(facts)
+        self.index: dict[int, dict[Term, set[Atom]]] = {} if index is None else index
+
+    def clone(self) -> "_Relation":
+        return _Relation(
+            self.facts,
+            {pos: {t: set(s) for t, s in index.items()} for pos, index in self.index.items()},
+        )
 
 
-def _unindex(index: dict, key, fact: Atom) -> None:
-    """Remove `fact` from the index entry under `key`, dropping the entry
-    once it is empty.  A term occurring twice in one fact (T(a, sk(a))) is
-    unindexed twice, so the entry may already be gone."""
-    s = index.get(key)
-    if s is not None:
-        s.discard(fact)
-        if not s:
-            del index[key]
+class _TermIndex:
+    """The index merges read.  `at` maps each term to the facts holding it
+    at an argument position; `above` maps each term to the function terms
+    that hold it as a direct argument and occur in some fact.  A fact is
+    indexed under its arguments only, and a function term under its own
+    arguments when it comes to occur, so indexing costs O(arity) and
+    `containing` walks up from a term through `above`.  An entry is
+    dropped once it empties, and a function term that stops occurring is
+    taken out of `above`."""
+
+    __slots__ = ("at", "above")
+
+    def __init__(self, facts: Iterable[Atom]):
+        self.at: dict[Term, set[Atom]] = {}
+        self.above: dict[Term, set[Functional]] = {}
+        for fact in facts:
+            self.add(fact)
+
+    def add(self, fact: Atom) -> None:
+        at = self.at
+        for t in fact[1]:
+            s = at.get(t)
+            if s is not None:
+                s.add(fact)
+                continue
+            at[t] = {fact}
+            if t.depth and t not in self.above:
+                self._link(t)
+
+    def discard(self, fact: Atom) -> None:
+        at = self.at
+        for t in fact[1]:
+            s = at.get(t)
+            if s is None:
+                continue  # held twice by the fact, and gone at the first
+            s.discard(fact)
+            if not s:
+                del at[t]
+                if t.depth and t not in self.above:
+                    self._unlink(t)
+
+    def _link(self, t: Functional) -> None:
+        """Record a function term that has come to occur under each of its
+        arguments, and so on down for the arguments it brought with it."""
+        above = self.above
+        for s in t.args:
+            up = above.get(s)
+            if up is not None:
+                up.add(t)
+                continue
+            above[s] = {t}
+            if s.depth and s not in self.at:
+                self._link(s)
+
+    def _unlink(self, t: Functional) -> None:
+        """Undo `_link` for a function term that no longer occurs."""
+        above = self.above
+        for s in t.args:
+            up = above.get(s)
+            if up is None:
+                continue  # an argument held twice, unlinked at the first
+            up.discard(t)
+            if not up:
+                del above[s]
+                if s.depth and s not in self.at:
+                    self._unlink(s)
+
+    def containing(self, term: Term) -> "set[Atom]":
+        at, above = self.at, self.above
+        out = set(at.get(term, _EMPTY))
+        todo = list(above.get(term, _EMPTY))
+        seen = set(todo)
+        while todo:
+            u = todo.pop()
+            out |= at.get(u, _EMPTY)
+            for v in above.get(u, _EMPTY):
+                if v not in seen:
+                    seen.add(v)
+                    todo.append(v)
+        return out
 
 
 class Instance:
-    """Mutable set of ground atoms with hash indexes by predicate, by
-    (predicate, position, term) and by term occurrence.
+    """Mutable set of ground atoms, stored as one relation per predicate.
 
-    The term index serves merges alone, so it is built by the first
-    `containing` call and kept up to date only from then on.
+    A relation holds its predicate's facts and an index for each argument
+    position some join has looked up (`index_at`), from each term to the
+    facts holding it there.  An index is built at the first lookup of its
+    position and kept up to date from then on.  The index merges read
+    (`containing`) is built by the first call and kept up to date from then
+    on.
+
+    Copy-on-write: `copy` and `snapshot` share every relation with the
+    original, in O(predicates).  No fact of a shared relation is ever added
+    or discarded: the side that writes it first, either one, clones that
+    one relation and writes the clone, so no write shows on the other side.
+    Position indexes are derived data: any sharer may build one on a shared
+    relation, every sharer then reads it, and a clone copies it.  So the
+    indexes the joins over a long-lived base build stay with that base.
 
     Single writer: the sets returned by the lookup methods are live views
     and must be copied before mutating the instance while iterating them.
-    An index entry is dropped once it empties, so a view held across that
-    does not see facts added later.
+    An index entry is dropped once it empties, and a write may clone the
+    relation a view belongs to, so a view held across a write need not see
+    it.
     """
 
     def __init__(self, facts: Iterable[Atom] = ()):
-        self._facts: set[Atom] = set()
-        self._by_pred: dict[PredicateId, set[Atom]] = {}
-        self._by_pos: dict[tuple, set[Atom]] = {}
-        self._by_term: Optional[dict[Term, set[Atom]]] = None
+        self._rels: dict[PredicateId, _Relation] = {}
+        # The relations this instance may write: those no other one shares.
+        self._mine: dict[PredicateId, _Relation] = {}
+        # (predicate, position) -> that position's index, for the positions
+        # this instance has looked up; the join reads it directly.
+        self._index: dict[tuple, dict[Term, set[Atom]]] = {}
+        self._size = 0
+        self._terms: Optional[_TermIndex] = None
         for f in facts:
             self.add(f)
 
-    def copy(self) -> "Instance":
-        """An instance with the same facts and its own indexes, sharing the
-        atoms; the term index is left to be built on demand."""
-        new = Instance()
-        new._facts = set(self._facts)
-        new._by_pred = {k: set(v) for k, v in self._by_pred.items()}
-        new._by_pos = {k: set(v) for k, v in self._by_pos.items()}
+    def _share(self, cls) -> "Instance":
+        new = object.__new__(cls)
+        new._rels = dict(self._rels)
+        new._mine = {}
+        new._index = dict(self._index)
+        new._size = self._size
+        new._terms = None
+        self._mine = {}
         return new
 
+    def copy(self) -> "Instance":
+        """A writable instance with the same facts, sharing every relation
+        copy-on-write; the merge index is left to be built on demand."""
+        return self._share(Instance)
+
+    def snapshot(self) -> "ReadOnlyInstance":
+        """A read-only instance with the same facts, sharing every relation
+        copy-on-write: later writes to this instance do not reach it."""
+        return self._share(ReadOnlyInstance)
+
+    def _own(self, pred: PredicateId) -> _Relation:
+        """Give `pred` a relation this instance may write: a clone of the
+        shared one, or a new empty one."""
+        rel = self._rels.get(pred)
+        rel = _Relation() if rel is None else rel.clone()
+        self._rels[pred] = self._mine[pred] = rel
+        for pos, index in rel.index.items():
+            self._index[(pred, pos)] = index
+        return rel
+
     def add(self, fact: Atom) -> bool:
-        facts = self._facts
+        rel = self._mine.get(fact[0])
+        if rel is None:
+            shared = self._rels.get(fact[0])
+            if shared is not None and fact in shared.facts:
+                return False
+            rel = self._own(fact[0])
+        facts = rel.facts
         n = len(facts)
         facts.add(fact)  # hashes the fact once; the size tells whether it was new
         if len(facts) == n:
             return False
-        pred, args = fact
-        self._by_pred.setdefault(pred, set()).add(fact)
-        by_pos = self._by_pos
-        for i, t in enumerate(args):
-            by_pos.setdefault((pred, i, t), set()).add(fact)
-        if self._by_term is not None:
-            _index_terms(self._by_term, fact)
+        self._size += 1
+        if rel.index:
+            args = fact[1]
+            for pos, index in rel.index.items():
+                t = args[pos]
+                s = index.get(t)
+                if s is None:
+                    index[t] = {fact}
+                else:
+                    s.add(fact)
+        if self._terms is not None:
+            self._terms.add(fact)
         return True
 
     def discard(self, fact: Atom) -> bool:
-        if fact not in self._facts:
+        rel = self._rels.get(fact[0])
+        if rel is None or fact not in rel.facts:
             return False
-        self._facts.discard(fact)
-        _unindex(self._by_pred, fact.predicate, fact)
-        for i, t in enumerate(fact.args):
-            _unindex(self._by_pos, (fact.predicate, i, t), fact)
-            if self._by_term is not None:
-                for sub in iter_subterms(t) if t.depth else (t,):
-                    _unindex(self._by_term, sub, fact)
+        if self._mine.get(fact[0]) is not rel:
+            rel = self._own(fact[0])
+        rel.facts.discard(fact)
+        self._size -= 1
+        args = fact[1]
+        for pos, index in rel.index.items():
+            s = index[args[pos]]
+            s.discard(fact)
+            if not s:  # an emptied entry is dropped
+                del index[args[pos]]
+        if self._terms is not None:
+            self._terms.discard(fact)
         return True
 
     def __contains__(self, fact: Atom) -> bool:
-        return fact in self._facts
+        rel = self._rels.get(fact[0])
+        return rel is not None and fact in rel.facts
 
     def __iter__(self) -> Iterator[Atom]:
-        return iter(self._facts)
+        return itertools.chain.from_iterable([rel.facts for rel in self._rels.values()])
 
     def __len__(self) -> int:
-        return len(self._facts)
+        return self._size
 
     def with_predicate(self, pred: PredicateId) -> "set[Atom]":
-        return self._by_pred.get(pred, _EMPTY)
+        rel = self._rels.get(pred)
+        return _EMPTY if rel is None else rel.facts
+
+    def index_at(self, pred: PredicateId, pos: int) -> "dict[Term, set[Atom]]":
+        """The index of argument position `pos` of `pred`'s facts, from each
+        term to the facts holding it there.  It is built at the first lookup
+        of the position in any instance sharing the relation."""
+        rel = self._rels.get(pred)
+        if rel is None:
+            rel = self._own(pred)
+        index = rel.index.get(pos)
+        if index is None:
+            index = rel.index[pos] = {}
+            for fact in rel.facts:
+                t = fact[1][pos]
+                s = index.get(t)
+                if s is None:
+                    index[t] = {fact}
+                else:
+                    s.add(fact)
+        self._index[(pred, pos)] = index
+        return index
 
     def argument_terms(self) -> "set[Term]":
         """The terms that some fact holds at an argument position."""
-        return {t for _, _, t in self._by_pos}
+        return {t for rel in self._rels.values() for fact in rel.facts for t in fact[1]}
 
     def containing(self, term: Term) -> "set[Atom]":
-        """The facts holding `term` at any depth of an argument."""
-        if self._by_term is None:
-            self._by_term = {}
-            for fact in self._facts:
-                _index_terms(self._by_term, fact)
-        return self._by_term.get(term, _EMPTY)
+        """A new set of the facts holding `term` at any depth of an argument."""
+        if self._terms is None:
+            self._terms = _TermIndex(self)
+        return self._terms.containing(term)
 
     def predicates(self) -> "set[PredicateId]":
-        return set(self._by_pred)
+        return {pred for pred, rel in self._rels.items() if rel.facts}
+
+
+class ReadOnlyInstance(Instance):
+    """An instance whose facts never change, made by `Instance.snapshot`:
+    `add` and `discard` raise `TypeError`, and `copy` gives a writable
+    instance."""
+
+    def add(self, fact: Atom) -> bool:
+        raise TypeError("a read-only instance cannot change; write to a copy()")
+
+    def discard(self, fact: Atom) -> bool:
+        raise TypeError("a read-only instance cannot change; write to a copy()")
 
 
 # ---------------------------------------------------------------------------
@@ -586,13 +754,15 @@ def _join(steps: tuple, k: int, instance: "Instance", b: list, out, new, fresh, 
     if k == len(steps):
         out.append(tuple(b))
         return
-    pred, key_pos, key_slot, key, ops, j = steps[k]
-    if key_slot is not None:
-        candidates = instance._by_pos.get((pred, key_pos, b[key_slot]))
-    elif key is not None:
-        candidates = instance._by_pos.get(key)
+    pred, key_pos, ipos, key_slot, key, ops, j = steps[k]
+    if ipos is None:
+        rel = instance._rels.get(pred)
+        candidates = None if rel is None else rel.facts
     else:
-        candidates = instance._by_pred.get(pred)
+        index = instance._index.get(ipos)
+        if index is None:
+            index = instance.index_at(pred, key_pos)
+        candidates = index.get(key if key_slot is None else b[key_slot])
     if not candidates:
         return
     k += 1
@@ -629,8 +799,10 @@ class JoinPlan:
     a rule head, a demand head for a subsumption test).  The body atoms are
     ordered greedily: next comes the atom with the most positions that hold
     a ground term or a bound variable, ties broken by body order; its first
-    such position is the index key.  Each step then binds, checks or
-    structurally matches the other positions.
+    such position is the index key.  A step holds its (predicate, position)
+    pair, so looking up its candidates is two dict lookups: the instance's
+    index of that position, then the key term.  Each step then binds,
+    checks or structurally matches the other positions.
 
     Each step records its atom's index in `body`.  `run_from` keeps every
     atom off the facts in `new` and, with `old=k`, the first k atoms of
@@ -660,13 +832,15 @@ class JoinPlan:
             scores = [sum(_is_key(t, known) for t in a.args) for _, a in remaining]
             j, atom = remaining.pop(scores.index(max(scores)))
             key_pos = next((i for i, t in enumerate(atom.args) if _is_key(t, known)), -1)
-            key_slot = key = None
-            if key_pos >= 0 and isinstance(atom.args[key_pos], Variable):
-                key_slot = slots[atom.args[key_pos]]
-            elif key_pos >= 0:
-                key = (atom.predicate, key_pos, atom.args[key_pos])
+            ipos = key_slot = key = None
+            if key_pos >= 0:
+                ipos = (atom.predicate, key_pos)
+                if isinstance(atom.args[key_pos], Variable):
+                    key_slot = slots[atom.args[key_pos]]
+                else:
+                    key = atom.args[key_pos]
             ops = _compile_args(atom.args, slots, known, skip=key_pos)
-            steps.append((atom.predicate, key_pos, key_slot, key, ops, j))
+            steps.append((atom.predicate, key_pos, ipos, key_slot, key, ops, j))
         self.steps: tuple = tuple(steps)
 
     def run_from(

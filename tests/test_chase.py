@@ -443,20 +443,34 @@ def test_semi_naive_loop_agrees_with_brute_force_closure():
 def _index_snapshot(instance):
     return (
         set(instance),
-        {k: set(v) for k, v in instance._by_pred.items()},
-        {k: set(v) for k, v in instance._by_pos.items()},
-        instance._by_term,
+        {p: set(instance.with_predicate(p)) for p in instance.predicates()},
+        instance._terms,
     )
 
 
+def _indexes_agree_with_facts(instance):
+    for rel in instance._rels.values():
+        for pos, index in rel.index.items():
+            want = {}
+            for fact in rel.facts:
+                want.setdefault(fact.args[pos], set()).add(fact)
+            if index != want:
+                return False
+    return True
+
+
 def test_pipeline_leaves_the_loaded_instance_unchanged():
-    # The chase copies an Instance base; its merges rewrite the copy only.
+    # The chase shares the base's relations copy-on-write; its merges
+    # rewrite clones, and the indexes its joins build on the shared
+    # relations agree with the base's facts.
     sc = running_example(4)
     before = _index_snapshot(sc.instance)
     for mode in ("mat", "rel", "magic", "all"):
         rep = run_pipeline(sc, PipelineConfig(mode=mode))
         assert rep.chase_stats.merges >= 1
         assert _index_snapshot(sc.instance) == before, mode
+        assert _indexes_agree_with_facts(sc.instance), mode
+    assert sc.instance._rels and any(rel.index for rel in sc.instance._rels.values())
 
 
 @pytest.mark.parametrize("as_instance", [False, True])
@@ -479,10 +493,10 @@ def test_term_index_is_built_only_by_a_merge():
     A, B = Predicate("A", 1), Predicate("B", 2)
     rule = Rule(Atom(B, (x, x)), (Atom(A, (x,)),))
     result = chase(Program((rule,)), Instance([Atom(A, (a,)), Atom(A, (b,))]))
-    assert result.instance._by_term is None
+    assert result.instance._terms is None
     egd = Rule(eq(x, y), (Atom(T2, (x, y)),))
     result = chase(Program((egd,)), [Atom(T2, (a, b))])
-    assert result.instance._by_term is not None
+    assert result.instance._terms is not None
 
 
 # -- contract checks ---------------------------------------------------------

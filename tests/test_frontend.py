@@ -289,6 +289,23 @@ def test_scenario_built_in_code_rejects_base_facts_of_the_query_predicate():
         Scenario(rules, facts("A(a), Q(b), S(b,c)"), Predicate("Q", 1))
 
 
+def test_scenario_keeps_a_read_only_snapshot_of_its_instance():
+    # The same input written after the check: once gave a b c in mat and
+    # rel but a b in magic and all.
+    rules = tuple(parse_rules("A(?x) -> Q(?x)\nS(?x,?y) -> ?x = ?y"))
+    given = facts("A(a), S(b,c)")
+    sc = Scenario(rules, given, Predicate("Q", 1))
+    (late,) = facts("Q(b)")
+    with pytest.raises(TypeError, match="read-only"):
+        sc.instance.add(late)
+    with pytest.raises(TypeError, match="read-only"):
+        sc.instance.discard(next(iter(sc.instance)))
+    given.add(late)
+    assert late not in sc.instance and len(sc.instance) == 2
+    for mode in ("mat", "rel", "magic", "all"):
+        assert run_pipeline(sc, PipelineConfig(mode=mode)).answers == (("a",),), mode
+
+
 def test_scenario_built_in_code_rejects_a_constant_in_a_query_head():
     rules = tuple(parse_rules("B(?x) -> Q(?x,c)\nE(?x) -> ?x = c"))
     with pytest.raises(MalformedRule, match=r"constant argument in rule B\(\?x\) -> Q"):

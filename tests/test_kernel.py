@@ -267,11 +267,11 @@ def test_instance_add_and_discard_round_trip():
     assert not inst.add(fact)
     assert fact in inst
     assert inst.with_predicate(R2) == {fact}
-    assert inst._by_pos[(R2, 0, a)] == {fact}
+    assert inst.index_at(R2, 0) == {a: {fact}}  # the lookup the join uses
     assert inst.discard(fact)
     assert not inst.discard(fact)
     assert len(inst) == 0
-    assert (R2, 0, a) not in inst._by_pos
+    assert a not in inst.index_at(R2, 0)
 
 
 def test_instance_discard_drops_emptied_index_entries():
@@ -281,12 +281,13 @@ def test_instance_discard_drops_emptied_index_entries():
     facts = [Atom(R2, (a, b)), Atom(P1, (a,)), Atom(R2, (a, f(a)))]
     for fact in facts:
         inst.add(fact)
+    indexes = [inst.index_at(R2, 0), inst.index_at(R2, 1), inst.index_at(P1, 0)]
     inst.containing(a)  # builds the term index
     for fact in facts:
         inst.discard(fact)
-    assert inst._by_pos == {}
-    assert inst._by_pred == {}
-    assert inst._by_term == {}
+    assert indexes == [{}, {}, {}]
+    assert inst._terms.at == {} and inst._terms.above == {}
+    assert inst.with_predicate(R2) == set()
     assert inst.predicates() == set()
 
 
@@ -302,6 +303,120 @@ def test_instance_containing_finds_nested_subterms():
     inst.discard(nested)
     assert inst.containing(f(b)) == set()
     assert inst.containing(b) == {top}
+
+
+def test_instance_indexes_a_position_only_when_it_is_looked_up():
+    inst = Instance([Atom(R2, (a, b)), Atom(R2, (b, b))])
+    plan = JoinPlan((Atom(R2, (y, x)),), entry=Atom(P1, (x,)))
+    out = []
+    plan.run_from(Atom(P1, (b,)), inst, out)
+    assert sorted(map(repr, out)) == ["(b, a)", "(b, b)"]
+    assert set(inst._index) == {(R2, 1)}
+    assert set(inst._rels[R2].index) == {1}
+
+
+def test_copy_shares_relations_until_one_side_writes():
+    base = Instance([Atom(R2, (a, b)), Atom(P1, (a,))])
+    base.index_at(R2, 0)
+    new = base.copy()
+    assert new._rels[R2] is base._rels[R2] and new._rels[P1] is base._rels[P1]
+    # adding a fact already there clones nothing
+    assert not new.add(Atom(R2, (a, b)))
+    assert new._rels[R2] is base._rels[R2]
+    # the first write clones the one relation it touches, with its index
+    assert new.add(Atom(R2, (b, a)))
+    assert new._rels[R2] is not base._rels[R2] and new._rels[P1] is base._rels[P1]
+    assert new.index_at(R2, 0) == {a: {Atom(R2, (a, b))}, b: {Atom(R2, (b, a))}}
+    assert base.index_at(R2, 0) == {a: {Atom(R2, (a, b))}}
+    # the original lost the right to write in place too
+    assert base.discard(Atom(P1, (a,)))
+    assert Atom(P1, (a,)) in new and len(new) == 3 and len(base) == 1
+
+
+def test_snapshot_refuses_writes_and_copies_to_a_writable_instance():
+    inst = Instance([Atom(P1, (a,))])
+    snap = inst.snapshot()
+    for write in (snap.add, snap.discard):
+        with pytest.raises(TypeError, match="read-only"):
+            write(Atom(P1, (a,)))
+    inst.add(Atom(P1, (b,)))
+    assert set(snap) == {Atom(P1, (a,))}
+    assert snap.argument_terms() == {a}
+    writable = snap.copy()
+    assert writable.add(Atom(P1, (d,))) and type(writable) is Instance
+    assert set(snap) == {Atom(P1, (a,))}
+
+
+# The store against a plain set of facts on each side of a copy.  Facts are
+# drawn over two predicates and a few terms, nested up to depth three.
+store_terms = [a, b, f(a), g(f(a)), f(a, a), g(g(f(a)), b)]
+store_facts = st.one_of(
+    st.builds(lambda t: Atom(P1, (t,)), st.sampled_from(store_terms)),
+    st.builds(lambda s, t: Atom(R2, (s, t)), st.sampled_from(store_terms), st.sampled_from(store_terms)),
+)
+store_ops = st.lists(
+    st.one_of(
+        st.tuples(st.sampled_from(["add", "discard"]), st.integers(0, 1), store_facts),
+        st.tuples(st.just("copy"), st.integers(0, 1), st.integers(0, 1)),
+        st.tuples(st.just("index"), st.integers(0, 1), st.sampled_from([(P1, 0), (R2, 0), (R2, 1)])),
+        st.tuples(st.just("containing"), st.integers(0, 1), st.sampled_from(store_terms)),
+    ),
+    max_size=30,
+)
+
+
+def check_store(inst, model):
+    assert set(inst) == model and len(inst) == len(model)
+    for fact in model:
+        assert fact in inst
+    assert Atom(P1, (d,)) not in inst
+    assert inst.predicates() == {fact.predicate for fact in model}
+    for pred in (P1, R2):
+        assert inst.with_predicate(pred) == {fact for fact in model if fact.predicate is pred}
+    # every index built so far, on any relation, holds exactly the facts of
+    # the model, with no empty entry; the join's table points at them
+    for pred, rel in inst._rels.items():
+        for pos, index in rel.index.items():
+            want = {}
+            for fact in rel.facts:
+                want.setdefault(fact.args[pos], set()).add(fact)
+            assert index == want
+    for (pred, pos), index in inst._index.items():
+        assert index is inst._rels[pred].index[pos]
+    if inst._terms is not None:
+        occurring = {s for fact in model for t in fact.args for s in iter_subterms(t)}
+        for t in store_terms + [d]:
+            assert inst.containing(t) == {
+                fact for fact in model if any(occurs_in(t, s) for s in fact.args)
+            }
+        above = {}
+        for u in occurring:
+            for s in getattr(u, "args", ()):
+                above.setdefault(s, set()).add(u)
+        assert inst._terms.above == above
+        assert set(inst._terms.at) == {t for fact in model for t in fact.args}
+
+
+@given(st.sets(store_facts, max_size=6), store_ops)
+def test_store_agrees_with_a_set_on_both_sides_of_a_copy(start, ops):
+    insts = [Instance(start)]
+    insts.append(insts[0].copy())
+    models = [set(start), set(start)]
+    for op, i, arg in ops:
+        if op == "add":
+            assert insts[i].add(arg) == (arg not in models[i])
+            models[i].add(arg)
+        elif op == "discard":
+            assert insts[i].discard(arg) == (arg in models[i])
+            models[i].discard(arg)
+        elif op == "copy":
+            insts[arg], models[arg] = insts[i].copy(), set(models[i])
+        elif op == "index":
+            insts[i].index_at(*arg)
+        else:
+            insts[i].containing(arg)
+        for inst, model in zip(insts, models):
+            check_store(inst, model)
 
 
 def test_occurs_in_and_iter_subterms():
