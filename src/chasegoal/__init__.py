@@ -48,7 +48,6 @@ from .frontend import (
     serialize_program,
 )
 from .kernel import (
-    EGD,
     EQUALITY,
     Atom,
     Constant,

@@ -14,11 +14,9 @@ from __future__ import annotations
 from typing import Iterable, Optional
 
 from .kernel import (
-    EGD,
     EQUALITY,
     Atom,
     Constant,
-    ExistentialRule,
     FreshVars,
     Functional,
     Predicate,
@@ -41,7 +39,7 @@ from .kernel import (
 # ---------------------------------------------------------------------------
 
 
-def singularize(rules: Iterable[ExistentialRule], query: Optional[Predicate] = None):
+def singularize(rules: Iterable[TGD], query: Optional[Predicate] = None):
     """Make every rule singular: relational body atoms are constant-free and
     no variable occurs in them more than once.
 
@@ -54,11 +52,7 @@ def singularize(rules: Iterable[ExistentialRule], query: Optional[Predicate] = N
     fresh = FreshVars("s")
     out = []
     for r in rules:
-        if (
-            query is not None
-            and isinstance(r, TGD)
-            and any(a.predicate == query for a in r.head)
-        ):
+        if query is not None and any(a.predicate == query for a in r.head):
             r = _decouple_answers(r, query, fresh)
         out.append(_singularize_rule(r, fresh))
     return out
@@ -77,7 +71,7 @@ def _decouple_answers(r: TGD, query: Predicate, fresh: FreshVars) -> TGD:
     return TGD(tuple(body), tuple(head))
 
 
-def _singularize_rule(r: ExistentialRule, fresh: FreshVars) -> ExistentialRule:
+def _singularize_rule(r: TGD, fresh: FreshVars) -> TGD:
     # Constants in relational atoms become fresh variables constrained by an
     # equality placed right after the atom.
     body: list[Atom] = []
@@ -131,9 +125,6 @@ def _singularize_rule(r: ExistentialRule, fresh: FreshVars) -> ExistentialRule:
             atom = Atom(atom.predicate, args)
         new_body.append(atom)
         new_body.extend(inserts.get(ai, ()))
-
-    if isinstance(r, EGD):
-        return EGD(tuple(new_body), r.lhs, r.rhs)
     return TGD(tuple(new_body), r.head)
 
 
@@ -142,16 +133,14 @@ def _singularize_rule(r: ExistentialRule, fresh: FreshVars) -> ExistentialRule:
 # ---------------------------------------------------------------------------
 
 
-def skolemize(rules: Iterable[ExistentialRule], query: Optional[Predicate] = None) -> Program:
+def skolemize(rules: Iterable[TGD], query: Optional[Predicate] = None) -> Program:
     """Replace each existential variable y of a rule with the term
     sk_<ruleIdx>_<y>(frontier), the frontier being the body variables that
-    occur in the head, in body occurrence order.  EGDs pass through as rules
-    with an equality head."""
+    occur in the head, in body occurrence order, and give each head atom a
+    rule of its own.  An equality-generating rule has no existential
+    variable, so it passes through as one rule with its equality head."""
     out: list[Rule] = []
     for idx, r in enumerate(rules):
-        if isinstance(r, EGD):
-            out.append(Rule(eq(r.lhs, r.rhs), tuple(r.body)))
-            continue
         sigma: dict[Variable, Functional] = {}
         existential = r.existential_vars
         if existential:

@@ -16,11 +16,9 @@ from pathlib import Path
 from typing import Iterable, Optional
 
 from .kernel import (
-    EGD,
     EQUALITY,
     Atom,
     Constant,
-    ExistentialRule,
     FRESH_PREFIX,
     FunPredicate,
     Functional,
@@ -47,7 +45,7 @@ from .kernel import (
 
 class FrontendError(ValueError):
     def __init__(self, msg: str, line: int = 0, col: int = 0, source: str = ""):
-        self.line, self.col, self.source = line, col, source
+        self.msg, self.line, self.col, self.source = msg, line, col, source
         where = ""
         if source:
             where += source
@@ -213,13 +211,7 @@ def _parse_term(cur: _Cursor, dump: bool) -> Term:
                     t.col,
                     cur.source,
                 )
-            cur.expect("LP")
-            args = [_parse_term(cur, dump)]
-            while cur.peek() is not None and cur.peek().kind == "COMMA":
-                cur.next()
-                args.append(_parse_term(cur, dump))
-            cur.expect("RP")
-            return Functional(t.text, tuple(args))
+            return Functional(t.text, _parse_args(cur, dump))
         return Constant(t.text)
     raise MalformedRule("expected a term, found %r" % t.text, cur.line, t.col, cur.source)
 
@@ -272,13 +264,8 @@ def _parse_atom(cur: _Cursor, dump: bool) -> Atom:
         cur.fail("expected an atom")
     if t.kind == "NAME" and cur.i + 1 < len(cur.toks) and cur.toks[cur.i + 1].kind == "LP":
         cur.next()
-        cur.expect("LP")
-        args = [_parse_term(cur, dump)]
-        while cur.peek() is not None and cur.peek().kind == "COMMA":
-            cur.next()
-            args.append(_parse_term(cur, dump))
-        cur.expect("RP")
-        return Atom(_predicate(t.text, len(args), cur, t.col, dump), tuple(args))
+        args = _parse_args(cur, dump)
+        return Atom(_predicate(t.text, len(args), cur, t.col, dump), args)
     # Either a nullary atom or an equality s = t.
     if t.kind == "NAME" and (
         cur.i + 1 >= len(cur.toks) or cur.toks[cur.i + 1].kind in ("COMMA", "ARROW", "IMPL", "DOT")
@@ -291,12 +278,38 @@ def _parse_atom(cur: _Cursor, dump: bool) -> Atom:
     return eq(lhs, rhs)
 
 
-def _parse_atom_list(cur: _Cursor, dump: bool) -> "list[Atom]":
-    atoms = [_parse_atom(cur, dump)]
+def _parse_list(cur: _Cursor, item, dump: bool) -> tuple:
+    """One or more comma-separated items, each parsed by `item`."""
+    items = [item(cur, dump)]
     while cur.peek() is not None and cur.peek().kind == "COMMA":
         cur.next()
-        atoms.append(_parse_atom(cur, dump))
-    return atoms
+        items.append(item(cur, dump))
+    return tuple(items)
+
+
+def _parse_args(cur: _Cursor, dump: bool) -> "tuple[Term, ...]":
+    """A parenthesized argument list `(t, t, ...)`."""
+    cur.expect("LP")
+    args = _parse_list(cur, _parse_term, dump)
+    cur.expect("RP")
+    return args
+
+
+def _parse_lines(text: str, source: str, parse_rule):
+    """Yield (line number, rule) for each line of `text` holding one: the
+    line is tokenized, `parse_rule` parses the rule from a cursor over it,
+    and an optional closing `.` may follow, then nothing else."""
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        toks = _tokenize(raw, lineno, source)
+        if not toks:
+            continue
+        cur = _Cursor(toks, lineno, source)
+        rule = parse_rule(cur)
+        if cur.peek() is not None and cur.peek().kind == "DOT":
+            cur.next()
+        if cur.peek() is not None:
+            cur.fail("trailing input after rule")
+        yield lineno, rule
 
 
 # ---------------------------------------------------------------------------
@@ -304,33 +317,50 @@ def _parse_atom_list(cur: _Cursor, dump: bool) -> "list[Atom]":
 # ---------------------------------------------------------------------------
 
 
-def parse_rules(text: str, source: str = "<rules>") -> "list[ExistentialRule]":
+def check_rule(r: TGD):
+    """Raise `FrontendError` unless an existential rule has a shape the
+    pipeline accepts: its body has a relational atom, and an equality head
+    is the only head atom, every variable of it occurs in the body, and at
+    least one of its sides is a variable.  `parse_rules` runs it on every
+    rule it reads and adds the line to the message; `check_scenario` runs
+    it on every rule of a scenario."""
+    if all(a.is_equality for a in r.body):
+        raise MalformedRule("rule body needs at least one relational atom")
+    if not any(a.is_equality for a in r.head):
+        return
+    if len(r.head) != 1:
+        raise MalformedRule("an equality head must be the only head atom")
+    lhs, rhs = r.head[0].args
+    body_vars = vars_of(r.body)
+    for side in (lhs, rhs):
+        if isinstance(side, Variable) and side not in body_vars:
+            raise UnboundFrontierVariable(
+                "equality head variable ?%s does not occur in the body" % side.name
+            )
+    if not isinstance(lhs, Variable) and not isinstance(rhs, Variable):
+        raise MalformedRule("at least one side of an equality head must be a variable")
+
+
+def _parse_existential_rule(cur: _Cursor) -> TGD:
+    body = _parse_list(cur, _parse_atom, dump=False)
+    cur.expect("ARROW")
+    return TGD(body, _parse_list(cur, _parse_atom, dump=False))
+
+
+def parse_rules(text: str, source: str = "<rules>") -> "list[TGD]":
     """Parse existential rules, one per line: `body -> head`.
 
-    Head atoms are relational (a TGD, head variables missing from the body
-    are existential) or a single equality `?x = ?y` / `?x = c` (an EGD).
-    Input rules are function free; body equality atoms are accepted so that
-    stage dumps can be read back.
+    Head atoms are relational (head variables missing from the body are
+    existential) or a single equality `?x = ?y` / `?x = c` (an
+    equality-generating rule).  Input rules are function free; body
+    equality atoms are accepted so that stage dumps can be read back.  A
+    predicate keeps the arity of its first use, and every rule passes
+    `check_rule`.
     """
-    rules: list[ExistentialRule] = []
+    rules: list[TGD] = []
     arities: dict[str, tuple[int, int]] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        toks = _tokenize(raw, lineno, source)
-        if not toks:
-            continue
-        cur = _Cursor(toks, lineno, source)
-        body = _parse_atom_list(cur, dump=False)
-        cur.expect("ARROW")
-        head = _parse_atom_list(cur, dump=False)
-        if cur.peek() is not None and cur.peek().kind == "DOT":
-            cur.next()
-        if cur.peek() is not None:
-            cur.fail("trailing input after rule")
-        if not any(not a.is_equality for a in body):
-            raise MalformedRule(
-                "rule body needs at least one relational atom", lineno, 1, source
-            )
-        for a in body + head:
+    for lineno, rule in _parse_lines(text, source, _parse_existential_rule):
+        for a in rule.body + rule.head:
             if a.is_equality:
                 continue
             seen = arities.get(a.predicate.name)
@@ -343,38 +373,27 @@ def parse_rules(text: str, source: str = "<rules>") -> "list[ExistentialRule]":
                     source,
                 )
             arities.setdefault(a.predicate.name, (a.predicate.arity, lineno))
-        eq_heads = [a for a in head if a.is_equality]
-        if eq_heads:
-            if len(head) != 1:
-                raise MalformedRule(
-                    "an equality head must be the only head atom", lineno, 1, source
-                )
-            lhs, rhs = head[0].args
-            body_vars = vars_of(body)
-            for side in (lhs, rhs):
-                if isinstance(side, Variable) and side not in body_vars:
-                    raise UnboundFrontierVariable(
-                        "equality head variable ?%s does not occur in the body" % side.name,
-                        lineno,
-                        1,
-                        source,
-                    )
-            if not isinstance(lhs, Variable) and not isinstance(rhs, Variable):
-                raise MalformedRule(
-                    "at least one side of an equality head must be a variable",
-                    lineno,
-                    1,
-                    source,
-                )
-            rules.append(EGD(tuple(body), lhs, rhs))
-        else:
-            rules.append(TGD(tuple(body), tuple(head)))
+        try:
+            check_rule(rule)
+        except FrontendError as e:
+            raise type(e)(e.msg, lineno, 1, source) from None
+        rules.append(rule)
     return rules
 
 
 # ---------------------------------------------------------------------------
 # Logic program files
 # ---------------------------------------------------------------------------
+
+
+def _parse_program_rule(cur: _Cursor) -> Rule:
+    head = _parse_atom(cur, dump=True)
+    body: tuple = ()
+    nxt = cur.peek()
+    if nxt is not None and nxt.kind == "IMPL":
+        cur.next()
+        body = _parse_list(cur, _parse_atom, dump=True)
+    return Rule(head, body)
 
 
 def parse_program(text: str, source: str = "<program>") -> Program:
@@ -386,24 +405,7 @@ def parse_program(text: str, source: str = "<program>") -> Program:
     happen to start with one of these prefixes are not representable; the
     format is for pipeline dumps, whose generated names never clash.
     """
-    rules = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        toks = _tokenize(raw, lineno, source)
-        if not toks:
-            continue
-        cur = _Cursor(toks, lineno, source)
-        head = _parse_atom(cur, dump=True)
-        body: list[Atom] = []
-        nxt = cur.peek()
-        if nxt is not None and nxt.kind == "IMPL":
-            cur.next()
-            body = _parse_atom_list(cur, dump=True)
-        if cur.peek() is not None and cur.peek().kind == "DOT":
-            cur.next()
-        if cur.peek() is not None:
-            cur.fail("trailing input after rule")
-        rules.append(Rule(head, tuple(body)))
-    return Program(tuple(rules))
+    return Program(tuple(rule for _, rule in _parse_lines(text, source, _parse_program_rule)))
 
 
 # ---------------------------------------------------------------------------
@@ -507,35 +509,25 @@ def render_atom(a: Atom) -> str:
 
 
 def render_rule(r) -> str:
+    """A rule as `head :- body.`, an existential rule as `body -> head`."""
     if isinstance(r, Rule):
         if not r.body:
             return render_atom(r.head) + "."
         return "%s :- %s." % (render_atom(r.head), ", ".join(map(render_atom, r.body)))
-    if isinstance(r, TGD):
-        return "%s -> %s" % (
-            ", ".join(map(render_atom, r.body)),
-            ", ".join(map(render_atom, r.head)),
-        )
-    if isinstance(r, EGD):
-        return "%s -> %s = %s" % (
-            ", ".join(map(render_atom, r.body)),
-            _render_term(r.lhs),
-            _render_term(r.rhs),
-        )
-    raise TypeError("not a rule: %r" % (r,))
+    return "%s -> %s" % (", ".join(map(render_atom, r.body)), ", ".join(map(render_atom, r.head)))
 
 
 def serialize_program(p) -> str:
     """Deterministic text form of a Program, a rule list or an existential
-    rule list: sorted by head predicate label, then full rule text."""
+    rule list: sorted by head predicate label (`=` for an existential
+    rule with an equality head), then full rule text."""
     rules = p.rules if isinstance(p, Program) else tuple(p)
 
     def key(r):
         if isinstance(r, Rule):
             return (pred_label(r.head.predicate), render_rule(r))
-        if isinstance(r, TGD):
-            return (pred_label(r.head[0].predicate), render_rule(r))
-        return ("=", render_rule(r))
+        head = r.head[0]
+        return ("=" if head.is_equality else pred_label(head.predicate), render_rule(r))
 
     return "\n".join(render_rule(r) for r in sorted(rules, key=key)) + "\n"
 
@@ -557,7 +549,7 @@ class Scenario:
     given (`Instance.snapshot`): the snapshot refuses writes, and later
     writes to the given instance do not reach it."""
 
-    rules: "tuple[ExistentialRule, ...]"
+    rules: "tuple[TGD, ...]"
     instance: Instance
     query: Predicate
     schema: "dict[tuple[str, int], tuple[str, ...]] | None" = None
@@ -578,37 +570,39 @@ def rules_signature(rules: Iterable) -> "dict[str, Predicate]":
 _QUERY_WORKAROUND = "; use a non-query predicate and a rule from it into %s"
 
 
-def check_query_predicate(rules: Iterable, query: Predicate):
-    """The query predicate may appear in TGD heads only, never in a body and
+def check_query_predicate(rules: "Iterable[TGD]", query: Predicate):
+    """The query predicate may appear in rule heads only, never in a body and
     never with an existential variable or a constant in its arguments."""
     for r in rules:
         for a in r.body:
             if a.predicate == query:
                 raise MalformedRule("query predicate %s occurs in a rule body" % query.name)
-        if isinstance(r, TGD):
-            for a in r.head:
-                if a.predicate != query:
-                    continue
-                if vars_of(a) & r.existential_vars:
-                    raise MalformedRule(
-                        "query predicate %s has an existential argument" % query.name
-                    )
-                if not all(isinstance(t, Variable) for t in a.args):
-                    raise MalformedRule(
-                        "query predicate %s has a constant argument in rule %s"
-                        % (query.name, render_rule(r)) + _QUERY_WORKAROUND % query.name
-                    )
+        for a in r.head:
+            if a.predicate != query:
+                continue
+            if vars_of(a) & r.existential_vars:
+                raise MalformedRule(
+                    "query predicate %s has an existential argument" % query.name
+                )
+            if not all(isinstance(t, Variable) for t in a.args):
+                raise MalformedRule(
+                    "query predicate %s has a constant argument in rule %s"
+                    % (query.name, render_rule(r)) + _QUERY_WORKAROUND % query.name
+                )
 
 
 def check_scenario(sc: Scenario):
     """Raise `FrontendError` unless a scenario keeps the input contract, on
     which all four modes give the same answers:
+    - every rule keeps `check_rule`;
     - the query predicate keeps `check_query_predicate` and has no base
       facts;
     - under a schema, no constant has two sorts, counting the positions it
       holds in rule atoms and in facts alike.  The typed relevance
       abstraction assumes one sort per constant; with two, it would prune
       rules that derive answers."""
+    for r in sc.rules:
+        check_rule(r)
     check_query_predicate(sc.rules, sc.query)
     if sc.instance.with_predicate(sc.query):
         raise FrontendError(

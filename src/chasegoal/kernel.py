@@ -334,8 +334,11 @@ class Program:
 
 @dataclass(frozen=True)
 class TGD:
-    """body -> exists y. head-conjunction; the existential variables are the
-    head variables that do not occur in the body."""
+    """An existential rule body -> exists y. head-conjunction; the
+    existential variables are the head variables that do not occur in the
+    body.  An equality-generating rule is a TGD whose head is one equality
+    atom, `TGD(body, (eq(s, t),))`, with no existential variable
+    (`frontend.check_rule` checks the shape)."""
 
     body: "tuple[Atom, ...]"
     head: "tuple[Atom, ...]"
@@ -345,29 +348,13 @@ class TGD:
         return frozenset(vars_of(self.head) - vars_of(self.body))
 
 
-@dataclass(frozen=True)
-class EGD:
-    body: "tuple[Atom, ...]"
-    lhs: Term
-    rhs: Term
-
-
-ExistentialRule = Union[TGD, EGD]
-
-
 def rule_atoms(r) -> Iterator[Atom]:
-    """All atoms of a rule of any shape, head first."""
+    """All atoms of a rule or an existential rule, head first."""
     if isinstance(r, Rule):
         yield r.head
-        yield from r.body
-    elif isinstance(r, TGD):
-        yield from r.head
-        yield from r.body
-    elif isinstance(r, EGD):
-        yield eq(r.lhs, r.rhs)
-        yield from r.body
     else:
-        raise TypeError("not a rule: %r" % (r,))
+        yield from r.head
+    yield from r.body
 
 
 def program_predicates(rules: Iterable) -> "set[PredicateId]":
@@ -531,7 +518,8 @@ class Instance:
     A relation holds its predicate's facts and an index for each argument
     position some join has looked up (`index_at`), from each term to the
     facts holding it there.  An index is built at the first lookup of its
-    position and kept up to date from then on.  The index merges read
+    position and kept up to date from then on; a join reads it from the
+    relation, so no other map of the indexes is kept.  The index merges read
     (`containing`) is built by the first call and kept up to date from then
     on.
 
@@ -554,9 +542,6 @@ class Instance:
         self._rels: dict[PredicateId, _Relation] = {}
         # The relations this instance may write: those no other one shares.
         self._mine: dict[PredicateId, _Relation] = {}
-        # (predicate, position) -> that position's index, for the positions
-        # this instance has looked up; the join reads it directly.
-        self._index: dict[tuple, dict[Term, set[Atom]]] = {}
         self._size = 0
         self._terms: Optional[_TermIndex] = None
         for f in facts:
@@ -566,7 +551,6 @@ class Instance:
         new = object.__new__(cls)
         new._rels = dict(self._rels)
         new._mine = {}
-        new._index = dict(self._index)
         new._size = self._size
         new._terms = None
         self._mine = {}
@@ -588,8 +572,6 @@ class Instance:
         rel = self._rels.get(pred)
         rel = _Relation() if rel is None else rel.clone()
         self._rels[pred] = self._mine[pred] = rel
-        for pos, index in rel.index.items():
-            self._index[(pred, pos)] = index
         return rel
 
     def add(self, fact: Atom) -> bool:
@@ -667,7 +649,6 @@ class Instance:
                     index[t] = {fact}
                 else:
                     s.add(fact)
-        self._index[(pred, pos)] = index
         return index
 
     def argument_terms(self) -> "set[Term]":
@@ -754,17 +735,19 @@ def _join(steps: tuple, k: int, instance: "Instance", b: list, out, new, fresh, 
     if k == len(steps):
         out.append(tuple(b))
         return
-    pred, key_pos, ipos, key_slot, key, ops, j = steps[k]
-    if ipos is None:
-        rel = instance._rels.get(pred)
-        candidates = None if rel is None else rel.facts
+    pred, key_pos, key_slot, key, ops, j = steps[k]
+    rel = instance._rels.get(pred)
+    if rel is None:
+        return
+    if key_pos < 0:
+        candidates = rel.facts
     else:
-        index = instance._index.get(ipos)
+        index = rel.index.get(key_pos)
         if index is None:
             index = instance.index_at(pred, key_pos)
         candidates = index.get(key if key_slot is None else b[key_slot])
-    if not candidates:
-        return
+        if not candidates:
+            return
     k += 1
     for fact in candidates:
         if (
@@ -799,10 +782,11 @@ class JoinPlan:
     a rule head, a demand head for a subsumption test).  The body atoms are
     ordered greedily: next comes the atom with the most positions that hold
     a ground term or a bound variable, ties broken by body order; its first
-    such position is the index key.  A step holds its (predicate, position)
-    pair, so looking up its candidates is two dict lookups: the instance's
-    index of that position, then the key term.  Each step then binds,
-    checks or structurally matches the other positions.
+    such position is the index key.  A step looks its candidates up by
+    relation, then position, then key: the instance's relation of the
+    step's predicate, that relation's index of the key position (built at
+    the first lookup), then the key term.  Each step then binds, checks or
+    structurally matches the other positions.
 
     Each step records its atom's index in `body`.  `run_from` keeps every
     atom off the facts in `new` and, with `old=k`, the first k atoms of
@@ -832,15 +816,14 @@ class JoinPlan:
             scores = [sum(_is_key(t, known) for t in a.args) for _, a in remaining]
             j, atom = remaining.pop(scores.index(max(scores)))
             key_pos = next((i for i, t in enumerate(atom.args) if _is_key(t, known)), -1)
-            ipos = key_slot = key = None
+            key_slot = key = None
             if key_pos >= 0:
-                ipos = (atom.predicate, key_pos)
                 if isinstance(atom.args[key_pos], Variable):
                     key_slot = slots[atom.args[key_pos]]
                 else:
                     key = atom.args[key_pos]
             ops = _compile_args(atom.args, slots, known, skip=key_pos)
-            steps.append((atom.predicate, key_pos, ipos, key_slot, key, ops, j))
+            steps.append((atom.predicate, key_pos, key_slot, key, ops, j))
         self.steps: tuple = tuple(steps)
 
     def run_from(

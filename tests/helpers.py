@@ -21,7 +21,6 @@ from chasegoal.eqprep import (
 )
 from chasegoal.frontend import Scenario, parse_rules, render_rule
 from chasegoal.kernel import (
-    EGD,
     TGD,
     Atom,
     Constant,
@@ -51,22 +50,10 @@ def canon_rule(r) -> str:
     for v in iter_vars(list(rule_atoms(r))):
         if v not in ren:
             ren[v] = Variable("v%d" % (len(ren) + 1))
+    body = tuple(substitute(ren, a) for a in r.body)
     if isinstance(r, Rule):
-        r2 = Rule(substitute(ren, r.head), tuple(substitute(ren, a) for a in r.body))
-    elif isinstance(r, TGD):
-        r2 = TGD(
-            tuple(substitute(ren, a) for a in r.body),
-            tuple(substitute(ren, a) for a in r.head),
-        )
-    elif isinstance(r, EGD):
-        r2 = EGD(
-            tuple(substitute(ren, a) for a in r.body),
-            substitute(ren, r.lhs),
-            substitute(ren, r.rhs),
-        )
-    else:
-        raise TypeError(r)
-    return render_rule(r2)
+        return render_rule(Rule(substitute(ren, r.head), body))
+    return render_rule(TGD(body, tuple(substitute(ren, a) for a in r.head)))
 
 
 def canon_rules(rules) -> "list[str]":
@@ -159,10 +146,9 @@ def null_chase_answers(rules, base, query, max_rounds=200):
     for _ in range(max_rounds):
         changed = False
         for r in rules:
-            if isinstance(r, EGD):
+            if r.head[0].is_equality:
                 for sigma in list(enumerate_matches(normalized(r.body), inst)):
-                    s = uf.find(substitute(sigma, r.lhs))
-                    t = uf.find(substitute(sigma, r.rhs))
+                    s, t = (uf.find(substitute(sigma, side)) for side in r.head[0].args)
                     if s != t:
                         merge(s, t)
                         changed = True
@@ -278,7 +264,7 @@ def random_scenario(rng: random.Random) -> Scenario:
         for _ in range(20):
             body, bvars = body_atoms(rng.randint(1, 2))
             if len(bvars) >= 2:
-                rules.append(EGD(tuple(body), bvars[0], bvars[1]))
+                rules.append(TGD(tuple(body), (eq(bvars[0], bvars[1]),)))
                 break
 
     for _ in range(20):
@@ -317,15 +303,15 @@ def stale_merge_scenario(rng: random.Random) -> Scenario:
         rules.append(TGD((Atom(P, (x,)),), tuple(head)))
     for _ in range(rng.randint(1, 2)):
         r1, r2 = rng.choice(skolem), rng.choice(skolem)
-        rules.append(EGD((Atom(r1, (u, y)), Atom(r2, (v, z)), Atom(L, (u, v))), y, z))
-    rules.append(EGD((Atom(E, (x, y)),), x, y))
+        rules.append(TGD((Atom(r1, (u, y)), Atom(r2, (v, z)), Atom(L, (u, v))), (eq(y, z),)))
+    rules.append(TGD((Atom(E, (x, y)),), (eq(x, y),)))
     if rng.random() < 0.35:
-        rules.append(EGD((Atom(rng.choice(skolem), (x, y)), Atom(N, (x, z))), y, z))
+        rules.append(TGD((Atom(rng.choice(skolem), (x, y)), Atom(N, (x, z))), (eq(y, z),)))
     # A merge of constants may wait for a Skolem term, or for two of them
     # to be merged first.
     r1, r2 = rng.choice(skolem), rng.choice(skolem)
     wait = rng.choice(((), (Atom(r1, (x, z)),), (Atom(r1, (x, z)), Atom(r2, (y, z)))))
-    rules.append(EGD((Atom(M, (x, y)),) + wait, x, y))
+    rules.append(TGD((Atom(M, (x, y)),) + wait, (eq(x, y),)))
     r1, r2 = rng.choice(skolem), rng.choice(skolem)
     body = rng.choice(
         ((Atom(r1, (x, y)),), (Atom(r1, (y, x)),), (Atom(r1, (x, y)), Atom(r2, (u, y))))

@@ -493,3 +493,46 @@ def test_counts_and_answers_agree_across_fresh_interpreters(tmp_path):
     assert first["ontology mat"]["stats"]["merges"] > 0
     for run in runs[1:]:
         assert run == first
+
+
+def test_benchmark_uses_the_package_as_it_is():
+    # bench/child.py mirrors run_pipeline on the package's public API and
+    # bench/reference.py recomputes the ontology answers with it; importing
+    # both resolves every name they take from chasegoal.  The files are only
+    # read: the configuration fields and report fields child.py uses must
+    # exist.
+    import ast
+    import dataclasses
+    import sys
+
+    bench = Path(__file__).resolve().parent.parent / "bench"
+    saved = list(sys.path)
+    sys.path.insert(0, str(bench))  # child.py imports calibration from there
+    try:
+        importlib.import_module("child")
+        importlib.import_module("reference")
+    finally:
+        sys.path[:] = saved  # reference.py adds bench/ to the path itself
+
+    tree = ast.parse((bench / "child.py").read_text(encoding="utf-8"))
+    config_reads = {
+        node.attr
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute)
+        and (
+            (isinstance(node.value, ast.Name) and node.value.id == "cfg")
+            or (isinstance(node.value, ast.Attribute) and node.value.attr == "cfg")
+        )
+    }
+    report_keywords = {
+        kw.arg
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Name)
+        and node.func.id == "RunReport"
+        for kw in node.keywords
+    }
+    assert {"mode", "limits", "una_known"} <= config_reads
+    assert config_reads <= {f.name for f in dataclasses.fields(PipelineConfig)}
+    assert {"answers", "chase_stats"} <= report_keywords
+    assert report_keywords <= {f.name for f in dataclasses.fields(chasegoal.RunReport)}

@@ -12,7 +12,7 @@ from chasegoal import (
     sym_trans,
 )
 from chasegoal.frontend import render_rule
-from chasegoal.kernel import EGD, TGD, Atom, Constant, Functional, Instance, Predicate, Variable
+from chasegoal.kernel import Atom, Constant, Functional, Instance, Predicate, Variable
 
 from helpers import (
     RUNNING_RULES,

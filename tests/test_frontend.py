@@ -21,8 +21,8 @@ from chasegoal import (
 )
 from chasegoal.frontend import check_query_predicate, render_rule, rules_signature
 from chasegoal.kernel import (
-    EGD,
     TGD,
+    Atom,
     Constant,
     FunPredicate,
     Functional,
@@ -30,6 +30,7 @@ from chasegoal.kernel import (
     MagicPredicate,
     Predicate,
     Variable,
+    eq,
 )
 
 from helpers import RUNNING_RULES, running_example
@@ -37,9 +38,9 @@ from helpers import RUNNING_RULES, running_example
 
 def test_parse_rules_running_example_shapes():
     rules = parse_rules(RUNNING_RULES)
-    assert len(rules) == 5
-    kinds = [type(r).__name__ for r in rules]
-    assert kinds.count("TGD") == 3 and kinds.count("EGD") == 2
+    assert len(rules) == 5 and all(isinstance(r, TGD) for r in rules)
+    equality_heads = [r.head[0].is_equality for r in rules]
+    assert equality_heads.count(False) == 3 and equality_heads.count(True) == 2
 
 
 def test_existential_variables_detected():
@@ -50,13 +51,14 @@ def test_existential_variables_detected():
 
 def test_egd_sides():
     (r,) = parse_rules("T(?x,?y) -> ?x = ?y")
-    assert isinstance(r, EGD)
-    assert (r.lhs, r.rhs) == (Variable("x"), Variable("y"))
+    assert isinstance(r, TGD)
+    assert r.head == (eq(Variable("x"), Variable("y")),)
+    assert not r.existential_vars
 
 
 def test_egd_constant_side_allowed():
     (r,) = parse_rules("P(?x) -> ?x = 'a'")
-    assert r.rhs == Constant("a")
+    assert r.head == (eq(Variable("x"), Constant("a")),)
 
 
 def test_existential_rules_render_and_reparse():
@@ -310,6 +312,53 @@ def test_scenario_built_in_code_rejects_a_constant_in_a_query_head():
     rules = tuple(parse_rules("B(?x) -> Q(?x,c)\nE(?x) -> ?x = c"))
     with pytest.raises(MalformedRule, match=r"constant argument in rule B\(\?x\) -> Q"):
         Scenario(rules, facts("B(a), E(d)"), Predicate("Q", 2))
+
+
+P, R = Predicate("P", 1), Predicate("R", 1)
+x, y = Variable("x"), Variable("y")
+
+
+@pytest.mark.parametrize(
+    "text,rule,err,msg",
+    [
+        (
+            "P(?x) -> ?x = ?y",
+            TGD((Atom(P, (x,)),), (eq(x, y),)),
+            UnboundFrontierVariable,
+            "equality head variable ?y does not occur in the body",
+        ),
+        (
+            "P(?x) -> ?x = ?x, R(?x)",
+            TGD((Atom(P, (x,)),), (eq(x, x), Atom(R, (x,)))),
+            MalformedRule,
+            "an equality head must be the only head atom",
+        ),
+        (
+            "P(?x) -> a = b",
+            TGD((Atom(P, (x,)),), (eq(Constant("a"), Constant("b")),)),
+            MalformedRule,
+            "at least one side of an equality head must be a variable",
+        ),
+        (
+            "?x = ?y -> R(?x)",
+            TGD((eq(x, y),), (Atom(R, (x,)),)),
+            MalformedRule,
+            "rule body needs at least one relational atom",
+        ),
+    ],
+    ids=["unbound-side", "equality-beside-atom", "constant-sides", "equality-body"],
+)
+def test_scenario_built_in_code_gets_the_parsers_rule_checks(text, rule, err, msg):
+    # Unchecked, each rule failed late, in a different stage per mode; the
+    # unbound side became an existential and was Skolemized.
+    with pytest.raises(err) as parsed:
+        parse_rules(text)
+    assert type(parsed.value) is err
+    assert str(parsed.value) == "<rules>:1:1: " + msg
+    with pytest.raises(err) as built:
+        Scenario((rule,), Instance(), Predicate("Q", 1))
+    assert type(built.value) is err
+    assert str(built.value) == msg
 
 
 def test_rules_signature_collects_predicates():

@@ -311,8 +311,7 @@ def test_instance_indexes_a_position_only_when_it_is_looked_up():
     out = []
     plan.run_from(Atom(P1, (b,)), inst, out)
     assert sorted(map(repr, out)) == ["(b, a)", "(b, b)"]
-    assert set(inst._index) == {(R2, 1)}
-    assert set(inst._rels[R2].index) == {1}
+    assert {(pred, pos) for pred, rel in inst._rels.items() for pos in rel.index} == {(R2, 1)}
 
 
 def test_copy_shares_relations_until_one_side_writes():
@@ -374,15 +373,13 @@ def check_store(inst, model):
     for pred in (P1, R2):
         assert inst.with_predicate(pred) == {fact for fact in model if fact.predicate is pred}
     # every index built so far, on any relation, holds exactly the facts of
-    # the model, with no empty entry; the join's table points at them
+    # the model, with no empty entry
     for pred, rel in inst._rels.items():
         for pos, index in rel.index.items():
             want = {}
             for fact in rel.facts:
                 want.setdefault(fact.args[pos], set()).add(fact)
             assert index == want
-    for (pred, pos), index in inst._index.items():
-        assert index is inst._rels[pred].index[pos]
     if inst._terms is not None:
         occurring = {s for fact in model for t in fact.args for s in iter_subterms(t)}
         for t in store_terms + [d]:
