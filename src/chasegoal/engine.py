@@ -16,19 +16,23 @@ Both start from the base they are given: an `Instance` base is copied in
 O(predicates), sharing its per-predicate relations copy-on-write, so a
 merge that rewrites a base fact clones that fact's relation alone, and the
 base's facts are checked once per distinct argument term.  Base facts never
-enter a delta.  Each rule is compiled once
-into one join plan per body atom, and one routine (`_match`) matches every
-conjunction with them.  The first round is naive: it joins each rule once
-in full, entered at the body atom whose relation is smallest at that
-moment.  Every later round is semi-naive: it finds each new match once, at
-the first body atom whose fact the previous round added.  Every round joins
-only the facts present when it began, so a match holding a fact the round
-adds is left to the next round, which finds it once.  A part of a body
-that no chain of shared variables links to the head is only checked for
-one witness: the rule fires for the matches of the rest once it holds,
-never once per witness.  A join builds the index of a relation's argument
-position at its first lookup there, and the term index only merges read is
-built at the first merge.
+enter a delta.  Each rule is compiled into one join plan per body atom
+once per process (`_RULES`); a plan runs as a kernel, a generated function
+of nested loops that builds the rule's head at each match (see
+`kernel.JoinPlan`).  One routine (`_match`) matches every conjunction with
+them, one kernel call per plan and round.  The first round is naive: it
+joins each rule once in full, entered at the body atom whose relation is
+smallest at that moment.  Every later round is semi-naive: it finds each
+new match once, at the first body atom whose fact the previous round
+added.  Every round joins only the facts present when it began, so a
+match holding a fact the round adds is left to the next round, which
+finds it once.  A part of a body that no chain of shared variables links
+to the head is only checked for one witness: the rule fires for the
+matches of the rest once it holds, never once per witness.  A kernel builds the index of a relation's
+argument position the first time it runs with that position as a step's
+key; a step bound at every position tests the relation's fact set and
+needs no index.  The term index only merges read is built at the first
+merge.
 """
 
 from __future__ import annotations
@@ -53,10 +57,8 @@ from .kernel import (
     Term,
     Variable,
     eq,
-    instantiator,
     is_ground,
     iter_subterms,
-    iter_vars,
     occurs_in,
     map_shallow,
     term_key,
@@ -215,10 +217,10 @@ class _Store:
         self.delta[fact] = None
         return True
 
-    def fire(self, rule: "_CompiledRule", matches: "list[tuple]"):
+    def fire(self, matches: "list[tuple[Atom]]"):
         """Apply a rule's batch of matches: insert the head of each."""
-        for vals in matches:
-            self.insert(rule.head(vals))
+        for (head,) in matches:
+            self.insert(head)
 
 
 def _below(needle: Term, term: Term) -> bool:
@@ -234,14 +236,14 @@ class _ChaseState(_Store):
         self.merges = 0
         self.applications = 0
 
-    def fire(self, rule: "_CompiledRule", matches: "list[tuple]"):
+    def fire(self, matches: "list[tuple[Atom]]"):
         """Apply a rule's batch of matches.  Only an equality head merges,
         so only an equality rule's batch can hold matches built from facts
         a merge in the same batch has rewritten.  The equality such a match
         entails still holds, so `apply_head` merges its normalized sides,
         unless a side is stale."""
-        for vals in matches:
-            self.applications += self.apply_head(rule.head(vals))
+        for (head,) in matches:
+            self.applications += self.apply_head(head)
 
     def is_stale(self, term: Term) -> bool:
         """Whether `term` mentions a merged-away term below a function symbol."""
@@ -329,34 +331,34 @@ def _components(rule: Rule) -> "list[tuple[Atom, ...]]":
 
 
 def _match(plans: tuple, by_pred: "dict | None", fresh, new, instance: Instance, out, rng=None):
-    """Append to `out` the matches of a conjunction compiled into one join
-    plan per atom, as (atom predicate, plan) pairs, over the facts outside
-    `new` (the facts the current round has added so far).
+    """Append to `out` the matches of a conjunction of at least one atom,
+    compiled into one join plan per atom, as (atom predicate, plan) pairs,
+    over the facts outside `new` (the facts the current round has added so
+    far).  Each plan's kernel runs once, over all its entry facts.
 
     Full mode (`by_pred` None): every match, entered at the atom whose
     predicate has the fewest facts, its facts in an order `rng` shuffles.
-    An empty conjunction has one match, ().  Semi-naive mode: every match
-    holding a fact of `fresh` (the previous round's delta), grouped by
-    predicate in `by_pred`, found once, by the plan of the first of its
-    atoms whose fact is in `fresh`; the atoms before it are kept off it."""
+    Semi-naive mode: every match holding a fact of `fresh` (the previous
+    round's delta), grouped by predicate in `by_pred`, found once, by the
+    plan of the first of its atoms whose fact is in `fresh`; that plan keeps
+    the atoms before it off `fresh`."""
     if by_pred is None:
-        if not plans:
-            out.append(())
-            return
         pred, plan = min(plans, key=lambda p: len(instance.with_predicate(p[0])))
         facts = [f for f in instance.with_predicate(pred) if f not in new]
         if rng is not None:
             rng.shuffle(facts)
-        for fact in facts:
-            plan.run_from(fact, instance, out, new)
+        if facts:
+            plan.run(facts, instance, out, new, ())
         return
-    for i, (pred, plan) in enumerate(plans):
-        present = instance.with_predicate(pred)
-        for fact in by_pred.get(pred, ()):
+    for pred, plan in plans:
+        facts = by_pred.get(pred)
+        if facts:
             # A fact rewritten away by a merge is stale; its normalized
             # form re-entered the delta on its own.
-            if fact in present:
-                plan.run_from(fact, instance, out, new, fresh, i)
+            present = instance.with_predicate(pred)
+            facts = [f for f in facts if f in present]
+            if facts:
+                plan.run(facts, instance, out, new, fresh)
 
 
 def _holds(plans: tuple, by_pred: "dict | None", fresh, instance: Instance) -> bool:
@@ -370,10 +372,38 @@ def _holds(plans: tuple, by_pred: "dict | None", fresh, instance: Instance) -> b
     return False
 
 
+# Compiled rules: every rule with a body that a fixpoint in this process
+# has seen -> its plans (see `_plans`).  The table grows with the distinct
+# rules a process has seen, like the intern tables; a process that answers
+# the same program again compiles nothing.
+_RULES: "dict[Rule, tuple]" = {}
+
+
+def _pivots(atoms: "tuple[Atom, ...]", emit: "tuple[Atom, ...]") -> tuple:
+    """A conjunction compiled into one join plan per atom, as (atom
+    predicate, plan) pairs: plan i is entered at atom i, keeps the atoms
+    before it off the previous round's delta and emits `emit` per match."""
+    return tuple(
+        (a.predicate, JoinPlan(atoms[:i] + atoms[i + 1 :], entry=a, old=i, emit=emit))
+        for i, a in enumerate(atoms)
+    )
+
+
+def _plans(rule: Rule) -> tuple:
+    """The plans of a rule's head-linked atoms, which emit its head, then
+    those of each head-free component (`_components`), which emit an empty
+    match.  Compiled once per process."""
+    compiled = _RULES.get(rule)
+    if compiled is None:
+        linked, *free = _components(rule)
+        compiled = _RULES[rule] = (_pivots(linked, (rule.head,)),) + tuple(_pivots(c, ()) for c in free)
+    return compiled
+
+
 class _CompiledRule:
-    """A rule with a body of at least one atom, compiled once into one join
-    plan per body atom, all sharing one slot layout, so a match is one
-    tuple whatever plan produced it.
+    """A rule with a body of at least one atom, as one fixpoint evaluates
+    it: its plans (`_plans`), shared by every fixpoint in the process, and
+    the head-free components still waiting for a witness, its own.
 
     A head-free component of the body (see `_components`) only has to
     hold: it waits for one witness and is never joined with the rest, since
@@ -381,26 +411,17 @@ class _CompiledRule:
     in full mode (`_match`) once, in the first round or, for a rule with
     head-free components, in the round the last of them gets its witness;
     in every later round, in semi-naive mode.  A rule with no head-linked
-    atom thus fires once.  `head` builds the head of a match; nothing
-    rebuilds the body, since the chase does not re-check a match once it
-    is found."""
+    atom thus fires once, with its ground head.  A match is the 1-tuple of
+    its head; nothing rebuilds the body, since the chase does not re-check
+    a match once it is found."""
 
     __slots__ = ("plans", "waiting", "head")
 
     def __init__(self, rule: Rule):
-        slots: dict[Variable, int] = {}
-        for v in iter_vars(rule.body):
-            slots.setdefault(v, len(slots))
-        self.plans, *self.waiting = [
-            tuple(
-                (a.predicate, JoinPlan(atoms[:i] + atoms[i + 1 :], entry=a, slots=slots))
-                for i, a in enumerate(atoms)
-            )
-            for atoms in _components(rule)
-        ]
-        self.head = instantiator(rule.head, slots)
+        self.plans, *self.waiting = _plans(rule)
+        self.head = rule.head
 
-    def matches(self, by_pred: "dict | None", fresh, store: "_Store", rng) -> "list[tuple]":
+    def matches(self, by_pred: "dict | None", fresh, store: "_Store", rng) -> "list[tuple[Atom]]":
         """This round's new matches of the head-linked atoms.  `by_pred`
         groups the previous round's delta `fresh` by predicate; it is None
         in the first round, which checks and joins in full.  Every join
@@ -412,7 +433,9 @@ class _CompiledRule:
             if self.waiting:
                 return []
             by_pred = None
-        out: list[tuple] = []
+        if not self.plans:
+            return [(self.head,)] if by_pred is None else []
+        out: list[tuple[Atom]] = []
         _match(self.plans, by_pred, fresh, store.delta, instance, out, rng)
         return out
 
@@ -451,7 +474,7 @@ def _saturate(rules: "list[_CompiledRule]", state: _Store, rng=None) -> int:
         if rng is not None:
             rng.shuffle(order)
         for rule in order:
-            state.fire(rule, rule.matches(by_pred, fresh, state, rng))
+            state.fire(rule.matches(by_pred, fresh, state, rng))
         if not state.delta:
             return rounds
         fresh, state.delta = state.delta, {}

@@ -33,6 +33,7 @@ from .kernel import (
     substitute,
     vars_of,
 )
+from .frontend import check_rule
 
 # ---------------------------------------------------------------------------
 # Singularization
@@ -47,11 +48,13 @@ def singularize(rules: Iterable[TGD], query: Optional[Predicate] = None):
     variables decoupled: each head argument x (a variable, as the query
     contract of `check_query_predicate` requires) becomes a fresh x' with
     x = x' appended to the body, so that answers are closed under the
-    equalities the program derives.
+    equalities the program derives.  Every rule must pass
+    `frontend.check_rule`.
     """
     fresh = FreshVars("s")
     out = []
     for r in rules:
+        check_rule(r)
         if query is not None and any(a.predicate == query for a in r.head):
             r = _decouple_answers(r, query, fresh)
         out.append(_singularize_rule(r, fresh))
@@ -138,9 +141,12 @@ def skolemize(rules: Iterable[TGD], query: Optional[Predicate] = None) -> Progra
     sk_<ruleIdx>_<y>(frontier), the frontier being the body variables that
     occur in the head, in body occurrence order, and give each head atom a
     rule of its own.  An equality-generating rule has no existential
-    variable, so it passes through as one rule with its equality head."""
+    variable, so it passes through as one rule with its equality head.
+    Every rule must pass `frontend.check_rule`, so an equality side that
+    the body does not bind is rejected, not Skolemized."""
     out: list[Rule] = []
     for idx, r in enumerate(rules):
+        check_rule(r)
         sigma: dict[Variable, Functional] = {}
         existential = r.existential_vars
         if existential:

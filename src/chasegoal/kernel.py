@@ -6,13 +6,26 @@ per value, so two equal terms are the same object and compare and hash by
 identity, in C.  A function term stores its depth and its place in the
 term order when it is built, so neither is recomputed.  An atom is a tuple
 (predicate, args) of such objects: the fact sets, the indexes and the deltas
-of the engine hash and compare atoms without running Python code."""
+of the engine hash and compare atoms without running Python code.
+
+A join plan is compiled into a kernel: a generated Python function whose
+nested `for` loops walk the index candidates of each body atom and test
+terms with `is`, and which builds its output, a rule head for instance, at
+the innermost loop.  Two process-wide tables keep generation off the hot
+path: `_SHAPES` maps the shape of a plan, the plan with its predicates,
+ground terms and function symbols left out, to the kernel's source and
+compiled code, and `JoinPlan` returns the plan it has built before for
+equal arguments.  Like the intern tables, both grow with the distinct
+shapes and plans a process has seen."""
 
 from __future__ import annotations
 
 import itertools
+import linecache
+from collections import Counter
 from dataclasses import dataclass
 from operator import itemgetter
+from types import CodeType, FunctionType
 from typing import Iterable, Iterator, Optional, Union
 
 # ---------------------------------------------------------------------------
@@ -635,10 +648,12 @@ class Instance:
     def index_at(self, pred: PredicateId, pos: int) -> "dict[Term, set[Atom]]":
         """The index of argument position `pos` of `pred`'s facts, from each
         term to the facts holding it there.  It is built at the first lookup
-        of the position in any instance sharing the relation."""
+        of the position in any instance sharing the relation.  A predicate
+        that has no relation yet gets a new empty map, which no write
+        updates."""
         rel = self._rels.get(pred)
         if rel is None:
-            rel = self._own(pred)
+            return {}
         index = rel.index.get(pos)
         if index is None:
             index = rel.index[pos] = {}
@@ -678,84 +693,8 @@ class ReadOnlyInstance(Instance):
 
 
 # ---------------------------------------------------------------------------
-# Join plans
+# Join plans and their kernels
 # ---------------------------------------------------------------------------
-
-# Operations on one argument position of a compiled atom pattern, as
-# (kind, position, x) triples executed in position order.
-_BIND = 0  # x is a slot: store the argument in it
-_CHECK = 1  # x is a slot: the argument must equal the slot's value
-_CONST = 2  # x is a ground term: the argument must equal it
-_FUNC = 3  # x is (symbol, arity, ops): a function term whose arguments match ops
-
-
-def _compile_term(pos: int, t: Term, slots, bound: "set[Variable]") -> tuple:
-    if isinstance(t, Variable):
-        if t in bound:
-            return (_CHECK, pos, slots[t])
-        bound.add(t)
-        return (_BIND, pos, slots[t])
-    if is_ground(t):
-        return (_CONST, pos, t)
-    return (_FUNC, pos, (t.symbol, len(t.args), _compile_args(t.args, slots, bound)))
-
-
-def _compile_args(args, slots, bound: "set[Variable]", skip: int = -1) -> tuple:
-    """Operations matching `args`; variables in `bound` are checked, the
-    others are bound (and added to `bound`) at their first occurrence."""
-    return tuple(_compile_term(i, t, slots, bound) for i, t in enumerate(args) if i != skip)
-
-
-def _match_args(ops: tuple, args: tuple, b: list) -> bool:
-    for kind, pos, x in ops:
-        t = args[pos]
-        if kind == _BIND:
-            b[x] = t
-        elif kind == _CHECK:
-            if t != b[x]:
-                return False
-        elif kind == _CONST:
-            if t != x:
-                return False
-        elif not (
-            isinstance(t, Functional)
-            and t.symbol == x[0]
-            and len(t.args) == x[1]
-            and _match_args(x[2], t.args, b)
-        ):
-            return False
-    return True
-
-
-def _is_key(t: Term, bound: "set[Variable]") -> bool:
-    return t in bound if isinstance(t, Variable) else is_ground(t)
-
-
-def _join(steps: tuple, k: int, instance: "Instance", b: list, out, new, fresh, old: int) -> None:
-    if k == len(steps):
-        out.append(tuple(b))
-        return
-    pred, key_pos, key_slot, key, ops, j = steps[k]
-    rel = instance._rels.get(pred)
-    if rel is None:
-        return
-    if key_pos < 0:
-        candidates = rel.facts
-    else:
-        index = rel.index.get(key_pos)
-        if index is None:
-            index = instance.index_at(pred, key_pos)
-        candidates = index.get(key if key_slot is None else b[key_slot])
-        if not candidates:
-            return
-    k += 1
-    for fact in candidates:
-        if (
-            _match_args(ops, fact[1], b)
-            and fact not in new
-            and not (j < old and fact in fresh)
-        ):
-            _join(steps, k, instance, b, out, new, fresh, old)
 
 
 class MatchFound(Exception):
@@ -773,90 +712,355 @@ class _FirstMatch:
 
 FIRST_MATCH = _FirstMatch()
 
+# Kernel shapes seen in this process: a plan with its variables numbered
+# and each predicate, ground term and function symbol replaced by the
+# placeholder of its site -> the kernel's source text, its code and what
+# the plan reads back from its sites (`_shape`).  The source names no
+# predicate, constant or function symbol: the kernel takes them as trailing
+# arguments k0, k1, ..., which a plan binds as the defaults of its
+# function.  Plans that differ only in those objects share a shape, and
+# generate and compile it once.  The table grows with the distinct shapes
+# a process has seen, like the intern tables.
+_SHAPES: "dict[tuple, tuple]" = {}
+# Placeholders by (site, kind), and each placeholder -> its site.
+_PLACEHOLDERS: dict = {}
+_SITE: dict = {}
+_KERNEL_GLOBALS = {"Atom": Atom, "Functional": Functional, "new_atom": _new_atom}
+# The nested `for` loops one generated function holds; CPython allows 20
+# nested blocks, so a longer plan continues in a function of its own.
+_MAX_LOOPS = 16
+
+
+def _is_key(t: Term, bound: "set[Variable]") -> bool:
+    return t in bound if isinstance(t, Variable) else is_ground(t)
+
+
+def _tuple(items) -> str:
+    items = list(items)
+    return "(%s,)" % items[0] if len(items) == 1 else "(%s)" % ", ".join(items)
+
+
+class _KernelSource:
+    """The source of a kernel, written step by step.  A variable some later
+    position reads lives in the local `v<n>`, numbered in the order the
+    kernel binds them (`slots`); a variable nothing reads again is not
+    bound.  Every other object the kernel reads is an argument `k<n>`,
+    recorded in `args`."""
+
+    def __init__(self, reads: "Counter[Variable]", emitted: "set[Atom]"):
+        self.reads = reads  # occurrences of each variable, its output included
+        # The body atoms to emit, and the local that holds the fact each
+        # matched, once it has been matched.
+        self.emitted = emitted
+        self.held: dict[Atom, str] = {}
+        self.known: set[Variable] = set()
+        self.slots: dict[Variable, int] = {}
+        self.args: list = []
+        self.functions: "list[list[str]]" = []
+        self.checks: "list[tuple[Term, str]]" = []
+        self.temps = 0
+
+    def arg(self, obj) -> str:
+        self.args.append(obj)
+        return "k%d" % (len(self.args) - 1)
+
+    def var(self, v: Variable) -> str:
+        return "v%d" % self.slots[v]
+
+    def temp(self) -> str:
+        self.temps += 1
+        return "t%d" % self.temps
+
+    def open(self, header: str):
+        """Start a function; its prologue looks up the fact set or index
+        each of its steps reads, once per call."""
+        self.header, self.prologue, self.lines = header, [], []
+        self.depth, self.loops = 1, 0
+
+    def close(self):
+        self.functions.append([self.header] + ["    " + s for s in self.prologue] + self.lines)
+
+    def line(self, text: str):
+        self.lines.append("    " * self.depth + text)
+
+    def fail(self) -> str:
+        return "continue" if self.loops else "return"
+
+    def loop(self, target: str, iterable: str):
+        self.line("for %s in %s:" % (target, iterable))
+        self.depth += 1
+        self.loops += 1
+
+    def unpack(self, args: "tuple[Term, ...]", key_pos: int = -1) -> "Optional[str]":
+        """The assignment target that binds the variables of the patterns
+        `args` when it unpacks a fact's arguments, None if it binds none;
+        position `key_pos` is known to hold its pattern.  The positions to
+        check are queued in `checks`."""
+        targets = []
+        for i, t in enumerate(args):
+            if i == key_pos:
+                targets.append("_")
+            elif isinstance(t, Variable) and t not in self.known:
+                self.known.add(t)
+                if self.reads[t] > 1:
+                    self.slots[t] = len(self.slots)
+                    targets.append(self.var(t))
+                else:
+                    targets.append("_")
+            else:
+                self.checks.append((t, self.temp()))
+                targets.append(self.checks[-1][1])
+        return _tuple(targets) if any(x != "_" for x in targets) else None
+
+    def check(self):
+        """Check the queued positions against their patterns."""
+        while self.checks:
+            t, u = self.checks.pop(0)
+            if isinstance(t, Variable):
+                self.line("if %s is not %s: %s" % (u, self.var(t), self.fail()))
+            elif t.key is not None:
+                self.line("if %s is not %s: %s" % (u, self.arg(t), self.fail()))
+            else:
+                self.line(
+                    "if %s.__class__ is not Functional or %s.symbol != %s or len(%s.args) != %d: %s"
+                    % (u, u, self.arg(t.symbol), u, len(t.args), self.fail())
+                )
+                target = self.unpack(t.args)
+                if target is not None:
+                    self.line("%s = %s.args" % (target, u))
+
+    def build(self, t: Term) -> str:
+        """An expression for the instance of `t` under the bound variables."""
+        if isinstance(t, Variable):
+            return self.var(t)
+        if t.key is not None:
+            return self.arg(t)
+        return "Functional(%s, %s)" % (self.arg(t.symbol), _tuple(map(self.build, t.args)))
+
+    def step(self, n: int, atom: Atom, key_pos: int, full: bool, old: bool):
+        """Match `atom` against the candidates of step n: every fact of the
+        relation, the facts the key position's index gives for the key, or,
+        for an atom bound at every position, the one fact it names.  Every
+        candidate keeps off `new`, and off `fresh` if `old` holds."""
+        p = self.arg(atom.predicate)
+        off = "f%d in new" % n + (" or f%d in fresh" % n if old else "")
+        if full or key_pos < 0:
+            self.prologue.append("s%d = instance.with_predicate(%s)" % (n, p))
+        if atom in self.emitted:
+            self.held.setdefault(atom, "f%d" % n)
+        if full:
+            fact = "(%s, %s)" % (p, _tuple(map(self.build, atom.args)))
+            self.line("f%d = %s" % (n, "new_atom(Atom, %s)" % fact if atom in self.held else fact))
+            self.line("if f%d not in s%d or %s: %s" % (n, n, off, self.fail()))
+            return
+        if key_pos < 0:
+            self.loop("f%d" % n, "s%d" % n)
+        else:
+            self.prologue.append("x%d = instance.index_at(%s, %d)" % (n, p, key_pos))
+            self.loop("f%d" % n, "x%d.get(%s, ())" % (n, self.build(atom.args[key_pos])))
+        target = self.unpack(atom.args, key_pos)
+        if target is not None:
+            self.line("_, %s = f%d" % (target, n))
+        self.check()
+        self.line("if %s: continue" % off)
+
+
+def _renamed(code: CodeType, filename: str) -> CodeType:
+    """`code` and the functions defined in it, under another file name."""
+    consts = tuple(_renamed(c, filename) if isinstance(c, CodeType) else c for c in code.co_consts)
+    return code.replace(co_filename=filename, co_consts=consts)
+
+
+def _placeholder(n: int, obj):
+    """The placeholder of site n, which holds `obj`: a function symbol, a
+    constant for a ground term, or a predicate of the same arity."""
+    kind = -1 if isinstance(obj, str) else -2 if isinstance(obj, (Constant, Functional)) else obj.arity
+    ph = _PLACEHOLDERS.get((n, kind))
+    if ph is None:
+        name = "\0%d" % n
+        ph = name if kind == -1 else Constant(name) if kind == -2 else Predicate(name, kind)
+        _PLACEHOLDERS[n, kind] = ph
+        _SITE[ph] = n
+    return ph
+
+
+def _canonical(body, entry: Atom, emit) -> tuple:
+    """The form of a plan its shape is keyed by, with the objects of its
+    sites, in order, and its variables mapped to their numbered ones.  An
+    atom to emit that is a body atom keeps that atom's form."""
+    sites: list = []
+    names: dict[Variable, Variable] = {}
+
+    def term(t):
+        if t.__class__ is Variable:
+            v = names.get(t)
+            if v is None:
+                v = names[t] = Variable("\0%d" % len(names))
+            return v
+        sites.append(t if t.key is not None else t.symbol)
+        ph = _placeholder(len(sites) - 1, sites[-1])
+        return ph if t.key is not None else Functional(ph, tuple(map(term, t.args)))
+
+    def atom(a: Atom) -> Atom:
+        sites.append(a[0])
+        return _new_atom(Atom, (_placeholder(len(sites) - 1, a[0]), tuple(map(term, a[1]))))
+
+    entry_form = atom(entry)
+    body_form = tuple(map(atom, body))
+    if emit is not None:
+        emit = tuple(body_form[body.index(a)] if a in body else atom(a) for a in emit)
+    return (body_form, entry_form, emit), sites, names
+
+
+def _shape(body, entry: Atom, emit, old: int) -> tuple:
+    """Generate and compile the kernel of a plan in canonical form.
+    Returns its code, its source lines, the sites of its arguments, its
+    steps with the site of each predicate, and its bound variables in slot
+    order."""
+    # A body atom to emit is emitted as the fact it matched.
+    emitted = set(body).intersection(emit or ())
+    reads = Counter(iter_vars((entry,) + body))
+    reads.update(list(reads) if emit is None else iter_vars([a for a in emit if a not in emitted]))
+    src = _KernelSource(reads, emitted)
+    src.open(None)
+    target = src.unpack(entry.args)
+    src.loop("_" if target is None else "_, " + target, "facts")
+    src.check()
+    known = src.known
+    steps = []
+    remaining = list(enumerate(body))
+    while remaining:
+        scores = [sum(_is_key(t, known) for t in a.args) for _, a in remaining]
+        best = max(scores)
+        j, atom = remaining.pop(scores.index(best))
+        key_pos = next((i for i, t in enumerate(atom.args) if _is_key(t, known)), -1)
+        full = best == len(atom.args)
+        steps.append((_SITE[atom.predicate], key_pos, j, full))
+        if not full and src.loops == _MAX_LOOPS:
+            # Continue in a function of its own, defined in the kernel,
+            # that takes the bound variables.
+            call = "join_%d(%s)" % (
+                len(src.functions) + 1, ", ".join(list(map(src.var, src.slots)) + list(src.held.values()))
+            )
+            src.line(call)
+            src.close()
+            src.open("def %s:" % call)
+        src.step(len(steps) - 1, atom, key_pos, full, j < old)
+    if emit is None:
+        out = _tuple(map(src.var, src.slots))
+    else:
+        out = _tuple(
+            src.held.get(a) or "new_atom(Atom, (%s, %s))" % (src.arg(a.predicate), _tuple(map(src.build, a.args)))
+            for a in emit
+        )
+    src.line("out.append(%s)" % out)
+    src.close()
+    join, *rest = src.functions
+    join[0] = "def join(%s):" % ", ".join(
+        ["facts", "instance", "out", "new", "fresh"] + ["k%d" % i for i in range(len(src.args))]
+    )
+    text = "\n".join(join[:1] + ["    " + s for f in rest for s in f] + join[1:]) + "\n"
+    code = compile(text, "<kernel>", "exec", dont_inherit=True).co_consts[0]
+    return code, text.splitlines(True), tuple(_SITE[a] for a in src.args), tuple(steps), tuple(src.slots)
+
 
 class JoinPlan:
-    """A conjunction compiled once for the variables bound on entry.
+    """A conjunction compiled once for the variables bound on entry, into
+    a kernel: a generated Python function of nested loops.  A plan is
+    built once per process for each (body, entry, old, emit): a
+    constructor returns the plan it has built before for equal arguments.
+    Its kernel is generated (or taken from its shape) and bound at the
+    first use of `run`, so a plan that never runs costs nothing more.
 
-    Those variables are the ones the `entry` atom binds when it is matched
-    against a given fact (a delta fact for a pivoted rule, a traced fact for
-    a rule head, a demand head for a subsumption test).  The body atoms are
-    ordered greedily: next comes the atom with the most positions that hold
-    a ground term or a bound variable, ties broken by body order; its first
-    such position is the index key.  A step looks its candidates up by
-    relation, then position, then key: the instance's relation of the
-    step's predicate, that relation's index of the key position (built at
-    the first lookup), then the key term.  Each step then binds, checks or
-    structurally matches the other positions.
+    The variables bound on entry are the ones the `entry` atom binds when
+    it is matched against a given fact (a delta fact for a pivoted rule, a
+    traced fact for a rule head, a demand head for a subsumption test).
+    The body atoms are ordered greedily: next comes the atom with the most
+    positions that hold a ground term or a bound variable, ties broken by
+    body order; its first such position is the key.  A step looks its
+    candidates up in the instance's relation of its predicate, through the
+    index of the key position (built at its first lookup), then binds or
+    checks the other positions with `is` and `is not` on locals: terms are
+    hash-consed, so identity is equality.  A step whose atom is bound at
+    every position builds the fact and tests the relation's fact set
+    instead, and builds no index.  `steps` holds (predicate, key position,
+    index in `body`, bound at every position) per step, in join order.
 
-    Each step records its atom's index in `body`.  `run_from` keeps every
-    atom off the facts in `new` and, with `old=k`, the first k atoms of
-    `body` off the facts in `fresh` as well, so a conjunction pivoted on its
-    atom k finds a match holding several `fresh` facts once, at the first.
+    `run(facts, instance, out, new, fresh)` appends to `out` one match for
+    each way to match the entry atom against one of `facts` and join the
+    body.  Every step keeps off the facts in `new`; with `old=k`, the first
+    k atoms of `body` keep off the facts in `fresh` as well, so a
+    conjunction pivoted on its atom k finds a match holding several
+    `fresh` facts once, at the first.  A match is the tuple of the
+    instances of the `emit` atoms, or, without `emit`, of the values of the
+    variables in the order of `slots`.  Nothing may write to the instance
+    during a run, so the relations are looked up once per run.
 
-    Variables live in the slots of one list (`slots` maps each variable to
-    its slot).  Every variable is bound by exactly one operation and read
-    only after it, so matching overwrites the list in place and backtracking
-    needs no undo.  A match is the tuple of all slot values.
-    """
+    Plans of one shape (`_SHAPES`) share the kernel's code; each binds its
+    own predicates, ground terms and function symbols as the kernel's
+    trailing arguments.  The kernel's source is registered with `linecache`
+    under a file name that holds the conjunction, so tracebacks and
+    profiles show the line and the rule it joins."""
 
-    __slots__ = ("slots", "entry", "steps")
+    __slots__ = ("key", "run")
+    _table: "dict[tuple, JoinPlan]" = {}
 
-    def __init__(self, body, entry: Atom, slots=None):
-        body = tuple(body)
-        if slots is None:
-            slots = {}
-            for v in itertools.chain(iter_vars(entry), iter_vars(body)):
-                slots.setdefault(v, len(slots))
-        self.slots: "dict[Variable, int]" = slots
-        known: set[Variable] = set()
-        self.entry = _compile_args(entry.args, slots, known)
-        steps = []
-        remaining = list(enumerate(body))
-        while remaining:
-            scores = [sum(_is_key(t, known) for t in a.args) for _, a in remaining]
-            j, atom = remaining.pop(scores.index(max(scores)))
-            key_pos = next((i for i, t in enumerate(atom.args) if _is_key(t, known)), -1)
-            key_slot = key = None
-            if key_pos >= 0:
-                if isinstance(atom.args[key_pos], Variable):
-                    key_slot = slots[atom.args[key_pos]]
-                else:
-                    key = atom.args[key_pos]
-            ops = _compile_args(atom.args, slots, known, skip=key_pos)
-            steps.append((atom.predicate, key_pos, key_slot, key, ops, j))
-        self.steps: tuple = tuple(steps)
+    def __new__(cls, body, entry: Atom, old: int = 0, emit: "Optional[tuple[Atom, ...]]" = None):
+        key = (tuple(body), entry, old, emit)
+        plan = JoinPlan._table.get(key)
+        if plan is None:
+            plan = JoinPlan._table[key] = object.__new__(cls)
+            plan.key = key
+        return plan
 
-    def run_from(
-        self, fact: Atom, instance: "Instance", out, new=_EMPTY, fresh=_EMPTY, old: int = 0
-    ) -> None:
+    def _shape(self) -> tuple:
+        """The plan's shape, the objects of its sites and its variables
+        mapped to their numbered ones (`_canonical`)."""
+        body, entry, old, emit = self.key
+        form, sites, names = _canonical(body, entry, emit)
+        shape = _SHAPES.get((form, old))
+        if shape is None:
+            shape = _SHAPES[form, old] = _shape(*form, old)
+        return shape, sites, names
+
+    def __getattr__(self, name: str):
+        """Build the kernel at the first use of `run`."""
+        if name != "run":
+            raise AttributeError(name)
+        (code, lines, args, _, _), sites, _ = self._shape()
+        body, entry, old, emit = self.key
+        head = "(%s)" % ", ".join(map(repr, self.slots)) if emit is None else ", ".join(map(repr, emit))
+        filename = "<kernel %s :- %s%s>" % (
+            head, ", ".join(map(repr, (entry,) + body)), "; old %d" % old if old else ""
+        )
+        linecache.cache[filename] = (sum(map(len, lines)), None, lines, filename)
+        self.run = FunctionType(
+            _renamed(code, filename), _KERNEL_GLOBALS, "join", tuple(sites[i] for i in args)
+        )
+        return self.run
+
+    @property
+    def slots(self) -> "dict[Variable, int]":
+        """Each variable the kernel binds -> its place in the match."""
+        (_, _, _, _, slots), _, names = self._shape()
+        variables = {v: u for u, v in names.items()}
+        return {variables[v]: i for i, v in enumerate(slots)}
+
+    @property
+    def steps(self) -> tuple:
+        (_, _, _, steps, _), sites, _ = self._shape()
+        return tuple((sites[p], *rest) for p, *rest in steps)
+
+    def run_from(self, fact: Atom, instance: "Instance", out, new=_EMPTY, fresh=_EMPTY) -> None:
         """Append to `out` the matches whose entry atom is `fact`; the
         caller has checked that the predicates agree."""
-        b = [None] * len(self.slots)
-        if _match_args(self.entry, fact[1], b):
-            _join(self.steps, 0, instance, b, out, new, fresh, old)
+        self.run((fact,), instance, out, new, fresh)
 
     def holds_from(self, fact: Atom, instance: "Instance") -> bool:
         """Whether some match has `fact` as its entry atom; the join stops
         at the first."""
         try:
-            self.run_from(fact, instance, FIRST_MATCH)
+            self.run((fact,), instance, FIRST_MATCH, _EMPTY, _EMPTY)
         except MatchFound:
             return True
         return False
-
-
-def _term_instantiator(t: Term, slots):
-    if isinstance(t, Variable):
-        i = slots[t]
-        return lambda vals: vals[i]
-    if is_ground(t):
-        return lambda vals: t
-    symbol, subs = t.symbol, tuple(_term_instantiator(a, slots) for a in t.args)
-    return lambda vals: Functional(symbol, tuple([f(vals) for f in subs]))
-
-
-def instantiator(atom: Atom, slots: "dict[Variable, int]"):
-    """Function from a match (a tuple of slot values) to the instance of
-    `atom` under it."""
-    pred, fs = atom.predicate, tuple(_term_instantiator(t, slots) for t in atom.args)
-    return lambda vals: _new_atom(Atom, (pred, tuple([f(vals) for f in fs])))

@@ -35,7 +35,6 @@ from .kernel import (
     Program,
     Rule,
     Term,
-    instantiator,
     iter_subterms,
     pred_label,
     rule_atoms,
@@ -194,20 +193,18 @@ def relevance(
     # its head binds.
     sources: dict[PredicateId, list] = {}
     for idx, rule in list(enumerate(analysis.rules)) + [(None, r) for r in sym_trans()]:
-        plan = JoinPlan(rule.body, entry=rule.head)
-        body = tuple(instantiator(b, plan.slots) for b in rule.body)
-        sources.setdefault(rule.head.predicate, []).append((idx, plan, body))
+        plan = JoinPlan(rule.body, entry=rule.head, emit=rule.body)
+        sources.setdefault(rule.head.predicate, []).append((idx, plan))
 
     while queue:
         fact = queue.popleft()
-        for idx, plan, body in sources.get(fact.predicate, ()):
-            matches: list[tuple] = []
+        for idx, plan in sources.get(fact.predicate, ()):
+            matches: list[tuple[Atom, ...]] = []
             plan.run_from(fact, fixpoint, matches)
-            for vals in matches:
+            for body in matches:
                 if idx is not None:
                     kept.add(idx)
-                for i, build in enumerate(body):
-                    g = build(vals)
+                for i, g in enumerate(body):
                     if (
                         una_known
                         and g.is_equality

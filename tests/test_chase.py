@@ -18,12 +18,14 @@ from chasegoal import (
     parse_rules,
     run_pipeline,
 )
+from chasegoal import engine, kernel
 from chasegoal.engine import constant_answers
 from chasegoal.kernel import (
     Atom,
     Constant,
     Functional,
     Instance,
+    JoinPlan,
     MagicPredicate,
     Predicate,
     Program,
@@ -306,6 +308,38 @@ def test_rule_with_no_head_linked_atom_fires_once_per_chase():
         assert result.stats.iterations == 4, seed
         # 3 B, 3 C and 3 D matches, one each for H and m_X
         assert result.stats.rule_applications == 3 * 3 + 2, seed
+
+
+def test_a_second_chase_of_an_equal_program_compiles_nothing(monkeypatch):
+    text = "B(?x) :- A(?x).\nH(?x) :- B(?x), C(?x,?y).\n?x = ?y :- C(?x,?y), C(?y,?x).\n"
+    base = [Atom(Predicate("A", 1), (a,)), Atom(Predicate("C", 2), (a, b)), Atom(Predicate("C", 2), (b, a))]
+    first = chase(parse_program(text), base)
+    rules, plans = dict(engine._RULES), dict(JoinPlan._table)
+
+    def refuse(*args):
+        raise AssertionError("a kernel was built again")
+
+    monkeypatch.setattr(JoinPlan, "__getattr__", refuse)
+    monkeypatch.setattr(kernel, "_shape", refuse)
+    again = chase(parse_program(text), base)
+    assert engine._RULES == rules and JoinPlan._table == plans
+    assert again.instance.predicates() == first.instance.predicates()
+    assert set(again.instance) == set(first.instance) and again.stats == first.stats
+
+
+def test_head_free_components_wait_afresh_in_every_chase():
+    # H(c) :- B(?y) waits for a B fact.  The compiled rule is shared by
+    # every chase of the program, but the list of parts still waiting is
+    # each chase's own: a chase without B facts never derives H(c), even
+    # after one that did.
+    prog = parse_program("B(?x) :- A(?x).\nH(c) :- B(?y), D(?z).\nD(?x) :- E(?x).\n")
+    A, E, H = Predicate("A", 1), Predicate("E", 1), Predicate("H", 1)
+    holds = [Atom(A, (a,)), Atom(E, (b,))]
+    fails = [Atom(E, (b,))]
+    for base, derived in [(holds, True), (fails, False), (holds, True), (fails, False)]:
+        result = chase(prog, base)
+        assert (Atom(H, (c,)) in result.instance) is derived
+        assert result.stats.rule_applications == 1 + derived * 2
 
 
 def test_rule_is_applied_once_per_match_of_facts_from_one_round():

@@ -1,5 +1,7 @@
 """Singularization, Skolemization, equality axioms, equality safety."""
 
+import pytest
+
 from chasegoal import (
     Scenario,
     check_eq_safety,
@@ -11,8 +13,8 @@ from chasegoal import (
     skolemize,
     sym_trans,
 )
-from chasegoal.frontend import render_rule
-from chasegoal.kernel import Atom, Constant, Functional, Instance, Predicate, Variable
+from chasegoal.frontend import MalformedRule, UnboundFrontierVariable, render_rule
+from chasegoal.kernel import TGD, Atom, Constant, Functional, Instance, Predicate, Variable, eq
 
 from helpers import (
     RUNNING_RULES,
@@ -105,6 +107,18 @@ def test_skolem_term_carries_frontier_variables():
     fn = r.head.args[1]
     assert isinstance(fn, Functional)
     assert fn.args == (Variable("x"),)  # only variables shared with the head
+
+
+def test_skolemize_and_singularize_check_each_rule_shape():
+    # Called without a Scenario, both stages still reject an equality side
+    # the body does not bind, instead of Skolemizing it.
+    P, x, y = Predicate("P", 1), Variable("x"), Variable("y")
+    unbound = TGD((Atom(P, (x,)),), (eq(x, y),))
+    for stage in (skolemize, singularize):
+        with pytest.raises(UnboundFrontierVariable, match=r"\?y does not occur in the body"):
+            stage([unbound])
+    with pytest.raises(MalformedRule, match="relational atom"):
+        skolemize([TGD((eq(x, y),), (Atom(P, (x,)),))])
 
 
 def test_skolemize_preserves_answers_against_null_chase():

@@ -2,13 +2,16 @@
 indexed instance."""
 
 import copy
+import linecache
 import pickle
 import random
+import traceback
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from chasegoal import kernel
 from chasegoal.kernel import (
     EQUALITY,
     Atom,
@@ -191,25 +194,35 @@ def test_match_atom_against_function_term_argument():
     assert match_atom(pat, Atom(P1, (f(a),))) == {x: f(a)}
 
 
-def brute_force_matches(body, facts, bindings=None):
-    sigmas = [dict(bindings or {})]
+def brute_force_rows(body, facts, bindings=None):
+    """Every match of `body` over `facts` extending `bindings`, as the
+    substitution and the facts its atoms matched, in body order."""
+    rows = [(dict(bindings or {}), ())]
     for atom in body:
         nxt = []
-        for s in sigmas:
+        for s, used in rows:
             for fact in facts:
                 got = match_atom(atom, fact, s)
                 if got is not None:
-                    nxt.append(got)
-        sigmas = nxt
-    return sigmas
+                    nxt.append((got, used + (fact,)))
+        rows = nxt
+    return rows
+
+
+def brute_force_matches(body, facts, bindings=None):
+    return [s for s, _ in brute_force_rows(body, facts, bindings)]
 
 
 def test_enumerate_matches_agrees_with_brute_force():
     # Bodies mix function-term patterns, constants and repeated variables
     # over predicates up to arity 3, some with variables bound up front, so
-    # every index key (bound variable, ground term, scan) and every position
-    # operation (bind, check, constant, function term) meets brute force.
-    rng = random.Random(7)
+    # every index key (bound variable, ground term, scan), every position
+    # operation (bind, check, constant, function term) and atoms bound at
+    # every position meet brute force.  Each body is also run through a
+    # kernel that emits a head atom and keeps its atoms off a random `new`
+    # set and its first `old` atoms off a random `fresh` set.
+    rng, draw = random.Random(7), random.Random(8)
+    H = Predicate("H", 3)
     preds = [Predicate("E", 2), Predicate("F", 1), Predicate("T", 3)]
     consts = [Constant(c) for c in "abcd"]
     ground = consts + [f(a), f(b), f(a, b), g(a, b), g(b, b)]
@@ -228,7 +241,7 @@ def test_enumerate_matches_agrees_with_brute_force():
     def canon(sigma):
         return sorted(map(repr, sigma.items()))
 
-    nonempty = 0
+    nonempty = filtered = full = 0
     for _ in range(300):
         facts = {
             Atom(p, tuple(rng.choice(ground) for _ in range(p.arity)))
@@ -245,7 +258,27 @@ def test_enumerate_matches_agrees_with_brute_force():
         want = sorted(map(canon, brute_force_matches(body, facts, bindings)))
         assert got == want, (body, bindings)
         nonempty += bool(want)
+
+        known = sorted(vars_of(body) | bindings.keys(), key=repr) or [b]
+        head = Atom(H, tuple(draw.choice([draw.choice(known), f(draw.choice(known)), a]) for _ in range(3)))
+        pool = sorted(facts, key=repr)
+        new = set(draw.sample(pool, draw.randrange(len(pool) // 2 + 1)))
+        fresh = set(draw.sample(pool, draw.randrange(len(pool) // 2 + 1)))
+        old = draw.randrange(len(body) + 1)
+        pivot = Predicate("bindings", len(bindings))
+        plan = JoinPlan(body, entry=Atom(pivot, tuple(bindings)), old=old, emit=(head,))
+        out = []
+        plan.run([Atom(pivot, tuple(bindings.values()))], inst, out, new, fresh)
+        want = [
+            substitute(sigma, head)
+            for sigma, used in brute_force_rows(body, facts, bindings)
+            if new.isdisjoint(used) and fresh.isdisjoint(used[:old])
+        ]
+        assert sorted(map(repr, [h for (h,) in out])) == sorted(map(repr, want)), (body, bindings, old)
+        filtered += bool(want)
+        full += any(step[3] for step in plan.steps)
     assert nonempty >= 40
+    assert filtered >= 20 and full >= 40
 
 
 def test_join_plan_keys_the_chain_egd_on_the_bound_variable():
@@ -306,12 +339,69 @@ def test_instance_containing_finds_nested_subterms():
 
 
 def test_instance_indexes_a_position_only_when_it_is_looked_up():
-    inst = Instance([Atom(R2, (a, b)), Atom(R2, (b, b))])
-    plan = JoinPlan((Atom(R2, (y, x)),), entry=Atom(P1, (x,)))
+    # R(?y,?x) is looked up at position 1.  R(?x,?y) is then bound at
+    # every position: its one candidate is tested against the fact set,
+    # and no index of position 0 is built for it.
+    inst = Instance([Atom(R2, (a, b)), Atom(R2, (b, b)), Atom(R2, (d, b)), Atom(R2, (b, a))])
+    plan = JoinPlan((Atom(R2, (y, x)), Atom(R2, (x, y))), entry=Atom(P1, (x,)))
+    assert [step[1:] for step in plan.steps] == [(1, 0, False), (0, 1, True)]
     out = []
     plan.run_from(Atom(P1, (b,)), inst, out)
     assert sorted(map(repr, out)) == ["(b, a)", "(b, b)"]
     assert {(pred, pos) for pred, rel in inst._rels.items() for pos in rel.index} == {(R2, 1)}
+
+
+def test_kernel_frames_show_the_generated_line_and_the_rule():
+    # A kernel's source is registered under a file name holding the
+    # conjunction it joins, so a traceback through it reads its line.
+    plan = JoinPlan((Atom(R2, (x, y)),), entry=Atom(P1, (x,)), emit=(Atom(P1, (y,)),))
+
+    class Refuse(list):
+        def append(self, match):
+            raise RuntimeError("refused")
+
+    with pytest.raises(RuntimeError) as info:
+        plan.run_from(Atom(P1, (a,)), Instance([Atom(R2, (a, b))]), Refuse())
+    kernel = traceback.extract_tb(info.tb)[-2]
+    assert kernel.filename == "<kernel P(?y) :- P(?x), R(?x,?y)>"
+    assert kernel.line.startswith("out.append(")
+    assert linecache.getline(kernel.filename, kernel.lineno).strip() == kernel.line
+
+
+def test_plans_that_differ_only_in_predicates_and_constants_share_a_shape():
+    S2, T1 = Predicate("S", 2), Predicate("T", 1)
+
+    def plan(p, q, c):
+        return JoinPlan((Atom(p, (x, c)),), entry=Atom(q, (x,)), emit=(Atom(q, (f(x),)),))
+
+    first = plan(R2, P1, a)
+    shapes = len(kernel._SHAPES)
+    second = plan(S2, T1, b)
+    assert len(kernel._SHAPES) == shapes
+    assert first is not second and first is plan(R2, P1, a)
+    assert first.run.__code__.co_code == second.run.__code__.co_code
+    sources = [linecache.getlines(p.run.__code__.co_filename) for p in (first, second)]
+    assert sources[0] == sources[1] and "k1" in "".join(sources[0])
+    out = []
+    second.run_from(Atom(T1, (d,)), Instance([Atom(S2, (d, b)), Atom(S2, (d, a))]), out)
+    assert out == [(Atom(T1, (f(d),)),)]
+
+
+def test_a_plan_too_deep_for_one_function_continues_in_another():
+    # A 30-step chain nests more loops than one Python function may hold;
+    # the kernel continues in functions of its own and still meets brute
+    # force.  Ten nodes in a cycle, with a chord from n0 to n5.
+    E = Predicate("E", 2)
+    nodes = [Constant("n%d" % i) for i in range(10)]
+    edges = {Atom(E, (nodes[i], nodes[(i + 1) % 10])) for i in range(10)} | {Atom(E, (nodes[0], nodes[5]))}
+    path = [Variable("p%d" % i) for i in range(31)]
+    body = tuple(Atom(E, (path[i], path[i + 1])) for i in range(30))
+    for start in (nodes[0], nodes[3]):
+        got = sorted(sorted(map(repr, s.items())) for s in enumerate_matches(body, Instance(edges), {path[0]: start}))
+        want = sorted(sorted(map(repr, s.items())) for s in brute_force_matches(body, edges, {path[0]: start}))
+        assert got == want and len(want) > 1
+    plan = JoinPlan(body, entry=Atom(Predicate("bindings", 1), (path[0],)))
+    assert "def join_1(" in "".join(linecache.getlines(plan.run.__code__.co_filename))
 
 
 def test_copy_shares_relations_until_one_side_writes():
