@@ -17,29 +17,37 @@ O(predicates), sharing its per-predicate relations copy-on-write, so a
 merge that rewrites a base fact clones that fact's relation alone, and the
 base's facts are checked once per distinct argument term.  Base facts never
 enter a delta.  Each rule is compiled into one join plan per body atom
-once per process (`_RULES`); a plan runs as a kernel, a generated function
-of nested loops that builds the rule's head at each match (see
-`kernel.JoinPlan`).  One routine (`_match`) matches every conjunction with
-them, one kernel call per plan and round.  The first round is naive: it
-joins each rule once in full, entered at the body atom whose relation is
-smallest at that moment.  Every later round is semi-naive: it finds each
-new match once, at the first body atom whose fact the previous round
-added.  Every round joins only the facts present when it began, so a
-match holding a fact the round adds is left to the next round, which
-finds it once.  A part of a body that no chain of shared variables links
-to the head is only checked for one witness: the rule fires for the
-matches of the rest once it holds, never once per witness.  A kernel builds the index of a relation's
-argument position the first time it runs with that position as a step's
-key; a step bound at every position tests the relation's fact set and
-needs no index.  The term index only merges read is built at the first
-merge.
+once per process (`_RULES`), and checked against the chase's body contract
+there; a plan runs as a kernel, a generated function of nested loops that
+builds the rule's head at each match (see `kernel.JoinPlan`).  One routine
+(`_match`) matches every conjunction with them, one kernel call per plan
+and round.  The first round is naive: it joins each rule once in full,
+entered at the body atom whose relation is smallest at that moment.  Every
+later round is semi-naive: it visits only the rules with a body predicate
+in the previous round's delta, and finds each new match once, at the first
+body atom whose fact that delta holds.  Every round joins only the facts
+present when it began, so a match holding a fact the round adds is left to
+the next round, which finds it once.  A part of a body that no chain of
+shared variables links to the head is only checked for one witness: the
+rule fires for the matches of the rest once it holds, never once per
+witness.
+
+A round is evaluated a set at a time.  A rule's matches are collected,
+then applied as one batch: a relational batch is one write
+(`Instance.add_all`), which tests membership and drops duplicates in C,
+and then updates the indexes and checks the limits once per new fact, in
+match order.  An equality batch is applied one head at a time, since its
+merges are sequential.  A kernel builds the index of a relation's argument
+position the first time it runs with that position as a step's key; a
+step bound at every position tests the relation's fact set and needs no
+index.  The term index only merges read is built at the first merge.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from itertools import product
+from itertools import chain, product
 from typing import Iterable, Optional
 
 from .kernel import (
@@ -92,14 +100,19 @@ class BodyContractViolation(ChaseError):
     pass
 
 
-def _guard_fact(fact: Atom, n_facts: int, limits: Limits):
-    for t in fact.args:
-        if t.depth > limits.max_depth:
-            raise DepthLimitExceeded(
-                "term depth exceeds %d in %r" % (limits.max_depth, fact)
-            )
-    if n_facts > limits.max_facts:
-        raise FactLimitExceeded("more than %d facts" % limits.max_facts)
+def _guard(new: "Iterable[Atom]", n_facts: int, limits: Limits):
+    """Check facts just added, in order, as if each had been added alone:
+    its terms against the depth limit, then the instance's size, `n_facts`
+    after the last of them, against the fact limit."""
+    max_depth = limits.max_depth
+    # The position in `new` of the first fact past the fact limit.
+    over = limits.max_facts - n_facts + len(new)
+    for i, fact in enumerate(new):
+        for t in fact[1]:
+            if t.depth > max_depth:
+                raise DepthLimitExceeded("term depth exceeds %d in %r" % (max_depth, fact))
+        if i >= over:
+            raise FactLimitExceeded("more than %d facts" % limits.max_facts)
 
 
 def _intake(base: "Instance | Iterable[Atom]", limits: Limits) -> Instance:
@@ -113,7 +126,7 @@ def _intake(base: "Instance | Iterable[Atom]", limits: Limits) -> Instance:
         fact = next(f for f in instance if t in f.args)
         if not is_ground(fact):
             raise BodyContractViolation("non-ground base fact %r" % (fact,))
-        _guard_fact(fact, len(instance), limits)
+        _guard((fact,), len(instance), limits)
     if len(instance) > limits.max_facts:
         raise FactLimitExceeded("more than %d facts" % limits.max_facts)
     return instance
@@ -184,23 +197,13 @@ class ChaseResult:
     derived: "tuple[Atom, ...]" = ()
 
 
-def _check_chase_contract(program: Program):
-    for r in program.rules:
-        body_vars = vars_of(r.body)
-        if vars_of(r.head) - body_vars:
-            raise BodyContractViolation("unbound head variable in %r" % (r,))
-        for a in r.body:
-            if a.is_equality:
-                raise BodyContractViolation("equality atom in body of %r" % (r,))
-            for t in a.args:
-                if not isinstance(t, Variable):
-                    raise BodyContractViolation(
-                        "non-variable body argument %r in %r" % (t, r)
-                    )
-
-
 class _Store:
-    """An instance and the facts added to it since the current round began."""
+    """An instance and the facts added to it since the current round began.
+
+    `merges` counts the merges so far (the naive fixpoint makes none), and
+    `settled` the merges made before the facts of the current round's
+    `fresh` (the previous round's delta) began to be added: once `merges`
+    differs, a merge may have rewritten some of them away."""
 
     def __init__(self, instance: Instance, limits: Limits):
         self.instance = instance
@@ -209,18 +212,22 @@ class _Store:
         # pivots, and with thousands of facts a dict grown fact by fact takes
         # a third to a half of the memory of a set.
         self.delta: dict[Atom, None] = {}
+        self.merges = self.settled = 0
 
-    def insert(self, fact: Atom) -> bool:
-        if not self.instance.add(fact):
-            return False
-        _guard_fact(fact, len(self.instance), self.limits)
-        self.delta[fact] = None
-        return True
+    def add(self, pred: Predicate, heads: "Iterable[Atom]") -> "dict[Atom, None]":
+        """Add a batch of facts of `pred` in one write and check the new
+        ones against the limits; returns the new ones, in batch order."""
+        new = self.instance.add_all(pred, heads)
+        if new:
+            _guard(new, len(self.instance), self.limits)
+            self.delta.update(new)
+        return new
 
     def fire(self, matches: "list[tuple[Atom]]"):
-        """Apply a rule's batch of matches: insert the head of each."""
-        for (head,) in matches:
-            self.insert(head)
+        """Apply a rule's batch of matches: add their heads, all of the
+        rule's head predicate, in one write."""
+        if matches:
+            self.add(matches[0][0][0], chain.from_iterable(matches))
 
 
 def _below(needle: Term, term: Term) -> bool:
@@ -233,17 +240,35 @@ class _ChaseState(_Store):
         super().__init__(instance, limits)
         self.uf = UnionFind()
         self.derived: list[Atom] = []
-        self.merges = 0
         self.applications = 0
 
     def fire(self, matches: "list[tuple[Atom]]"):
-        """Apply a rule's batch of matches.  Only an equality head merges,
-        so only an equality rule's batch can hold matches built from facts
-        a merge in the same batch has rewritten.  The equality such a match
+        """Apply a rule's batch of matches.  A relational batch is written
+        at once, each head normalized while the union-find is non-empty.
+        Only an equality head merges, so an equality batch is applied one
+        head at a time, and only its matches can be built from facts a
+        merge in the same batch has rewritten.  The equality such a match
         entails still holds, so `apply_head` merges its normalized sides,
         unless a side is stale."""
-        for (head,) in matches:
-            self.applications += self.apply_head(head)
+        if not matches:
+            return
+        pred = matches[0][0][0]
+        if pred is EQUALITY:
+            before = self.merges
+            for (head,) in matches:
+                self.applications += self.apply_head(head, self.merges != before)
+            return
+        self.applications += len(matches)
+        parent = self.uf.parent
+        if parent:
+            merged, find = parent.keys(), self.uf.find
+            heads = [
+                head if merged.isdisjoint(head[1]) else Atom(pred, tuple([find(t) for t in head[1]]))
+                for head, in matches
+            ]
+        else:
+            heads = chain.from_iterable(matches)
+        self.derived.extend(self.add(pred, heads))
 
     def is_stale(self, term: Term) -> bool:
         """Whether `term` mentions a merged-away term below a function symbol."""
@@ -289,26 +314,27 @@ class _ChaseState(_Store):
             self.uf.reroot(root, mu[root])
         return stale - live.keys()
 
-    def apply_head(self, head: Atom) -> bool:
-        """Insert a ground head's fact or merge its equality's sides, each
-        side normalized.  Returns False, skipping the equality, when a side
-        still mentions a merged-away term: a merge earlier in the same batch
+    def apply_head(self, head: Atom, merged: bool = True) -> bool:
+        """Add a ground head's fact or merge its equality's sides, each side
+        normalized.  Returns False, skipping the equality, when a side still
+        mentions a merged-away term: a merge earlier in the same batch
         rewrote the facts the match was built from, and the rewritten facts
-        re-enter the delta and re-derive the equality."""
+        re-enter the delta and re-derive the equality.  Without such a merge
+        (`merged` False) both sides come from current facts and hold live
+        representatives, so the test is skipped."""
         pred, args = head
         parent = self.uf.parent
         if parent and not parent.keys().isdisjoint(args):
             args = tuple([self.uf.find(t) for t in args])
             head = Atom(pred, args)
-        if pred is EQUALITY:
-            s, t = args
-            if self.is_stale(s) or self.is_stale(t):
-                return False
-            if s is not t:
-                self.merge(s, t)
+        if pred is not EQUALITY:
+            self.derived.extend(self.add(pred, [head]))
             return True
-        if self.insert(head):
-            self.derived.append(head)
+        s, t = args
+        if merged and (self.is_stale(s) or self.is_stale(t)):
+            return False
+        if s is not t:
+            self.merge(s, t)
         return True
 
 
@@ -330,7 +356,7 @@ def _components(rule: Rule) -> "list[tuple[Atom, ...]]":
     return [tuple(rule.body[i] for i in linked)] + free
 
 
-def _match(plans: tuple, by_pred: "dict | None", fresh, new, instance: Instance, out, rng=None):
+def _match(plans: tuple, by_pred: "dict | None", fresh, new, instance: Instance, out, merged: bool, rng=None):
     """Append to `out` the matches of a conjunction of at least one atom,
     compiled into one join plan per atom, as (atom predicate, plan) pairs,
     over the facts outside `new` (the facts the current round has added so
@@ -341,7 +367,8 @@ def _match(plans: tuple, by_pred: "dict | None", fresh, new, instance: Instance,
     Semi-naive mode: every match holding a fact of `fresh` (the previous
     round's delta), grouped by predicate in `by_pred`, found once, by the
     plan of the first of its atoms whose fact is in `fresh`; that plan keeps
-    the atoms before it off `fresh`."""
+    the atoms before it off `fresh`.  `merged` tells whether a merge may
+    have rewritten facts of `fresh` away since they were added."""
     if by_pred is None:
         pred, plan = min(plans, key=lambda p: len(instance.with_predicate(p[0])))
         facts = [f for f in instance.with_predicate(pred) if f not in new]
@@ -352,30 +379,31 @@ def _match(plans: tuple, by_pred: "dict | None", fresh, new, instance: Instance,
         return
     for pred, plan in plans:
         facts = by_pred.get(pred)
-        if facts:
+        if facts and merged:
             # A fact rewritten away by a merge is stale; its normalized
             # form re-entered the delta on its own.
             present = instance.with_predicate(pred)
             facts = [f for f in facts if f in present]
-            if facts:
-                plan.run(facts, instance, out, new, fresh)
+        if facts:
+            plan.run(facts, instance, out, new, fresh)
 
 
-def _holds(plans: tuple, by_pred: "dict | None", fresh, instance: Instance) -> bool:
+def _holds(plans: tuple, by_pred: "dict | None", fresh, instance: Instance, merged: bool) -> bool:
     """Whether a conjunction has a match: in the first round (`by_pred`
     None) any match, later one holding a fact of the previous round's
     delta `fresh`.  The join stops at the first."""
     try:
-        _match(plans, by_pred, fresh, (), instance, FIRST_MATCH)
+        _match(plans, by_pred, fresh, (), instance, FIRST_MATCH, merged)
     except MatchFound:
         return True
     return False
 
 
 # Compiled rules: every rule with a body that a fixpoint in this process
-# has seen -> its plans (see `_plans`).  The table grows with the distinct
-# rules a process has seen, like the intern tables; a process that answers
-# the same program again compiles nothing.
+# has seen -> its plans (see `_plans`) and how it breaks the chase's body
+# contract, if it does.  The table grows with the distinct rules a process
+# has seen, like the intern tables; a process that answers the same
+# program again compiles and checks nothing.
 _RULES: "dict[Rule, tuple]" = {}
 
 
@@ -389,14 +417,30 @@ def _pivots(atoms: "tuple[Atom, ...]", emit: "tuple[Atom, ...]") -> tuple:
     )
 
 
+def _breach(rule: Rule) -> "Optional[str]":
+    """How a rule's body breaks the chase's contract (relational atoms over
+    variables only), or None."""
+    for a in rule.body:
+        if a.is_equality:
+            return "equality atom in body of %r" % (rule,)
+        for t in a.args:
+            if not isinstance(t, Variable):
+                return "non-variable body argument %r in %r" % (t, rule)
+    return None
+
+
 def _plans(rule: Rule) -> tuple:
     """The plans of a rule's head-linked atoms, which emit its head, then
     those of each head-free component (`_components`), which emit an empty
-    match.  Compiled once per process."""
+    match, and the rule's `_breach`.  Compiled once per process; a head
+    variable the body does not bind raises `BodyContractViolation`."""
     compiled = _RULES.get(rule)
     if compiled is None:
+        if vars_of(rule.head) - vars_of(rule.body):
+            raise BodyContractViolation("unbound head variable in %r" % (rule,))
         linked, *free = _components(rule)
-        compiled = _RULES[rule] = (_pivots(linked, (rule.head,)),) + tuple(_pivots(c, ()) for c in free)
+        plans = (_pivots(linked, (rule.head,)),) + tuple(_pivots(c, ()) for c in free)
+        compiled = _RULES[rule] = (plans, _breach(rule))
     return compiled
 
 
@@ -417,9 +461,13 @@ class _CompiledRule:
 
     __slots__ = ("plans", "waiting", "head")
 
-    def __init__(self, rule: Rule):
-        self.plans, *self.waiting = _plans(rule)
+    def __init__(self, rule: Rule, plans: tuple):
+        self.plans, *self.waiting = plans
         self.head = rule.head
+
+    def reads(self) -> "set[Predicate]":
+        """The predicates of the rule's body."""
+        return {pred for plans in (self.plans, *self.waiting) for pred, _ in plans}
 
     def matches(self, by_pred: "dict | None", fresh, store: "_Store", rng) -> "list[tuple[Atom]]":
         """This round's new matches of the head-linked atoms.  `by_pred`
@@ -428,62 +476,81 @@ class _CompiledRule:
         keeps off the facts added since the round began: they are the
         round's delta, and the next round finds the matches holding them."""
         instance = store.instance
+        merged = store.merges != store.settled
         if self.waiting:
-            self.waiting = [c for c in self.waiting if not _holds(c, by_pred, fresh, instance)]
+            self.waiting = [c for c in self.waiting if not _holds(c, by_pred, fresh, instance, merged)]
             if self.waiting:
                 return []
             by_pred = None
         if not self.plans:
             return [(self.head,)] if by_pred is None else []
         out: list[tuple[Atom]] = []
-        _match(self.plans, by_pred, fresh, store.delta, instance, out, rng)
+        _match(self.plans, by_pred, fresh, store.delta, instance, out, merged, rng)
         return out
 
 
-def _compile(rules: Iterable[Rule], add) -> "list[_CompiledRule]":
-    """Compile the rules that have a body; pass the others' heads to `add`."""
-    compiled = []
+def _compile(rules: Iterable[Rule], chase: bool) -> "tuple[list[_CompiledRule], list[Atom]]":
+    """Compile the rules that have a body; returns them and the heads of
+    the others.  A rule whose head has a variable its body does not bind,
+    or, with `chase`, whose body breaks the chase's contract, raises
+    `BodyContractViolation`; a rule is checked once per process."""
+    compiled, heads = [], []
     for r in rules:
-        if r.body:
-            compiled.append(_CompiledRule(r))
-        else:
-            add(r.head)
-    return compiled
+        if not r.body:
+            if not is_ground(r.head):
+                raise BodyContractViolation("unbound head variable in %r" % (r,))
+            heads.append(r.head)
+            continue
+        plans, breach = _plans(r)
+        if chase and breach is not None:
+            raise BodyContractViolation(breach)
+        compiled.append(_CompiledRule(r, plans))
+    return compiled, heads
 
 
 def _saturate(rules: "list[_CompiledRule]", state: _Store, rng=None) -> int:
     """Rounds until one adds no fact.  The first round is naive: it joins
     every rule in full against the facts present when it began, the base
     among them, so base facts never enter a delta.  Each later round is
-    semi-naive: it matches every rule against the facts the previous round
-    added (its delta).  `state.fire` applies one rule's batch of matches
-    before the next rule is matched, but no join sees the facts the round
-    has added so far (`state.delta`): they are the next round's delta.  A
-    batch holds each new match of the head-linked atoms once, found at the
-    first of its atoms whose fact is in the delta; a rule with head-free
-    components has none until they all hold (`_CompiledRule`).  Returns the
-    number of rounds."""
+    semi-naive: it matches against the facts the previous round added (its
+    delta), and visits, in program order, only the rules with a body
+    predicate in it; no other rule can have a new match, nor a waiting
+    head-free component a new witness.  `state.fire` applies one rule's
+    batch of matches, in one write, before the next rule is matched, but no
+    join sees the facts the round has added so far (`state.delta`): they are
+    the next round's delta.  A batch holds each new match of the
+    head-linked atoms once, found at the first of its atoms whose fact is
+    in the delta; a rule with head-free components has none until they all
+    hold (`_CompiledRule`).  Returns the number of rounds."""
+    readers: dict[Predicate, list[int]] = {}
+    for i, rule in enumerate(rules):
+        for pred in rule.reads():
+            readers.setdefault(pred, []).append(i)
     # What entered the delta before the first round (the heads of bodiless
     # rules) is present when it begins.
     state.delta = {}
     fresh, by_pred = {}, None
+    visit = rules
+    began = state.merges
     rounds = 0
     while True:
         rounds += 1
-        order = list(rules)
         if rng is not None:
-            rng.shuffle(order)
-        for rule in order:
+            visit = list(visit)
+            rng.shuffle(visit)
+        for rule in visit:
             state.fire(rule.matches(by_pred, fresh, state, rng))
         if not state.delta:
             return rounds
         fresh, state.delta = state.delta, {}
+        state.settled, began = began, state.merges
         by_pred = {}
         for fact in fresh:
             by_pred.setdefault(fact.predicate, []).append(fact)
         if rng is not None:
             for facts in by_pred.values():
                 rng.shuffle(facts)
+        visit = [rules[i] for i in sorted({i for pred in by_pred for i in readers.get(pred, ())})]
 
 
 def chase(
@@ -500,13 +567,14 @@ def chase(
     only shuffles the evaluation order; the resulting instance and term map
     are the same for every seed.
     """
-    _check_chase_contract(program)
+    rules, heads = _compile(program.rules, chase=True)
     instance = _intake(base, limits)
     equalities = instance.with_predicate(EQUALITY)
     if equalities:
         raise BodyContractViolation("equality fact %r in the base" % (next(iter(equalities)),))
     state = _ChaseState(instance, limits)
-    rules = _compile(program.rules, state.apply_head)
+    for head in heads:
+        state.apply_head(head)
     rng = random.Random(seed) if seed is not None else None
     rounds = _saturate(rules, state, rng)
 
@@ -542,13 +610,11 @@ def naive_fixpoint(
     """Least fixpoint of a logic program where equality atoms are ordinary
     facts.  Bodies may contain constants, function terms and equality atoms;
     no representative merging happens here."""
-    rules = tuple(program.rules if isinstance(program, Program) else program)
-    for r in rules:
-        if vars_of(r.head) - vars_of(r.body):
-            raise BodyContractViolation("unbound head variable in %r" % (r,))
-
+    rules, heads = _compile(program.rules if isinstance(program, Program) else program, chase=False)
     store = _Store(_intake(base, limits), limits)
-    _saturate(_compile(rules, store.insert), store)
+    for head in heads:
+        store.add(head.predicate, [head])
+    _saturate(rules, store)
     return store.instance
 
 

@@ -224,10 +224,11 @@ def check_eq_safety(p) -> "list[tuple]":
     rules = p.rules if isinstance(p, Program) else tuple(p)
     bad = []
     for r in rules:
+        equalities = [a for a in r.body if a.is_equality]
+        if not equalities:
+            continue
         relational_vars = vars_of([a for a in r.body if not a.is_equality])
-        for a in r.body:
-            if not a.is_equality:
-                continue
+        for a in equalities:
             s, t = a.args
             if not isinstance(s, Variable):
                 bad.append((r, a, "left side is not a variable"))

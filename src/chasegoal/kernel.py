@@ -600,18 +600,42 @@ class Instance:
         if len(facts) == n:
             return False
         self._size += 1
-        if rel.index:
-            args = fact[1]
-            for pos, index in rel.index.items():
-                t = args[pos]
+        if rel.index or self._terms is not None:
+            self._upkeep(rel, (fact,))
+        return True
+
+    def add_all(self, pred: PredicateId, facts: "Iterable[Atom]") -> "dict[Atom, None]":
+        """Add in one write the facts of `pred` this instance lacks, testing
+        membership and dropping duplicates in C; returns them once each, in
+        order, as the keys of a dict.  A shared relation that holds every
+        fact is not cloned."""
+        rel = self._mine.get(pred)
+        current = self._rels.get(pred) if rel is None else rel
+        have = _EMPTY if current is None else current.facts
+        new = dict.fromkeys([f for f in facts if f not in have])
+        if new:
+            if rel is None:
+                rel = self._own(pred)
+            rel.facts.update(new)
+            self._size += len(new)
+            if rel.index or self._terms is not None:
+                self._upkeep(rel, new)
+        return new
+
+    def _upkeep(self, rel: _Relation, new) -> None:
+        """Enter facts just added to `rel` into its position indexes and
+        the term index."""
+        for pos, index in rel.index.items():
+            for fact in new:
+                t = fact[1][pos]
                 s = index.get(t)
                 if s is None:
                     index[t] = {fact}
                 else:
                     s.add(fact)
         if self._terms is not None:
-            self._terms.add(fact)
-        return True
+            for fact in new:
+                self._terms.add(fact)
 
     def discard(self, fact: Atom) -> bool:
         rel = self._rels.get(fact[0])
@@ -686,6 +710,9 @@ class ReadOnlyInstance(Instance):
     instance."""
 
     def add(self, fact: Atom) -> bool:
+        raise TypeError("a read-only instance cannot change; write to a copy()")
+
+    def add_all(self, pred: PredicateId, facts: "Iterable[Atom]") -> "dict[Atom, None]":
         raise TypeError("a read-only instance cannot change; write to a copy()")
 
     def discard(self, fact: Atom) -> bool:

@@ -1,6 +1,7 @@
 """Representative-based chase and the naive reference fixpoint."""
 
 import random
+import re
 
 import pytest
 
@@ -390,6 +391,54 @@ def test_semi_naive_round_leaves_facts_of_the_same_round_to_the_next():
             assert Atom(Predicate("H", 2), (a, c)) in result.instance
 
 
+def test_a_semi_naive_round_visits_only_the_rules_that_read_its_delta(monkeypatch):
+    # The first round visits every rule; each later one, in program order,
+    # only the rules with a body predicate in its delta.  H(c) waits for a
+    # witness of C and one of W: it is visited in the round C(a) arrives,
+    # and again in the round W(a) arrives, when it fires.
+    prog = parse_program(
+        "B(?x) :- A(?x).\nC(?x) :- B(?x).\nD(?x) :- E(?x).\n"
+        "H(c) :- C(?y), W(?z).\nW(?x) :- C(?x).\n"
+    )
+    visits = []
+    matches = engine._CompiledRule.matches
+
+    def spy(rule, by_pred, *args):
+        delta = None if by_pred is None else sorted(p.name for p in by_pred)
+        visits.append((delta, repr(rule.head)))
+        return matches(rule, by_pred, *args)
+
+    monkeypatch.setattr(engine._CompiledRule, "matches", spy)
+    result = chase(prog, [Atom(Predicate("A", 1), (a,)), Atom(Predicate("E", 1), (b,))])
+    first = [(None, head) for head in ("B(?x)", "C(?x)", "D(?x)", "H(c)", "W(?x)")]
+    assert visits == first + [
+        (["B", "D"], "C(?x)"),
+        (["C"], "H(c)"),
+        (["C"], "W(?x)"),
+        (["W"], "H(c)"),
+    ]
+    assert result.stats.iterations == 5
+    assert Atom(Predicate("H", 1), (c,)) in result.instance
+
+
+def test_an_early_merge_in_an_equality_batch_makes_a_later_head_stale():
+    # The batch's first head merges b into a, which drops T(f(b),c): f(b)
+    # is stale, with no live member.  The second head was built from that
+    # fact before the merge; it is skipped and not counted as applied.
+    fb = Functional("f", (b,))
+    facts = [Atom(T2, (b, a)), Atom(T2, (fb, c))]
+    state = engine._ChaseState(Instance(facts), Limits())
+    state.fire([(eq(b, a),), (eq(fb, c),)])
+    assert (state.merges, state.applications) == (1, 1)
+    assert state.uf.as_map() == {b: a}
+    assert set(state.instance) == {Atom(T2, (a, a))}
+    # Without the earlier merge, the same head is applied.
+    state = engine._ChaseState(Instance(facts), Limits())
+    state.fire([(eq(fb, c),)])
+    assert (state.merges, state.applications) == (1, 1)
+    assert state.uf.as_map() == {fb: c}
+
+
 def test_demand_rules_are_chased_as_given():
     # The chase compiles every rule it is given: the bb demand rule fires
     # although the fb rule beside it fires on every one of its matches.
@@ -538,20 +587,38 @@ def test_term_index_is_built_only_by_a_merge():
 
 def test_rejects_equality_in_body():
     rule = Rule(Atom(P1, (x,)), (eq(x, y), Atom(T2, (x, y))))
-    with pytest.raises(BodyContractViolation):
+    with pytest.raises(BodyContractViolation, match=re.escape("equality atom in body of %r" % (rule,))):
         chase(Program((rule,)), [])
 
 
 def test_rejects_non_variable_body_argument():
     rule = Rule(Atom(P1, (x,)), (Atom(T2, (x, a)),))
-    with pytest.raises(BodyContractViolation):
+    with pytest.raises(BodyContractViolation, match=re.escape("non-variable body argument a in %r" % (rule,))):
         chase(Program((rule,)), [])
 
 
 def test_rejects_unbound_head_variable():
-    rule = Rule(Atom(P1, (z,)), (Atom(T2, (x, y)),))
-    with pytest.raises(BodyContractViolation):
+    for rule in (Rule(Atom(P1, (z,)), (Atom(T2, (x, y)),)), Rule(Atom(P1, (z,)), ())):
+        with pytest.raises(BodyContractViolation, match=re.escape("unbound head variable in %r" % (rule,))):
+            chase(Program((rule,)), [])
+
+
+def test_the_chase_contract_is_checked_once_per_rule(monkeypatch):
+    # The contract is checked where a rule is compiled, once per process;
+    # a rule the naive fixpoint compiled first, which may break it, is
+    # still rejected by the chase.
+    checked = []
+    breach = engine._breach
+    monkeypatch.setattr(engine, "_breach", lambda rule: checked.append(rule) or breach(rule))
+    prog = parse_program("Once_B(?x) :- Once_A(?x).\nOnce_C(?x) :- Once_B(?x), Once_D(?x,?y).\n")
+    for _ in range(2):
+        chase(prog, [Atom(Predicate("Once_A", 1), (a,))])
+    assert checked == list(prog.rules)
+    rule = Rule(Atom(P1, (x,)), (Atom(T2, (x, y)), eq(x, Functional("once", (y,)))))
+    naive_fixpoint([rule], [])
+    with pytest.raises(BodyContractViolation, match=re.escape("equality atom in body of %r" % (rule,))):
         chase(Program((rule,)), [])
+    assert checked[-1] is rule
 
 
 def test_rejects_non_ground_base_fact():
@@ -579,6 +646,53 @@ def test_fact_guard_trips():
     prog = parse_program(NESTING)
     with pytest.raises(FactLimitExceeded):
         chase(prog, [Atom(P1, (a,))], Limits(max_depth=10_000, max_facts=30))
+
+
+def per_fact_trip(batch, size_before, limits):
+    """The trip of adding `batch` one fact at a time, each checked after it
+    is added: its terms' depth, then the instance's size."""
+    for i, fact in enumerate(batch):
+        for t in fact.args:
+            if t.depth > limits.max_depth:
+                return DepthLimitExceeded, "term depth exceeds %d in %r" % (limits.max_depth, fact)
+        if size_before + i + 1 > limits.max_facts:
+            return FactLimitExceeded, "more than %d facts" % limits.max_facts
+    return None
+
+
+def test_a_batch_trips_where_adding_its_facts_one_by_one_would():
+    shallow = [Atom(P1, (Constant("s%d" % i),)) for i in range(4)]
+    deep = Atom(P1, (Functional("f", (Functional("f", (a,)),)),))
+    for at in range(len(shallow) + 1):
+        for batch in (shallow, shallow[:at] + [deep] + shallow[at:]):
+            for max_facts in range(10, 10 + len(batch) + 1):
+                limits = Limits(max_depth=1, max_facts=max_facts)
+                try:
+                    engine._guard(batch, 10 + len(batch), limits)
+                    tripped = None
+                except (DepthLimitExceeded, FactLimitExceeded) as err:
+                    tripped = type(err), str(err)
+                assert tripped == per_fact_trip(batch, 10, limits), (at, batch, max_facts)
+
+
+@pytest.mark.parametrize("fixpoint", ["chase", "naive"])
+def test_guards_trip_in_the_middle_of_a_batch(fixpoint):
+    # The first rule applies in one batch of six heads, of which only
+    # B(f(f(a))) is too deep; the second in one batch of ten, whose fourth
+    # head passes the limit of 13 facts.
+    def run(text, base, limits):
+        if fixpoint == "chase":
+            chase(parse_program(text), base, limits)
+        else:
+            naive_fixpoint(parse_program(text), base, limits)
+
+    A = Predicate("A", 1)
+    base = [Atom(A, (Constant("c%d" % i),)) for i in range(5)] + [Atom(A, (Functional("f", (a,)),))]
+    with pytest.raises(DepthLimitExceeded, match=re.escape("term depth exceeds 1 in B(f(f(a)))")):
+        run("B(f(?x)) :- A(?x).", base, Limits(max_depth=1))
+    base = [Atom(A, (Constant("c%d" % i),)) for i in range(10)]
+    with pytest.raises(FactLimitExceeded, match="^more than 13 facts$"):
+        run("B(?x) :- A(?x).", base, Limits(max_facts=13))
 
 
 # -- naive fixpoint -----------------------------------------------------------

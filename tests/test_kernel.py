@@ -425,7 +425,7 @@ def test_copy_shares_relations_until_one_side_writes():
 def test_snapshot_refuses_writes_and_copies_to_a_writable_instance():
     inst = Instance([Atom(P1, (a,))])
     snap = inst.snapshot()
-    for write in (snap.add, snap.discard):
+    for write in (snap.add, snap.discard, lambda fact: snap.add_all(P1, [fact])):
         with pytest.raises(TypeError, match="read-only"):
             write(Atom(P1, (a,)))
     inst.add(Atom(P1, (b,)))
@@ -446,6 +446,7 @@ store_facts = st.one_of(
 store_ops = st.lists(
     st.one_of(
         st.tuples(st.sampled_from(["add", "discard"]), st.integers(0, 1), store_facts),
+        st.tuples(st.just("add_all"), st.integers(0, 1), st.lists(store_facts, max_size=6)),
         st.tuples(st.just("copy"), st.integers(0, 1), st.integers(0, 1)),
         st.tuples(st.just("index"), st.integers(0, 1), st.sampled_from([(P1, 0), (R2, 0), (R2, 1)])),
         st.tuples(st.just("containing"), st.integers(0, 1), st.sampled_from(store_terms)),
@@ -496,6 +497,17 @@ def test_store_agrees_with_a_set_on_both_sides_of_a_copy(start, ops):
         elif op == "discard":
             assert insts[i].discard(arg) == (arg in models[i])
             models[i].discard(arg)
+        elif op == "add_all":
+            # one predicate's batch, with duplicates
+            pred = arg[0].predicate if arg else P1
+            batch = [fact for fact in arg if fact.predicate is pred]
+            batch += batch[::2]
+            want = list(dict.fromkeys(fact for fact in batch if fact not in models[i]))
+            before = insts[i]._rels.get(pred)
+            assert list(insts[i].add_all(pred, batch)) == want
+            if not want:  # a relation, shared or not, is cloned only to be written
+                assert insts[i]._rels.get(pred) is before
+            models[i].update(batch)
         elif op == "copy":
             insts[arg], models[arg] = insts[i].copy(), set(models[i])
         elif op == "index":
