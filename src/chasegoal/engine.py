@@ -139,10 +139,13 @@ def _intake(base: "Instance | Iterable[Atom]", limits: Limits) -> Instance:
 
 class UnionFind:
     """Union-find over ground terms.  A union makes the term-order lesser
-    root the representative; `reroot` hands a class to another member."""
+    root the representative; `reroot` hands a class to another member.
+    `members` maps each root of a class with more than one term to the
+    class's other terms, those it has merged away."""
 
     def __init__(self):
         self.parent: dict[Term, Term] = {}
+        self.members: dict[Term, list[Term]] = {}
 
     def find(self, t: Term) -> Term:
         parent = self.parent
@@ -164,12 +167,23 @@ class UnionFind:
         else:
             rep, loser = rt, rs
         self.parent[loser] = rep
+        members = self.members
+        kept, lost = members.pop(rep, []), members.pop(loser, [])
+        if len(kept) < len(lost):
+            kept, lost = lost, kept
+        kept.extend(lost)
+        kept.append(loser)
+        members[rep] = kept
         return rep, loser
 
     def reroot(self, root: Term, member: Term):
         """Make `member` the representative of the class `root` heads."""
         del self.parent[member]
         self.parent[root] = member
+        members = self.members.pop(root)
+        members.remove(member)
+        members.append(root)
+        self.members[member] = members
 
     def as_map(self) -> "dict[Term, Term]":
         return {t: self.find(t) for t in list(self.parent)}
@@ -301,18 +315,20 @@ class _ChaseState(_Store):
     def _rehome(self, stale: "set[Term]", mu: "dict[Term, Term]") -> "set[Term]":
         """Hand the class of each representative in `stale` to its least
         member that mentions no merged-away term, adding the change to `mu`;
-        returns the representatives whose class has no such member.  Every
-        choice is made before any class changes hands, so none depends on
-        the order the facts were visited in."""
-        live: dict[Term, list[Term]] = {}
-        for m in self.uf.parent:
-            root = self.uf.find(m)
-            if root in stale and not self.is_stale(m):
-                live.setdefault(root, []).append(m)
-        for root, members in live.items():
-            mu[root] = min(members, key=term_key)
-            self.uf.reroot(root, mu[root])
-        return stale - live.keys()
+        returns the representatives whose class has no such member.  Only
+        the members of the stale classes are read, and every choice is made
+        before any class changes hands, so none depends on the order the
+        facts were visited in."""
+        members = self.uf.members
+        chosen: dict[Term, Term] = {}
+        for root in stale:
+            live = [m for m in members.get(root, ()) if not self.is_stale(m)]
+            if live:
+                chosen[root] = min(live, key=term_key)
+        for root, member in chosen.items():
+            self.uf.reroot(root, member)
+        mu.update(chosen)
+        return stale - chosen.keys()
 
     def apply_head(self, head: Atom, merged: bool = True) -> bool:
         """Add a ground head's fact or merge its equality's sides, each side

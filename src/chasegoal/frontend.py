@@ -4,6 +4,11 @@ CSV base instances and schema sidecars.
 Both rule grammars are line based.  A `#` starts a comment when it opens the
 line or follows whitespace; inside a token (magic predicate names such as
 `m_R#bf`, generated variables such as `?z#1`) it is part of the token.
+
+A base instance is read one CSV file per predicate, each in one pass: the
+rows stream from `csv.reader` into the atoms of one batch write
+(`Instance.add_all`), their cells interned through the constant table, and
+no Python function runs for a row of the right size and known names.
 """
 
 from __future__ import annotations
@@ -434,32 +439,48 @@ def parse_schema(text: str, source: str = "<schema>") -> "dict[tuple[str, int], 
     return out
 
 
+def _odd_row(row: "list[str]", pred: Predicate, line: int, path: Path) -> bool:
+    """Judge a row whose size is not its predicate's arity: an empty row of
+    a predicate with arguments is skipped (False); any other raises
+    `ArityMismatch` naming the physical line the row ends on."""
+    if not row and pred.arity > 0:
+        return False
+    raise ArityMismatch(
+        "row has %d fields, %s has arity %d" % (len(row), pred.name, pred.arity),
+        line,
+        1,
+        str(path),
+    )
+
+
 def parse_instance(data_dir, signature: "dict[str, Predicate]") -> Instance:
     """Read one headerless CSV file per predicate (file stem = predicate
-    name) from a directory.  Sorts are not checked here: `check_scenario`
-    checks them over the rules and the facts together."""
+    name) from a directory.  An empty row is skipped for a predicate with
+    arguments and is the fact of a nullary one; a row of any other wrong
+    size raises `ArityMismatch` at the physical line it ends on, so a
+    quoted cell spanning lines does not shift the count.  Sorts are not
+    checked here: `check_scenario` checks them over the rules and the facts
+    together.  Only a row of the wrong size calls a helper (`_odd_row`);
+    a right-sized one runs Python code only to build a constant whose name
+    is new to the process."""
     instance = Instance()
-    data_dir = Path(data_dir)
-    for path in sorted(data_dir.glob("*.csv")):
+    intern = Constant._table.__getitem__
+    new_atom = tuple.__new__
+    for path in sorted(Path(data_dir).glob("*.csv")):
         pred = signature.get(path.stem)
         if pred is None:
             raise UnknownPredicate(
                 "file %s does not match any predicate of the rule set" % path.name,
                 source=str(path),
             )
+        arity = pred.arity
         with open(path, newline="", encoding="utf-8") as fh:
-            for lineno, row in enumerate(csv.reader(fh), start=1):
-                if not row and pred.arity > 0:
-                    continue
-                if len(row) != pred.arity:
-                    raise ArityMismatch(
-                        "row has %d fields, %s has arity %d"
-                        % (len(row), pred.name, pred.arity),
-                        lineno,
-                        1,
-                        str(path),
-                    )
-                instance.add(Atom(pred, tuple(Constant(cell) for cell in row)))
+            reader = csv.reader(fh)
+            instance.add_all(pred, [
+                new_atom(Atom, (pred, tuple(map(intern, row))))
+                for row in reader
+                if len(row) == arity or _odd_row(row, pred, reader.line_num, path)
+            ])
     return instance
 
 

@@ -98,17 +98,28 @@ class Variable(_Interned):
         return "?" + self.name
 
 
+class _ConstantTable(dict):
+    """The intern table of `Constant`: looking up a name it lacks builds the
+    constant and records it (`__missing__`)."""
+
+    __slots__ = ()
+
+    def __missing__(self, name: str) -> "Constant":
+        return _build(Constant, self, name, name=name, key=(0, name, ()))
+
+
 class Constant(_Interned):
+    """A constant.  Its intern table builds a constant at the first lookup
+    of its name, so `Constant(name)` is one lookup, and a loader interns a
+    row of names in C with `map(Constant._table.__getitem__, row)`."""
+
     __slots__ = ("name", "key")
     _fields = ("name",)
-    _table: "dict[str, Constant]" = {}
+    _table: "dict[str, Constant]" = _ConstantTable()
     depth = 0
 
     def __new__(cls, name: str):
-        c = Constant._table.get(name)
-        if c is None:
-            c = _build(cls, Constant._table, name, name=name, key=(0, name, ()))
-        return c
+        return Constant._table[name]
 
     def __repr__(self) -> str:
         return self.name

@@ -4,6 +4,8 @@ import random
 import re
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from chasegoal import (
     BodyContractViolation,
@@ -437,6 +439,39 @@ def test_an_early_merge_in_an_equality_batch_makes_a_later_head_stale():
     state.fire([(eq(fb, c),)])
     assert (state.merges, state.applications) == (1, 1)
     assert state.uf.as_map() == {fb: c}
+
+
+UF_TERMS = [Constant("uf%d" % i) for i in range(6)] + [Functional("uf", (Constant("uf0"),))]
+uf_ops = st.lists(
+    st.tuples(
+        st.sampled_from(["union", "reroot"]),
+        st.integers(0, len(UF_TERMS) - 1),
+        st.integers(0, len(UF_TERMS) - 1),
+    ),
+    max_size=20,
+)
+
+
+@given(uf_ops)
+def test_union_find_member_lists_follow_unions_and_reroots(ops):
+    # `members` maps each root to exactly the terms merged into its class,
+    # whatever mix of unions and reroots built it.
+    uf = engine.UnionFind()
+    for op, i, j in ops:
+        if op == "union":
+            if uf.find(UF_TERMS[i]) is not uf.find(UF_TERMS[j]):
+                uf.union(UF_TERMS[i], UF_TERMS[j])
+        else:
+            root = uf.find(UF_TERMS[i])
+            if root in uf.members:
+                members = uf.members[root]
+                uf.reroot(root, members[j % len(members)])
+        classes: dict = {}
+        for t in list(uf.parent):
+            classes.setdefault(uf.find(t), []).append(t)
+        assert {root: sorted(ms, key=repr) for root, ms in uf.members.items()} == {
+            root: sorted(ms, key=repr) for root, ms in classes.items()
+        }
 
 
 def test_demand_rules_are_chased_as_given():

@@ -1,6 +1,15 @@
 """Rule and program grammars, CSV instances, schemas, scenario loading."""
 
+import copy
+import csv
+import io
+import pickle
+import tempfile
+from pathlib import Path
+
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from chasegoal import (
     ArityMismatch,
@@ -195,6 +204,100 @@ def test_parse_instance_bad_row(tmp_path):
     write_csvs(tmp_path, {"S.csv": "a1\n"})
     with pytest.raises(ArityMismatch):
         parse_instance(tmp_path, {"S": Predicate("S", 2)})
+
+
+def per_row_instance(data_dir, signature):
+    """The loader as a loop that builds and adds one fact per row."""
+    instance = Instance()
+    for path in sorted(Path(data_dir).glob("*.csv")):
+        pred = signature[path.stem]
+        with open(path, newline="", encoding="utf-8") as fh:
+            for row in csv.reader(fh):
+                if not row and pred.arity > 0:
+                    continue
+                assert len(row) == pred.arity
+                instance.add(Atom(pred, tuple(Constant(cell) for cell in row)))
+    return instance
+
+
+# Cells with the characters CSV quotes: commas, quotes, line breaks.
+csv_cells = st.text(alphabet="ab,'\"\n\r ", max_size=4)
+
+
+@st.composite
+def csv_files(draw):
+    """The text of a binary, a unary and a nullary predicate's CSV files,
+    with empty rows (a fact of the nullary one) and duplicate rows."""
+    files = {}
+    for name, arity in (("S", 2), ("B", 1), ("N", 0)):
+        rows = draw(st.lists(st.lists(csv_cells, min_size=arity, max_size=arity), max_size=6))
+        rows += draw(st.lists(st.sampled_from(rows), max_size=3)) if rows else []
+        if arity:
+            rows += [[]] * draw(st.integers(0, 2))
+        rows = draw(st.permutations(rows))
+        out = io.StringIO()
+        # A minimally quoting writer quotes a line break only if the line
+        # terminator holds it.
+        quoting, end = draw(st.sampled_from([(csv.QUOTE_MINIMAL, "\r\n"), (csv.QUOTE_ALL, "\n")]))
+        csv.writer(out, quoting=quoting, lineterminator=end).writerows(rows)
+        files[name + ".csv"] = out.getvalue()
+    return files
+
+
+@given(csv_files())
+def test_parse_instance_agrees_with_a_per_row_loader(files):
+    sig = {"S": Predicate("S", 2), "B": Predicate("B", 1), "N": Predicate("N", 0)}
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, text in files.items():
+            (Path(tmp) / name).write_text(text, encoding="utf-8", newline="")
+        inst = parse_instance(tmp, sig)
+        want = per_row_instance(tmp, sig)
+    assert set(inst) == set(want) and len(inst) == len(want)
+    for pred in sig.values():
+        assert inst.with_predicate(pred) == want.with_predicate(pred)
+    for fact in inst:
+        assert type(fact) is Atom
+        assert all(t is Constant(t.name) for t in fact.args)
+
+
+def test_parse_instance_names_the_physical_line_after_a_multiline_cell(tmp_path):
+    # The third record starts on line 4: the quoted cell before it spans two.
+    write_csvs(tmp_path, {"S.csv": "'x',y\n\"multi\nline\",b\nonly_one\n"})
+    with pytest.raises(ArityMismatch) as err:
+        parse_instance(tmp_path, {"S": Predicate("S", 2)})
+    assert err.value.line == 4
+    assert str(err.value) == "%s:4:1: row has 1 fields, S has arity 2" % (tmp_path / "S.csv")
+
+
+def test_parse_instance_empty_rows(tmp_path):
+    # An empty row of a nullary predicate is its fact.
+    N = Predicate("N", 0)
+    write_csvs(tmp_path, {"N.csv": "\n"})
+    assert set(parse_instance(tmp_path, {"N": N})) == {Atom(N, ())}
+    # An empty row of a binary predicate is skipped, but is still a line.
+    S = Predicate("S", 2)
+    write_csvs(tmp_path, {"N.csv": "", "S.csv": "a,b\n\na\n"})
+    with pytest.raises(ArityMismatch) as err:
+        parse_instance(tmp_path, {"N": N, "S": S})
+    assert err.value.line == 3
+    write_csvs(tmp_path, {"S.csv": "a,b\n\n"})
+    assert set(parse_instance(tmp_path, {"N": N, "S": S})) == {Atom(S, (Constant("a"), Constant("b")))}
+
+
+def test_constant_interned_on_first_lookup_keeps_identity():
+    name = "interned on first lookup"
+    while name in Constant._table:
+        name += "'"
+    c = Constant._table[name]
+    assert Constant(name) is c and (c.name, c.key) == (name, (0, name, ()))
+    assert copy.copy(c) is c and copy.deepcopy(c) is c
+    assert pickle.loads(pickle.dumps(c)) is c
+    # Unpickled in a table that lacks the name, it is built there, once.
+    data = pickle.dumps(c)
+    del Constant._table[name]
+    again = pickle.loads(data)
+    assert Constant._table[name] is again and Constant(name) is again
+    assert pickle.loads(data) is again
 
 
 # -- scenarios ---------------------------------------------------------------
