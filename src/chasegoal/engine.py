@@ -30,7 +30,9 @@ present when it began, so a match holding a fact the round adds is left to
 the next round, which finds it once.  A part of a body that no chain of
 shared variables links to the head is only checked for one witness: the
 rule fires for the matches of the rest once it holds, never once per
-witness.
+witness.  A round's delta and the previous one's, which its joins enter
+at, hold only facts of the instance: a merge takes the facts it rewrites
+away out of both, and writes their rewrites with `Instance.add_all`.
 
 A round is evaluated a set at a time.  A rule's matches are collected,
 then applied as one batch: a relational batch is one write
@@ -204,6 +206,11 @@ class ChaseStats:
 
 @dataclass(frozen=True)
 class ChaseResult:
+    """The chased instance, the term map `mu`, its classes and the run's
+    statistics.  Of `derived`, the derived facts and merged equalities, only
+    the length (`stats.derived_facts`) is stable: which equalities it
+    records depends on evaluation order."""
+
     instance: Instance
     mu: "dict[Term, Term]"
     classes: "dict[Term, frozenset[Term]]"
@@ -212,21 +219,20 @@ class ChaseResult:
 
 
 class _Store:
-    """An instance and the facts added to it since the current round began.
-
-    `merges` counts the merges so far (the naive fixpoint makes none), and
-    `settled` the merges made before the facts of the current round's
-    `fresh` (the previous round's delta) began to be added: once `merges`
-    differs, a merge may have rewritten some of them away."""
+    """An instance, the facts added to it since the current round began
+    (`delta`), and the previous round's delta (`entries`), which this
+    round's joins enter at and keep the atoms before their entry atom off.
+    Both map each predicate to its facts, and hold only facts of the
+    instance: a merge takes the facts it rewrites away out of them."""
 
     def __init__(self, instance: Instance, limits: Limits):
         self.instance = instance
         self.limits = limits
-        # A dict used as a set: a round keeps its delta for the duplicate-free
+        # Dicts used as sets: a round keeps its delta for the duplicate-free
         # pivots, and with thousands of facts a dict grown fact by fact takes
         # a third to a half of the memory of a set.
-        self.delta: dict[Atom, None] = {}
-        self.merges = self.settled = 0
+        self.delta: dict[Predicate, dict[Atom, None]] = {}
+        self.entries: dict[Predicate, dict[Atom, None]] = {}
 
     def add(self, pred: Predicate, heads: "Iterable[Atom]") -> "dict[Atom, None]":
         """Add a batch of facts of `pred` in one write and check the new
@@ -234,7 +240,7 @@ class _Store:
         new = self.instance.add_all(pred, heads)
         if new:
             _guard(new, len(self.instance), self.limits)
-            self.delta.update(new)
+            self.delta.setdefault(pred, {}).update(new)
         return new
 
     def fire(self, matches: "list[tuple[Atom]]"):
@@ -254,7 +260,7 @@ class _ChaseState(_Store):
         super().__init__(instance, limits)
         self.uf = UnionFind()
         self.derived: list[Atom] = []
-        self.applications = 0
+        self.merges = self.applications = 0
 
     def fire(self, matches: "list[tuple[Atom]]"):
         """Apply a rule's batch of matches.  A relational batch is written
@@ -301,16 +307,19 @@ class _ChaseState(_Store):
         mu = {loser: rep}
         stale = {a for fact in facts for a in fact.args if _below(loser, a)}
         dead = self._rehome(stale, mu) if stale else ()
+        rewritten: dict[Predicate, list[Atom]] = {}
         for fact in facts:
             self.instance.discard(fact)
+            self.delta.get(fact[0], {}).pop(fact, None)
+            self.entries.get(fact[0], {}).pop(fact, None)
             # A fact holding a stale representative with no live member is
             # dropped: its body facts were rewritten too, re-enter the
             # delta, and re-derive it in normalized form.
             if dead and not dead.isdisjoint(fact.args):
                 continue
-            new = map_shallow(mu, fact)
-            if self.instance.add(new):
-                self.delta[new] = None
+            rewritten.setdefault(fact[0], []).append(map_shallow(mu, fact))
+        for pred, new in rewritten.items():
+            self.delta.setdefault(pred, {}).update(self.instance.add_all(pred, new))
 
     def _rehome(self, stale: "set[Term]", mu: "dict[Term, Term]") -> "set[Term]":
         """Hand the class of each representative in `stale` to its least
@@ -372,44 +381,39 @@ def _components(rule: Rule) -> "list[tuple[Atom, ...]]":
     return [tuple(rule.body[i] for i in linked)] + free
 
 
-def _match(plans: tuple, by_pred: "dict | None", fresh, new, instance: Instance, out, merged: bool, rng=None):
+def _match(plans: tuple, entries: "dict | None", new, instance: Instance, out, rng=None):
     """Append to `out` the matches of a conjunction of at least one atom,
     compiled into one join plan per atom, as (atom predicate, plan) pairs,
     over the facts outside `new` (the facts the current round has added so
     far).  Each plan's kernel runs once, over all its entry facts.
 
-    Full mode (`by_pred` None): every match, entered at the atom whose
+    Full mode (`entries` None): every match, entered at the atom whose
     predicate has the fewest facts, its facts in an order `rng` shuffles.
-    Semi-naive mode: every match holding a fact of `fresh` (the previous
-    round's delta), grouped by predicate in `by_pred`, found once, by the
-    plan of the first of its atoms whose fact is in `fresh`; that plan keeps
-    the atoms before it off `fresh`.  `merged` tells whether a merge may
-    have rewritten facts of `fresh` away since they were added."""
-    if by_pred is None:
+    Semi-naive mode: every match holding a fact of `entries` (the previous
+    round's delta, less the facts merges have since rewritten away), found
+    once, by the plan of the first of its atoms whose fact is in `entries`;
+    that plan keeps the atoms before it off `entries`."""
+    if entries is None:
         pred, plan = min(plans, key=lambda p: len(instance.with_predicate(p[0])))
-        facts = [f for f in instance.with_predicate(pred) if f not in new]
+        added = new.get(pred, ())
+        facts = [f for f in instance.with_predicate(pred) if f not in added]
         if rng is not None:
             rng.shuffle(facts)
         if facts:
-            plan.run(facts, instance, out, new, ())
+            plan.run(facts, instance, out, new, {})
         return
     for pred, plan in plans:
-        facts = by_pred.get(pred)
-        if facts and merged:
-            # A fact rewritten away by a merge is stale; its normalized
-            # form re-entered the delta on its own.
-            present = instance.with_predicate(pred)
-            facts = [f for f in facts if f in present]
+        facts = entries.get(pred)
         if facts:
-            plan.run(facts, instance, out, new, fresh)
+            plan.run(facts, instance, out, new, entries)
 
 
-def _holds(plans: tuple, by_pred: "dict | None", fresh, instance: Instance, merged: bool) -> bool:
-    """Whether a conjunction has a match: in the first round (`by_pred`
-    None) any match, later one holding a fact of the previous round's
-    delta `fresh`.  The join stops at the first."""
+def _holds(plans: tuple, entries: "dict | None", instance: Instance) -> bool:
+    """Whether a conjunction has a match: in the first round (`entries`
+    None) any match, later one holding a fact of `entries`.  The join stops
+    at the first."""
     try:
-        _match(plans, by_pred, fresh, (), instance, FIRST_MATCH, merged)
+        _match(plans, entries, {}, instance, FIRST_MATCH)
     except MatchFound:
         return True
     return False
@@ -485,23 +489,22 @@ class _CompiledRule:
         """The predicates of the rule's body."""
         return {pred for plans in (self.plans, *self.waiting) for pred, _ in plans}
 
-    def matches(self, by_pred: "dict | None", fresh, store: "_Store", rng) -> "list[tuple[Atom]]":
-        """This round's new matches of the head-linked atoms.  `by_pred`
-        groups the previous round's delta `fresh` by predicate; it is None
-        in the first round, which checks and joins in full.  Every join
-        keeps off the facts added since the round began: they are the
-        round's delta, and the next round finds the matches holding them."""
+    def matches(self, entries: "dict | None", store: "_Store", rng) -> "list[tuple[Atom]]":
+        """This round's new matches of the head-linked atoms, entered at
+        `entries` (`store.entries`, see `_match`); it is None in the first
+        round, which checks and joins in full.  Every join keeps off the
+        facts added since the round began: they are the round's delta, and
+        the next round finds the matches holding them."""
         instance = store.instance
-        merged = store.merges != store.settled
         if self.waiting:
-            self.waiting = [c for c in self.waiting if not _holds(c, by_pred, fresh, instance, merged)]
+            self.waiting = [c for c in self.waiting if not _holds(c, entries, instance)]
             if self.waiting:
                 return []
-            by_pred = None
+            entries = None
         if not self.plans:
-            return [(self.head,)] if by_pred is None else []
+            return [(self.head,)] if entries is None else []
         out: list[tuple[Atom]] = []
-        _match(self.plans, by_pred, fresh, store.delta, instance, out, merged, rng)
+        _match(self.plans, entries, store.delta, instance, out, rng)
         return out
 
 
@@ -545,9 +548,7 @@ def _saturate(rules: "list[_CompiledRule]", state: _Store, rng=None) -> int:
     # What entered the delta before the first round (the heads of bodiless
     # rules) is present when it begins.
     state.delta = {}
-    fresh, by_pred = {}, None
     visit = rules
-    began = state.merges
     rounds = 0
     while True:
         rounds += 1
@@ -555,18 +556,14 @@ def _saturate(rules: "list[_CompiledRule]", state: _Store, rng=None) -> int:
             visit = list(visit)
             rng.shuffle(visit)
         for rule in visit:
-            state.fire(rule.matches(by_pred, fresh, state, rng))
-        if not state.delta:
+            state.fire(rule.matches(None if rounds == 1 else state.entries, state, rng))
+        if not any(state.delta.values()):
             return rounds
-        fresh, state.delta = state.delta, {}
-        state.settled, began = began, state.merges
-        by_pred = {}
-        for fact in fresh:
-            by_pred.setdefault(fact.predicate, []).append(fact)
+        state.entries, state.delta = state.delta, {}
         if rng is not None:
-            for facts in by_pred.values():
-                rng.shuffle(facts)
-        visit = [rules[i] for i in sorted({i for pred in by_pred for i in readers.get(pred, ())})]
+            for pred, facts in state.entries.items():
+                state.entries[pred] = dict.fromkeys(rng.sample(list(facts), len(facts)))
+        visit = [rules[i] for i in sorted({i for pred in state.entries for i in readers.get(pred, ())})]
 
 
 def chase(

@@ -474,7 +474,7 @@ def parse_instance(data_dir, signature: "dict[str, Predicate]") -> Instance:
                 source=str(path),
             )
         arity = pred.arity
-        with open(path, newline="", encoding="utf-8") as fh:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
             reader = csv.reader(fh)
             instance.add_all(pred, [
                 new_atom(Atom, (pred, tuple(map(intern, row))))
@@ -653,7 +653,7 @@ def load_scenario(
     """Parse a rule file, a directory of CSV facts and an optional schema
     into a `Scenario`, which checks the input contract as it is built."""
     rules_path = Path(rules_path)
-    rules = parse_rules(rules_path.read_text(encoding="utf-8"), source=str(rules_path))
+    rules = parse_rules(rules_path.read_text(encoding="utf-8-sig"), source=str(rules_path))
     sig = rules_signature(rules)
     if query_pred not in sig:
         raise UnknownPredicate(
@@ -663,7 +663,7 @@ def load_scenario(
     schema = None
     if schema_path is not None:
         schema_path = Path(schema_path)
-        schema = parse_schema(schema_path.read_text(encoding="utf-8"), source=str(schema_path))
+        schema = parse_schema(schema_path.read_text(encoding="utf-8-sig"), source=str(schema_path))
         for (name, arity) in schema:
             if name in sig and sig[name].arity != arity:
                 raise ArityMismatch(

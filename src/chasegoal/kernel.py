@@ -568,8 +568,11 @@ class Instance:
         self._mine: dict[PredicateId, _Relation] = {}
         self._size = 0
         self._terms: Optional[_TermIndex] = None
+        by_pred: dict[PredicateId, list[Atom]] = {}
         for f in facts:
-            self.add(f)
+            by_pred.setdefault(f[0], []).append(f)
+        for pred, group in by_pred.items():
+            self.add_all(pred, group)
 
     def _share(self, cls) -> "Instance":
         new = object.__new__(cls)
@@ -599,21 +602,7 @@ class Instance:
         return rel
 
     def add(self, fact: Atom) -> bool:
-        rel = self._mine.get(fact[0])
-        if rel is None:
-            shared = self._rels.get(fact[0])
-            if shared is not None and fact in shared.facts:
-                return False
-            rel = self._own(fact[0])
-        facts = rel.facts
-        n = len(facts)
-        facts.add(fact)  # hashes the fact once; the size tells whether it was new
-        if len(facts) == n:
-            return False
-        self._size += 1
-        if rel.index or self._terms is not None:
-            self._upkeep(rel, (fact,))
-        return True
+        return bool(self.add_all(fact[0], (fact,)))
 
     def add_all(self, pred: PredicateId, facts: "Iterable[Atom]") -> "dict[Atom, None]":
         """Add in one write the facts of `pred` this instance lacks, testing
@@ -717,11 +706,8 @@ class Instance:
 
 class ReadOnlyInstance(Instance):
     """An instance whose facts never change, made by `Instance.snapshot`:
-    `add` and `discard` raise `TypeError`, and `copy` gives a writable
-    instance."""
-
-    def add(self, fact: Atom) -> bool:
-        raise TypeError("a read-only instance cannot change; write to a copy()")
+    `add`, `add_all` and `discard` raise `TypeError`, and `copy` gives a
+    writable instance."""
 
     def add_all(self, pred: PredicateId, facts: "Iterable[Atom]") -> "dict[Atom, None]":
         raise TypeError("a read-only instance cannot change; write to a copy()")
@@ -879,9 +865,14 @@ class _KernelSource:
         """Match `atom` against the candidates of step n: every fact of the
         relation, the facts the key position's index gives for the key, or,
         for an atom bound at every position, the one fact it names.  Every
-        candidate keeps off `new`, and off `fresh` if `old` holds."""
+        candidate keeps off the facts of its predicate in `new`, and in
+        `fresh` if `old` holds."""
         p = self.arg(atom.predicate)
-        off = "f%d in new" % n + (" or f%d in fresh" % n if old else "")
+        self.prologue.append("n%d = new.get(%s, ())" % (n, p))
+        off = "f%d in n%d" % (n, n)
+        if old:
+            self.prologue.append("e%d = fresh.get(%s, ())" % (n, p))
+            off += " or f%d in e%d" % (n, n)
         if full or key_pos < 0:
             self.prologue.append("s%d = instance.with_predicate(%s)" % (n, p))
         if atom in self.emitted:
@@ -924,8 +915,8 @@ def _placeholder(n: int, obj):
 
 def _canonical(body, entry: Atom, emit) -> tuple:
     """The form of a plan its shape is keyed by, with the objects of its
-    sites, in order, and its variables mapped to their numbered ones.  An
-    atom to emit that is a body atom keeps that atom's form."""
+    sites, in order.  An atom to emit that is a body atom keeps that atom's
+    form."""
     sites: list = []
     names: dict[Variable, Variable] = {}
 
@@ -945,20 +936,18 @@ def _canonical(body, entry: Atom, emit) -> tuple:
 
     entry_form = atom(entry)
     body_form = tuple(map(atom, body))
-    if emit is not None:
-        emit = tuple(body_form[body.index(a)] if a in body else atom(a) for a in emit)
-    return (body_form, entry_form, emit), sites, names
+    emit = tuple(body_form[body.index(a)] if a in body else atom(a) for a in emit)
+    return (body_form, entry_form, emit), sites
 
 
 def _shape(body, entry: Atom, emit, old: int) -> tuple:
     """Generate and compile the kernel of a plan in canonical form.
-    Returns its code, its source lines, the sites of its arguments, its
-    steps with the site of each predicate, and its bound variables in slot
-    order."""
+    Returns its code, its source lines, the sites of its arguments, and
+    its steps with the site of each predicate."""
     # A body atom to emit is emitted as the fact it matched.
-    emitted = set(body).intersection(emit or ())
+    emitted = set(body).intersection(emit)
     reads = Counter(iter_vars((entry,) + body))
-    reads.update(list(reads) if emit is None else iter_vars([a for a in emit if a not in emitted]))
+    reads.update(iter_vars([a for a in emit if a not in emitted]))
     src = _KernelSource(reads, emitted)
     src.open(None)
     target = src.unpack(entry.args)
@@ -984,13 +973,10 @@ def _shape(body, entry: Atom, emit, old: int) -> tuple:
             src.close()
             src.open("def %s:" % call)
         src.step(len(steps) - 1, atom, key_pos, full, j < old)
-    if emit is None:
-        out = _tuple(map(src.var, src.slots))
-    else:
-        out = _tuple(
-            src.held.get(a) or "new_atom(Atom, (%s, %s))" % (src.arg(a.predicate), _tuple(map(src.build, a.args)))
-            for a in emit
-        )
+    out = _tuple(
+        src.held.get(a) or "new_atom(Atom, (%s, %s))" % (src.arg(a.predicate), _tuple(map(src.build, a.args)))
+        for a in emit
+    )
     src.line("out.append(%s)" % out)
     src.close()
     join, *rest = src.functions
@@ -999,7 +985,7 @@ def _shape(body, entry: Atom, emit, old: int) -> tuple:
     )
     text = "\n".join(join[:1] + ["    " + s for f in rest for s in f] + join[1:]) + "\n"
     code = compile(text, "<kernel>", "exec", dont_inherit=True).co_consts[0]
-    return code, text.splitlines(True), tuple(_SITE[a] for a in src.args), tuple(steps), tuple(src.slots)
+    return code, text.splitlines(True), tuple(_SITE[a] for a in src.args), tuple(steps)
 
 
 class JoinPlan:
@@ -1026,12 +1012,12 @@ class JoinPlan:
 
     `run(facts, instance, out, new, fresh)` appends to `out` one match for
     each way to match the entry atom against one of `facts` and join the
-    body.  Every step keeps off the facts in `new`; with `old=k`, the first
-    k atoms of `body` keep off the facts in `fresh` as well, so a
-    conjunction pivoted on its atom k finds a match holding several
-    `fresh` facts once, at the first.  A match is the tuple of the
-    instances of the `emit` atoms, or, without `emit`, of the values of the
-    variables in the order of `slots`.  Nothing may write to the instance
+    body.  `new` and `fresh` map predicates to sets of their facts.  Every
+    step keeps off the facts in `new`; with `old=k`, the first k atoms of
+    `body` keep off the facts in `fresh` as well, so a conjunction pivoted
+    on its atom k finds a match holding several `fresh` facts once, at the
+    first.  A match is the tuple of the
+    instances of the `emit` atoms.  Nothing may write to the instance
     during a run, so the relations are looked up once per run.
 
     Plans of one shape (`_SHAPES`) share the kernel's code; each binds its
@@ -1043,7 +1029,7 @@ class JoinPlan:
     __slots__ = ("key", "run")
     _table: "dict[tuple, JoinPlan]" = {}
 
-    def __new__(cls, body, entry: Atom, old: int = 0, emit: "Optional[tuple[Atom, ...]]" = None):
+    def __new__(cls, body, entry: Atom, old: int = 0, emit: "tuple[Atom, ...]" = ()):
         key = (tuple(body), entry, old, emit)
         plan = JoinPlan._table.get(key)
         if plan is None:
@@ -1052,24 +1038,22 @@ class JoinPlan:
         return plan
 
     def _shape(self) -> tuple:
-        """The plan's shape, the objects of its sites and its variables
-        mapped to their numbered ones (`_canonical`)."""
+        """The plan's shape and the objects of its sites (`_canonical`)."""
         body, entry, old, emit = self.key
-        form, sites, names = _canonical(body, entry, emit)
+        form, sites = _canonical(body, entry, emit)
         shape = _SHAPES.get((form, old))
         if shape is None:
             shape = _SHAPES[form, old] = _shape(*form, old)
-        return shape, sites, names
+        return shape, sites
 
     def __getattr__(self, name: str):
         """Build the kernel at the first use of `run`."""
         if name != "run":
             raise AttributeError(name)
-        (code, lines, args, _, _), sites, _ = self._shape()
+        (code, lines, args, _), sites = self._shape()
         body, entry, old, emit = self.key
-        head = "(%s)" % ", ".join(map(repr, self.slots)) if emit is None else ", ".join(map(repr, emit))
         filename = "<kernel %s :- %s%s>" % (
-            head, ", ".join(map(repr, (entry,) + body)), "; old %d" % old if old else ""
+            ", ".join(map(repr, emit)), ", ".join(map(repr, (entry,) + body)), "; old %d" % old if old else ""
         )
         linecache.cache[filename] = (sum(map(len, lines)), None, lines, filename)
         self.run = FunctionType(
@@ -1078,27 +1062,20 @@ class JoinPlan:
         return self.run
 
     @property
-    def slots(self) -> "dict[Variable, int]":
-        """Each variable the kernel binds -> its place in the match."""
-        (_, _, _, _, slots), _, names = self._shape()
-        variables = {v: u for u, v in names.items()}
-        return {variables[v]: i for i, v in enumerate(slots)}
-
-    @property
     def steps(self) -> tuple:
-        (_, _, _, steps, _), sites, _ = self._shape()
+        (_, _, _, steps), sites = self._shape()
         return tuple((sites[p], *rest) for p, *rest in steps)
 
-    def run_from(self, fact: Atom, instance: "Instance", out, new=_EMPTY, fresh=_EMPTY) -> None:
+    def run_from(self, fact: Atom, instance: "Instance", out) -> None:
         """Append to `out` the matches whose entry atom is `fact`; the
         caller has checked that the predicates agree."""
-        self.run((fact,), instance, out, new, fresh)
+        self.run((fact,), instance, out, {}, {})
 
     def holds_from(self, fact: Atom, instance: "Instance") -> bool:
         """Whether some match has `fact` as its entry atom; the join stops
         at the first."""
         try:
-            self.run((fact,), instance, FIRST_MATCH, _EMPTY, _EMPTY)
+            self.run((fact,), instance, FIRST_MATCH, {}, {})
         except MatchFound:
             return True
         return False

@@ -118,10 +118,12 @@ def enumerate_matches(body, instance: Instance, bindings=None):
     the instance, joined through the indexes in `JoinPlan` order."""
     bindings = bindings or {}
     pred = Predicate("bindings", len(bindings))
-    plan = JoinPlan(body, entry=Atom(pred, tuple(bindings)))
+    variables = tuple(dict.fromkeys(itertools.chain(bindings, iter_vars(body))))
+    match = Atom(Predicate("match", len(variables)), variables)
+    plan = JoinPlan(body, entry=Atom(pred, tuple(bindings)), emit=(match,))
     out: list = []
     plan.run_from(Atom(pred, tuple(bindings.values())), instance, out)
-    return (dict(zip(plan.slots, vals)) for vals in out)
+    return (dict(zip(variables, head.args)) for (head,) in out)
 
 
 def null_chase_answers(rules, base, query, max_rounds=200):

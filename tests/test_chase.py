@@ -126,9 +126,8 @@ def test_merge_chooses_constant_over_function_term():
     assert result.mu == {f_b: a}
 
 
-def test_merged_away_term_never_survives_nested():
-    # derive U over a Skolem of b, then merge b into a: no surviving fact
-    # may mention b at any depth, whichever order the rules fired in
+def nested_merge_scenario() -> Scenario:
+    """U is derived over a Skolem term of b, then b is merged into a."""
     text = """
     R(?x) -> T(?x,?y)
     T(?x,?y) -> U(?y)
@@ -137,12 +136,18 @@ def test_merged_away_term_never_survives_nested():
     R(?x) -> Q(?x)
     """
     R1 = Predicate("R", 1)
-    sc = Scenario(
+    return Scenario(
         rules=tuple(parse_rules(text)),
         instance=Instance([Atom(R1, (a,)), Atom(R1, (b,))]),
         query=Q1,
         una_known=False,
     )
+
+
+def test_merged_away_term_never_survives_nested():
+    # no surviving fact may mention b at any depth, whichever order the
+    # rules fired in
+    sc = nested_merge_scenario()
     for seed in range(8):
         rep = run_pipeline(sc, PipelineConfig(mode="mat", seed=seed))
         for fact in rep.chase_result.instance:
@@ -230,6 +235,29 @@ def test_stale_merge_template_agrees_with_oracle_and_across_seeds():
                 outcomes.add((frozenset(cr.instance), frozenset(cr.mu.items())))
             assert len(outcomes) == 1, (mode, drawn.scenario)
     assert merged >= 80
+
+
+def test_a_round_holds_only_facts_of_the_instance(monkeypatch):
+    # After every batch a round applies, its delta and the previous round's
+    # delta its joins enter at hold only facts of the instance: a merge
+    # takes the facts it rewrites away out of both.
+    fire = engine._ChaseState.fire
+    batches = 0
+
+    def checked(state, matches):
+        nonlocal batches
+        fire(state, matches)
+        batches += 1
+        for group in (state.delta, state.entries):
+            assert all(f in state.instance for facts in group.values() for f in facts)
+
+    monkeypatch.setattr(engine._ChaseState, "fire", checked)
+    drawn = [d.scenario for d in scenario_stream(1, 40, draw=stale_merge_scenario)]
+    for sc in [nested_merge_scenario()] + drawn:
+        for mode in ("mat", "rel", "magic", "all"):
+            for seed in (None, 0, 1):
+                run_pipeline(sc, PipelineConfig(mode=mode, seed=seed))
+    assert batches > 1000
 
 
 def test_base_equality_fact_is_rejected():

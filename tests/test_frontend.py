@@ -316,6 +316,19 @@ def test_load_scenario_end_to_end(tmp_path):
     assert rep.answers == (("a1",),)
 
 
+@pytest.mark.parametrize("marked", ["rules.txt", "schema.txt", "data/P.csv"])
+def test_load_scenario_ignores_a_byte_order_mark(tmp_path, marked):
+    # A UTF-8 byte-order mark at the start of a file is not part of its
+    # first rule, schema entry or constant.
+    files = {"rules.txt": "P(?x) -> Q(?x)\n", "schema.txt": "P/1: thing\n", "data/P.csv": "a1\na2\n"}
+    (tmp_path / "data").mkdir()
+    for name, text in files.items():
+        (tmp_path / name).write_text(text, encoding="utf-8-sig" if name == marked else "utf-8")
+    sc = load_scenario(tmp_path / "rules.txt", tmp_path / "data", "Q", tmp_path / "schema.txt")
+    assert sc.schema == {("P", 1): ("thing",)}
+    assert run_pipeline(sc, PipelineConfig(mode="all")).answers == (("a1",), ("a2",))
+
+
 def test_load_scenario_rejects_data_sort_the_rules_contradict(tmp_path):
     # the rules put c at a dept position, the data has c as a student
     (tmp_path / "rules.txt").write_text("S(?x), D(c) -> Q(?x)", encoding="utf-8")

@@ -220,7 +220,8 @@ def test_enumerate_matches_agrees_with_brute_force():
     # operation (bind, check, constant, function term) and atoms bound at
     # every position meet brute force.  Each body is also run through a
     # kernel that emits a head atom and keeps its atoms off a random `new`
-    # set and its first `old` atoms off a random `fresh` set.
+    # set and its first `old` atoms off a random `fresh` set, each grouped
+    # by predicate.
     rng, draw = random.Random(7), random.Random(8)
     H = Predicate("H", 3)
     preds = [Predicate("E", 2), Predicate("F", 1), Predicate("T", 3)]
@@ -268,7 +269,8 @@ def test_enumerate_matches_agrees_with_brute_force():
         pivot = Predicate("bindings", len(bindings))
         plan = JoinPlan(body, entry=Atom(pivot, tuple(bindings)), old=old, emit=(head,))
         out = []
-        plan.run([Atom(pivot, tuple(bindings.values()))], inst, out, new, fresh)
+        new_by, fresh_by = ({p: {f for f in s if f[0] is p} for p in preds} for s in (new, fresh))
+        plan.run([Atom(pivot, tuple(bindings.values()))], inst, out, new_by, fresh_by)
         want = [
             substitute(sigma, head)
             for sigma, used in brute_force_rows(body, facts, bindings)
@@ -343,11 +345,12 @@ def test_instance_indexes_a_position_only_when_it_is_looked_up():
     # every position: its one candidate is tested against the fact set,
     # and no index of position 0 is built for it.
     inst = Instance([Atom(R2, (a, b)), Atom(R2, (b, b)), Atom(R2, (d, b)), Atom(R2, (b, a))])
-    plan = JoinPlan((Atom(R2, (y, x)), Atom(R2, (x, y))), entry=Atom(P1, (x,)))
+    Q2 = Predicate("Q", 2)
+    plan = JoinPlan((Atom(R2, (y, x)), Atom(R2, (x, y))), entry=Atom(P1, (x,)), emit=(Atom(Q2, (x, y)),))
     assert [step[1:] for step in plan.steps] == [(1, 0, False), (0, 1, True)]
     out = []
     plan.run_from(Atom(P1, (b,)), inst, out)
-    assert sorted(map(repr, out)) == ["(b, a)", "(b, b)"]
+    assert sorted(repr(head) for (head,) in out) == ["Q(b,a)", "Q(b,b)"]
     assert {(pred, pos) for pred, rel in inst._rels.items() for pos in rel.index} == {(R2, 1)}
 
 
