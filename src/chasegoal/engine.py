@@ -12,16 +12,23 @@ those facts dropped, to be re-derived in normalized form.  Such stale terms
 stay out of the term map.  `naive_fixpoint` evaluates arbitrary logic
 programs with explicit equality atoms and serves as the reference semantics.
 
+The engine works on rows of term ids from end to end (see `kernel`): the
+kernels unpack rows and build heads as rows, a delta maps each predicate to
+its rows, and the union-find, the staleness test and the guards read a
+term's depth, place in the term order and arguments from the term table by
+id.  Term objects and atoms come back only in the results: `ChaseResult`'s
+term map, classes and derived facts, and the answers.
+
 Both start from the base they are given: an `Instance` base is copied in
 O(predicates), sharing its per-predicate relations copy-on-write, so a
-merge that rewrites a base fact clones that fact's relation alone, and the
-base's facts are checked once per distinct argument term.  Base facts never
-enter a delta.  Each rule is compiled into one join plan per body atom
-once per process (`_RULES`), and checked against the chase's body contract
-there; a plan runs as a kernel, a generated function of nested loops that
-builds the rule's head at each match (see `kernel.JoinPlan`).  One routine
-(`_match`) matches every conjunction with them, one kernel call per plan
-and round.  The first round is naive: it joins each rule once in full,
+merge that rewrites a base fact clones that fact's relation alone.  The
+base's rows are read only when the term table holds a term deeper than the
+depth limit.  Base facts never enter a delta.  Each rule is compiled into
+one join plan per body atom once per process (`_RULES`), and checked
+against the chase's body contract there; a plan runs as a kernel, a
+generated function of nested loops that builds the row of the rule's head
+at each match (see `kernel.JoinPlan`).  One routine (`_match`) matches
+every conjunction with them, one kernel call per plan and round.  The first round is naive: it joins each rule once in full,
 entered at the body atom whose relation is smallest at that moment.  Every
 later round is semi-naive: it visits only the rules with a body predicate
 in the previous round's delta, and finds each new match once, at the first
@@ -37,9 +44,10 @@ away out of both, and writes their rewrites with `Instance.add_all`.
 A round is evaluated a set at a time.  A rule's matches are collected,
 then applied as one batch: a relational batch is one write
 (`Instance.add_all`), which tests membership and drops duplicates in C,
-and then updates the indexes and checks the limits once per new fact, in
-match order.  An equality batch is applied one head at a time, since its
-merges are sequential.  A kernel builds the index of a relation's argument
+and then updates the indexes once per new fact and checks the limits, the
+depth limit row by row only while the term table holds a deeper term.  An
+equality batch is applied one head at a time, since its merges are
+sequential.  A kernel builds the index of a relation's argument
 position the first time it runs with that position as a step's key; a
 step bound at every position tests the relation's fact set and needs no
 index.  The term index only merges read is built at the first merge.
@@ -48,30 +56,35 @@ index.  The term index only merges read is built at the first merge.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
-from itertools import chain, product
+from dataclasses import dataclass, field
+from functools import cached_property
+from itertools import chain, product, repeat
 from typing import Iterable, Optional
 
 from .kernel import (
+    DEPTH,
+    KEY,
+    TERMS,
     Atom,
     EQUALITY,
     FIRST_MATCH,
+    BodyContractViolation,
+    ChaseError,
     Constant,
-    Functional,
     Instance,
     JoinPlan,
     MatchFound,
     Predicate,
+    PredicateId,
     Program,
     Rule,
     Term,
     Variable,
-    eq,
+    arg_ids,
+    atom_of,
+    deepest,
     is_ground,
-    iter_subterms,
-    occurs_in,
-    map_shallow,
-    term_key,
+    row_of,
     vars_of,
 )
 
@@ -86,10 +99,6 @@ class Limits:
     max_facts: int = 10_000_000
 
 
-class ChaseError(RuntimeError):
-    pass
-
-
 class DepthLimitExceeded(ChaseError):
     pass
 
@@ -98,37 +107,41 @@ class FactLimitExceeded(ChaseError):
     pass
 
 
-class BodyContractViolation(ChaseError):
-    pass
+def _too_deep(pred: PredicateId, row, max_depth: int) -> DepthLimitExceeded:
+    return DepthLimitExceeded("term depth exceeds %d in %r" % (max_depth, atom_of(pred, row)))
 
 
-def _guard(new: "Iterable[Atom]", n_facts: int, limits: Limits):
-    """Check facts just added, in order, as if each had been added alone:
-    its terms against the depth limit, then the instance's size, `n_facts`
-    after the last of them, against the fact limit."""
+def _guard(pred: PredicateId, new, n_facts: int, limits: Limits):
+    """Check rows of `pred` just added, in order, as if each had been added
+    alone: its terms against the depth limit, then the instance's size,
+    `n_facts` after the last of them, against the fact limit.  While no
+    term in the term table is deeper than the limit, no row is read."""
     max_depth = limits.max_depth
     # The position in `new` of the first fact past the fact limit.
     over = limits.max_facts - n_facts + len(new)
-    for i, fact in enumerate(new):
-        for t in fact[1]:
-            if t.depth > max_depth:
-                raise DepthLimitExceeded("term depth exceeds %d in %r" % (max_depth, fact))
-        if i >= over:
-            raise FactLimitExceeded("more than %d facts" % limits.max_facts)
+    if deepest() > max_depth:
+        for i, row in enumerate(new):
+            for t in row:
+                if DEPTH[t] > max_depth:
+                    raise _too_deep(pred, row, max_depth)
+            if i >= over:
+                break
+    if over < len(new):
+        raise FactLimitExceeded("more than %d facts" % limits.max_facts)
 
 
 def _intake(base: "Instance | Iterable[Atom]", limits: Limits) -> Instance:
     """The instance a fixpoint starts from: a copy-on-write copy of the
-    base, which the caller keeps unchanged.  Its facts are checked once per
-    distinct argument term, not per fact."""
+    base, which the caller keeps unchanged.  Its rows are read only when
+    the term table holds a term deeper than the depth limit, and then once
+    per distinct term id."""
     instance = base.copy() if isinstance(base, Instance) else Instance(base)
-    for t in instance.argument_terms():
-        if t.key is not None and t.depth <= limits.max_depth:
-            continue
-        fact = next(f for f in instance if t in f.args)
-        if not is_ground(fact):
-            raise BodyContractViolation("non-ground base fact %r" % (fact,))
-        _guard((fact,), len(instance), limits)
+    max_depth = limits.max_depth
+    if deepest() > max_depth:
+        for pred, rows in instance.relations():
+            deep = {t for t in set().union(*rows) if DEPTH[t] > max_depth}
+            if deep:
+                raise _too_deep(pred, next(r for r in rows if not deep.isdisjoint(r)), max_depth)
     if len(instance) > limits.max_facts:
         raise FactLimitExceeded("more than %d facts" % limits.max_facts)
     return instance
@@ -140,31 +153,31 @@ def _intake(base: "Instance | Iterable[Atom]", limits: Limits) -> Instance:
 
 
 class UnionFind:
-    """Union-find over ground terms.  A union makes the term-order lesser
-    root the representative; `reroot` hands a class to another member.
-    `members` maps each root of a class with more than one term to the
-    class's other terms, those it has merged away."""
+    """Union-find over ground term ids.  A union makes the term-order
+    lesser root (`KEY`) the representative; `reroot` hands a class to
+    another member.  `members` maps each root of a class with more than one
+    term to the class's other terms, those it has merged away."""
 
     def __init__(self):
-        self.parent: dict[Term, Term] = {}
-        self.members: dict[Term, list[Term]] = {}
+        self.parent: dict[int, int] = {}
+        self.members: dict[int, list[int]] = {}
 
-    def find(self, t: Term) -> Term:
+    def find(self, t: int) -> int:
         parent = self.parent
         root = t
         while root in parent:
             root = parent[root]
-        while t is not root:
+        while t != root:
             nxt = parent[t]
             parent[t] = root
             t = nxt
         return root
 
-    def union(self, s: Term, t: Term) -> "tuple[Term, Term]":
+    def union(self, s: int, t: int) -> "tuple[int, int]":
         """Merge the classes of s and t, which the caller has found to
         differ; returns the (representative, loser) roots."""
         rs, rt = self.find(s), self.find(t)
-        if rs.key <= rt.key:
+        if KEY[rs] <= KEY[rt]:
             rep, loser = rs, rt
         else:
             rep, loser = rt, rs
@@ -178,7 +191,7 @@ class UnionFind:
         members[rep] = kept
         return rep, loser
 
-    def reroot(self, root: Term, member: Term):
+    def reroot(self, root: int, member: int):
         """Make `member` the representative of the class `root` heads."""
         del self.parent[member]
         self.parent[root] = member
@@ -187,7 +200,7 @@ class UnionFind:
         members.append(root)
         self.members[member] = members
 
-    def as_map(self) -> "dict[Term, Term]":
+    def as_map(self) -> "dict[int, int]":
         return {t: self.find(t) for t in list(self.parent)}
 
 
@@ -207,23 +220,34 @@ class ChaseStats:
 @dataclass(frozen=True)
 class ChaseResult:
     """The chased instance, the term map `mu`, its classes and the run's
-    statistics.  Of `derived`, the derived facts and merged equalities, only
-    the length (`stats.derived_facts`) is stable: which equalities it
-    records depends on evaluation order."""
+    statistics.  `derived` holds the derived facts and merged equalities,
+    in the order they were made; the chase stores them as rows, and the
+    atoms are built at the first read of the field, so a caller that never
+    reads it pays nothing for them.  Of `derived`, only the length
+    (`stats.derived_facts`) is stable: which equalities it records depends
+    on evaluation order."""
 
     instance: Instance
     mu: "dict[Term, Term]"
     classes: "dict[Term, frozenset[Term]]"
     stats: ChaseStats
-    derived: "tuple[Atom, ...]" = ()
+    # The rows of the derived facts, in order, and the predicate of each
+    # run of them, as (predicate, length) pairs.
+    _derived: "tuple[list, list]" = field(default=((), ()), repr=False, compare=False)
+
+    @cached_property
+    def derived(self) -> "tuple[Atom, ...]":
+        rows, runs = self._derived
+        preds = chain.from_iterable(repeat(pred, n) for pred, n in runs)
+        return tuple(map(atom_of, preds, rows))
 
 
 class _Store:
-    """An instance, the facts added to it since the current round began
+    """An instance, the rows added to it since the current round began
     (`delta`), and the previous round's delta (`entries`), which this
     round's joins enter at and keep the atoms before their entry atom off.
-    Both map each predicate to its facts, and hold only facts of the
-    instance: a merge takes the facts it rewrites away out of them."""
+    Both map each predicate to its rows, and hold only facts of the
+    instance: a merge takes the rows it rewrites away out of them."""
 
     def __init__(self, instance: Instance, limits: Limits):
         self.instance = instance
@@ -231,97 +255,120 @@ class _Store:
         # Dicts used as sets: a round keeps its delta for the duplicate-free
         # pivots, and with thousands of facts a dict grown fact by fact takes
         # a third to a half of the memory of a set.
-        self.delta: dict[Predicate, dict[Atom, None]] = {}
-        self.entries: dict[Predicate, dict[Atom, None]] = {}
+        self.delta: dict[PredicateId, dict[tuple, None]] = {}
+        self.entries: dict[PredicateId, dict[tuple, None]] = {}
 
-    def add(self, pred: Predicate, heads: "Iterable[Atom]") -> "dict[Atom, None]":
-        """Add a batch of facts of `pred` in one write and check the new
+    def add(self, pred: PredicateId, rows: "Iterable[tuple]") -> "dict[tuple, None]":
+        """Add a batch of rows of `pred` in one write and check the new
         ones against the limits; returns the new ones, in batch order."""
-        new = self.instance.add_all(pred, heads)
+        new = self.instance.add_all(pred, rows)
         if new:
-            _guard(new, len(self.instance), self.limits)
-            self.delta.setdefault(pred, {}).update(new)
+            _guard(pred, new, len(self.instance), self.limits)
+            self.enter(pred, new)
         return new
 
-    def fire(self, matches: "list[tuple[Atom]]"):
-        """Apply a rule's batch of matches: add their heads, all of the
-        rule's head predicate, in one write."""
+    def enter(self, pred: PredicateId, new: "dict[tuple, None]") -> None:
+        """Enter the rows `add_all` just returned into the round's delta;
+        the first batch of a predicate in a round becomes its delta."""
+        delta = self.delta.get(pred)
+        if delta is None:
+            self.delta[pred] = new
+        else:
+            delta.update(new)
+
+    def fire(self, pred: PredicateId, matches: "list[tuple]"):
+        """Apply a rule's batch of matches: add their heads, rows of the
+        rule's head predicate `pred`, in one write."""
         if matches:
-            self.add(matches[0][0][0], chain.from_iterable(matches))
+            self.add(pred, matches)
 
 
-def _below(needle: Term, term: Term) -> bool:
+def _occurs(needle: int, t: int) -> bool:
+    return t == needle or any(_occurs(needle, a) for a in arg_ids(t))
+
+
+def _below(needle: int, term: int) -> bool:
     """Whether `needle` occurs in `term` below a function symbol."""
-    return isinstance(term, Functional) and any(occurs_in(needle, a) for a in term.args)
+    return any(_occurs(needle, a) for a in arg_ids(term))
+
+
+def _subterms(t: int):
+    """The term id itself and the ids of every term nested below it."""
+    yield t
+    for a in arg_ids(t):
+        yield from _subterms(a)
 
 
 class _ChaseState(_Store):
     def __init__(self, instance: Instance, limits: Limits):
         super().__init__(instance, limits)
         self.uf = UnionFind()
-        self.derived: list[Atom] = []
+        # The rows of the derived facts and the runs of their predicates
+        # (see `ChaseResult`).
+        self.derived: list[tuple] = []
+        self.runs: list[tuple] = []
         self.merges = self.applications = 0
 
-    def fire(self, matches: "list[tuple[Atom]]"):
-        """Apply a rule's batch of matches.  A relational batch is written
-        at once, each head normalized while the union-find is non-empty.
-        Only an equality head merges, so an equality batch is applied one
-        head at a time, and only its matches can be built from facts a
-        merge in the same batch has rewritten.  The equality such a match
-        entails still holds, so `apply_head` merges its normalized sides,
-        unless a side is stale."""
+    def fire(self, pred: PredicateId, matches: "list[tuple]"):
+        """Apply a rule's batch of matches, heads of `pred`.  A relational
+        batch is written at once, each head normalized while the union-find
+        is non-empty.  Only an equality head merges, so an equality batch is
+        applied one head at a time, and only its matches can be built from
+        facts a merge in the same batch has rewritten.  The equality such a
+        match entails still holds, so `apply_head` merges its normalized
+        sides, unless a side is stale."""
         if not matches:
             return
-        pred = matches[0][0][0]
         if pred is EQUALITY:
             before = self.merges
-            for (head,) in matches:
-                self.applications += self.apply_head(head, self.merges != before)
+            for head in matches:
+                self.applications += self.apply_head(pred, head, self.merges != before)
             return
         self.applications += len(matches)
         parent = self.uf.parent
         if parent:
             merged, find = parent.keys(), self.uf.find
-            heads = [
-                head if merged.isdisjoint(head[1]) else Atom(pred, tuple([find(t) for t in head[1]]))
-                for head, in matches
+            matches = [
+                head if merged.isdisjoint(head) else tuple([find(t) for t in head])
+                for head in matches
             ]
-        else:
-            heads = chain.from_iterable(matches)
-        self.derived.extend(self.add(pred, heads))
+        self.derive(pred, self.add(pred, matches))
 
-    def is_stale(self, term: Term) -> bool:
+    def derive(self, pred: PredicateId, new) -> None:
+        if new:
+            self.derived.extend(new)
+            self.runs.append((pred, len(new)))
+
+    def is_stale(self, term: int) -> bool:
         """Whether `term` mentions a merged-away term below a function symbol."""
         parent = self.uf.parent
-        return isinstance(term, Functional) and any(
-            s in parent for a in term.args for s in iter_subterms(a)
-        )
+        return any(s in parent for a in arg_ids(term) for s in _subterms(a))
 
-    def merge(self, s: Term, t: Term):
+    def merge(self, s: int, t: int):
         rep, loser = self.uf.union(s, t)
         self.merges += 1
-        self.derived.append(eq(s, t))
+        self.derive(EQUALITY, ((s, t),))
         # Rewrite every fact holding the losing term at an argument position,
         # and every fact holding a representative the merge made stale.
-        facts = self.instance.containing(loser)
+        facts = self.instance.rows_holding(loser)
         mu = {loser: rep}
-        stale = {a for fact in facts for a in fact.args if _below(loser, a)}
+        stale = {a for _, row in facts for a in row if _below(loser, a)}
         dead = self._rehome(stale, mu) if stale else ()
-        rewritten: dict[Predicate, list[Atom]] = {}
-        for fact in facts:
-            self.instance.discard(fact)
-            self.delta.get(fact[0], {}).pop(fact, None)
-            self.entries.get(fact[0], {}).pop(fact, None)
+        rewritten: dict[PredicateId, list[tuple]] = {}
+        for pred, row in facts:
+            self.instance.remove(pred, row)
+            self.delta.get(pred, {}).pop(row, None)
+            self.entries.get(pred, {}).pop(row, None)
             # A fact holding a stale representative with no live member is
             # dropped: its body facts were rewritten too, re-enter the
             # delta, and re-derive it in normalized form.
-            if dead and not dead.isdisjoint(fact.args):
+            if dead and not dead.isdisjoint(row):
                 continue
-            rewritten.setdefault(fact[0], []).append(map_shallow(mu, fact))
+            rewritten.setdefault(pred, []).append(tuple([mu.get(a, a) for a in row]))
         for pred, new in rewritten.items():
-            self.delta.setdefault(pred, {}).update(self.instance.add_all(pred, new))
+            self.enter(pred, self.instance.add_all(pred, new))
 
-    def _rehome(self, stale: "set[Term]", mu: "dict[Term, Term]") -> "set[Term]":
+    def _rehome(self, stale: "set[int]", mu: "dict[int, int]") -> "set[int]":
         """Hand the class of each representative in `stale` to its least
         member that mentions no merged-away term, adding the change to `mu`;
         returns the representatives whose class has no such member.  Only
@@ -333,32 +380,30 @@ class _ChaseState(_Store):
         for root in stale:
             live = [m for m in members.get(root, ()) if not self.is_stale(m)]
             if live:
-                chosen[root] = min(live, key=term_key)
+                chosen[root] = min(live, key=KEY.__getitem__)
         for root, member in chosen.items():
             self.uf.reroot(root, member)
         mu.update(chosen)
         return stale - chosen.keys()
 
-    def apply_head(self, head: Atom, merged: bool = True) -> bool:
-        """Add a ground head's fact or merge its equality's sides, each side
+    def apply_head(self, pred: PredicateId, head: tuple, merged: bool = True) -> bool:
+        """Add a ground head's row or merge its equality's sides, each side
         normalized.  Returns False, skipping the equality, when a side still
         mentions a merged-away term: a merge earlier in the same batch
         rewrote the facts the match was built from, and the rewritten facts
         re-enter the delta and re-derive the equality.  Without such a merge
         (`merged` False) both sides come from current facts and hold live
         representatives, so the test is skipped."""
-        pred, args = head
         parent = self.uf.parent
-        if parent and not parent.keys().isdisjoint(args):
-            args = tuple([self.uf.find(t) for t in args])
-            head = Atom(pred, args)
+        if parent and not parent.keys().isdisjoint(head):
+            head = tuple([self.uf.find(t) for t in head])
         if pred is not EQUALITY:
-            self.derived.extend(self.add(pred, [head]))
+            self.derive(pred, self.add(pred, [head]))
             return True
-        s, t = args
+        s, t = head
         if merged and (self.is_stale(s) or self.is_stale(t)):
             return False
-        if s is not t:
+        if s != t:
             self.merge(s, t)
         return True
 
@@ -394,11 +439,13 @@ def _match(plans: tuple, entries: "dict | None", new, instance: Instance, out, r
     once, by the plan of the first of its atoms whose fact is in `entries`;
     that plan keeps the atoms before it off `entries`."""
     if entries is None:
-        pred, plan = min(plans, key=lambda p: len(instance.with_predicate(p[0])))
+        pred, plan = min(plans, key=lambda p: len(instance.rows(p[0])))
         added = new.get(pred, ())
-        facts = [f for f in instance.with_predicate(pred) if f not in added]
-        if rng is not None:
-            rng.shuffle(facts)
+        facts = instance.rows(pred)
+        if added or rng is not None:
+            facts = [f for f in facts if f not in added]
+            if rng is not None:
+                rng.shuffle(facts)
         if facts:
             plan.run(facts, instance, out, new, {})
         return
@@ -422,7 +469,7 @@ def _holds(plans: tuple, entries: "dict | None", instance: Instance) -> bool:
 # Compiled rules: every rule with a body that a fixpoint in this process
 # has seen -> its plans (see `_plans`) and how it breaks the chase's body
 # contract, if it does.  The table grows with the distinct rules a process
-# has seen, like the intern tables; a process that answers the same
+# has seen, like the term table; a process that answers the same
 # program again compiles and checks nothing.
 _RULES: "dict[Rule, tuple]" = {}
 
@@ -475,9 +522,9 @@ class _CompiledRule:
     in full mode (`_match`) once, in the first round or, for a rule with
     head-free components, in the round the last of them gets its witness;
     in every later round, in semi-naive mode.  A rule with no head-linked
-    atom thus fires once, with its ground head.  A match is the 1-tuple of
-    its head; nothing rebuilds the body, since the chase does not re-check
-    a match once it is found."""
+    atom thus fires once, with its ground head.  A match is its head's
+    row; nothing rebuilds the body, since the chase does not re-check a
+    match once it is found."""
 
     __slots__ = ("plans", "waiting", "head")
 
@@ -489,7 +536,7 @@ class _CompiledRule:
         """The predicates of the rule's body."""
         return {pred for plans in (self.plans, *self.waiting) for pred, _ in plans}
 
-    def matches(self, entries: "dict | None", store: "_Store", rng) -> "list[tuple[Atom]]":
+    def matches(self, entries: "dict | None", store: "_Store", rng) -> "list[tuple]":
         """This round's new matches of the head-linked atoms, entered at
         `entries` (`store.entries`, see `_match`); it is None in the first
         round, which checks and joins in full.  Every join keeps off the
@@ -502,8 +549,8 @@ class _CompiledRule:
                 return []
             entries = None
         if not self.plans:
-            return [(self.head,)] if entries is None else []
-        out: list[tuple[Atom]] = []
+            return [row_of(self.head)] if entries is None else []
+        out: list[tuple] = []
         _match(self.plans, entries, store.delta, instance, out, rng)
         return out
 
@@ -556,7 +603,7 @@ def _saturate(rules: "list[_CompiledRule]", state: _Store, rng=None) -> int:
             visit = list(visit)
             rng.shuffle(visit)
         for rule in visit:
-            state.fire(rule.matches(None if rounds == 1 else state.entries, state, rng))
+            state.fire(rule.head[0], rule.matches(None if rounds == 1 else state.entries, state, rng))
         if not any(state.delta.values()):
             return rounds
         state.entries, state.delta = state.delta, {}
@@ -582,16 +629,18 @@ def chase(
     """
     rules, heads = _compile(program.rules, chase=True)
     instance = _intake(base, limits)
-    equalities = instance.with_predicate(EQUALITY)
+    equalities = instance.rows(EQUALITY)
     if equalities:
-        raise BodyContractViolation("equality fact %r in the base" % (next(iter(equalities)),))
+        raise BodyContractViolation(
+            "equality fact %r in the base" % (atom_of(EQUALITY, next(iter(equalities))),)
+        )
     state = _ChaseState(instance, limits)
     for head in heads:
-        state.apply_head(head)
+        state.apply_head(head[0], row_of(head))
     rng = random.Random(seed) if seed is not None else None
     rounds = _saturate(rules, state, rng)
 
-    mu = {t: rep for t, rep in state.uf.as_map().items() if not state.is_stale(t)}
+    mu = {TERMS[t]: TERMS[rep] for t, rep in state.uf.as_map().items() if not state.is_stale(t)}
     classes: dict[Term, set[Term]] = {}
     for t, rep in mu.items():
         classes.setdefault(rep, {rep}).add(t)
@@ -606,7 +655,7 @@ def chase(
         mu=mu,
         classes={rep: frozenset(members) for rep, members in classes.items()},
         stats=stats,
-        derived=tuple(state.derived),
+        _derived=(state.derived, state.runs),
     )
 
 
@@ -626,7 +675,7 @@ def naive_fixpoint(
     rules, heads = _compile(program.rules if isinstance(program, Program) else program, chase=False)
     store = _Store(_intake(base, limits), limits)
     for head in heads:
-        store.add(head.predicate, [head])
+        store.add(head[0], [row_of(head)])
     _saturate(rules, store)
     return store.instance
 
@@ -637,22 +686,22 @@ def naive_fixpoint(
 
 
 def constant_answers(instance: Instance, query: Predicate) -> "set[tuple[Constant, ...]]":
-    """Query facts whose arguments are all constants."""
-    out = set()
-    for fact in instance.with_predicate(query):
-        if all(isinstance(t, Constant) for t in fact.args):
-            out.add(fact.args)
-    return out
+    """Query facts whose arguments are all constants, the terms of depth 0."""
+    return {
+        tuple([TERMS[t] for t in row])
+        for row in instance.rows(query)
+        if not any([DEPTH[t] for t in row])
+    }
 
 
 def extract_answers(result: ChaseResult, query: Predicate) -> "set[tuple[Constant, ...]]":
     """All constant tuples equivalent to some query fact of the chase:
     the product of the constant members of each argument's class."""
     answers: set[tuple[Constant, ...]] = set()
-    for fact in result.instance.with_predicate(query):
+    for row in result.instance.rows(query):
         options = []
-        for t in fact.args:
-            members = result.classes.get(t, frozenset((t,)))
+        for t in map(TERMS.__getitem__, row):
+            members = result.classes.get(t, (t,))
             constants = [m for m in members if isinstance(m, Constant)]
             if not constants:
                 break

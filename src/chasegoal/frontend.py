@@ -6,9 +6,9 @@ line or follows whitespace; inside a token (magic predicate names such as
 `m_R#bf`, generated variables such as `?z#1`) it is part of the token.
 
 A base instance is read one CSV file per predicate, each in one pass: the
-rows stream from `csv.reader` into the atoms of one batch write
-(`Instance.add_all`), their cells interned through the constant table, and
-no Python function runs for a row of the right size and known names.
+rows stream from `csv.reader` into the rows of term ids of one batch write
+(`Instance.add_all`), their cells looked up in the term table's constants,
+and no Python function runs for a row of the right size and known names.
 """
 
 from __future__ import annotations
@@ -17,6 +17,7 @@ import csv
 import re
 from dataclasses import dataclass
 from itertools import chain
+from operator import attrgetter
 from pathlib import Path
 from typing import Iterable, Optional
 
@@ -465,7 +466,7 @@ def parse_instance(data_dir, signature: "dict[str, Predicate]") -> Instance:
     is new to the process."""
     instance = Instance()
     intern = Constant._table.__getitem__
-    new_atom = tuple.__new__
+    ident = attrgetter("id")
     for path in sorted(Path(data_dir).glob("*.csv")):
         pred = signature.get(path.stem)
         if pred is None:
@@ -477,7 +478,7 @@ def parse_instance(data_dir, signature: "dict[str, Predicate]") -> Instance:
         with open(path, newline="", encoding="utf-8-sig") as fh:
             reader = csv.reader(fh)
             instance.add_all(pred, [
-                new_atom(Atom, (pred, tuple(map(intern, row))))
+                tuple(map(ident, map(intern, row)))
                 for row in reader
                 if len(row) == arity or _odd_row(row, pred, reader.line_num, path)
             ])

@@ -3,20 +3,26 @@ and the join plans that match rule bodies against the stores.
 
 Terms and predicates are hash-consed: a constructor returns the one object
 per value, so two equal terms are the same object and compare and hash by
-identity, in C.  A function term stores its depth and its place in the
-term order when it is built, so neither is recomputed.  An atom is a tuple
-(predicate, args) of such objects: the fact sets, the indexes and the deltas
-of the engine hash and compare atoms without running Python code.
+identity.  Every ground term also has an int id from one process-wide term
+table, and lists indexed by id hold each term's object, depth, place in the
+term order and, for a function term, symbol and argument ids.  A stored
+fact is a row: the exact tuple of its arguments' ids.  An instance keeps one
+relation per predicate, a set of rows indexed by id, so the predicate is
+only the relation's key, and a fact is one tuple of ints, which the cyclic
+garbage collector stops tracking at its first collection.  The engine works
+on rows from end to end; atoms, tuples (predicate, args) of term objects,
+come back only at the boundary: rules, building and reading an instance,
+and the results.
 
 A join plan is compiled into a kernel: a generated Python function whose
-nested `for` loops walk the index candidates of each body atom and test
-terms with `is`, and which builds its output, a rule head for instance, at
-the innermost loop.  Two process-wide tables keep generation off the hot
-path: `_SHAPES` maps the shape of a plan, the plan with its predicates,
-ground terms and function symbols left out, to the kernel's source and
-compiled code, and `JoinPlan` returns the plan it has built before for
-equal arguments.  Like the intern tables, both grow with the distinct
-shapes and plans a process has seen."""
+nested `for` loops walk the index candidates of each body atom, unpack
+rows and compare ids with `!=`, and which builds its output, a rule head's
+row for instance, at the innermost loop.  Two process-wide tables keep
+generation off the hot path: `_SHAPES` maps the shape of a plan, the plan
+with its predicates, ground terms and function symbols left out, to the
+kernel's source and compiled code, and `JoinPlan` returns the plan it has
+built before for equal arguments.  Like the term table, both grow with the
+distinct shapes and plans a process has seen."""
 
 from __future__ import annotations
 
@@ -34,11 +40,12 @@ from typing import Iterable, Iterator, Optional, Union
 
 
 class _Interned:
-    """Base of the hash-consed classes.  Each class keeps a table from value
-    to object, and its constructor returns the table's object for a value it
-    has built before, so equal values are the same object.  Equality and
-    hashing are therefore `object`'s identity defaults, which run in C.  The
-    table holds its objects for the life of the process.
+    """Base of the hash-consed classes.  Each class looks a value up in a
+    table from value to object (ground terms in the term table), and its
+    constructor returns the table's object for a value it has built before,
+    so equal values are the same object.  Equality and hashing are therefore
+    `object`'s identity defaults, which run in C.  The tables hold their
+    objects for the life of the process.
 
     Copying and pickling keep identity: a copy is the object itself, and an
     unpickled object is looked up through the constructor."""
@@ -72,13 +79,93 @@ def _build(cls, table: dict, value, **attrs):
 
 
 # ---------------------------------------------------------------------------
-# Terms
+# Terms and the term table
 # ---------------------------------------------------------------------------
 
 # Every term has a `depth` (0 for constants and variables, one more than its
 # deepest argument for a function term) and a `key`, its place in the total
 # order on ground terms (see `term_key`), None for a term with a variable.
-# Both are computed once, when the term is built.
+#
+# The term table gives every ground term an int id, in the order the terms
+# are built, for the life of the process.  A ground term keeps its id
+# (`id`; None for a term with a variable), and the lists below, indexed by
+# id, hold each ground term's object, depth, key and, for a function term,
+# its symbol and argument ids, so the engine reads them without touching the
+# object.  A constant is found by its name in `_CONSTANTS`, a ground function
+# term by its symbol and argument ids in `_FUNCTIONS`, whose key is the
+# term's `STRUCT` entry; a lookup that misses builds the term.
+TERMS: "list[Term]" = []
+DEPTH: "list[int]" = []
+KEY: "list[tuple]" = []
+# (symbol, argument id, ...) of a function term, () of a constant.
+STRUCT: "list[tuple]" = []
+# The depth of the deepest term in the table.
+_deepest = 0
+
+
+def deepest() -> int:
+    """The depth of the deepest ground term built so far: no fact can hold
+    a deeper one."""
+    return _deepest
+
+
+def _enter(term, depth: int, key: tuple, struct: tuple) -> int:
+    """Give a new ground term the next id and record it in the lists."""
+    global _deepest
+    tid = len(TERMS)
+    object.__setattr__(term, "id", tid)
+    TERMS.append(term)
+    DEPTH.append(depth)
+    KEY.append(key)
+    STRUCT.append(struct)
+    if depth > _deepest:
+        _deepest = depth
+    return tid
+
+
+def arg_ids(t: int) -> "tuple[int, ...]":
+    """The argument ids of the term with id `t`, () for a constant."""
+    return STRUCT[t][1:]
+
+
+class _ConstantTable(dict):
+    """Constants by name: looking up a name the table lacks builds the
+    constant and enters it in the term table (`__missing__`)."""
+
+    __slots__ = ()
+
+    def __missing__(self, name: str) -> "Constant":
+        c = object.__new__(Constant)
+        object.__setattr__(c, "name", name)
+        _enter(c, 0, (0, name, ()), ())
+        self[name] = c
+        return c
+
+
+class _FunctionTable(dict):
+    """Ids of ground function terms by (symbol, argument id, ...): looking up
+    one the table lacks builds the term and enters it in the term table
+    (`__missing__`), so a kernel builds a head's function term with one
+    lookup."""
+
+    __slots__ = ()
+
+    def __missing__(self, struct: tuple) -> int:
+        symbol, ids = struct[0], struct[1:]
+        t = object.__new__(Functional)
+        object.__setattr__(t, "symbol", symbol)
+        object.__setattr__(t, "args", tuple([TERMS[i] for i in ids]))
+        depth = 1 + max([DEPTH[i] for i in ids], default=0)
+        object.__setattr__(t, "depth", depth)
+        tid = self[struct] = _enter(t, depth, (depth, symbol, tuple([KEY[i] for i in ids])), struct)
+        return tid
+
+
+_CONSTANTS: "dict[str, Constant]" = _ConstantTable()
+_FUNCTIONS: "dict[tuple, int]" = _FunctionTable()
+# Function terms with a variable, which only rules hold: interned by symbol
+# and argument objects, outside the term table.
+_OPEN: "dict[tuple, Functional]" = {}
 
 
 class Variable(_Interned):
@@ -87,6 +174,7 @@ class Variable(_Interned):
     _table: "dict[str, Variable]" = {}
     depth = 0
     key = None
+    id = None
 
     def __new__(cls, name: str):
         v = Variable._table.get(name)
@@ -98,48 +186,48 @@ class Variable(_Interned):
         return "?" + self.name
 
 
-class _ConstantTable(dict):
-    """The intern table of `Constant`: looking up a name it lacks builds the
-    constant and records it (`__missing__`)."""
-
-    __slots__ = ()
-
-    def __missing__(self, name: str) -> "Constant":
-        return _build(Constant, self, name, name=name, key=(0, name, ()))
-
-
 class Constant(_Interned):
-    """A constant.  Its intern table builds a constant at the first lookup
-    of its name, so `Constant(name)` is one lookup, and a loader interns a
-    row of names in C with `map(Constant._table.__getitem__, row)`."""
+    """A constant.  `Constant(name)` is one lookup in the term table's map
+    of names (`_table`), which builds the constant at the first lookup of
+    its name."""
 
-    __slots__ = ("name", "key")
+    __slots__ = ("name", "id")
     _fields = ("name",)
-    _table: "dict[str, Constant]" = _ConstantTable()
+    _table: "dict[str, Constant]" = _CONSTANTS
     depth = 0
 
     def __new__(cls, name: str):
-        return Constant._table[name]
+        return _CONSTANTS[name]
+
+    @property
+    def key(self) -> tuple:
+        return KEY[self.id]
 
     def __repr__(self) -> str:
         return self.name
 
 
 class Functional(_Interned):
-    __slots__ = ("symbol", "args", "depth", "key")
+    """A function term.  A ground one is found in the term table by its
+    symbol and argument ids; one with a variable in `_OPEN`."""
+
+    __slots__ = ("symbol", "args", "depth", "id")
     _fields = ("symbol", "args")
-    _table: "dict[tuple, Functional]" = {}
 
     def __new__(cls, symbol: str, args: "tuple[Term, ...]"):
-        value = (symbol, tuple(args))
-        t = Functional._table.get(value)
+        args = tuple(args)
+        ids = [a.id for a in args]
+        if None not in ids:
+            return TERMS[_FUNCTIONS[(symbol, *ids)]]
+        t = _OPEN.get((symbol, args))
         if t is None:
-            args = value[1]
             depth = 1 + max([a.depth for a in args], default=0)
-            keys = tuple([a.key for a in args])
-            key = None if None in keys else (depth, symbol, keys)
-            t = _build(cls, Functional._table, value, symbol=symbol, args=args, depth=depth, key=key)
+            t = _build(cls, _OPEN, (symbol, args), symbol=symbol, args=args, depth=depth, id=None)
         return t
+
+    @property
+    def key(self) -> "Optional[tuple]":
+        return None if self.id is None else KEY[self.id]
 
     def __repr__(self) -> str:
         return "%s(%s)" % (self.symbol, ",".join(map(repr, self.args)))
@@ -150,8 +238,8 @@ Term = Union[Variable, Constant, Functional]
 
 def is_ground(x: "Term | Atom") -> bool:
     if isinstance(x, Atom):
-        return all(a.key is not None for a in x.args)
-    return x.key is not None
+        return all(a.id is not None for a in x.args)
+    return x.id is not None
 
 
 def iter_vars(x) -> Iterator[Variable]:
@@ -191,7 +279,7 @@ def occurs_in(needle: Term, hay: Term) -> bool:
 # Total order on ground terms: shallower terms first, then names (and
 # argument keys, recursively).  Depth 0 holds exactly the constants, so class
 # representatives picked by this order are constants when one is available.
-# The key is stored on the term when it is built.
+# The key is computed once, when the term enters the term table (`KEY`).
 
 
 def term_key(t: Term):
@@ -434,94 +522,143 @@ class FreshVars:
 # Instances
 # ---------------------------------------------------------------------------
 
-_EMPTY: "frozenset[Atom]" = frozenset()
+_EMPTY: frozenset = frozenset()
+_term = TERMS.__getitem__
+
+
+class ChaseError(RuntimeError):
+    pass
+
+
+class BodyContractViolation(ChaseError):
+    """A rule or a fact outside what the engine takes: a rule body that
+    breaks the chase's contract, a head variable no body binds, or a fact
+    with a variable."""
+
+
+def atom_of(pred: "PredicateId", row) -> Atom:
+    """The atom of a predicate's row."""
+    return _new_atom(Atom, (pred, tuple(map(_term, row))))
+
+
+def row_of(fact: Atom) -> "tuple[int, ...]":
+    """The row of a ground atom; an atom with a variable raises
+    `BodyContractViolation`."""
+    row = tuple([t.id for t in fact[1]])
+    if None in row:
+        raise BodyContractViolation("non-ground fact %r" % (fact,))
+    return row
 
 
 class _Relation:
-    """The facts of one predicate, and an index for each argument position
-    looked up so far: a map from each term to the facts holding it there."""
+    """The rows of one predicate, and an index for each argument position
+    looked up so far: a map from each term id to the rows holding it there.
+    A bucket holding one row is the 1-tuple of it, which the cyclic
+    collector stops tracking: it becomes a set when a second row arrives,
+    and a 1-tuple again when a removal leaves one; a kernel iterates either
+    kind."""
 
     __slots__ = ("facts", "index")
 
-    def __init__(self, facts: Iterable[Atom] = (), index: "Optional[dict]" = None):
-        self.facts: set[Atom] = set(facts)
-        self.index: dict[int, dict[Term, set[Atom]]] = {} if index is None else index
+    def __init__(self, facts: Iterable = (), index: "Optional[dict]" = None):
+        self.facts: set = set(facts)
+        self.index: dict[int, dict] = {} if index is None else index
 
     def clone(self) -> "_Relation":
         return _Relation(
             self.facts,
-            {pos: {t: set(s) for t, s in index.items()} for pos, index in self.index.items()},
+            {
+                pos: {t: s if s.__class__ is tuple else set(s) for t, s in index.items()}
+                for pos, index in self.index.items()
+            },
         )
 
 
+def _index_rows(index: dict, pos: int, rows) -> None:
+    """Add rows to the buckets of a position index, by their term id at
+    `pos`."""
+    for row in rows:
+        t = row[pos]
+        s = index.get(t)
+        if s is None:
+            index[t] = (row,)
+        elif s.__class__ is tuple:
+            index[t] = {s[0], row}
+        else:
+            s.add(row)
+
+
 class _TermIndex:
-    """The index merges read.  `at` maps each term to the facts holding it
-    at an argument position; `above` maps each term to the function terms
-    that hold it as a direct argument and occur in some fact.  A fact is
-    indexed under its arguments only, and a function term under its own
-    arguments when it comes to occur, so indexing costs O(arity) and
-    `containing` walks up from a term through `above`.  An entry is
-    dropped once it empties, and a function term that stops occurring is
-    taken out of `above`."""
+    """The index merges read.  `at` maps each term id to the (predicate,
+    row) pairs holding it at an argument position; `above` maps each term id
+    to the function terms that hold it as a direct argument and occur in
+    some fact.  A fact is indexed under its arguments only, and a function
+    term under its own arguments when it comes to occur, so indexing costs
+    O(arity) and `containing` walks up from a term through `above`.  An
+    entry is dropped once it empties, and a function term that stops
+    occurring is taken out of `above`."""
 
     __slots__ = ("at", "above")
 
-    def __init__(self, facts: Iterable[Atom]):
-        self.at: dict[Term, set[Atom]] = {}
-        self.above: dict[Term, set[Functional]] = {}
-        for fact in facts:
-            self.add(fact)
+    def __init__(self, relations: Iterable):
+        self.at: dict[int, set] = {}
+        self.above: dict[int, set[int]] = {}
+        for pred, rows in relations:
+            for row in rows:
+                self.add(pred, row)
 
-    def add(self, fact: Atom) -> None:
+    def add(self, pred, row) -> None:
         at = self.at
-        for t in fact[1]:
+        fact = (pred, row)
+        for t in row:
             s = at.get(t)
             if s is not None:
                 s.add(fact)
                 continue
             at[t] = {fact}
-            if t.depth and t not in self.above:
+            if DEPTH[t] and t not in self.above:
                 self._link(t)
 
-    def discard(self, fact: Atom) -> None:
+    def discard(self, pred, row) -> None:
         at = self.at
-        for t in fact[1]:
+        fact = (pred, row)
+        for t in row:
             s = at.get(t)
             if s is None:
                 continue  # held twice by the fact, and gone at the first
             s.discard(fact)
             if not s:
                 del at[t]
-                if t.depth and t not in self.above:
+                if DEPTH[t] and t not in self.above:
                     self._unlink(t)
 
-    def _link(self, t: Functional) -> None:
+    def _link(self, t: int) -> None:
         """Record a function term that has come to occur under each of its
         arguments, and so on down for the arguments it brought with it."""
         above = self.above
-        for s in t.args:
+        for s in arg_ids(t):
             up = above.get(s)
             if up is not None:
                 up.add(t)
                 continue
             above[s] = {t}
-            if s.depth and s not in self.at:
+            if DEPTH[s] and s not in self.at:
                 self._link(s)
 
-    def _unlink(self, t: Functional) -> None:
+    def _unlink(self, t: int) -> None:
         """Undo `_link` for a function term that no longer occurs."""
         above = self.above
-        for s in t.args:
+        for s in arg_ids(t):
             up = above.get(s)
             if up is None:
                 continue  # an argument held twice, unlinked at the first
             up.discard(t)
             if not up:
                 del above[s]
-                if s.depth and s not in self.at:
+                if DEPTH[s] and s not in self.at:
                     self._unlink(s)
 
-    def containing(self, term: Term) -> "set[Atom]":
+    def containing(self, term: int) -> set:
         at, above = self.at, self.above
         out = set(at.get(term, _EMPTY))
         todo = list(above.get(term, _EMPTY))
@@ -539,25 +676,32 @@ class _TermIndex:
 class Instance:
     """Mutable set of ground atoms, stored as one relation per predicate.
 
-    A relation holds its predicate's facts and an index for each argument
-    position some join has looked up (`index_at`), from each term to the
-    facts holding it there.  An index is built at the first lookup of its
-    position and kept up to date from then on; a join reads it from the
-    relation, so no other map of the indexes is kept.  The index merges read
-    (`containing`) is built by the first call and kept up to date from then
-    on.
+    A relation holds its predicate's facts as rows, exact tuples of term
+    ids (see the term table), so a stored fact is one tuple of ints that
+    the cyclic collector stops tracking, and the predicate appears only as
+    the relation's key.  The engine reads and writes rows (`rows`,
+    `add_all`, `remove`, `index_at`, `rows_holding`); atoms come back only
+    at this boundary: building an instance from atoms, iterating it, and
+    `in`, `add`, `discard`, `with_predicate` and `containing`.
+
+    A relation also holds an index for each argument position some join has
+    looked up (`index_at`), from each term id to the rows holding it there.
+    An index is built at the first lookup of its position and kept up to
+    date from then on; a join reads it from the relation, so no other map
+    of the indexes is kept.  The index merges read (`rows_holding`) is built
+    by the first call and kept up to date from then on.
 
     Copy-on-write: `copy` and `snapshot` share every relation with the
     original, in O(predicates).  No fact of a shared relation is ever added
-    or discarded: the side that writes it first, either one, clones that
+    or removed: the side that writes it first, either one, clones that
     one relation and writes the clone, so no write shows on the other side.
     Position indexes are derived data: any sharer may build one on a shared
     relation, every sharer then reads it, and a clone copies it.  So the
     indexes the joins over a long-lived base build stay with that base.
 
-    Single writer: the sets returned by the lookup methods are live views
-    and must be copied before mutating the instance while iterating them.
-    An index entry is dropped once it empties, and a write may clone the
+    Single writer: the sets returned by the row lookups are live views and
+    must be copied before mutating the instance while iterating them.  An
+    index entry is dropped once it empties, and a write may clone the
     relation a view belongs to, so a view held across a write need not see
     it.
     """
@@ -568,11 +712,11 @@ class Instance:
         self._mine: dict[PredicateId, _Relation] = {}
         self._size = 0
         self._terms: Optional[_TermIndex] = None
-        by_pred: dict[PredicateId, list[Atom]] = {}
+        by_pred: dict[PredicateId, list] = {}
         for f in facts:
-            by_pred.setdefault(f[0], []).append(f)
-        for pred, group in by_pred.items():
-            self.add_all(pred, group)
+            by_pred.setdefault(f[0], []).append(row_of(f))
+        for pred, rows in by_pred.items():
+            self.add_all(pred, rows)
 
     def _share(self, cls) -> "Instance":
         new = object.__new__(cls)
@@ -601,104 +745,118 @@ class Instance:
         self._rels[pred] = self._mine[pred] = rel
         return rel
 
-    def add(self, fact: Atom) -> bool:
-        return bool(self.add_all(fact[0], (fact,)))
+    # -- rows ----------------------------------------------------------------
 
-    def add_all(self, pred: PredicateId, facts: "Iterable[Atom]") -> "dict[Atom, None]":
-        """Add in one write the facts of `pred` this instance lacks, testing
+    def add_all(self, pred: PredicateId, rows: Iterable) -> dict:
+        """Add in one write the rows of `pred` this instance lacks, testing
         membership and dropping duplicates in C; returns them once each, in
         order, as the keys of a dict.  A shared relation that holds every
-        fact is not cloned."""
+        row is not cloned."""
         rel = self._mine.get(pred)
         current = self._rels.get(pred) if rel is None else rel
         have = _EMPTY if current is None else current.facts
-        new = dict.fromkeys([f for f in facts if f not in have])
+        new = dict.fromkeys([r for r in rows if r not in have])
         if new:
             if rel is None:
                 rel = self._own(pred)
             rel.facts.update(new)
             self._size += len(new)
             if rel.index or self._terms is not None:
-                self._upkeep(rel, new)
+                self._upkeep(pred, rel, new)
         return new
 
-    def _upkeep(self, rel: _Relation, new) -> None:
-        """Enter facts just added to `rel` into its position indexes and
-        the term index."""
+    def _upkeep(self, pred: PredicateId, rel: _Relation, new) -> None:
+        """Enter rows just added to `rel` into its position indexes and the
+        term index."""
         for pos, index in rel.index.items():
-            for fact in new:
-                t = fact[1][pos]
-                s = index.get(t)
-                if s is None:
-                    index[t] = {fact}
-                else:
-                    s.add(fact)
+            _index_rows(index, pos, new)
         if self._terms is not None:
-            for fact in new:
-                self._terms.add(fact)
+            for row in new:
+                self._terms.add(pred, row)
 
-    def discard(self, fact: Atom) -> bool:
-        rel = self._rels.get(fact[0])
-        if rel is None or fact not in rel.facts:
+    def remove(self, pred: PredicateId, row) -> bool:
+        rel = self._rels.get(pred)
+        if rel is None or row not in rel.facts:
             return False
-        if self._mine.get(fact[0]) is not rel:
-            rel = self._own(fact[0])
-        rel.facts.discard(fact)
+        if self._mine.get(pred) is not rel:
+            rel = self._own(pred)
+        rel.facts.discard(row)
         self._size -= 1
-        args = fact[1]
         for pos, index in rel.index.items():
-            s = index[args[pos]]
-            s.discard(fact)
-            if not s:  # an emptied entry is dropped
-                del index[args[pos]]
+            t = row[pos]
+            s = index[t]
+            if s.__class__ is tuple:  # an emptied entry is dropped
+                del index[t]
+                continue
+            s.discard(row)
+            if len(s) == 1:
+                index[t] = (*s,)
         if self._terms is not None:
-            self._terms.discard(fact)
+            self._terms.discard(pred, row)
         return True
 
-    def __contains__(self, fact: Atom) -> bool:
-        rel = self._rels.get(fact[0])
-        return rel is not None and fact in rel.facts
-
-    def __iter__(self) -> Iterator[Atom]:
-        return itertools.chain.from_iterable([rel.facts for rel in self._rels.values()])
-
-    def __len__(self) -> int:
-        return self._size
-
-    def with_predicate(self, pred: PredicateId) -> "set[Atom]":
+    def rows(self, pred: PredicateId) -> set:
         rel = self._rels.get(pred)
         return _EMPTY if rel is None else rel.facts
 
-    def index_at(self, pred: PredicateId, pos: int) -> "dict[Term, set[Atom]]":
-        """The index of argument position `pos` of `pred`'s facts, from each
-        term to the facts holding it there.  It is built at the first lookup
-        of the position in any instance sharing the relation.  A predicate
-        that has no relation yet gets a new empty map, which no write
-        updates."""
+    def relations(self) -> "Iterator[tuple[PredicateId, set]]":
+        """Each predicate with a relation, and its rows."""
+        return ((pred, rel.facts) for pred, rel in self._rels.items())
+
+    def index_at(self, pred: PredicateId, pos: int) -> dict:
+        """The index of argument position `pos` of `pred`'s rows, from each
+        term id to the rows holding it there, a 1-tuple or a set.  It is
+        built at the first lookup of the position in any instance sharing
+        the relation.  A predicate that has no relation yet gets a new empty
+        map, which no write updates."""
         rel = self._rels.get(pred)
         if rel is None:
             return {}
         index = rel.index.get(pos)
         if index is None:
             index = rel.index[pos] = {}
-            for fact in rel.facts:
-                t = fact[1][pos]
-                s = index.get(t)
-                if s is None:
-                    index[t] = {fact}
-                else:
-                    s.add(fact)
+            _index_rows(index, pos, rel.facts)
         return index
+
+    def rows_holding(self, term: int) -> "set[tuple]":
+        """A new set of the (predicate, row) pairs holding the term `term`
+        at any depth of an argument."""
+        if self._terms is None:
+            self._terms = _TermIndex(self.relations())
+        return self._terms.containing(term)
+
+    # -- atoms ---------------------------------------------------------------
+
+    def add(self, fact: Atom) -> bool:
+        return bool(self.add_all(fact[0], (row_of(fact),)))
+
+    def discard(self, fact: Atom) -> bool:
+        return is_ground(fact) and self.remove(fact[0], row_of(fact))
+
+    def __contains__(self, fact: Atom) -> bool:
+        return is_ground(fact) and row_of(fact) in self.rows(fact[0])
+
+    def __iter__(self) -> Iterator[Atom]:
+        for pred, rows in list(self.relations()):
+            for row in rows:
+                yield atom_of(pred, row)
+
+    def __len__(self) -> int:
+        return self._size
+
+    def with_predicate(self, pred: PredicateId) -> "set[Atom]":
+        """A new set of `pred`'s facts."""
+        return {atom_of(pred, row) for row in self.rows(pred)}
 
     def argument_terms(self) -> "set[Term]":
         """The terms that some fact holds at an argument position."""
-        return {t for rel in self._rels.values() for fact in rel.facts for t in fact[1]}
+        return {_term(t) for rel in self._rels.values() for row in rel.facts for t in row}
 
     def containing(self, term: Term) -> "set[Atom]":
         """A new set of the facts holding `term` at any depth of an argument."""
-        if self._terms is None:
-            self._terms = _TermIndex(self)
-        return self._terms.containing(term)
+        if term.id is None:
+            return set()
+        return {atom_of(pred, row) for pred, row in self.rows_holding(term.id)}
 
     def predicates(self) -> "set[PredicateId]":
         return {pred for pred, rel in self._rels.items() if rel.facts}
@@ -706,13 +864,13 @@ class Instance:
 
 class ReadOnlyInstance(Instance):
     """An instance whose facts never change, made by `Instance.snapshot`:
-    `add`, `add_all` and `discard` raise `TypeError`, and `copy` gives a
-    writable instance."""
+    `add`, `add_all`, `discard` and `remove` raise `TypeError`, and `copy`
+    gives a writable instance."""
 
-    def add_all(self, pred: PredicateId, facts: "Iterable[Atom]") -> "dict[Atom, None]":
+    def add_all(self, pred: PredicateId, rows: Iterable) -> dict:
         raise TypeError("a read-only instance cannot change; write to a copy()")
 
-    def discard(self, fact: Atom) -> bool:
+    def remove(self, pred: PredicateId, row) -> bool:
         raise TypeError("a read-only instance cannot change; write to a copy()")
 
 
@@ -744,19 +902,19 @@ FIRST_MATCH = _FirstMatch()
 # arguments k0, k1, ..., which a plan binds as the defaults of its
 # function.  Plans that differ only in those objects share a shape, and
 # generate and compile it once.  The table grows with the distinct shapes
-# a process has seen, like the intern tables.
+# a process has seen, like the term table.
 _SHAPES: "dict[tuple, tuple]" = {}
 # Placeholders by (site, kind), and each placeholder -> its site.
 _PLACEHOLDERS: dict = {}
 _SITE: dict = {}
-_KERNEL_GLOBALS = {"Atom": Atom, "Functional": Functional, "new_atom": _new_atom}
+_KERNEL_GLOBALS = {"fun": _FUNCTIONS, "struct": STRUCT}
 # The nested `for` loops one generated function holds; CPython allows 20
 # nested blocks, so a longer plan continues in a function of its own.
 _MAX_LOOPS = 16
 
 
 def _is_key(t: Term, bound: "set[Variable]") -> bool:
-    return t in bound if isinstance(t, Variable) else is_ground(t)
+    return t in bound if isinstance(t, Variable) else t.id is not None
 
 
 def _tuple(items) -> str:
@@ -769,7 +927,8 @@ class _KernelSource:
     position reads lives in the local `v<n>`, numbered in the order the
     kernel binds them (`slots`); a variable nothing reads again is not
     bound.  Every other object the kernel reads is an argument `k<n>`,
-    recorded in `args`."""
+    recorded in `args`, or one of the term table's globals: `fun`, which
+    finds a function term's id, and `struct`, which splits one."""
 
     def __init__(self, reads: "Counter[Variable]", emitted: "set[Atom]"):
         self.reads = reads  # occurrences of each variable, its output included
@@ -815,11 +974,11 @@ class _KernelSource:
         self.depth += 1
         self.loops += 1
 
-    def unpack(self, args: "tuple[Term, ...]", key_pos: int = -1) -> "Optional[str]":
-        """The assignment target that binds the variables of the patterns
-        `args` when it unpacks a fact's arguments, None if it binds none;
-        position `key_pos` is known to hold its pattern.  The positions to
-        check are queued in `checks`."""
+    def unpack(self, args: "tuple[Term, ...]", key_pos: int = -1) -> "Optional[list[str]]":
+        """The assignment targets that bind the variables of the patterns
+        `args` when they unpack a row, None if they bind none; position
+        `key_pos` is known to hold its pattern.  The positions to check are
+        queued in `checks`."""
         targets = []
         for i, t in enumerate(args):
             if i == key_pos:
@@ -834,32 +993,38 @@ class _KernelSource:
             else:
                 self.checks.append((t, self.temp()))
                 targets.append(self.checks[-1][1])
-        return _tuple(targets) if any(x != "_" for x in targets) else None
+        return targets if any(x != "_" for x in targets) else None
 
     def check(self):
-        """Check the queued positions against their patterns."""
+        """Check the queued positions against their patterns: a term id
+        against a bound variable's or a ground term's with `!=`, a function
+        pattern against the term's symbol and argument ids (`struct`)."""
         while self.checks:
             t, u = self.checks.pop(0)
             if isinstance(t, Variable):
-                self.line("if %s is not %s: %s" % (u, self.var(t), self.fail()))
-            elif t.key is not None:
-                self.line("if %s is not %s: %s" % (u, self.arg(t), self.fail()))
+                self.line("if %s != %s: %s" % (u, self.var(t), self.fail()))
+            elif t.id is not None:
+                self.line("if %s != %s: %s" % (u, self.arg(t), self.fail()))
             else:
+                s = self.temp()
+                self.line("%s = struct[%s]" % (s, u))
                 self.line(
-                    "if %s.__class__ is not Functional or %s.symbol != %s or len(%s.args) != %d: %s"
-                    % (u, u, self.arg(t.symbol), u, len(t.args), self.fail())
+                    "if len(%s) != %d or %s[0] != %s: %s"
+                    % (s, len(t.args) + 1, s, self.arg(t.symbol), self.fail())
                 )
-                target = self.unpack(t.args)
-                if target is not None:
-                    self.line("%s = %s.args" % (target, u))
+                targets = self.unpack(t.args)
+                if targets is not None:
+                    self.line("%s = %s" % (_tuple(["_"] + targets), s))
 
     def build(self, t: Term) -> str:
-        """An expression for the instance of `t` under the bound variables."""
+        """An expression for the id of the instance of `t` under the bound
+        variables; a function term is looked up in (and, if new, entered
+        into) the term table."""
         if isinstance(t, Variable):
             return self.var(t)
-        if t.key is not None:
+        if t.id is not None:
             return self.arg(t)
-        return "Functional(%s, %s)" % (self.arg(t.symbol), _tuple(map(self.build, t.args)))
+        return "fun[%s]" % ", ".join([self.arg(t.symbol)] + list(map(self.build, t.args)))
 
     def step(self, n: int, atom: Atom, key_pos: int, full: bool, old: bool):
         """Match `atom` against the candidates of step n: every fact of the
@@ -874,12 +1039,11 @@ class _KernelSource:
             self.prologue.append("e%d = fresh.get(%s, ())" % (n, p))
             off += " or f%d in e%d" % (n, n)
         if full or key_pos < 0:
-            self.prologue.append("s%d = instance.with_predicate(%s)" % (n, p))
+            self.prologue.append("s%d = instance.rows(%s)" % (n, p))
         if atom in self.emitted:
             self.held.setdefault(atom, "f%d" % n)
         if full:
-            fact = "(%s, %s)" % (p, _tuple(map(self.build, atom.args)))
-            self.line("f%d = %s" % (n, "new_atom(Atom, %s)" % fact if atom in self.held else fact))
+            self.line("f%d = %s" % (n, _tuple(map(self.build, atom.args))))
             self.line("if f%d not in s%d or %s: %s" % (n, n, off, self.fail()))
             return
         if key_pos < 0:
@@ -887,9 +1051,9 @@ class _KernelSource:
         else:
             self.prologue.append("x%d = instance.index_at(%s, %d)" % (n, p, key_pos))
             self.loop("f%d" % n, "x%d.get(%s, ())" % (n, self.build(atom.args[key_pos])))
-        target = self.unpack(atom.args, key_pos)
-        if target is not None:
-            self.line("_, %s = f%d" % (target, n))
+        targets = self.unpack(atom.args, key_pos)
+        if targets is not None:
+            self.line("%s = f%d" % (_tuple(targets), n))
         self.check()
         self.line("if %s: continue" % off)
 
@@ -902,8 +1066,8 @@ def _renamed(code: CodeType, filename: str) -> CodeType:
 
 def _placeholder(n: int, obj):
     """The placeholder of site n, which holds `obj`: a function symbol, a
-    constant for a ground term, or a predicate of the same arity."""
-    kind = -1 if isinstance(obj, str) else -2 if isinstance(obj, (Constant, Functional)) else obj.arity
+    constant for a ground term's id, or a predicate of the same arity."""
+    kind = -1 if isinstance(obj, str) else -2 if isinstance(obj, int) else obj.arity
     ph = _PLACEHOLDERS.get((n, kind))
     if ph is None:
         name = "\0%d" % n
@@ -926,9 +1090,9 @@ def _canonical(body, entry: Atom, emit) -> tuple:
             if v is None:
                 v = names[t] = Variable("\0%d" % len(names))
             return v
-        sites.append(t if t.key is not None else t.symbol)
+        sites.append(t.id if t.id is not None else t.symbol)
         ph = _placeholder(len(sites) - 1, sites[-1])
-        return ph if t.key is not None else Functional(ph, tuple(map(term, t.args)))
+        return ph if t.id is not None else Functional(ph, tuple(map(term, t.args)))
 
     def atom(a: Atom) -> Atom:
         sites.append(a[0])
@@ -950,8 +1114,8 @@ def _shape(body, entry: Atom, emit, old: int) -> tuple:
     reads.update(iter_vars([a for a in emit if a not in emitted]))
     src = _KernelSource(reads, emitted)
     src.open(None)
-    target = src.unpack(entry.args)
-    src.loop("_" if target is None else "_, " + target, "facts")
+    targets = src.unpack(entry.args)
+    src.loop("_" if targets is None else _tuple(targets), "facts")
     src.check()
     known = src.known
     steps = []
@@ -973,11 +1137,8 @@ def _shape(body, entry: Atom, emit, old: int) -> tuple:
             src.close()
             src.open("def %s:" % call)
         src.step(len(steps) - 1, atom, key_pos, full, j < old)
-    out = _tuple(
-        src.held.get(a) or "new_atom(Atom, (%s, %s))" % (src.arg(a.predicate), _tuple(map(src.build, a.args)))
-        for a in emit
-    )
-    src.line("out.append(%s)" % out)
+    rows = [src.held.get(a) or _tuple(map(src.build, a.args)) for a in emit]
+    src.line("out.append(%s)" % (rows[0] if len(rows) == 1 else _tuple(rows)))
     src.close()
     join, *rest = src.functions
     join[0] = "def join(%s):" % ", ".join(
@@ -1003,22 +1164,24 @@ class JoinPlan:
     positions that hold a ground term or a bound variable, ties broken by
     body order; its first such position is the key.  A step looks its
     candidates up in the instance's relation of its predicate, through the
-    index of the key position (built at its first lookup), then binds or
-    checks the other positions with `is` and `is not` on locals: terms are
-    hash-consed, so identity is equality.  A step whose atom is bound at
-    every position builds the fact and tests the relation's fact set
-    instead, and builds no index.  `steps` holds (predicate, key position,
-    index in `body`, bound at every position) per step, in join order.
+    index of the key position (built at its first lookup), then unpacks
+    each candidate row and binds or checks the other positions, comparing
+    term ids with `!=`.  A step whose atom is bound at every position
+    builds the row and tests the relation's row set instead, and builds no
+    index.  `steps` holds (predicate, key position, index in `body`, bound
+    at every position) per step, in join order.
 
     `run(facts, instance, out, new, fresh)` appends to `out` one match for
-    each way to match the entry atom against one of `facts` and join the
-    body.  `new` and `fresh` map predicates to sets of their facts.  Every
-    step keeps off the facts in `new`; with `old=k`, the first k atoms of
-    `body` keep off the facts in `fresh` as well, so a conjunction pivoted
+    each way to match the entry atom against one of the rows `facts` and
+    join the body.  `new` and `fresh` map predicates to sets of their rows.
+    Every step keeps off the rows in `new`; with `old=k`, the first k atoms
+    of `body` keep off the rows in `fresh` as well, so a conjunction pivoted
     on its atom k finds a match holding several `fresh` facts once, at the
-    first.  A match is the tuple of the
-    instances of the `emit` atoms.  Nothing may write to the instance
-    during a run, so the relations are looked up once per run.
+    first.  A match is the row of the instance of the `emit` atom if there
+    is one, else the tuple of the rows of the `emit` atoms' instances.
+    Nothing may write to the instance during a run, so the relations are
+    looked up once per run.  `run_from` takes an atom and gives atoms
+    instead; `holds` stops at the first match.
 
     Plans of one shape (`_SHAPES`) share the kernel's code; each binds its
     own predicates, ground terms and function symbols as the kernel's
@@ -1067,15 +1230,30 @@ class JoinPlan:
         return tuple((sites[p], *rest) for p, *rest in steps)
 
     def run_from(self, fact: Atom, instance: "Instance", out) -> None:
-        """Append to `out` the matches whose entry atom is `fact`; the
-        caller has checked that the predicates agree."""
-        self.run((fact,), instance, out, {}, {})
+        """Append to `out` the matches whose entry atom is `fact`, each as
+        the tuple of the `emit` atoms' instances; the caller has checked
+        that the predicates agree."""
+        self.run((row_of(fact),), instance, _AsAtoms(self.key[3], out), {}, {})
 
-    def holds_from(self, fact: Atom, instance: "Instance") -> bool:
-        """Whether some match has `fact` as its entry atom; the join stops
-        at the first."""
+    def holds(self, row, instance: "Instance") -> bool:
+        """Whether some match has the row `row` as its entry atom; the join
+        stops at the first."""
         try:
-            self.run((fact,), instance, FIRST_MATCH, {}, {})
+            self.run((row,), instance, FIRST_MATCH, {}, {})
         except MatchFound:
             return True
         return False
+
+
+class _AsAtoms:
+    """A match sink that appends each match to `out` as atoms."""
+
+    __slots__ = ("preds", "out")
+
+    def __init__(self, emit: "tuple[Atom, ...]", out):
+        self.preds = [a[0] for a in emit]
+        self.out = out
+
+    def append(self, match):
+        rows = (match,) if len(self.preds) == 1 else match
+        self.out.append(tuple(map(atom_of, self.preds, rows)))

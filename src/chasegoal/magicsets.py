@@ -32,6 +32,7 @@ from .kernel import (
     Rule,
     Term,
     Variable,
+    rule_atoms,
     vars_of,
 )
 
@@ -158,7 +159,7 @@ def _subsumed_demand(rules: "Iterable[Rule]") -> "set[Rule]":
     positions, ȳ are distinct variables, and the second body maps into the
     first with ȳ sent to the arguments of t̄ at β's positions; the test runs
     the second body's join plan, entered at its head, on the first body
-    frozen into an instance.
+    frozen into an instance (`_freeze`).
     Whenever the first rule fires, the second fires on the same facts and
     demands R with fewer positions fixed, and `magic` copies every rule of R
     under each demand m_R#β it emits, so each rule the demand m_R#α would
@@ -166,7 +167,7 @@ def _subsumed_demand(rules: "Iterable[Rule]") -> "set[Rule]":
     by_base: dict = {}
     for r in rules:
         p = r.head.predicate
-        if isinstance(p, MagicPredicate) and p.adornment != "eqb":
+        if isinstance(p, MagicPredicate) and p.adornment != "eqb" and _freezable(r):
             by_base.setdefault(p.base, []).append(r)
     out: set[Rule] = set()
     for group in by_base.values():
@@ -182,14 +183,32 @@ def _subsumed_demand(rules: "Iterable[Rule]") -> "set[Rule]":
                     and len(set(ys)) == len(ys)
                 ):
                     continue
-                args = dict(zip(_bound_positions(alpha), r.head.args))
-                demand = Atom(s.head.predicate, tuple(args[i] for i in _bound_positions(beta)))
                 if frozen is None:
-                    frozen = Instance(r.body)
-                if JoinPlan(s.body, entry=s.head).holds_from(demand, frozen):
+                    frozen, ids = _freeze(r)
+                args = dict(zip(_bound_positions(alpha), r.head.args))
+                demand = tuple(ids[args[i]] for i in _bound_positions(beta))
+                if JoinPlan(s.body, entry=s.head).holds(demand, frozen):
                     out.add(r)
                     break
     return out
+
+
+def _freezable(rule: Rule) -> bool:
+    """Whether every argument in the rule is a variable or a ground term: a
+    rule with a function term over a variable takes no part in the test."""
+    return all(t.id is not None or isinstance(t, Variable) for a in rule_atoms(rule) for t in a.args)
+
+
+def _freeze(rule: Rule) -> "tuple[Instance, dict[Term, int]]":
+    """A rule's body frozen into an instance, and the id of each of the
+    rule's terms there: a ground term keeps its own, and each variable gets
+    a negative id, which no term has."""
+    terms = dict.fromkeys(t for a in rule_atoms(rule) for t in a.args)
+    ids = {t: -1 - i if t.id is None else t.id for i, t in enumerate(terms)}
+    frozen = Instance()
+    for a in rule.body:
+        frozen.add_all(a[0], [tuple([ids[t] for t in a[1]])])
+    return frozen, ids
 
 
 def _bound_positions(adornment: str) -> "list[int]":

@@ -25,6 +25,8 @@ from .eqprep import reflexivity_axioms, sym_trans
 from .finalize import inline_equalities
 from .frontend import constant_sorts
 from .kernel import (
+    DEPTH,
+    EQUALITY,
     Atom,
     Constant,
     Functional,
@@ -117,7 +119,10 @@ def critical_instance(
         raise FactLimitExceeded(
             "critical instance of %d facts, more than %d" % (size, max_facts)
         )
-    return Instance(Atom(pred, args) for pred, p in pools.items() for args in product(*p))
+    out = Instance()
+    for pred, p in pools.items():
+        out.add_all(pred, product(*[[c.id for c in pool] for pool in p]))
+    return out
 
 
 def abstract_functions_to_constants(program: Program) -> Program:
@@ -180,12 +185,12 @@ def relevance(
     except (DepthLimitExceeded, FactLimitExceeded) as err:
         raise AbstractionFixpointDiverged(str(err)) from err
 
-    seeds = [
-        f
-        for f in fixpoint.with_predicate(program.query)
-        if all(isinstance(t, Constant) for t in f.args)
-    ]
-    queue = deque(sorted(seeds, key=repr))
+    # The trace runs on (predicate, row) pairs, from the query facts whose
+    # arguments are all constants, the terms of depth 0.
+    query = program.query
+    queue = deque(
+        (query, row) for row in fixpoint.rows(query) if not any([DEPTH[t] for t in row])
+    )
     seen = set(queue)
     kept: set[int] = set()
     blocked: set[tuple[int, int]] = set()
@@ -194,26 +199,26 @@ def relevance(
     sources: dict[PredicateId, list] = {}
     for idx, rule in list(enumerate(analysis.rules)) + [(None, r) for r in sym_trans()]:
         plan = JoinPlan(rule.body, entry=rule.head, emit=rule.body)
-        sources.setdefault(rule.head.predicate, []).append((idx, plan))
+        preds = [a[0] for a in rule.body]
+        sources.setdefault(rule.head.predicate, []).append((idx, preds, plan))
 
     while queue:
-        fact = queue.popleft()
-        for idx, plan in sources.get(fact.predicate, ()):
-            matches: list[tuple[Atom, ...]] = []
-            plan.run_from(fact, fixpoint, matches)
+        pred, row = queue.popleft()
+        for idx, preds, plan in sources.get(pred, ()):
+            matches: list[tuple] = []
+            plan.run((row,), fixpoint, matches, {}, {})
             for body in matches:
                 if idx is not None:
                     kept.add(idx)
-                for i, g in enumerate(body):
-                    if (
-                        una_known
-                        and g.is_equality
-                        and isinstance(g.args[0], Constant)
-                        and g.args[0] == g.args[1]
-                    ):
-                        continue
-                    if g.is_equality and idx is not None:
-                        blocked.add((idx, i))
+                if len(preds) == 1:
+                    body = (body,)
+                for i, g in enumerate(zip(preds, body)):
+                    if g[0] is EQUALITY:
+                        s, t = g[1]
+                        if una_known and s == t and not DEPTH[s]:
+                            continue
+                        if idx is not None:
+                            blocked.add((idx, i))
                     if g not in seen:
                         seen.add(g)
                         queue.append(g)

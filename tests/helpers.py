@@ -21,6 +21,7 @@ from chasegoal.eqprep import (
 )
 from chasegoal.frontend import Scenario, parse_rules, render_rule
 from chasegoal.kernel import (
+    TERMS,
     TGD,
     Atom,
     Constant,
@@ -131,8 +132,11 @@ def null_chase_answers(rules, base, query, max_rounds=200):
     uf = UnionFind()
     fresh = itertools.count(1)
 
+    def find(t):
+        return TERMS[uf.find(t.id)]
+
     def merge(s, t):
-        rep, loser = uf.union(s, t)
+        rep, loser = (TERMS[i] for i in uf.union(s.id, t.id))
         for fact in list(inst.containing(loser)):
             inst.discard(fact)
             inst.add(map_shallow({loser: rep}, fact))
@@ -141,7 +145,7 @@ def null_chase_answers(rules, base, query, max_rounds=200):
         # rule constants must be looked up through the union-find, or a
         # body mentioning a merged-away constant stops matching anything
         return tuple(
-            Atom(a.predicate, tuple(uf.find(t) if isinstance(t, Constant) else t for t in a.args))
+            Atom(a.predicate, tuple(find(t) if isinstance(t, Constant) else t for t in a.args))
             for a in atoms
         )
 
@@ -150,7 +154,7 @@ def null_chase_answers(rules, base, query, max_rounds=200):
         for r in rules:
             if r.head[0].is_equality:
                 for sigma in list(enumerate_matches(normalized(r.body), inst)):
-                    s, t = (uf.find(substitute(sigma, side)) for side in r.head[0].args)
+                    s, t = (find(substitute(sigma, side)) for side in r.head[0].args)
                     if s != t:
                         merge(s, t)
                         changed = True
@@ -171,7 +175,7 @@ def null_chase_answers(rules, base, query, max_rounds=200):
 
     classes = {}
     for t, rep in uf.as_map().items():
-        classes.setdefault(rep, {rep}).add(t)
+        classes.setdefault(TERMS[rep], {TERMS[rep]}).add(TERMS[t])
     answers = set()
     for fact in inst.with_predicate(query):
         options = []

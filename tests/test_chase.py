@@ -1,5 +1,6 @@
 """Representative-based chase and the naive reference fixpoint."""
 
+import gc
 import random
 import re
 
@@ -24,6 +25,7 @@ from chasegoal import (
 from chasegoal import engine, kernel
 from chasegoal.engine import constant_answers
 from chasegoal.kernel import (
+    EQUALITY,
     Atom,
     Constant,
     Functional,
@@ -36,12 +38,14 @@ from chasegoal.kernel import (
     Variable,
     eq,
     occurs_in,
+    row_of,
     substitute,
     vars_of,
 )
 
 from helpers import (
     Q1,
+    campus_fixture,
     merged_distinct_constants,
     oracle_answers,
     running_example,
@@ -244,12 +248,12 @@ def test_a_round_holds_only_facts_of_the_instance(monkeypatch):
     fire = engine._ChaseState.fire
     batches = 0
 
-    def checked(state, matches):
+    def checked(state, pred, matches):
         nonlocal batches
-        fire(state, matches)
+        fire(state, pred, matches)
         batches += 1
         for group in (state.delta, state.entries):
-            assert all(f in state.instance for facts in group.values() for f in facts)
+            assert all(row in state.instance.rows(p) for p, rows in group.items() for row in rows)
 
     monkeypatch.setattr(engine._ChaseState, "fire", checked)
     drawn = [d.scenario for d in scenario_stream(1, 40, draw=stale_merge_scenario)]
@@ -458,18 +462,18 @@ def test_an_early_merge_in_an_equality_batch_makes_a_later_head_stale():
     fb = Functional("f", (b,))
     facts = [Atom(T2, (b, a)), Atom(T2, (fb, c))]
     state = engine._ChaseState(Instance(facts), Limits())
-    state.fire([(eq(b, a),), (eq(fb, c),)])
+    state.fire(EQUALITY, [(b.id, a.id), (fb.id, c.id)])
     assert (state.merges, state.applications) == (1, 1)
-    assert state.uf.as_map() == {b: a}
+    assert state.uf.as_map() == {b.id: a.id}
     assert set(state.instance) == {Atom(T2, (a, a))}
     # Without the earlier merge, the same head is applied.
     state = engine._ChaseState(Instance(facts), Limits())
-    state.fire([(eq(fb, c),)])
+    state.fire(EQUALITY, [(fb.id, c.id)])
     assert (state.merges, state.applications) == (1, 1)
-    assert state.uf.as_map() == {fb: c}
+    assert state.uf.as_map() == {fb.id: c.id}
 
 
-UF_TERMS = [Constant("uf%d" % i) for i in range(6)] + [Functional("uf", (Constant("uf0"),))]
+UF_TERMS = [Constant("uf%d" % i).id for i in range(6)] + [Functional("uf", (Constant("uf0"),)).id]
 uf_ops = st.lists(
     st.tuples(
         st.sampled_from(["union", "reroot"]),
@@ -487,7 +491,7 @@ def test_union_find_member_lists_follow_unions_and_reroots(ops):
     uf = engine.UnionFind()
     for op, i, j in ops:
         if op == "union":
-            if uf.find(UF_TERMS[i]) is not uf.find(UF_TERMS[j]):
+            if uf.find(UF_TERMS[i]) != uf.find(UF_TERMS[j]):
                 uf.union(UF_TERMS[i], UF_TERMS[j])
         else:
             root = uf.find(UF_TERMS[i])
@@ -598,9 +602,9 @@ def _indexes_agree_with_facts(instance):
     for rel in instance._rels.values():
         for pos, index in rel.index.items():
             want = {}
-            for fact in rel.facts:
-                want.setdefault(fact.args[pos], set()).add(fact)
-            if index != want:
+            for row in rel.facts:
+                want.setdefault(row[pos], set()).add(row)
+            if {t: set(rows) for t, rows in index.items()} != want:
                 return False
     return True
 
@@ -633,6 +637,46 @@ def test_base_guards_trip_for_list_and_instance_bases(as_instance):
     with pytest.raises(FactLimitExceeded):
         run([Atom(P1, (t,)) for t in (a, b, c)], Limits(max_facts=2))
     run([Atom(P1, (t,)) for t in (a, b, c)], Limits(max_facts=3))
+
+
+@pytest.mark.parametrize("as_instance", [False, True])
+def test_a_base_term_deeper_than_the_limit_trips_with_its_fact(as_instance):
+    # The base is read only when the term table holds a term deeper than
+    # the limit; a base holding one still trips, naming a fact that holds
+    # it, among shallow facts of the same and of other predicates.
+    deep = a
+    for _ in range(4):
+        deep = Functional("f", (deep,))
+    facts = [Atom(P1, (Constant("deep%d" % i),)) for i in range(20)]
+    facts += [Atom(T2, (a, b)), Atom(P1, (deep,)), Atom(T2, (deep, a))]
+    base = Instance(facts) if as_instance else facts
+    assert kernel.deepest() >= 4
+    with pytest.raises(DepthLimitExceeded, match=r"^term depth exceeds 3 in (P\(|T\()f\(f\(f\(f\(a\)\)\)\)"):
+        chase(Program(()), base, Limits(max_depth=3))
+    assert len(chase(Program(()), base, Limits(max_depth=4)).instance) == len(facts)
+
+
+def test_stored_rows_are_not_tracked_by_the_collector():
+    # A stored fact is an exact tuple of ints: after a collection the
+    # cyclic collector no longer tracks any row of the base or of the
+    # chase's instance, nor a one-row index bucket.
+    sc = campus_fixture(students=300, depts=5, special=10)
+    rep = run_pipeline(sc, PipelineConfig(mode="mat"))
+    assert len(rep.answers) == 10 and rep.chase_stats.derived_facts > 600
+    gc.collect()
+    instances = (sc.instance, rep.chase_result.instance)
+    rows = [row for inst in instances for _, stored in inst.relations() for row in stored]
+    assert len(rows) == 2 * 300 + len(rep.chase_result.instance)
+    assert not any(map(gc.is_tracked, rows))
+    buckets = [
+        bucket
+        for inst in instances
+        for rel in inst._rels.values()
+        for index in rel.index.values()
+        for bucket in index.values()
+        if type(bucket) is tuple
+    ]
+    assert buckets and not any(map(gc.is_tracked, buckets))
 
 
 def test_term_index_is_built_only_by_a_merge():
@@ -731,7 +775,7 @@ def test_a_batch_trips_where_adding_its_facts_one_by_one_would():
             for max_facts in range(10, 10 + len(batch) + 1):
                 limits = Limits(max_depth=1, max_facts=max_facts)
                 try:
-                    engine._guard(batch, 10 + len(batch), limits)
+                    engine._guard(P1, [row_of(f) for f in batch], 10 + len(batch), limits)
                     tripped = None
                 except (DepthLimitExceeded, FactLimitExceeded) as err:
                     tripped = type(err), str(err)
