@@ -28,29 +28,31 @@ one join plan per body atom once per process (`_RULES`), and checked
 against the chase's body contract there; a plan runs as a kernel, a
 generated function of nested loops that builds the row of the rule's head
 at each match (see `kernel.JoinPlan`).  One routine (`_match`) matches
-every conjunction with them, one kernel call per plan and round.  The first round is naive: it joins each rule once in full,
-entered at the body atom whose relation is smallest at that moment.  Every
-later round is semi-naive: it visits only the rules with a body predicate
-in the previous round's delta, and finds each new match once, at the first
-body atom whose fact that delta holds.  Every round joins only the facts
-present when it began, so a match holding a fact the round adds is left to
-the next round, which finds it once.  A part of a body that no chain of
-shared variables links to the head is only checked for one witness: the
-rule fires for the matches of the rest once it holds, never once per
-witness.  A round's delta and the previous one's, which its joins enter
-at, hold only facts of the instance: a merge takes the facts it rewrites
-away out of both, and writes their rewrites with `Instance.add_all`.
+every conjunction with them, one kernel call per plan and round.  The first
+round is naive: it joins each rule once in full, entered at the body atom
+whose relation is smallest at that moment.  Every later round is
+semi-naive: it visits only the rules with a body predicate in the previous
+round's delta, and finds each new match once, at the first body atom whose
+fact that delta holds.  Every round joins only the facts present when it
+began, so a match holding a fact the round adds is left to the next round,
+which finds it once.  A part of a body that no chain of shared variables
+links to the head is only checked for one witness: the rule fires for the
+matches of the rest once it holds, never once per witness.  A round's
+delta and the previous one's, which its joins enter at, hold only facts of
+the instance: a merge takes the facts it rewrites away out of both.
 
 A round is evaluated a set at a time.  A rule's matches are collected,
 then applied as one batch: a relational batch is one write
 (`Instance.add_all`), which tests membership and drops duplicates in C,
 and then updates the indexes once per new fact and checks the limits, the
 depth limit row by row only while the term table holds a deeper term.  An
-equality batch is applied one head at a time, since its merges are
-sequential.  A kernel builds the index of a relation's argument
-position the first time it runs with that position as a step's key; a
-step bound at every position tests the relation's fact set and needs no
-index.  The term index only merges read is built at the first merge.
+equality batch first merges each head's classes in the union-find, in
+order, then rewrites each fact holding a merged-away term once, straight
+to its final form, in one write per predicate (`_ChaseState.equate`).  A
+kernel builds the index of a relation's argument position the first time
+it runs with that position as a step's key; a step bound at every
+position tests the relation's fact set and needs no index.  The term index
+only merges read is built at the first merge.
 """
 
 from __future__ import annotations
@@ -283,20 +285,12 @@ class _Store:
             self.add(pred, matches)
 
 
-def _occurs(needle: int, t: int) -> bool:
-    return t == needle or any(_occurs(needle, a) for a in arg_ids(t))
-
-
-def _below(needle: int, term: int) -> bool:
-    """Whether `needle` occurs in `term` below a function symbol."""
-    return any(_occurs(needle, a) for a in arg_ids(term))
-
-
-def _subterms(t: int):
-    """The term id itself and the ids of every term nested below it."""
-    yield t
-    for a in arg_ids(t):
-        yield from _subterms(a)
+def _nested(term: int) -> "list[int]":
+    """The ids of the terms nested below the function symbol of `term`."""
+    nested = list(arg_ids(term))
+    for t in nested:
+        nested += arg_ids(t)
+    return nested
 
 
 class _ChaseState(_Store):
@@ -312,18 +306,11 @@ class _ChaseState(_Store):
     def fire(self, pred: PredicateId, matches: "list[tuple]"):
         """Apply a rule's batch of matches, heads of `pred`.  A relational
         batch is written at once, each head normalized while the union-find
-        is non-empty.  Only an equality head merges, so an equality batch is
-        applied one head at a time, and only its matches can be built from
-        facts a merge in the same batch has rewritten.  The equality such a
-        match entails still holds, so `apply_head` merges its normalized
-        sides, unless a side is stale."""
+        is non-empty; an equality batch merges a set at a time (`equate`)."""
         if not matches:
             return
         if pred is EQUALITY:
-            before = self.merges
-            for head in matches:
-                self.applications += self.apply_head(pred, head, self.merges != before)
-            return
+            return self.equate(matches)
         self.applications += len(matches)
         parent = self.uf.parent
         if parent:
@@ -341,71 +328,72 @@ class _ChaseState(_Store):
 
     def is_stale(self, term: int) -> bool:
         """Whether `term` mentions a merged-away term below a function symbol."""
-        parent = self.uf.parent
-        return any(s in parent for a in arg_ids(term) for s in _subterms(a))
+        return not self.uf.parent.keys().isdisjoint(_nested(term))
 
-    def merge(self, s: int, t: int):
-        rep, loser = self.uf.union(s, t)
-        self.merges += 1
-        self.derive(EQUALITY, ((s, t),))
-        # Rewrite every fact holding the losing term at an argument position,
-        # and every fact holding a representative the merge made stale.
-        facts = self.instance.rows_holding(loser)
-        mu = {loser: rep}
-        stale = {a for _, row in facts for a in row if _below(loser, a)}
-        dead = self._rehome(stale, mu) if stale else ()
-        rewritten: dict[PredicateId, list[tuple]] = {}
-        for pred, row in facts:
-            self.instance.remove(pred, row)
-            self.delta.get(pred, {}).pop(row, None)
-            self.entries.get(pred, {}).pop(row, None)
-            # A fact holding a stale representative with no live member is
-            # dropped: its body facts were rewritten too, re-enter the
-            # delta, and re-derive it in normalized form.
-            if dead and not dead.isdisjoint(row):
+    def equate(self, heads: "list[tuple]") -> None:
+        """Apply a batch of equality heads: merge first, then rewrite.  Each
+        head in turn has its sides normalized and their classes merged;
+        after a merge in the batch, a head with a side that mentions a
+        merged-away term is skipped, as the facts its match was built from
+        are rewritten, re-enter the delta and re-derive it.  Then each fact
+        holding a merged-away term at any depth leaves the instance and both
+        deltas, and its rewrite, each argument's representative, is written,
+        unless it holds a stale term of a class with no live member: it is
+        then re-derived in normalized form from its rewritten body facts."""
+        uf = self.uf
+        find, parent = uf.find, uf.parent
+        merged: list[tuple] = []
+        losers: list[int] = []
+        # Each term nested in a representative the batch made -> those
+        # representatives (see `_rehome`).
+        placed: dict[int, set[int]] = {}
+        for s, t in heads:
+            if parent:
+                s, t = find(s), find(t)
+            if merged and (self.is_stale(s) or self.is_stale(t)):
                 continue
-            rewritten.setdefault(pred, []).append(tuple([mu.get(a, a) for a in row]))
-        for pred, new in rewritten.items():
-            self.enter(pred, self.instance.add_all(pred, new))
+            self.applications += 1
+            if s == t:
+                continue
+            rep, loser = uf.union(s, t)
+            merged.append((s, t))
+            losers.append(loser)
+            self._rehome(rep, loser, placed)
+        if not merged:
+            return
+        self.merges += len(merged)
+        self.derive(EQUALITY, merged)
+        instance, delta, entries = self.instance, self.delta, self.entries
+        rewritten: dict[PredicateId, list[tuple]] = {}
+        for pred, row in instance.merge_index().containing(losers):
+            instance.remove(pred, row)
+            delta.get(pred, {}).pop(row, None)
+            entries.get(pred, {}).pop(row, None)
+            row = tuple([find(a) for a in row])
+            if not any(map(self.is_stale, row)):
+                rewritten.setdefault(pred, []).append(row)
+        for pred, rows in rewritten.items():
+            self.enter(pred, instance.add_all(pred, rows))
 
-    def _rehome(self, stale: "set[int]", mu: "dict[int, int]") -> "set[int]":
-        """Hand the class of each representative in `stale` to its least
-        member that mentions no merged-away term, adding the change to `mu`;
-        returns the representatives whose class has no such member.  Only
-        the members of the stale classes are read, and every choice is made
-        before any class changes hands, so none depends on the order the
-        facts were visited in."""
-        members = self.uf.members
-        chosen: dict[Term, Term] = {}
-        for root in stale:
-            live = [m for m in members.get(root, ()) if not self.is_stale(m)]
+    def _rehome(self, rep: int, loser: int, placed: "dict[int, set[int]]") -> None:
+        """Hand each class that merging `loser` into `rep` made stale, and
+        that a fact holds, to its least member that mentions no merged-away
+        term.  Such a class's representative holds `loser` below a function
+        symbol: it is a fact's argument as the batch found it, or a term the
+        batch made a representative, which `placed` records under each term
+        nested in it.  Every choice is made before any class changes hands,
+        so none depends on the order the classes are visited in."""
+        parent, members = self.uf.parent, self.uf.members
+        chosen: dict[int, int] = {}
+        for root in self.instance.merge_index().args_above(loser).union(placed.get(loser, ())):
+            live = root not in parent and [m for m in members.get(root, ()) if not self.is_stale(m)]
             if live:
                 chosen[root] = min(live, key=KEY.__getitem__)
         for root, member in chosen.items():
             self.uf.reroot(root, member)
-        mu.update(chosen)
-        return stale - chosen.keys()
-
-    def apply_head(self, pred: PredicateId, head: tuple, merged: bool = True) -> bool:
-        """Add a ground head's row or merge its equality's sides, each side
-        normalized.  Returns False, skipping the equality, when a side still
-        mentions a merged-away term: a merge earlier in the same batch
-        rewrote the facts the match was built from, and the rewritten facts
-        re-enter the delta and re-derive the equality.  Without such a merge
-        (`merged` False) both sides come from current facts and hold live
-        representatives, so the test is skipped."""
-        parent = self.uf.parent
-        if parent and not parent.keys().isdisjoint(head):
-            head = tuple([self.uf.find(t) for t in head])
-        if pred is not EQUALITY:
-            self.derive(pred, self.add(pred, [head]))
-            return True
-        s, t = head
-        if merged and (self.is_stale(s) or self.is_stale(t)):
-            return False
-        if s != t:
-            self.merge(s, t)
-        return True
+        for term in (rep, *chosen.values()):
+            for s in _nested(term):
+                placed.setdefault(s, set()).add(term)
 
 
 def _components(rule: Rule) -> "list[tuple[Atom, ...]]":
@@ -636,7 +624,9 @@ def chase(
         )
     state = _ChaseState(instance, limits)
     for head in heads:
-        state.apply_head(head[0], row_of(head))
+        state.fire(head[0], [row_of(head)])
+    # A bodiless rule's head counts as derived, not as a rule application.
+    state.applications = 0
     rng = random.Random(seed) if seed is not None else None
     rounds = _saturate(rules, state, rng)
 

@@ -589,39 +589,41 @@ def _index_rows(index: dict, pos: int, rows) -> None:
 
 
 class _TermIndex:
-    """The index merges read.  `at` maps each term id to the (predicate,
-    row) pairs holding it at an argument position; `above` maps each term id
-    to the function terms that hold it as a direct argument and occur in
-    some fact.  A fact is indexed under its arguments only, and a function
-    term under its own arguments when it comes to occur, so indexing costs
-    O(arity) and `containing` walks up from a term through `above`.  An
-    entry is dropped once it empties, and a function term that stops
-    occurring is taken out of `above`."""
+    """The index merges read.  `at` maps each term id to the facts holding
+    it at an argument position, each a pair of its predicate's code (its
+    place in `codes`) and its row: ints, so the cyclic collector stops
+    tracking the pair.  `above` maps each term id to the function terms that
+    hold it as a direct argument and occur in some fact.  A fact is indexed
+    under its arguments only, and a function term under its own arguments
+    when it comes to occur, so indexing costs O(arity) and a lookup walks up
+    from a term through `above`.  An entry is dropped once it empties, and a
+    function term that stops occurring is taken out of `above`."""
 
-    __slots__ = ("at", "above")
+    __slots__ = ("at", "above", "codes")
 
     def __init__(self, relations: Iterable):
         self.at: dict[int, set] = {}
         self.above: dict[int, set[int]] = {}
+        self.codes: dict[PredicateId, int] = {}
         for pred, rows in relations:
-            for row in rows:
-                self.add(pred, row)
+            self.add(pred, rows)
 
-    def add(self, pred, row) -> None:
-        at = self.at
-        fact = (pred, row)
-        for t in row:
-            s = at.get(t)
-            if s is not None:
-                s.add(fact)
-                continue
-            at[t] = {fact}
-            if DEPTH[t] and t not in self.above:
-                self._link(t)
+    def add(self, pred, rows) -> None:
+        at, code = self.at, self.codes.setdefault(pred, len(self.codes))
+        for row in rows:
+            fact = (code, row)
+            for t in row:
+                s = at.get(t)
+                if s is not None:
+                    s.add(fact)
+                    continue
+                at[t] = {fact}
+                if DEPTH[t] and t not in self.above:
+                    self._link(t)
 
     def discard(self, pred, row) -> None:
         at = self.at
-        fact = (pred, row)
+        fact = (self.codes.get(pred), row)
         for t in row:
             s = at.get(t)
             if s is None:
@@ -658,19 +660,29 @@ class _TermIndex:
                 if DEPTH[s] and s not in self.at:
                     self._unlink(s)
 
-    def containing(self, term: int) -> set:
-        at, above = self.at, self.above
-        out = set(at.get(term, _EMPTY))
-        todo = list(above.get(term, _EMPTY))
-        seen = set(todo)
+    def _upward(self, terms: Iterable[int]) -> set:
+        """The terms given and the terms of facts that hold one below."""
+        above = self.above
+        seen = set(terms)
+        todo = list(seen)
         while todo:
-            u = todo.pop()
-            out |= at.get(u, _EMPTY)
-            for v in above.get(u, _EMPTY):
+            for v in above.get(todo.pop(), _EMPTY):
                 if v not in seen:
                     seen.add(v)
                     todo.append(v)
-        return out
+        return seen
+
+    def containing(self, terms: Iterable[int]) -> set:
+        """A new set of the (predicate, row) pairs holding any of `terms` at
+        any depth of an argument."""
+        at, preds = self.at, list(self.codes)
+        return {(preds[code], row) for t in self._upward(terms) for code, row in at.get(t, _EMPTY)}
+
+    def args_above(self, term: int) -> set:
+        """A new set of the facts' arguments that hold `term` below a
+        function symbol."""
+        at = self.at
+        return {u for u in self._upward(self.above.get(term, ())) if u in at}
 
 
 class Instance:
@@ -680,7 +692,7 @@ class Instance:
     ids (see the term table), so a stored fact is one tuple of ints that
     the cyclic collector stops tracking, and the predicate appears only as
     the relation's key.  The engine reads and writes rows (`rows`,
-    `add_all`, `remove`, `index_at`, `rows_holding`); atoms come back only
+    `add_all`, `remove`, `index_at`, `merge_index`); atoms come back only
     at this boundary: building an instance from atoms, iterating it, and
     `in`, `add`, `discard`, `with_predicate` and `containing`.
 
@@ -688,7 +700,7 @@ class Instance:
     looked up (`index_at`), from each term id to the rows holding it there.
     An index is built at the first lookup of its position and kept up to
     date from then on; a join reads it from the relation, so no other map
-    of the indexes is kept.  The index merges read (`rows_holding`) is built
+    of the indexes is kept.  The index merges read (`merge_index`) is built
     by the first call and kept up to date from then on.
 
     Copy-on-write: `copy` and `snapshot` share every relation with the
@@ -771,8 +783,7 @@ class Instance:
         for pos, index in rel.index.items():
             _index_rows(index, pos, new)
         if self._terms is not None:
-            for row in new:
-                self._terms.add(pred, row)
+            self._terms.add(pred, new)
 
     def remove(self, pred: PredicateId, row) -> bool:
         rel = self._rels.get(pred)
@@ -818,12 +829,11 @@ class Instance:
             _index_rows(index, pos, rel.facts)
         return index
 
-    def rows_holding(self, term: int) -> "set[tuple]":
-        """A new set of the (predicate, row) pairs holding the term `term`
-        at any depth of an argument."""
+    def merge_index(self) -> _TermIndex:
+        """The index merges read, built at the first call."""
         if self._terms is None:
             self._terms = _TermIndex(self.relations())
-        return self._terms.containing(term)
+        return self._terms
 
     # -- atoms ---------------------------------------------------------------
 
@@ -856,7 +866,7 @@ class Instance:
         """A new set of the facts holding `term` at any depth of an argument."""
         if term.id is None:
             return set()
-        return {atom_of(pred, row) for pred, row in self.rows_holding(term.id)}
+        return {atom_of(pred, row) for pred, row in self.merge_index().containing((term.id,))}
 
     def predicates(self) -> "set[PredicateId]":
         return {pred for pred, rel in self._rels.items() if rel.facts}

@@ -5,11 +5,12 @@ import itertools
 import random
 from dataclasses import dataclass
 
-from chasegoal.driver import PipelineConfig, run_pipeline
+from chasegoal.driver import MODES, PipelineConfig, run_pipeline
 from chasegoal.engine import (
     ChaseError,
     Limits,
     UnionFind,
+    chase,
     constant_answers,
     naive_fixpoint,
 )
@@ -371,6 +372,26 @@ def scenario_stream(
         sc = Scenario(sc.rules, sc.instance, sc.query, sc.schema, una_known=una)
         yield Drawn(sc, answers_of(naive, sc.query), naive)
         produced += 1
+
+
+def check_stale_merge_draws(seed: int, want: int) -> int:
+    """Check `want` draws of `stale_merge_scenario` from `seed`: every mode
+    answers as the reference fixpoint, and each mode's final program chases
+    to one instance and term map for the chase seeds None, 0, 1 and 2.
+    Raises `AssertionError` at the first disagreement; returns the number
+    of draws whose reference fixpoint merges two distinct constants."""
+    merged = 0
+    for drawn in scenario_stream(seed, want, draw=stale_merge_scenario):
+        merged += merged_distinct_constants(drawn.naive)
+        for mode in MODES:
+            rep = run_pipeline(drawn.scenario, PipelineConfig(mode=mode))
+            assert set(map(tuple, rep.answers)) == drawn.oracle, (mode, drawn.scenario)
+            outcomes = set()
+            for chase_seed in (None, 0, 1, 2):
+                cr = chase(rep.stages["desg"], drawn.scenario.instance, seed=chase_seed)
+                outcomes.add((frozenset(cr.instance), frozenset(cr.mu.items())))
+            assert len(outcomes) == 1, (mode, drawn.scenario)
+    return merged
 
 
 # ---------------------------------------------------------------------------
