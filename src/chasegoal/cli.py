@@ -42,6 +42,10 @@ def main():
 def run(rules_path, data_dir, schema_path, query_pred, mode, una, typed_critical,
         defun_abstraction, max_depth, max_facts, out_dir, stats_json, dump):
     """Answer a query over a rule file and a directory of CSV facts."""
+    for option, value in (("--max-depth", max_depth), ("--max-facts", max_facts)):
+        if value < 0:
+            click.echo("error: %s must be 0 or more, not %d" % (option, value), err=True)
+            sys.exit(1)
     try:
         scenario = load_scenario(rules_path, data_dir, query_pred, schema_path, una_known=una)
     except FrontendError as err:

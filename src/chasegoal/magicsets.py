@@ -13,7 +13,8 @@ included: a body equality is demanded only when some rule has an equality
 head.  A demand rule that a freer demand rule on the same predicate always
 outruns is left out of the output (subsumptive demand, Tekle and Liu,
 SIGMOD 2011), so demand on a predicate stays as free as the freest demand
-that reaches it.
+that reaches it.  A predicate that the seed demands in full, through
+nullary demand flags alone, gets no bound demand at all.
 """
 
 from __future__ import annotations
@@ -84,7 +85,8 @@ def magic(program: Program) -> Program:
     predicate.  Magic rules are emitted for body atoms whose predicate
     occurs in some head of the program, the equality predicate included; an
     equality demand bound on one side is processed under both orientations.
-    The demand rules `_subsumed_demand` finds are dropped from the output."""
+    The rules `_subsumed_demand` finds are dropped from the output, and the
+    rest keep the order they were emitted in."""
     if program.query is None:
         raise ValueError("magic needs a program with a query predicate")
 
@@ -152,7 +154,7 @@ def magic(program: Program) -> Program:
 
 
 def _subsumed_demand(rules: "Iterable[Rule]") -> "set[Rule]":
-    """Demand rules that a freer demand rule always outruns.
+    """Rules that freer demand always outruns.
 
     A rule deriving m_R#α(t̄), α other than the equality's eqb, is subsumed
     by a rule deriving m_R#β(ȳ) when β binds a strict subset of α's
@@ -163,13 +165,37 @@ def _subsumed_demand(rules: "Iterable[Rule]") -> "set[Rule]":
     Whenever the first rule fires, the second fires on the same facts and
     demands R with fewer positions fixed, and `magic` copies every rule of R
     under each demand m_R#β it emits, so each rule the demand m_R#α would
-    feed has a copy that fires on the freer demand."""
+    feed has a copy that fires on the freer demand.
+
+    The same holds for a whole predicate P whose all-free flag m_P#f…f
+    holds in every run, as it does when rules whose bodies hold such flags
+    alone derive it from the bodiless seed.  P's all-free copy of each rule
+    fires on every body match, and with the demand it emits it is the
+    rewriting that answers each bound demand m_P#α by demanding P in full:
+    a freer choice of bound positions, which magic sets allow at any call
+    (Beeri and Ramakrishnan, "On the power of magic", JLP 1991).  So once a
+    rule derives an m_P#α that binds a position, every rule holding it goes:
+    the demand rules, the copies of P's rules it guards and the demand those
+    copies emit."""
+    rules = tuple(rules)
+    demand = [r for r in rules if isinstance(r.head.predicate, MagicPredicate)]
+    flags = [r for r in demand if not r.head.predicate.arity]
+    always: set = set()
+    size = -1
+    while size < len(always):
+        size = len(always)
+        always.update(r.head.predicate for r in flags if all(a.predicate in always for a in r.body))
+    full = {p.base for p in always}
+    doomed = {r.head.predicate for r in demand if r.head.predicate.arity and r.head.predicate.base in full}
+    out = set()
+    if doomed:
+        out = {r for r in rules if r.head.predicate in doomed or any(a.predicate in doomed for a in r.body)}
+        demand = [r for r in demand if r not in out]
     by_base: dict = {}
-    for r in rules:
+    for r in demand:
         p = r.head.predicate
-        if isinstance(p, MagicPredicate) and p.adornment != "eqb" and _freezable(r):
+        if p.adornment != "eqb" and _freezable(r):
             by_base.setdefault(p.base, []).append(r)
-    out: set[Rule] = set()
     for group in by_base.values():
         for r in group:
             alpha = r.head.predicate.adornment

@@ -254,6 +254,21 @@ def test_cli_guard_trip_exits_two(tmp_path):
     assert "error:" in result.output
 
 
+@pytest.mark.parametrize("option, zero_exit", [("--max-depth", 0), ("--max-facts", 2)])
+def test_cli_rejects_a_negative_limit_and_keeps_zero(tmp_path, option, zero_exit):
+    # A negative limit is a rejected input (exit 1), not a budget trip
+    # (exit 2).  A limit of 0 is legal: no term here is deeper than a
+    # constant, and the first derived fact trips a fact limit of 0.
+    rules_path, data = write_inputs(tmp_path)
+    args = ["run", "--rules", str(rules_path), "--data", str(data),
+            "--query-pred", "Q", "--out", str(tmp_path / "out")]
+    result = CliRunner().invoke(main, args + [option, "-1"])
+    assert result.exit_code == 1, result.output
+    assert "error: %s" % option in result.output
+    result = CliRunner().invoke(main, args + [option, "0"])
+    assert result.exit_code == zero_exit, result.output
+
+
 def test_cli_memory_error_in_a_stage_exits_two(tmp_path, monkeypatch):
     def out_of_memory(*args):
         raise MemoryError

@@ -28,7 +28,9 @@ from chasegoal.engine import (
     Limits,
     constant_answers,
 )
+from chasegoal.driver import MODES
 from chasegoal.kernel import (
+    EQUALITY,
     Atom,
     Constant,
     Instance,
@@ -46,6 +48,8 @@ from helpers import (
     Q1,
     campus_fixture,
     canon_rules,
+    oracle_answers,
+    pipeline_answers,
     running_example,
     scenario_stream,
 )
@@ -144,6 +148,80 @@ def test_magic_output_has_no_subsumed_demand():
     got = magic(skolemize(singularize(parse_rules(RUNNING_RULES), Q1), Q1))
     assert len(got.rules) == 24
     assert _subsumed_demand(got.rules) == set()
+
+
+# P is demanded in full through the flags m_Q#f -> m_G#f -> m_P#ff when G
+# comes first in the query body, and bound (m_P#bf) at P(?x,?w) either way.
+# With A first, m_G#f and so m_P#ff wait for a relational atom.
+FULL_AND_BOUND_RULES = """\
+%s -> Q(?x)
+P(?y,?z) -> G(?y)
+E(?x,?y) -> P(?x,?y)
+E(?x,?z), P(?z,?y) -> P(?x,?y)
+E(?x,?y), E(?x,?z) -> ?y = ?z
+"""
+FLAGS_FIRST = "G(?y), A(?x), P(?x,?w)"
+RELATIONAL_FIRST = "A(?x), G(?y), P(?x,?w)"
+HAND_DEMAND = """\
+m_Q#f.
+m_G#f :- %s.
+m_P#ff :- m_G#f.
+m_P#bf(?x) :- m_Q#f, A(?x).
+P(?x,?y) :- m_P#bf(?x), E(?x,?y).
+"""
+
+
+def full_and_bound_scenario(query_body):
+    E, A = Predicate("E", 2), Predicate("A", 1)
+    c = {n: Constant(n) for n in "abcdef"}
+    base = Instance(
+        [Atom(E, (c[s], c[t])) for s, t in ("ab", "ae", "bc", "cd", "ef")]
+        + [Atom(A, (c[n],)) for n in "acdf"]
+    )
+    rules = parse_rules(FULL_AND_BOUND_RULES % query_body)
+    return Scenario(tuple(rules), base, Q1, None, una_known=False)
+
+
+def bound_demand_on(program, base):
+    """Rules holding a demand on `base` that binds a position."""
+    return [
+        r for r in program.rules
+        if any(isinstance(a.predicate, MagicPredicate) and a.predicate.base == base
+               and "b" in a.predicate.adornment for a in (r.head,) + r.body)
+    ]
+
+
+def test_predicate_demanded_in_full_gets_no_bound_demand():
+    P = Predicate("P", 2)
+    sc = full_and_bound_scenario(FLAGS_FIRST)
+    got = magic(skolemize(singularize(sc.rules, Q1), Q1))
+    heads = {r.head.predicate for r in got.rules}
+    assert MagicPredicate(P, "ff") in heads
+    assert bound_demand_on(got, P) == []
+    # The equality's one-sided demand is never all-free and stays.
+    assert MagicPredicate(EQUALITY, "eqb") in heads
+    # The bound demand rule and the copy it guards both go.
+    assert len(_subsumed_demand(parse_program(HAND_DEMAND % "m_Q#f").rules)) == 2
+
+
+def test_bound_demand_stays_when_the_full_flag_waits_on_a_fact():
+    P = Predicate("P", 2)
+    sc = full_and_bound_scenario(RELATIONAL_FIRST)
+    got = magic(skolemize(singularize(sc.rules, Q1), Q1))
+    assert MagicPredicate(P, "ff") in {r.head.predicate for r in got.rules}
+    assert bound_demand_on(got, P)
+    # A flag reached through a bound demand is not always true either.
+    hand = "m_T#b(?x) :- m_Q#f, A(?x).\n" + HAND_DEMAND % "m_T#b(?x)"
+    assert _subsumed_demand(parse_program(hand).rules) == set()
+
+
+@pytest.mark.parametrize("query_body", [FLAGS_FIRST, RELATIONAL_FIRST])
+def test_full_and_bound_demand_answers_match_the_oracle(query_body):
+    sc = full_and_bound_scenario(query_body)
+    expect = oracle_answers(sc)
+    assert expect == {("a",), ("c",), ("f",)}
+    for mode in MODES:
+        assert pipeline_answers(sc, mode) == expect, mode
 
 
 def test_equality_is_demanded_only_when_some_rule_derives_one():
