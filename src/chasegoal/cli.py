@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import sys
+import time
 
 import click
 
@@ -46,11 +47,13 @@ def run(rules_path, data_dir, schema_path, query_pred, mode, una, typed_critical
         if value < 0:
             click.echo("error: %s must be 0 or more, not %d" % (option, value), err=True)
             sys.exit(1)
+    t0 = time.perf_counter()
     try:
         scenario = load_scenario(rules_path, data_dir, query_pred, schema_path, una_known=una)
     except FrontendError as err:
         click.echo("error: %s" % err, err=True)
         sys.exit(1)
+    load_s = time.perf_counter() - t0
 
     cfg = PipelineConfig(
         mode=mode,
@@ -64,6 +67,7 @@ def run(rules_path, data_dir, schema_path, query_pred, mode, una, typed_critical
         click.echo("error: %s" % err, err=True)
         sys.exit(2 if isinstance(err.cause, _GUARDS) else 1)
 
+    report.timings = {"load": load_s, **report.timings}
     emit_report(report, out_dir, stats_json)
     if dump is not None:
         try:

@@ -50,7 +50,7 @@ class RunReport:
     query: str
     answers: "tuple[tuple[str, ...], ...]"    # constant names, sorted
     rule_counts: "dict[str, int]"
-    timings: "dict[str, float]"               # seconds per stage, load excluded
+    timings: "dict[str, float]"               # seconds per stage; `chasegoal run` adds "load"
     chase_stats: ChaseStats
     stages: "dict[str, object]"               # stage name -> rules at that point
     chase_result: ChaseResult
@@ -156,7 +156,7 @@ def format_stats(report: RunReport) -> str:
             lines.append("rules after %s: %d" % (name, report.rule_counts[name]))
     for key, value in asdict(report.chase_stats).items():
         lines.append("chase %s: %d" % (key.replace("_", " "), value))
-    for name in list(STAGES) + ["chase"]:
+    for name in ("load", *STAGES, "chase"):
         if name in report.timings:
             lines.append("time %s: %.6fs" % (name, report.timings[name]))
     if report.relevance_retried:

@@ -1,14 +1,20 @@
 """Parsing and serialization: existential rule files, logic-program dumps,
 CSV base instances and schema sidecars.
 
-Both rule grammars are line based.  A `#` starts a comment when it opens the
-line or follows whitespace; inside a token (magic predicate names such as
-`m_R#bf`, generated variables such as `?z#1`) it is part of the token.
+Rule, program and schema files are line based and share one tokenizer:
+one compiled regex splits a line into (kind, text, column) tuples, which a
+recursive-descent parser walks by index (a schema line is matched whole, up
+to the comment the tokenizer finds).  A `#` starts a comment when it opens
+the line or follows a space or tab; inside a token (magic predicate names
+such as `m_R#bf`, generated variables such as `?z#1`, quoted constants) it
+is part of the token.  An apostrophe inside a name (`?x'`, `a'`) opens no
+quote.
 
-A base instance is read one CSV file per predicate, each in one pass: the
-rows stream from `csv.reader` into the rows of term ids of one batch write
-(`Instance.add_all`), their cells looked up in the term table's constants,
-and no Python function runs for a row of the right size and known names.
+A base instance is read one CSV file per predicate, a chunk of rows at a
+time: C code checks the rows' sizes, looks their cells up in the term
+table's constants a column at a time and zips the columns' ids into the
+rows of one batch write (`Instance.add_all`).  No Python code runs per row
+or cell.
 """
 
 from __future__ import annotations
@@ -16,10 +22,10 @@ from __future__ import annotations
 import csv
 import re
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, islice
 from operator import attrgetter
 from pathlib import Path
-from typing import Iterable, Optional
+from typing import Iterable
 
 from .kernel import (
     EQUALITY,
@@ -86,150 +92,90 @@ class SortMismatch(FrontendError):
 # Tokenizer
 # ---------------------------------------------------------------------------
 
+# `finditer` skips whitespace, which no alternative matches.  A `#` at the
+# start of a line or after a space or tab starts a comment; inside a token
+# it is part of it.  `BAD` takes a character no token starts with.  No other
+# two alternatives start with the same character, so they are tried in order
+# of frequency.
 _TOKEN_RE = re.compile(
     r"""
-    (?P<WS>\s+)
-  | (?P<IMPL>:-)
-  | (?P<ARROW>->)
-  | (?P<VAR>\?[A-Za-z0-9_][A-Za-z0-9_'\#]*)
-  | (?P<NAME>[A-Za-z0-9_][A-Za-z0-9_']*(?:\#[A-Za-z]+)?)
-  | (?P<QUOTED>'(?:[^']|'')*')
+    (?P<NAME>[A-Za-z0-9_][A-Za-z0-9_']*(?:\#[A-Za-z]+)?)
   | (?P<LP>\()
+  | (?P<VAR>\?[A-Za-z0-9_][A-Za-z0-9_'\#]*)
   | (?P<RP>\))
   | (?P<COMMA>,)
+  | (?P<ARROW>->)
+  | (?P<IMPL>:-)
+  | (?P<QUOTED>'(?:[^']|'')*')
   | (?P<EQ>=)
   | (?P<DOT>\.)
+  | (?P<COMMENT>(?<![^ \t])\#.*)
+  | (?P<BAD>\S)
     """,
     re.VERBOSE,
 )
 
-
-@dataclass(frozen=True)
-class _Token:
-    kind: str
-    text: str
-    line: int
-    col: int
+# The token that ends a line's tokens, so that the parser reads one past the
+# last without a bounds check.
+_END = ("END", "end of rule", 0)
 
 
-def _strip_comment(line: str) -> str:
-    in_quote = False
-    for i, ch in enumerate(line):
-        if ch == "'":
-            in_quote = not in_quote
-        elif ch == "#" and not in_quote and (i == 0 or line[i - 1] in " \t"):
-            return line[:i]
-    return line
-
-
-def _tokenize(line: str, lineno: int, source: str) -> "list[_Token]":
-    out = []
-    pos = 0
-    text = _strip_comment(line).rstrip()
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            raise MalformedRule(
-                "unexpected character %r" % text[pos], lineno, pos + 1, source
-            )
-        kind = m.lastgroup
-        if kind != "WS":
-            out.append(_Token(kind, m.group(), lineno, pos + 1))
-        pos = m.end()
-    return out
-
-
-class _Cursor:
-    def __init__(self, tokens: "list[_Token]", lineno: int, source: str):
-        self.toks = tokens
-        self.i = 0
-        self.line = lineno
-        self.source = source
-
-    def peek(self) -> Optional[_Token]:
-        return self.toks[self.i] if self.i < len(self.toks) else None
-
-    def next(self) -> Optional[_Token]:
-        t = self.peek()
-        if t is not None:
-            self.i += 1
-        return t
-
-    def expect(self, kind: str) -> _Token:
-        t = self.next()
-        if t is None or t.kind != kind:
-            raise MalformedRule(
-                "expected %s, found %s" % (kind, t.text if t else "end of rule"),
-                self.line,
-                t.col if t else 0,
-                self.source,
-            )
-        return t
-
-    def fail(self, msg: str):
-        t = self.peek()
-        raise MalformedRule(msg, self.line, t.col if t else 0, self.source)
-
-
-def _unquote(text: str) -> str:
-    return text[1:-1].replace("''", "'")
+def _tokens(line: str) -> list:
+    """The tokens of one line before its comment, as (kind, text, column)
+    tuples."""
+    toks = [(m.lastgroup, m.group(), m.start() + 1) for m in _TOKEN_RE.finditer(line)]
+    if toks and toks[-1][0] == "COMMENT":
+        toks.pop()
+    return toks
 
 
 # ---------------------------------------------------------------------------
 # Term and atom parsing
 # ---------------------------------------------------------------------------
+#
+# Each parser takes a line's tokens and the index of its first token, and
+# returns what it parsed with the index after it.  An error names the column
+# only; `_parse_lines` adds the line and the source.
 
 
-def _parse_term(cur: _Cursor, dump: bool) -> Term:
-    t = cur.next()
-    if t is None:
-        cur.fail("expected a term")
-    if t.kind == "VAR":
-        name = t.text[1:]
+def _expect(toks: list, i: int, kind: str) -> int:
+    t = toks[i]
+    if t[0] != kind:
+        raise MalformedRule("expected %s, found %s" % (kind, t[1]), col=t[2])
+    return i + 1
+
+
+def _parse_term(toks: list, i: int, dump: bool) -> "tuple[Term, int]":
+    kind, text, col = toks[i]
+    if kind == "VAR":
+        name = text[1:]
         if not dump and name.startswith(FRESH_PREFIX):
             raise MalformedRule(
-                "variable name %s uses the reserved prefix %r" % (t.text, FRESH_PREFIX),
-                cur.line,
-                t.col,
-                cur.source,
+                "variable name %s uses the reserved prefix %r" % (text, FRESH_PREFIX), col=col
             )
         if not dump and "#" in name:
-            raise MalformedRule(
-                "variable name %s uses the reserved character '#'" % t.text,
-                cur.line,
-                t.col,
-                cur.source,
-            )
-        return Variable(name)
-    if t.kind == "QUOTED":
-        return Constant(_unquote(t.text))
-    if t.kind == "NAME":
-        if not dump and "#" in t.text:
-            raise MalformedRule(
-                "'#' is not allowed in constants", cur.line, t.col, cur.source
-            )
-        nxt = cur.peek()
-        if nxt is not None and nxt.kind == "LP":
+            raise MalformedRule("variable name %s uses the reserved character '#'" % text, col=col)
+        return Variable(name), i + 1
+    if kind == "QUOTED":
+        return Constant(text[1:-1].replace("''", "'")), i + 1
+    if kind == "NAME":
+        if not dump and "#" in text:
+            raise MalformedRule("'#' is not allowed in constants", col=col)
+        if toks[i + 1][0] == "LP":
             if not dump:
-                raise MalformedRule(
-                    "function terms are not allowed in input rules",
-                    cur.line,
-                    t.col,
-                    cur.source,
-                )
-            return Functional(t.text, _parse_args(cur, dump))
-        return Constant(t.text)
-    raise MalformedRule("expected a term, found %r" % t.text, cur.line, t.col, cur.source)
+                raise MalformedRule("function terms are not allowed in input rules", col=col)
+            args, i = _parse_args(toks, i + 1, dump)
+            return Functional(text, args), i
+        return Constant(text), i + 1
+    raise MalformedRule("expected a term" + ("" if kind == "END" else ", found %r" % text), col=col)
 
 
-def _predicate(name: str, arity: int, cur: _Cursor, col: int, dump: bool) -> PredicateId:
+def _predicate(name: str, arity: int, col: int, dump: bool) -> PredicateId:
     """The predicate a name denotes.  Input rules allow ordinary names only;
     dumps also decode the names the pipeline generates."""
     if not dump:
         if "#" in name:
-            raise MalformedRule(
-                "'#' is not allowed in predicate names", cur.line, col, cur.source
-            )
+            raise MalformedRule("'#' is not allowed in predicate names", col=col)
         return Predicate(name, arity)
     if name.startswith("m_") and "#" in name:
         base_label, adornment = name[2:].rsplit("#", 1)
@@ -240,81 +186,80 @@ def _predicate(name: str, arity: int, cur: _Cursor, col: int, dump: bool) -> Pre
             base = Predicate(base_label, len(adornment))
             ok = adornment != "" and set(adornment) <= {"b", "f"}
         if not ok or arity != adornment.count("b"):
-            raise MalformedRule(
-                "malformed magic predicate %s/%d" % (name, arity), cur.line, col, cur.source
-            )
+            raise MalformedRule("malformed magic predicate %s/%d" % (name, arity), col=col)
         return MagicPredicate(base, adornment)
     if "#" in name:
-        raise MalformedRule(
-            "'#' is only allowed in magic predicate names: %s" % name,
-            cur.line,
-            col,
-            cur.source,
-        )
+        raise MalformedRule("'#' is only allowed in magic predicate names: %s" % name, col=col)
     if name.startswith("fun_"):
         return FunPredicate(name[4:], arity)
     if name.startswith("con_"):
         if arity != 1:
-            raise MalformedRule(
-                "constant graph predicate %s must be unary" % name, cur.line, col, cur.source
-            )
+            raise MalformedRule("constant graph predicate %s must be unary" % name, col=col)
         return FunPredicate(name[4:], 1, of_constant=True)
     return Predicate(name, arity)
 
 
-def _parse_atom(cur: _Cursor, dump: bool) -> Atom:
+# The tokens that may follow a nullary atom.
+_AFTER_ATOM = frozenset(("COMMA", "ARROW", "IMPL", "DOT", "END"))
+
+
+def _parse_atom(toks: list, i: int, dump: bool) -> "tuple[Atom, int]":
     """An atom of an input rule (`dump` false) or of a program dump (`dump`
     true: function terms, generated variables and generated predicates)."""
-    t = cur.peek()
-    if t is None:
-        cur.fail("expected an atom")
-    if t.kind == "NAME" and cur.i + 1 < len(cur.toks) and cur.toks[cur.i + 1].kind == "LP":
-        cur.next()
-        args = _parse_args(cur, dump)
-        return Atom(_predicate(t.text, len(args), cur, t.col, dump), args)
-    # Either a nullary atom or an equality s = t.
-    if t.kind == "NAME" and (
-        cur.i + 1 >= len(cur.toks) or cur.toks[cur.i + 1].kind in ("COMMA", "ARROW", "IMPL", "DOT")
-    ):
-        cur.next()
-        return Atom(_predicate(t.text, 0, cur, t.col, dump), ())
-    lhs = _parse_term(cur, dump)
-    cur.expect("EQ")
-    rhs = _parse_term(cur, dump)
-    return eq(lhs, rhs)
+    kind, text, col = toks[i]
+    if kind == "NAME":
+        after = toks[i + 1][0]
+        if after == "LP":
+            args, i = _parse_args(toks, i + 1, dump)
+            return Atom(_predicate(text, len(args), col, dump), args), i
+        if after in _AFTER_ATOM:
+            return Atom(_predicate(text, 0, col, dump), ()), i + 1
+    elif kind == "END":
+        raise MalformedRule("expected an atom")
+    # An equality s = t.
+    lhs, i = _parse_term(toks, i, dump)
+    rhs, i = _parse_term(toks, _expect(toks, i, "EQ"), dump)
+    return eq(lhs, rhs), i
 
 
-def _parse_list(cur: _Cursor, item, dump: bool) -> tuple:
+def _parse_list(toks: list, i: int, item, dump: bool) -> "tuple[tuple, int]":
     """One or more comma-separated items, each parsed by `item`."""
-    items = [item(cur, dump)]
-    while cur.peek() is not None and cur.peek().kind == "COMMA":
-        cur.next()
-        items.append(item(cur, dump))
-    return tuple(items)
+    first, i = item(toks, i, dump)
+    items = [first]
+    while toks[i][0] == "COMMA":
+        x, i = item(toks, i + 1, dump)
+        items.append(x)
+    return tuple(items), i
 
 
-def _parse_args(cur: _Cursor, dump: bool) -> "tuple[Term, ...]":
-    """A parenthesized argument list `(t, t, ...)`."""
-    cur.expect("LP")
-    args = _parse_list(cur, _parse_term, dump)
-    cur.expect("RP")
-    return args
+def _parse_args(toks: list, i: int, dump: bool) -> "tuple[tuple[Term, ...], int]":
+    """The argument list `(t, t, ...)` whose `(` is token `i`."""
+    args, i = _parse_list(toks, i + 1, _parse_term, dump)
+    return args, _expect(toks, i, "RP")
 
 
 def _parse_lines(text: str, source: str, parse_rule):
-    """Yield (line number, rule) for each line of `text` holding one: the
-    line is tokenized, `parse_rule` parses the rule from a cursor over it,
-    and an optional closing `.` may follow, then nothing else."""
+    """Yield (line number, rule) for each line of `text` holding one:
+    `parse_rule` parses the rule from the line's tokens, and an optional
+    closing `.` may follow, then nothing else.  A line holding a character
+    no token starts with is rejected at that character, whatever else is
+    wrong with it."""
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        toks = _tokenize(raw, lineno, source)
+        toks = _tokens(raw)
         if not toks:
             continue
-        cur = _Cursor(toks, lineno, source)
-        rule = parse_rule(cur)
-        if cur.peek() is not None and cur.peek().kind == "DOT":
-            cur.next()
-        if cur.peek() is not None:
-            cur.fail("trailing input after rule")
+        toks.append(_END)
+        try:
+            rule, i = parse_rule(toks)
+            if toks[i][0] == "DOT":
+                i += 1
+            if toks[i] is not _END:
+                raise MalformedRule("trailing input after rule", col=toks[i][2])
+        except MalformedRule as e:
+            for kind, char, col in toks:
+                if kind == "BAD":
+                    raise MalformedRule("unexpected character %r" % char, lineno, col, source) from None
+            raise MalformedRule(e.msg, lineno, e.col, source) from None
         yield lineno, rule
 
 
@@ -347,10 +292,10 @@ def check_rule(r: TGD):
         raise MalformedRule("at least one side of an equality head must be a variable")
 
 
-def _parse_existential_rule(cur: _Cursor) -> TGD:
-    body = _parse_list(cur, _parse_atom, dump=False)
-    cur.expect("ARROW")
-    return TGD(body, _parse_list(cur, _parse_atom, dump=False))
+def _parse_existential_rule(toks: list) -> "tuple[TGD, int]":
+    body, i = _parse_list(toks, 0, _parse_atom, False)
+    head, i = _parse_list(toks, _expect(toks, i, "ARROW"), _parse_atom, False)
+    return TGD(body, head), i
 
 
 def parse_rules(text: str, source: str = "<rules>") -> "list[TGD]":
@@ -392,14 +337,12 @@ def parse_rules(text: str, source: str = "<rules>") -> "list[TGD]":
 # ---------------------------------------------------------------------------
 
 
-def _parse_program_rule(cur: _Cursor) -> Rule:
-    head = _parse_atom(cur, dump=True)
+def _parse_program_rule(toks: list) -> "tuple[Rule, int]":
+    head, i = _parse_atom(toks, 0, True)
     body: tuple = ()
-    nxt = cur.peek()
-    if nxt is not None and nxt.kind == "IMPL":
-        cur.next()
-        body = _parse_list(cur, _parse_atom, dump=True)
-    return Rule(head, body)
+    if toks[i][0] == "IMPL":
+        body, i = _parse_list(toks, i + 1, _parse_atom, True)
+    return Rule(head, body), i
 
 
 def parse_program(text: str, source: str = "<program>") -> Program:
@@ -422,9 +365,11 @@ def parse_schema(text: str, source: str = "<schema>") -> "dict[tuple[str, int], 
     """Parse sort declarations, one per line: `pred/arity: sort1, sort2`."""
     out: dict[tuple[str, int], tuple[str, ...]] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = _strip_comment(raw).strip()
-        if not line:
+        toks = _tokens(raw)
+        if not toks:
             continue
+        _, last, col = toks[-1]
+        line = raw[: col - 1 + len(last)].strip()
         m = re.fullmatch(r"(\w+)\s*/\s*(\d+)\s*:\s*(.*)", line)
         if m is None:
             raise MalformedRule("malformed schema line %r" % line, lineno, 1, source)
@@ -440,18 +385,24 @@ def parse_schema(text: str, source: str = "<schema>") -> "dict[tuple[str, int], 
     return out
 
 
-def _odd_row(row: "list[str]", pred: Predicate, line: int, path: Path) -> bool:
-    """Judge a row whose size is not its predicate's arity: an empty row of
-    a predicate with arguments is skipped (False); any other raises
-    `ArityMismatch` naming the physical line the row ends on."""
-    if not row and pred.arity > 0:
-        return False
-    raise ArityMismatch(
-        "row has %d fields, %s has arity %d" % (len(row), pred.name, pred.arity),
-        line,
-        1,
-        str(path),
-    )
+# Rows read and built per batch: large enough that the batch's calls cost
+# little per row, small enough that its lists stay small next to the instance.
+_CHUNK = 1024
+
+
+def _mismatch(path: Path, pred: Predicate):
+    """Read a CSV file again row by row and raise `ArityMismatch` at the
+    physical line its first row of the wrong size ends on."""
+    with open(path, newline="", encoding="utf-8-sig") as fh:
+        reader = csv.reader(fh)
+        for row in reader:
+            if len(row) != pred.arity and (row or not pred.arity):
+                raise ArityMismatch(
+                    "row has %d fields, %s has arity %d" % (len(row), pred.name, pred.arity),
+                    reader.line_num,
+                    1,
+                    str(path),
+                )
 
 
 def parse_instance(data_dir, signature: "dict[str, Predicate]") -> Instance:
@@ -461,9 +412,11 @@ def parse_instance(data_dir, signature: "dict[str, Predicate]") -> Instance:
     size raises `ArityMismatch` at the physical line it ends on, so a
     quoted cell spanning lines does not shift the count.  Sorts are not
     checked here: `check_scenario` checks them over the rules and the facts
-    together.  Only a row of the wrong size calls a helper (`_odd_row`);
-    a right-sized one runs Python code only to build a constant whose name
-    is new to the process."""
+    together.
+
+    `zip` pulls one id from each column in turn, so constants new to the
+    process get their ids in row order.  A chunk holding a row of the wrong
+    size has the file read again (`_mismatch`)."""
     instance = Instance()
     intern = Constant._table.__getitem__
     ident = attrgetter("id")
@@ -477,11 +430,13 @@ def parse_instance(data_dir, signature: "dict[str, Predicate]") -> Instance:
         arity = pred.arity
         with open(path, newline="", encoding="utf-8-sig") as fh:
             reader = csv.reader(fh)
-            instance.add_all(pred, [
-                tuple(map(ident, map(intern, row)))
-                for row in reader
-                if len(row) == arity or _odd_row(row, pred, reader.line_num, path)
-            ])
+            while rows := list(islice(reader, _CHUNK)):
+                if arity:
+                    rows = list(filter(None, rows))
+                if not all(map(arity.__eq__, map(len, rows))):
+                    _mismatch(path, pred)
+                columns = [map(ident, map(intern, col)) for col in zip(*rows)]
+                instance.add_all(pred, zip(*columns) if arity else [()])
     return instance
 
 

@@ -216,6 +216,26 @@ def test_cli_stats_json(tmp_path):
     assert json.loads(stats.read_text(encoding="utf-8"))["query"] == "Q"
 
 
+def test_cli_times_the_load_first(tmp_path):
+    # `chasegoal run` reports the time of `load_scenario` before the stages';
+    # `run_pipeline`'s own timings leave the load out.
+    rules_path, data = write_inputs(tmp_path)
+    out, stats = tmp_path / "out", tmp_path / "s.json"
+    result = CliRunner().invoke(
+        main,
+        ["run", "--rules", str(rules_path), "--data", str(data), "--mode", "rel",
+         "--query-pred", "Q", "--out", str(out), "--stats-json", str(stats)],
+    )
+    assert result.exit_code == 0, result.output
+    timings = json.loads(stats.read_text(encoding="utf-8"))["timings"]
+    assert list(timings) == ["load", "sg", "sk", "rel", "defun", "desg", "chase"]
+    assert all(t >= 0 for t in timings.values())
+    lines = [line for line in (out / "stats.txt").read_text(encoding="utf-8").splitlines()
+             if line.startswith("time ")]
+    assert [line.split(":")[0] for line in lines] == ["time " + name for name in timings]
+    assert "load" not in run_pipeline(running_example(3), PipelineConfig(mode="rel")).timings
+
+
 def test_cli_bad_rules_exits_one(tmp_path):
     rules_path, data = write_inputs(tmp_path, rules="B(?x -> A(?x)\n")
     result = CliRunner().invoke(

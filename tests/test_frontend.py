@@ -1,6 +1,7 @@
 """Rule and program grammars, CSV instances, schemas, scenario loading."""
 
 import copy
+from collections import Counter
 import csv
 import io
 import pickle
@@ -28,7 +29,7 @@ from chasegoal import (
     run_pipeline,
     serialize_program,
 )
-from chasegoal.frontend import check_query_predicate, render_rule, rules_signature
+from chasegoal.frontend import _CHUNK, check_query_predicate, render_rule, rules_signature
 from chasegoal.kernel import (
     TGD,
     Atom,
@@ -38,8 +39,11 @@ from chasegoal.kernel import (
     Instance,
     MagicPredicate,
     Predicate,
+    Program,
+    Rule,
     Variable,
     eq,
+    vars_of,
 )
 
 from helpers import RUNNING_RULES, running_example
@@ -115,6 +119,84 @@ def test_error_message_carries_location():
     with pytest.raises(MalformedRule) as exc:
         parse_rules("P(?x) -> Q(?x)\nP(?x) Q(?x)", source="rules.txt")
     assert "rules.txt:2" in str(exc.value)
+
+
+# The full text of each error, taken from the parser before its tokenizer
+# became one regex pass: the rows of `test_parse_rules_rejects`, then errors
+# of the program and schema grammars.  A character no token starts with is
+# reported before any other error on its line.
+PINNED_ERRORS = [
+    ("rules", "P(?x) Q(?x)", MalformedRule, "<rules>:1:7: expected ARROW, found Q"),
+    ("rules", "P(?x) -> Q(?x) extra", MalformedRule, "<rules>:1:16: trailing input after rule"),
+    ("rules", "P(?x), P(?x,?y) -> Q(?x)", ArityMismatch,
+     "<rules>:1:1: predicate P used with arity 2 (arity 1 at line 1)"),
+    ("rules", "?x = ?y -> Q(?x)", MalformedRule,
+     "<rules>:1:1: rule body needs at least one relational atom"),
+    ("rules", "P(?x) -> ?y = ?z", UnboundFrontierVariable,
+     "<rules>:1:1: equality head variable ?y does not occur in the body"),
+    ("rules", "P(?x) -> 'a' = 'b'", MalformedRule,
+     "<rules>:1:1: at least one side of an equality head must be a variable"),
+    ("rules", "P(?x) -> ?x = ?y, Q(?x)", MalformedRule,
+     "<rules>:1:1: an equality head must be the only head atom"),
+    ("rules", "P(?_s1) -> Q(?_s1)", MalformedRule,
+     "<rules>:1:3: variable name ?_s1 uses the reserved prefix '_'"),
+    ("rules", "P(f(?x)) -> Q(?x)", MalformedRule,
+     "<rules>:1:3: function terms are not allowed in input rules"),
+    ("rules", "P#x(?x) -> Q(?x)", MalformedRule, "<rules>:1:1: '#' is not allowed in predicate names"),
+    ("rules", "P(?x), N#x -> Q(?x)", MalformedRule,
+     "<rules>:1:8: '#' is not allowed in predicate names"),
+    ("rules", "P(a#b) -> Q(?x)", MalformedRule, "<rules>:1:3: '#' is not allowed in constants"),
+    ("rules", "P(?x#1) -> Q(?x#1)", MalformedRule,
+     "<rules>:1:3: variable name ?x#1 uses the reserved character '#'"),
+    ("rules", "P(?x) -> Q(?x)\n\n  P(?x) Q(?x) @", MalformedRule,
+     "<rules>:3:15: unexpected character '@'"),
+    ("rules", "P('abc) -> Q(a) # c", MalformedRule, "<rules>:1:3: unexpected character \"'\""),
+    ("rules", "P(?x) -> Q(?x)#c", MalformedRule, "<rules>:1:15: unexpected character '#'"),
+    ("rules", "P(,) -> Q(a)", MalformedRule, "<rules>:1:3: expected a term, found ','"),
+    ("rules", "P(?x) ->", MalformedRule, "<rules>:1: expected an atom"),
+    ("rules", "P(?x) -> Q(?x). R(?x)", MalformedRule, "<rules>:1:17: trailing input after rule"),
+    ("program", "m_R#xf(?x) :- R(?x,?y).", MalformedRule,
+     "<program>:1:1: malformed magic predicate m_R#xf/1"),
+    ("program", "m_R#bf(?x,?y) :- R(?x,?y).", MalformedRule,
+     "<program>:1:1: malformed magic predicate m_R#bf/2"),
+    ("program", "R#b(?x) :- S(?x).", MalformedRule,
+     "<program>:1:1: '#' is only allowed in magic predicate names: R#b"),
+    ("program", "Q(?x) :- con_c(?x,?y).", MalformedRule,
+     "<program>:1:10: constant graph predicate con_c must be unary"),
+    ("program", "Q(?x) :- R(?x) & S(?x).", MalformedRule, "<program>:1:16: unexpected character '&'"),
+    ("program", "Q(?x) :- R(?x). S(?x)", MalformedRule, "<program>:1:17: trailing input after rule"),
+    ("program", "Q(?x) :- R(?x", MalformedRule, "<program>:1: expected RP, found end of rule"),
+    ("program", "Q(f(?x) :- R(?x).", MalformedRule, "<program>:1:9: expected RP, found :-"),
+    ("program", "Q(?x) :-", MalformedRule, "<program>:1: expected an atom"),
+    ("schema", "S/2: student", ArityMismatch, "<schema>:1:1: S/2 declares 1 sorts"),
+    ("schema", "S/2 student, dept # c", MalformedRule,
+     "<schema>:1:1: malformed schema line 'S/2 student, dept'"),
+    ("schema", "S/1: a\nS/1: a", MalformedRule, "<schema>:2:1: duplicate schema line for S/1"),
+]
+
+
+@pytest.mark.parametrize("grammar,text,err,message", PINNED_ERRORS)
+def test_error_texts_are_pinned(grammar, text, err, message):
+    parse = {"rules": parse_rules, "program": parse_program, "schema": parse_schema}[grammar]
+    with pytest.raises(err) as exc:
+        parse(text)
+    assert type(exc.value) is err and str(exc.value) == message
+
+
+@pytest.mark.parametrize(
+    "line,body",
+    [
+        ("P(?x', ?y) -> Q(?y) # note", "P(?x', ?y)"),           # variable
+        ("P(a', ?y) -> Q(?y) # note", "P('a''', ?y)"),          # bare constant
+        ("P(?x', 'a #b') -> Q(?x') # it's", "P(?x', 'a #b')"),  # quoted constant holding '#'
+    ],
+)
+def test_trailing_comment_after_an_apostrophe_in_a_name(line, body):
+    # An apostrophe inside a name opens no quote, so the comment ends the line.
+    (rule,) = parse_rules(line)
+    head = line.split("-> ")[1].split(" #")[0]
+    assert [rule] == parse_rules("%s -> %s" % (body, head))
+    assert rule.body[0].args[0] in (Variable("x'"), Constant("a'"))
 
 
 def test_stage_dumps_parse_back_verbatim():
@@ -298,6 +380,208 @@ def test_constant_interned_on_first_lookup_keeps_identity():
     again = pickle.loads(data)
     assert Constant._table[name] is again and Constant(name) is again
     assert pickle.loads(data) is again
+
+
+# -- round trips ---------------------------------------------------------------
+#
+# Tier-1 runs each property on its default example count; the script
+# `tests/frontend_differential.py` runs it on about 2000 draws from fixed
+# seeds.  The strategies are built once: hypothesis checks each new strategy
+# object on its first draw.
+
+# Constant names hold what only a quoted constant can: quotes, commas,
+# spaces, tabs, '#' and the characters of other tokens.
+constants = st.text(alphabet="ab'#, \t()=.-", max_size=4).map(Constant)
+comments = st.text(alphabet="ab'#, ", max_size=6)
+gaps = st.sampled_from([" ", "  ", "\t"])
+blank_lines = st.lists(st.sampled_from(["", "  ", "# note", "\t#'"]), max_size=1)
+line_ends = st.sampled_from(["", "\n"])
+arities = st.integers(0, 3)
+
+
+def named(first: str, rest: str = "ab_'"):
+    """Names that start with a character of `first`; apostrophes are legal
+    inside names."""
+    return st.builds(lambda a, b: a + b, st.sampled_from(first), st.text(alphabet=rest, max_size=2))
+
+
+# A predicate name ends in its arity, so a rule file uses each with one.
+predicate_names = named("PQR")
+input_terms = st.one_of(named("xyzXY1").map(Variable), constants)
+
+
+@st.composite
+def relational_atoms(draw, terms):
+    arity = draw(arities)
+    pred = Predicate(draw(predicate_names) + str(arity), arity)
+    return Atom(pred, tuple(draw(terms) for _ in range(arity)))
+
+
+input_atoms = relational_atoms(input_terms)
+
+
+@st.composite
+def _input_rules(draw):
+    """A TGD of the rule grammar: relational atoms of arity 0-3 over
+    variables and constants, at times a body equality, and either relational
+    heads or one equality head over body variables and constants."""
+    body = [draw(input_atoms) for _ in range(draw(st.integers(1, 3)))]
+    if draw(st.booleans()):
+        body.insert(draw(st.integers(0, len(body))), eq(draw(input_terms), draw(input_terms)))
+    body_vars = sorted(vars_of(body), key=repr)
+    if body_vars and draw(st.booleans()):
+        pick = st.sampled_from(body_vars)
+        sides = [draw(pick), draw(st.one_of(pick, constants))]
+        if draw(st.booleans()):
+            sides.reverse()
+        return TGD(tuple(body), (eq(*sides),))
+    return TGD(tuple(body), tuple(draw(input_atoms) for _ in range(draw(st.integers(1, 3)))))
+
+
+input_rules = _input_rules()
+
+
+def commented(draw, lines) -> str:
+    """`lines` with trailing comments, comment lines and blank lines."""
+    out = []
+    for line in lines:
+        out += draw(blank_lines)
+        if draw(st.booleans()):
+            line += draw(gaps) + "#" + draw(comments)
+        out.append(line)
+    return "\n".join(out) + draw(line_ends)
+
+
+@st.composite
+def rule_files(draw):
+    rules = [draw(input_rules) for _ in range(draw(st.integers(1, 4)))]
+    return rules, commented(draw, map(render_rule, rules))
+
+
+@given(rule_files())
+def test_rules_round_trip_through_render(drawn):
+    rules, text = drawn
+    assert parse_rules(text) == rules
+
+
+# Dumps hold generated variables (`?_s1`, `?z#1`), function terms, and the
+# magic, function graph and constant graph predicates.
+dump_leaves = st.one_of(named("xyz_", "x1_'#").map(Variable), constants)
+symbols = named("fgs", "k_0'")
+# A function term has at least one argument: `f()` has no text form.
+dump_terms = st.recursive(
+    dump_leaves,
+    lambda inner: st.builds(Functional, symbols, st.lists(inner, min_size=1, max_size=2).map(tuple)),
+    max_leaves=4,
+)
+dump_relational = relational_atoms(dump_terms)
+atom_kinds = st.sampled_from(["relational", "magic", "eq-magic", "fun", "con", "equality"])
+# An adornment is not empty: a nullary magic predicate `m_A#` has no text
+# form.
+adornments = st.text(alphabet="bf", min_size=1, max_size=3)
+EQ_MAGIC = MagicPredicate(eq(Variable("x"), Variable("x")).predicate, "eqb")
+
+
+@st.composite
+def _dump_atoms(draw):
+    kind = draw(atom_kinds)
+    if kind == "relational":
+        return draw(dump_relational)
+    if kind == "equality":
+        # The left side is no function term: `f(?x) = ?y` reads as an atom.
+        return eq(draw(dump_leaves), draw(dump_terms))
+    if kind == "magic":
+        adornment = draw(adornments)
+        base = Predicate(draw(predicate_names) + str(len(adornment)), len(adornment))
+        pred = MagicPredicate(base, adornment)
+    elif kind == "eq-magic":
+        pred = EQ_MAGIC
+    elif kind == "fun":
+        pred = FunPredicate(draw(symbols), draw(st.integers(1, 3)))
+    else:
+        pred = FunPredicate(draw(symbols), 1, of_constant=True)
+    return Atom(pred, tuple(draw(dump_terms) for _ in range(pred.arity)))
+
+
+dump_atoms = _dump_atoms()
+
+
+@st.composite
+def program_files(draw):
+    rules = [
+        Rule(draw(dump_atoms), tuple(draw(dump_atoms) for _ in range(draw(arities))))
+        for _ in range(draw(st.integers(1, 4)))
+    ]
+    program = Program(tuple(rules))
+    return program, commented(draw, serialize_program(program).splitlines())
+
+
+@given(program_files())
+def test_programs_round_trip_through_serialize(drawn):
+    program, text = drawn
+    parsed = parse_program(text)
+    assert Counter(parsed.rules) == Counter(program.rules)
+    assert serialize_program(parsed) == serialize_program(program)
+
+
+CSV_SIGNATURE = {"S": Predicate("S", 2), "B": Predicate("B", 1), "N": Predicate("N", 0)}
+csv_dialects = st.sampled_from([(csv.QUOTE_MINIMAL, "\r\n"), (csv.QUOTE_ALL, "\n")])
+
+
+@st.composite
+def csv_tables(draw):
+    """The rows of a binary, a unary and a nullary predicate's files: cells
+    with commas, quotes and line breaks, empty rows, at times more rows than
+    one chunk, and at times, in one file, a row of the wrong size after the
+    first chunk."""
+    bad = draw(st.sampled_from([None, *CSV_SIGNATURE]))
+    tables = {}
+    for name, pred in CSV_SIGNATURE.items():
+        arity = pred.arity
+        filler = _CHUNK if name == bad else draw(st.sampled_from([0, _CHUNK])) + draw(st.integers(0, 40))
+        rows = [["f%d" % (i % 700)] * arity for i in range(filler)]
+        for _ in range(draw(st.integers(0, 6))):
+            row = [draw(csv_cells) for _ in range(arity)]
+            rows.insert(draw(st.integers(0, len(rows))), row)
+        for _ in range(draw(st.integers(0, 2)) if arity else 0):
+            rows.insert(draw(st.integers(0, len(rows))), [])
+        if name == bad:
+            size = draw(st.sampled_from([n for n in range(1, 4) if n != arity]))
+            row = [draw(csv_cells) for _ in range(size)]
+            rows.insert(draw(st.integers(_CHUNK, len(rows))), row)
+        tables[name] = rows
+    return tables, draw(csv_dialects), draw(st.booleans())
+
+
+@given(csv_tables())
+def test_csv_tables_round_trip_through_parse_instance(drawn):
+    # Written by csv.writer, at times after a byte-order mark, each file
+    # reads as a plain csv.reader reads it, or fails at the physical line
+    # of its first row of the wrong size.
+    tables, (quoting, end), bom = drawn
+    want, error = {pred: set() for pred in CSV_SIGNATURE.values()}, None
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, rows in sorted(tables.items()):
+            pred, path = CSV_SIGNATURE[name], Path(tmp) / (name + ".csv")
+            with open(path, "w", newline="", encoding="utf-8-sig" if bom else "utf-8") as fh:
+                csv.writer(fh, quoting=quoting, lineterminator=end).writerows(rows)
+            with open(path, newline="", encoding="utf-8-sig") as fh:
+                reader = csv.reader(fh)
+                for row in reader:
+                    if len(row) == pred.arity:
+                        want[pred].add(Atom(pred, tuple(map(Constant, row))))
+                    elif (row or not pred.arity) and error is None:
+                        error = "%s:%d:1: row has %d fields, %s has arity %d" % (
+                            path, reader.line_num, len(row), name, pred.arity)
+        if error is not None:
+            with pytest.raises(ArityMismatch) as exc:
+                parse_instance(tmp, CSV_SIGNATURE)
+            assert str(exc.value) == error
+            return
+        inst = parse_instance(tmp, CSV_SIGNATURE)
+    for pred, facts in want.items():
+        assert inst.with_predicate(pred) == facts
+    assert all(type(fact) is Atom for fact in inst)
 
 
 # -- scenarios ---------------------------------------------------------------
