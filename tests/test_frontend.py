@@ -31,6 +31,7 @@ from chasegoal import (
 )
 from chasegoal.frontend import _CHUNK, check_query_predicate, render_rule, rules_signature
 from chasegoal.kernel import (
+    EQUALITY,
     TGD,
     Atom,
     Constant,
@@ -479,7 +480,6 @@ atom_kinds = st.sampled_from(["relational", "magic", "eq-magic", "fun", "con", "
 # An adornment is not empty: a nullary magic predicate `m_A#` has no text
 # form.
 adornments = st.text(alphabet="bf", min_size=1, max_size=3)
-EQ_MAGIC = MagicPredicate(eq(Variable("x"), Variable("x")).predicate, "eqb")
 
 
 @st.composite
@@ -495,7 +495,7 @@ def _dump_atoms(draw):
         base = Predicate(draw(predicate_names) + str(len(adornment)), len(adornment))
         pred = MagicPredicate(base, adornment)
     elif kind == "eq-magic":
-        pred = EQ_MAGIC
+        pred = MagicPredicate(EQUALITY, "eqb")
     elif kind == "fun":
         pred = FunPredicate(draw(symbols), draw(st.integers(1, 3)))
     else:
