@@ -61,7 +61,6 @@ from .kernel import (
     TGD,
     Variable,
     eq,
-    map_shallow,
     substitute,
 )
 from .magicsets import NoAdmissibleOrdering, adorn, magic, reorder

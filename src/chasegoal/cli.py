@@ -28,21 +28,15 @@ def main():
 @click.option("--query-pred", required=True)
 @click.option("--mode", type=click.Choice(MODES), default="all", show_default=True)
 @click.option("--una", is_flag=True, help="Distinct constants denote distinct objects.")
-@click.option(
-    "--typed-critical/--untyped-critical",
-    default=None,
-    help="Type the relevance abstraction by sort (default: typed iff a schema is given).",
-)
-@click.option("--defun-abstraction", is_flag=True,
-              help="Run relevance on the function-abstracted program from the start.")
 @click.option("--max-depth", type=int, default=Limits.max_depth, show_default=True)
 @click.option("--max-facts", type=int, default=Limits.max_facts, show_default=True)
 @click.option("--out", "out_dir", required=True, type=click.Path(file_okay=False))
 @click.option("--stats-json", type=click.Path(dir_okay=False))
 @click.option("--dump-stage", "dump", type=click.Choice(STAGES))
-def run(rules_path, data_dir, schema_path, query_pred, mode, una, typed_critical,
-        defun_abstraction, max_depth, max_facts, out_dir, stats_json, dump):
-    """Answer a query over a rule file and a directory of CSV facts."""
+def run(rules_path, data_dir, schema_path, query_pred, mode, una, max_depth, max_facts, out_dir,
+        stats_json, dump):
+    """Answer a query over a rule file and a directory of CSV facts.  The
+    relevance abstraction is typed by sort exactly when a schema is given."""
     for option, value in (("--max-depth", max_depth), ("--max-facts", max_facts)):
         if value < 0:
             click.echo("error: %s must be 0 or more, not %d" % (option, value), err=True)
@@ -55,12 +49,7 @@ def run(rules_path, data_dir, schema_path, query_pred, mode, una, typed_critical
         sys.exit(1)
     load_s = time.perf_counter() - t0
 
-    cfg = PipelineConfig(
-        mode=mode,
-        typed_critical=typed_critical,
-        defun_abstraction=defun_abstraction,
-        limits=Limits(max_depth=max_depth, max_facts=max_facts),
-    )
+    cfg = PipelineConfig(mode=mode, limits=Limits(max_depth=max_depth, max_facts=max_facts))
     try:
         report = run_pipeline(scenario, cfg)
     except PipelineError as err:

@@ -99,7 +99,7 @@ class SortMismatch(FrontendError):
 # of frequency.
 _TOKEN_RE = re.compile(
     r"""
-    (?P<NAME>[A-Za-z0-9_][A-Za-z0-9_']*(?:\#[A-Za-z]+)?)
+    (?P<NAME>[A-Za-z0-9_][A-Za-z0-9_']*(?:\#[A-Za-z]*)?)
   | (?P<LP>\()
   | (?P<VAR>\?[A-Za-z0-9_][A-Za-z0-9_'\#]*)
   | (?P<RP>\))
@@ -164,6 +164,8 @@ def _parse_term(toks: list, i: int, dump: bool) -> "tuple[Term, int]":
         if toks[i + 1][0] == "LP":
             if not dump:
                 raise MalformedRule("function terms are not allowed in input rules", col=col)
+            if toks[i + 2][0] == "RP":  # the Skolem term of a rule with no frontier variable
+                return Functional(text, ()), i + 3
             args, i = _parse_args(toks, i + 1, dump)
             return Functional(text, args), i
         return Constant(text), i + 1
@@ -184,7 +186,7 @@ def _predicate(name: str, arity: int, col: int, dump: bool) -> PredicateId:
             ok = adornment == "eqb"
         else:
             base = Predicate(base_label, len(adornment))
-            ok = adornment != "" and set(adornment) <= {"b", "f"}
+            ok = set(adornment) <= {"b", "f"}
         if not ok or arity != adornment.count("b"):
             raise MalformedRule("malformed magic predicate %s/%d" % (name, arity), col=col)
         return MagicPredicate(base, adornment)
@@ -348,7 +350,7 @@ def _parse_program_rule(toks: list) -> "tuple[Rule, int]":
 def parse_program(text: str, source: str = "<program>") -> Program:
     """Parse a logic program, one rule per line: `head :- body.` or `head.`.
 
-    Predicate names are decoded: `m_R#bf` and `m_eq#eqb` are magic
+    Predicate names are decoded: `m_R#bf`, `m_A#` and `m_eq#eqb` are magic
     predicates, `fun_f` / `con_c` are function and constant graph
     predicates, everything else is ordinary.  Ordinary predicates that
     happen to start with one of these prefixes are not representable; the
@@ -409,6 +411,26 @@ def _mismatch(path: Path, pred: Predicate):
                 )
 
 
+def _not_utf8(path: Path, err: UnicodeDecodeError) -> FrontendError:
+    """The error for a file that is not UTF-8, naming its first bad byte by
+    its offset in the file.  The file's bytes are decoded again: a reader
+    that decodes in chunks reports offsets into its chunk."""
+    try:
+        path.read_bytes().decode("utf-8")
+    except UnicodeDecodeError as whole:
+        err = whole
+    return FrontendError(
+        "not UTF-8: byte 0x%02x at offset %d" % (err.object[err.start], err.start), source=str(path)
+    )
+
+
+def _read_text(path: Path) -> str:
+    try:
+        return path.read_text(encoding="utf-8-sig")
+    except UnicodeDecodeError as err:
+        raise _not_utf8(path, err) from None
+
+
 def parse_instance(data_dir, signature: "dict[str, Predicate]") -> Instance:
     """Read one headerless CSV file per predicate (file stem = predicate
     name) from a directory.  An empty row is skipped for a predicate with
@@ -432,15 +454,18 @@ def parse_instance(data_dir, signature: "dict[str, Predicate]") -> Instance:
                 source=str(path),
             )
         arity = pred.arity
-        with open(path, newline="", encoding="utf-8-sig") as fh:
-            reader = csv.reader(fh)
-            while rows := list(islice(reader, _CHUNK)):
-                if arity:
-                    rows = list(filter(None, rows))
-                if not all(map(arity.__eq__, map(len, rows))):
-                    _mismatch(path, pred)
-                columns = [map(ident, map(intern, col)) for col in zip(*rows)]
-                instance.add_all(pred, zip(*columns) if arity else [()])
+        try:
+            with open(path, newline="", encoding="utf-8-sig") as fh:
+                reader = csv.reader(fh)
+                while rows := list(islice(reader, _CHUNK)):
+                    if arity:
+                        rows = list(filter(None, rows))
+                    if not all(map(arity.__eq__, map(len, rows))):
+                        _mismatch(path, pred)
+                    columns = [map(ident, map(intern, col)) for col in zip(*rows)]
+                    instance.add_all(pred, zip(*columns) if arity else [()])
+        except UnicodeDecodeError as err:
+            raise _not_utf8(path, err) from None
     return instance
 
 
@@ -613,7 +638,7 @@ def load_scenario(
     """Parse a rule file, a directory of CSV facts and an optional schema
     into a `Scenario`, which checks the input contract as it is built."""
     rules_path = Path(rules_path)
-    rules = parse_rules(rules_path.read_text(encoding="utf-8-sig"), source=str(rules_path))
+    rules = parse_rules(_read_text(rules_path), source=str(rules_path))
     sig = rules_signature(rules)
     if query_pred not in sig:
         raise UnknownPredicate(
@@ -623,7 +648,7 @@ def load_scenario(
     schema = None
     if schema_path is not None:
         schema_path = Path(schema_path)
-        schema = parse_schema(schema_path.read_text(encoding="utf-8-sig"), source=str(schema_path))
+        schema = parse_schema(_read_text(schema_path), source=str(schema_path))
         for (name, arity) in schema:
             if name in sig and sig[name].arity != arity:
                 raise ArityMismatch(

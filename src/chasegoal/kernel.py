@@ -47,11 +47,28 @@ class _Interned:
     `object`'s identity defaults, which run in C.  The tables hold their
     objects for the life of the process.
 
-    Copying and pickling keep identity: a copy is the object itself, and an
-    unpickled object is looked up through the constructor."""
+    The value is the tuple of the `_fields`, given by position or by name;
+    a field left out takes its entry in `_defaults`.  Copying and pickling
+    keep identity: a copy is the object itself, and an unpickled object is
+    looked up through the constructor."""
 
     __slots__ = ()
     _fields: "tuple[str, ...]" = ()
+    _defaults: dict = {}
+    _table: dict
+
+    def __new__(cls, *args, **kwargs):
+        value = args
+        if len(args) < len(cls._fields):
+            value += tuple([kwargs[f] if f in kwargs else cls._defaults[f] for f in cls._fields[len(args):]])
+        obj = cls._table.get(value)
+        if obj is None:
+            obj = _build(cls, cls._table, value, **dict(zip(cls._fields, value)))
+        return obj
+
+    def __repr__(self) -> str:
+        fields = ", ".join("%s=%r" % (f, getattr(self, f)) for f in self._fields)
+        return "%s(%s)" % (type(self).__name__, fields)
 
     def __copy__(self):
         return self
@@ -82,18 +99,20 @@ def _build(cls, table: dict, value, **attrs):
 # Terms and the term table
 # ---------------------------------------------------------------------------
 
-# Every term has a `depth` (0 for constants and variables, one more than its
-# deepest argument for a function term) and a `key`, its place in the total
-# order on ground terms (see `term_key`), None for a term with a variable.
-#
 # The term table gives every ground term an int id, in the order the terms
 # are built, for the life of the process.  A ground term keeps its id
 # (`id`; None for a term with a variable), and the lists below, indexed by
-# id, hold each ground term's object, depth, key and, for a function term,
+# id, hold each ground term's object, depth (0 for a constant, one more than
+# its deepest argument for a function term), key and, for a function term,
 # its symbol and argument ids, so the engine reads them without touching the
-# object.  A constant is found by its name in `_CONSTANTS`, a ground function
-# term by its symbol and argument ids in `_FUNCTIONS`, whose key is the
-# term's `STRUCT` entry; a lookup that misses builds the term.
+# object; the table is the only place a term's depth and key are kept.  The
+# key is the term's place in the total order on ground terms: shallower
+# terms first, then names (and argument keys, recursively).  Depth 0 holds
+# exactly the constants, so class representatives picked by this order are
+# constants when one is available.  A constant is found by its name in
+# `_CONSTANTS`, a ground function term by its symbol and argument ids in
+# `_FUNCTIONS`, whose key is the term's `STRUCT` entry; a lookup that misses
+# builds the term.
 TERMS: "list[Term]" = []
 DEPTH: "list[int]" = []
 KEY: "list[tuple]" = []
@@ -156,7 +175,6 @@ class _FunctionTable(dict):
         object.__setattr__(t, "symbol", symbol)
         object.__setattr__(t, "args", tuple([TERMS[i] for i in ids]))
         depth = 1 + max([DEPTH[i] for i in ids], default=0)
-        object.__setattr__(t, "depth", depth)
         tid = self[struct] = _enter(t, depth, (depth, symbol, tuple([KEY[i] for i in ids])), struct)
         return tid
 
@@ -171,16 +189,8 @@ _OPEN: "dict[tuple, Functional]" = {}
 class Variable(_Interned):
     __slots__ = ("name",)
     _fields = __slots__
-    _table: "dict[str, Variable]" = {}
-    depth = 0
-    key = None
+    _table: "dict[tuple, Variable]" = {}
     id = None
-
-    def __new__(cls, name: str):
-        v = Variable._table.get(name)
-        if v is None:
-            v = _build(cls, Variable._table, name, name=name)
-        return v
 
     def __repr__(self) -> str:
         return "?" + self.name
@@ -194,14 +204,9 @@ class Constant(_Interned):
     __slots__ = ("name", "id")
     _fields = ("name",)
     _table: "dict[str, Constant]" = _CONSTANTS
-    depth = 0
 
     def __new__(cls, name: str):
         return _CONSTANTS[name]
-
-    @property
-    def key(self) -> tuple:
-        return KEY[self.id]
 
     def __repr__(self) -> str:
         return self.name
@@ -211,7 +216,7 @@ class Functional(_Interned):
     """A function term.  A ground one is found in the term table by its
     symbol and argument ids; one with a variable in `_OPEN`."""
 
-    __slots__ = ("symbol", "args", "depth", "id")
+    __slots__ = ("symbol", "args", "id")
     _fields = ("symbol", "args")
 
     def __new__(cls, symbol: str, args: "tuple[Term, ...]"):
@@ -221,13 +226,8 @@ class Functional(_Interned):
             return TERMS[_FUNCTIONS[(symbol, *ids)]]
         t = _OPEN.get((symbol, args))
         if t is None:
-            depth = 1 + max([a.depth for a in args], default=0)
-            t = _build(cls, _OPEN, (symbol, args), symbol=symbol, args=args, depth=depth, id=None)
+            t = _build(cls, _OPEN, (symbol, args), symbol=symbol, args=args, id=None)
         return t
-
-    @property
-    def key(self) -> "Optional[tuple]":
-        return None if self.id is None else KEY[self.id]
 
     def __repr__(self) -> str:
         return "%s(%s)" % (self.symbol, ",".join(map(repr, self.args)))
@@ -268,24 +268,6 @@ def iter_subterms(t: Term) -> Iterator[Term]:
             yield from iter_subterms(a)
 
 
-def occurs_in(needle: Term, hay: Term) -> bool:
-    if needle == hay:
-        return True
-    if isinstance(hay, Functional):
-        return any(occurs_in(needle, a) for a in hay.args)
-    return False
-
-
-# Total order on ground terms: shallower terms first, then names (and
-# argument keys, recursively).  Depth 0 holds exactly the constants, so class
-# representatives picked by this order are constants when one is available.
-# The key is computed once, when the term enters the term table (`KEY`).
-
-
-def term_key(t: Term):
-    return t.key
-
-
 # ---------------------------------------------------------------------------
 # Predicates and atoms
 # ---------------------------------------------------------------------------
@@ -297,16 +279,6 @@ class Predicate(_Interned):
     __slots__ = ("name", "arity")
     _fields = __slots__
     _table: "dict[tuple, Predicate]" = {}
-
-    def __new__(cls, name: str, arity: int):
-        value = (name, arity)
-        p = Predicate._table.get(value)
-        if p is None:
-            p = _build(cls, Predicate._table, value, name=name, arity=arity)
-        return p
-
-    def __repr__(self) -> str:
-        return "Predicate(name=%r, arity=%r)" % (self.name, self.arity)
 
 
 class _EqualityPredicate(_Interned):
@@ -328,22 +300,13 @@ class MagicPredicate(_Interned):
     the one-sided word "eqb" occurs (bf, fb and the two halves of bb all
     collapse into it).  Its arity is the number of b's."""
 
-    __slots__ = ("base", "adornment", "arity")
-    _fields = ("base", "adornment")
+    __slots__ = ("base", "adornment")
+    _fields = __slots__
     _table: "dict[tuple, MagicPredicate]" = {}
 
-    def __new__(cls, base: "PredicateId", adornment: str):
-        value = (base, adornment)
-        p = MagicPredicate._table.get(value)
-        if p is None:
-            p = _build(
-                cls, MagicPredicate._table, value,
-                base=base, adornment=adornment, arity=adornment.count("b"),
-            )
-        return p
-
-    def __repr__(self) -> str:
-        return "MagicPredicate(base=%r, adornment=%r)" % (self.base, self.adornment)
+    @property
+    def arity(self) -> int:
+        return self.adornment.count("b")
 
 
 class FunPredicate(_Interned):
@@ -352,22 +315,8 @@ class FunPredicate(_Interned):
 
     __slots__ = ("symbol", "arity", "of_constant")
     _fields = __slots__
+    _defaults = {"of_constant": False}
     _table: "dict[tuple, FunPredicate]" = {}
-
-    def __new__(cls, symbol: str, arity: int, of_constant: bool = False):
-        value = (symbol, arity, of_constant)
-        p = FunPredicate._table.get(value)
-        if p is None:
-            p = _build(
-                cls, FunPredicate._table, value,
-                symbol=symbol, arity=arity, of_constant=of_constant,
-            )
-        return p
-
-    def __repr__(self) -> str:
-        return "FunPredicate(symbol=%r, arity=%r, of_constant=%r)" % (
-            self.symbol, self.arity, self.of_constant,
-        )
 
 
 PredicateId = Union[Predicate, _EqualityPredicate, MagicPredicate, FunPredicate]
@@ -478,7 +427,7 @@ def program_predicates(rules: Iterable) -> "set[PredicateId]":
 
 
 # ---------------------------------------------------------------------------
-# Substitutions and shallow term maps
+# Substitutions
 # ---------------------------------------------------------------------------
 
 
@@ -493,14 +442,6 @@ def substitute(sigma: "dict[Variable, Term]", x):
     if isinstance(x, Atom):
         return Atom(x.predicate, tuple(substitute(sigma, a) for a in x.args))
     raise TypeError("cannot substitute into %r" % (x,))
-
-
-def map_shallow(mu: "dict[Term, Term]", x):
-    """Apply a ground term map to the occurrences that are not nested inside
-    a function symbol: the atom's argument positions (or the term itself)."""
-    if isinstance(x, Atom):
-        return _new_atom(Atom, (x[0], tuple([mu.get(a, a) for a in x[1]])))
-    return mu.get(x, x)
 
 
 FRESH_PREFIX = "_"
@@ -694,7 +635,8 @@ class Instance:
     the relation's key.  The engine reads and writes rows (`rows`,
     `add_all`, `remove`, `index_at`, `merge_index`); atoms come back only
     at this boundary: building an instance from atoms, iterating it, and
-    `in`, `add`, `discard`, `with_predicate` and `containing`.
+    `in`, `add`, `discard` and `with_predicate`.  The one lookup of facts
+    by term is the merge index's `containing`.
 
     A relation also holds an index for each argument position some join has
     looked up (`index_at`), from each term id to the rows holding it there.
@@ -857,16 +799,6 @@ class Instance:
     def with_predicate(self, pred: PredicateId) -> "set[Atom]":
         """A new set of `pred`'s facts."""
         return {atom_of(pred, row) for row in self.rows(pred)}
-
-    def argument_terms(self) -> "set[Term]":
-        """The terms that some fact holds at an argument position."""
-        return {_term(t) for rel in self._rels.values() for row in rel.facts for t in row}
-
-    def containing(self, term: Term) -> "set[Atom]":
-        """A new set of the facts holding `term` at any depth of an argument."""
-        if term.id is None:
-            return set()
-        return {atom_of(pred, row) for pred, row in self.merge_index().containing((term.id,))}
 
     def predicates(self) -> "set[PredicateId]":
         return {pred for pred, rel in self._rels.items() if rel.facts}
@@ -1190,8 +1122,7 @@ class JoinPlan:
     first.  A match is the row of the instance of the `emit` atom if there
     is one, else the tuple of the rows of the `emit` atoms' instances.
     Nothing may write to the instance during a run, so the relations are
-    looked up once per run.  `run_from` takes an atom and gives atoms
-    instead; `holds` stops at the first match.
+    looked up once per run.  `holds` stops at the first match.
 
     Plans of one shape (`_SHAPES`) share the kernel's code; each binds its
     own predicates, ground terms and function symbols as the kernel's
@@ -1239,12 +1170,6 @@ class JoinPlan:
         (_, _, _, steps), sites = self._shape()
         return tuple((sites[p], *rest) for p, *rest in steps)
 
-    def run_from(self, fact: Atom, instance: "Instance", out) -> None:
-        """Append to `out` the matches whose entry atom is `fact`, each as
-        the tuple of the `emit` atoms' instances; the caller has checked
-        that the predicates agree."""
-        self.run((row_of(fact),), instance, _AsAtoms(self.key[3], out), {}, {})
-
     def holds(self, row, instance: "Instance") -> bool:
         """Whether some match has the row `row` as its entry atom; the join
         stops at the first."""
@@ -1254,16 +1179,3 @@ class JoinPlan:
             return True
         return False
 
-
-class _AsAtoms:
-    """A match sink that appends each match to `out` as atoms."""
-
-    __slots__ = ("preds", "out")
-
-    def __init__(self, emit: "tuple[Atom, ...]", out):
-        self.preds = [a[0] for a in emit]
-        self.out = out
-
-    def append(self, match):
-        rows = (match,) if len(self.preds) == 1 else match
-        self.out.append(tuple(map(atom_of, self.preds, rows)))

@@ -34,7 +34,6 @@ from chasegoal.kernel import (
     Variable,
     eq,
     iter_vars,
-    map_shallow,
     rule_atoms,
     substitute,
 )
@@ -124,8 +123,8 @@ def enumerate_matches(body, instance: Instance, bindings=None):
     match = Atom(Predicate("match", len(variables)), variables)
     plan = JoinPlan(body, entry=Atom(pred, tuple(bindings)), emit=(match,))
     out: list = []
-    plan.run_from(Atom(pred, tuple(bindings.values())), instance, out)
-    return (dict(zip(variables, head.args)) for (head,) in out)
+    plan.run((tuple(t.id for t in bindings.values()),), instance, out, {}, {})
+    return (dict(zip(variables, map(TERMS.__getitem__, row))) for row in out)
 
 
 def null_chase_answers(rules, base, query, max_rounds=200):
@@ -137,10 +136,11 @@ def null_chase_answers(rules, base, query, max_rounds=200):
         return TERMS[uf.find(t.id)]
 
     def merge(s, t):
-        rep, loser = (TERMS[i] for i in uf.union(s.id, t.id))
-        for fact in list(inst.containing(loser)):
-            inst.discard(fact)
-            inst.add(map_shallow({loser: rep}, fact))
+        # nulls are constants, so a fact holds the loser only as an argument
+        rep, loser = uf.union(s.id, t.id)
+        for pred, row in inst.merge_index().containing((loser,)):
+            inst.remove(pred, row)
+            inst.add_all(pred, [tuple(rep if a == loser else a for a in row)])
 
     def normalized(atoms):
         # rule constants must be looked up through the union-find, or a

@@ -6,7 +6,10 @@ Builds the ontology workload of `bench/workloads.py` at the rule tier
 (LEVELS=6, CONCEPTS=12, ROLES=6, EXISTENTIALS=6, structure seed unchanged:
 397 rules), set on the imported module at run time, runs `run_pipeline` in
 each mode and prints the derived facts and final (`desg`) rules per mode.
-Exits 1 unless the four answer sets are equal.  Takes a few seconds."""
+It also reads every stage dump from `sk` to `desg` back with
+`parse_program` and serializes it again.  Exits 1 unless the four answer
+sets are equal and every dump reads back to its own text.  Takes a few
+seconds."""
 
 import sys
 import tempfile
@@ -16,8 +19,15 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
 
 import workloads  # noqa: E402
 
-from chasegoal import PipelineConfig, load_scenario, run_pipeline  # noqa: E402
-from chasegoal.driver import MODES  # noqa: E402
+from chasegoal import (  # noqa: E402
+    PipelineConfig,
+    dump_stage,
+    load_scenario,
+    parse_program,
+    run_pipeline,
+    serialize_program,
+)
+from chasegoal.driver import MODES, STAGES  # noqa: E402
 
 TIER = {"LEVELS": 6, "CONCEPTS": 12, "ROLES": 6, "EXISTENTIALS": 6}
 
@@ -30,14 +40,21 @@ def main() -> int:
         sc = load_scenario(Path(tmp) / "rules.txt", Path(tmp) / "data", w.query, una_known=w.una)
     print("%d rules, %d base facts" % (len(sc.rules), len(sc.instance)))
     answers = {}
+    unread = []
     for mode in MODES:
         rep = run_pipeline(sc, PipelineConfig(mode=mode))
         answers[mode] = set(rep.answers)
         print("%-5s %d answers, %d derived facts, %d final rules"
               % (mode, len(rep.answers), rep.chase_stats.derived_facts, rep.rule_counts["desg"]))
+        for stage in STAGES[1:]:
+            if stage in rep.stages:
+                dump = dump_stage(rep, stage)
+                if serialize_program(parse_program(dump)) != dump:
+                    unread.append("%s %s" % (mode, stage))
     agree = len({frozenset(a) for a in answers.values()}) == 1
     print("four answer sets equal:", agree)
-    return 0 if agree else 1
+    print("dumps that do not read back:", ", ".join(unread) or "none")
+    return 0 if agree and not unread else 1
 
 
 if __name__ == "__main__":

@@ -22,6 +22,7 @@ from chasegoal import (
     parse_program,
     parse_rules,
     run_pipeline,
+    serialize_program,
 )
 from chasegoal.cli import main
 from chasegoal.kernel import Atom, Constant, Instance, Predicate
@@ -79,6 +80,25 @@ def test_dump_stage_round_trips():
         assert len(parse_program(dump_stage(rep, name)).rules) == rep.rule_counts[name]
     with pytest.raises(KeyError):
         dump_stage(run_pipeline(running_example(3), PipelineConfig(mode="mat")), "magic")
+
+
+def test_dumps_with_nullary_magic_predicates_and_skolem_terms_round_trip():
+    # A has no argument, so its magic predicate has an empty adornment
+    # (m_A#); A -> R(?y) has no frontier variable, so its Skolem term has
+    # no argument.
+    sc = Scenario(
+        rules=tuple(parse_rules("B(?x) -> A\nA -> R(?y)\nR(?x) -> Q(?x)\n")),
+        instance=Instance([Atom(Predicate("B", 1), (Constant("b"),))]),
+        query=Q1,
+    )
+    dumps = []
+    for mode in ("mat", "rel", "magic", "all"):
+        rep = run_pipeline(sc, PipelineConfig(mode=mode))
+        dumps += [dump_stage(rep, name) for name in ("sk", "rel", "magic", "defun", "desg")
+                  if name in rep.stages]
+    for d in dumps:
+        assert serialize_program(parse_program(d)) == d
+    assert any("m_A# " in d for d in dumps) and any("_y()" in d for d in dumps)
 
 
 def test_dumped_final_program_chases_like_the_run():
@@ -355,9 +375,9 @@ def test_cli_rejects_rule_constant_of_two_sorts(tmp_path):
 
 
 def test_cli_defun_abstraction_with_a_schema(tmp_path):
-    # Function abstraction puts one constant in place of the Skolem term
-    # at T's t position and A's u position; the typed critical instance
-    # allows it at both, as the untyped one allows it everywhere.
+    # A schema types the relevance abstraction by sort.  The first rule's
+    # Skolem term sits at T's t position and at A's u position; the typed
+    # analysis still keeps both rules.
     rules_path, data = write_inputs(
         tmp_path,
         rules="B(?x) -> T(?x,?y), A(?y)\nT(?x,?y), A(?y) -> Q(?x)\n",
@@ -370,11 +390,49 @@ def test_cli_defun_abstraction_with_a_schema(tmp_path):
         result = CliRunner().invoke(
             main,
             ["run", "--rules", str(rules_path), "--data", str(data),
-             "--schema", str(schema), "--query-pred", "Q", "--mode", mode,
-             "--defun-abstraction", "--out", str(out)],
+             "--schema", str(schema), "--query-pred", "Q", "--mode", mode, "--out", str(out)],
         )
         assert result.exit_code == 0, (mode, result.output)
         assert (out / "answers.csv").read_text(encoding="utf-8").split() == ["a"]
+
+
+def test_cli_reports_the_relevance_retry(tmp_path):
+    rules_path, data = write_inputs(tmp_path, rules=DIVERGING, facts={"S": [("a",)]})
+    args = ["run", "--rules", str(rules_path), "--data", str(data), "--query-pred", "Q"]
+    for mode in ("mat", "rel"):
+        out = tmp_path / mode
+        result = CliRunner().invoke(
+            main, args + ["--mode", mode, "--out", str(out), "--stats-json", str(out / "stats.json")]
+        )
+        assert result.exit_code == 0, (mode, result.output)
+    answers = [(tmp_path / m / "answers.csv").read_text(encoding="utf-8") for m in ("mat", "rel")]
+    assert answers[0] == answers[1] == "a\n"
+    stats = (tmp_path / "rel" / "stats.txt").read_text(encoding="utf-8")
+    assert "relevance: retried with function abstraction\n" in stats
+    payload = json.loads((tmp_path / "rel" / "stats.json").read_text(encoding="utf-8"))
+    assert payload["relevance_retried"] is True
+    # the input decides the abstraction; no switch picks it
+    for switch in ("--defun-abstraction", "--untyped-critical"):
+        result = CliRunner().invoke(main, args + [switch, "--out", str(tmp_path / "x")])
+        assert result.exit_code == 2 and "No such option" in result.output and switch in result.output
+
+
+@pytest.mark.parametrize("name", ["rules.txt", "schema.txt", "data/B.csv"])
+def test_cli_names_the_offset_of_a_byte_that_is_not_utf8(tmp_path, name):
+    # The bad byte follows 8 KB of valid text, past the first block a
+    # reader decodes.
+    rules_path, data = write_inputs(tmp_path)
+    (tmp_path / "schema.txt").write_text("B/1: s\n", encoding="utf-8")
+    path = tmp_path / name
+    text = (b"a1\n" * 3000 if name.endswith(".csv") else b"# comment\n" * 900) + path.read_bytes()
+    path.write_bytes(text + b"\xff\n")
+    result = CliRunner().invoke(
+        main,
+        ["run", "--rules", str(rules_path), "--data", str(data), "--schema", str(tmp_path / "schema.txt"),
+         "--query-pred", "Q", "--out", str(tmp_path / "out")],
+    )
+    assert result.exit_code == 1, result.output
+    assert result.output == "error: %s: not UTF-8: byte 0xff at offset %d\n" % (path, len(text))
 
 
 def test_cli_rejects_schema_arity_the_rules_disagree_with(tmp_path):

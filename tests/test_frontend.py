@@ -32,6 +32,7 @@ from chasegoal import (
 from chasegoal.frontend import _CHUNK, check_query_predicate, render_rule, rules_signature
 from chasegoal.kernel import (
     EQUALITY,
+    KEY,
     TGD,
     Atom,
     Constant,
@@ -372,7 +373,7 @@ def test_constant_interned_on_first_lookup_keeps_identity():
     while name in Constant._table:
         name += "'"
     c = Constant._table[name]
-    assert Constant(name) is c and (c.name, c.key) == (name, (0, name, ()))
+    assert Constant(name) is c and (c.name, KEY[c.id]) == (name, (0, name, ()))
     assert copy.copy(c) is c and copy.deepcopy(c) is c
     assert pickle.loads(pickle.dumps(c)) is c
     # Unpickled in a table that lacks the name, it is built there, once.
@@ -469,17 +470,17 @@ def test_rules_round_trip_through_render(drawn):
 # magic, function graph and constant graph predicates.
 dump_leaves = st.one_of(named("xyz_", "x1_'#").map(Variable), constants)
 symbols = named("fgs", "k_0'")
-# A function term has at least one argument: `f()` has no text form.
+# A function term may have no argument, as the Skolem term of a rule with no
+# frontier variable has.
 dump_terms = st.recursive(
     dump_leaves,
-    lambda inner: st.builds(Functional, symbols, st.lists(inner, min_size=1, max_size=2).map(tuple)),
+    lambda inner: st.builds(Functional, symbols, st.lists(inner, max_size=2).map(tuple)),
     max_leaves=4,
 )
 dump_relational = relational_atoms(dump_terms)
 atom_kinds = st.sampled_from(["relational", "magic", "eq-magic", "fun", "con", "equality"])
-# An adornment is not empty: a nullary magic predicate `m_A#` has no text
-# form.
-adornments = st.text(alphabet="bf", min_size=1, max_size=3)
+# An empty adornment is a nullary magic predicate's (`m_A#`).
+adornments = st.text(alphabet="bf", max_size=3)
 
 
 @st.composite

@@ -14,7 +14,9 @@ from hypothesis import strategies as st
 
 from chasegoal import kernel
 from chasegoal.kernel import (
+    DEPTH,
     EQUALITY,
+    KEY,
     Atom,
     BodyContractViolation,
     Constant,
@@ -29,11 +31,8 @@ from chasegoal.kernel import (
     eq,
     is_ground,
     iter_subterms,
-    map_shallow,
-    occurs_in,
     row_of,
     substitute,
-    term_key,
     vars_of,
 )
 
@@ -53,11 +52,7 @@ def g(*args):
     return Functional("g", args)
 
 
-def h(*args):
-    return Functional("h", args)
-
-
-# -- substitution vs term map ------------------------------------------------
+# -- substitution --------------------------------------------------------------
 
 
 def test_substitute_descends_into_function_terms():
@@ -70,30 +65,13 @@ def test_substitute_leaves_unbound_variables():
     assert substitute({y: b}, Atom(P1, (x,))) == Atom(P1, (x,))
 
 
-def test_map_shallow_replaces_whole_argument_terms_only():
-    # a term map is not a substitution: it matches occurrences of the
-    # whole key term that are not nested inside a function symbol
-    atom = Atom(R2, (f(x), g(a)))
-    assert map_shallow({a: b, g(a): h(d)}, atom) == Atom(R2, (f(x), h(d)))
-
-
-def test_map_shallow_ignores_occurrences_under_function_symbols():
-    assert map_shallow({a: b}, f(a)) == f(a)
-    assert map_shallow({a: b}, Atom(P1, (f(a),))) == Atom(P1, (f(a),))
-    assert map_shallow({a: b}, Atom(P1, (a,))) == Atom(P1, (b,))
-
-
-def test_map_shallow_on_equality_atom():
-    assert map_shallow({a: b}, eq(a, f(a))) == eq(b, f(a))
-
-
 # -- term order ----------------------------------------------------------
 
 
 def compare_terms(t1, t2):
-    """Three-way comparison under `term_key`, the order representatives
-    are picked by."""
-    k1, k2 = term_key(t1), term_key(t2)
+    """Three-way comparison under the term table's keys (`KEY`), the order
+    representatives are picked by."""
+    k1, k2 = KEY[t1.id], KEY[t2.id]
     return (k1 > k2) - (k1 < k2)
 
 
@@ -133,7 +111,7 @@ def test_term_order_total_and_antisymmetric(t1, t2):
 
 @given(terms_strategy, terms_strategy, terms_strategy)
 def test_term_order_transitive(t1, t2, t3):
-    ts = sorted([t1, t2, t3], key=term_key)
+    ts = sorted([t1, t2, t3], key=lambda t: KEY[t.id])
     assert compare_terms(ts[0], ts[1]) <= 0
     assert compare_terms(ts[1], ts[2]) <= 0
     assert compare_terms(ts[0], ts[2]) <= 0
@@ -330,13 +308,18 @@ def test_instance_discard_drops_emptied_index_entries():
     for fact in facts:
         inst.add(fact)
     indexes = [inst.index_at(R2, 0), inst.index_at(R2, 1), inst.index_at(P1, 0)]
-    inst.containing(a)  # builds the term index
+    inst.merge_index()  # builds the term index
     for fact in facts:
         inst.discard(fact)
     assert indexes == [{}, {}, {}]
     assert inst._terms.at == {} and inst._terms.above == {}
     assert inst.with_predicate(R2) == set()
     assert inst.predicates() == set()
+
+
+def containing(inst, t) -> set:
+    """The facts holding `t` at any depth of an argument, by the merge index."""
+    return {atom_of(p, row) for p, row in inst.merge_index().containing((t.id,))}
 
 
 def test_instance_containing_finds_nested_subterms():
@@ -346,11 +329,11 @@ def test_instance_containing_finds_nested_subterms():
     other = Atom(P1, (a,))
     for fact in (nested, top, other):
         inst.add(fact)
-    assert inst.containing(b) == {nested, top}
-    assert inst.containing(f(b)) == {nested}
+    assert containing(inst, b) == {nested, top}
+    assert containing(inst, f(b)) == {nested}
     inst.discard(nested)
-    assert inst.containing(f(b)) == set()
-    assert inst.containing(b) == {top}
+    assert containing(inst, f(b)) == set()
+    assert containing(inst, b) == {top}
 
 
 def test_instance_indexes_a_position_only_when_it_is_looked_up():
@@ -362,8 +345,8 @@ def test_instance_indexes_a_position_only_when_it_is_looked_up():
     plan = JoinPlan((Atom(R2, (y, x)), Atom(R2, (x, y))), entry=Atom(P1, (x,)), emit=(Atom(Q2, (x, y)),))
     assert [step[1:] for step in plan.steps] == [(1, 0, False), (0, 1, True)]
     out = []
-    plan.run_from(Atom(P1, (b,)), inst, out)
-    assert sorted(repr(head) for (head,) in out) == ["Q(b,a)", "Q(b,b)"]
+    plan.run(((b.id,),), inst, out, {}, {})
+    assert sorted(repr(atom_of(Q2, row)) for row in out) == ["Q(b,a)", "Q(b,b)"]
     assert {(pred, pos) for pred, rel in inst._rels.items() for pos in rel.index} == {(R2, 1)}
 
 
@@ -377,7 +360,7 @@ def test_kernel_frames_show_the_generated_line_and_the_rule():
             raise RuntimeError("refused")
 
     with pytest.raises(RuntimeError) as info:
-        plan.run_from(Atom(P1, (a,)), Instance([Atom(R2, (a, b))]), Refuse())
+        plan.run(((a.id,),), Instance([Atom(R2, (a, b))]), Refuse(), {}, {})
     kernel = next(frame for frame in traceback.extract_tb(info.tb) if frame.filename.startswith("<kernel"))
     assert kernel.filename == "<kernel P(?y) :- P(?x), R(?x,?y)>"
     assert kernel.line.startswith("out.append(")
@@ -399,8 +382,8 @@ def test_plans_that_differ_only_in_predicates_and_constants_share_a_shape():
     sources = [linecache.getlines(p.run.__code__.co_filename) for p in (first, second)]
     assert sources[0] == sources[1] and "k1" in "".join(sources[0])
     out = []
-    second.run_from(Atom(T1, (d,)), Instance([Atom(S2, (d, b)), Atom(S2, (d, a))]), out)
-    assert out == [(Atom(T1, (f(d),)),)]
+    second.run(((d.id,),), Instance([Atom(S2, (d, b)), Atom(S2, (d, a))]), out, {}, {})
+    assert out == [(f(d).id,)]
 
 
 def test_a_plan_too_deep_for_one_function_continues_in_another():
@@ -446,7 +429,6 @@ def test_snapshot_refuses_writes_and_copies_to_a_writable_instance():
             write(Atom(P1, (a,)))
     inst.add(Atom(P1, (b,)))
     assert set(snap) == {Atom(P1, (a,))}
-    assert snap.argument_terms() == {a}
     writable = snap.copy()
     assert writable.add(Atom(P1, (d,))) and type(writable) is Instance
     assert set(snap) == {Atom(P1, (a,))}
@@ -492,8 +474,8 @@ def check_store(inst, model):
     if inst._terms is not None:
         occurring = {s for fact in model for t in fact.args for s in iter_subterms(t)}
         for t in store_terms + [d]:
-            assert inst.containing(t) == {
-                fact for fact in model if any(occurs_in(t, s) for s in fact.args)
+            assert containing(inst, t) == {
+                fact for fact in model if any(t in iter_subterms(s) for s in fact.args)
             }
         above = {}
         for u in occurring:
@@ -531,7 +513,7 @@ def test_store_agrees_with_a_set_on_both_sides_of_a_copy(start, ops):
         elif op == "index":
             insts[i].index_at(*arg)
         else:
-            insts[i].containing(arg)
+            containing(insts[i], arg)
         for inst, model in zip(insts, models):
             check_store(inst, model)
 
@@ -572,8 +554,7 @@ def test_an_instance_gives_back_the_atoms_it_was_built_from(facts, extra):
             assert inst.with_predicate(pred) == {f for f in model if f.predicate is pred}
         terms = {s for fact in model | {extra} for t in fact.args for s in iter_subterms(t)}
         for t in terms:
-            assert inst.containing(t) == {f for f in model if any(occurs_in(t, s) for s in f.args)}
-        assert inst.containing(x) == set() and x not in inst.argument_terms()
+            assert containing(inst, t) == {f for f in model if any(t in iter_subterms(s) for s in f.args)}
 
     agrees(inst, model)
     copied, snap = inst.copy(), inst.snapshot()
@@ -596,12 +577,10 @@ def test_an_instance_takes_ground_facts_only():
     assert Atom(P1, (x,)) not in inst and not inst.discard(Atom(P1, (x,)))
 
 
-def test_occurs_in_and_iter_subterms():
+def test_iter_subterms_walks_every_nested_term():
     t = g(f(a), b)
-    assert occurs_in(a, t)
-    assert occurs_in(f(a), t)
-    assert not occurs_in(d, t)
-    assert set(iter_subterms(t)) == {t, f(a), a, b}
+    assert list(iter_subterms(t)) == [t, f(a), a, b]
+    assert d not in iter_subterms(t)
 
 
 def test_is_ground_and_vars_of():
@@ -611,16 +590,17 @@ def test_is_ground_and_vars_of():
 
 
 def test_term_depth():
-    assert a.depth == x.depth == 0
-    assert f(a).depth == 1
-    assert f(g(a), b).depth == 2
-    assert f().depth == 1
+    assert DEPTH[a.id] == 0
+    assert DEPTH[f(a).id] == 1
+    assert DEPTH[f(g(a), b).id] == 2
+    assert DEPTH[f().id] == 1
 
 
 # -- hash-consing -------------------------------------------------------------
 
-# The recursive definitions of a term's depth and order key.  A term stores
-# both when it is built; these are the reference they are checked against.
+# The recursive definitions of a ground term's depth and order key.  The term
+# table records both when the term is built; these are the reference they
+# are checked against.
 
 
 def reference_depth(t) -> int:
@@ -742,13 +722,9 @@ def test_atom_equality_and_hash_are_structural(a1, a2):
         assert hash(a1) == hash(a2)
 
 
-@given(open_terms)
+@given(round_trip_terms)
 def test_stored_depth_and_key_match_the_recursive_definitions(t):
-    assert t.depth == reference_depth(t)
-    if is_ground(t):
-        assert term_key(t) == reference_key(t)
-    else:
-        assert term_key(t) is None
+    assert (DEPTH[t.id], KEY[t.id]) == (reference_depth(t), reference_key(t))
 
 
 def test_interned_values_are_immutable():
