@@ -57,7 +57,11 @@ def run(rules_path, data_dir, schema_path, query_pred, mode, una, max_depth, max
         sys.exit(2 if isinstance(err.cause, _GUARDS) else 1)
 
     report.timings = {"load": load_s, **report.timings}
-    emit_report(report, out_dir, stats_json)
+    try:
+        emit_report(report, out_dir, stats_json)
+    except OSError as err:
+        click.echo("error: cannot write the reports: %s" % err, err=True)
+        sys.exit(1)
     if dump is not None:
         try:
             click.echo(dump_stage(report, dump), nl=False)

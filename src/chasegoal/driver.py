@@ -7,6 +7,7 @@ import csv
 import json
 import time
 from dataclasses import asdict, dataclass
+from functools import partial
 from pathlib import Path
 from typing import Optional
 
@@ -23,6 +24,8 @@ MODES = ("mat", "rel", "magic", "all")
 # Stages in execution order; "mat" skips rel and magic, "rel" skips magic,
 # "magic" skips rel.
 STAGES = ("sg", "sk", "rel", "magic", "defun", "desg")
+# The program must still be equality-safe after these.
+_EQ_SAFE = ("sg", "sk", "rel", "magic")
 
 
 class PipelineError(RuntimeError):
@@ -62,80 +65,53 @@ def run_pipeline(scenario: Scenario, cfg: PipelineConfig = PipelineConfig()) -> 
         raise ValueError("unknown mode %r" % (cfg.mode,))
     una = scenario.una_known if cfg.una_known is None else cfg.una_known
     typed = (scenario.schema is not None) if cfg.typed_critical is None else cfg.typed_critical
-
     timings: dict[str, float] = {}
     stages: dict[str, object] = {}
-    retried = False
 
-    def stage(name: str, fn, safety: bool = False):
+    def stage(name: str, fn, *args, **kwargs):
         t0 = time.perf_counter()
         try:
-            result = fn()
-            if safety:
-                violations = check_eq_safety(result)
-                if violations:
-                    _, atom, why = violations[0]
-                    raise RuntimeError(
-                        "equality safety lost after %s: %r (%s)" % (name, atom, why)
-                    )
+            result = fn(*args, **kwargs)
+            violations = check_eq_safety(result) if name in _EQ_SAFE else ()
+            if violations:
+                _, atom, why = violations[0]
+                raise RuntimeError("equality safety lost after %s: %r (%s)" % (name, atom, why))
         except Exception as err:
             raise PipelineError(name, err) from err
         timings[name] = time.perf_counter() - t0
-        stages[name] = result
+        if name in STAGES:
+            stages[name] = result
         return result
 
-    sg = stage("sg", lambda: singularize(scenario.rules, scenario.query), safety=True)
-    current = stage("sk", lambda: skolemize(sg, scenario.query), safety=True)
-
+    sg = stage("sg", singularize, scenario.rules, scenario.query)
+    program = stage("sk", skolemize, sg, scenario.query)
+    retried = False
     if cfg.mode in ("rel", "all"):
-
-        def run_relevance():
-            nonlocal retried
+        rel = partial(relevance, program, scenario.instance, una_known=una, typed=typed,
+                      schema=scenario.schema, fixpoint_limits=cfg.relevance_limits)
+        t0 = time.perf_counter()
+        try:
+            program = stage("rel", rel, abstract_functions=cfg.defun_abstraction)
+        except PipelineError as err:
             # A diverging abstract fixpoint is retried once with function
-            # symbols abstracted to constants.
-            for abstract in (cfg.defun_abstraction, True):
-                try:
-                    return relevance(
-                        current,
-                        scenario.instance,
-                        una_known=una,
-                        typed=typed,
-                        schema=scenario.schema,
-                        abstract_functions=abstract,
-                        fixpoint_limits=cfg.relevance_limits,
-                    )
-                except AbstractionFixpointDiverged:
-                    if abstract:
-                        raise
-                    retried = True
-
-        current = stage("rel", run_relevance, safety=True)
-
+            # symbols abstracted to constants; the time spans both attempts.
+            if cfg.defun_abstraction or not isinstance(err.cause, AbstractionFixpointDiverged):
+                raise
+            retried = True
+            program = stage("rel", rel, abstract_functions=True)
+            timings["rel"] = time.perf_counter() - t0
     if cfg.mode in ("magic", "all"):
-        p = current
-        current = stage("magic", lambda: magic(p), safety=True)
+        program = stage("magic", magic, program)
+    program = stage("defun", defunctionalize, program)
+    program = stage("desg", desingularize, program)
+    result = stage("chase", chase, program, scenario.instance, cfg.limits, cfg.seed)
 
-    p = current
-    current = stage("defun", lambda: defunctionalize(p))
-    p = current
-    final = stage("desg", lambda: desingularize(p))
-
-    result = stage("chase", lambda: chase(final, scenario.instance, cfg.limits, cfg.seed))
     answers = extract_answers(result, scenario.query)
-
     return RunReport(
-        mode=cfg.mode,
-        query=scenario.query.name,
+        mode=cfg.mode, query=scenario.query.name,
         answers=tuple(sorted(tuple(c.name for c in t) for t in answers)),
-        rule_counts={
-            name: len(prog.rules if isinstance(prog, Program) else prog)
-            for name, prog in stages.items()
-            if name != "chase"
-        },
-        timings=timings,
-        chase_stats=result.stats,
-        stages={k: v for k, v in stages.items() if k != "chase"},
-        chase_result=result,
+        rule_counts={k: len(p.rules if isinstance(p, Program) else p) for k, p in stages.items()},
+        timings=timings, chase_stats=result.stats, stages=stages, chase_result=result,
         relevance_retried=retried,
     )
 
@@ -145,21 +121,28 @@ def run_pipeline(scenario: Scenario, cfg: PipelineConfig = PipelineConfig()) -> 
 # ---------------------------------------------------------------------------
 
 
+def _stats(report: RunReport) -> dict:
+    """The run's statistics, as `--stats-json` writes them; `stats.txt`
+    renders the same dict line by line."""
+    return {
+        "mode": report.mode,
+        "query": report.query,
+        "answers": [list(a) for a in report.answers],
+        "rule_counts": report.rule_counts,
+        "timings": report.timings,
+        "chase": asdict(report.chase_stats),
+        "relevance_retried": report.relevance_retried,
+    }
+
+
 def format_stats(report: RunReport) -> str:
-    lines = [
-        "mode: %s" % report.mode,
-        "query: %s" % report.query,
-        "answers: %d" % len(report.answers),
-    ]
-    for name in STAGES:
-        if name in report.rule_counts:
-            lines.append("rules after %s: %d" % (name, report.rule_counts[name]))
-    for key, value in asdict(report.chase_stats).items():
-        lines.append("chase %s: %d" % (key.replace("_", " "), value))
-    for name in ("load", *STAGES, "chase"):
-        if name in report.timings:
-            lines.append("time %s: %.6fs" % (name, report.timings[name]))
-    if report.relevance_retried:
+    stats = _stats(report)
+    lines = ["mode: %s" % stats["mode"], "query: %s" % stats["query"],
+             "answers: %d" % len(stats["answers"])]
+    lines += ["rules after %s: %d" % item for item in stats["rule_counts"].items()]
+    lines += ["chase %s: %d" % (key.replace("_", " "), n) for key, n in stats["chase"].items()]
+    lines += ["time %s: %.6fs" % item for item in stats["timings"].items()]
+    if stats["relevance_retried"]:
         lines.append("relevance: retried with function abstraction")
     return "\n".join(lines) + "\n"
 
@@ -170,21 +153,10 @@ def emit_report(report: RunReport, out_dir, stats_json=None) -> None:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     with open(out / "answers.csv", "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        for row in report.answers:
-            writer.writerow(row)
+        csv.writer(fh).writerows(report.answers)
     (out / "stats.txt").write_text(format_stats(report), encoding="utf-8")
     if stats_json is not None:
-        payload = {
-            "mode": report.mode,
-            "query": report.query,
-            "answers": [list(a) for a in report.answers],
-            "rule_counts": report.rule_counts,
-            "timings": report.timings,
-            "chase": asdict(report.chase_stats),
-            "relevance_retried": report.relevance_retried,
-        }
-        Path(stats_json).write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
+        Path(stats_json).write_text(json.dumps(_stats(report), indent=2) + "\n", encoding="utf-8")
 
 
 def dump_stage(report: RunReport, name: str) -> str:

@@ -613,11 +613,13 @@ class _TermIndex:
                     todo.append(v)
         return seen
 
-    def containing(self, terms: Iterable[int]) -> set:
-        """A new set of the (predicate, row) pairs holding any of `terms` at
-        any depth of an argument."""
+    def containing(self, terms: Iterable[int]) -> list:
+        """A new list of the (predicate, row) pairs holding any of `terms`
+        at any depth of an argument.  The pairs are gathered as ints first,
+        so their order follows the term ids and not object addresses."""
         at, preds = self.at, list(self.codes)
-        return {(preds[code], row) for t in self._upward(terms) for code, row in at.get(t, _EMPTY)}
+        facts = {fact for t in self._upward(terms) for fact in at.get(t, _EMPTY)}
+        return [(preds[code], row) for code, row in facts]
 
     def args_above(self, term: int) -> set:
         """A new set of the facts' arguments that hold `term` below a

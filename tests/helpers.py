@@ -1,9 +1,14 @@
 """Shared builders for the test suite: canonical rule forms, the reference
 answer oracle, a random scenario generator and the running example."""
 
+import hashlib
 import itertools
+import os
 import random
-from dataclasses import dataclass
+import subprocess
+import sys
+from dataclasses import astuple, dataclass
+from pathlib import Path
 
 from chasegoal.driver import MODES, PipelineConfig, run_pipeline
 from chasegoal.engine import (
@@ -392,6 +397,53 @@ def check_stale_merge_draws(seed: int, want: int) -> int:
                 outcomes.add((frozenset(cr.instance), frozenset(cr.mu.items())))
             assert len(outcomes) == 1, (mode, drawn.scenario)
     return merged
+
+
+def seeded_stats_digest(seeds, draws: int) -> str:
+    """A digest of the chase statistics of every mode under the chase seeds
+    0 and 1, on `draws` draws of `stale_merge_scenario` from each of
+    `seeds`.  A seeded chase samples its delta, so the digest repeats only
+    if every fact the chase visits comes in an order that object addresses
+    and string hashes do not decide."""
+    digest = hashlib.sha256()
+    for seed in seeds:
+        for drawn in scenario_stream(seed, draws, with_oracle=False, draw=stale_merge_scenario):
+            for mode in MODES:
+                for chase_seed in (0, 1):
+                    rep = run_pipeline(drawn.scenario, PipelineConfig(mode=mode, seed=chase_seed))
+                    digest.update(repr(astuple(rep.chase_stats)).encode())
+    return digest.hexdigest()
+
+
+# Allocates argv[1] objects before chasegoal is imported, so that the
+# objects it makes sit at other addresses, then prints the digest.
+_DIGEST_RUN = """
+import sys
+padding = [[i] for i in range(int(sys.argv[1]))]
+from helpers import seeded_stats_digest
+print(seeded_stats_digest(tuple(map(int, sys.argv[2].split(","))), int(sys.argv[3])))
+"""
+
+
+def digests_across_interpreters(seeds, draws: int, interpreters: int) -> "list[str]":
+    """`seeded_stats_digest(seeds, draws)` computed in `interpreters` fresh
+    interpreters side by side, each with its own hash seed and a different
+    number of objects allocated before chasegoal is imported."""
+    here = Path(__file__).resolve().parent
+    path = os.pathsep.join((str(here.parent / "src"), str(here)))
+    runs = [
+        subprocess.Popen(
+            [sys.executable, "-c", _DIGEST_RUN, str(5003 * i), ",".join(map(str, seeds)), str(draws)],
+            env=dict(os.environ, PYTHONPATH=path, PYTHONHASHSEED=str(i)),
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        )
+        for i in range(interpreters)
+    ]
+    done = [run.communicate(timeout=300) for run in runs]
+    for run, (_, err) in zip(runs, done):
+        if run.returncode != 0:
+            raise RuntimeError(err)
+    return [out.strip() for out, _ in done]
 
 
 # ---------------------------------------------------------------------------

@@ -48,6 +48,7 @@ from helpers import (
     Q1,
     campus_fixture,
     check_stale_merge_draws,
+    digests_across_interpreters,
     oracle_answers,
     running_example,
     scenario_stream,
@@ -314,6 +315,14 @@ def test_goal_driven_modes_are_deterministic_across_seeds():
                 cr = run_pipeline(drawn.scenario, PipelineConfig(mode=mode, seed=seed)).chase_result
                 outcomes.add((frozenset(cr.instance), tuple(sorted(cr.mu.items(), key=repr))))
             assert len(outcomes) == 1, (mode, drawn.scenario)
+
+
+def test_seeded_chase_statistics_repeat_across_interpreters():
+    # A merge rewrites the facts holding a merged-away term in the order the
+    # merge index hands them out, and a seeded chase then samples that
+    # order; the index must not let object addresses or hash seeds decide it.
+    digests = digests_across_interpreters((2,), 100, interpreters=2)
+    assert digests[0] == digests[1]
 
 
 # -- semi-naive evaluation ----------------------------------------------------

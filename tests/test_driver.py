@@ -3,6 +3,7 @@
 import csv
 import importlib
 import json
+import re
 import time
 from pathlib import Path
 
@@ -24,8 +25,10 @@ from chasegoal import (
     run_pipeline,
     serialize_program,
 )
+from chasegoal import driver
 from chasegoal.cli import main
 from chasegoal.kernel import Atom, Constant, Instance, Predicate
+from chasegoal.pruning import relevance
 
 from helpers import Q1, campus_fixture, running_example
 
@@ -131,6 +134,40 @@ def test_emit_report_writes_answers_and_stats(tmp_path):
     assert payload["rule_counts"]["desg"] == 16
 
 
+STATS_TXT = """\
+mode: all
+query: Q
+answers: 1
+rules after sg: 5
+rules after sk: 6
+rules after rel: 5
+rules after magic: 13
+rules after defun: 16
+rules after desg: 16
+chase derived facts: 12
+chase merges: 1
+chase rule applications: 22
+chase iterations: 8
+time sg: T
+time sk: T
+time rel: T
+time magic: T
+time defun: T
+time desg: T
+time chase: T
+"""
+
+
+def test_stats_txt_renders_the_json_payload_line_by_line(tmp_path):
+    rep = run_pipeline(running_example(3), PipelineConfig(mode="all"))
+    emit_report(rep, tmp_path, stats_json=tmp_path / "stats.json")
+    text = (tmp_path / "stats.txt").read_text(encoding="utf-8")
+    assert re.sub(r": \d+\.\d{6}s$", ": T", text, flags=re.M) == STATS_TXT
+    payload = json.loads((tmp_path / "stats.json").read_text(encoding="utf-8"))
+    assert list(payload["timings"]) == list(rep.timings)
+    for name, seconds in payload["timings"].items():
+        assert "time %s: %.6fs\n" % (name, seconds) in text
+
 # the S/R loop sprouts ever deeper terms; the EGD collapses each sprout
 # back into its parent, so the concrete chase is finite, but the analysis
 # fixpoint keeps equality atoms as plain facts and diverges
@@ -157,6 +194,22 @@ def test_relevance_divergence_falls_back_to_abstraction():
     assert not direct.relevance_retried
     assert direct.answers == rep.answers
 
+
+def test_relevance_time_spans_both_attempts(monkeypatch):
+    attempts = []
+
+    def slow_relevance(*args, **kwargs):
+        attempts.append(kwargs["abstract_functions"])
+        time.sleep(0.05)
+        return relevance(*args, **kwargs)
+
+    monkeypatch.setattr(driver, "relevance", slow_relevance)
+    base = Instance([Atom(Predicate("S", 1), (Constant("a"),))])
+    sc = Scenario(tuple(parse_rules(DIVERGING)), base, Q1)
+    rep = run_pipeline(sc, PipelineConfig(mode="rel"))
+    assert attempts == [False, True] and rep.relevance_retried
+    assert rep.timings["rel"] >= 0.1
+    assert list(rep.timings) == ["sg", "sk", "rel", "defun", "desg", "chase"]
 
 def test_relevance_fixpoint_past_its_limits_fails_stage_rel():
     with pytest.raises(PipelineError) as exc:
@@ -255,6 +308,18 @@ def test_cli_times_the_load_first(tmp_path):
     assert [line.split(":")[0] for line in lines] == ["time " + name for name in timings]
     assert "load" not in run_pipeline(running_example(3), PipelineConfig(mode="rel")).timings
 
+
+def test_cli_stats_json_in_a_missing_directory_exits_one(tmp_path):
+    rules_path, data = write_inputs(tmp_path)
+    stats = tmp_path / "nodir" / "s.json"
+    result = CliRunner().invoke(
+        main,
+        ["run", "--rules", str(rules_path), "--data", str(data), "--query-pred", "Q",
+         "--out", str(tmp_path / "out"), "--stats-json", str(stats)],
+    )
+    assert result.exit_code == 1, result.output
+    assert result.output.startswith("error: cannot write the reports:")
+    assert str(stats) in result.output and "Traceback" not in result.output
 
 def test_cli_bad_rules_exits_one(tmp_path):
     rules_path, data = write_inputs(tmp_path, rules="B(?x -> A(?x)\n")
