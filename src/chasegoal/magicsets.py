@@ -14,7 +14,9 @@ head.  A demand rule that a freer demand rule on the same predicate always
 outruns is left out of the output (subsumptive demand, Tekle and Liu,
 SIGMOD 2011), so demand on a predicate stays as free as the freest demand
 that reaches it.  A predicate that the seed demands in full, through
-nullary demand flags alone, gets no bound demand at all.
+nullary demand flags alone, gets no bound demand at all.  Last, a rule
+guarded by demand that no rule of the output derives is dropped: such a
+copy never fires, and the copy under the freer demand covers it.
 """
 
 from __future__ import annotations
@@ -85,8 +87,9 @@ def magic(program: Program) -> Program:
     predicate.  Magic rules are emitted for body atoms whose predicate
     occurs in some head of the program, the equality predicate included; an
     equality demand bound on one side is processed under both orientations.
-    The rules `_subsumed_demand` finds are dropped from the output, and the
-    rest keep the order they were emitted in."""
+    The rules `_subsumed_demand` finds are dropped from the output, and then
+    the copies and demand rules guarded by demand that no rule left derives
+    (`_derived_demand_only`); the rest keep the order they were emitted in."""
     if program.query is None:
         raise ValueError("magic needs a program with a query predicate")
 
@@ -150,7 +153,7 @@ def magic(program: Program) -> Program:
                 process(rule, m, beta)
 
     subsumed = _subsumed_demand(out)
-    return Program(tuple(r for r in out if r not in subsumed), program.query)
+    return Program(_derived_demand_only(r for r in out if r not in subsumed), program.query)
 
 
 def _subsumed_demand(rules: "Iterable[Rule]") -> "set[Rule]":
@@ -174,9 +177,9 @@ def _subsumed_demand(rules: "Iterable[Rule]") -> "set[Rule]":
     rewriting that answers each bound demand m_P#α by demanding P in full:
     a freer choice of bound positions, which magic sets allow at any call
     (Beeri and Ramakrishnan, "On the power of magic", JLP 1991).  So once a
-    rule derives an m_P#α that binds a position, every rule holding it goes:
-    the demand rules, the copies of P's rules it guards and the demand those
-    copies emit."""
+    rule derives an m_P#α that binds a position, every rule deriving it
+    goes; `_derived_demand_only` then drops the copies of P's rules it
+    guards and the demand those copies emit."""
     rules = tuple(rules)
     demand = [r for r in rules if isinstance(r.head.predicate, MagicPredicate)]
     flags = [r for r in demand if not r.head.predicate.arity]
@@ -187,10 +190,8 @@ def _subsumed_demand(rules: "Iterable[Rule]") -> "set[Rule]":
         always.update(r.head.predicate for r in flags if all(a.predicate in always for a in r.body))
     full = {p.base for p in always}
     doomed = {r.head.predicate for r in demand if r.head.predicate.arity and r.head.predicate.base in full}
-    out = set()
-    if doomed:
-        out = {r for r in rules if r.head.predicate in doomed or any(a.predicate in doomed for a in r.body)}
-        demand = [r for r in demand if r not in out]
+    out = {r for r in demand if r.head.predicate in doomed}
+    demand = [r for r in demand if r not in out]
     by_base: dict = {}
     for r in demand:
         p = r.head.predicate
@@ -217,6 +218,40 @@ def _subsumed_demand(rules: "Iterable[Rule]") -> "set[Rule]":
                     out.add(r)
                     break
     return out
+
+
+def _derived_demand_only(rules: "Iterable[Rule]") -> "tuple[Rule, ...]":
+    """The rules, in their order, that can fire: the least set holding each
+    rule whose every demand body atom has a predicate that some rule of the
+    set derives.  A rule guarded by demand that no rule derives never fires,
+    since no base fact is a demand fact.  The cover `_subsumed_demand`
+    relies on holds: a rule it drops reads every demand predicate its
+    subsumer reads, so a subsumer dropped here covered a rule that could
+    not fire either.
+
+    One worklist pass: each rule counts the demand predicates of its body
+    that no kept rule derives yet, and a predicate's readers are released
+    once, when the first kept rule derives it."""
+    rules = tuple(rules)
+    unmet = []
+    readers: dict = {}
+    ready = []
+    for i, r in enumerate(rules):
+        need = {a.predicate for a in r.body if isinstance(a.predicate, MagicPredicate)}
+        unmet.append(len(need))
+        for p in need:
+            readers.setdefault(p, []).append(i)
+        if not need:
+            ready.append(i)
+    kept = [False] * len(rules)
+    while ready:
+        i = ready.pop()
+        kept[i] = True
+        for j in readers.pop(rules[i].head.predicate, ()):
+            unmet[j] -= 1
+            if not unmet[j]:
+                ready.append(j)
+    return tuple(r for r, k in zip(rules, kept) if k)
 
 
 def _freezable(rule: Rule) -> bool:

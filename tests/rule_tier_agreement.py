@@ -5,11 +5,12 @@
 Builds the ontology workload of `bench/workloads.py` at the rule tier
 (LEVELS=6, CONCEPTS=12, ROLES=6, EXISTENTIALS=6, structure seed unchanged:
 397 rules), set on the imported module at run time, runs `run_pipeline` in
-each mode and prints the derived facts and final (`desg`) rules per mode.
-It also reads every stage dump from `sk` to `desg` back with
-`parse_program` and serializes it again.  Exits 1 unless the four answer
-sets are equal and every dump reads back to its own text.  Takes a few
-seconds."""
+each mode and prints the derived facts, `magic` rules and final (`desg`)
+rules per mode.  It also reads every stage dump from `sk` to `desg` back
+with `parse_program` and serializes it again.  Exits 1 unless the four
+answer sets are equal, every dump reads back to its own text and every
+demand predicate in a body of a `magic` stage is the head of some rule of
+that stage.  Takes a few seconds."""
 
 import sys
 import tempfile
@@ -28,6 +29,7 @@ from chasegoal import (  # noqa: E402
     serialize_program,
 )
 from chasegoal.driver import MODES, STAGES  # noqa: E402
+from chasegoal.kernel import MagicPredicate, pred_label  # noqa: E402
 
 TIER = {"LEVELS": 6, "CONCEPTS": 12, "ROLES": 6, "EXISTENTIALS": 6}
 
@@ -41,11 +43,20 @@ def main() -> int:
     print("%d rules, %d base facts" % (len(sc.rules), len(sc.instance)))
     answers = {}
     unread = []
+    underived = []
     for mode in MODES:
         rep = run_pipeline(sc, PipelineConfig(mode=mode))
         answers[mode] = set(rep.answers)
-        print("%-5s %d answers, %d derived facts, %d final rules"
-              % (mode, len(rep.answers), rep.chase_stats.derived_facts, rep.rule_counts["desg"]))
+        print("%-5s %d answers, %d derived facts, %s magic rules, %d final rules"
+              % (mode, len(rep.answers), rep.chase_stats.derived_facts,
+                 rep.rule_counts.get("magic", "no"), rep.rule_counts["desg"]))
+        if "magic" in rep.stages:
+            rules = rep.stages["magic"].rules
+            heads = {r.head.predicate for r in rules}
+            underived += sorted({
+                "%s %s" % (mode, pred_label(a.predicate)) for r in rules for a in r.body
+                if isinstance(a.predicate, MagicPredicate) and a.predicate not in heads
+            })
         for stage in STAGES[1:]:
             if stage in rep.stages:
                 dump = dump_stage(rep, stage)
@@ -54,7 +65,8 @@ def main() -> int:
     agree = len({frozenset(a) for a in answers.values()}) == 1
     print("four answer sets equal:", agree)
     print("dumps that do not read back:", ", ".join(unread) or "none")
-    return 0 if agree and not unread else 1
+    print("demand read in magic but never derived:", ", ".join(underived) or "none")
+    return 0 if agree and not unread and not underived else 1
 
 
 if __name__ == "__main__":

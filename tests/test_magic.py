@@ -10,6 +10,7 @@ from chasegoal import (
     Scenario,
     adorn,
     congruence_axioms,
+    load_scenario,
     magic,
     naive_fixpoint,
     parse_program,
@@ -40,7 +41,7 @@ from chasegoal.kernel import (
     Variable,
     eq,
 )
-from chasegoal.magicsets import _subsumed_demand
+from chasegoal.magicsets import _derived_demand_only, _subsumed_demand
 
 from helpers import (
     ORACLE_LIMITS,
@@ -144,10 +145,56 @@ def test_demand_rule_with_repeated_head_variable_subsumes_nothing():
 
 def test_magic_output_has_no_subsumed_demand():
     # Without relevance, three of the chain's demand rules on R are covered
-    # by freer ones, and the rewriting drops them: 24 rules instead of 27.
+    # by freer ones, and the rewriting drops them. No rule is then left to
+    # derive m_R#fb or m_R#bb, so the copies of R's rule they guard go too:
+    # 22 rules instead of 27.
     got = magic(skolemize(singularize(parse_rules(RUNNING_RULES), Q1), Q1))
-    assert len(got.rules) == 24
+    assert len(got.rules) == 22
     assert _subsumed_demand(got.rules) == set()
+    R = Predicate("R", 2)
+    guards = {r.body[0].predicate for r in got.rules if r.head.predicate == R}
+    assert guards == {MagicPredicate(R, "bf"), MagicPredicate(R, "ff")}
+
+
+def demand_read_but_not_derived(program):
+    heads = {r.head.predicate for r in program.rules}
+    return {
+        a.predicate for r in program.rules for a in r.body
+        if isinstance(a.predicate, MagicPredicate) and a.predicate not in heads
+    }
+
+
+def ontology_fixture(root):
+    """The benchmark's ontology workload (132 rules over 370 facts)."""
+    import sys
+    from pathlib import Path
+
+    saved = list(sys.path)
+    sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
+    try:
+        from workloads import ontology
+    finally:
+        sys.path[:] = saved
+    w = ontology(root, 1)
+    return load_scenario(root / "rules.txt", root / "data", w.query, una_known=w.una)
+
+
+def test_every_demand_a_rule_reads_is_derived_by_a_rule(tmp_path):
+    fixtures = [running_example(151), campus_fixture(), ontology_fixture(tmp_path)]
+    drawn = list(scenario_stream(2323, 100))
+    for sc in fixtures + [d.scenario for d in drawn]:
+        for mode in ("magic", "all"):
+            rep = run_pipeline(sc, PipelineConfig(mode=mode))
+            assert demand_read_but_not_derived(rep.stages["magic"]) == set(), sc.rules
+    for d in drawn:
+        assert pipeline_answers(d.scenario, "magic") == d.oracle, d.scenario.rules
+
+
+def test_chain_magic_derived_facts():
+    # The benchmark's chain (150 links): about four facts per link.
+    rep = run_pipeline(running_example(151), PipelineConfig(mode="magic"))
+    assert rep.answers == (("a1",),)
+    assert rep.chase_stats.derived_facts == 613
 
 
 # P is demanded in full through the flags m_Q#f -> m_G#f -> m_P#ff when G
@@ -200,8 +247,13 @@ def test_predicate_demanded_in_full_gets_no_bound_demand():
     assert bound_demand_on(got, P) == []
     # The equality's one-sided demand is never all-free and stays.
     assert MagicPredicate(EQUALITY, "eqb") in heads
-    # The bound demand rule and the copy it guards both go.
-    assert len(_subsumed_demand(parse_program(HAND_DEMAND % "m_Q#f").rules)) == 2
+    # The bound demand rule goes, and with nothing left to derive m_P#bf,
+    # so does the copy it guards.
+    hand = parse_program(HAND_DEMAND % "m_Q#f").rules
+    subsumed = _subsumed_demand(hand)
+    kept = _derived_demand_only(r for r in hand if r not in subsumed)
+    assert {r.head.predicate for r in subsumed} == {MagicPredicate(P, "bf")}
+    assert [r for r in hand if r not in kept] == [hand[3], hand[4]]
 
 
 def test_bound_demand_stays_when_the_full_flag_waits_on_a_fact():
