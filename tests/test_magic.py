@@ -181,13 +181,10 @@ def ontology_fixture(root):
 
 def test_every_demand_a_rule_reads_is_derived_by_a_rule(tmp_path):
     fixtures = [running_example(151), campus_fixture(), ontology_fixture(tmp_path)]
-    drawn = list(scenario_stream(2323, 100))
-    for sc in fixtures + [d.scenario for d in drawn]:
+    for sc in fixtures + [d.scenario for d in scenario_stream(2323, 100)]:
         for mode in ("magic", "all"):
             rep = run_pipeline(sc, PipelineConfig(mode=mode))
             assert demand_read_but_not_derived(rep.stages["magic"]) == set(), sc.rules
-    for d in drawn:
-        assert pipeline_answers(d.scenario, "magic") == d.oracle, d.scenario.rules
 
 
 def test_chain_magic_derived_facts():
