@@ -51,8 +51,11 @@ order, then rewrites each fact holding a merged-away term once, straight
 to its final form, in one write per predicate (`_ChaseState.equate`).  A
 kernel builds the index of a relation's argument position the first time
 it runs with that position as a step's key; a step bound at every
-position tests the relation's fact set and needs no index.  The term index
-only merges read is built at the first merge.
+position tests the relation's fact set and needs no index.  A batch that
+merges finds the facts holding a merged-away term through the same
+indexes, and the function terms above it through the term table's
+`PARENTS`, with a lookup built afresh for the batch (`kernel.TermLookup`);
+a chase that never merges builds neither.
 """
 
 from __future__ import annotations
@@ -81,6 +84,7 @@ from .kernel import (
     Program,
     Rule,
     Term,
+    TermLookup,
     Variable,
     arg_ids,
     atom_of,
@@ -339,7 +343,9 @@ class _ChaseState(_Store):
         holding a merged-away term at any depth leaves the instance and both
         deltas, and its rewrite, each argument's representative, is written,
         unless it holds a stale term of a class with no live member: it is
-        then re-derived in normalized form from its rewritten body facts."""
+        then re-derived in normalized form from its rewritten body facts.
+        The facts are found by one lookup, built at the batch's first merge,
+        before any write."""
         uf = self.uf
         find, parent = uf.find, uf.parent
         merged: list[tuple] = []
@@ -347,6 +353,7 @@ class _ChaseState(_Store):
         # Each term nested in a representative the batch made -> those
         # representatives (see `_rehome`).
         placed: dict[int, set[int]] = {}
+        lookup = None
         for s, t in heads:
             if parent:
                 s, t = find(s), find(t)
@@ -358,14 +365,16 @@ class _ChaseState(_Store):
             rep, loser = uf.union(s, t)
             merged.append((s, t))
             losers.append(loser)
-            self._rehome(rep, loser, placed)
+            if lookup is None:
+                lookup = TermLookup(self.instance)
+            self._rehome(rep, loser, placed, lookup)
         if not merged:
             return
         self.merges += len(merged)
         self.derive(EQUALITY, merged)
         instance, delta, entries = self.instance, self.delta, self.entries
         rewritten: dict[PredicateId, list[tuple]] = {}
-        for pred, row in instance.merge_index().containing(losers):
+        for pred, row in lookup.containing(losers):
             instance.remove(pred, row)
             delta.get(pred, {}).pop(row, None)
             entries.get(pred, {}).pop(row, None)
@@ -375,7 +384,7 @@ class _ChaseState(_Store):
         for pred, rows in rewritten.items():
             self.enter(pred, instance.add_all(pred, rows))
 
-    def _rehome(self, rep: int, loser: int, placed: "dict[int, set[int]]") -> None:
+    def _rehome(self, rep: int, loser: int, placed: "dict[int, set[int]]", lookup: TermLookup) -> None:
         """Hand each class that merging `loser` into `rep` made stale, and
         that a fact holds, to its least member that mentions no merged-away
         term.  Such a class's representative holds `loser` below a function
@@ -385,7 +394,7 @@ class _ChaseState(_Store):
         so none depends on the order the classes are visited in."""
         parent, members = self.uf.parent, self.uf.members
         chosen: dict[int, int] = {}
-        for root in self.instance.merge_index().args_above(loser).union(placed.get(loser, ())):
+        for root in lookup.args_above(loser).union(placed.get(loser, ())):
             live = root not in parent and [m for m in members.get(root, ()) if not self.is_stale(m)]
             if live:
                 chosen[root] = min(live, key=KEY.__getitem__)

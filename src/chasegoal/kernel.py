@@ -118,6 +118,13 @@ DEPTH: "list[int]" = []
 KEY: "list[tuple]" = []
 # (symbol, argument id, ...) of a function term, () of a constant.
 STRUCT: "list[tuple]" = []
+# The inverse of `STRUCT`: each term id -> the ids of the function terms
+# that hold it as a direct argument (twice if one holds it twice).  Only
+# merges read it, so it is extended when one does, over the terms built
+# since (`_extend_parents`): it covers the first `_parented` ids, and a
+# process that never merges never builds it.
+PARENTS: "dict[int, list[int]]" = {}
+_parented = 0
 # The depth of the deepest term in the table.
 _deepest = 0
 
@@ -140,6 +147,15 @@ def _enter(term, depth: int, key: tuple, struct: tuple) -> int:
     if depth > _deepest:
         _deepest = depth
     return tid
+
+
+def _extend_parents() -> None:
+    """Enter the terms built since the last call into `PARENTS`."""
+    global _parented
+    for t, struct in enumerate(STRUCT[_parented:], _parented):
+        for s in struct[1:]:
+            PARENTS.setdefault(s, []).append(t)
+    _parented = len(STRUCT)
 
 
 def arg_ids(t: int) -> "tuple[int, ...]":
@@ -529,103 +545,71 @@ def _index_rows(index: dict, pos: int, rows) -> None:
             s.add(row)
 
 
-class _TermIndex:
-    """The index merges read.  `at` maps each term id to the facts holding
-    it at an argument position, each a pair of its predicate's code (its
-    place in `codes`) and its row: ints, so the cyclic collector stops
-    tracking the pair.  `above` maps each term id to the function terms that
-    hold it as a direct argument and occur in some fact.  A fact is indexed
-    under its arguments only, and a function term under its own arguments
-    when it comes to occur, so indexing costs O(arity) and a lookup walks up
-    from a term through `above`.  An entry is dropped once it empties, and a
-    function term that stops occurring is taken out of `above`."""
+def _upward(terms: Iterable[int]) -> set:
+    """The terms given and every function term that holds one of them at
+    any depth, read from `PARENTS`."""
+    seen = set(terms)
+    todo = list(seen)
+    while todo:
+        for v in PARENTS.get(todo.pop(), ()):
+            if v not in seen:
+                seen.add(v)
+                todo.append(v)
+    return seen
 
-    __slots__ = ("at", "above", "codes")
 
-    def __init__(self, relations: Iterable):
-        self.at: dict[int, set] = {}
-        self.above: dict[int, set[int]] = {}
-        self.codes: dict[PredicateId, int] = {}
-        for pred, rows in relations:
-            self.add(pred, rows)
+class TermLookup:
+    """The facts of an instance by the terms they hold, read through the
+    relations' own indexes: a unary fact holding `u` is the row `(u,)` of
+    its relation, an n-ary one is found in the index of each of its
+    positions (`Instance.index_at`), and a fact holding `u` below a function
+    symbol through the function terms above `u` (`PARENTS`, which building a
+    lookup extends).  A nullary relation holds no term.
 
-    def add(self, pred, rows) -> None:
-        at, code = self.at, self.codes.setdefault(pred, len(self.codes))
-        for row in rows:
-            fact = (code, row)
-            for t in row:
-                s = at.get(t)
-                if s is not None:
-                    s.add(fact)
-                    continue
-                at[t] = {fact}
-                if DEPTH[t] and t not in self.above:
-                    self._link(t)
+    A lookup reads the relations that hold facts when it is built, and is
+    built afresh for each batch of reads with no write in between: a
+    relation that was empty then, or that a later write clones, is not
+    seen."""
 
-    def discard(self, pred, row) -> None:
-        at = self.at
-        fact = (self.codes.get(pred), row)
-        for t in row:
-            s = at.get(t)
-            if s is None:
-                continue  # held twice by the fact, and gone at the first
-            s.discard(fact)
-            if not s:
-                del at[t]
-                if DEPTH[t] and t not in self.above:
-                    self._unlink(t)
+    __slots__ = ("unary", "indexes")
 
-    def _link(self, t: int) -> None:
-        """Record a function term that has come to occur under each of its
-        arguments, and so on down for the arguments it brought with it."""
-        above = self.above
-        for s in arg_ids(t):
-            up = above.get(s)
-            if up is not None:
-                up.add(t)
-                continue
-            above[s] = {t}
-            if DEPTH[s] and s not in self.at:
-                self._link(s)
-
-    def _unlink(self, t: int) -> None:
-        """Undo `_link` for a function term that no longer occurs."""
-        above = self.above
-        for s in arg_ids(t):
-            up = above.get(s)
-            if up is None:
-                continue  # an argument held twice, unlinked at the first
-            up.discard(t)
-            if not up:
-                del above[s]
-                if DEPTH[s] and s not in self.at:
-                    self._unlink(s)
-
-    def _upward(self, terms: Iterable[int]) -> set:
-        """The terms given and the terms of facts that hold one below."""
-        above = self.above
-        seen = set(terms)
-        todo = list(seen)
-        while todo:
-            for v in above.get(todo.pop(), _EMPTY):
-                if v not in seen:
-                    seen.add(v)
-                    todo.append(v)
-        return seen
+    def __init__(self, instance: "Instance"):
+        _extend_parents()
+        self.unary: list = []
+        self.indexes: list = []
+        for pred, rows in instance.relations():
+            arity = len(next(iter(rows), ()))
+            if arity == 1:
+                self.unary.append((pred, rows))
+            else:
+                self.indexes += [(pred, instance.index_at(pred, pos)) for pos in range(arity)]
 
     def containing(self, terms: Iterable[int]) -> list:
         """A new list of the (predicate, row) pairs holding any of `terms`
-        at any depth of an argument.  The pairs are gathered as ints first,
-        so their order follows the term ids and not object addresses."""
-        at, preds = self.at, list(self.codes)
-        facts = {fact for t in self._upward(terms) for fact in at.get(t, _EMPTY)}
-        return [(preds[code], row) for code, row in facts]
+        at any depth of an argument, each once."""
+        terms = _upward(terms)
+        singles = {(t,) for t in terms}
+        found: dict = {}
+        for pred, rows in self.unary:
+            hits = rows & singles
+            if hits:
+                found[pred] = dict.fromkeys(hits)
+        for pred, index in self.indexes:
+            for t in index.keys() & terms:
+                found.setdefault(pred, {}).update(dict.fromkeys(index[t]))
+        return [(pred, row) for pred, rows in found.items() for row in rows]
 
     def args_above(self, term: int) -> set:
         """A new set of the facts' arguments that hold `term` below a
         function symbol."""
-        at = self.at
-        return {u for u in self._upward(self.above.get(term, ())) if u in at}
+        terms = _upward(PARENTS.get(term, ()))
+        if not terms:
+            return terms
+        singles = {(t,) for t in terms}
+        held = {row[0] for _, rows in self.unary for row in rows & singles}
+        for _, index in self.indexes:
+            held |= index.keys() & terms
+        return held
 
 
 class Instance:
@@ -635,17 +619,16 @@ class Instance:
     ids (see the term table), so a stored fact is one tuple of ints that
     the cyclic collector stops tracking, and the predicate appears only as
     the relation's key.  The engine reads and writes rows (`rows`,
-    `add_all`, `remove`, `index_at`, `merge_index`); atoms come back only
-    at this boundary: building an instance from atoms, iterating it, and
-    `in`, `add`, `discard` and `with_predicate`.  The one lookup of facts
-    by term is the merge index's `containing`.
+    `add_all`, `remove`, `index_at`); atoms come back only at this
+    boundary: building an instance from atoms, iterating it, and `in`,
+    `add`, `discard` and `with_predicate`.
 
-    A relation also holds an index for each argument position some join has
-    looked up (`index_at`), from each term id to the rows holding it there.
-    An index is built at the first lookup of its position and kept up to
-    date from then on; a join reads it from the relation, so no other map
-    of the indexes is kept.  The index merges read (`merge_index`) is built
-    by the first call and kept up to date from then on.
+    A relation also holds an index for each argument position some join or
+    merge has looked up (`index_at`), from each term id to the rows holding
+    it there.  An index is built at the first lookup of its position and
+    kept up to date from then on; a join reads it from the relation, so no
+    other map of the indexes is kept.  Merges find the facts holding a term
+    through these indexes too (`TermLookup`), so no index by term is kept.
 
     Copy-on-write: `copy` and `snapshot` share every relation with the
     original, in O(predicates).  No fact of a shared relation is ever added
@@ -667,7 +650,6 @@ class Instance:
         # The relations this instance may write: those no other one shares.
         self._mine: dict[PredicateId, _Relation] = {}
         self._size = 0
-        self._terms: Optional[_TermIndex] = None
         by_pred: dict[PredicateId, list] = {}
         for f in facts:
             by_pred.setdefault(f[0], []).append(row_of(f))
@@ -679,13 +661,12 @@ class Instance:
         new._rels = dict(self._rels)
         new._mine = {}
         new._size = self._size
-        new._terms = None
         self._mine = {}
         return new
 
     def copy(self) -> "Instance":
         """A writable instance with the same facts, sharing every relation
-        copy-on-write; the merge index is left to be built on demand."""
+        copy-on-write."""
         return self._share(Instance)
 
     def snapshot(self) -> "ReadOnlyInstance":
@@ -717,17 +698,9 @@ class Instance:
                 rel = self._own(pred)
             rel.facts.update(new)
             self._size += len(new)
-            if rel.index or self._terms is not None:
-                self._upkeep(pred, rel, new)
+            for pos, index in rel.index.items():
+                _index_rows(index, pos, new)
         return new
-
-    def _upkeep(self, pred: PredicateId, rel: _Relation, new) -> None:
-        """Enter rows just added to `rel` into its position indexes and the
-        term index."""
-        for pos, index in rel.index.items():
-            _index_rows(index, pos, new)
-        if self._terms is not None:
-            self._terms.add(pred, new)
 
     def remove(self, pred: PredicateId, row) -> bool:
         rel = self._rels.get(pred)
@@ -746,8 +719,6 @@ class Instance:
             s.discard(row)
             if len(s) == 1:
                 index[t] = (*s,)
-        if self._terms is not None:
-            self._terms.discard(pred, row)
         return True
 
     def rows(self, pred: PredicateId) -> set:
@@ -772,12 +743,6 @@ class Instance:
             index = rel.index[pos] = {}
             _index_rows(index, pos, rel.facts)
         return index
-
-    def merge_index(self) -> _TermIndex:
-        """The index merges read, built at the first call."""
-        if self._terms is None:
-            self._terms = _TermIndex(self.relations())
-        return self._terms
 
     # -- atoms ---------------------------------------------------------------
 

@@ -38,6 +38,7 @@ from chasegoal.kernel import (
     Rule,
     Variable,
     eq,
+    iter_subterms,
     iter_vars,
     rule_atoms,
     substitute,
@@ -141,11 +142,12 @@ def null_chase_answers(rules, base, query, max_rounds=200):
         return TERMS[uf.find(t.id)]
 
     def merge(s, t):
-        # nulls are constants, so a fact holds the loser only as an argument
-        rep, loser = uf.union(s.id, t.id)
-        for pred, row in inst.merge_index().containing((loser,)):
-            inst.remove(pred, row)
-            inst.add_all(pred, [tuple(rep if a == loser else a for a in row)])
+        # nulls are constants, so a fact holds the loser only as an
+        # argument; the facts are found by a scan, not by the engine
+        rep, loser = (TERMS[i] for i in uf.union(s.id, t.id))
+        for fact in [fact for fact in inst if loser in fact.args]:
+            inst.discard(fact)
+            inst.add(Atom(fact.predicate, tuple(rep if a == loser else a for a in fact.args)))
 
     def normalized(atoms):
         # rule constants must be looked up through the union-find, or a
@@ -382,7 +384,8 @@ def scenario_stream(
 def check_stale_merge_draws(seed: int, want: int) -> int:
     """Check `want` draws of `stale_merge_scenario` from `seed`: every mode
     answers as the reference fixpoint, and each mode's final program chases
-    to one instance and term map for the chase seeds None, 0, 1 and 2.
+    to one instance and term map for the chase seeds None, 0, 1 and 2, in
+    which every term a fact holds, at any depth, is its own representative.
     Raises `AssertionError` at the first disagreement; returns the number
     of draws whose reference fixpoint merges two distinct constants."""
     merged = 0
@@ -394,9 +397,19 @@ def check_stale_merge_draws(seed: int, want: int) -> int:
             outcomes = set()
             for chase_seed in (None, 0, 1, 2):
                 cr = chase(rep.stages["desg"], drawn.scenario.instance, seed=chase_seed)
+                assert holds_only_representatives(cr), (mode, chase_seed, drawn.scenario)
                 outcomes.add((frozenset(cr.instance), frozenset(cr.mu.items())))
             assert len(outcomes) == 1, (mode, drawn.scenario)
     return merged
+
+
+def holds_only_representatives(result) -> bool:
+    """Whether every term a fact of a chase result holds, at any depth of
+    an argument, is its own representative in the term map."""
+    mu = result.mu
+    return all(
+        mu.get(s, s) is s for fact in result.instance for t in fact.args for s in iter_subterms(t)
+    )
 
 
 def seeded_stats_digest(seeds, draws: int) -> str:

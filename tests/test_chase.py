@@ -49,6 +49,7 @@ from helpers import (
     campus_fixture,
     check_stale_merge_draws,
     digests_across_interpreters,
+    holds_only_representatives,
     oracle_answers,
     running_example,
     scenario_stream,
@@ -249,6 +250,45 @@ def test_stale_representative_gives_one_instance_and_term_map_per_mode():
             assert len(outcomes) == 1, mode
 
 
+def test_merges_see_a_relation_that_filled_after_an_earlier_merge():
+    # Draw 154 of `stale_merge_scenario` from seed 21.  In `magic`, under
+    # some chase seeds, a merge of sk_0_y(s0) into c0 must rewrite an E
+    # fact although E held no fact at the chase's first merge: a lookup of
+    # facts by term kept from that merge on missed it and left
+    # E(sk_0_y(s0),c0) in the instance.
+    sc = Scenario(
+        rules=tuple(
+            parse_rules(
+                """
+                P(?x) -> R0(?x, ?y)
+                P(?x) -> R1(?x, ?y), E(?y, c0)
+                P(?x) -> R2(?x, ?y), E(?y, c0)
+                R2(?u, ?y), R0(?v, ?z), L(?u, ?v) -> ?y = ?z
+                R2(?u, ?y), R1(?v, ?z), L(?u, ?v) -> ?y = ?z
+                E(?x, ?y) -> ?x = ?y
+                M(?x, ?y) -> ?x = ?y
+                R0(?y, ?x) -> Q(?x)
+                """
+            )
+        ),
+        instance=Instance(
+            [Atom(P1, (Constant(s),)) for s in ("s0", "s1")]
+            + [Atom(Predicate(p, 2), (Constant(s), Constant(t)))
+               for p, s, t in (("L", "s1", "s1"), ("M", "s1", "s0"), ("M", "s1", "s1"), ("N", "s1", "c0"))]
+        ),
+        query=Q1,
+        una_known=False,
+    )
+    assert oracle_answers(sc) == {("c0",)}
+    for mode in ("mat", "rel", "magic", "all"):
+        outcomes = set()
+        for seed in CHASE_SEEDS:
+            rep = run_pipeline(sc, PipelineConfig(mode=mode, seed=seed))
+            assert rep.answers == (("c0",),) and holds_only_representatives(rep.chase_result), (mode, seed)
+            outcomes.add((frozenset(rep.chase_result.instance), frozenset(rep.chase_result.mu.items())))
+        assert len(outcomes) == 1, mode
+
+
 def test_stale_merge_template_agrees_with_oracle_and_across_seeds():
     # Skolem terms equated with each other or with constants, then
     # constants merged: every mode answers as the reference fixpoint, and
@@ -318,9 +358,9 @@ def test_goal_driven_modes_are_deterministic_across_seeds():
 
 
 def test_seeded_chase_statistics_repeat_across_interpreters():
-    # A merge rewrites the facts holding a merged-away term in the order the
-    # merge index hands them out, and a seeded chase then samples that
-    # order; the index must not let object addresses or hash seeds decide it.
+    # A merge rewrites the facts holding a merged-away term in the order its
+    # lookup hands them out, and a seeded chase then samples that order;
+    # the lookup must not let object addresses or hash seeds decide it.
     digests = digests_across_interpreters((2,), 100, interpreters=2)
     assert digests[0] == digests[1]
 
@@ -670,7 +710,6 @@ def _index_snapshot(instance):
     return (
         set(instance),
         {p: set(instance.with_predicate(p)) for p in instance.predicates()},
-        instance._terms,
     )
 
 
@@ -755,26 +794,45 @@ def test_stored_rows_are_not_tracked_by_the_collector():
     assert buckets and not any(map(gc.is_tracked, buckets))
 
 
-def test_the_merge_index_holds_nothing_the_collector_tracks():
-    # The merge index stores each fact as a pair of its predicate's code
-    # and its row, two values the collector does not track, so after a
-    # collection no pair is tracked either.
+def test_merges_find_facts_through_position_indexes_kept_up_to_date():
+    # A merge finds the facts holding a merged-away term through the
+    # position indexes of their relations.  No join of the running example
+    # looks up R at position 1; the merges index it, and every index of the
+    # chased instance still holds exactly its relation's rows.  After a
+    # collection, no one-row bucket of it is tracked.
     rep = run_pipeline(running_example(150), PipelineConfig(mode="mat"))
     assert rep.chase_stats.merges == 149
+    instance = rep.chase_result.instance
+    assert set(instance._rels[Predicate("R", 2)].index) == {0, 1}
+    assert _indexes_agree_with_facts(instance)
     gc.collect()
-    index = rep.chase_result.instance._terms
-    pairs = [fact for facts in index.at.values() for fact in facts]
-    assert len(pairs) == 600 and not any(map(gc.is_tracked, pairs))
+    buckets = [
+        s for rel in instance._rels.values() for index in rel.index.values() for s in index.values()
+        if type(s) is tuple
+    ]
+    assert buckets and not any(map(gc.is_tracked, buckets))
 
 
-def test_term_index_is_built_only_by_a_merge():
+def test_a_chase_without_a_merge_builds_no_index_and_leaves_parents_alone():
+    # Every body below is one atom, so no join looks a position up, and the
+    # equality heads equate a term with itself: the chase builds no index
+    # and does not extend PARENTS over the function terms it builds.  A
+    # chase with a merge extends PARENTS over the whole term table and
+    # indexes each position of the relations it reads.
     A, B = Predicate("A", 1), Predicate("B", 2)
-    rule = Rule(Atom(B, (x, x)), (Atom(A, (x,)),))
-    result = chase(Program((rule,)), Instance([Atom(A, (a,)), Atom(A, (b,))]))
-    assert result.instance._terms is None
-    egd = Rule(eq(x, y), (Atom(T2, (x, y)),))
-    result = chase(Program((egd,)), [Atom(T2, (a, b))])
-    assert result.instance._terms is not None
+    skolem = Functional("sk_no_merge", (x,))
+    rules = (Rule(Atom(B, (x, skolem)), (Atom(A, (x,)),)), Rule(eq(x, x), (Atom(B, (x, y)),)))
+    watermark = kernel._parented
+    result = chase(Program(rules), Instance([Atom(A, (a,)), Atom(A, (b,))]))
+    assert result.stats.merges == 0 and len(result.instance) == 4
+    assert not any(rel.index for rel in result.instance._rels.values())
+    assert kernel._parented == watermark < len(kernel.TERMS)
+    merging = (rules[0], Rule(eq(x, y), (Atom(B, (x, y)),)))
+    result = chase(Program(merging), Instance([Atom(A, (a,))]))
+    assert result.stats.merges == 1 and set(result.instance) == {Atom(A, (a,)), Atom(B, (a, a))}
+    assert kernel._parented == len(kernel.TERMS)
+    assert kernel.PARENTS[a.id].count(Functional("sk_no_merge", (a,)).id) == 1
+    assert set(result.instance._rels[B].index) == {0, 1}
 
 
 # -- contract checks ---------------------------------------------------------

@@ -26,6 +26,7 @@ from chasegoal.kernel import (
     JoinPlan,
     MagicPredicate,
     Predicate,
+    TermLookup,
     Variable,
     atom_of,
     eq,
@@ -42,6 +43,7 @@ a, b, d = Constant("a"), Constant("b"), Constant("d")
 x, y = Variable("x"), Variable("y")
 P1 = Predicate("P", 1)
 R2 = Predicate("R", 2)
+T3 = Predicate("T", 3)
 
 
 def f(*args):
@@ -308,18 +310,25 @@ def test_instance_discard_drops_emptied_index_entries():
     for fact in facts:
         inst.add(fact)
     indexes = [inst.index_at(R2, 0), inst.index_at(R2, 1), inst.index_at(P1, 0)]
-    inst.merge_index()  # builds the term index
     for fact in facts:
         inst.discard(fact)
     assert indexes == [{}, {}, {}]
-    assert inst._terms.at == {} and inst._terms.above == {}
     assert inst.with_predicate(R2) == set()
     assert inst.predicates() == set()
 
 
 def containing(inst, t) -> set:
-    """The facts holding `t` at any depth of an argument, by the merge index."""
-    return {atom_of(p, row) for p, row in inst.merge_index().containing((t.id,))}
+    """The facts holding `t` at any depth of an argument, by a lookup built
+    for this one read."""
+    found = TermLookup(inst).containing((t.id,))
+    assert len(found) == len(set(found))
+    return {atom_of(p, row) for p, row in found}
+
+
+def args_above(inst, t) -> set:
+    """The facts' arguments that hold `t` below a function symbol, by a
+    lookup built for this one read."""
+    return set(map(kernel.TERMS.__getitem__, TermLookup(inst).args_above(t.id)))
 
 
 def test_instance_containing_finds_nested_subterms():
@@ -334,6 +343,19 @@ def test_instance_containing_finds_nested_subterms():
     inst.discard(nested)
     assert containing(inst, f(b)) == set()
     assert containing(inst, b) == {top}
+
+
+def test_a_lookup_sees_a_relation_that_emptied_and_refilled():
+    # Each lookup reads the relations as they are when it is built: one
+    # built while R is empty finds none of its facts, the next one built
+    # after R refills finds them, at the top and below a function symbol.
+    inst = Instance([Atom(R2, (a, b)), Atom(P1, (d,))])
+    assert containing(inst, b) == {Atom(R2, (a, b))}
+    inst.discard(Atom(R2, (a, b)))
+    assert containing(inst, b) == set() and args_above(inst, b) == set()
+    inst.add(Atom(R2, (g(f(b)), a)))
+    assert containing(inst, b) == {Atom(R2, (g(f(b)), a))}
+    assert args_above(inst, b) == {g(f(b))} and args_above(inst, f(b)) == {g(f(b))}
 
 
 def test_instance_indexes_a_position_only_when_it_is_looked_up():
@@ -440,26 +462,29 @@ store_terms = [a, b, f(a), g(f(a)), f(a, a), g(g(f(a)), b)]
 store_facts = st.one_of(
     st.builds(lambda t: Atom(P1, (t,)), st.sampled_from(store_terms)),
     st.builds(lambda s, t: Atom(R2, (s, t)), st.sampled_from(store_terms), st.sampled_from(store_terms)),
+    st.builds(lambda *args: Atom(T3, args), *[st.sampled_from(store_terms)] * 3),
 )
 store_ops = st.lists(
     st.one_of(
         st.tuples(st.sampled_from(["add", "discard"]), st.integers(0, 1), store_facts),
         st.tuples(st.just("add_all"), st.integers(0, 1), st.lists(store_facts, max_size=6)),
         st.tuples(st.just("copy"), st.integers(0, 1), st.integers(0, 1)),
-        st.tuples(st.just("index"), st.integers(0, 1), st.sampled_from([(P1, 0), (R2, 0), (R2, 1)])),
-        st.tuples(st.just("containing"), st.integers(0, 1), st.sampled_from(store_terms)),
+        st.tuples(st.just("index"), st.integers(0, 1), st.sampled_from([(P1, 0), (R2, 0), (R2, 1), (T3, 2)])),
+        st.tuples(st.just("lookup"), st.integers(0, 1), st.none()),
     ),
     max_size=30,
 )
 
 
-def check_store(inst, model):
+def check_store(inst, model, lookup=False):
+    """Check an instance against the set of facts it should hold; with
+    `lookup`, also check lookups of facts by term against brute force."""
     assert set(inst) == model and len(inst) == len(model)
     for fact in model:
         assert fact in inst
     assert Atom(P1, (d,)) not in inst
     assert inst.predicates() == {fact.predicate for fact in model}
-    for pred in (P1, R2):
+    for pred in (P1, R2, T3):
         assert inst.with_predicate(pred) == {fact for fact in model if fact.predicate is pred}
     # every index built so far, on any relation, holds exactly the rows of
     # the model, with no empty entry, and a bucket of one row is a 1-tuple
@@ -471,18 +496,14 @@ def check_store(inst, model):
                     want.setdefault(fact.args[pos].id, set()).add(row_of(fact))
             assert {t: set(s) for t, s in index.items()} == want
             assert all(type(s) is tuple for s in index.values() if len(s) == 1)
-    if inst._terms is not None:
-        occurring = {s for fact in model for t in fact.args for s in iter_subterms(t)}
+    if lookup:
         for t in store_terms + [d]:
             assert containing(inst, t) == {
                 fact for fact in model if any(t in iter_subterms(s) for s in fact.args)
             }
-        above = {}
-        for u in occurring:
-            for s in getattr(u, "args", ()):
-                above.setdefault(s.id, set()).add(u.id)
-        assert inst._terms.above == above
-        assert set(inst._terms.at) == {t.id for fact in model for t in fact.args}
+            assert args_above(inst, t) == {
+                s for fact in model for s in fact.args if s is not t and t in iter_subterms(s)
+            }
 
 
 @given(st.sets(store_facts, max_size=6), store_ops)
@@ -512,10 +533,8 @@ def test_store_agrees_with_a_set_on_both_sides_of_a_copy(start, ops):
             insts[arg], models[arg] = insts[i].copy(), set(models[i])
         elif op == "index":
             insts[i].index_at(*arg)
-        else:
-            containing(insts[i], arg)
-        for inst, model in zip(insts, models):
-            check_store(inst, model)
+        for j, (inst, model) in enumerate(zip(insts, models)):
+            check_store(inst, model, lookup=op == "lookup" and j == i)
 
 
 def ground_terms(depth):
