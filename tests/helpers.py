@@ -143,7 +143,8 @@ def null_chase_answers(rules, base, query, max_rounds=200):
 
     def merge(s, t):
         # nulls are constants, so a fact holds the loser only as an
-        # argument; the facts are found by a scan, not by the engine
+        # argument; a scan finds them, so that this oracle shares no
+        # lookup with the engine
         rep, loser = (TERMS[i] for i in uf.union(s.id, t.id))
         for fact in [fact for fact in inst if loser in fact.args]:
             inst.discard(fact)

@@ -5,7 +5,8 @@
 Checks 200 draws of `helpers.stale_merge_scenario` from each of the seeds 2,
 3 and 21-24, 1200 draws in all (about 40 s).  On each draw, all four modes
 must answer as the reference fixpoint, and each mode's final program must
-chase to one instance and term map for four chase seeds
+chase to one instance and term map for four chase seeds, in which every
+term a fact holds is its own representative
 (`helpers.check_stale_merge_draws`, which tier-1 runs on seed 1).  Exits 1
 at the first disagreement."""
 
