@@ -51,11 +51,12 @@ order, then rewrites each fact holding a merged-away term once, straight
 to its final form, in one write per predicate (`_ChaseState.equate`).  A
 kernel builds the index of a relation's argument position the first time
 it runs with that position as a step's key; a step bound at every
-position tests the relation's fact set and needs no index.  A batch that
-merges finds the facts holding a merged-away term through the same
-indexes, and the function terms above it through the term table's
-`PARENTS`, with a lookup built afresh for the batch (`kernel.TermLookup`);
-a chase that never merges builds neither.
+position tests the relation's fact set and needs no index.  After its
+last merge, a batch finds the facts holding a merged-away term through the
+same indexes, and the function terms above it through the term table's
+`PARENTS` (`kernel.containing`); each merge finds the classes it makes
+stale by the same upward walk (`kernel.ancestors`).  A chase that never
+merges builds neither.
 """
 
 from __future__ import annotations
@@ -84,10 +85,11 @@ from .kernel import (
     Program,
     Rule,
     Term,
-    TermLookup,
     Variable,
+    ancestors,
     arg_ids,
     atom_of,
+    containing,
     deepest,
     is_ground,
     row_of,
@@ -289,14 +291,6 @@ class _Store:
             self.add(pred, matches)
 
 
-def _nested(term: int) -> "list[int]":
-    """The ids of the terms nested below the function symbol of `term`."""
-    nested = list(arg_ids(term))
-    for t in nested:
-        nested += arg_ids(t)
-    return nested
-
-
 class _ChaseState(_Store):
     def __init__(self, instance: Instance, limits: Limits):
         super().__init__(instance, limits)
@@ -332,7 +326,13 @@ class _ChaseState(_Store):
 
     def is_stale(self, term: int) -> bool:
         """Whether `term` mentions a merged-away term below a function symbol."""
-        return not self.uf.parent.keys().isdisjoint(_nested(term))
+        parent = self.uf.parent
+        nested = list(arg_ids(term))
+        for t in nested:
+            if t in parent:
+                return True
+            nested += arg_ids(t)
+        return False
 
     def equate(self, heads: "list[tuple]") -> None:
         """Apply a batch of equality heads: merge first, then rewrite.  Each
@@ -344,16 +344,12 @@ class _ChaseState(_Store):
         deltas, and its rewrite, each argument's representative, is written,
         unless it holds a stale term of a class with no live member: it is
         then re-derived in normalized form from its rewritten body facts.
-        The facts are found by one lookup, built at the batch's first merge,
-        before any write."""
+        The facts are found in one lookup after the last merge, before any
+        write."""
         uf = self.uf
         find, parent = uf.find, uf.parent
         merged: list[tuple] = []
         losers: list[int] = []
-        # Each term nested in a representative the batch made -> those
-        # representatives (see `_rehome`).
-        placed: dict[int, set[int]] = {}
-        lookup = None
         for s, t in heads:
             if parent:
                 s, t = find(s), find(t)
@@ -362,19 +358,17 @@ class _ChaseState(_Store):
             self.applications += 1
             if s == t:
                 continue
-            rep, loser = uf.union(s, t)
+            loser = uf.union(s, t)[1]
             merged.append((s, t))
             losers.append(loser)
-            if lookup is None:
-                lookup = TermLookup(self.instance)
-            self._rehome(rep, loser, placed, lookup)
+            self._rehome(loser)
         if not merged:
             return
         self.merges += len(merged)
         self.derive(EQUALITY, merged)
         instance, delta, entries = self.instance, self.delta, self.entries
         rewritten: dict[PredicateId, list[tuple]] = {}
-        for pred, row in lookup.containing(losers):
+        for pred, row in containing(instance, losers):
             instance.remove(pred, row)
             delta.get(pred, {}).pop(row, None)
             entries.get(pred, {}).pop(row, None)
@@ -384,25 +378,20 @@ class _ChaseState(_Store):
         for pred, rows in rewritten.items():
             self.enter(pred, instance.add_all(pred, rows))
 
-    def _rehome(self, rep: int, loser: int, placed: "dict[int, set[int]]", lookup: TermLookup) -> None:
-        """Hand each class that merging `loser` into `rep` made stale, and
-        that a fact holds, to its least member that mentions no merged-away
-        term.  Such a class's representative holds `loser` below a function
-        symbol: it is a fact's argument as the batch found it, or a term the
-        batch made a representative, which `placed` records under each term
-        nested in it.  Every choice is made before any class changes hands,
-        so none depends on the order the classes are visited in."""
-        parent, members = self.uf.parent, self.uf.members
+    def _rehome(self, loser: int) -> None:
+        """Hand each class whose representative holds `loser` below a
+        function symbol, which merging `loser` made stale, to its least
+        member that mentions no merged-away term.  Every choice is made
+        before any class changes hands, so none depends on the order the
+        classes are visited in."""
+        members = self.uf.members
         chosen: dict[int, int] = {}
-        for root in lookup.args_above(loser).union(placed.get(loser, ())):
-            live = root not in parent and [m for m in members.get(root, ()) if not self.is_stale(m)]
+        for root in members.keys() & ancestors(loser):
+            live = [m for m in members[root] if not self.is_stale(m)]
             if live:
                 chosen[root] = min(live, key=KEY.__getitem__)
         for root, member in chosen.items():
             self.uf.reroot(root, member)
-        for term in (rep, *chosen.values()):
-            for s in _nested(term):
-                placed.setdefault(s, set()).add(term)
 
 
 def _components(rule: Rule) -> "list[tuple[Atom, ...]]":

@@ -120,8 +120,8 @@ KEY: "list[tuple]" = []
 STRUCT: "list[tuple]" = []
 # The inverse of `STRUCT`: each term id -> the ids of the function terms
 # that hold it as a direct argument (twice if one holds it twice).  Only
-# merges read it, so it is extended when one does, over the terms built
-# since (`_extend_parents`): it covers the first `_parented` ids, and a
+# merges read it, through `ancestors`, which first extends it over the terms
+# built since its last call: it covers the first `_parented` ids, and a
 # process that never merges never builds it.
 PARENTS: "dict[int, list[int]]" = {}
 _parented = 0
@@ -149,13 +149,23 @@ def _enter(term, depth: int, key: tuple, struct: tuple) -> int:
     return tid
 
 
-def _extend_parents() -> None:
-    """Enter the terms built since the last call into `PARENTS`."""
+def ancestors(*terms: int) -> set:
+    """A new set of `terms` and of every function term that holds one of
+    them at any depth, read from `PARENTS`, which it first extends over the
+    terms built since its last call."""
     global _parented
     for t, struct in enumerate(STRUCT[_parented:], _parented):
         for s in struct[1:]:
             PARENTS.setdefault(s, []).append(t)
     _parented = len(STRUCT)
+    seen = set(terms)
+    todo = list(seen)
+    while todo:
+        for v in PARENTS.get(todo.pop(), ()):
+            if v not in seen:
+                seen.add(v)
+                todo.append(v)
+    return seen
 
 
 def arg_ids(t: int) -> "tuple[int, ...]":
@@ -545,71 +555,32 @@ def _index_rows(index: dict, pos: int, rows) -> None:
             s.add(row)
 
 
-def _upward(terms: Iterable[int]) -> set:
-    """The terms given and every function term that holds one of them at
-    any depth, read from `PARENTS`."""
-    seen = set(terms)
-    todo = list(seen)
-    while todo:
-        for v in PARENTS.get(todo.pop(), ()):
-            if v not in seen:
-                seen.add(v)
-                todo.append(v)
-    return seen
-
-
-class TermLookup:
-    """The facts of an instance by the terms they hold, read through the
-    relations' own indexes: a unary fact holding `u` is the row `(u,)` of
-    its relation, an n-ary one is found in the index of each of its
-    positions (`Instance.index_at`), and a fact holding `u` below a function
-    symbol through the function terms above `u` (`PARENTS`, which building a
-    lookup extends).  A nullary relation holds no term.
-
-    A lookup reads the relations that hold facts when it is built, and is
-    built afresh for each batch of reads with no write in between: a
-    relation that was empty then, or that a later write clones, is not
-    seen."""
-
-    __slots__ = ("unary", "indexes")
-
-    def __init__(self, instance: "Instance"):
-        _extend_parents()
-        self.unary: list = []
-        self.indexes: list = []
-        for pred, rows in instance.relations():
-            arity = len(next(iter(rows), ()))
-            if arity == 1:
-                self.unary.append((pred, rows))
-            else:
-                self.indexes += [(pred, instance.index_at(pred, pos)) for pos in range(arity)]
-
-    def containing(self, terms: Iterable[int]) -> list:
-        """A new list of the (predicate, row) pairs holding any of `terms`
-        at any depth of an argument, each once."""
-        terms = _upward(terms)
-        singles = {(t,) for t in terms}
-        found: dict = {}
-        for pred, rows in self.unary:
+def containing(instance: "Instance", terms: Iterable[int]) -> list:
+    """A new list of the (predicate, row) pairs of `instance` holding one of
+    `terms` at any depth of an argument, each once: the unary relations'
+    first, then the others', each group in relation order.  A unary fact
+    holding `u` is the row `(u,)` of its relation, an n-ary one is found in
+    the index of each of its positions (`Instance.index_at`), and a fact
+    holding `u` below a function symbol through the function terms above
+    `u` (`ancestors`).  A nullary relation holds no term."""
+    terms = ancestors(*terms)
+    singles = {(t,) for t in terms}
+    found: dict = {}
+    nary = []
+    for pred, rows in instance.relations():
+        arity = len(next(iter(rows), ()))
+        if arity == 1:
             hits = rows & singles
             if hits:
                 found[pred] = dict.fromkeys(hits)
-        for pred, index in self.indexes:
+        elif arity:
+            nary.append((pred, arity))
+    for pred, arity in nary:
+        for pos in range(arity):
+            index = instance.index_at(pred, pos)
             for t in index.keys() & terms:
                 found.setdefault(pred, {}).update(dict.fromkeys(index[t]))
-        return [(pred, row) for pred, rows in found.items() for row in rows]
-
-    def args_above(self, term: int) -> set:
-        """A new set of the facts' arguments that hold `term` below a
-        function symbol."""
-        terms = _upward(PARENTS.get(term, ()))
-        if not terms:
-            return terms
-        singles = {(t,) for t in terms}
-        held = {row[0] for _, rows in self.unary for row in rows & singles}
-        for _, index in self.indexes:
-            held |= index.keys() & terms
-        return held
+    return [(pred, row) for pred, rows in found.items() for row in rows]
 
 
 class Instance:
@@ -628,7 +599,7 @@ class Instance:
     it there.  An index is built at the first lookup of its position and
     kept up to date from then on; a join reads it from the relation, so no
     other map of the indexes is kept.  Merges find the facts holding a term
-    through these indexes too (`TermLookup`), so no index by term is kept.
+    through these indexes too (`containing`), so no index by term is kept.
 
     Copy-on-write: `copy` and `snapshot` share every relation with the
     original, in O(predicates).  No fact of a shared relation is ever added

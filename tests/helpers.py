@@ -382,25 +382,31 @@ def scenario_stream(
         produced += 1
 
 
+def check_stale_merge_draw(drawn: Drawn) -> None:
+    """Check one draw: every mode answers as the reference fixpoint, and
+    each mode's final program chases to one instance and term map for the
+    chase seeds None, 0, 1 and 2, in which every term a fact holds, at any
+    depth, is its own representative.  Raises `AssertionError` at the
+    first disagreement."""
+    for mode in MODES:
+        rep = run_pipeline(drawn.scenario, PipelineConfig(mode=mode))
+        assert set(map(tuple, rep.answers)) == drawn.oracle, (mode, drawn.scenario)
+        outcomes = set()
+        for chase_seed in (None, 0, 1, 2):
+            cr = chase(rep.stages["desg"], drawn.scenario.instance, seed=chase_seed)
+            assert holds_only_representatives(cr), (mode, chase_seed, drawn.scenario)
+            outcomes.add((frozenset(cr.instance), frozenset(cr.mu.items())))
+        assert len(outcomes) == 1, (mode, drawn.scenario)
+
+
 def check_stale_merge_draws(seed: int, want: int) -> int:
-    """Check `want` draws of `stale_merge_scenario` from `seed`: every mode
-    answers as the reference fixpoint, and each mode's final program chases
-    to one instance and term map for the chase seeds None, 0, 1 and 2, in
-    which every term a fact holds, at any depth, is its own representative.
-    Raises `AssertionError` at the first disagreement; returns the number
-    of draws whose reference fixpoint merges two distinct constants."""
+    """Check `want` draws of `stale_merge_scenario` from `seed` by
+    `check_stale_merge_draw`; returns the number of draws whose reference
+    fixpoint merges two distinct constants."""
     merged = 0
     for drawn in scenario_stream(seed, want, draw=stale_merge_scenario):
         merged += merged_distinct_constants(drawn.naive)
-        for mode in MODES:
-            rep = run_pipeline(drawn.scenario, PipelineConfig(mode=mode))
-            assert set(map(tuple, rep.answers)) == drawn.oracle, (mode, drawn.scenario)
-            outcomes = set()
-            for chase_seed in (None, 0, 1, 2):
-                cr = chase(rep.stages["desg"], drawn.scenario.instance, seed=chase_seed)
-                assert holds_only_representatives(cr), (mode, chase_seed, drawn.scenario)
-                outcomes.add((frozenset(cr.instance), frozenset(cr.mu.items())))
-            assert len(outcomes) == 1, (mode, drawn.scenario)
+        check_stale_merge_draw(drawn)
     return merged
 
 

@@ -27,6 +27,7 @@ from chasegoal.engine import constant_answers
 from chasegoal.kernel import (
     DEPTH,
     EQUALITY,
+    STRUCT,
     Atom,
     Constant,
     Functional,
@@ -60,6 +61,15 @@ from test_kernel import brute_force_matches
 a, b, c = Constant("a"), Constant("b"), Constant("c")
 x, y, z = Variable("x"), Variable("y"), Variable("z")
 P1, T2 = Predicate("P", 1), Predicate("T", 2)
+
+
+def nested_ids(t: int) -> "list[int]":
+    """The ids of the terms below the function symbol of the term with id
+    `t`, read from the term table."""
+    nested = list(STRUCT[t][1:])
+    for s in nested:
+        nested += STRUCT[s][1:]
+    return nested
 
 
 def final_program(scenario, mode="all"):
@@ -301,16 +311,23 @@ def test_stale_merge_template_agrees_with_oracle_and_across_seeds():
 def test_a_round_holds_only_facts_of_the_instance(monkeypatch):
     # After every batch a round applies, its delta and the previous round's
     # delta its joins enter at hold only facts of the instance: a merge
-    # takes the facts it rewrites away out of both.
+    # takes the facts it rewrites away out of both.  After every equality
+    # batch, a class whose representative mentions a merged-away term has
+    # no member that mentions none: the batch handed each such class on.
     fire = engine._ChaseState.fire
-    batches = 0
+    batches = stale = 0
 
     def checked(state, pred, matches):
-        nonlocal batches
+        nonlocal batches, stale
         fire(state, pred, matches)
         batches += 1
         for group in (state.delta, state.entries):
             assert all(row in state.instance.rows(p) for p, rows in group.items() for row in rows)
+        merged = state.uf.parent.keys()
+        for root, members in state.uf.members.items() if pred is EQUALITY else ():
+            if not merged.isdisjoint(nested_ids(root)):
+                stale += 1
+                assert all(not merged.isdisjoint(nested_ids(m)) for m in members), (root, members)
 
     monkeypatch.setattr(engine._ChaseState, "fire", checked)
     drawn = [d.scenario for d in scenario_stream(1, 40, draw=stale_merge_scenario)]
@@ -318,7 +335,7 @@ def test_a_round_holds_only_facts_of_the_instance(monkeypatch):
         for mode in ("mat", "rel", "magic", "all"):
             for seed in (None, 0, 1):
                 run_pipeline(sc, PipelineConfig(mode=mode, seed=seed))
-    assert batches > 1000
+    assert batches > 1000 and stale > 0
 
 
 def test_base_equality_fact_is_rejected():
@@ -560,7 +577,7 @@ def test_an_equality_batch_rewrites_each_fact_once(monkeypatch):
         removed.clear()
         fire(state, pred, matches)
         gone = set(state.uf.parent) - merged
-        holding = [f for f in before if any(t in gone or not gone.isdisjoint(engine._nested(t)) for t in f[1])]
+        holding = [f for f in before if any(t in gone or not gone.isdisjoint(nested_ids(t)) for t in f[1])]
         batches.append((len(gone), len(removed), len(set(removed)), len(holding)))
 
     monkeypatch.setattr(engine._ChaseState, "fire", traced)

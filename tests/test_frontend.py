@@ -248,6 +248,8 @@ def test_parse_schema():
     schema = parse_schema("S/2: student, dept\nB/1: student\n")
     assert schema[("S", 2)] == ("student", "dept")
     assert schema[("B", 1)] == ("student",)
+    # blank and comment-only lines declare nothing
+    assert parse_schema("\n  \n# sorts\nS/2: student, dept\n\nB/1: student  # one\n") == schema
 
 
 @pytest.mark.parametrize(

@@ -26,9 +26,10 @@ from chasegoal.kernel import (
     JoinPlan,
     MagicPredicate,
     Predicate,
-    TermLookup,
     Variable,
+    ancestors,
     atom_of,
+    containing,
     eq,
     is_ground,
     iter_subterms,
@@ -317,18 +318,20 @@ def test_instance_discard_drops_emptied_index_entries():
     assert inst.predicates() == set()
 
 
-def containing(inst, t) -> set:
-    """The facts holding `t` at any depth of an argument, by a lookup built
-    for this one read."""
-    found = TermLookup(inst).containing((t.id,))
+def facts_holding(inst, t) -> set:
+    """The facts holding `t` at any depth of an argument, by `containing`,
+    which returns each once."""
+    found = containing(inst, (t.id,))
     assert len(found) == len(set(found))
     return {atom_of(p, row) for p, row in found}
 
 
-def args_above(inst, t) -> set:
-    """The facts' arguments that hold `t` below a function symbol, by a
-    lookup built for this one read."""
-    return set(map(kernel.TERMS.__getitem__, TermLookup(inst).args_above(t.id)))
+def terms_holding(t) -> set:
+    """`t` and the terms of the term table that hold it at any depth, by
+    `ancestors`; each of them is checked to hold it."""
+    found = set(map(kernel.TERMS.__getitem__, ancestors(t.id)))
+    assert all(t in iter_subterms(s) for s in found)
+    return found
 
 
 def test_instance_containing_finds_nested_subterms():
@@ -338,19 +341,21 @@ def test_instance_containing_finds_nested_subterms():
     other = Atom(P1, (a,))
     for fact in (nested, top, other):
         inst.add(fact)
-    assert containing(inst, b) == {nested, top}
-    assert containing(inst, f(b)) == {nested}
+    assert facts_holding(inst, b) == {nested, top}
+    assert facts_holding(inst, f(b)) == {nested}
     inst.discard(nested)
-    assert containing(inst, f(b)) == set()
-    assert containing(inst, b) == {top}
-    # Each lookup reads the relations as they are when it is built: R
-    # empties, then refills with a fact holding b below a function symbol.
+    assert facts_holding(inst, f(b)) == set()
+    assert facts_holding(inst, b) == {top}
+    # Each lookup reads the relations as they are then: R empties, then
+    # refills with a fact holding b below a function symbol.
     inst.discard(top)
-    assert containing(inst, b) == set() and args_above(inst, b) == set()
+    assert facts_holding(inst, b) == set()
     refill = Atom(R2, (g(f(b)), a))
     inst.add(refill)
-    assert containing(inst, b) == {refill}
-    assert args_above(inst, b) == {g(f(b))} == args_above(inst, f(b))
+    assert facts_holding(inst, b) == {refill}
+    # The terms above b are found whether or not a fact holds them.
+    assert {b, f(b), g(f(b))} <= terms_holding(b) and a not in terms_holding(b)
+    assert {f(b), g(f(b))} <= terms_holding(f(b)) and b not in terms_holding(f(b))
 
 
 def test_instance_indexes_a_position_only_when_it_is_looked_up():
@@ -473,7 +478,8 @@ store_ops = st.lists(
 
 def check_store(inst, model, lookup=False):
     """Check an instance against the set of facts it should hold; with
-    `lookup`, also check lookups of facts by term against brute force."""
+    `lookup`, also check lookups of facts and terms by term against brute
+    force."""
     assert set(inst) == model and len(inst) == len(model)
     for fact in model:
         assert fact in inst
@@ -493,11 +499,11 @@ def check_store(inst, model, lookup=False):
             assert all(type(s) is tuple for s in index.values() if len(s) == 1)
     if lookup:
         for t in store_terms + [d]:
-            assert containing(inst, t) == {
+            assert facts_holding(inst, t) == {
                 fact for fact in model if any(t in iter_subterms(s) for s in fact.args)
             }
-            assert args_above(inst, t) == {
-                s for fact in model for s in fact.args if s is not t and t in iter_subterms(s)
+            assert terms_holding(t) >= {
+                s for fact in model for arg in fact.args for s in iter_subterms(arg) if t in iter_subterms(s)
             }
 
 
@@ -568,7 +574,7 @@ def test_an_instance_gives_back_the_atoms_it_was_built_from(facts, extra):
             assert inst.with_predicate(pred) == {f for f in model if f.predicate is pred}
         terms = {s for fact in model | {extra} for t in fact.args for s in iter_subterms(t)}
         for t in terms:
-            assert containing(inst, t) == {f for f in model if any(t in iter_subterms(s) for s in f.args)}
+            assert facts_holding(inst, t) == {f for f in model if any(t in iter_subterms(s) for s in f.args)}
 
     agrees(inst, model)
     copied, snap = inst.copy(), inst.snapshot()

@@ -94,6 +94,11 @@ def test_critical_instance_includes_program_constants():
     crit = critical_instance(sk, [B1, S2])
     names = {tuple(t.name for t in f.args) for f in crit.with_predicate(S2)}
     assert names == {("*", "*"), ("*", "c"), ("c", "*"), ("c", "c")}
+    # a program constant named like the star renames the star
+    sk = skolemize(parse_rules("B(?x), S(?x,'*') -> Q(?x)"), Q1)
+    crit = critical_instance(sk, [B1, S2])
+    names = {tuple(t.name for t in f.args) for f in crit.with_predicate(S2)}
+    assert names == {("*", "*"), ("*", "*'"), ("*'", "*"), ("*'", "*'")}
 
 
 def test_typed_critical_instance_uses_one_star_per_sort():
