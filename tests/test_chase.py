@@ -323,8 +323,10 @@ def test_a_round_holds_only_facts_of_the_instance(monkeypatch):
         batches += 1
         for group in (state.delta, state.entries):
             assert all(row in state.instance.rows(p) for p, rows in group.items() for row in rows)
+        if pred is not EQUALITY:
+            return
         merged = state.uf.parent.keys()
-        for root, members in state.uf.members.items() if pred is EQUALITY else ():
+        for root, members in state.uf.members.items():
             if not merged.isdisjoint(nested_ids(root)):
                 stale += 1
                 assert all(not merged.isdisjoint(nested_ids(m)) for m in members), (root, members)
