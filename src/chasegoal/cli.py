@@ -15,7 +15,29 @@ from .pruning import AbstractionFixpointDiverged
 _GUARDS = (DepthLimitExceeded, FactLimitExceeded, AbstractionFixpointDiverged, MemoryError)
 
 
-@click.group()
+def _input_error(err: click.UsageError):
+    """Report a usage error, an unknown option or command or a bad or
+    missing value, as one `error:` line and exit 1, like the other input
+    errors: exit 2 means a guard tripped."""
+    click.echo("error: %s" % err.format_message(), err=True)
+    sys.exit(1)
+
+
+class _Group(click.Group):
+    def make_context(self, *args, **kwargs):
+        try:
+            return super().make_context(*args, **kwargs)
+        except click.UsageError as err:
+            _input_error(err)
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except click.UsageError as err:
+            _input_error(err)
+
+
+@click.group(cls=_Group, no_args_is_help=False)
 def main():
     """Goal-driven query answering over terminating existential rules with
     equality."""

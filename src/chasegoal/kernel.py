@@ -18,17 +18,18 @@ A join plan is compiled into a kernel: a generated Python function whose
 nested `for` loops walk the index candidates of each body atom, unpack
 rows and compare ids with `!=`, and which builds its output, a rule head's
 row for instance, at the innermost loop.  Two process-wide tables keep
-generation off the hot path: `_SHAPES` maps the shape of a plan, the plan
-with its predicates, ground terms and function symbols left out, to the
-kernel's source and compiled code, and `JoinPlan` returns the plan it has
-built before for equal arguments.  Like the term table, both grow with the
-distinct shapes and plans a process has seen."""
+generation off the hot path: `JoinPlan` returns the plan it has built
+before for equal arguments, which generates its kernel's source once, and
+`_SHAPES` maps each source text to its compiled code.  The source takes
+the plan's predicates, ground term ids and function symbols as arguments,
+so plans that differ only in those share one text and compile it once.
+Like the term table, both grow with the distinct plans and texts a process
+has seen."""
 
 from __future__ import annotations
 
 import itertools
 import linecache
-from collections import Counter
 from dataclasses import dataclass
 from operator import itemgetter
 from types import CodeType, FunctionType
@@ -774,19 +775,13 @@ class _FirstMatch:
 
 FIRST_MATCH = _FirstMatch()
 
-# Kernel shapes seen in this process: a plan with its variables numbered
-# and each predicate, ground term and function symbol replaced by the
-# placeholder of its site -> the kernel's source text, its code and what
-# the plan reads back from its sites (`_shape`).  The source names no
-# predicate, constant or function symbol: the kernel takes them as trailing
-# arguments k0, k1, ..., which a plan binds as the defaults of its
-# function.  Plans that differ only in those objects share a shape, and
-# generate and compile it once.  The table grows with the distinct shapes
-# a process has seen, like the term table.
-_SHAPES: "dict[tuple, tuple]" = {}
-# Placeholders by (site, kind), and each placeholder -> its site.
-_PLACEHOLDERS: dict = {}
-_SITE: dict = {}
+# Kernels compiled in this process: source text -> its code and its lines
+# for `linecache`.  The source names no predicate, ground term or function
+# symbol: the kernel takes them as trailing arguments k0, k1, ..., which a
+# plan binds as the defaults of its function.  Plans that differ only in
+# those objects generate the same text, and compile it once.  The table
+# grows with the distinct texts a process has seen, like the term table.
+_SHAPES: "dict[str, tuple]" = {}
 _KERNEL_GLOBALS = {"fun": _FUNCTIONS, "struct": STRUCT}
 # The nested `for` loops one generated function holds; CPython allows 20
 # nested blocks, so a longer plan continues in a function of its own.
@@ -807,10 +802,11 @@ class _KernelSource:
     position reads lives in the local `v<n>`, numbered in the order the
     kernel binds them (`slots`); a variable nothing reads again is not
     bound.  Every other object the kernel reads is an argument `k<n>`,
-    recorded in `args`, or one of the term table's globals: `fun`, which
-    finds a function term's id, and `struct`, which splits one."""
+    recorded in `args` (a ground term by its id), or one of the term
+    table's globals: `fun`, which finds a function term's id, and `struct`,
+    which splits one."""
 
-    def __init__(self, reads: "Counter[Variable]", emitted: "set[Atom]"):
+    def __init__(self, reads: "dict[Variable, int]", emitted: "set[Atom]"):
         self.reads = reads  # occurrences of each variable, its output included
         # The body atoms to emit, and the local that holds the fact each
         # matched, once it has been matched.
@@ -884,7 +880,7 @@ class _KernelSource:
             if isinstance(t, Variable):
                 self.line("if %s != %s: %s" % (u, self.var(t), self.fail()))
             elif t.id is not None:
-                self.line("if %s != %s: %s" % (u, self.arg(t), self.fail()))
+                self.line("if %s != %s: %s" % (u, self.arg(t.id), self.fail()))
             else:
                 s = self.temp()
                 self.line("%s = struct[%s]" % (s, u))
@@ -903,7 +899,7 @@ class _KernelSource:
         if isinstance(t, Variable):
             return self.var(t)
         if t.id is not None:
-            return self.arg(t)
+            return self.arg(t.id)
         return "fun[%s]" % ", ".join([self.arg(t.symbol)] + list(map(self.build, t.args)))
 
     def step(self, n: int, atom: Atom, key_pos: int, full: bool, old: bool):
@@ -944,54 +940,23 @@ def _renamed(code: CodeType, filename: str) -> CodeType:
     return code.replace(co_filename=filename, co_consts=consts)
 
 
-def _placeholder(n: int, obj):
-    """The placeholder of site n, which holds `obj`: a function symbol, a
-    constant for a ground term's id, or a predicate of the same arity."""
-    kind = -1 if isinstance(obj, str) else -2 if isinstance(obj, int) else obj.arity
-    ph = _PLACEHOLDERS.get((n, kind))
-    if ph is None:
-        name = "\0%d" % n
-        ph = name if kind == -1 else Constant(name) if kind == -2 else Predicate(name, kind)
-        _PLACEHOLDERS[n, kind] = ph
-        _SITE[ph] = n
-    return ph
-
-
-def _canonical(body, entry: Atom, emit) -> tuple:
-    """The form of a plan its shape is keyed by, with the objects of its
-    sites, in order.  An atom to emit that is a body atom keeps that atom's
-    form."""
-    sites: list = []
-    names: dict[Variable, Variable] = {}
-
-    def term(t):
+def _count_reads(reads: dict, terms) -> None:
+    """Count in `reads` the occurrences of each variable in `terms`."""
+    for t in terms:
         if t.__class__ is Variable:
-            v = names.get(t)
-            if v is None:
-                v = names[t] = Variable("\0%d" % len(names))
-            return v
-        sites.append(t.id if t.id is not None else t.symbol)
-        ph = _placeholder(len(sites) - 1, sites[-1])
-        return ph if t.id is not None else Functional(ph, tuple(map(term, t.args)))
-
-    def atom(a: Atom) -> Atom:
-        sites.append(a[0])
-        return _new_atom(Atom, (_placeholder(len(sites) - 1, a[0]), tuple(map(term, a[1]))))
-
-    entry_form = atom(entry)
-    body_form = tuple(map(atom, body))
-    emit = tuple(body_form[body.index(a)] if a in body else atom(a) for a in emit)
-    return (body_form, entry_form, emit), sites
+            reads[t] = reads.get(t, 0) + 1
+        elif t.id is None:
+            _count_reads(reads, t.args)
 
 
-def _shape(body, entry: Atom, emit, old: int) -> tuple:
-    """Generate and compile the kernel of a plan in canonical form.
-    Returns its code, its source lines, the sites of its arguments, and
-    its steps with the site of each predicate."""
+def _source(body, entry: Atom, emit, old: int) -> tuple:
+    """Generate the kernel of a plan.  Returns its source text, the objects
+    it takes as its trailing arguments, and its steps."""
     # A body atom to emit is emitted as the fact it matched.
     emitted = set(body).intersection(emit)
-    reads = Counter(iter_vars((entry,) + body))
-    reads.update(iter_vars([a for a in emit if a not in emitted]))
+    reads: dict = {}
+    for a in (entry, *body, *[a for a in emit if a not in emitted]):
+        _count_reads(reads, a[1])
     src = _KernelSource(reads, emitted)
     src.open(None)
     targets = src.unpack(entry.args)
@@ -1006,7 +971,7 @@ def _shape(body, entry: Atom, emit, old: int) -> tuple:
         j, atom = remaining.pop(scores.index(best))
         key_pos = next((i for i, t in enumerate(atom.args) if _is_key(t, known)), -1)
         full = best == len(atom.args)
-        steps.append((_SITE[atom.predicate], key_pos, j, full))
+        steps.append((atom.predicate, key_pos, j, full))
         if not full and src.loops == _MAX_LOOPS:
             # Continue in a function of its own, defined in the kernel,
             # that takes the bound variables.
@@ -1025,8 +990,7 @@ def _shape(body, entry: Atom, emit, old: int) -> tuple:
         ["facts", "instance", "out", "new", "fresh"] + ["k%d" % i for i in range(len(src.args))]
     )
     text = "\n".join(join[:1] + ["    " + s for f in rest for s in f] + join[1:]) + "\n"
-    code = compile(text, "<kernel>", "exec", dont_inherit=True).co_consts[0]
-    return code, text.splitlines(True), tuple(_SITE[a] for a in src.args), tuple(steps)
+    return text, tuple(src.args), tuple(steps)
 
 
 class JoinPlan:
@@ -1034,8 +998,8 @@ class JoinPlan:
     a kernel: a generated Python function of nested loops.  A plan is
     built once per process for each (body, entry, old, emit): a
     constructor returns the plan it has built before for equal arguments.
-    Its kernel is generated (or taken from its shape) and bound at the
-    first use of `run`, so a plan that never runs costs nothing more.
+    Its kernel is generated and bound at the first use of `run`, so a plan
+    that never runs costs nothing more.
 
     The variables bound on entry are the ones the `entry` atom binds when
     it is matched against a given fact (a delta fact for a pivoted rule, a
@@ -1062,13 +1026,13 @@ class JoinPlan:
     Nothing may write to the instance during a run, so the relations are
     looked up once per run.  `holds` stops at the first match.
 
-    Plans of one shape (`_SHAPES`) share the kernel's code; each binds its
-    own predicates, ground terms and function symbols as the kernel's
-    trailing arguments.  The kernel's source is registered with `linecache`
+    Plans whose kernels have the same source text (`_SHAPES`) share its
+    code; each binds its own predicates, ground term ids and function
+    symbols as the kernel's trailing arguments.  The kernel's source is registered with `linecache`
     under a file name that holds the conjunction, so tracebacks and
     profiles show the line and the rule it joins."""
 
-    __slots__ = ("key", "run")
+    __slots__ = ("key", "run", "steps")
     _table: "dict[tuple, JoinPlan]" = {}
 
     def __new__(cls, body, entry: Atom, old: int = 0, emit: "tuple[Atom, ...]" = ()):
@@ -1079,34 +1043,24 @@ class JoinPlan:
             plan.key = key
         return plan
 
-    def _shape(self) -> tuple:
-        """The plan's shape and the objects of its sites (`_canonical`)."""
-        body, entry, old, emit = self.key
-        form, sites = _canonical(body, entry, emit)
-        shape = _SHAPES.get((form, old))
-        if shape is None:
-            shape = _SHAPES[form, old] = _shape(*form, old)
-        return shape, sites
-
     def __getattr__(self, name: str):
-        """Build the kernel at the first use of `run`."""
-        if name != "run":
+        """Generate the kernel and bind `run` and `steps` at the first use
+        of either."""
+        if name not in ("run", "steps"):
             raise AttributeError(name)
-        (code, lines, args, _), sites = self._shape()
         body, entry, old, emit = self.key
+        text, args, self.steps = _source(body, entry, emit, old)
+        kernel = _SHAPES.get(text)
+        if kernel is None:
+            code = compile(text, "<kernel>", "exec", dont_inherit=True).co_consts[0]
+            kernel = _SHAPES[text] = (code, text.splitlines(True))
+        code, lines = kernel
         filename = "<kernel %s :- %s%s>" % (
             ", ".join(map(repr, emit)), ", ".join(map(repr, (entry,) + body)), "; old %d" % old if old else ""
         )
-        linecache.cache[filename] = (sum(map(len, lines)), None, lines, filename)
-        self.run = FunctionType(
-            _renamed(code, filename), _KERNEL_GLOBALS, "join", tuple(sites[i] for i in args)
-        )
-        return self.run
-
-    @property
-    def steps(self) -> tuple:
-        (_, _, _, steps), sites = self._shape()
-        return tuple((sites[p], *rest) for p, *rest in steps)
+        linecache.cache[filename] = (len(text), None, lines, filename)
+        self.run = FunctionType(_renamed(code, filename), _KERNEL_GLOBALS, "join", args)
+        return getattr(self, name)
 
     def holds(self, row, instance: "Instance") -> bool:
         """Whether some match has the row `row` as its entry atom; the join

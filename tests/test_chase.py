@@ -439,7 +439,7 @@ def test_a_second_chase_of_an_equal_program_compiles_nothing(monkeypatch):
         raise AssertionError("a kernel was built again")
 
     monkeypatch.setattr(JoinPlan, "__getattr__", refuse)
-    monkeypatch.setattr(kernel, "_shape", refuse)
+    monkeypatch.setattr(kernel, "_source", refuse)
     again = chase(parse_program(text), base)
     assert engine._RULES == rules and JoinPlan._table == plans
     assert again.instance.predicates() == first.instance.predicates()

@@ -359,6 +359,33 @@ def test_cli_guard_trip_exits_two(tmp_path):
     assert "error:" in result.output
 
 
+RUN_ARGS = ["run", "--rules", "{tmp}/rules.txt", "--data", "{tmp}/data", "--query-pred", "Q", "--out", "{tmp}/out"]
+
+
+@pytest.mark.parametrize(
+    "args, named",
+    [
+        ([], "command"),
+        (["nope"], "nope"),
+        (["--no-such-switch", "run"], "--no-such-switch"),
+        (RUN_ARGS + ["--no-such-switch"], "--no-such-switch"),
+        (RUN_ARGS[:2] + ["{tmp}/missing.txt"] + RUN_ARGS[3:], "--rules"),
+        (RUN_ARGS[:4] + ["{tmp}/missing"] + RUN_ARGS[5:], "--data"),
+        (RUN_ARGS + ["--mode", "fast"], "--mode"),
+        (RUN_ARGS[:-2], "--out"),
+    ],
+)
+def test_cli_usage_errors_exit_one_with_an_error_line(tmp_path, args, named):
+    # An unknown command or option, a path that does not exist, a bad
+    # choice and a missing required option are bad input (exit 1), not a
+    # guard trip (exit 2); the one line each prints names what was wrong.
+    write_inputs(tmp_path)
+    result = CliRunner().invoke(main, [a.format(tmp=tmp_path) for a in args])
+    assert result.exit_code == 1, result.output
+    assert result.output.startswith("error: ") and result.output.count("\n") == 1, result.output
+    assert named in result.output
+
+
 @pytest.mark.parametrize("option, zero_exit", [("--max-depth", 0), ("--max-facts", 2)])
 def test_cli_rejects_a_negative_limit_and_keeps_zero(tmp_path, option, zero_exit):
     # A negative limit is a rejected input (exit 1), not a budget trip
@@ -479,7 +506,7 @@ def test_cli_reports_the_relevance_retry(tmp_path):
     # the input decides the abstraction; no switch picks it
     for switch in ("--defun-abstraction", "--untyped-critical"):
         result = CliRunner().invoke(main, args + [switch, "--out", str(tmp_path / "x")])
-        assert result.exit_code == 2 and "No such option" in result.output and switch in result.output
+        assert result.exit_code == 1 and "No such option" in result.output and switch in result.output
 
 
 @pytest.mark.parametrize("name", ["rules.txt", "schema.txt", "data/B.csv"])

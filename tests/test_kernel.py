@@ -396,16 +396,40 @@ def test_plans_that_differ_only_in_predicates_and_constants_share_a_shape():
         return JoinPlan((Atom(p, (x, c)),), entry=Atom(q, (x,)), emit=(Atom(q, (f(x),)),))
 
     first = plan(R2, P1, a)
+    first.run
     shapes = len(kernel._SHAPES)
     second = plan(S2, T1, b)
+    assert second.steps == ((S2, 0, 0, True),)
     assert len(kernel._SHAPES) == shapes
     assert first is not second and first is plan(R2, P1, a)
-    assert first.run.__code__.co_code == second.run.__code__.co_code
-    sources = [linecache.getlines(p.run.__code__.co_filename) for p in (first, second)]
-    assert sources[0] == sources[1] and "k1" in "".join(sources[0])
+    # Both bind the one code object compiled for their text, renamed to
+    # their own file names, and register its one list of lines.
+    lines = [linecache.cache[p.run.__code__.co_filename][2] for p in (first, second)]
+    code, shared = kernel._SHAPES["".join(lines[0])]
+    assert lines[0] is lines[1] is shared and "k1" in "".join(shared)
+    assert first.run.__code__ == second.run.__code__ == code
+    assert first.run.__code__.co_filename != second.run.__code__.co_filename
+    assert first.run.__defaults__ == (R2, a.id, "f") and second.run.__defaults__ == (S2, b.id, "f")
     out = []
     second.run(((d.id,),), Instance([Atom(S2, (d, b)), Atom(S2, (d, a))]), out, {}, {})
     assert out == [(f(d).id,)]
+
+
+def test_binding_kernels_interns_no_placeholder_names():
+    # A kernel takes its plan's own objects as arguments, so binding one
+    # enters no stand-in predicate, constant or variable in the tables.
+    plans = [
+        JoinPlan((Atom(R2, (x, f(y))), Atom(P1, (y,))), entry=Atom(P1, (x,)), emit=(Atom(R2, (g(x), a)),)),
+        JoinPlan((Atom(R2, (x, b)), Atom(R2, (b, y))), entry=Atom(R2, (y, x)), old=1),
+    ]
+    for plan in plans:
+        plan.run, plan.steps
+    names = (
+        [name for name in Constant._table]
+        + [name for name, _ in Predicate._table]
+        + [name for (name,) in Variable._table]
+    )
+    assert not [name for name in names if name.startswith("\0")]
 
 
 def test_a_plan_too_deep_for_one_function_continues_in_another():
