@@ -1028,9 +1028,10 @@ class JoinPlan:
 
     Plans whose kernels have the same source text (`_SHAPES`) share its
     code; each binds its own predicates, ground term ids and function
-    symbols as the kernel's trailing arguments.  The kernel's source is registered with `linecache`
-    under a file name that holds the conjunction, so tracebacks and
-    profiles show the line and the rule it joins."""
+    symbols as the kernel's trailing arguments.  The kernel's source is
+    registered with `linecache` under a file name that holds the
+    conjunction, so tracebacks and profiles show the line and the rule it
+    joins."""
 
     __slots__ = ("key", "run", "steps")
     _table: "dict[tuple, JoinPlan]" = {}
