@@ -8,7 +8,6 @@ from .driver import (
     RunReport,
     dump_stage,
     emit_report,
-    format_stats,
     run_pipeline,
 )
 from .engine import (
@@ -48,10 +47,8 @@ from .frontend import (
     serialize_program,
 )
 from .kernel import (
-    EQUALITY,
     Atom,
     Constant,
-    FunPredicate,
     Functional,
     Instance,
     MagicPredicate,
@@ -61,7 +58,6 @@ from .kernel import (
     TGD,
     Variable,
     eq,
-    substitute,
 )
 from .magicsets import NoAdmissibleOrdering, adorn, magic, reorder
 from .pruning import (
@@ -71,4 +67,17 @@ from .pruning import (
     relevance,
 )
 
-__all__ = [n for n in dir() if not n.startswith("_")]
+__all__ = [
+    "PipelineConfig", "PipelineError", "RunReport", "dump_stage", "emit_report", "run_pipeline",
+    "BodyContractViolation", "ChaseResult", "ChaseStats", "DepthLimitExceeded",
+    "FactLimitExceeded", "Limits", "chase", "constant_answers", "extract_answers",
+    "naive_fixpoint", "check_eq_safety", "congruence_axioms", "reflexivity_axioms",
+    "singularize", "skolemize", "sym_trans", "NonVariableEqualityBody", "defunctionalize",
+    "desingularize", "ArityMismatch", "FrontendError", "MalformedRule", "Scenario",
+    "SortMismatch", "UnboundFrontierVariable", "UnknownPredicate", "load_scenario",
+    "parse_instance", "parse_program", "parse_rules", "parse_schema", "serialize_program",
+    "Atom", "Constant", "Functional", "Instance", "MagicPredicate", "Predicate", "Program",
+    "Rule", "TGD", "Variable", "eq", "NoAdmissibleOrdering", "adorn", "magic", "reorder",
+    "AbstractionFixpointDiverged", "abstract_functions_to_constants", "critical_instance",
+    "relevance",
+]

@@ -3,9 +3,9 @@
 `chase` runs the representative-based chase for programs whose bodies are
 function-, constant- and equality-free (what the pipeline produces): equality
 heads merge union-find classes and facts holding a losing term at an argument
-position are rewritten in place.  A class forms with the term-order minimum
-as its representative.  A merge can leave a representative mentioning the
-loser below a function symbol; the class then passes to its least member
+position are rewritten in place.  `UnionFind.union` alone picks each class's
+representative, the term-order minimum; a merge that leaves one mentioning
+the loser below a function symbol hands the class on to its least member
 that mentions no merged-away term, and the facts holding the old
 representative are rewritten to it.  Only when no such member exists are
 those facts dropped, to be re-derived in normalized form.  Such stale terms
@@ -161,14 +161,13 @@ def _intake(base: "Instance | Iterable[Atom]", limits: Limits) -> Instance:
 
 
 class UnionFind:
-    """Union-find over ground term ids.  A union makes the term-order
-    lesser root (`KEY`) the representative; `reroot` hands a class to
-    another member.  `members` maps each root of a class with more than one
-    term to the class's other terms, those it has merged away."""
+    """Union-find over ground term ids, the only place that picks a class's
+    representative (`union`).  `roots` holds the roots of the classes with
+    more than one term."""
 
     def __init__(self):
         self.parent: dict[int, int] = {}
-        self.members: dict[int, list[int]] = {}
+        self.roots: set[int] = set()
 
     def find(self, t: int) -> int:
         parent = self.parent
@@ -181,32 +180,44 @@ class UnionFind:
             t = nxt
         return root
 
+    def stale(self, term: int) -> bool:
+        """Whether `term` mentions a merged-away term below a function symbol."""
+        parent = self.parent
+        nested = list(arg_ids(term))
+        for t in nested:
+            if t in parent:
+                return True
+            nested += arg_ids(t)
+        return False
+
     def union(self, s: int, t: int) -> "tuple[int, int]":
         """Merge the classes of s and t, which the caller has found to
-        differ; returns the (representative, loser) roots."""
+        differ, under the term-order lesser root (`KEY`); returns the
+        (representative, loser) roots.  Each class whose root now holds the
+        loser below a function symbol (`stale`) goes to its least member that
+        is not: a scan of `parent`, which only this rare path makes, finds
+        them all before any `reroot`."""
         rs, rt = self.find(s), self.find(t)
-        if KEY[rs] <= KEY[rt]:
-            rep, loser = rs, rt
-        else:
-            rep, loser = rt, rs
+        rep, loser = (rs, rt) if KEY[rs] <= KEY[rt] else (rt, rs)
         self.parent[loser] = rep
-        members = self.members
-        kept, lost = members.pop(rep, []), members.pop(loser, [])
-        if len(kept) < len(lost):
-            kept, lost = lost, kept
-        kept.extend(lost)
-        kept.append(loser)
-        members[rep] = kept
+        self.roots.discard(loser)
+        self.roots.add(rep)
+        stale = self.roots & ancestors(loser)
+        if stale:
+            live: dict[int, list[int]] = {}
+            for m in list(self.parent):
+                if (root := self.find(m)) in stale and not self.stale(m):
+                    live.setdefault(root, []).append(m)
+            for root, members in live.items():
+                self.reroot(root, min(members, key=KEY.__getitem__))
         return rep, loser
 
     def reroot(self, root: int, member: int):
         """Make `member` the representative of the class `root` heads."""
         del self.parent[member]
         self.parent[root] = member
-        members = self.members.pop(root)
-        members.remove(member)
-        members.append(root)
-        self.members[member] = members
+        self.roots.remove(root)
+        self.roots.add(member)
 
     def as_map(self) -> "dict[int, int]":
         return {t: self.find(t) for t in list(self.parent)}
@@ -299,7 +310,7 @@ class _ChaseState(_Store):
         # (see `ChaseResult`).
         self.derived: list[tuple] = []
         self.runs: list[tuple] = []
-        self.merges = self.applications = 0
+        self.applications = 0
 
     def fire(self, pred: PredicateId, matches: "list[tuple]"):
         """Apply a rule's batch of matches, heads of `pred`.  A relational
@@ -324,16 +335,6 @@ class _ChaseState(_Store):
             self.derived.extend(new)
             self.runs.append((pred, len(new)))
 
-    def is_stale(self, term: int) -> bool:
-        """Whether `term` mentions a merged-away term below a function symbol."""
-        parent = self.uf.parent
-        nested = list(arg_ids(term))
-        for t in nested:
-            if t in parent:
-                return True
-            nested += arg_ids(t)
-        return False
-
     def equate(self, heads: "list[tuple]") -> None:
         """Apply a batch of equality heads: merge first, then rewrite.  Each
         head in turn has its sides normalized and their classes merged;
@@ -353,18 +354,15 @@ class _ChaseState(_Store):
         for s, t in heads:
             if parent:
                 s, t = find(s), find(t)
-            if merged and (self.is_stale(s) or self.is_stale(t)):
+            if merged and (uf.stale(s) or uf.stale(t)):
                 continue
             self.applications += 1
             if s == t:
                 continue
-            loser = uf.union(s, t)[1]
+            losers.append(uf.union(s, t)[1])
             merged.append((s, t))
-            losers.append(loser)
-            self._rehome(loser)
         if not merged:
             return
-        self.merges += len(merged)
         self.derive(EQUALITY, merged)
         instance, delta, entries = self.instance, self.delta, self.entries
         rewritten: dict[PredicateId, list[tuple]] = {}
@@ -373,25 +371,10 @@ class _ChaseState(_Store):
             delta.get(pred, {}).pop(row, None)
             entries.get(pred, {}).pop(row, None)
             row = tuple([find(a) for a in row])
-            if not any(map(self.is_stale, row)):
+            if not any(map(uf.stale, row)):
                 rewritten.setdefault(pred, []).append(row)
         for pred, rows in rewritten.items():
             self.enter(pred, instance.add_all(pred, rows))
-
-    def _rehome(self, loser: int) -> None:
-        """Hand each class whose representative holds `loser` below a
-        function symbol, which merging `loser` made stale, to its least
-        member that mentions no merged-away term.  Every choice is made
-        before any class changes hands, so none depends on the order the
-        classes are visited in."""
-        members = self.uf.members
-        chosen: dict[int, int] = {}
-        for root in members.keys() & ancestors(loser):
-            live = [m for m in members[root] if not self.is_stale(m)]
-            if live:
-                chosen[root] = min(live, key=KEY.__getitem__)
-        for root, member in chosen.items():
-            self.uf.reroot(root, member)
 
 
 def _components(rule: Rule) -> "list[tuple[Atom, ...]]":
@@ -628,21 +611,17 @@ def chase(
     rng = random.Random(seed) if seed is not None else None
     rounds = _saturate(rules, state, rng)
 
-    mu = {TERMS[t]: TERMS[rep] for t, rep in state.uf.as_map().items() if not state.is_stale(t)}
+    mu = {TERMS[t]: TERMS[rep] for t, rep in state.uf.as_map().items() if not state.uf.stale(t)}
     classes: dict[Term, set[Term]] = {}
     for t, rep in mu.items():
         classes.setdefault(rep, {rep}).add(t)
-    stats = ChaseStats(
-        derived_facts=len(state.derived),
-        merges=state.merges,
-        rule_applications=state.applications,
-        iterations=rounds,
-    )
     return ChaseResult(
         instance=state.instance,
         mu=mu,
         classes={rep: frozenset(members) for rep, members in classes.items()},
-        stats=stats,
+        # A union adds one term to `parent`; handing a class on adds none.
+        stats=ChaseStats(derived_facts=len(state.derived), merges=len(state.uf.parent),
+                         rule_applications=state.applications, iterations=rounds),
         _derived=(state.derived, state.runs),
     )
 

@@ -842,9 +842,6 @@ class _KernelSource:
     def line(self, text: str):
         self.lines.append("    " * self.depth + text)
 
-    def fail(self) -> str:
-        return "continue" if self.loops else "return"
-
     def loop(self, target: str, iterable: str):
         self.line("for %s in %s:" % (target, iterable))
         self.depth += 1
@@ -878,15 +875,15 @@ class _KernelSource:
         while self.checks:
             t, u = self.checks.pop(0)
             if isinstance(t, Variable):
-                self.line("if %s != %s: %s" % (u, self.var(t), self.fail()))
+                self.line("if %s != %s: continue" % (u, self.var(t)))
             elif t.id is not None:
-                self.line("if %s != %s: %s" % (u, self.arg(t.id), self.fail()))
+                self.line("if %s != %s: continue" % (u, self.arg(t.id)))
             else:
                 s = self.temp()
                 self.line("%s = struct[%s]" % (s, u))
                 self.line(
-                    "if len(%s) != %d or %s[0] != %s: %s"
-                    % (s, len(t.args) + 1, s, self.arg(t.symbol), self.fail())
+                    "if len(%s) != %d or %s[0] != %s: continue"
+                    % (s, len(t.args) + 1, s, self.arg(t.symbol))
                 )
                 targets = self.unpack(t.args)
                 if targets is not None:
@@ -920,7 +917,7 @@ class _KernelSource:
             self.held.setdefault(atom, "f%d" % n)
         if full:
             self.line("f%d = %s" % (n, _tuple(map(self.build, atom.args))))
-            self.line("if f%d not in s%d or %s: %s" % (n, n, off, self.fail()))
+            self.line("if f%d not in s%d or %s: continue" % (n, n, off))
             return
         if key_pos < 0:
             self.loop("f%d" % n, "s%d" % n)

@@ -14,7 +14,6 @@ from chasegoal.driver import MODES, PipelineConfig, run_pipeline
 from chasegoal.engine import (
     ChaseError,
     Limits,
-    UnionFind,
     chase,
     constant_answers,
     naive_fixpoint,
@@ -135,17 +134,22 @@ def enumerate_matches(body, instance: Instance, bindings=None):
 
 def null_chase_answers(rules, base, query, max_rounds=200):
     inst = Instance(base)
-    uf = UnionFind()
+    # A union-find of its own over term objects, so that this oracle shares
+    # no merge code with the engine: the root is the representative, and
+    # the first side of a merge keeps it.  Nulls are constants, so no
+    # class ever has to be handed on.
+    parent = {}
     fresh = itertools.count(1)
 
     def find(t):
-        return TERMS[uf.find(t.id)]
+        while t in parent:
+            t = parent[t]
+        return t
 
-    def merge(s, t):
-        # nulls are constants, so a fact holds the loser only as an
-        # argument; a scan finds them, so that this oracle shares no
-        # lookup with the engine
-        rep, loser = (TERMS[i] for i in uf.union(s.id, t.id))
+    def merge(rep, loser):
+        # a fact holds the loser only as an argument; a scan finds them, so
+        # that this oracle shares no lookup with the engine
+        parent[loser] = rep
         for fact in [fact for fact in inst if loser in fact.args]:
             inst.discard(fact)
             inst.add(Atom(fact.predicate, tuple(rep if a == loser else a for a in fact.args)))
@@ -183,8 +187,8 @@ def null_chase_answers(rules, base, query, max_rounds=200):
         raise RuntimeError("null chase did not settle in %d rounds" % max_rounds)
 
     classes = {}
-    for t, rep in uf.as_map().items():
-        classes.setdefault(TERMS[rep], {TERMS[rep]}).add(TERMS[t])
+    for t in parent:
+        classes.setdefault(find(t), {find(t)}).add(t)
     answers = set()
     for fact in inst.with_predicate(query):
         options = []
