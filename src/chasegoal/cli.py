@@ -7,7 +7,8 @@ import time
 
 import click
 
-from .driver import MODES, STAGES, PipelineConfig, PipelineError, dump_stage, emit_report, run_pipeline
+from .driver import (MODE_STAGES, MODES, STAGES, PipelineConfig, PipelineError, dump_stage, emit_report,
+                     run_pipeline)
 from .engine import DepthLimitExceeded, FactLimitExceeded, Limits
 from .frontend import FrontendError, load_scenario
 from .pruning import AbstractionFixpointDiverged
@@ -63,6 +64,9 @@ def run(rules_path, data_dir, schema_path, query_pred, mode, una, max_depth, max
         if value < 0:
             click.echo("error: %s must be 0 or more, not %d" % (option, value), err=True)
             sys.exit(1)
+    if dump is not None and dump not in MODE_STAGES[mode]:
+        click.echo("error: stage %s was not computed in mode %s" % (dump, mode), err=True)
+        sys.exit(1)
     t0 = time.perf_counter()
     try:
         scenario = load_scenario(rules_path, data_dir, query_pred, schema_path, una_known=una)
@@ -85,11 +89,7 @@ def run(rules_path, data_dir, schema_path, query_pred, mode, una, max_depth, max
         click.echo("error: cannot write the reports: %s" % err, err=True)
         sys.exit(1)
     if dump is not None:
-        try:
-            click.echo(dump_stage(report, dump), nl=False)
-        except KeyError as err:
-            click.echo("error: %s" % err.args[0], err=True)
-            sys.exit(1)
+        click.echo(dump_stage(report, dump), nl=False)
     click.echo(
         "%d answer(s), %d fact(s) derived, reports in %s"
         % (len(report.answers), report.chase_stats.derived_facts, out_dir)

@@ -19,11 +19,15 @@ from .kernel import Program
 from .magicsets import magic
 from .pruning import FIXPOINT_LIMITS, AbstractionFixpointDiverged, relevance
 
-MODES = ("mat", "rel", "magic", "all")
-
-# Stages in execution order; "mat" skips rel and magic, "rel" skips magic,
-# "magic" skips rel.
-STAGES = ("sg", "sk", "rel", "magic", "defun", "desg")
+# The stages each mode runs, in execution order.
+MODE_STAGES = {
+    "mat": ("sg", "sk", "defun", "desg"),
+    "rel": ("sg", "sk", "rel", "defun", "desg"),
+    "magic": ("sg", "sk", "magic", "defun", "desg"),
+    "all": ("sg", "sk", "rel", "magic", "defun", "desg"),
+}
+MODES = tuple(MODE_STAGES)
+STAGES = MODE_STAGES["all"]
 # The program must still be equality-safe after these.
 _EQ_SAFE = ("sg", "sk", "rel", "magic")
 
@@ -86,7 +90,7 @@ def run_pipeline(scenario: Scenario, cfg: PipelineConfig = PipelineConfig()) -> 
     sg = stage("sg", singularize, scenario.rules, scenario.query)
     program = stage("sk", skolemize, sg, scenario.query)
     retried = False
-    if cfg.mode in ("rel", "all"):
+    if "rel" in MODE_STAGES[cfg.mode]:
         rel = partial(relevance, program, scenario.instance, una_known=una, typed=typed,
                       schema=scenario.schema, fixpoint_limits=cfg.relevance_limits)
         t0 = time.perf_counter()
@@ -100,7 +104,7 @@ def run_pipeline(scenario: Scenario, cfg: PipelineConfig = PipelineConfig()) -> 
             retried = True
             program = stage("rel", rel, abstract_functions=True)
             timings["rel"] = time.perf_counter() - t0
-    if cfg.mode in ("magic", "all"):
+    if "magic" in MODE_STAGES[cfg.mode]:
         program = stage("magic", magic, program)
     program = stage("defun", defunctionalize, program)
     program = stage("desg", desingularize, program)

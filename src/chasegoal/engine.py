@@ -15,9 +15,9 @@ programs with explicit equality atoms and serves as the reference semantics.
 The engine works on rows of term ids from end to end (see `kernel`): the
 kernels unpack rows and build heads as rows, a delta maps each predicate to
 its rows, and the union-find, the staleness test and the guards read a
-term's depth, place in the term order and arguments from the term table by
-id.  Term objects and atoms come back only in the results: `ChaseResult`'s
-term map, classes and derived facts, and the answers.
+term's depth, place in the term order (`precedes`) and arguments from the
+term table by id.  Term objects and atoms come back only in the results:
+`ChaseResult`'s term map, classes and derived facts, and the answers.
 
 Both start from the base they are given: an `Instance` base is copied in
 O(predicates), sharing its per-predicate relations copy-on-write, so a
@@ -69,7 +69,6 @@ from typing import Iterable, Optional
 
 from .kernel import (
     DEPTH,
-    KEY,
     TERMS,
     Atom,
     EQUALITY,
@@ -92,6 +91,7 @@ from .kernel import (
     containing,
     deepest,
     is_ground,
+    precedes,
     row_of,
     vars_of,
 )
@@ -192,24 +192,25 @@ class UnionFind:
 
     def union(self, s: int, t: int) -> "tuple[int, int]":
         """Merge the classes of s and t, which the caller has found to
-        differ, under the term-order lesser root (`KEY`); returns the
+        differ, under the term-order lesser root (`precedes`); returns the
         (representative, loser) roots.  Each class whose root now holds the
         loser below a function symbol (`stale`) goes to its least member that
         is not: a scan of `parent`, which only this rare path makes, finds
         them all before any `reroot`."""
         rs, rt = self.find(s), self.find(t)
-        rep, loser = (rs, rt) if KEY[rs] <= KEY[rt] else (rt, rs)
+        rep, loser = (rs, rt) if precedes(rs, rt) else (rt, rs)
         self.parent[loser] = rep
         self.roots.discard(loser)
         self.roots.add(rep)
         stale = self.roots & ancestors(loser)
         if stale:
-            live: dict[int, list[int]] = {}
+            least: dict[int, int] = {}
             for m in list(self.parent):
                 if (root := self.find(m)) in stale and not self.stale(m):
-                    live.setdefault(root, []).append(m)
-            for root, members in live.items():
-                self.reroot(root, min(members, key=KEY.__getitem__))
+                    if root not in least or precedes(m, least[root]):
+                        least[root] = m
+            for root, member in least.items():
+                self.reroot(root, member)
         return rep, loser
 
     def reroot(self, root: int, member: int):

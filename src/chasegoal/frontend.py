@@ -493,49 +493,20 @@ def constant_sorts(atoms: Iterable[Atom], schema) -> "dict[Constant, dict[str, A
 # Serialization
 # ---------------------------------------------------------------------------
 
-_BARE_RE = re.compile(r"[A-Za-z0-9_]+")
-
-
-def _render_term(t: Term) -> str:
-    if isinstance(t, Variable):
-        return "?" + t.name
-    if isinstance(t, Constant):
-        if _BARE_RE.fullmatch(t.name):
-            return t.name
-        return "'%s'" % t.name.replace("'", "''")
-    return "%s(%s)" % (t.symbol, ",".join(_render_term(a) for a in t.args))
-
-
-def render_atom(a: Atom) -> str:
-    if a.is_equality:
-        return "%s = %s" % (_render_term(a.args[0]), _render_term(a.args[1]))
-    if not a.args:
-        return pred_label(a.predicate)
-    return "%s(%s)" % (pred_label(a.predicate), ",".join(map(_render_term, a.args)))
-
-
-def render_rule(r) -> str:
-    """A rule as `head :- body.`, an existential rule as `body -> head`."""
-    if isinstance(r, Rule):
-        if not r.body:
-            return render_atom(r.head) + "."
-        return "%s :- %s." % (render_atom(r.head), ", ".join(map(render_atom, r.body)))
-    return "%s -> %s" % (", ".join(map(render_atom, r.body)), ", ".join(map(render_atom, r.head)))
-
 
 def serialize_program(p) -> str:
     """Deterministic text form of a Program, a rule list or an existential
     rule list: sorted by head predicate label (`=` for an existential
-    rule with an equality head), then full rule text."""
+    rule with an equality head), then the rule's text, its `repr`."""
     rules = p.rules if isinstance(p, Program) else tuple(p)
 
     def key(r):
         if isinstance(r, Rule):
-            return (pred_label(r.head.predicate), render_rule(r))
+            return (pred_label(r.head.predicate), repr(r))
         head = r.head[0]
-        return ("=" if head.is_equality else pred_label(head.predicate), render_rule(r))
+        return ("=" if head.is_equality else pred_label(head.predicate), repr(r))
 
-    return "\n".join(render_rule(r) for r in sorted(rules, key=key)) + "\n"
+    return "\n".join(text for _, text in sorted(map(key, rules))) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -592,8 +563,8 @@ def check_query_predicate(rules: "Iterable[TGD]", query: Predicate):
                 )
             if not all(isinstance(t, Variable) for t in a.args):
                 raise MalformedRule(
-                    "query predicate %s has a constant argument in rule %s"
-                    % (query.name, render_rule(r)) + _QUERY_WORKAROUND % query.name
+                    "query predicate %s has a constant argument in rule %r"
+                    % (query.name, r) + _QUERY_WORKAROUND % query.name
                 )
 
 
@@ -623,8 +594,8 @@ def check_scenario(sc: Scenario):
         if len(sorts) > 1:
             (s1, a1), (s2, a2) = sorted(sorts.items())[:2]
             raise SortMismatch(
-                "constant %s has sort %s at %s and sort %s at %s"
-                % (c.name, s1, render_atom(a1), s2, render_atom(a2))
+                "constant %s has sort %s at %r and sort %s at %r"
+                % (c.name, s1, a1, s2, a2)
             )
 
 

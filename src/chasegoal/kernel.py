@@ -4,15 +4,16 @@ and the join plans that match rule bodies against the stores.
 Terms and predicates are hash-consed: a constructor returns the one object
 per value, so two equal terms are the same object and compare and hash by
 identity.  Every ground term also has an int id from one process-wide term
-table, and lists indexed by id hold each term's object, depth, place in the
-term order and, for a function term, symbol and argument ids.  A stored
-fact is a row: the exact tuple of its arguments' ids.  An instance keeps one
-relation per predicate, a set of rows indexed by id, so the predicate is
-only the relation's key, and a fact is one tuple of ints, which the cyclic
-garbage collector stops tracking at its first collection.  The engine works
-on rows from end to end; atoms, tuples (predicate, args) of term objects,
-come back only at the boundary: rules, building and reading an instance,
-and the results.
+table, and lists indexed by id hold each term's object, depth and, for a
+function term, symbol and argument ids; the term order is computed from
+them (`precedes`).  A stored fact is a row: the exact tuple of its
+arguments' ids.  An instance keeps one relation per predicate, a set of
+rows indexed by id, so the predicate is only the relation's key, and a
+fact is one tuple of ints, which the cyclic garbage collector stops
+tracking at its first collection.  The engine works on rows from end to
+end; atoms, tuples (predicate, args) of term objects, come back only at
+the boundary: rules, building and reading an instance, and the results.
+A term's, atom's or rule's `repr` is the text the front end reads back.
 
 A join plan is compiled into a kernel: a generated Python function whose
 nested `for` loops walk the index candidates of each body atom, unpack
@@ -30,6 +31,7 @@ from __future__ import annotations
 
 import itertools
 import linecache
+import re
 from dataclasses import dataclass
 from operator import itemgetter
 from types import CodeType, FunctionType
@@ -104,19 +106,15 @@ def _build(cls, table: dict, value, **attrs):
 # are built, for the life of the process.  A ground term keeps its id
 # (`id`; None for a term with a variable), and the lists below, indexed by
 # id, hold each ground term's object, depth (0 for a constant, one more than
-# its deepest argument for a function term), key and, for a function term,
-# its symbol and argument ids, so the engine reads them without touching the
-# object; the table is the only place a term's depth and key are kept.  The
-# key is the term's place in the total order on ground terms: shallower
-# terms first, then names (and argument keys, recursively).  Depth 0 holds
-# exactly the constants, so class representatives picked by this order are
-# constants when one is available.  A constant is found by its name in
-# `_CONSTANTS`, a ground function term by its symbol and argument ids in
-# `_FUNCTIONS`, whose key is the term's `STRUCT` entry; a lookup that misses
-# builds the term.
+# its deepest argument for a function term) and, for a function term, its
+# symbol and argument ids, so the engine reads them without touching the
+# object; the table is the only place a term's depth is kept.  The term
+# order (`precedes`) is computed from these lists.  A constant is found by
+# its name in `_CONSTANTS`, a ground function term by its symbol and
+# argument ids in `_FUNCTIONS`, whose key is the term's `STRUCT` entry; a
+# lookup that misses builds the term.
 TERMS: "list[Term]" = []
 DEPTH: "list[int]" = []
-KEY: "list[tuple]" = []
 # (symbol, argument id, ...) of a function term, () of a constant.
 STRUCT: "list[tuple]" = []
 # The inverse of `STRUCT`: each term id -> the ids of the function terms
@@ -136,18 +134,34 @@ def deepest() -> int:
     return _deepest
 
 
-def _enter(term, depth: int, key: tuple, struct: tuple) -> int:
+def _enter(term, depth: int, struct: tuple) -> int:
     """Give a new ground term the next id and record it in the lists."""
     global _deepest
     tid = len(TERMS)
     object.__setattr__(term, "id", tid)
     TERMS.append(term)
     DEPTH.append(depth)
-    KEY.append(key)
     STRUCT.append(struct)
     if depth > _deepest:
         _deepest = depth
     return tid
+
+
+def precedes(s: int, t: int) -> bool:
+    """Whether the ground term with id `s` comes before the one with id `t`
+    in the term order: by depth, then by name or symbol, then at the first
+    arguments that differ, then by arity.  Constants come first, so a class
+    with a constant has a constant representative.  Equal subterms share one
+    id, so each level descends into one pair of arguments: O(depth)."""
+    while DEPTH[s] == DEPTH[t]:
+        xs, xt = STRUCT[s] or (TERMS[s].name,), STRUCT[t] or (TERMS[t].name,)
+        if xs[0] != xt[0]:
+            return xs[0] < xt[0]
+        pair = next(((u, v) for u, v in zip(xs[1:], xt[1:]) if u != v), None)
+        if pair is None:
+            return len(xs) < len(xt)
+        s, t = pair
+    return DEPTH[s] < DEPTH[t]
 
 
 def ancestors(*terms: int) -> set:
@@ -183,7 +197,7 @@ class _ConstantTable(dict):
     def __missing__(self, name: str) -> "Constant":
         c = object.__new__(Constant)
         object.__setattr__(c, "name", name)
-        _enter(c, 0, (0, name, ()), ())
+        _enter(c, 0, ())
         self[name] = c
         return c
 
@@ -201,8 +215,7 @@ class _FunctionTable(dict):
         t = object.__new__(Functional)
         object.__setattr__(t, "symbol", symbol)
         object.__setattr__(t, "args", tuple([TERMS[i] for i in ids]))
-        depth = 1 + max([DEPTH[i] for i in ids], default=0)
-        tid = self[struct] = _enter(t, depth, (depth, symbol, tuple([KEY[i] for i in ids])), struct)
+        tid = self[struct] = _enter(t, 1 + max([DEPTH[i] for i in ids], default=0), struct)
         return tid
 
 
@@ -231,12 +244,16 @@ class Constant(_Interned):
     __slots__ = ("name", "id")
     _fields = ("name",)
     _table: "dict[str, Constant]" = _CONSTANTS
+    # The names `repr` leaves unquoted; the front end reads back both forms.
+    _bare = re.compile(r"[A-Za-z0-9_]+")
 
     def __new__(cls, name: str):
         return _CONSTANTS[name]
 
     def __repr__(self) -> str:
-        return self.name
+        if self._bare.fullmatch(self.name):
+            return self.name
+        return "'%s'" % self.name.replace("'", "''")
 
 
 class Functional(_Interned):
@@ -372,6 +389,8 @@ class Atom(tuple):
     def __repr__(self) -> str:
         if self[0] is EQUALITY:
             return "%r = %r" % self[1]
+        if not self[1]:
+            return pred_label(self[0])
         return "%s(%s)" % (pred_label(self[0]), ",".join(map(repr, self[1])))
 
 
@@ -430,6 +449,9 @@ class TGD:
 
     body: "tuple[Atom, ...]"
     head: "tuple[Atom, ...]"
+
+    def __repr__(self) -> str:
+        return "%s -> %s" % (", ".join(map(repr, self.body)), ", ".join(map(repr, self.head)))
 
     @property
     def existential_vars(self) -> "frozenset[Variable]":

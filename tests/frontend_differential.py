@@ -4,9 +4,9 @@
 
 Runs each round-trip property of `tests/test_frontend.py` on 1000 draws from
 each of the seeds 1 and 2, 2000 draws per grammar: rule files through
-`render_rule` and `parse_rules`, program dumps through `serialize_program`
-and `parse_program`, and CSV tables through `csv.writer` and
-`parse_instance`.  Tier-1 runs the same properties on its default example
+`repr` and `parse_rules`, terms, atoms and rules through `repr` and the
+parsers, program dumps through `serialize_program` and `parse_program`,
+and CSV tables through `csv.writer` and `parse_instance`.  Tier-1 runs the same properties on its default example
 count.  Exits 1 at the first property that fails."""
 
 import sys
@@ -20,6 +20,7 @@ import test_frontend  # noqa: E402
 
 PROPERTIES = (
     test_frontend.test_rules_round_trip_through_render,
+    test_frontend.test_repr_reads_back_to_an_equal_value,
     test_frontend.test_programs_round_trip_through_serialize,
     test_frontend.test_csv_tables_round_trip_through_parse_instance,
 )

@@ -24,7 +24,7 @@ from chasegoal.eqprep import (
     skolemize,
     sym_trans,
 )
-from chasegoal.frontend import Scenario, parse_rules, render_rule
+from chasegoal.frontend import Scenario, parse_rules
 from chasegoal.kernel import (
     TERMS,
     TGD,
@@ -58,8 +58,8 @@ def canon_rule(r) -> str:
             ren[v] = Variable("v%d" % (len(ren) + 1))
     body = tuple(substitute(ren, a) for a in r.body)
     if isinstance(r, Rule):
-        return render_rule(Rule(substitute(ren, r.head), body))
-    return render_rule(TGD(body, tuple(substitute(ren, a) for a in r.head)))
+        return repr(Rule(substitute(ren, r.head), body))
+    return repr(TGD(body, tuple(substitute(ren, a) for a in r.head)))
 
 
 def canon_rules(rules) -> "list[str]":

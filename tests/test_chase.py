@@ -101,8 +101,8 @@ def test_single_egd_merges_to_smaller_representative():
 
 
 TRACE = [
-    "m_Q#f()",
-    "m_A#f()",
+    "m_Q#f",
+    "m_A#f",
     "A(sk_3_y(a1))",
     "fun_sk_3_y(a1,sk_3_y(a1))",
     "m_eq#eqb(sk_3_y(a1))",

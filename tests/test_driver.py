@@ -5,6 +5,7 @@ import importlib
 import json
 import re
 import time
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -27,7 +28,8 @@ from chasegoal import (
 )
 from chasegoal import driver
 from chasegoal.cli import main
-from chasegoal.kernel import Atom, Constant, Instance, Predicate
+from chasegoal.driver import MODE_STAGES, MODES
+from chasegoal.kernel import Atom, Constant, Instance, Predicate, Program
 from chasegoal.pruning import relevance
 
 from helpers import Q1, campus_fixture, running_example
@@ -102,6 +104,16 @@ def test_dumps_with_nullary_magic_predicates_and_skolem_terms_round_trip():
     for d in dumps:
         assert serialize_program(parse_program(d)) == d
     assert any("m_A# " in d for d in dumps) and any("_y()" in d for d in dumps)
+
+
+def test_each_mode_dumps_its_stages_one_rule_repr_a_line():
+    sc = running_example(3)
+    for mode in MODES:
+        rep = run_pipeline(sc, PipelineConfig(mode=mode))
+        assert tuple(rep.stages) == MODE_STAGES[mode]
+        for name, rules in rep.stages.items():
+            rules = rules.rules if isinstance(rules, Program) else rules
+            assert Counter(dump_stage(rep, name).splitlines()) == Counter(map(repr, rules))
 
 
 def test_dumped_final_program_chases_like_the_run():
@@ -550,6 +562,8 @@ def test_cli_dump_of_a_skipped_stage_exits_one(tmp_path):
     )
     assert result.exit_code == 1, result.output
     assert "error: stage rel was not computed in mode mat" in result.output
+    # Rejected before the run: no report is written.
+    assert not (tmp_path / "out").exists()
 
 
 def test_cli_rejects_base_facts_of_the_query_predicate_in_every_mode(tmp_path):

@@ -29,10 +29,9 @@ from chasegoal import (
     run_pipeline,
     serialize_program,
 )
-from chasegoal.frontend import _CHUNK, check_query_predicate, render_rule, rules_signature
+from chasegoal.frontend import _CHUNK, check_query_predicate, rules_signature
 from chasegoal.kernel import (
     EQUALITY,
-    KEY,
     TGD,
     Atom,
     Constant,
@@ -45,6 +44,7 @@ from chasegoal.kernel import (
     Rule,
     Variable,
     eq,
+    precedes,
     vars_of,
 )
 
@@ -78,14 +78,14 @@ def test_egd_constant_side_allowed():
 
 def test_existential_rules_render_and_reparse():
     rules = parse_rules(RUNNING_RULES)
-    text = "\n".join(render_rule(r) for r in rules)
+    text = "\n".join(map(repr, rules))
     again = parse_rules(text)
     assert again == rules
 
 
 def test_quoted_constants_round_trip():
     (r,) = parse_rules("P(?x), R(?x,'two words') -> Q('it''s')")
-    text = render_rule(r)
+    text = repr(r)
     assert parse_rules(text) == [r]
 
 
@@ -375,7 +375,12 @@ def test_constant_interned_on_first_lookup_keeps_identity():
     while name in Constant._table:
         name += "'"
     c = Constant._table[name]
-    assert Constant(name) is c and (c.name, KEY[c.id]) == (name, (0, name, ()))
+    assert Constant(name) is c and c.name == name
+    # A constant of its own: it precedes every function term, and among
+    # the constants its name places it.
+    assert precedes(c.id, Functional("f", (Constant("a"),)).id)
+    assert precedes(Constant("a").id, c.id) and not precedes(c.id, Constant("a").id)
+    assert precedes(c.id, Constant("z").id) and not precedes(Constant("z").id, c.id)
     assert copy.copy(c) is c and copy.deepcopy(c) is c
     assert pickle.loads(pickle.dumps(c)) is c
     # Unpickled in a table that lacks the name, it is built there, once.
@@ -459,7 +464,7 @@ def commented(draw, lines) -> str:
 @st.composite
 def rule_files(draw):
     rules = [draw(input_rules) for _ in range(draw(st.integers(1, 4)))]
-    return rules, commented(draw, map(render_rule, rules))
+    return rules, commented(draw, map(repr, rules))
 
 
 @given(rule_files())
@@ -517,6 +522,18 @@ def program_files(draw):
     ]
     program = Program(tuple(rules))
     return program, commented(draw, serialize_program(program).splitlines())
+
+
+@given(dump_terms, dump_atoms, st.lists(dump_atoms, max_size=3), input_rules)
+def test_repr_reads_back_to_an_equal_value(term, head, body, tgd):
+    # The text of a term, an atom and a rule is what the parsers read: a
+    # term as the argument of a fact, an atom as a fact, a rule as a line of
+    # a dump and an existential rule as a line of a rule file.
+    fact = Atom(Predicate("P1", 1), (term,))
+    assert repr(fact) == "P1(%r)" % (term,)
+    for rule in (Rule(fact, ()), Rule(head, ()), Rule(head, tuple(body))):
+        assert parse_program(repr(rule)).rules == (rule,)
+    assert parse_rules(repr(tgd)) == [tgd]
 
 
 @given(program_files())

@@ -2,6 +2,7 @@
 indexed instance."""
 
 import copy
+import functools
 import linecache
 import pickle
 import random
@@ -16,7 +17,6 @@ from chasegoal import kernel
 from chasegoal.kernel import (
     DEPTH,
     EQUALITY,
-    KEY,
     Atom,
     BodyContractViolation,
     Constant,
@@ -33,6 +33,7 @@ from chasegoal.kernel import (
     eq,
     is_ground,
     iter_subterms,
+    precedes,
     row_of,
     substitute,
     vars_of,
@@ -72,10 +73,9 @@ def test_substitute_leaves_unbound_variables():
 
 
 def compare_terms(t1, t2):
-    """Three-way comparison under the term table's keys (`KEY`), the order
+    """Three-way comparison under the term order (`precedes`), the order
     representatives are picked by."""
-    k1, k2 = KEY[t1.id], KEY[t2.id]
-    return (k1 > k2) - (k1 < k2)
+    return precedes(t2.id, t1.id) - precedes(t1.id, t2.id)
 
 
 def test_constants_precede_function_terms():
@@ -92,6 +92,30 @@ def test_function_terms_ordered_by_depth_then_symbol():
 def test_compare_terms_equal_iff_identical():
     assert compare_terms(f(a, b), f(a, b)) == 0
     assert compare_terms(f(a, b), f(b, a)) != 0
+
+
+def test_one_symbol_at_two_arities_orders_the_shorter_prefix_first():
+    # Skolemization never builds one symbol at two arities, but a parsed
+    # dump or code can: with the common arguments equal, fewer come first.
+    assert compare_terms(f(a), f(a, b)) < 0
+    assert compare_terms(f(a, b), f(a)) > 0
+    assert compare_terms(f(b), f(a, b)) > 0
+    assert compare_terms(f(), f(a)) < 0
+
+
+def test_deep_shared_towers_compare_at_once():
+    # Two 40-deep towers f(t,t): each is one term per level, but as a tree
+    # it has 2**40 leaves, which a comparison that rebuilt nested keys would
+    # walk.  The order descends into one pair of arguments per level.
+    towers = []
+    for leaf in (a, b):
+        t = leaf
+        for _ in range(40):
+            t = f(t, t)
+        towers.append(t)
+    low, high = towers
+    assert compare_terms(low, high) < 0 and compare_terms(high, low) > 0
+    assert compare_terms(low, low) == 0
 
 
 terms_strategy = st.recursive(
@@ -114,7 +138,7 @@ def test_term_order_total_and_antisymmetric(t1, t2):
 
 @given(terms_strategy, terms_strategy, terms_strategy)
 def test_term_order_transitive(t1, t2, t3):
-    ts = sorted([t1, t2, t3], key=lambda t: KEY[t.id])
+    ts = sorted([t1, t2, t3], key=functools.cmp_to_key(compare_terms))
     assert compare_terms(ts[0], ts[1]) <= 0
     assert compare_terms(ts[1], ts[2]) <= 0
     assert compare_terms(ts[0], ts[2]) <= 0
@@ -643,8 +667,9 @@ def test_term_depth():
 # -- hash-consing -------------------------------------------------------------
 
 # The recursive definitions of a ground term's depth and order key.  The term
-# table records both when the term is built; these are the reference they
-# are checked against.
+# table records the depth when the term is built, and `precedes` compares two
+# terms as their keys compare; these are the reference both are checked
+# against.
 
 
 def reference_depth(t) -> int:
@@ -766,9 +791,10 @@ def test_atom_equality_and_hash_are_structural(a1, a2):
         assert hash(a1) == hash(a2)
 
 
-@given(round_trip_terms)
-def test_stored_depth_and_key_match_the_recursive_definitions(t):
-    assert (DEPTH[t.id], KEY[t.id]) == (reference_depth(t), reference_key(t))
+@given(round_trip_terms, round_trip_terms)
+def test_stored_depth_and_key_match_the_recursive_definitions(t1, t2):
+    assert DEPTH[t1.id] == reference_depth(t1)
+    assert precedes(t1.id, t2.id) == (reference_key(t1) < reference_key(t2))
 
 
 def test_interned_values_are_immutable():
