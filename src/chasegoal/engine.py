@@ -17,7 +17,7 @@ kernels unpack rows and build heads as rows, a delta maps each predicate to
 its rows, and the union-find, the staleness test and the guards read a
 term's depth, place in the term order (`precedes`) and arguments from the
 term table by id.  Term objects and atoms come back only in the results:
-`ChaseResult`'s term map, classes and derived facts, and the answers.
+`ChaseResult`'s term map and classes, and the answers.
 
 Both start from the base they are given: an `Instance` base is copied in
 O(predicates), sharing its per-predicate relations copy-on-write, so a
@@ -62,9 +62,8 @@ merges builds neither.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
-from functools import cached_property
-from itertools import chain, product, repeat
+from dataclasses import dataclass
+from itertools import product
 from typing import Iterable, Optional
 
 from .kernel import (
@@ -240,26 +239,12 @@ class ChaseStats:
 @dataclass(frozen=True)
 class ChaseResult:
     """The chased instance, the term map `mu`, its classes and the run's
-    statistics.  `derived` holds the derived facts and merged equalities,
-    in the order they were made; the chase stores them as rows, and the
-    atoms are built at the first read of the field, so a caller that never
-    reads it pays nothing for them.  Of `derived`, only the length
-    (`stats.derived_facts`) is stable: which equalities it records depends
-    on evaluation order."""
+    statistics."""
 
     instance: Instance
     mu: "dict[Term, Term]"
     classes: "dict[Term, frozenset[Term]]"
     stats: ChaseStats
-    # The rows of the derived facts, in order, and the predicate of each
-    # run of them, as (predicate, length) pairs.
-    _derived: "tuple[list, list]" = field(default=((), ()), repr=False, compare=False)
-
-    @cached_property
-    def derived(self) -> "tuple[Atom, ...]":
-        rows, runs = self._derived
-        preds = chain.from_iterable(repeat(pred, n) for pred, n in runs)
-        return tuple(map(atom_of, preds, rows))
 
 
 class _Store:
@@ -307,10 +292,9 @@ class _ChaseState(_Store):
     def __init__(self, instance: Instance, limits: Limits):
         super().__init__(instance, limits)
         self.uf = UnionFind()
-        # The rows of the derived facts and the runs of their predicates
-        # (see `ChaseResult`).
-        self.derived: list[tuple] = []
-        self.runs: list[tuple] = []
+        # Facts written by a relational batch plus unions made by an
+        # equality batch (`ChaseStats.derived_facts`).
+        self.derived = 0
         self.applications = 0
 
     def fire(self, pred: PredicateId, matches: "list[tuple]"):
@@ -329,12 +313,7 @@ class _ChaseState(_Store):
                 head if merged.isdisjoint(head) else tuple([find(t) for t in head])
                 for head in matches
             ]
-        self.derive(pred, self.add(pred, matches))
-
-    def derive(self, pred: PredicateId, new) -> None:
-        if new:
-            self.derived.extend(new)
-            self.runs.append((pred, len(new)))
+        self.derived += len(self.add(pred, matches))
 
     def equate(self, heads: "list[tuple]") -> None:
         """Apply a batch of equality heads: merge first, then rewrite.  Each
@@ -350,21 +329,19 @@ class _ChaseState(_Store):
         write."""
         uf = self.uf
         find, parent = uf.find, uf.parent
-        merged: list[tuple] = []
         losers: list[int] = []
         for s, t in heads:
             if parent:
                 s, t = find(s), find(t)
-            if merged and (uf.stale(s) or uf.stale(t)):
+            if losers and (uf.stale(s) or uf.stale(t)):
                 continue
             self.applications += 1
             if s == t:
                 continue
             losers.append(uf.union(s, t)[1])
-            merged.append((s, t))
-        if not merged:
+        if not losers:
             return
-        self.derive(EQUALITY, merged)
+        self.derived += len(losers)
         instance, delta, entries = self.instance, self.delta, self.entries
         rewritten: dict[PredicateId, list[tuple]] = {}
         for pred, row in containing(instance, losers):
@@ -621,9 +598,8 @@ def chase(
         mu=mu,
         classes={rep: frozenset(members) for rep, members in classes.items()},
         # A union adds one term to `parent`; handing a class on adds none.
-        stats=ChaseStats(derived_facts=len(state.derived), merges=len(state.uf.parent),
+        stats=ChaseStats(derived_facts=state.derived, merges=len(state.uf.parent),
                          rule_applications=state.applications, iterations=rounds),
-        _derived=(state.derived, state.runs),
     )
 
 

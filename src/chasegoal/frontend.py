@@ -574,6 +574,8 @@ def check_scenario(sc: Scenario):
     - every rule keeps `check_rule`;
     - the query predicate keeps `check_query_predicate` and has no base
       facts;
+    - a schema entry declares one sort per argument, and the arity of a
+      predicate the rules use;
     - under a schema, no constant has two sorts, counting the positions it
       holds in rule atoms and in facts alike.  The typed relevance
       abstraction assumes one sort per constant; with two, it would prune
@@ -589,6 +591,14 @@ def check_scenario(sc: Scenario):
         )
     if sc.schema is None:
         return
+    sig = rules_signature(sc.rules)
+    for (name, arity), sorts in sc.schema.items():
+        if len(sorts) != arity:
+            raise ArityMismatch("%s/%d declares %d sorts" % (name, arity, len(sorts)))
+        if name in sig and sig[name].arity != arity:
+            raise ArityMismatch(
+                "schema declares %s/%d, rules use arity %d" % (name, arity, sig[name].arity)
+            )
     atoms = chain((a for r in sc.rules for a in rule_atoms(r)), sc.instance)
     for c, sorts in constant_sorts(atoms, sc.schema).items():
         if len(sorts) > 1:
@@ -620,11 +630,5 @@ def load_scenario(
     if schema_path is not None:
         schema_path = Path(schema_path)
         schema = parse_schema(_read_text(schema_path), source=str(schema_path))
-        for (name, arity) in schema:
-            if name in sig and sig[name].arity != arity:
-                raise ArityMismatch(
-                    "schema declares %s/%d, rules use arity %d" % (name, arity, sig[name].arity),
-                    source=str(schema_path),
-                )
     instance = parse_instance(data_dir, sig)
     return Scenario(tuple(rules), instance, sig[query_pred], schema, una_known)

@@ -7,13 +7,17 @@ import os
 import random
 import subprocess
 import sys
+from contextlib import contextmanager
 from dataclasses import astuple, dataclass
 from pathlib import Path
+from unittest import mock
 
 from chasegoal.driver import MODES, PipelineConfig, run_pipeline
 from chasegoal.engine import (
     ChaseError,
     Limits,
+    UnionFind,
+    _ChaseState,
     chase,
     constant_answers,
     naive_fixpoint,
@@ -26,6 +30,7 @@ from chasegoal.eqprep import (
 )
 from chasegoal.frontend import Scenario, parse_rules
 from chasegoal.kernel import (
+    EQUALITY,
     TERMS,
     TGD,
     Atom,
@@ -36,6 +41,7 @@ from chasegoal.kernel import (
     Program,
     Rule,
     Variable,
+    atom_of,
     eq,
     iter_subterms,
     iter_vars,
@@ -412,6 +418,31 @@ def check_stale_merge_draws(seed: int, want: int) -> int:
         merged += merged_distinct_constants(drawn.naive)
         check_stale_merge_draw(drawn)
     return merged
+
+
+@contextmanager
+def derivation_log():
+    """A list that collects, while the block runs, every fact a chase
+    derives, in the order it makes them: the new facts of each relational
+    batch (`_ChaseState.add`) and each merged pair of representatives as an
+    equality atom (`UnionFind.union`).  Its length is the chase's
+    `ChaseStats.derived_facts`; which equalities it holds depends on
+    evaluation order."""
+    log: list[Atom] = []
+    add, union = _ChaseState.add, UnionFind.union
+
+    def logged_add(state, pred, rows):
+        new = add(state, pred, rows)
+        log.extend(atom_of(pred, row) for row in new)
+        return new
+
+    def logged_union(uf, s, t):
+        log.append(atom_of(EQUALITY, (s, t)))
+        return union(uf, s, t)
+
+    with (mock.patch.object(_ChaseState, "add", logged_add),
+          mock.patch.object(UnionFind, "union", logged_union)):
+        yield log
 
 
 def holds_only_representatives(result) -> bool:

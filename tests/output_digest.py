@@ -9,7 +9,9 @@ tier (LEVELS=6, CONCEPTS=12, ROLES=6, EXISTENTIALS=6, as in
 `tests/rule_tier_agreement.py`).  Each cell prints one line of 12-digit
 hashes: the answers, `ChaseStats`, the rule counts, every `dump_stage`
 text, the chased instance sorted and in iteration order, the term map `mu`
-in order and `derived` in order.  A last line hashes them all (TOTAL).
+in order and `derived`, the facts the chase derived in the order it made
+them, as `helpers.derivation_log` records them.  A last line hashes them
+all (TOTAL).
 
 Terms and atoms are written by this script's own `text`, not by `repr`, so
 a change to how the program prints a term is not an output change; the
@@ -26,7 +28,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
 
 import workloads  # noqa: E402
-from helpers import running_example  # noqa: E402
+from helpers import derivation_log, running_example  # noqa: E402
 
 from chasegoal import PipelineConfig, dump_stage, load_scenario, run_pipeline  # noqa: E402
 from chasegoal.driver import MODES  # noqa: E402
@@ -68,7 +70,7 @@ def inputs():
                                         una_known=w.una)
 
 
-def fields(report) -> "list[tuple[str, str]]":
+def fields(report, derived) -> "list[tuple[str, str]]":
     result = report.chase_result
     out = [
         ("answers", digest(",".join(a) for a in report.answers)),
@@ -81,7 +83,7 @@ def fields(report) -> "list[tuple[str, str]]":
         ("sorted", digest(sorted(facts))),
         ("order", digest(facts)),
         ("mu", digest("%s %s" % (text(s), text(t)) for s, t in result.mu.items())),
-        ("derived", digest(map(text, result.derived))),
+        ("derived", digest(map(text, derived))),
     ]
     return out
 
@@ -91,8 +93,10 @@ def main() -> int:
     for name, scenario in inputs():
         for mode in MODES:
             for seed in SEEDS:
-                report = run_pipeline(scenario, PipelineConfig(mode=mode, seed=seed))
-                line = "%s %s %s %s" % (name, mode, seed, " ".join("%s=%s" % f for f in fields(report)))
+                with derivation_log() as derived:
+                    report = run_pipeline(scenario, PipelineConfig(mode=mode, seed=seed))
+                pairs = " ".join("%s=%s" % f for f in fields(report, derived))
+                line = "%s %s %s %s" % (name, mode, seed, pairs)
                 print(line, flush=True)
                 lines.append(line)
     print("TOTAL", digest(lines))

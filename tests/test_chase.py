@@ -23,6 +23,7 @@ from chasegoal import (
     run_pipeline,
 )
 from chasegoal import engine, kernel
+from chasegoal.driver import MODES
 from chasegoal.engine import constant_answers
 from chasegoal.kernel import (
     DEPTH,
@@ -49,6 +50,7 @@ from helpers import (
     Q1,
     campus_fixture,
     check_stale_merge_draws,
+    derivation_log,
     digests_across_interpreters,
     holds_only_representatives,
     oracle_answers,
@@ -118,10 +120,25 @@ TRACE = [
 
 def test_worked_example_derivation_trace():
     prog, rep = final_program(running_example(3))
-    result = chase(prog, running_example(3).instance)
-    assert [repr(e) for e in result.derived] == TRACE
+    with derivation_log() as derived:
+        result = chase(prog, running_example(3).instance)
+    assert [repr(e) for e in derived] == TRACE
     assert result.mu == {Functional("sk_3_y", (Constant("a1"),)): Constant("a1")}
     assert rep.chase_stats.derived_facts == 12
+
+
+def test_the_derivation_log_holds_every_derived_fact():
+    # `derivation_log` spies on the two places a chase derives a fact, a
+    # relational batch's write and a union; a third would leave it short.
+    drawn = [d.scenario for d in scenario_stream(5, 50, with_oracle=False, draw=stale_merge_scenario)]
+    merges = 0
+    for sc in [running_example(3)] + drawn:
+        for mode in MODES:
+            with derivation_log() as log:
+                stats = run_pipeline(sc, PipelineConfig(mode=mode)).chase_stats
+            assert len(log) == stats.derived_facts, (mode, sc.rules)
+            merges += stats.merges
+    assert merges > 0
 
 
 # -- merging semantics -------------------------------------------------------

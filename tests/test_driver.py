@@ -223,6 +223,41 @@ def test_relevance_time_spans_both_attempts(monkeypatch):
     assert rep.timings["rel"] >= 0.1
     assert list(rep.timings) == ["sg", "sk", "rel", "defun", "desg", "chase"]
 
+def test_abstraction_asked_for_up_front_is_not_retried(monkeypatch):
+    # With the abstraction asked for, a fixpoint that still passes its
+    # limits fails stage rel at once.
+    attempts = []
+
+    def counted(*args, **kwargs):
+        attempts.append(kwargs["abstract_functions"])
+        return relevance(*args, **kwargs)
+
+    monkeypatch.setattr(driver, "relevance", counted)
+    cfg = PipelineConfig(mode="rel", defun_abstraction=True, relevance_limits=Limits(max_facts=5))
+    with pytest.raises(PipelineError) as exc:
+        run_pipeline(running_example(3), cfg)
+    assert exc.value.stage == "rel"
+    assert isinstance(exc.value.cause, AbstractionFixpointDiverged)
+    assert attempts == [True]
+
+
+def test_run_pipeline_rejects_an_unknown_mode():
+    with pytest.raises(ValueError, match="unknown mode 'fast'"):
+        run_pipeline(running_example(3), PipelineConfig(mode="fast"))
+
+
+def test_a_stage_that_loses_equality_safety_fails_by_name(monkeypatch):
+    # A body equality whose left side is a constant is not equality-safe.
+    unsafe = parse_program("Q(?x) :- A(?x), a1 = ?x.")
+    monkeypatch.setattr(driver, "magic", lambda program: Program(unsafe.rules, program.query))
+    with pytest.raises(PipelineError) as exc:
+        run_pipeline(running_example(3), PipelineConfig(mode="magic"))
+    assert exc.value.stage == "magic"
+    assert str(exc.value) == (
+        "stage magic: equality safety lost after magic: a1 = ?x (left side is not a variable)"
+    )
+
+
 def test_relevance_fixpoint_past_its_limits_fails_stage_rel():
     with pytest.raises(PipelineError) as exc:
         run_pipeline(

@@ -183,6 +183,11 @@ def test_eq_safety_rejects_function_term_side():
     assert check_eq_safety(p) != []
 
 
+def test_eq_safety_rejects_non_variable_left_side():
+    p = parse_program("Q(?x) :- P(?x), c = ?x.")
+    assert [why for _, _, why in check_eq_safety(p)] == ["left side is not a variable"]
+
+
 def test_eq_safety_accepts_ground_side():
     p = parse_program("Q(?x) :- P(?x), ?x = c.")
     assert check_eq_safety(p) == []

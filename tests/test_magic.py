@@ -317,6 +317,11 @@ def test_reorder_rejects_unanchored_equality():
         reorder((Atom(P, (x,)), eq(y, z)), ())
 
 
+def test_magic_needs_a_query_predicate():
+    with pytest.raises(ValueError, match="magic needs a program with a query predicate"):
+        magic(parse_program("Q(?x) :- P(?x)."))
+
+
 def test_magic_rejects_unsafe_equality_body():
     p = parse_program("Q(?x) :- P(?x), ?y = ?z.")
     p = type(p)(p.rules, Q1)
