@@ -223,6 +223,7 @@ def test_relevance_time_spans_both_attempts(monkeypatch):
     assert rep.timings["rel"] >= 0.1
     assert list(rep.timings) == ["sg", "sk", "rel", "defun", "desg", "chase"]
 
+
 def test_abstraction_asked_for_up_front_is_not_retried(monkeypatch):
     # With the abstraction asked for, a fixpoint that still passes its
     # limits fails stage rel at once.

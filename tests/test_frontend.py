@@ -705,21 +705,6 @@ def test_scenario_built_in_code_rejects_a_constant_of_two_sorts():
     Scenario(rules, facts("S(a), D(a)"), Predicate("Q", 1), {("S", 1): ("s",), ("D", 1): ("s",)})
 
 
-def test_scenario_built_in_code_rejects_a_schema_the_rules_disagree_with():
-    # Unchecked, the first schema let mat and magic answer a while rel and
-    # all failed in stage rel, where typed relevance unpacks one sort per
-    # argument; the second was accepted silently.
-    rules = tuple(parse_rules("S(?x,?y) -> Q(?x)"))
-    with pytest.raises(ArityMismatch) as err:
-        Scenario(rules, facts("S(a,b)"), Predicate("Q", 1), {("S", 2): ("s",)})
-    assert str(err.value) == "S/2 declares 1 sorts"
-    with pytest.raises(ArityMismatch) as err:
-        Scenario(rules, facts("S(a,b)"), Predicate("Q", 1), {("S", 3): ("s", "s", "s")})
-    assert str(err.value) == "schema declares S/3, rules use arity 2"
-    # An entry for a predicate the rules do not use is accepted.
-    Scenario(rules, facts("S(a,b)"), Predicate("Q", 1), {("S", 2): ("s", "t"), ("T", 1): ("t",)})
-
-
 def test_scenario_built_in_code_rejects_base_facts_of_the_query_predicate():
     rules = tuple(parse_rules("A(?x) -> Q(?x)\nS(?x,?y) -> ?x = ?y"))
     with pytest.raises(FrontendError, match="Q.csv: query predicate Q has base facts"):
@@ -747,6 +732,21 @@ def test_scenario_built_in_code_rejects_a_constant_in_a_query_head():
     rules = tuple(parse_rules("B(?x) -> Q(?x,c)\nE(?x) -> ?x = c"))
     with pytest.raises(MalformedRule, match=r"constant argument in rule B\(\?x\) -> Q"):
         Scenario(rules, facts("B(a), E(d)"), Predicate("Q", 2))
+
+
+def test_scenario_built_in_code_rejects_a_schema_the_rules_disagree_with():
+    # Unchecked, the first schema let mat and magic answer a while rel and
+    # all failed in stage rel, where typed relevance unpacks one sort per
+    # argument; the second was accepted silently.
+    rules = tuple(parse_rules("S(?x,?y) -> Q(?x)"))
+    with pytest.raises(ArityMismatch) as err:
+        Scenario(rules, facts("S(a,b)"), Predicate("Q", 1), {("S", 2): ("s",)})
+    assert str(err.value) == "S/2 declares 1 sorts"
+    with pytest.raises(ArityMismatch) as err:
+        Scenario(rules, facts("S(a,b)"), Predicate("Q", 1), {("S", 3): ("s", "s", "s")})
+    assert str(err.value) == "schema declares S/3, rules use arity 2"
+    # An entry for a predicate the rules do not use is accepted.
+    Scenario(rules, facts("S(a,b)"), Predicate("Q", 1), {("S", 2): ("s", "t"), ("T", 1): ("t",)})
 
 
 P, R = Predicate("P", 1), Predicate("R", 1)
