@@ -37,7 +37,10 @@ class PipelineError(RuntimeError):
         self.stage = stage
         self.cause = cause
         # A MemoryError usually carries no message; name its type instead.
-        super().__init__("stage %s: %s" % (stage, str(cause) or type(cause).__name__))
+        message = "stage %s: %s" % (stage, str(cause) or type(cause).__name__)
+        # A tripped guard names the rule it tripped in (`ChaseError.rule`).
+        rule = getattr(cause, "rule", None)
+        super().__init__(message if rule is None else "%s, applying %r" % (message, rule))
 
 
 @dataclass(frozen=True)

@@ -68,6 +68,7 @@ from typing import Iterable, Optional
 
 from .kernel import (
     DEPTH,
+    STRUCT,
     TERMS,
     Atom,
     EQUALITY,
@@ -91,6 +92,7 @@ from .kernel import (
     deepest,
     is_ground,
     precedes,
+    pred_label,
     row_of,
     vars_of,
 )
@@ -114,8 +116,21 @@ class FactLimitExceeded(ChaseError):
     pass
 
 
+def _shown(t: int, depth: int = 4) -> str:
+    """The text of the term with id `t`, with each function term `depth`
+    levels below it cut to `...`: a term that holds one subterm at two
+    positions would print twice as long with each level."""
+    if DEPTH[t] <= depth:
+        return repr(TERMS[t])
+    if not depth:
+        return "..."
+    return "%s(%s)" % (STRUCT[t][0], ",".join([_shown(a, depth - 1) for a in arg_ids(t)]))
+
+
 def _too_deep(pred: PredicateId, row, max_depth: int) -> DepthLimitExceeded:
-    return DepthLimitExceeded("term depth exceeds %d in %r" % (max_depth, atom_of(pred, row)))
+    args = [_shown(t) for t in row]
+    fact = "%s = %s" % tuple(args) if pred is EQUALITY else "%s(%s)" % (pred_label(pred), ",".join(args))
+    return DepthLimitExceeded("term depth exceeds %d in %s" % (max_depth, fact))
 
 
 def _guard(pred: PredicateId, new, n_facts: int, limits: Limits):
@@ -473,11 +488,11 @@ class _CompiledRule:
     row; nothing rebuilds the body, since the chase does not re-check a
     match once it is found."""
 
-    __slots__ = ("plans", "waiting", "head")
+    __slots__ = ("plans", "waiting", "rule")
 
     def __init__(self, rule: Rule, plans: tuple):
         self.plans, *self.waiting = plans
-        self.head = rule.head
+        self.rule = rule
 
     def reads(self) -> "set[Predicate]":
         """The predicates of the rule's body."""
@@ -496,7 +511,7 @@ class _CompiledRule:
                 return []
             entries = None
         if not self.plans:
-            return [row_of(self.head)] if entries is None else []
+            return [row_of(self.rule.head)] if entries is None else []
         out: list[tuple] = []
         _match(self.plans, entries, store.delta, instance, out, rng)
         return out
@@ -534,7 +549,9 @@ def _saturate(rules: "list[_CompiledRule]", state: _Store, rng=None) -> int:
     the next round's delta.  A batch holds each new match of the
     head-linked atoms once, found at the first of its atoms whose fact is
     in the delta; a rule with head-free components has none until they all
-    hold (`_CompiledRule`).  Returns the number of rounds."""
+    hold (`_CompiledRule`).  A guard that trips records the rule it was
+    applying on its error (`ChaseError.rule`).  Returns the number of
+    rounds."""
     readers: dict[Predicate, list[int]] = {}
     for i, rule in enumerate(rules):
         for pred in rule.reads():
@@ -549,8 +566,12 @@ def _saturate(rules: "list[_CompiledRule]", state: _Store, rng=None) -> int:
         if rng is not None:
             visit = list(visit)
             rng.shuffle(visit)
-        for rule in visit:
-            state.fire(rule.head[0], rule.matches(None if rounds == 1 else state.entries, state, rng))
+        try:
+            for rule in visit:
+                state.fire(rule.rule.head[0], rule.matches(None if rounds == 1 else state.entries, state, rng))
+        except ChaseError as err:
+            err.rule = rule.rule
+            raise
         if not any(state.delta.values()):
             return rounds
         state.entries, state.delta = state.delta, {}

@@ -11,13 +11,14 @@ applicable in the presence of equality.
 
 from __future__ import annotations
 
-from typing import Iterable, Optional
+import itertools
+from typing import Iterable, Iterator, Optional
 
 from .kernel import (
     EQUALITY,
+    FRESH_PREFIX,
     Atom,
     Constant,
-    FreshVars,
     Functional,
     Predicate,
     PredicateId,
@@ -48,10 +49,11 @@ def singularize(rules: Iterable[TGD], query: Optional[Predicate] = None):
     variables decoupled: each head argument x (a variable, as the query
     contract of `check_query_predicate` requires) becomes a fresh x' with
     x = x' appended to the body, so that answers are closed under the
-    equalities the program derives.  Every rule must pass
-    `frontend.check_rule`.
+    equalities the program derives.  The new variables are `_s1`, `_s2`,
+    ...: the parsers reserve their prefix (`FRESH_PREFIX`), so no parsed
+    name can clash with them.  Every rule must pass `frontend.check_rule`.
     """
-    fresh = FreshVars("s")
+    fresh = (Variable("%ss%d" % (FRESH_PREFIX, n)) for n in itertools.count(1))
     out = []
     for r in rules:
         check_rule(r)
@@ -61,20 +63,20 @@ def singularize(rules: Iterable[TGD], query: Optional[Predicate] = None):
     return out
 
 
-def _decouple_answers(r: TGD, query: Predicate, fresh: FreshVars) -> TGD:
+def _decouple_answers(r: TGD, query: Predicate, fresh: Iterator[Variable]) -> TGD:
     body = list(r.body)
     head = []
     for a in r.head:
         if a.predicate != query:
             head.append(a)
             continue
-        args = tuple(fresh() for _ in a.args)
+        args = tuple(next(fresh) for _ in a.args)
         body.extend(map(eq, a.args, args))
         head.append(Atom(a.predicate, args))
     return TGD(tuple(body), tuple(head))
 
 
-def _singularize_rule(r: TGD, fresh: FreshVars) -> TGD:
+def _singularize_rule(r: TGD, fresh: Iterator[Variable]) -> TGD:
     # Constants in relational atoms become fresh variables constrained by an
     # equality placed right after the atom.
     body: list[Atom] = []
@@ -86,7 +88,7 @@ def _singularize_rule(r: TGD, fresh: FreshVars) -> TGD:
         extras = []
         for i, t in enumerate(args):
             if isinstance(t, Constant):
-                v = fresh()
+                v = next(fresh)
                 args[i] = v
                 extras.append(eq(v, t))
         body.append(Atom(atom.predicate, tuple(args)))
@@ -115,7 +117,7 @@ def _singularize_rule(r: TGD, fresh: FreshVars) -> TGD:
         for pos in positions:
             if pos == keep:
                 continue
-            nv = fresh()
+            nv = next(fresh)
             replace[pos] = nv
             inserts.setdefault(min(keep[0], pos[0]), []).append(eq(v, nv))
 

@@ -17,6 +17,7 @@ from .kernel import (
     Rule,
     Term,
     Variable,
+    fresh_name,
     rule_atoms,
     substitute,
     vars_of,
@@ -62,14 +63,7 @@ def defunctionalize(program: Program) -> Program:
 
     for rule in program.rules:
         taken = {v.name for v in vars_of(rule_atoms(rule))}
-        counter = itertools.count(1)
-
-        def fresh() -> Variable:
-            while True:
-                name = "z#%d" % next(counter)
-                if name not in taken:
-                    taken.add(name)
-                    return Variable(name)
+        names = ("z#%d" % n for n in itertools.count(1))
 
         mapping: dict[Term, Variable] = {}
         new_body: list[Atom] = []
@@ -82,7 +76,7 @@ def defunctionalize(program: Program) -> Program:
                 if isinstance(t, Constant):
                     z = mapping.get(t)
                     if z is None:
-                        z = fresh()
+                        z = Variable(fresh_name(names, taken))
                         mapping[t] = z
                         graph_atoms.append(
                             Atom(FunPredicate(t.name, 1, of_constant=True), (z,))
@@ -96,7 +90,7 @@ def defunctionalize(program: Program) -> Program:
                 inner = Functional(t.symbol, args)
                 z = mapping.get(inner)
                 if z is None:
-                    z = fresh()
+                    z = Variable(fresh_name(names, taken))
                     mapping[inner] = z
                     body_symbols.add(t.symbol)
                     graph_atoms.append(

@@ -29,7 +29,6 @@ has seen."""
 
 from __future__ import annotations
 
-import itertools
 import linecache
 import re
 from dataclasses import dataclass
@@ -493,19 +492,16 @@ def substitute(sigma: "dict[Variable, Term]", x):
     raise TypeError("cannot substitute into %r" % (x,))
 
 
+# The parsers refuse variable names with this prefix, so a stage may name
+# its variables with it and never meet a parsed one.
 FRESH_PREFIX = "_"
 
 
-class FreshVars:
-    """Monotone source of variable names the parsers refuse to accept, so
-    generated variables can never collide with parsed ones."""
-
-    def __init__(self, tag: str = "v"):
-        self._tag = tag
-        self._n = itertools.count(1)
-
-    def __call__(self) -> Variable:
-        return Variable("%s%s%d" % (FRESH_PREFIX, self._tag, next(self._n)))
+def fresh_name(candidates: "Iterable[str]", taken: "set[str]") -> str:
+    """The first of `candidates` not in `taken`, which it adds to `taken`."""
+    name = next(c for c in candidates if c not in taken)
+    taken.add(name)
+    return name
 
 
 # ---------------------------------------------------------------------------
@@ -517,7 +513,7 @@ _term = TERMS.__getitem__
 
 
 class ChaseError(RuntimeError):
-    pass
+    rule: "Optional[Rule]" = None  # the rule a tripped guard was applying
 
 
 class BodyContractViolation(ChaseError):
@@ -826,14 +822,11 @@ class _KernelSource:
     bound.  Every other object the kernel reads is an argument `k<n>`,
     recorded in `args` (a ground term by its id), or one of the term
     table's globals: `fun`, which finds a function term's id, and `struct`,
-    which splits one."""
+    which splits one.  Every row the kernel emits, a body atom's too, is
+    built from the bound variables (`build`)."""
 
-    def __init__(self, reads: "dict[Variable, int]", emitted: "set[Atom]"):
+    def __init__(self, reads: "dict[Variable, int]"):
         self.reads = reads  # occurrences of each variable, its output included
-        # The body atoms to emit, and the local that holds the fact each
-        # matched, once it has been matched.
-        self.emitted = emitted
-        self.held: dict[Atom, str] = {}
         self.known: set[Variable] = set()
         self.slots: dict[Variable, int] = {}
         self.args: list = []
@@ -935,8 +928,6 @@ class _KernelSource:
             off += " or f%d in e%d" % (n, n)
         if full or key_pos < 0:
             self.prologue.append("s%d = instance.rows(%s)" % (n, p))
-        if atom in self.emitted:
-            self.held.setdefault(atom, "f%d" % n)
         if full:
             self.line("f%d = %s" % (n, _tuple(map(self.build, atom.args))))
             self.line("if f%d not in s%d or %s: continue" % (n, n, off))
@@ -971,12 +962,10 @@ def _count_reads(reads: dict, terms) -> None:
 def _source(body, entry: Atom, emit, old: int) -> tuple:
     """Generate the kernel of a plan.  Returns its source text, the objects
     it takes as its trailing arguments, and its steps."""
-    # A body atom to emit is emitted as the fact it matched.
-    emitted = set(body).intersection(emit)
     reads: dict = {}
-    for a in (entry, *body, *[a for a in emit if a not in emitted]):
+    for a in (entry, *body, *emit):
         _count_reads(reads, a[1])
-    src = _KernelSource(reads, emitted)
+    src = _KernelSource(reads)
     src.open(None)
     targets = src.unpack(entry.args)
     src.loop("_" if targets is None else _tuple(targets), "facts")
@@ -994,14 +983,12 @@ def _source(body, entry: Atom, emit, old: int) -> tuple:
         if not full and src.loops == _MAX_LOOPS:
             # Continue in a function of its own, defined in the kernel,
             # that takes the bound variables.
-            call = "join_%d(%s)" % (
-                len(src.functions) + 1, ", ".join(list(map(src.var, src.slots)) + list(src.held.values()))
-            )
+            call = "join_%d(%s)" % (len(src.functions) + 1, ", ".join(map(src.var, src.slots)))
             src.line(call)
             src.close()
             src.open("def %s:" % call)
         src.step(len(steps) - 1, atom, key_pos, full, j < old)
-    rows = [src.held.get(a) or _tuple(map(src.build, a.args)) for a in emit]
+    rows = [_tuple(map(src.build, a.args)) for a in emit]
     src.line("out.append(%s)" % (rows[0] if len(rows) == 1 else _tuple(rows)))
     src.close()
     join, *rest = src.functions

@@ -98,13 +98,9 @@ def magic(program: Program) -> Program:
         by_head.setdefault(r.head.predicate, []).append(r)
     head_preds = set(by_head)
 
-    out: list[Rule] = []
-    seen_rules: set[Rule] = set()
-
-    def emit(rule: Rule):
-        if rule not in seen_rules:
-            seen_rules.add(rule)
-            out.append(rule)
+    # The rules emitted so far, each once, in the order of first emission.
+    out: dict[Rule, None] = {}
+    emit = out.setdefault
 
     seed = MagicPredicate(program.query, "f" * program.query.arity)
     emit(Rule(Atom(seed, ()), ()))

@@ -11,7 +11,7 @@ away, which is what lets the magic-set stage bind through them later.
 from __future__ import annotations
 
 from collections import deque
-from itertools import product
+from itertools import count, product
 from math import prod
 from typing import Iterable, Optional
 
@@ -37,6 +37,7 @@ from .kernel import (
     Program,
     Rule,
     Term,
+    fresh_name,
     iter_subterms,
     pred_label,
     rule_atoms,
@@ -68,13 +69,6 @@ def _program_constants(rules) -> "set[Constant]":
     }
 
 
-def _fresh_name(base: str, taken: "set[str]") -> str:
-    name = base
-    while name in taken:
-        name += "'"
-    return name
-
-
 def critical_instance(
     program: Program,
     base: "Instance | Iterable[PredicateId]",
@@ -102,8 +96,7 @@ def critical_instance(
     def star_of(sort: Optional[str]) -> Constant:
         c = stars.get(sort)
         if c is None:
-            c = Constant(_fresh_name("*%s" % (sort or ""), taken))
-            taken.add(c.name)
+            c = Constant(fresh_name(("*%s%s" % (sort or "", "'" * n) for n in count()), taken))
             stars[sort] = c
         return c
 
@@ -135,8 +128,7 @@ def abstract_functions_to_constants(program: Program) -> Program:
         if isinstance(t, Functional):
             c = cache.get(t.symbol)
             if c is None:
-                c = Constant(_fresh_name("_fn_" + t.symbol, taken))
-                taken.add(c.name)
+                c = Constant(fresh_name(("_fn_%s%s" % (t.symbol, "'" * n) for n in count()), taken))
                 cache[t.symbol] = c
             return c
         return t

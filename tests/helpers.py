@@ -31,12 +31,11 @@ from chasegoal.eqprep import (
 from chasegoal.frontend import Scenario, parse_rules
 from chasegoal.kernel import (
     EQUALITY,
-    TERMS,
     TGD,
     Atom,
     Constant,
+    Functional,
     Instance,
-    JoinPlan,
     Predicate,
     Program,
     Rule,
@@ -84,15 +83,17 @@ def canon_rules(rules) -> "list[str]":
 ORACLE_LIMITS = Limits(max_depth=5, max_facts=6_000)
 
 
+def reference_fixpoint(program: Program, base: Instance, limits: Limits) -> Instance:
+    """The naive fixpoint of `program` plus the equality axioms over its
+    predicates and the base's: reflexivity, congruence, symmetry and
+    transitivity."""
+    preds = base.predicates()
+    aux = reflexivity_axioms(program, preds) + congruence_axioms(program, preds) + sym_trans()
+    return naive_fixpoint(tuple(program.rules) + tuple(aux), base, limits)
+
+
 def oracle_instance(scenario: Scenario, limits: Limits = ORACLE_LIMITS) -> Instance:
-    p = skolemize(scenario.rules, scenario.query)
-    base_preds = scenario.instance.predicates()
-    aux = (
-        reflexivity_axioms(p, base_preds)
-        + congruence_axioms(p, base_preds)
-        + sym_trans()
-    )
-    return naive_fixpoint(tuple(p.rules) + tuple(aux), scenario.instance, limits)
+    return reference_fixpoint(skolemize(scenario.rules, scenario.query), scenario.instance, limits)
 
 
 def answers_of(instance: Instance, query: Predicate) -> "set[tuple[str, ...]]":
@@ -120,30 +121,72 @@ def merged_distinct_constants(instance: Instance) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Second reference model: restricted chase with labelled nulls over the raw
-# existential rules (no Skolem terms). Used to cross-check skolemize.
+# Brute-force matching: nested loops over every fact, the reference the join
+# plans are checked against.
 # ---------------------------------------------------------------------------
 
 
-def enumerate_matches(body, instance: Instance, bindings=None):
-    """Substitutions that extend `bindings` and match every body atom against
-    the instance, joined through the indexes in `JoinPlan` order."""
-    bindings = bindings or {}
-    pred = Predicate("bindings", len(bindings))
-    variables = tuple(dict.fromkeys(itertools.chain(bindings, iter_vars(body))))
-    match = Atom(Predicate("match", len(variables)), variables)
-    plan = JoinPlan(body, entry=Atom(pred, tuple(bindings)), emit=(match,))
-    out: list = []
-    plan.run((tuple(t.id for t in bindings.values()),), instance, out, {}, {})
-    return (dict(zip(variables, map(TERMS.__getitem__, row))) for row in out)
+def match_term(pattern, ground, out):
+    """One-way structural match of a pattern term against a ground term,
+    extending `out` in place."""
+    if isinstance(pattern, Variable):
+        bound = out.get(pattern)
+        if bound is None:
+            out[pattern] = ground
+            return True
+        return bound == ground
+    if isinstance(pattern, Constant):
+        return pattern == ground
+    return (
+        isinstance(ground, Functional)
+        and pattern.symbol == ground.symbol
+        and len(pattern.args) == len(ground.args)
+        and all(match_term(p, g, out) for p, g in zip(pattern.args, ground.args))
+    )
+
+
+def match_atom(pattern, fact, sigma=None):
+    if pattern.predicate != fact.predicate or len(pattern.args) != len(fact.args):
+        return None
+    out = dict(sigma) if sigma else {}
+    for p, g in zip(pattern.args, fact.args):
+        if not match_term(p, g, out):
+            return None
+    return out
+
+
+def brute_force_rows(body, facts, bindings=None):
+    """Every match of `body` over `facts` extending `bindings`, as the
+    substitution and the facts its atoms matched, in body order."""
+    rows = [(dict(bindings or {}), ())]
+    for atom in body:
+        nxt = []
+        for s, used in rows:
+            for fact in facts:
+                got = match_atom(atom, fact, s)
+                if got is not None:
+                    nxt.append((got, used + (fact,)))
+        rows = nxt
+    return rows
+
+
+def brute_force_matches(body, facts, bindings=None):
+    return [s for s, _ in brute_force_rows(body, facts, bindings)]
+
+
+# ---------------------------------------------------------------------------
+# Second reference model: restricted chase with labelled nulls over the raw
+# existential rules (no Skolem terms). Used to cross-check skolemize.  It
+# keeps its facts in a set of atoms and matches them by brute force, so it
+# runs none of the package's kernels, stores or merges.
+# ---------------------------------------------------------------------------
 
 
 def null_chase_answers(rules, base, query, max_rounds=200):
-    inst = Instance(base)
-    # A union-find of its own over term objects, so that this oracle shares
-    # no merge code with the engine: the root is the representative, and
-    # the first side of a merge keeps it.  Nulls are constants, so no
-    # class ever has to be handed on.
+    facts = set(base)
+    # A union-find of its own over term objects: the root is the
+    # representative, and the first side of a merge keeps it.  Nulls are
+    # constants, so no class ever has to be handed on.
     parent = {}
     fresh = itertools.count(1)
 
@@ -153,12 +196,11 @@ def null_chase_answers(rules, base, query, max_rounds=200):
         return t
 
     def merge(rep, loser):
-        # a fact holds the loser only as an argument; a scan finds them, so
-        # that this oracle shares no lookup with the engine
+        # a fact holds the loser only as an argument
         parent[loser] = rep
-        for fact in [fact for fact in inst if loser in fact.args]:
-            inst.discard(fact)
-            inst.add(Atom(fact.predicate, tuple(rep if a == loser else a for a in fact.args)))
+        for fact in [fact for fact in facts if loser in fact.args]:
+            facts.discard(fact)
+            facts.add(Atom(fact.predicate, tuple(rep if a == loser else a for a in fact.args)))
 
     def normalized(atoms):
         # rule constants must be looked up through the union-find, or a
@@ -172,21 +214,23 @@ def null_chase_answers(rules, base, query, max_rounds=200):
         changed = False
         for r in rules:
             if r.head[0].is_equality:
-                for sigma in list(enumerate_matches(normalized(r.body), inst)):
-                    s, t = (find(substitute(sigma, side)) for side in r.head[0].args)
+                for sigma in brute_force_matches(normalized(r.body), facts):
+                    s, t = (find(sigma.get(side, side)) for side in r.head[0].args)
                     if s != t:
                         merge(s, t)
                         changed = True
             else:
                 body, head = normalized(r.body), normalized(r.head)
-                for sigma in list(enumerate_matches(body, inst)):
-                    if any(True for _ in enumerate_matches(head, inst, sigma)):
+                for sigma in brute_force_matches(body, facts):
+                    if brute_force_matches(head, facts, sigma):
                         continue
                     ext = dict(sigma)
                     for v in sorted(r.existential_vars, key=lambda v: v.name):
                         ext[v] = Constant("~n%d" % next(fresh))
                     for a in head:
-                        changed |= inst.add(substitute(ext, a))
+                        a = Atom(a.predicate, tuple(ext.get(t, t) for t in a.args))
+                        changed |= a not in facts
+                        facts.add(a)
         if not changed:
             break
     else:
@@ -196,7 +240,9 @@ def null_chase_answers(rules, base, query, max_rounds=200):
     for t in parent:
         classes.setdefault(find(t), {find(t)}).add(t)
     answers = set()
-    for fact in inst.with_predicate(query):
+    for fact in facts:
+        if fact.predicate != query:
+            continue
         options = []
         for t in fact.args:
             consts = [
@@ -556,8 +602,6 @@ def campus_fixture(students=5000, depts=50, special=100) -> Scenario:
 
 
 def mu_hat(mu, t):
-    from chasegoal.kernel import Functional
-
     while True:
         if isinstance(t, Functional):
             t = Functional(t.symbol, tuple(mu_hat(mu, a) for a in t.args))

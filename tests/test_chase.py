@@ -48,6 +48,7 @@ from chasegoal.kernel import (
 
 from helpers import (
     Q1,
+    brute_force_matches,
     campus_fixture,
     check_stale_merge_draws,
     derivation_log,
@@ -58,7 +59,6 @@ from helpers import (
     scenario_stream,
     stale_merge_scenario,
 )
-from test_kernel import brute_force_matches
 
 a, b, c = Constant("a"), Constant("b"), Constant("c")
 x, y, z = Variable("x"), Variable("y"), Variable("z")
@@ -543,7 +543,7 @@ def test_a_semi_naive_round_visits_only_the_rules_that_read_its_delta(monkeypatc
 
     def spy(rule, by_pred, *args):
         delta = None if by_pred is None else sorted(p.name for p in by_pred)
-        visits.append((delta, repr(rule.head)))
+        visits.append((delta, repr(rule.rule.head)))
         return matches(rule, by_pred, *args)
 
     monkeypatch.setattr(engine._CompiledRule, "matches", spy)

@@ -407,6 +407,34 @@ def test_cli_guard_trip_exits_two(tmp_path):
     assert "error:" in result.output
 
 
+# A Skolem term that holds one term at both argument positions: printed in
+# full, the fact of the trip at depth 20 takes megabytes.
+SHARED_SKOLEM_RULES = """\
+A(?x) -> E(?x,?x)
+A(?x), A(?z), E(?x,?z) -> R(?x,?z,?y), A(?y)
+A(?x) -> Q(?x)
+"""
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_cli_guard_trip_prints_one_bounded_line_naming_the_rule(tmp_path, mode):
+    rules_path, data = write_inputs(tmp_path, rules=SHARED_SKOLEM_RULES, facts={"A": [("a",)]})
+    result = CliRunner().invoke(
+        main,
+        ["run", "--rules", str(rules_path), "--data", str(data),
+         "--query-pred", "Q", "--mode", mode, "--out", str(tmp_path / "out")],
+    )
+    assert result.exit_code == 2
+    assert len(result.stderr.encode()) < 4096
+    line, = result.stderr.splitlines()
+    # The fact is cut below four levels; the rule is the final program's.
+    assert re.fullmatch(
+        r"error: stage chase: term depth exceeds 20 in [AR]\(sk_1_y\(sk_1_y\(.*sk_1_y\(\.\.\.,\.\.\.\).*\)"
+        r", applying [AR]\(.*sk_1_y\(\?_s1,\?_s2\)\) :- .*A\(\?_s1\), A\(\?_s2\), E\(\?_s1,\?_s2\)\.",
+        line,
+    ), line
+
+
 RUN_ARGS = ["run", "--rules", "{tmp}/rules.txt", "--data", "{tmp}/data", "--query-pred", "Q", "--out", "{tmp}/out"]
 
 

@@ -116,6 +116,15 @@ def test_defunctionalize_replaces_body_constants():
     assert con_fact.head.args == (Constant("c"),)
 
 
+def test_defunctionalize_skips_a_variable_name_the_rule_holds():
+    # The rule holds ?z#1, so its constant gets ?z#2 and its function term
+    # ?z#3.
+    p = parse_program("Q(?x) :- P(?x,?z#1), S(a,f(?x)).")
+    rule, fact = defunctionalize(p).rules
+    assert repr(rule) == "Q(?x) :- P(?x,?z#1), con_a(?z#2), fun_f(?x,?z#3), S(?z#2,?z#3)."
+    assert repr(fact) == "con_a(a)."
+
+
 def test_defunctionalize_companion_rules_only_for_body_symbols():
     # sk_1_y never occurs in any body, so R's head keeps its term and no
     # companion rule is generated for it

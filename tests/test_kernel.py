@@ -3,6 +3,7 @@ indexed instance."""
 
 import copy
 import functools
+import itertools
 import linecache
 import pickle
 import random
@@ -17,6 +18,7 @@ from chasegoal import kernel
 from chasegoal.kernel import (
     DEPTH,
     EQUALITY,
+    TERMS,
     Atom,
     BodyContractViolation,
     Constant,
@@ -33,13 +35,14 @@ from chasegoal.kernel import (
     eq,
     is_ground,
     iter_subterms,
+    iter_vars,
     precedes,
     row_of,
     substitute,
     vars_of,
 )
 
-from helpers import enumerate_matches
+from helpers import brute_force_matches, brute_force_rows, match_atom
 
 a, b, d = Constant("a"), Constant("b"), Constant("d")
 x, y = Variable("x"), Variable("y")
@@ -156,36 +159,6 @@ def test_term_order_well_founded_on_subterms():
 # -- matching -----------------------------------------------------------
 
 
-def match_term(pattern, ground, out):
-    """One-way structural match of a pattern term against a ground term,
-    extending `out` in place: the reference the join plans are checked
-    against."""
-    if isinstance(pattern, Variable):
-        bound = out.get(pattern)
-        if bound is None:
-            out[pattern] = ground
-            return True
-        return bound == ground
-    if isinstance(pattern, Constant):
-        return pattern == ground
-    return (
-        isinstance(ground, Functional)
-        and pattern.symbol == ground.symbol
-        and len(pattern.args) == len(ground.args)
-        and all(match_term(p, g, out) for p, g in zip(pattern.args, ground.args))
-    )
-
-
-def match_atom(pattern, fact, sigma=None):
-    if pattern.predicate != fact.predicate or len(pattern.args) != len(fact.args):
-        return None
-    out = dict(sigma) if sigma else {}
-    for p, g in zip(pattern.args, fact.args):
-        if not match_term(p, g, out):
-            return None
-    return out
-
-
 def test_match_atom_repeated_variable():
     pat = Atom(R2, (x, x))
     assert match_atom(pat, Atom(R2, (a, a))) == {x: a}
@@ -203,23 +176,17 @@ def test_match_atom_against_function_term_argument():
     assert match_atom(pat, Atom(P1, (f(a),))) == {x: f(a)}
 
 
-def brute_force_rows(body, facts, bindings=None):
-    """Every match of `body` over `facts` extending `bindings`, as the
-    substitution and the facts its atoms matched, in body order."""
-    rows = [(dict(bindings or {}), ())]
-    for atom in body:
-        nxt = []
-        for s, used in rows:
-            for fact in facts:
-                got = match_atom(atom, fact, s)
-                if got is not None:
-                    nxt.append((got, used + (fact,)))
-        rows = nxt
-    return rows
-
-
-def brute_force_matches(body, facts, bindings=None):
-    return [s for s, _ in brute_force_rows(body, facts, bindings)]
+def enumerate_matches(body, instance: Instance, bindings=None):
+    """Substitutions that extend `bindings` and match every body atom against
+    the instance, joined through the indexes in `JoinPlan` order."""
+    bindings = bindings or {}
+    pred = Predicate("bindings", len(bindings))
+    variables = tuple(dict.fromkeys(itertools.chain(bindings, iter_vars(body))))
+    match = Atom(Predicate("match", len(variables)), variables)
+    plan = JoinPlan(body, entry=Atom(pred, tuple(bindings)), emit=(match,))
+    out: list = []
+    plan.run((tuple(t.id for t in bindings.values()),), instance, out, {}, {})
+    return (dict(zip(variables, map(TERMS.__getitem__, row))) for row in out)
 
 
 def test_enumerate_matches_agrees_with_brute_force():

@@ -156,6 +156,13 @@ def test_abstract_functions_to_constants_shape():
     assert isinstance(abstracted, Constant)
 
 
+def test_abstract_functions_to_constants_skips_a_constant_name_the_program_holds():
+    p = parse_program("Q(?x) :- P(?x,_fn_sk_0_y).\nR(sk_0_y(?x)) :- Q(?x).")
+    kept, abstracted = abstract_functions_to_constants(p).rules
+    assert kept == p.rules[0]
+    assert abstracted.head.args == (Constant("_fn_sk_0_y'"),)
+
+
 def test_relevance_output_answers_unchanged_on_worked_example():
     from chasegoal.engine import chase, extract_answers
     from chasegoal.finalize import defunctionalize, desingularize
