@@ -116,10 +116,9 @@ class FactLimitExceeded(ChaseError):
     pass
 
 
-def _shown(t: int, depth: int = 4) -> str:
+def _shown(t: int, depth: int) -> str:
     """The text of the term with id `t`, with each function term `depth`
-    levels below it cut to `...`: a term that holds one subterm at two
-    positions would print twice as long with each level."""
+    levels below it cut to `...`."""
     if DEPTH[t] <= depth:
         return repr(TERMS[t])
     if not depth:
@@ -128,7 +127,15 @@ def _shown(t: int, depth: int = 4) -> str:
 
 
 def _too_deep(pred: PredicateId, row, max_depth: int) -> DepthLimitExceeded:
-    args = [_shown(t) for t in row]
+    """The error for a fact of `pred` too deep, its terms cut at the
+    deepest of four levels that prints at most 64 function symbols in all:
+    a term that holds one subterm at k positions prints k times as long
+    with each level."""
+    depth, level, symbols = 0, [t for t in row if DEPTH[t]], 0
+    while depth < 4 and (symbols := symbols + len(level)) <= 64:
+        level = [a for t in level for a in arg_ids(t) if DEPTH[a]]
+        depth += 1
+    args = [_shown(t, depth) for t in row]
     fact = "%s = %s" % tuple(args) if pred is EQUALITY else "%s(%s)" % (pred_label(pred), ",".join(args))
     return DepthLimitExceeded("term depth exceeds %d in %s" % (max_depth, fact))
 
@@ -517,23 +524,34 @@ class _CompiledRule:
         return out
 
 
-def _compile(rules: Iterable[Rule], chase: bool) -> "tuple[list[_CompiledRule], list[Atom]]":
-    """Compile the rules that have a body; returns them and the heads of
-    the others.  A rule whose head has a variable its body does not bind,
-    or, with `chase`, whose body breaks the chase's contract, raises
+def _compile(rules: Iterable[Rule], chase: bool) -> "tuple[list[_CompiledRule], list[Rule]]":
+    """Compile the rules that have a body; returns them and the others.  A
+    rule whose head has a variable its body does not bind, or, with
+    `chase`, whose body breaks the chase's contract, raises
     `BodyContractViolation`; a rule is checked once per process."""
-    compiled, heads = [], []
+    compiled, facts = [], []
     for r in rules:
         if not r.body:
             if not is_ground(r.head):
                 raise BodyContractViolation("unbound head variable in %r" % (r,))
-            heads.append(r.head)
+            facts.append(r)
             continue
         plans, breach = _plans(r)
         if chase and breach is not None:
             raise BodyContractViolation(breach)
         compiled.append(_CompiledRule(r, plans))
-    return compiled, heads
+    return compiled, facts
+
+
+def _add_facts(facts: "list[Rule]", store: _Store) -> None:
+    """Apply each bodiless rule, before the first round.  A guard that
+    trips records the rule on its error (`ChaseError.rule`)."""
+    try:
+        for rule in facts:
+            store.fire(rule.head[0], [row_of(rule.head)])
+    except ChaseError as err:
+        err.rule = rule
+        raise
 
 
 def _saturate(rules: "list[_CompiledRule]", state: _Store, rng=None) -> int:
@@ -595,7 +613,7 @@ def chase(
     only shuffles the evaluation order; the resulting instance and term map
     are the same for every seed.
     """
-    rules, heads = _compile(program.rules, chase=True)
+    rules, facts = _compile(program.rules, chase=True)
     instance = _intake(base, limits)
     equalities = instance.rows(EQUALITY)
     if equalities:
@@ -603,8 +621,7 @@ def chase(
             "equality fact %r in the base" % (atom_of(EQUALITY, next(iter(equalities))),)
         )
     state = _ChaseState(instance, limits)
-    for head in heads:
-        state.fire(head[0], [row_of(head)])
+    _add_facts(facts, state)
     # A bodiless rule's head counts as derived, not as a rule application.
     state.applications = 0
     rng = random.Random(seed) if seed is not None else None
@@ -637,10 +654,9 @@ def naive_fixpoint(
     """Least fixpoint of a logic program where equality atoms are ordinary
     facts.  Bodies may contain constants, function terms and equality atoms;
     no representative merging happens here."""
-    rules, heads = _compile(program.rules if isinstance(program, Program) else program, chase=False)
+    rules, facts = _compile(program.rules if isinstance(program, Program) else program, chase=False)
     store = _Store(_intake(base, limits), limits)
-    for head in heads:
-        store.add(head[0], [row_of(head)])
+    _add_facts(facts, store)
     _saturate(rules, store)
     return store.instance
 

@@ -73,29 +73,19 @@ def defunctionalize(program: Program) -> Program:
             def rewrite(t: Term) -> Term:
                 if isinstance(t, Variable):
                     return t
-                if isinstance(t, Constant):
-                    z = mapping.get(t)
-                    if z is None:
-                        z = Variable(fresh_name(names, taken))
-                        mapping[t] = z
-                        graph_atoms.append(
-                            Atom(FunPredicate(t.name, 1, of_constant=True), (z,))
-                        )
-                        fact_rules.setdefault(
-                            t.name,
-                            Rule(Atom(FunPredicate(t.name, 1, of_constant=True), (t,)), ()),
-                        )
-                    return z
-                args = tuple(rewrite(a) for a in t.args)
-                inner = Functional(t.symbol, args)
-                z = mapping.get(inner)
+                constant = isinstance(t, Constant)
+                args = () if constant else tuple(rewrite(a) for a in t.args)
+                key = t if constant else Functional(t.symbol, args)
+                z = mapping.get(key)
                 if z is None:
-                    z = Variable(fresh_name(names, taken))
-                    mapping[inner] = z
-                    body_symbols.add(t.symbol)
-                    graph_atoms.append(
-                        Atom(FunPredicate(t.symbol, len(args) + 1), args + (z,))
-                    )
+                    z = mapping[key] = Variable(fresh_name(names, taken))
+                    if constant:
+                        graph = FunPredicate(t.name, 1, of_constant=True)
+                        fact_rules.setdefault(t.name, Rule(Atom(graph, (t,)), ()))
+                    else:
+                        graph = FunPredicate(t.symbol, len(args) + 1)
+                        body_symbols.add(t.symbol)
+                    graph_atoms.append(Atom(graph, args + (z,)))
                 return z
 
             new_args = tuple(rewrite(t) for t in atom.args)

@@ -21,7 +21,6 @@ copy never fires, and the copy under the freer demand covers it.
 
 from __future__ import annotations
 
-from collections import deque
 from typing import Iterable
 
 from .kernel import (
@@ -53,28 +52,20 @@ def adorn(atom: Atom, bound: "set") -> str:
 def reorder(body: Iterable[Atom], bound_terms: Iterable[Term]) -> "tuple[Atom, ...]":
     """Admissible body ordering: relational atoms keep their relative order
     and each equality atom is emitted as soon as one of its variables is
-    bound (by `bound_terms` or by an emitted relational atom)."""
+    bound (by `bound_terms` or by an emitted relational atom): before the
+    first relational atom, after each, and the rest once the last is out."""
     body = tuple(body)
     binders = vars_of(bound_terms)
     result: list[Atom] = []
     pending = [a for a in body if a.is_equality]
-    relational = [a for a in body if not a.is_equality]
-
-    def flush():
-        nonlocal pending
+    for atom in (*(a for a in body if not a.is_equality), None):
         keep = []
         for e in pending:
-            if vars_of(e) & binders:
-                result.append(e)
-            else:
-                keep.append(e)
+            (result if vars_of(e) & binders else keep).append(e)
         pending = keep
-
-    flush()
-    for atom in relational:
-        result.append(atom)
-        binders |= vars_of(atom)
-        flush()
+        if atom is not None:
+            result.append(atom)
+            binders |= vars_of(atom)
     if pending:
         raise NoAdmissibleOrdering(
             "no admissible ordering: %r has no bound variable" % (pending[0],)
@@ -96,7 +87,6 @@ def magic(program: Program) -> Program:
     by_head: dict[PredicateId, list[Rule]] = {}
     for r in program.rules:
         by_head.setdefault(r.head.predicate, []).append(r)
-    head_preds = set(by_head)
 
     # The rules emitted so far, each once, in the order of first emission.
     out: dict[Rule, None] = {}
@@ -105,7 +95,7 @@ def magic(program: Program) -> Program:
     seed = MagicPredicate(program.query, "f" * program.query.arity)
     emit(Rule(Atom(seed, ()), ()))
     queued = {seed}
-    work = deque([seed])
+    work = [seed]  # `process` appends to it while the loop below reads it
 
     def process(rule: Rule, m: MagicPredicate, beta: str):
         bound_terms = tuple(t for t, a in zip(rule.head.args, beta) if a == "b")
@@ -114,7 +104,7 @@ def magic(program: Program) -> Program:
         emit(Rule(rule.head, (magic_atom,) + ordered))
         bound = vars_of(bound_terms)
         for i, b in enumerate(ordered):
-            if b.predicate in head_preds:
+            if b.predicate in by_head:
                 raw = adorn(b, bound)
                 if b.is_equality:
                     # Body equality sides are variables or constants, and
@@ -141,8 +131,7 @@ def magic(program: Program) -> Program:
                     work.append(sub)
             bound |= vars_of(b)
 
-    while work:
-        m = work.popleft()
+    for m in work:
         betas = ("bf", "fb") if m.adornment == "eqb" else (m.adornment,)
         for rule in by_head.get(m.base, ()):
             for beta in betas:
@@ -168,23 +157,22 @@ def _subsumed_demand(rules: "Iterable[Rule]") -> "set[Rule]":
 
     The same holds for a whole predicate P whose all-free flag m_P#f…f
     holds in every run, as it does when rules whose bodies hold such flags
-    alone derive it from the bodiless seed.  P's all-free copy of each rule
-    fires on every body match, and with the demand it emits it is the
-    rewriting that answers each bound demand m_P#α by demanding P in full:
-    a freer choice of bound positions, which magic sets allow at any call
-    (Beeri and Ramakrishnan, "On the power of magic", JLP 1991).  So once a
-    rule derives an m_P#α that binds a position, every rule deriving it
-    goes; `_derived_demand_only` then drops the copies of P's rules it
-    guards and the demand those copies emit."""
+    alone derive it from the bodiless seed: `_derived_demand_only`, run on
+    those rules, keeps the ones deriving it.  A rule whose body also holds
+    a relational atom, a nullary one included, waits on a fact and takes no
+    part.  P's all-free copy of each rule fires on every body match, and
+    with the demand it emits it is the rewriting that answers each bound
+    demand m_P#α by demanding P in full: a freer choice of bound positions,
+    which magic sets allow at any call (Beeri and Ramakrishnan, "On the
+    power of magic", JLP 1991).  So once a rule derives an m_P#α that binds
+    a position, every rule deriving it goes; `_derived_demand_only` then
+    drops the copies of P's rules it guards and the demand those copies
+    emit."""
     rules = tuple(rules)
     demand = [r for r in rules if isinstance(r.head.predicate, MagicPredicate)]
-    flags = [r for r in demand if not r.head.predicate.arity]
-    always: set = set()
-    size = -1
-    while size < len(always):
-        size = len(always)
-        always.update(r.head.predicate for r in flags if all(a.predicate in always for a in r.body))
-    full = {p.base for p in always}
+    flags = [r for r in demand if not r.head.predicate.arity and all(
+        isinstance(a.predicate, MagicPredicate) and not a.predicate.arity for a in r.body)]
+    full = {r.head.predicate.base for r in _derived_demand_only(flags)}
     doomed = {r.head.predicate for r in demand if r.head.predicate.arity and r.head.predicate.base in full}
     out = {r for r in demand if r.head.predicate in doomed}
     demand = [r for r in demand if r not in out]

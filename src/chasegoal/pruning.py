@@ -52,6 +52,8 @@ class AbstractionFixpointDiverged(RuntimeError):
     """The critical instance or the forward fixpoint on it hit a guard;
     retry with function symbols abstracted to constants."""
 
+    rule: "Optional[Rule]" = None  # the rule the fixpoint's guard tripped in
+
 
 # ---------------------------------------------------------------------------
 # Abstract instances
@@ -175,7 +177,9 @@ def relevance(
             tuple(analysis.rules) + tuple(aux), bprime, fixpoint_limits
         )
     except (DepthLimitExceeded, FactLimitExceeded) as err:
-        raise AbstractionFixpointDiverged(str(err)) from err
+        diverged = AbstractionFixpointDiverged(str(err))
+        diverged.rule = err.rule
+        raise diverged from err
 
     # The trace runs on (predicate, row) pairs, from the query facts whose
     # arguments are all constants, the terms of depth 0.

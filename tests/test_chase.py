@@ -675,6 +675,21 @@ def test_union_find_roots_and_stale_classes_follow_unions_and_reroots(ops):
                 assert not uf.stale(root) or all(map(uf.stale, members)), (root, members)
 
 
+def test_a_hand_on_leaves_the_terms_above_the_new_representative_live():
+    # h(b) wins over k(a) by the term order; merging b away under a0 then
+    # makes h(b) stale, and its class passes to k(a).  g(k(a)) holds the
+    # new representative and no merged-away term: a staleness test that
+    # only ever grows (every term above a loser) would call it stale.
+    a_, b_, a0 = Constant("a"), Constant("b"), Constant("a0")
+    hb, ka = Functional("h", (b_,)).id, Functional("k", (a_,)).id
+    gka = Functional("g", (Functional("k", (a_,)),)).id
+    uf = engine.UnionFind()
+    uf.union(hb, ka)
+    uf.union(b_.id, a0.id)
+    assert uf.find(hb) == ka and uf.stale(hb)
+    assert not uf.stale(gka)
+
+
 def test_demand_rules_are_chased_as_given():
     # The chase compiles every rule it is given: the bb demand rule fires
     # although the fb rule beside it fires on every one of its matches.

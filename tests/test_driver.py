@@ -269,6 +269,29 @@ def test_relevance_fixpoint_past_its_limits_fails_stage_rel():
     assert isinstance(exc.value.cause, AbstractionFixpointDiverged)
 
 
+def test_a_trip_in_the_retried_relevance_fixpoint_names_its_rule(monkeypatch):
+    # Both attempts pass the critical instance of 2 facts and trip inside
+    # the fixpoint; the error names the rule of the retry, whose Skolem term
+    # the abstraction made a constant.  The critical instance's size check
+    # applies no rule, so a trip there names none.
+    attempts = []
+
+    def counted(*args, **kwargs):
+        attempts.append(kwargs["abstract_functions"])
+        return relevance(*args, **kwargs)
+
+    monkeypatch.setattr(driver, "relevance", counted)
+    sc = Scenario(tuple(parse_rules(DIVERGING)), Instance([Atom(Predicate("S", 1), (Constant("a"),))]), Q1)
+    with pytest.raises(PipelineError) as exc:
+        run_pipeline(sc, PipelineConfig(mode="rel", relevance_limits=Limits(max_facts=2)))
+    assert attempts == [False, True]
+    assert isinstance(exc.value.cause, AbstractionFixpointDiverged)
+    assert str(exc.value) == "stage rel: more than 2 facts, applying R(?x,_fn_sk_0_y) :- S(?x)."
+    with pytest.raises(PipelineError) as exc:
+        run_pipeline(sc, PipelineConfig(mode="rel", relevance_limits=Limits(max_facts=1)))
+    assert str(exc.value) == "stage rel: critical instance of 2 facts, more than 1"
+
+
 def test_every_module_is_reachable_as_a_package_attribute():
     # A package-level name that equals a module's name would hide it.
     for path in Path(chasegoal.__file__).parent.glob("*.py"):
@@ -433,6 +456,55 @@ def test_cli_guard_trip_prints_one_bounded_line_naming_the_rule(tmp_path, mode):
         r", applying [AR]\(.*sk_1_y\(\?_s1,\?_s2\)\) :- .*A\(\?_s1\), A\(\?_s2\), E\(\?_s1,\?_s2\)\.",
         line,
     ), line
+
+
+# Six-way Skolem terms: cut only by depth, the fact of the trip printed
+# 51 kB in mode mat.
+SIX_WAY_RULES = """\
+A(?x) -> E(?x,?x,?x,?x,?x,?x)
+A(?a), A(?b), A(?c), A(?d), A(?e), A(?f), E(?a,?b,?c,?d,?e,?f) -> R(?a,?b,?c,?d,?e,?f,?y), A(?y)
+A(?x) -> Q(?x)
+"""
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_cli_guard_trip_line_stays_short_on_wide_skolem_terms(tmp_path, mode):
+    # mat and rel trip the depth guard; magic and all spend the fact budget
+    # on |A|^6 bound demand first.
+    rules_path, data = write_inputs(tmp_path, rules=SIX_WAY_RULES, facts={"A": [("a",)]})
+    result = CliRunner().invoke(
+        main,
+        ["run", "--rules", str(rules_path), "--data", str(data), "--query-pred", "Q",
+         "--mode", mode, "--max-facts", "100000", "--out", str(tmp_path / "out")],
+    )
+    assert result.exit_code == 2
+    assert len(result.stderr.encode()) < 4096
+    line, = result.stderr.splitlines()
+    assert ", applying " in line
+    if mode in ("mat", "rel"):
+        # Four levels would print 259 function symbols per argument.
+        assert "term depth exceeds 20 in" in line
+        assert "sk_1_y(sk_1_y(...,...,...,...,...,...)," in line
+        assert "sk_1_y(sk_1_y(sk_1_y(sk_1_y(" not in line
+
+
+@pytest.mark.parametrize("mode, rule", [
+    ("mat", "con_c(c)."), ("rel", "con_c(c)."), ("magic", "m_Q#f."), ("all", "m_Q#f."),
+])
+def test_cli_trip_in_a_bodiless_rule_names_it(tmp_path, mode, rule):
+    # The two base facts fill the budget; the first fact the chase adds,
+    # before its first round, is the head of a bodiless rule: the constant's
+    # graph fact, or magic's seed.
+    rules_path, data = write_inputs(
+        tmp_path, rules="A(?x), B(?x,c) -> Q(?x)\n", facts={"A": [("a",)], "B": [("a", "c")]}
+    )
+    result = CliRunner().invoke(
+        main,
+        ["run", "--rules", str(rules_path), "--data", str(data), "--query-pred", "Q",
+         "--mode", mode, "--max-facts", "2", "--out", str(tmp_path / "out")],
+    )
+    assert result.exit_code == 2
+    assert result.stderr == "error: stage chase: more than 2 facts, applying %s\n" % rule
 
 
 RUN_ARGS = ["run", "--rules", "{tmp}/rules.txt", "--data", "{tmp}/data", "--query-pred", "Q", "--out", "{tmp}/out"]

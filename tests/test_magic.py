@@ -263,6 +263,16 @@ def test_bound_demand_stays_when_the_full_flag_waits_on_a_fact():
     assert _subsumed_demand(parse_program(hand).rules) == set()
 
 
+def test_a_nullary_relational_atom_keeps_its_flag_rule_from_full_demand():
+    # m_B#f :- m_Q#f, A waits on the fact A, which no flag derives: B is
+    # not demanded in full, so the bound demand m_B#b and its copy stay.
+    # Read as a flag, A would leave 7 rules and no m_B#b.
+    rules = parse_rules("C(?y) -> A\nD(?x,?y) -> B(?x)\nA, B(?x) -> Q(?x)\nE(?x,?y), B(?y) -> Q(?x)\n")
+    got = magic(skolemize(singularize(rules, Q1), Q1))
+    assert len(got.rules) == 9
+    assert MagicPredicate(Predicate("B", 1), "b") in {r.head.predicate for r in got.rules}
+
+
 @pytest.mark.parametrize("query_body", [FLAGS_FIRST, RELATIONAL_FIRST])
 def test_full_and_bound_demand_answers_match_the_oracle(query_body):
     sc = full_and_bound_scenario(query_body)
