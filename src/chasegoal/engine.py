@@ -12,6 +12,11 @@ those facts dropped, to be re-derived in normalized form.  Such stale terms
 stay out of the term map.  `naive_fixpoint` evaluates arbitrary logic
 programs with explicit equality atoms and serves as the reference semantics.
 
+The union-find keeps the stale terms in one set, so a staleness test is one
+lookup: a union adds the terms above its loser, a hand-on adds those above
+the old representative and re-checks those above the new one, and a term
+built later is classified from its arguments at the next test.
+
 The engine works on rows of term ids from end to end (see `kernel`): the
 kernels unpack rows and build heads as rows, a delta maps each predicate to
 its rows, and the union-find, the staleness test and the guards read a
@@ -57,6 +62,11 @@ same indexes, and the function terms above it through the term table's
 `PARENTS` (`kernel.containing`); each merge finds the classes it makes
 stale by the same upward walk (`kernel.ancestors`).  A chase that never
 merges builds neither.
+
+Body facts hold only representatives, so a relational head can hold a
+merged-away term only at a position with a ground term or a function term
+the kernel builds.  Only the heads of rules with such a position are
+normalized through the union-find before their write (`_plans`).
 """
 
 from __future__ import annotations
@@ -184,11 +194,24 @@ def _intake(base: "Instance | Iterable[Atom]", limits: Limits) -> Instance:
 class UnionFind:
     """Union-find over ground term ids, the only place that picks a class's
     representative (`union`).  `roots` holds the roots of the classes with
-    more than one term."""
+    more than one term.
+
+    The stale terms, those that mention a merged-away term (a key of
+    `parent`) below a function symbol, are kept in one set (`stale_set`), so
+    `stale` is one lookup.  A union adds the terms above its loser; a
+    reroot adds the terms above the old root and drops each term above the
+    new one that no longer mentions a merged-away term (`_walk`).  A term
+    the term table gained since the last call of `stale_set`, which
+    `stale`, `union` and `reroot` make first, is classified there, in id
+    order, from its arguments: it is stale if one of them is merged away
+    or stale."""
 
     def __init__(self):
         self.parent: dict[int, int] = {}
         self.roots: set[int] = set()
+        self._stale: set[int] = set()
+        # The terms with an id below this one are classified.
+        self._known = len(STRUCT)
 
     def find(self, t: int) -> int:
         parent = self.parent
@@ -201,8 +224,24 @@ class UnionFind:
             t = nxt
         return root
 
-    def stale(self, term: int) -> bool:
-        """Whether `term` mentions a merged-away term below a function symbol."""
+    def stale_set(self) -> set:
+        """The set of stale terms, kept in place, after classifying the
+        terms built since the last call."""
+        known, stale = self._known, self._stale
+        if known < len(STRUCT):
+            parent = self.parent
+            if parent:
+                for t, struct in enumerate(STRUCT[known:], known):
+                    for a in struct[1:]:
+                        if a in parent or a in stale:
+                            stale.add(t)
+                            break
+            self._known = len(STRUCT)
+        return stale
+
+    def _walk(self, term: int) -> bool:
+        """Whether `term` mentions a merged-away term below a function
+        symbol, by a walk down its arguments."""
         parent = self.parent
         nested = list(arg_ids(term))
         for t in nested:
@@ -211,6 +250,10 @@ class UnionFind:
             nested += arg_ids(t)
         return False
 
+    def stale(self, term: int) -> bool:
+        """Whether `term` mentions a merged-away term below a function symbol."""
+        return term in self.stale_set()
+
     def union(self, s: int, t: int) -> "tuple[int, int]":
         """Merge the classes of s and t, which the caller has found to
         differ, under the term-order lesser root (`precedes`); returns the
@@ -218,16 +261,20 @@ class UnionFind:
         loser below a function symbol (`stale`) goes to its least member that
         is not: a scan of `parent`, which only this rare path makes, finds
         them all before any `reroot`."""
+        stale = self.stale_set()
         rs, rt = self.find(s), self.find(t)
         rep, loser = (rs, rt) if precedes(rs, rt) else (rt, rs)
         self.parent[loser] = rep
         self.roots.discard(loser)
         self.roots.add(rep)
-        stale = self.roots & ancestors(loser)
-        if stale:
+        above = ancestors(loser)
+        above.discard(loser)
+        stale |= above
+        handed = self.roots & above
+        if handed:
             least: dict[int, int] = {}
             for m in list(self.parent):
-                if (root := self.find(m)) in stale and not self.stale(m):
+                if (root := self.find(m)) in handed and m not in stale:
                     if root not in least or precedes(m, least[root]):
                         least[root] = m
             for root, member in least.items():
@@ -236,10 +283,17 @@ class UnionFind:
 
     def reroot(self, root: int, member: int):
         """Make `member` the representative of the class `root` heads."""
+        stale = self.stale_set()
         del self.parent[member]
         self.parent[root] = member
         self.roots.remove(root)
         self.roots.add(member)
+        above = ancestors(root)
+        above.discard(root)
+        stale |= above
+        for t in ancestors(member) & stale:
+            if not self._walk(t):
+                stale.discard(t)
 
     def as_map(self) -> "dict[int, int]":
         return {t: self.find(t) for t in list(self.parent)}
@@ -284,6 +338,9 @@ class _Store:
         # a third to a half of the memory of a set.
         self.delta: dict[PredicateId, dict[tuple, None]] = {}
         self.entries: dict[PredicateId, dict[tuple, None]] = {}
+        # Whether a head of the batch being applied may hold a merged-away
+        # term (`_plans`); `_saturate` sets it for each rule's batch.
+        self.normalize = True
 
     def add(self, pred: PredicateId, rows: "Iterable[tuple]") -> "dict[tuple, None]":
         """Add a batch of rows of `pred` in one write and check the new
@@ -322,14 +379,15 @@ class _ChaseState(_Store):
     def fire(self, pred: PredicateId, matches: "list[tuple]"):
         """Apply a rule's batch of matches, heads of `pred`.  A relational
         batch is written at once, each head normalized while the union-find
-        is non-empty; an equality batch merges a set at a time (`equate`)."""
+        is non-empty and the rule's head may hold a merged-away term
+        (`normalize`); an equality batch merges a set at a time (`equate`)."""
         if not matches:
             return
         if pred is EQUALITY:
             return self.equate(matches)
         self.applications += len(matches)
         parent = self.uf.parent
-        if parent:
+        if parent and self.normalize:
             merged, find = parent.keys(), self.uf.find
             matches = [
                 head if merged.isdisjoint(head) else tuple([find(t) for t in head])
@@ -351,11 +409,13 @@ class _ChaseState(_Store):
         write."""
         uf = self.uf
         find, parent = uf.find, uf.parent
+        # No term is built from here on, so the set stays classified.
+        stale = uf.stale_set()
         losers: list[int] = []
         for s, t in heads:
             if parent:
                 s, t = find(s), find(t)
-            if losers and (uf.stale(s) or uf.stale(t)):
+            if losers and (s in stale or t in stale):
                 continue
             self.applications += 1
             if s == t:
@@ -371,7 +431,7 @@ class _ChaseState(_Store):
             delta.get(pred, {}).pop(row, None)
             entries.get(pred, {}).pop(row, None)
             row = tuple([find(a) for a in row])
-            if not any(map(uf.stale, row)):
+            if stale.isdisjoint(row):
                 rewritten.setdefault(pred, []).append(row)
         for pred, rows in rewritten.items():
             self.enter(pred, instance.add_all(pred, rows))
@@ -436,10 +496,11 @@ def _holds(plans: tuple, entries: "dict | None", instance: Instance) -> bool:
 
 
 # Compiled rules: every rule with a body that a fixpoint in this process
-# has seen -> its plans (see `_plans`) and how it breaks the chase's body
-# contract, if it does.  The table grows with the distinct rules a process
-# has seen, like the term table; a process that answers the same
-# program again compiles and checks nothing.
+# has seen -> its plans (see `_plans`), how it breaks the chase's body
+# contract, if it does, and whether its head may hold a merged-away term.
+# The table grows with the distinct rules a process has seen, like the
+# term table; a process that answers the same program again compiles and
+# checks nothing.
 _RULES: "dict[Rule, tuple]" = {}
 
 
@@ -468,7 +529,10 @@ def _breach(rule: Rule) -> "Optional[str]":
 def _plans(rule: Rule) -> tuple:
     """The plans of a rule's head-linked atoms, which emit its head, then
     those of each head-free component (`_components`), which emit an empty
-    match, and the rule's `_breach`.  Compiled once per process; a head
+    match; the rule's `_breach`; and whether its head may hold a
+    merged-away term.  A chase binds a variable to a term of a fact, a live
+    representative, so only a ground term or a function term the kernel
+    builds may have been merged away.  Compiled once per process; a head
     variable the body does not bind raises `BodyContractViolation`."""
     compiled = _RULES.get(rule)
     if compiled is None:
@@ -476,7 +540,8 @@ def _plans(rule: Rule) -> tuple:
             raise BodyContractViolation("unbound head variable in %r" % (rule,))
         linked, *free = _components(rule)
         plans = (_pivots(linked, (rule.head,)),) + tuple(_pivots(c, ()) for c in free)
-        compiled = _RULES[rule] = (plans, _breach(rule))
+        normalize = any(not isinstance(t, Variable) for t in rule.head.args)
+        compiled = _RULES[rule] = (plans, _breach(rule), normalize)
     return compiled
 
 
@@ -495,11 +560,12 @@ class _CompiledRule:
     row; nothing rebuilds the body, since the chase does not re-check a
     match once it is found."""
 
-    __slots__ = ("plans", "waiting", "rule")
+    __slots__ = ("plans", "waiting", "rule", "normalize")
 
-    def __init__(self, rule: Rule, plans: tuple):
+    def __init__(self, rule: Rule, plans: tuple, normalize: bool):
         self.plans, *self.waiting = plans
         self.rule = rule
+        self.normalize = normalize
 
     def reads(self) -> "set[Predicate]":
         """The predicates of the rule's body."""
@@ -536,10 +602,10 @@ def _compile(rules: Iterable[Rule], chase: bool) -> "tuple[list[_CompiledRule], 
                 raise BodyContractViolation("unbound head variable in %r" % (r,))
             facts.append(r)
             continue
-        plans, breach = _plans(r)
+        plans, breach, normalize = _plans(r)
         if chase and breach is not None:
             raise BodyContractViolation(breach)
-        compiled.append(_CompiledRule(r, plans))
+        compiled.append(_CompiledRule(r, plans, normalize))
     return compiled, facts
 
 
@@ -586,6 +652,7 @@ def _saturate(rules: "list[_CompiledRule]", state: _Store, rng=None) -> int:
             rng.shuffle(visit)
         try:
             for rule in visit:
+                state.normalize = rule.normalize
                 state.fire(rule.rule.head[0], rule.matches(None if rounds == 1 else state.entries, state, rng))
         except ChaseError as err:
             err.rule = rule.rule

@@ -677,12 +677,13 @@ class Instance:
     def add_all(self, pred: PredicateId, rows: Iterable) -> dict:
         """Add in one write the rows of `pred` this instance lacks, testing
         membership and dropping duplicates in C; returns them once each, in
-        order, as the keys of a dict.  A shared relation that holds every
-        row is not cloned."""
+        order, as the keys of a dict.  Only rows of a relation that holds
+        some are tested one by one.  A shared relation that holds every row
+        is not cloned."""
         rel = self._mine.get(pred)
         current = self._rels.get(pred) if rel is None else rel
         have = _EMPTY if current is None else current.facts
-        new = dict.fromkeys([r for r in rows if r not in have])
+        new = dict.fromkeys([r for r in rows if r not in have] if have else rows)
         if new:
             if rel is None:
                 rel = self._own(pred)

@@ -630,7 +630,7 @@ def test_a_bodiless_rule_head_goes_through_fire(monkeypatch):
 
 UF_TERMS = [Constant("uf%d" % i).id for i in range(6)] + [
     Functional("uf", (Constant("uf%d" % i),)).id for i in (1, 2)
-]
+] + [Functional("uf", (Functional("uf", (Constant("uf1"),)),)).id]
 uf_ops = st.lists(
     st.tuples(
         st.sampled_from(["union", "reroot"]),
@@ -654,12 +654,22 @@ def test_union_find_roots_and_stale_classes_follow_unions_and_reroots(ops):
     # examples do: merging uf1 into uf0 makes the class of uf(uf1) and
     # uf(uf2) stale, and it is handed on to uf(uf2), unless uf2 was merged
     # away first.
+    #
+    # After every union and reroot, the set `stale` reads agrees with a
+    # walk down each term, for every term of UF_TERMS and for the terms
+    # built after a union: one over its loser and one over that and a term
+    # of UF_TERMS, which enter the set from their arguments.
     uf = engine.UnionFind()
     rerooted = False
+    late: list = []
     for op, i, j in ops:
         if op == "union":
             if uf.find(UF_TERMS[i]) != uf.find(UF_TERMS[j]):
-                uf.union(UF_TERMS[i], UF_TERMS[j])
+                loser = uf.union(UF_TERMS[i], UF_TERMS[j])[1]
+                over = Functional("uf_late%d" % len(kernel.TERMS), (kernel.TERMS[loser],))
+                pair = Functional("uf_late%d" % len(kernel.TERMS), (kernel.TERMS[UF_TERMS[j]], over))
+                late += [over.id, pair.id]
+                assert uf.stale(over.id) and uf.stale(pair.id)
         else:
             root = uf.find(UF_TERMS[i])
             members = [t for t in uf.parent if uf.find(t) == root]
@@ -670,9 +680,34 @@ def test_union_find_roots_and_stale_classes_follow_unions_and_reroots(ops):
         for t in list(uf.parent):
             classes.setdefault(uf.find(t), []).append(t)
         assert uf.roots == classes.keys()
+        for t in UF_TERMS + late:
+            assert uf.stale(t) == (not uf.parent.keys().isdisjoint(nested_ids(t))), t
         if not rerooted:
             for root, members in classes.items():
                 assert not uf.stale(root) or all(map(uf.stale, members)), (root, members)
+
+
+def test_a_head_that_may_hold_a_merged_away_term_is_written_normalized():
+    # A variable of a head is bound to a term of a fact, a representative,
+    # so only a ground head term or a Skolem term the kernel builds may have
+    # been merged away; those heads are normalized before they are written.
+    # First, the constant b is merged into a by the round's first rule,
+    # before the second rule of the same round writes b in its head.
+    # Second, the Skolem term f(a) is merged into a in round 2, and round 3
+    # builds f(a) again in the head of S.
+    A1, P2, R2, S1 = Predicate("A", 1), Predicate("P", 2), Predicate("R", 2), Predicate("S", 1)
+    cases = [
+        ("?x = b :- A(?x).\nP(?x,b) :- A(?x).", {Atom(A1, (a,)), Atom(P2, (a, a))}, {b: a}),
+        (
+            "R(?x,f(?x)) :- A(?x).\n?x = ?y :- R(?x,?y).\nS(f(?x)) :- R(?x,?y).",
+            {Atom(A1, (a,)), Atom(R2, (a, a)), Atom(S1, (a,))},
+            {Functional("f", (a,)): a},
+        ),
+    ]
+    for text, facts, mu in cases:
+        for seed in (None, 0, 1, 2):
+            result = chase(parse_program(text), [Atom(A1, (a,))], seed=seed)
+            assert (set(result.instance), result.mu) == (facts, mu), (text, seed)
 
 
 def test_a_hand_on_leaves_the_terms_above_the_new_representative_live():

@@ -259,7 +259,22 @@ def test_a_stage_that_loses_equality_safety_fails_by_name(monkeypatch):
     )
 
 
-def test_relevance_fixpoint_past_its_limits_fails_stage_rel():
+def test_relevance_fixpoint_past_its_limits_fails_stage_rel(monkeypatch):
+    # The first attempt passes the critical instance of 2 facts and trips
+    # inside the fixpoint, naming the rule it was applying.  The retry, with
+    # function symbols abstracted to constants, has a critical instance of
+    # 12 facts and trips its size check, which applies no rule.
+    trips = []
+
+    def traced(*args, **kwargs):
+        try:
+            return relevance(*args, **kwargs)
+        except AbstractionFixpointDiverged as err:
+            rule = None if err.rule is None else repr(err.rule)
+            trips.append((kwargs["abstract_functions"], str(err), rule))
+            raise
+
+    monkeypatch.setattr(driver, "relevance", traced)
     with pytest.raises(PipelineError) as exc:
         run_pipeline(
             running_example(3),
@@ -267,6 +282,11 @@ def test_relevance_fixpoint_past_its_limits_fails_stage_rel():
         )
     assert exc.value.stage == "rel"
     assert isinstance(exc.value.cause, AbstractionFixpointDiverged)
+    assert trips == [
+        (False, "more than 5 facts", "?x1 = ?x1 :- B(?x1)."),
+        (True, "critical instance of 12 facts, more than 5", None),
+    ]
+    assert str(exc.value) == "stage rel: critical instance of 12 facts, more than 5"
 
 
 def test_a_trip_in_the_retried_relevance_fixpoint_names_its_rule(monkeypatch):
