@@ -13,9 +13,9 @@ stay out of the term map.  `naive_fixpoint` evaluates arbitrary logic
 programs with explicit equality atoms and serves as the reference semantics.
 
 The union-find keeps the stale terms in one set, so a staleness test is one
-lookup: a union adds the terms above its loser, a hand-on adds those above
-the old representative and re-checks those above the new one, and a term
-built later is classified from its arguments at the next test.
+lookup.  It holds the terms above a merged-away term, recomputed at a
+hand-on: a union adds those above its loser, and a term built later is
+classified from its arguments at the next test.
 
 The engine works on rows of term ids from end to end (see `kernel`): the
 kernels unpack rows and build heads as rows, a delta maps each predicate to
@@ -198,10 +198,9 @@ class UnionFind:
 
     The stale terms, those that mention a merged-away term (a key of
     `parent`) below a function symbol, are kept in one set (`stale_set`), so
-    `stale` is one lookup.  A union adds the terms above its loser; a
-    reroot adds the terms above the old root and drops each term above the
-    new one that no longer mentions a merged-away term (`_walk`).  A term
-    the term table gained since the last call of `stale_set`, which
+    `stale` is one lookup: the terms above a merged-away term, recomputed
+    at a hand-on (`reroot`).  A union adds the terms above its loser.  A
+    term the term table gained since the last call of `stale_set`, which
     `stale`, `union` and `reroot` make first, is classified there, in id
     order, from its arguments: it is stale if one of them is merged away
     or stale."""
@@ -238,17 +237,6 @@ class UnionFind:
                             break
             self._known = len(STRUCT)
         return stale
-
-    def _walk(self, term: int) -> bool:
-        """Whether `term` mentions a merged-away term below a function
-        symbol, by a walk down its arguments."""
-        parent = self.parent
-        nested = list(arg_ids(term))
-        for t in nested:
-            if t in parent:
-                return True
-            nested += arg_ids(t)
-        return False
 
     def stale(self, term: int) -> bool:
         """Whether `term` mentions a merged-away term below a function symbol."""
@@ -288,12 +276,11 @@ class UnionFind:
         self.parent[root] = member
         self.roots.remove(root)
         self.roots.add(member)
-        above = ancestors(root)
-        above.discard(root)
-        stale |= above
-        for t in ancestors(member) & stale:
-            if not self._walk(t):
-                stale.discard(t)
+        stale.clear()
+        for t in self.parent:
+            above = ancestors(t)
+            above.discard(t)
+            stale |= above
 
     def as_map(self) -> "dict[int, int]":
         return {t: self.find(t) for t in list(self.parent)}
@@ -424,17 +411,19 @@ class _ChaseState(_Store):
         if not losers:
             return
         self.derived += len(losers)
-        instance, delta, entries = self.instance, self.delta, self.entries
-        rewritten: dict[PredicateId, list[tuple]] = {}
-        for pred, row in containing(instance, losers):
-            instance.remove(pred, row)
-            delta.get(pred, {}).pop(row, None)
-            entries.get(pred, {}).pop(row, None)
-            row = tuple([find(a) for a in row])
-            if stale.isdisjoint(row):
-                rewritten.setdefault(pred, []).append(row)
-        for pred, rows in rewritten.items():
-            self.enter(pred, instance.add_all(pred, rows))
+        instance = self.instance
+        for pred, rows in containing(instance, losers).items():
+            delta, entries = self.delta.get(pred, {}), self.entries.get(pred, {})
+            rewritten = []
+            for row in rows:
+                instance.remove(pred, row)
+                delta.pop(row, None)
+                entries.pop(row, None)
+                row = tuple([find(a) for a in row])
+                if stale.isdisjoint(row):
+                    rewritten.append(row)
+            if rewritten:
+                self.enter(pred, instance.add_all(pred, rewritten))
 
 
 def _components(rule: Rule) -> "list[tuple[Atom, ...]]":

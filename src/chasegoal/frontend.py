@@ -363,6 +363,17 @@ def parse_program(text: str, source: str = "<program>") -> Program:
 # Base instances and schemas
 # ---------------------------------------------------------------------------
 
+def _check_sorts(name: str, arity: int, sorts: "tuple[str, ...]", line: int = 0, source: str = ""):
+    """Raise unless `name/arity` declares one sort per argument, each a name."""
+    if len(sorts) != arity:
+        raise ArityMismatch("%s/%d declares %d sorts" % (name, arity, len(sorts)), line, 1, source)
+    for sort in sorts:
+        if not re.fullmatch(r"\w+", sort):
+            raise MalformedRule(
+                "%s/%d declares sort %r, which is not a name" % (name, arity, sort), line, 1, source
+            )
+
+
 def parse_schema(text: str, source: str = "<schema>") -> "dict[tuple[str, int], tuple[str, ...]]":
     """Parse sort declarations, one per line: `pred/arity: sort1, sort2`."""
     out: dict[tuple[str, int], tuple[str, ...]] = {}
@@ -377,10 +388,7 @@ def parse_schema(text: str, source: str = "<schema>") -> "dict[tuple[str, int], 
             raise MalformedRule("malformed schema line %r" % line, lineno, 1, source)
         name, arity = m.group(1), int(m.group(2))
         sorts = tuple(s.strip() for s in m.group(3).split(",")) if m.group(3).strip() else ()
-        if len(sorts) != arity:
-            raise ArityMismatch(
-                "%s/%d declares %d sorts" % (name, arity, len(sorts)), lineno, 1, source
-            )
+        _check_sorts(name, arity, sorts, lineno, source)
         if (name, arity) in out:
             raise MalformedRule("duplicate schema line for %s/%d" % (name, arity), lineno, 1, source)
         out[(name, arity)] = sorts
@@ -574,8 +582,8 @@ def check_scenario(sc: Scenario):
     - every rule keeps `check_rule`;
     - the query predicate keeps `check_query_predicate` and has no base
       facts;
-    - a schema entry declares one sort per argument, and the arity of a
-      predicate the rules use;
+    - a schema entry declares one sort, a name, per argument, and the
+      arity of a predicate the rules use;
     - under a schema, no constant has two sorts, counting the positions it
       holds in rule atoms and in facts alike.  The typed relevance
       abstraction assumes one sort per constant; with two, it would prune
@@ -593,8 +601,7 @@ def check_scenario(sc: Scenario):
         return
     sig = rules_signature(sc.rules)
     for (name, arity), sorts in sc.schema.items():
-        if len(sorts) != arity:
-            raise ArityMismatch("%s/%d declares %d sorts" % (name, arity, len(sorts)))
+        _check_sorts(name, arity, sorts)
         if name in sig and sig[name].arity != arity:
             raise ArityMismatch(
                 "schema declares %s/%d, rules use arity %d" % (name, arity, sig[name].arity)

@@ -574,14 +574,14 @@ def _index_rows(index: dict, pos: int, rows) -> None:
             s.add(row)
 
 
-def containing(instance: "Instance", terms: Iterable[int]) -> list:
-    """A new list of the (predicate, row) pairs of `instance` holding one of
-    `terms` at any depth of an argument, each once: the unary relations'
-    first, then the others', each group in relation order.  A unary fact
-    holding `u` is the row `(u,)` of its relation, an n-ary one is found in
-    the index of each of its positions (`Instance.index_at`), and a fact
-    holding `u` below a function symbol through the function terms above
-    `u` (`ancestors`).  A nullary relation holds no term."""
+def containing(instance: "Instance", terms: Iterable[int]) -> dict:
+    """A new map from each predicate of `instance` to its rows holding one
+    of `terms` at any depth of an argument, as a dict's keys: the unary
+    relations first, then the others, each group in relation order.  A
+    unary fact holding `u` is the row `(u,)` of its relation, an n-ary one
+    is found in the index of each of its positions (`Instance.index_at`),
+    and a fact holding `u` below a function symbol through the function
+    terms above `u` (`ancestors`).  A nullary relation holds no term."""
     terms = ancestors(*terms)
     singles = {(t,) for t in terms}
     found: dict = {}
@@ -599,7 +599,7 @@ def containing(instance: "Instance", terms: Iterable[int]) -> list:
             index = instance.index_at(pred, pos)
             for t in index.keys() & terms:
                 found.setdefault(pred, {}).update(dict.fromkeys(index[t]))
-    return [(pred, row) for pred, rows in found.items() for row in rows]
+    return found
 
 
 class Instance:

@@ -577,6 +577,19 @@ def test_an_early_merge_in_an_equality_batch_makes_a_later_head_stale():
     assert state.uf.as_map() == {fb.id: c.id}
 
 
+def test_an_equality_batch_enters_only_predicates_it_writes_facts_of():
+    # Merging b into a rewrites T(b,a) to T(a,a), which enters the round's
+    # delta.  U(f(b)) holds f(b), stale with no live member, so it is
+    # dropped, to be re-derived in normalized form, and the delta gets no
+    # U key, not even an empty one.
+    U1 = Predicate("U", 1)
+    fb = Functional("f", (b,))
+    state = engine._ChaseState(Instance([Atom(T2, (b, a)), Atom(U1, (fb,))]), Limits())
+    state.fire(EQUALITY, [(b.id, a.id)])
+    assert state.delta == {T2: {(a.id, a.id): None}}
+    assert set(state.instance) == {Atom(T2, (a, a))}
+
+
 def test_an_equality_batch_rewrites_each_fact_once(monkeypatch):
     # An equality batch merges in the union-find first, then removes each
     # fact holding a term the batch merged away, at any depth, once, and

@@ -708,6 +708,19 @@ def test_cli_rejects_schema_arity_the_rules_disagree_with(tmp_path):
     assert "schema declares B/2, rules use arity 1" in result.output
 
 
+def test_cli_rejects_a_schema_sort_that_is_not_a_name(tmp_path):
+    rules_path, data = write_inputs(tmp_path)
+    schema = tmp_path / "schema.txt"
+    schema.write_text("B/1: student\nS/2: student,\n", encoding="utf-8")
+    result = CliRunner().invoke(
+        main,
+        ["run", "--rules", str(rules_path), "--data", str(data),
+         "--schema", str(schema), "--query-pred", "Q", "--out", str(tmp_path / "out")],
+    )
+    assert result.exit_code == 1, result.output
+    assert "schema.txt:2:1: S/2 declares sort '', which is not a name" in result.output
+
+
 def test_cli_dump_of_a_skipped_stage_exits_one(tmp_path):
     rules_path, data = write_inputs(tmp_path)
     result = CliRunner().invoke(

@@ -258,6 +258,8 @@ def test_parse_schema():
         ("S/2: student", ArityMismatch),
         ("S/2 student, dept", MalformedRule),
         ("S/1: a\nS/1: a", MalformedRule),
+        ("S/2: student,", MalformedRule),
+        ("R/1: s t", MalformedRule),
     ],
 )
 def test_parse_schema_rejects(bad, err):
@@ -703,6 +705,13 @@ def test_scenario_built_in_code_rejects_a_constant_of_two_sorts():
     with pytest.raises(AttributeError):
         sc.schema = schema
     Scenario(rules, facts("S(a), D(a)"), Predicate("Q", 1), {("S", 1): ("s",), ("D", 1): ("s",)})
+
+
+def test_scenario_built_in_code_rejects_a_sort_that_is_not_a_name():
+    rules = tuple(parse_rules("S(?x,?y) -> Q(?x)"))
+    for sorts in [("student", ""), ("student", "s t")]:
+        with pytest.raises(MalformedRule, match="S/2 declares sort '(s t)?', which is not a name"):
+            Scenario(rules, facts("S(a,b)"), Predicate("Q", 1), {("S", 2): sorts})
 
 
 def test_scenario_built_in_code_rejects_base_facts_of_the_query_predicate():

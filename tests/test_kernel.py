@@ -311,10 +311,8 @@ def test_instance_discard_drops_emptied_index_entries():
 
 def facts_holding(inst, t) -> set:
     """The facts holding `t` at any depth of an argument, by `containing`,
-    which returns each once."""
-    found = containing(inst, (t.id,))
-    assert len(found) == len(set(found))
-    return {atom_of(p, row) for p, row in found}
+    whose map holds each once, as the keys of its predicate's dict."""
+    return {atom_of(p, row) for p, rows in containing(inst, (t.id,)).items() for row in rows}
 
 
 def terms_holding(t) -> set:
