@@ -10,7 +10,8 @@ that mentions no merged-away term, and the facts holding the old
 representative are rewritten to it.  Only when no such member exists are
 those facts dropped, to be re-derived in normalized form.  Such stale terms
 stay out of the term map.  `naive_fixpoint` evaluates arbitrary logic
-programs with explicit equality atoms and serves as the reference semantics.
+programs with explicit equality atoms; relevance pruning runs its abstract
+fixpoint with it, and `bench/reference.py` its equality-axiom reference.
 
 The union-find keeps the stale terms in one set, so a staleness test is one
 lookup.  It holds the terms above a merged-away term, recomputed at a

@@ -172,12 +172,25 @@ def _parse_term(toks: list, i: int, dump: bool) -> "tuple[Term, int]":
     raise MalformedRule("expected a term" + ("" if kind == "END" else ", found %r" % text), col=col)
 
 
+def _check_predicate_name(name: str, col: int = 0):
+    """Raise unless `name` can name an input predicate.  A stage dump names
+    the predicates the pipeline generates with `#`, `eq` (in `m_eq#eqb`)
+    and the prefixes `fun_` and `con_`; an input predicate named so would
+    print as one of them, and the dump would not read back."""
+    if "#" in name:
+        raise MalformedRule("'#' is not allowed in predicate names", col=col)
+    if name == "eq" or name.startswith(("fun_", "con_")):
+        raise MalformedRule(
+            "predicate name %s is reserved: eq, fun_* and con_* name generated predicates" % name,
+            col=col,
+        )
+
+
 def _predicate(name: str, arity: int, col: int, dump: bool) -> PredicateId:
     """The predicate a name denotes.  Input rules allow ordinary names only;
     dumps also decode the names the pipeline generates."""
     if not dump:
-        if "#" in name:
-            raise MalformedRule("'#' is not allowed in predicate names", col=col)
+        _check_predicate_name(name, col)
         return Predicate(name, arity)
     if name.startswith("m_") and "#" in name:
         base_label, adornment = name[2:].rsplit("#", 1)
@@ -305,10 +318,12 @@ def parse_rules(text: str, source: str = "<rules>") -> "list[TGD]":
 
     Head atoms are relational (head variables missing from the body are
     existential) or a single equality `?x = ?y` / `?x = c` (an
-    equality-generating rule).  Input rules are function free; body
-    equality atoms are accepted so that stage dumps can be read back.  A
-    predicate keeps the arity of its first use, and every rule passes
-    `check_rule`.
+    equality-generating rule).  Input rules are function free, and a body
+    may hold equality atoms.  A predicate keeps the arity of its first use,
+    its name is not reserved (`_check_predicate_name`), and every rule
+    passes `check_rule`.  No stage dump reads back through this parser:
+    `sg` prints variables with the reserved prefix, and the later stages
+    are logic programs for `parse_program`.
     """
     rules: list[TGD] = []
     arities: dict[str, tuple[int, int]] = {}
@@ -579,7 +594,8 @@ def check_query_predicate(rules: "Iterable[TGD]", query: Predicate):
 def check_scenario(sc: Scenario):
     """Raise `FrontendError` unless a scenario keeps the input contract, on
     which all four modes give the same answers:
-    - every rule keeps `check_rule`;
+    - every rule keeps `check_rule`, and no predicate of the rules has a
+      reserved name (`_check_predicate_name`);
     - the query predicate keeps `check_query_predicate` and has no base
       facts;
     - a schema entry declares one sort, a name, per argument, and the
@@ -590,6 +606,9 @@ def check_scenario(sc: Scenario):
       rules that derive answers."""
     for r in sc.rules:
         check_rule(r)
+    sig = rules_signature(sc.rules)
+    for name in sig:
+        _check_predicate_name(name)
     check_query_predicate(sc.rules, sc.query)
     if sc.instance.with_predicate(sc.query):
         raise FrontendError(
@@ -599,7 +618,6 @@ def check_scenario(sc: Scenario):
         )
     if sc.schema is None:
         return
-    sig = rules_signature(sc.rules)
     for (name, arity), sorts in sc.schema.items():
         _check_sorts(name, arity, sorts)
         if name in sig and sig[name].arity != arity:

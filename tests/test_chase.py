@@ -54,8 +54,9 @@ from helpers import (
     derivation_log,
     digests_across_interpreters,
     holds_only_representatives,
-    oracle_answers,
+    null_chase,
     running_example,
+    scenario_draws,
     scenario_stream,
     stale_merge_scenario,
 )
@@ -130,7 +131,7 @@ def test_worked_example_derivation_trace():
 def test_the_derivation_log_holds_every_derived_fact():
     # `derivation_log` spies on the two places a chase derives a fact, a
     # relational batch's write and a union; a third would leave it short.
-    drawn = [d.scenario for d in scenario_stream(5, 50, with_oracle=False, draw=stale_merge_scenario)]
+    drawn = list(scenario_draws(5, 50, draw=stale_merge_scenario))
     merges = 0
     for sc in [running_example(3)] + drawn:
         for mode in MODES:
@@ -260,7 +261,7 @@ CHASE_SEEDS = [None] + list(range(40))
 
 def test_stale_representative_keeps_answers_in_every_mode():
     sc = stale_representative_scenarios()[0]
-    assert oracle_answers(sc) == {("a",), ("b",)}
+    assert null_chase(sc).answers == {("a",), ("b",)}
     for mode in ("mat", "rel", "magic", "all"):
         for seed in CHASE_SEEDS:
             rep = run_pipeline(sc, PipelineConfig(mode=mode, seed=seed))
@@ -306,7 +307,7 @@ def test_merges_see_a_relation_that_filled_after_an_earlier_merge():
         query=Q1,
         una_known=False,
     )
-    assert oracle_answers(sc) == {("c0",)}
+    assert null_chase(sc).answers == {("c0",)}
     for mode in ("mat", "rel", "magic", "all"):
         outcomes = set()
         for seed in CHASE_SEEDS:
@@ -318,7 +319,7 @@ def test_merges_see_a_relation_that_filled_after_an_earlier_merge():
 
 def test_stale_merge_template_agrees_with_oracle_and_across_seeds():
     # Skolem terms equated with each other or with constants, then
-    # constants merged: every mode answers as the reference fixpoint, and
+    # constants merged: every mode answers as the null chase, and
     # each mode's final program chases to one instance and term map for
     # every evaluation order.  tests/merge_differential.py runs the same
     # check on more seeds.
@@ -387,13 +388,13 @@ def test_determinism_across_seeds_small():
 
 
 def test_goal_driven_modes_are_deterministic_across_seeds():
-    for drawn in scenario_stream(99, 20, with_oracle=False):
+    for sc in scenario_draws(99, 20):
         for mode in ("magic", "all"):
             outcomes = set()
             for seed in range(10):
-                cr = run_pipeline(drawn.scenario, PipelineConfig(mode=mode, seed=seed)).chase_result
+                cr = run_pipeline(sc, PipelineConfig(mode=mode, seed=seed)).chase_result
                 outcomes.add((frozenset(cr.instance), tuple(sorted(cr.mu.items(), key=repr))))
-            assert len(outcomes) == 1, (mode, drawn.scenario)
+            assert len(outcomes) == 1, (mode, sc)
 
 
 def test_seeded_chase_statistics_repeat_across_interpreters():
@@ -769,9 +770,9 @@ def brute_force_closure(rules, base):
 
 
 def test_semi_naive_loop_agrees_with_brute_force_closure():
-    # The oracle of acceptance criteria 3 and 4 comes from naive_fixpoint,
-    # which runs the same semi-naive loop as the chase; here both meet a
-    # closure built from the brute-force matcher instead.  Bodies mix
+    # The naive reference fixpoint of acceptance criterion 4 comes from
+    # naive_fixpoint, which runs the same semi-naive loop as the chase; here
+    # both meet a closure built from the brute-force matcher instead.  Bodies mix
     # constants, repeated variables, nullary atoms and parts disconnected
     # from each other and from the head.  Only U and E have base facts, so
     # a disconnected part over Z, V or F often holds only from a later round.

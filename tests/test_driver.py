@@ -721,6 +721,29 @@ def test_cli_rejects_a_schema_sort_that_is_not_a_name(tmp_path):
     assert "schema.txt:2:1: S/2 declares sort '', which is not a name" in result.output
 
 
+@pytest.mark.parametrize(
+    "rules,facts,where",
+    [
+        # The magic dump printed eq's demand as m_eq#ff, which parse_program
+        # rejects.
+        ("A(?x,?y) -> eq(?x,?y)\neq(?x,?y) -> Q(?x)\n", {"A": [("a", "b")]}, "1:13: predicate name eq"),
+        # The desg dump printed fun_g as the graph of a function g: read back
+        # and chased over the same base, it answered nothing instead of a.
+        ("fun_g(?x,?y) -> Q(?x)\n", {"fun_g": [("a", "b")]}, "1:1: predicate name fun_g"),
+    ],
+    ids=["eq", "fun_g"],
+)
+def test_cli_rejects_a_reserved_predicate_name(tmp_path, rules, facts, where):
+    rules_path, data = write_inputs(tmp_path, rules=rules, facts=facts)
+    result = CliRunner().invoke(
+        main,
+        ["run", "--rules", str(rules_path), "--data", str(data), "--query-pred", "Q",
+         "--mode", "magic", "--dump-stage", "magic", "--out", str(tmp_path / "out")],
+    )
+    assert result.exit_code == 1, result.output
+    assert result.output.startswith("error: %s:%s is reserved" % (rules_path, where)), result.output
+
+
 def test_cli_dump_of_a_skipped_stage_exits_one(tmp_path):
     rules_path, data = write_inputs(tmp_path)
     result = CliRunner().invoke(

@@ -147,6 +147,12 @@ PINNED_ERRORS = [
     ("rules", "P#x(?x) -> Q(?x)", MalformedRule, "<rules>:1:1: '#' is not allowed in predicate names"),
     ("rules", "P(?x), N#x -> Q(?x)", MalformedRule,
      "<rules>:1:8: '#' is not allowed in predicate names"),
+    ("rules", "P(?x) -> Q(?x)\nA(?x,?y) -> eq(?x,?y)", MalformedRule,
+     "<rules>:2:13: predicate name eq is reserved: eq, fun_* and con_* name generated predicates"),
+    ("rules", "fun_g(?x,?y) -> Q(?x)", MalformedRule,
+     "<rules>:1:1: predicate name fun_g is reserved: eq, fun_* and con_* name generated predicates"),
+    ("rules", "P(?x), con_c(?x) -> Q(?x)", MalformedRule,
+     "<rules>:1:8: predicate name con_c is reserved: eq, fun_* and con_* name generated predicates"),
     ("rules", "P(a#b) -> Q(?x)", MalformedRule, "<rules>:1:3: '#' is not allowed in constants"),
     ("rules", "P(?x#1) -> Q(?x#1)", MalformedRule,
      "<rules>:1:3: variable name ?x#1 uses the reserved character '#'"),
@@ -712,6 +718,18 @@ def test_scenario_built_in_code_rejects_a_sort_that_is_not_a_name():
     for sorts in [("student", ""), ("student", "s t")]:
         with pytest.raises(MalformedRule, match="S/2 declares sort '(s t)?', which is not a name"):
             Scenario(rules, facts("S(a,b)"), Predicate("Q", 1), {("S", 2): sorts})
+
+
+@pytest.mark.parametrize("name", ["eq", "fun_g", "con_c", "P#b"])
+def test_scenario_built_in_code_rejects_a_reserved_predicate_name(name):
+    # Unchecked, a stage dump printed an eq demand as m_eq#ff, which
+    # parse_program rejects, and fun_g as the graph of a function g, whose
+    # dump read back and chased over the same base answered nothing.
+    rel, args = Predicate(name, 2), (Variable("x"), Variable("y"))
+    rule = TGD((Atom(Predicate("A", 2), args),), (Atom(rel, args),))
+    query = TGD((Atom(rel, args),), (Atom(Predicate("Q", 1), args[:1]),))
+    with pytest.raises(MalformedRule, match="predicate name"):
+        Scenario((rule, query), facts("A(a,b)"), Predicate("Q", 1))
 
 
 def test_scenario_built_in_code_rejects_base_facts_of_the_query_predicate():

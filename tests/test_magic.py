@@ -47,7 +47,7 @@ from helpers import (
     answers_of,
     campus_fixture,
     canon_rules,
-    oracle_answers,
+    null_chase,
     pipeline_answers,
     reference_fixpoint,
     running_example,
@@ -276,7 +276,7 @@ def test_a_nullary_relational_atom_keeps_its_flag_rule_from_full_demand():
 @pytest.mark.parametrize("query_body", [FLAGS_FIRST, RELATIONAL_FIRST])
 def test_full_and_bound_demand_answers_match_the_oracle(query_body):
     sc = full_and_bound_scenario(query_body)
-    expect = oracle_answers(sc)
+    expect = null_chase(sc).answers
     assert expect == {("a",), ("c",), ("f",)}
     for mode in MODES:
         assert pipeline_answers(sc, mode) == expect, mode
@@ -371,7 +371,7 @@ def test_oriented_merge_answers_survive_magic():
 def test_magic_preserves_answers_with_congruence_on_both_sides():
     # the transformed program needs congruence over its own predicates,
     # including the magic ones, exactly like the chase provides
-    checked = 0
+    checked = skipped = 0
     for drawn in scenario_stream(8080, 60):
         sc = drawn.scenario
         p = skolemize(singularize(sc.rules, sc.query), sc.query)
@@ -380,10 +380,12 @@ def test_magic_preserves_answers_with_congruence_on_both_sides():
             lhs = answers_of(reference_fixpoint(p, sc.instance, ORACLE_LIMITS), sc.query)
             rhs = answers_of(reference_fixpoint(m, sc.instance, ORACLE_LIMITS), sc.query)
         except (DepthLimitExceeded, FactLimitExceeded):
-            continue  # the magic side may hit guards the plain side missed
-        assert lhs == drawn.oracle
+            skipped += 1  # either side may exceed the naive fixpoint's guards
+            continue
+        assert lhs == drawn.answers
         assert rhs == lhs, sc.rules
         checked += 1
+    print("magic against the naive fixpoint: %d draws agree, %d skipped" % (checked, skipped))
     assert checked >= 40
 
 
