@@ -623,9 +623,9 @@ def _saturate(rules: "list[_CompiledRule]", state: _Store, rng=None) -> int:
     the next round's delta.  A batch holds each new match of the
     head-linked atoms once, found at the first of its atoms whose fact is
     in the delta; a rule with head-free components has none until they all
-    hold (`_CompiledRule`).  A guard that trips records the rule it was
-    applying on its error (`ChaseError.rule`).  Returns the number of
-    rounds."""
+    hold (`_CompiledRule`).  A guard that trips, or a `MemoryError`,
+    records the rule it was applying on its error (`ChaseError.rule`).
+    Returns the number of rounds."""
     readers: dict[Predicate, list[int]] = {}
     for i, rule in enumerate(rules):
         for pred in rule.reads():
@@ -644,9 +644,12 @@ def _saturate(rules: "list[_CompiledRule]", state: _Store, rng=None) -> int:
             for rule in visit:
                 state.normalize = rule.normalize
                 state.fire(rule.rule.head[0], rule.matches(None if rounds == 1 else state.entries, state, rng))
-        except ChaseError as err:
+        except (ChaseError, MemoryError) as err:
+            # The traceback holds the batch being built: drop it first, so
+            # that its memory is free to record the rule and report the error.
+            err.__traceback__ = None
             err.rule = rule.rule
-            raise
+            raise err
         if not any(state.delta.values()):
             return rounds
         state.entries, state.delta = state.delta, {}
@@ -699,7 +702,7 @@ def chase(
 
 
 # ---------------------------------------------------------------------------
-# Naive fixpoint (reference semantics)
+# Naive fixpoint: equality atoms as ordinary facts (relevance, bench reference)
 # ---------------------------------------------------------------------------
 
 

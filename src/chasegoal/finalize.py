@@ -6,13 +6,14 @@ After both, rule bodies contain nothing but variables."""
 from __future__ import annotations
 
 import itertools
+import re
 from typing import Iterable
 
 from .kernel import (
     Atom,
     Constant,
-    FunPredicate,
     Functional,
+    Predicate,
     Program,
     Rule,
     Term,
@@ -31,6 +32,20 @@ class NonVariableEqualityBody(ValueError):
 # ---------------------------------------------------------------------------
 # Defunctionalization
 # ---------------------------------------------------------------------------
+
+
+_NOT_BARE = re.compile(r"[^A-Za-z0-9_]")
+
+
+def graph_predicate(t: "Constant | Functional") -> Predicate:
+    """The graph predicate of a constant, unary, or of a function term's
+    symbol, with one argument more than the term.  A constant's text keeps
+    the characters of a bare constant (`Constant._bare`) and writes each
+    other one as its code point in hex between apostrophes (`'a b'` gets
+    `con_a'20'b`): an injective code whose names the program grammar reads."""
+    if isinstance(t, Constant):
+        return Predicate("con_" + _NOT_BARE.sub(lambda m: "'%x'" % ord(m.group()), t.name), 1)
+    return Predicate("fun_" + t.symbol, len(t.args) + 1)
 
 
 def _head_functionals(atom: Atom):
@@ -79,11 +94,10 @@ def defunctionalize(program: Program) -> Program:
                 z = mapping.get(key)
                 if z is None:
                     z = mapping[key] = Variable(fresh_name(names, taken))
+                    graph = graph_predicate(key)
                     if constant:
-                        graph = FunPredicate(t.name, 1, of_constant=True)
                         fact_rules.setdefault(t.name, Rule(Atom(graph, (t,)), ()))
                     else:
-                        graph = FunPredicate(t.symbol, len(args) + 1)
                         body_symbols.add(t.symbol)
                     graph_atoms.append(Atom(graph, args + (z,)))
                 return z
@@ -101,7 +115,7 @@ def defunctionalize(program: Program) -> Program:
             if t.symbol not in body_symbols:
                 continue
             companion = Rule(
-                Atom(FunPredicate(t.symbol, len(t.args) + 1), t.args + (t,)),
+                Atom(graph_predicate(t), t.args + (t,)),
                 rule.body,
             )
             if companion not in seen:

@@ -32,7 +32,6 @@ from .kernel import (
     Atom,
     Constant,
     FRESH_PREFIX,
-    FunPredicate,
     Functional,
     Instance,
     MagicPredicate,
@@ -173,30 +172,30 @@ def _parse_term(toks: list, i: int, dump: bool) -> "tuple[Term, int]":
 
 
 def _check_predicate_name(name: str, col: int = 0):
-    """Raise unless `name` can name an input predicate.  A stage dump names
-    the predicates the pipeline generates with `#`, `eq` (in `m_eq#eqb`)
-    and the prefixes `fun_` and `con_`; an input predicate named so would
-    print as one of them, and the dump would not read back."""
+    """Raise unless `name` can name an input predicate.  The pipeline names
+    magic predicates with `#` and graph predicates with the prefixes `fun_`
+    and `con_` (`finalize.graph_predicate`); an input predicate named so
+    would be taken for one of them."""
     if "#" in name:
         raise MalformedRule("'#' is not allowed in predicate names", col=col)
-    if name == "eq" or name.startswith(("fun_", "con_")):
+    if name.startswith(("fun_", "con_")):
         raise MalformedRule(
-            "predicate name %s is reserved: eq, fun_* and con_* name generated predicates" % name,
+            "predicate name %s is reserved: fun_* and con_* name generated predicates" % name,
             col=col,
         )
 
 
 def _predicate(name: str, arity: int, col: int, dump: bool) -> PredicateId:
     """The predicate a name denotes.  Input rules allow ordinary names only;
-    dumps also decode the names the pipeline generates."""
+    dumps also decode magic predicates, the equality's by its adornment."""
     if not dump:
         _check_predicate_name(name, col)
         return Predicate(name, arity)
     if name.startswith("m_") and "#" in name:
         base_label, adornment = name[2:].rsplit("#", 1)
-        if base_label == "eq":
+        if adornment == "eqb":
             base: PredicateId = EQUALITY
-            ok = adornment == "eqb"
+            ok = base_label == "eq"
         else:
             base = Predicate(base_label, len(adornment))
             ok = set(adornment) <= {"b", "f"}
@@ -205,12 +204,6 @@ def _predicate(name: str, arity: int, col: int, dump: bool) -> PredicateId:
         return MagicPredicate(base, adornment)
     if "#" in name:
         raise MalformedRule("'#' is only allowed in magic predicate names: %s" % name, col=col)
-    if name.startswith("fun_"):
-        return FunPredicate(name[4:], arity)
-    if name.startswith("con_"):
-        if arity != 1:
-            raise MalformedRule("constant graph predicate %s must be unary" % name, col=col)
-        return FunPredicate(name[4:], 1, of_constant=True)
     return Predicate(name, arity)
 
 
@@ -365,11 +358,9 @@ def _parse_program_rule(toks: list) -> "tuple[Rule, int]":
 def parse_program(text: str, source: str = "<program>") -> Program:
     """Parse a logic program, one rule per line: `head :- body.` or `head.`.
 
-    Predicate names are decoded: `m_R#bf`, `m_A#` and `m_eq#eqb` are magic
-    predicates, `fun_f` / `con_c` are function and constant graph
-    predicates, everything else is ordinary.  Ordinary predicates that
-    happen to start with one of these prefixes are not representable; the
-    format is for pipeline dumps, whose generated names never clash.
+    Only magic predicate names are decoded: `m_R#bf`, `m_A#` and the
+    equality's `m_eq#eqb`.  Every other name, the graph predicates `fun_f`
+    and `con_c` among them, is an ordinary predicate.
     """
     return Program(tuple(rule for _, rule in _parse_lines(text, source, _parse_program_rule)))
 
@@ -594,7 +585,8 @@ def check_query_predicate(rules: "Iterable[TGD]", query: Predicate):
 def check_scenario(sc: Scenario):
     """Raise `FrontendError` unless a scenario keeps the input contract, on
     which all four modes give the same answers:
-    - every rule keeps `check_rule`, and no predicate of the rules has a
+    - every rule keeps `check_rule`, the base holds facts of ordinary
+      predicates only, and no predicate of the rules or the base has a
       reserved name (`_check_predicate_name`);
     - the query predicate keeps `check_query_predicate` and has no base
       facts;
@@ -607,8 +599,10 @@ def check_scenario(sc: Scenario):
     for r in sc.rules:
         check_rule(r)
     sig = rules_signature(sc.rules)
-    for name in sig:
-        _check_predicate_name(name)
+    for pred in chain(sig.values(), sc.instance.predicates()):
+        if not isinstance(pred, Predicate):
+            raise FrontendError("base facts of %s, which is not an input predicate" % pred_label(pred))
+        _check_predicate_name(pred.name)
     check_query_predicate(sc.rules, sc.query)
     if sc.instance.with_predicate(sc.query):
         raise FrontendError(

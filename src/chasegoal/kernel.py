@@ -49,20 +49,15 @@ class _Interned:
     `object`'s identity defaults, which run in C.  The tables hold their
     objects for the life of the process.
 
-    The value is the tuple of the `_fields`, given by position or by name;
-    a field left out takes its entry in `_defaults`.  Copying and pickling
-    keep identity: a copy is the object itself, and an unpickled object is
-    looked up through the constructor."""
+    The value is the tuple of the `_fields`, given by position.  Copying
+    and pickling keep identity: a copy is the object itself, and an
+    unpickled object is looked up through the constructor."""
 
     __slots__ = ()
     _fields: "tuple[str, ...]" = ()
-    _defaults: dict = {}
     _table: dict
 
-    def __new__(cls, *args, **kwargs):
-        value = args
-        if len(args) < len(cls._fields):
-            value += tuple([kwargs[f] if f in kwargs else cls._defaults[f] for f in cls._fields[len(args):]])
+    def __new__(cls, *value):
         obj = cls._table.get(value)
         if obj is None:
             obj = _build(cls, cls._table, value, **dict(zip(cls._fields, value)))
@@ -317,7 +312,8 @@ def iter_subterms(t: Term) -> Iterator[Term]:
 
 
 class Predicate(_Interned):
-    """Ordinary relation symbol."""
+    """A relation symbol: an input predicate, or the graph predicate of a
+    constant or function symbol (`finalize.graph_predicate`)."""
 
     __slots__ = ("name", "arity")
     _fields = __slots__
@@ -352,17 +348,7 @@ class MagicPredicate(_Interned):
         return self.adornment.count("b")
 
 
-class FunPredicate(_Interned):
-    """Graph predicate of a function symbol (or of a constant, arity 1)
-    introduced by defunctionalization."""
-
-    __slots__ = ("symbol", "arity", "of_constant")
-    _fields = __slots__
-    _defaults = {"of_constant": False}
-    _table: "dict[tuple, FunPredicate]" = {}
-
-
-PredicateId = Union[Predicate, _EqualityPredicate, MagicPredicate, FunPredicate]
+PredicateId = Union[Predicate, _EqualityPredicate, MagicPredicate]
 
 
 class Atom(tuple):
@@ -409,8 +395,6 @@ def pred_label(p: PredicateId) -> str:
         return "eq"
     if isinstance(p, MagicPredicate):
         return "m_%s#%s" % (pred_label(p.base), p.adornment)
-    if isinstance(p, FunPredicate):
-        return ("con_%s" if p.of_constant else "fun_%s") % p.symbol
     raise TypeError("not a predicate: %r" % (p,))
 
 

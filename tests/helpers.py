@@ -585,6 +585,29 @@ def campus_fixture(students=5000, depts=50, special=100) -> Scenario:
     return Scenario(rules, Instance(facts), Q1, None, una_known=True)
 
 
+# An input whose `--mode all` run builds one batch of |A|^6 rows in a round,
+# for the demand rule m_E#bbbbbb(...) :- m_A#f, A(?_s1), ..., A(?_s6): a
+# process with a capped address space runs out of memory while it builds
+# the batch.
+MEMORY_PROBE_RULES = """\
+A(?x) -> E(?x,?x,?x,?x,?x,?x)
+A(?a), A(?b), A(?c), A(?d), A(?e), A(?f), E(?a,?b,?c,?d,?e,?f) -> R(?a,?b,?c,?d,?e,?f,?y), A(?y)
+A(?x) -> Q(?x)
+"""
+
+
+def write_memory_probe(root) -> "list[str]":
+    """Write the memory probe under `root`, as `rules.txt` and `data/A.csv`
+    (the one fact A(a)), and return the arguments of `chasegoal run` on it
+    in mode all, writing its reports to `root/out`."""
+    root = Path(root)
+    (root / "data").mkdir(parents=True, exist_ok=True)
+    (root / "rules.txt").write_text(MEMORY_PROBE_RULES, encoding="utf-8")
+    (root / "data" / "A.csv").write_text("a\n", encoding="utf-8")
+    return ["run", "--rules", str(root / "rules.txt"), "--data", str(root / "data"),
+            "--query-pred", "Q", "--mode", "all", "--out", str(root / "out")]
+
+
 # ---------------------------------------------------------------------------
 # Recursive application of the representative map (merges rewrite argument
 # positions only, so nested occurrences are normalized here for comparisons)

@@ -22,7 +22,8 @@ from chasegoal import (
     skolemize,
 )
 from chasegoal.engine import ChaseError
-from chasegoal.kernel import Atom, Constant, Predicate, eq, iter_subterms
+from chasegoal.frontend import rules_signature
+from chasegoal.kernel import Atom, Constant, eq, iter_subterms
 
 from helpers import (
     ORACLE_LIMITS,
@@ -149,6 +150,8 @@ def test_criterion_4_chase_instance_represents_the_fixpoint():
         rep = run_pipeline(sc, PipelineConfig(mode="mat"))
         cr = rep.chase_result
         mu = cr.mu
+        # The input signature: the predicates of the rules and of the base.
+        source = set(rules_signature(sc.rules).values()) | sc.instance.predicates()
         for members in cr.classes.values():
             for t1, t2 in combinations(sorted(members, key=repr), 2):
                 checked_pairs += 1
@@ -163,7 +166,7 @@ def test_criterion_4_chase_instance_represents_the_fixpoint():
                 img = Atom(f.predicate, tuple(mu_hat(mu, t) for t in f.args))
                 assert img in cr.instance, (f, img)
         for f in cr.instance:
-            if isinstance(f.predicate, Predicate) and not f.is_equality:
+            if f.predicate in source:
                 assert f in N, f
     took = time.perf_counter() - t0
     assert took < 60.0 and skipped <= 20

@@ -13,13 +13,14 @@ from chasegoal import (
     singularize,
     skolemize,
 )
+from chasegoal.finalize import graph_predicate
 from chasegoal.kernel import (
     Atom,
     Constant,
-    FunPredicate,
     Functional,
     Predicate,
     Variable,
+    pred_label,
 )
 
 from helpers import RUNNING_RULES, Q1, canon_rules, running_example
@@ -90,15 +91,34 @@ def test_final_block_is_chase_ready():
             assert all(isinstance(t, Variable) for t in a.args)
 
 
+def is_graph(atom) -> bool:
+    return not atom.is_equality and pred_label(atom.predicate).startswith(("fun_", "con_"))
+
+
+def test_graph_predicate_names_constants_injectively():
+    # A constant whose text is a bare name keeps it; every other character
+    # is its code point in hex between apostrophes, which no bare character
+    # is, so distinct texts get distinct names, each a name of the program
+    # grammar.
+    texts = ["c", "a b", "a,b", "a#b", "a(b)", "a'", "é", "", "a'20'b", "a 20b", "_"]
+    names = [graph_predicate(Constant(t)).name for t in texts]
+    assert names[:7] == ["con_c", "con_a'20'b", "con_a'2c'b", "con_a'23'b", "con_a'28'b'29'", "con_a'27'",
+                         "con_'e9'"]
+    assert len(set(names)) == len(texts)
+    for t, name in zip(texts, names):
+        (fact,) = parse_program("%s(%r)." % (name, Constant(t))).rules
+        assert fact.head.predicate is graph_predicate(Constant(t))
+
+
 def test_defunctionalize_replaces_body_function_terms():
     p = parse_program("Q(?x) :- m_T#fb(sk_3_y(?x)), B(?x).")
     (rule,) = defunctionalize(p).rules
-    graph = [a for a in rule.body if isinstance(a.predicate, FunPredicate)]
+    graph = [a for a in rule.body if is_graph(a)]
     assert len(graph) == 1
-    assert graph[0].predicate == FunPredicate("sk_3_y", 2)  # args plus result
+    assert graph[0].predicate == Predicate("fun_sk_3_y", 2)  # args plus result
     # the graph atom comes right before the atom that held the term
     kinds = [type(a.predicate).__name__ for a in rule.body]
-    assert kinds.index("FunPredicate") < kinds.index("MagicPredicate")
+    assert rule.body.index(graph[0]) < kinds.index("MagicPredicate")
     magic_atom = [a for a in rule.body if type(a.predicate).__name__ == "MagicPredicate"]
     assert all(isinstance(t, Variable) for t in magic_atom[0].args)
 
@@ -106,8 +126,8 @@ def test_defunctionalize_replaces_body_function_terms():
 def test_defunctionalize_replaces_body_constants():
     p = parse_program("Q(?x) :- R(?x,c).")
     (rule, con_fact) = sorted(defunctionalize(p).rules, key=lambda r: len(r.body), reverse=True)
-    graph = [a for a in rule.body if isinstance(a.predicate, FunPredicate)]
-    assert graph and graph[0].predicate.of_constant
+    graph = [a for a in rule.body if is_graph(a)]
+    assert graph and graph[0].predicate is Predicate("con_c", 1)
     assert all(
         all(isinstance(t, Variable) for t in a.args) for a in rule.body
     )
@@ -129,19 +149,15 @@ def test_defunctionalize_companion_rules_only_for_body_symbols():
     # sk_1_y never occurs in any body, so R's head keeps its term and no
     # companion rule is generated for it
     got = defunctionalize(magic_of_running_example())
-    companions = {
-        r.head.predicate.symbol
-        for r in got.rules
-        if isinstance(r.head.predicate, FunPredicate)
-    }
-    assert companions == {"sk_3_y"}
+    companions = {pred_label(r.head.predicate) for r in got.rules if is_graph(r.head)}
+    assert companions == {"fun_sk_3_y"}
 
 
 def test_defunctionalize_nested_terms_innermost_first():
     p = parse_program("Q(?x) :- P(g(f(?x))).")
     (rule,) = defunctionalize(p).rules
-    graph = [a for a in rule.body if isinstance(a.predicate, FunPredicate)]
-    assert [a.predicate.symbol for a in graph] == ["f", "g"]
+    graph = [a for a in rule.body if is_graph(a)]
+    assert [a.predicate.name for a in graph] == ["fun_f", "fun_g"]
     # g's graph atom consumes the variable f's graph atom produced
     assert graph[0].args[-1] == graph[1].args[0]
 

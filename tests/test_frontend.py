@@ -29,13 +29,13 @@ from chasegoal import (
     run_pipeline,
     serialize_program,
 )
+from chasegoal.finalize import graph_predicate
 from chasegoal.frontend import _CHUNK, check_query_predicate, rules_signature
 from chasegoal.kernel import (
     EQUALITY,
     TGD,
     Atom,
     Constant,
-    FunPredicate,
     Functional,
     Instance,
     MagicPredicate,
@@ -147,12 +147,10 @@ PINNED_ERRORS = [
     ("rules", "P#x(?x) -> Q(?x)", MalformedRule, "<rules>:1:1: '#' is not allowed in predicate names"),
     ("rules", "P(?x), N#x -> Q(?x)", MalformedRule,
      "<rules>:1:8: '#' is not allowed in predicate names"),
-    ("rules", "P(?x) -> Q(?x)\nA(?x,?y) -> eq(?x,?y)", MalformedRule,
-     "<rules>:2:13: predicate name eq is reserved: eq, fun_* and con_* name generated predicates"),
     ("rules", "fun_g(?x,?y) -> Q(?x)", MalformedRule,
-     "<rules>:1:1: predicate name fun_g is reserved: eq, fun_* and con_* name generated predicates"),
+     "<rules>:1:1: predicate name fun_g is reserved: fun_* and con_* name generated predicates"),
     ("rules", "P(?x), con_c(?x) -> Q(?x)", MalformedRule,
-     "<rules>:1:8: predicate name con_c is reserved: eq, fun_* and con_* name generated predicates"),
+     "<rules>:1:8: predicate name con_c is reserved: fun_* and con_* name generated predicates"),
     ("rules", "P(a#b) -> Q(?x)", MalformedRule, "<rules>:1:3: '#' is not allowed in constants"),
     ("rules", "P(?x#1) -> Q(?x#1)", MalformedRule,
      "<rules>:1:3: variable name ?x#1 uses the reserved character '#'"),
@@ -169,8 +167,8 @@ PINNED_ERRORS = [
      "<program>:1:1: malformed magic predicate m_R#bf/2"),
     ("program", "R#b(?x) :- S(?x).", MalformedRule,
      "<program>:1:1: '#' is only allowed in magic predicate names: R#b"),
-    ("program", "Q(?x) :- con_c(?x,?y).", MalformedRule,
-     "<program>:1:10: constant graph predicate con_c must be unary"),
+    ("program", "Q(?x) :- m_R#eqb(?x).", MalformedRule,
+     "<program>:1:10: malformed magic predicate m_R#eqb/1"),
     ("program", "Q(?x) :- R(?x) & S(?x).", MalformedRule, "<program>:1:16: unexpected character '&'"),
     ("program", "Q(?x) :- R(?x). S(?x)", MalformedRule, "<program>:1:17: trailing input after rule"),
     ("program", "Q(?x) :- R(?x", MalformedRule, "<program>:1: expected RP, found end of rule"),
@@ -231,14 +229,19 @@ def test_program_grammar_round_trips_generated_shapes():
     prog = parse_program(text)
     assert serialize_program(prog) == text
     con, fun, r = prog.rules[0].body
-    assert con.predicate == FunPredicate("c", 1, of_constant=True)
-    assert fun.predicate == FunPredicate("g", 2)
+    assert con.predicate is graph_predicate(Constant("c")) is Predicate("con_c", 1)
+    assert fun.predicate is graph_predicate(Functional("g", (Variable("x"),))) is Predicate("fun_g", 2)
     assert r.args[1] == Functional("f", (Variable("x"), Variable("y")))
 
 
-def test_program_grammar_rejects_binary_constant_graph_predicate():
-    with pytest.raises(MalformedRule, match="con_c must be unary"):
-        parse_program("Q(?x) :- con_c(?x,?y).\n")
+def test_program_grammar_decodes_magic_names_only():
+    # The equality's demand is known by its adornment, so an input predicate
+    # named eq keeps its own demand; a graph predicate's name is an ordinary
+    # name, of any arity.
+    (rule,) = parse_program("m_eq#bf(?x) :- m_eq#eqb(?x), con_c(?x,?y), fun_g(?x).").rules
+    assert rule.head.predicate is MagicPredicate(Predicate("eq", 2), "bf")
+    assert [a.predicate for a in rule.body] == [
+        MagicPredicate(EQUALITY, "eqb"), Predicate("con_c", 2), Predicate("fun_g", 1)]
 
 
 def test_serialize_program_is_deterministic():
@@ -482,7 +485,8 @@ def test_rules_round_trip_through_render(drawn):
 
 
 # Dumps hold generated variables (`?_s1`, `?z#1`), function terms, and the
-# magic, function graph and constant graph predicates.
+# magic, function graph and constant graph predicates.  A graph predicate is
+# named as defunctionalization names it, from any constant text.
 dump_leaves = st.one_of(named("xyz_", "x1_'#").map(Variable), constants)
 symbols = named("fgs", "k_0'")
 # A function term may have no argument, as the Skolem term of a rule with no
@@ -494,6 +498,9 @@ dump_terms = st.recursive(
 )
 dump_relational = relational_atoms(dump_terms)
 atom_kinds = st.sampled_from(["relational", "magic", "eq-magic", "fun", "con", "equality"])
+# Any text of up to four code points, drawn without Hypothesis's character
+# tables, which are slow to build in a fresh checkout.
+any_text = st.lists(st.integers(0, 0x10FFFF).map(chr), max_size=4).map("".join)
 # An empty adornment is a nullary magic predicate's (`m_A#`).
 adornments = st.text(alphabet="bf", max_size=3)
 
@@ -513,9 +520,9 @@ def _dump_atoms(draw):
     elif kind == "eq-magic":
         pred = MagicPredicate(EQUALITY, "eqb")
     elif kind == "fun":
-        pred = FunPredicate(draw(symbols), draw(st.integers(1, 3)))
+        pred = graph_predicate(Functional(draw(symbols), (Variable("x"),) * draw(st.integers(0, 2))))
     else:
-        pred = FunPredicate(draw(symbols), 1, of_constant=True)
+        pred = graph_predicate(Constant(draw(any_text)))
     return Atom(pred, tuple(draw(dump_terms) for _ in range(pred.arity)))
 
 
@@ -720,16 +727,30 @@ def test_scenario_built_in_code_rejects_a_sort_that_is_not_a_name():
             Scenario(rules, facts("S(a,b)"), Predicate("Q", 1), {("S", 2): sorts})
 
 
-@pytest.mark.parametrize("name", ["eq", "fun_g", "con_c", "P#b"])
+@pytest.mark.parametrize("name", ["fun_g", "con_c", "P#b"])
 def test_scenario_built_in_code_rejects_a_reserved_predicate_name(name):
-    # Unchecked, a stage dump printed an eq demand as m_eq#ff, which
-    # parse_program rejects, and fun_g as the graph of a function g, whose
-    # dump read back and chased over the same base answered nothing.
+    # Unchecked, fun_g would be the graph predicate of a function g: a
+    # stage dump of it read back and chased over the same base answered
+    # nothing.
     rel, args = Predicate(name, 2), (Variable("x"), Variable("y"))
     rule = TGD((Atom(Predicate("A", 2), args),), (Atom(rel, args),))
     query = TGD((Atom(rel, args),), (Atom(Predicate("Q", 1), args[:1]),))
     with pytest.raises(MalformedRule, match="predicate name"):
         Scenario((rule, query), facts("A(a,b)"), Predicate("Q", 1))
+
+
+def test_scenario_built_in_code_rejects_base_facts_of_a_generated_predicate():
+    # Unchecked, con_c(d) would be the graph fact of the constant c, and
+    # every mode would answer u; the rules ask for B(u,c), which is not in
+    # the base.
+    rules = tuple(parse_rules("A(?x), B(?x,c) -> Q(?x)"))
+    u, d = Constant("u"), Constant("d")
+    base = list(facts("A(u), B(u,d)"))
+    with pytest.raises(MalformedRule, match="predicate name con_c is reserved"):
+        Scenario(rules, Instance(base + [Atom(graph_predicate(Constant("c")), (d,))]), Predicate("Q", 1))
+    for fact, label in [(Atom(MagicPredicate(Predicate("A", 1), "b"), (u,)), "m_A#b"), (eq(u, d), "eq")]:
+        with pytest.raises(FrontendError, match="base facts of %s, which is not an input predicate" % label):
+            Scenario(rules, Instance(base + [fact]), Predicate("Q", 1))
 
 
 def test_scenario_built_in_code_rejects_base_facts_of_the_query_predicate():

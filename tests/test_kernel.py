@@ -15,6 +15,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from chasegoal import kernel
+from chasegoal.finalize import graph_predicate
 from chasegoal.kernel import (
     DEPTH,
     EQUALITY,
@@ -22,7 +23,6 @@ from chasegoal.kernel import (
     Atom,
     BodyContractViolation,
     Constant,
-    FunPredicate,
     Functional,
     Instance,
     JoinPlan,
@@ -660,8 +660,6 @@ def structure(x):
         return ("Functional", x.symbol, tuple(map(structure, x.args)))
     if isinstance(x, Predicate):
         return ("Predicate", x.name, x.arity)
-    if isinstance(x, FunPredicate):
-        return ("FunPredicate", x.symbol, x.arity, x.of_constant)
     if isinstance(x, MagicPredicate):
         return ("MagicPredicate", structure(x.base), x.adornment)
     assert x is EQUALITY
@@ -679,9 +677,19 @@ open_terms = st.recursive(
     max_leaves=5,
 )
 plain_predicates = st.builds(Predicate, names, st.integers(0, 2))
+# Graph predicates, named as defunctionalization names them: of function
+# symbols, and of constants of any text of up to four code points (drawn
+# without Hypothesis's character tables, which are slow to build in a fresh
+# checkout).
+any_text = st.lists(st.integers(0, 0x10FFFF).map(chr), max_size=4).map("".join)
+graph_predicates = st.builds(
+    graph_predicate,
+    st.builds(Constant, any_text)
+    | st.builds(lambda sym, n: Functional(sym, (Variable("x"),) * n), names, st.integers(0, 2)),
+)
 predicates = st.one_of(
     plain_predicates,
-    st.builds(FunPredicate, names, st.integers(0, 2), st.booleans()),
+    graph_predicates,
     st.builds(MagicPredicate, plain_predicates | st.just(EQUALITY), st.sampled_from(["b", "bf", "eqb"])),
     st.just(EQUALITY),
 )
@@ -698,8 +706,6 @@ def rebuild(x):
         return Functional(x.symbol, [rebuild(t) for t in x.args])
     if isinstance(x, Predicate):
         return Predicate(x.name, x.arity)
-    if isinstance(x, FunPredicate):
-        return FunPredicate(x.symbol, x.arity, x.of_constant)
     if isinstance(x, MagicPredicate):
         return MagicPredicate(rebuild(x.base), x.adornment)
     return type(x)()
@@ -710,9 +716,11 @@ def test_equal_values_are_one_object(v):
     assert rebuild(v) is v
 
 
-def test_function_predicate_default_is_not_a_constant_graph():
-    assert FunPredicate("f", 1) is FunPredicate("f", 1, False)
-    assert FunPredicate("f", 1) is not FunPredicate("f", 1, True)
+def test_function_graph_predicate_is_not_a_constant_graph():
+    # A function symbol and a constant of one text and arity get distinct
+    # graph predicates.
+    assert graph_predicate(Functional("f", ())) is Predicate("fun_f", 1)
+    assert graph_predicate(Functional("f", ())) is not graph_predicate(Constant("f"))
 
 
 @given(names)
@@ -722,8 +730,8 @@ def test_values_of_different_classes_never_compare_equal(n):
         Constant(n),
         Functional(n, ()),
         Predicate(n, 1),
-        FunPredicate(n, 1),
-        FunPredicate(n, 1, True),
+        graph_predicate(Functional(n, ())),
+        graph_predicate(Constant(n)),
         MagicPredicate(Predicate(n, 1), "b"),
     ]
     for i, v in enumerate(values):
@@ -763,7 +771,7 @@ def test_stored_depth_and_key_match_the_recursive_definitions(t1, t2):
 
 
 def test_interned_values_are_immutable():
-    for v in (a, x, f(a), P1, EQUALITY, FunPredicate("f", 1), MagicPredicate(P1, "b")):
+    for v in (a, x, f(a), P1, EQUALITY, graph_predicate(f(a)), MagicPredicate(P1, "b")):
         with pytest.raises(AttributeError):
             v.name = "other"
         with pytest.raises(AttributeError):
