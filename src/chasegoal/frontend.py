@@ -12,17 +12,19 @@ quote.
 
 A base instance is read one CSV file per predicate, a chunk of rows at a
 time: C code checks the rows' sizes, looks their cells up in the term
-table's constants a column at a time and zips the columns' ids into the
-rows of one batch write (`Instance.add_all`).  No Python code runs per row
-or cell.
+table's constants and groups their ids into the rows of one batch write
+(`Instance.add_all`).  No Python code runs per row or cell.  A file's
+blocks of plain text are split at `\\n` and `,`; from the first block
+holding a quote, a carriage return or NUL on, `csv.reader` reads it.
 """
 
 from __future__ import annotations
 
 import csv
+import io
 import re
 from dataclasses import dataclass
-from itertools import chain, islice
+from itertools import chain, islice, repeat
 from operator import attrgetter
 from pathlib import Path
 from typing import Iterable
@@ -401,28 +403,116 @@ def parse_schema(text: str, source: str = "<schema>") -> "dict[tuple[str, int], 
     return out
 
 
-# Rows read and built per batch: enough that the batch's calls cost little
-# per row, few enough that the lists `csv.reader` builds for them seldom live
-# through a collection.  Lists that do are promoted and bring full
-# collections sooner: at 1024 rows, warm campus `rel` queries ran 0.35 full
-# collections each, against 0.06 at 128 and 0.04 when each list died with
-# its row.
+# Records read and built per batch: enough that the batch's calls cost
+# little per row, few enough that the lists `csv.reader` builds for them
+# seldom live through a collection.  Lists that do are promoted and bring
+# full collections sooner: at 1024 rows, warm campus `rel` queries ran 0.35
+# full collections each, against 0.06 at 128 and 0.04 when each list died
+# with its row.  Both readers cut a file into the same batches: a set's
+# iteration order depends on the sizes of its updates, so the instance
+# would otherwise depend on the reader.
 _CHUNK = 128
+# Characters read by the split reader per block, which bounds the text it
+# holds beyond one batch.
+_BLOCK = 1 << 14
+# The characters that mean more to `csv.reader` than text: a quote, a
+# carriage return (a line end, alone or before `\n`) and NUL (an error on
+# Python 3.10).  A block holding none of them splits at `\n` and `,` alone.
+_CSV_ONLY = ('"', "\r", "\0")
 
 
-def _mismatch(path: Path, pred: Predicate):
-    """Read a CSV file again row by row and raise `ArityMismatch` at the
-    physical line its first row of the wrong size ends on."""
+def _first_error(path: Path, pred: Predicate):
+    """Read a CSV file again row by row and raise at its first error: an
+    `ArityMismatch` at the physical line its first row of the wrong size
+    ends on, or the error `csv.reader` raises (a field over
+    `csv.field_size_limit()`, or NUL on Python 3.10) at the line it reads."""
     with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
-        for row in reader:
-            if len(row) != pred.arity and (row or not pred.arity):
-                raise ArityMismatch(
-                    "row has %d fields, %s has arity %d" % (len(row), pred.name, pred.arity),
-                    reader.line_num,
-                    1,
-                    str(path),
-                )
+        try:
+            for row in reader:
+                if len(row) != pred.arity and (row or not pred.arity):
+                    raise ArityMismatch(
+                        "row has %d fields, %s has arity %d" % (len(row), pred.name, pred.arity),
+                        reader.line_num,
+                        1,
+                        str(path),
+                    )
+        except csv.Error as err:
+            raise FrontendError(str(err), reader.line_num, 0, str(path)) from None
+    raise FrontendError("file changed while it was read", source=str(path))
+
+
+def _add_rows(instance: Instance, pred: Predicate, lines, path: Path):
+    """Add the rows `csv.reader` reads from `lines` in batches of `_CHUNK`
+    records, empty ones dropped after batching unless `pred` is nullary.
+    `zip` pulls one id from each column in turn, so constants new to the
+    process get their ids in row order."""
+    arity = pred.arity
+    intern = Constant._table.__getitem__
+    ident = attrgetter("id")
+    reader = csv.reader(lines)
+    try:
+        while rows := list(islice(reader, _CHUNK)):
+            if arity:
+                rows = list(filter(None, rows))
+            if not all(map(arity.__eq__, map(len, rows))):
+                _first_error(path, pred)
+            columns = [map(ident, map(intern, col)) for col in zip(*rows)]
+            instance.add_all(pred, zip(*columns) if arity else [()])
+    except csv.Error:
+        _first_error(path, pred)
+
+
+def _add_lines(instance: Instance, pred: Predicate, lines: "list[str]", path: Path):
+    """Add one batch of records that hold no quote, carriage return or NUL,
+    as `_add_rows` adds the rows `csv.reader` reads from them: a line holds
+    `arity - 1` commas, and its cells are interned in row order."""
+    arity = pred.arity
+    lines = list(filter(None, lines))
+    if not lines:
+        return
+    if arity == 1:
+        cells, ok = lines, "," not in "".join(lines)
+    else:
+        cells = ",".join(lines).split(",")
+        ok = list(map(str.count, lines, repeat(","))).count(arity - 1) == len(lines)
+    if not ok:
+        _first_error(path, pred)
+    ids = map(attrgetter("id"), map(Constant._table.__getitem__, cells))
+    instance.add_all(pred, zip(*[ids] * arity))
+
+
+def _add_plain_blocks(instance: Instance, pred: Predicate, fh, path: Path):
+    """Add the records of `fh` block by block for as long as its blocks
+    hold none of `_CSV_ONLY` and the text split at once (a block after the
+    unfinished line before it) is no longer than `csv.field_size_limit()`,
+    so that it holds no field csv rejects.  Return what is left for
+    `csv.reader`: nothing, or the records not yet added followed by the
+    rest of the file.
+
+    A line ends at `\\n` only; `str.splitlines` would also end it at
+    characters csv keeps in a cell (`\\x0c`, `\\u2028`, ...).  Records go
+    in batches of `_CHUNK`, so the first that is left starts a batch."""
+    limit = csv.field_size_limit()
+    pending: "list[str]" = []
+    tail = ""
+    while block := fh.read(_BLOCK):
+        if any(map(block.__contains__, _CSV_ONLY)) or len(tail) + len(block) > limit:
+            # `csv.reader` ends a record at the end of each string it is
+            # given, so the block is read on to the end of its last line,
+            # a `\r\n` that the block cuts included.
+            block += fh.readline()
+            return chain(io.StringIO("\n".join([*pending, tail + block]), newline=""), fh)
+        *lines, tail = (tail + block).split("\n")
+        pending += lines
+        full = len(pending) - len(pending) % _CHUNK
+        for i in range(0, full, _CHUNK):
+            _add_lines(instance, pred, pending[i : i + _CHUNK], path)
+        del pending[:full]
+    if tail:
+        pending.append(tail)
+    _add_lines(instance, pred, pending, path)
+    return ()
 
 
 def _not_utf8(path: Path, err: UnicodeDecodeError) -> FrontendError:
@@ -438,11 +528,17 @@ def _not_utf8(path: Path, err: UnicodeDecodeError) -> FrontendError:
     )
 
 
+def _unreadable(path: Path, err: OSError) -> FrontendError:
+    return FrontendError("cannot read: %s" % (err.strerror or err), source=str(path))
+
+
 def _read_text(path: Path) -> str:
     try:
         return path.read_text(encoding="utf-8-sig")
     except UnicodeDecodeError as err:
         raise _not_utf8(path, err) from None
+    except OSError as err:
+        raise _unreadable(path, err) from None
 
 
 def parse_instance(data_dir, signature: "dict[str, Predicate]") -> Instance:
@@ -450,16 +546,21 @@ def parse_instance(data_dir, signature: "dict[str, Predicate]") -> Instance:
     name) from a directory.  An empty row is skipped for a predicate with
     arguments and is the fact of a nullary one; a row of any other wrong
     size raises `ArityMismatch` at the physical line it ends on, so a
-    quoted cell spanning lines does not shift the count.  Sorts are not
-    checked here: `check_scenario` checks them over the rules and the facts
-    together.
+    quoted cell spanning lines does not shift the count.  A file that
+    cannot be read, is not UTF-8 or that `csv.reader` rejects raises
+    `FrontendError` naming it.  Sorts are not checked here:
+    `check_scenario` checks them over the rules and the facts together.
 
-    `zip` pulls one id from each column in turn, so constants new to the
-    process get their ids in row order.  A chunk holding a row of the wrong
-    size has the file read again (`_mismatch`)."""
+    A predicate with arguments has its file split in blocks of `_BLOCK`
+    characters at `\\n` and `,` (`_add_plain_blocks`), so that memory is
+    bounded by one block, up to the first block holding a quote, a carriage
+    return or NUL, or a line longer than `csv.field_size_limit()`.
+    `csv.reader` reads the rest, and a nullary predicate's whole file.  Both
+    readers give the same facts, in the same batches, and intern their
+    cells in the same order, so an instance does not depend on which read
+    it.  A batch holding a row of the wrong size, or a row `csv.reader`
+    rejects, has the file read again (`_first_error`)."""
     instance = Instance()
-    intern = Constant._table.__getitem__
-    ident = attrgetter("id")
     for path in sorted(Path(data_dir).glob("*.csv")):
         pred = signature.get(path.stem)
         if pred is None:
@@ -467,19 +568,14 @@ def parse_instance(data_dir, signature: "dict[str, Predicate]") -> Instance:
                 "file %s does not match any predicate of the rule set" % path.name,
                 source=str(path),
             )
-        arity = pred.arity
         try:
             with open(path, newline="", encoding="utf-8-sig") as fh:
-                reader = csv.reader(fh)
-                while rows := list(islice(reader, _CHUNK)):
-                    if arity:
-                        rows = list(filter(None, rows))
-                    if not all(map(arity.__eq__, map(len, rows))):
-                        _mismatch(path, pred)
-                    columns = [map(ident, map(intern, col)) for col in zip(*rows)]
-                    instance.add_all(pred, zip(*columns) if arity else [()])
+                rest = _add_plain_blocks(instance, pred, fh, path) if pred.arity else fh
+                _add_rows(instance, pred, rest, path)
         except UnicodeDecodeError as err:
             raise _not_utf8(path, err) from None
+        except OSError as err:
+            raise _unreadable(path, err) from None
     return instance
 
 

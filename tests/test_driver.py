@@ -757,6 +757,33 @@ def test_cli_names_the_offset_of_a_byte_that_is_not_utf8(tmp_path, name):
     assert result.output == "error: %s: not UTF-8: byte 0xff at offset %d\n" % (path, len(text))
 
 
+def test_cli_names_the_line_of_a_cell_over_the_csv_field_limit(tmp_path):
+    # The cell is in the second batch of rows.
+    rules_path, data = write_inputs(tmp_path)
+    path = data / "B.csv"
+    path.write_text("a1\n" * 209 + "x" * 140000 + "\na2\n", encoding="utf-8")
+    result = CliRunner().invoke(
+        main,
+        ["run", "--rules", str(rules_path), "--data", str(data), "--query-pred", "Q",
+         "--out", str(tmp_path / "out")],
+    )
+    assert result.exit_code == 1 and isinstance(result.exception, SystemExit)
+    assert result.output == "error: %s:210: field larger than field limit (%d)\n" % (
+        path, csv.field_size_limit())
+
+
+def test_cli_names_a_csv_path_it_cannot_read(tmp_path):
+    rules_path, data = write_inputs(tmp_path, facts={})
+    (data / "B.csv").mkdir()
+    result = CliRunner().invoke(
+        main,
+        ["run", "--rules", str(rules_path), "--data", str(data), "--query-pred", "Q",
+         "--out", str(tmp_path / "out")],
+    )
+    assert result.exit_code == 1 and isinstance(result.exception, SystemExit)
+    assert result.output == "error: %s: cannot read: Is a directory\n" % (data / "B.csv")
+
+
 def test_cli_rejects_schema_arity_the_rules_disagree_with(tmp_path):
     rules_path, data = write_inputs(tmp_path)
     schema = tmp_path / "schema.txt"

@@ -4,7 +4,11 @@ import copy
 from collections import Counter
 import csv
 import io
+import json
+import os
 import pickle
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -30,7 +34,7 @@ from chasegoal import (
     serialize_program,
 )
 from chasegoal.finalize import graph_predicate
-from chasegoal.frontend import _CHUNK, check_query_predicate, rules_signature
+from chasegoal.frontend import _BLOCK, _CHUNK, check_query_predicate, rules_signature
 from chasegoal.kernel import (
     EQUALITY,
     TGD,
@@ -317,8 +321,14 @@ def per_row_instance(data_dir, signature):
     return instance
 
 
-# Cells with the characters CSV quotes: commas, quotes, line breaks.
-csv_cells = st.text(alphabet="ab,'\"\n\r ", max_size=4)
+# Cells with the characters CSV quotes (commas, quotes, line breaks) and
+# characters that `str.splitlines` takes for line breaks but csv keeps in a
+# cell (form feed, line separator).
+csv_cells = st.text(alphabet="ab,'\"\n\r \x0c\u2028", max_size=4)
+# The dialects the writers draw.  A minimally quoting writer quotes a line
+# break only if the line terminator holds it; with `\n` alone and no quote or
+# carriage return in the cells, a file is read by the split reader.
+CSV_DIALECTS = [(csv.QUOTE_MINIMAL, "\r\n"), (csv.QUOTE_ALL, "\n"), (csv.QUOTE_MINIMAL, "\n")]
 
 
 @st.composite
@@ -333,9 +343,10 @@ def csv_files(draw):
             rows += [[]] * draw(st.integers(0, 2))
         rows = draw(st.permutations(rows))
         out = io.StringIO()
-        # A minimally quoting writer quotes a line break only if the line
-        # terminator holds it.
-        quoting, end = draw(st.sampled_from([(csv.QUOTE_MINIMAL, "\r\n"), (csv.QUOTE_ALL, "\n")]))
+        quoting, end = draw(st.sampled_from(CSV_DIALECTS))
+        if (quoting, end) == (csv.QUOTE_MINIMAL, "\n"):
+            # Left unquoted, a carriage return would end the row.
+            rows = [[cell.replace("\r", "") for cell in row] for row in rows]
         csv.writer(out, quoting=quoting, lineterminator=end).writerows(rows)
         files[name + ".csv"] = out.getvalue()
     return files
@@ -379,6 +390,158 @@ def test_parse_instance_empty_rows(tmp_path):
     assert err.value.line == 3
     write_csvs(tmp_path, {"S.csv": "a,b\n\n"})
     assert set(parse_instance(tmp_path, {"N": N, "S": S})) == {Atom(S, (Constant("a"), Constant("b")))}
+
+
+# -- the split reader against csv.reader ---------------------------------------
+
+_LOAD_IN_A_FRESH_INTERPRETER = """
+import json, sys
+from chasegoal.frontend import parse_instance
+from chasegoal.kernel import Constant, Predicate
+S = Predicate("S", 2)
+rows = parse_instance(sys.argv[1], {"S": S}).rows(S)
+print(json.dumps([list(rows), [[name, c.id] for name, c in Constant._table.items()]]))
+"""
+
+
+def load_in_a_fresh_interpreter(data_dir):
+    """The rows of `S` in their order and every constant with its id, after
+    `parse_instance` reads `data_dir` in a fresh interpreter, to which each
+    of its cells is new."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    run = subprocess.run(
+        [sys.executable, "-c", _LOAD_IN_A_FRESH_INTERPRETER, str(data_dir)],
+        env=dict(os.environ, PYTHONPATH=str(src), PYTHONHASHSEED="0"),
+        capture_output=True, text=True, timeout=120,
+    )
+    assert run.returncode == 0, run.stderr
+    return json.loads(run.stdout)
+
+
+@pytest.mark.parametrize("records", [300, 2 * _CHUNK])
+def test_plain_and_quoted_files_load_the_same_rows_and_ids(tmp_path, records):
+    # Records into a third batch, or filling two, with repeated cells, a
+    # duplicate row and empty records; written plain, the split reader reads
+    # them, and with every cell quoted, csv.reader does.
+    rows = [["r%d" % (i * 7 % 101), "s%d" % (i % 37)] for i in range(records - 4)]
+    rows[50:50] = [[]]
+    rows[200:200] = [[], [], rows[3]]
+    for name, quoting in (("plain", csv.QUOTE_MINIMAL), ("quoted", csv.QUOTE_ALL)):
+        (tmp_path / name).mkdir()
+        with open(tmp_path / name / "S.csv", "w", newline="", encoding="utf-8") as fh:
+            csv.writer(fh, quoting=quoting, lineterminator="\n").writerows(rows)
+    assert '"' not in (tmp_path / "plain" / "S.csv").read_text()
+    assert (tmp_path / "quoted" / "S.csv").read_text().startswith('"')
+    plain = load_in_a_fresh_interpreter(tmp_path / "plain")
+    assert len(plain[0]) == records - 4
+    assert plain == load_in_a_fresh_interpreter(tmp_path / "quoted")
+
+
+def test_a_plain_file_names_a_wrong_row_size_past_a_batch(tmp_path):
+    # The row after the bad one is short by the cell the bad one has too
+    # many, so the batch holds as many cells as it should.
+    lines = ["a%d,b%d" % (i, i) for i in range(299)] + ["a,b,c", "d"] + ["z,z"] * 50
+    write_csvs(tmp_path, {"S.csv": "\n".join(lines) + "\n"})
+    with pytest.raises(ArityMismatch) as err:
+        parse_instance(tmp_path, {"S": Predicate("S", 2)})
+    assert str(err.value) == "%s:300:1: row has 3 fields, S has arity 2" % (tmp_path / "S.csv")
+
+
+@pytest.mark.parametrize("bad", [False, True])
+def test_a_plain_file_with_a_quoted_cell_reads_as_csv_reads_it(tmp_path, bad):
+    # The quoted cell on line 200 spans two lines; csv.reader reads the file
+    # from the batch that holds it, and a bad row after it is named by its
+    # physical line.
+    lines = ["a%d,b%d" % (i, i) for i in range(400)]
+    lines[199] = '"x,\ny",z'
+    if bad:
+        lines[349] = "only_one"
+    write_csvs(tmp_path, {"S.csv": "\n".join(lines) + "\n"})
+    sig = {"S": Predicate("S", 2)}
+    if bad:
+        with pytest.raises(ArityMismatch) as err:
+            parse_instance(tmp_path, sig)
+        assert err.value.line == 351
+        return
+    inst = parse_instance(tmp_path, sig)
+    assert Atom(sig["S"], (Constant("x,\ny"), Constant("z"))) in set(inst)
+    assert set(inst) == set(per_row_instance(tmp_path, sig)) and len(inst) == 400
+
+
+@pytest.mark.parametrize("shift", [-1, 0, 1])
+@pytest.mark.parametrize("end", ["\r\n", "\r", "quote"])
+def test_a_block_boundary_cuts_nothing_csv_reads(tmp_path, monkeypatch, end, shift):
+    # The first block of a plain file ends with its last character one
+    # before, at or one after a carriage return: its `\r\n` or its lone
+    # `\r` ends one record.  Or a quoted cell early in the block hands it
+    # to csv.reader, and the boundary cuts a line: it is one record too.
+    # The batches are csv.reader's records in runs of `_CHUNK`, empty ones
+    # dropped.
+    lines = ["a%d,b%d" % (i, i) for i in range(1400)]
+    head = "\n".join(lines) + "\n"
+    assert len(head) < _BLOCK - 10
+    pad = _BLOCK - 1 + shift - len(head) - len("p,")
+    if end == "quote":
+        text = '"q",r\n' + head + "p," + "x" * (pad + 10) + "\n"
+    else:
+        text = head + "p," + "x" * pad + end
+    text += "".join("c%d,d%d\n" % (i, i) for i in range(400))
+    write_csvs(tmp_path, {"S.csv": text})
+    sig = {"S": Predicate("S", 2)}
+    want = per_row_instance(tmp_path, sig)
+    assert len(want) == 1801 + (end == "quote")
+    with open(tmp_path / "S.csv", newline="", encoding="utf-8") as fh:
+        records = list(csv.reader(fh))
+    batches, add_all = [], Instance.add_all
+
+    def record_batch(self, pred, rows):
+        rows = list(rows)
+        batches.append(len(rows))
+        return add_all(self, pred, rows)
+
+    monkeypatch.setattr(Instance, "add_all", record_batch)
+    inst = parse_instance(tmp_path, sig)
+    assert set(inst) == set(want) and len(inst) == len(want)
+    sizes = [sum(map(bool, records[i : i + _CHUNK])) for i in range(0, len(records), _CHUNK)]
+    assert batches == sizes
+
+
+def test_a_line_longer_than_the_field_limit_reads_as_csv_reads_it(tmp_path):
+    # Its fields are each within csv.field_size_limit(), so csv.reader
+    # reads it; the split reader defers to it rather than split it.
+    long_row = ("y" * (csv.field_size_limit() // 2 + 10), "z" * (csv.field_size_limit() // 2 + 10))
+    lines = ["a%d,b%d" % (i, i) for i in range(300)]
+    lines[150] = ",".join(long_row)
+    write_csvs(tmp_path, {"S.csv": "\n".join(lines) + "\n"})
+    S = Predicate("S", 2)
+    inst = parse_instance(tmp_path, {"S": S})
+    assert Atom(S, tuple(map(Constant, long_row))) in set(inst) and len(inst) == 300
+
+
+def test_a_nul_reads_as_csv_reads_it(tmp_path):
+    # csv.reader keeps NUL in a cell from Python 3.11 on, and rejects the
+    # line before.
+    write_csvs(tmp_path, {"S.csv": "a,b\nc\x00d,e\n"})
+    sig = {"S": Predicate("S", 2)}
+    try:
+        want = per_row_instance(tmp_path, sig)
+    except csv.Error as err:
+        with pytest.raises(FrontendError) as got:
+            parse_instance(tmp_path, sig)
+        assert str(got.value) == "%s:2: %s" % (tmp_path / "S.csv", err)
+        return
+    assert set(parse_instance(tmp_path, sig)) == set(want) and len(want) == 2
+
+
+def test_an_unreadable_input_is_named(tmp_path):
+    (tmp_path / "S.csv").mkdir()
+    with pytest.raises(FrontendError) as err:
+        parse_instance(tmp_path, {"S": Predicate("S", 2)})
+    assert str(err.value) == "%s: cannot read: Is a directory" % (tmp_path / "S.csv")
+    (tmp_path / "S.csv").rmdir()
+    with pytest.raises(FrontendError) as err:
+        load_scenario(tmp_path, tmp_path, "Q")
+    assert str(err.value) == "%s: cannot read: Is a directory" % tmp_path
 
 
 def test_constant_interned_on_first_lookup_keeps_identity():
@@ -560,7 +723,7 @@ def test_programs_round_trip_through_serialize(drawn):
 
 
 CSV_SIGNATURE = {"S": Predicate("S", 2), "B": Predicate("B", 1), "N": Predicate("N", 0)}
-csv_dialects = st.sampled_from([(csv.QUOTE_MINIMAL, "\r\n"), (csv.QUOTE_ALL, "\n")])
+csv_dialects = st.sampled_from(CSV_DIALECTS)
 
 
 @st.composite
