@@ -1,10 +1,11 @@
 """Relevance analysis: keep only rules that can contribute to a query answer.
 
+Rules the query cannot reach through body predicates are set aside first.
 The base instance is abstracted into a critical instance (every tuple over
-the constants of the program plus a star constant, typed per sort when a
-schema is available).  The program runs forward on that abstraction, then the
-query facts are traced backwards through the rules; rules never reached are
-dropped.  Equality body atoms that no backward trace ever needed are inlined
+the constants of the remaining rules plus a star constant, typed per sort
+when a schema is available).  Those rules run forward on that abstraction,
+then the query facts are traced backwards through them; rules never reached
+are dropped.  Equality body atoms that no backward trace ever needed are inlined
 away, which is what lets the magic-set stage bind through them later.
 """
 
@@ -162,16 +163,40 @@ def relevance(
     """Subset of the program's rules reachable backwards from the query facts
     of the abstract fixpoint, in input order.
 
+    Only the rules the query can reach through body predicates take part:
+    a rule is needed when its head predicate is wanted, and its body
+    predicates are then wanted too; once equality is wanted, so is every
+    rule with an equality head.  The critical instance (over the wanted
+    base predicates), the equality axioms, the fixpoint and the trace are
+    built from the needed rules alone, so only they can diverge or make
+    the critical instance too large.
+
     With the unique name assumption, trivial equalities c = c are skipped
     while tracing; body equality atoms that no trace ever needed are then
     removed from the kept rules by inlining x = t.
     """
     if program.query is None:
         raise ValueError("relevance needs a program with a query predicate")
-    analysis = abstract_functions_to_constants(program) if abstract_functions else program
+    heads: dict[PredicateId, list[int]] = {}
+    for idx, rule in enumerate(program.rules):
+        heads.setdefault(rule.head.predicate, []).append(idx)
+    wanted, todo, needed = {program.query}, [program.query], []
+    while todo:
+        for idx in heads.pop(todo.pop(), ()):
+            needed.append(idx)
+            fresh = {a.predicate for a in program.rules[idx].body} - wanted
+            wanted |= fresh
+            todo += fresh
+    needed.sort()
+    analysis = Program(tuple(program.rules[idx] for idx in needed), program.query)
+    if abstract_functions:
+        analysis = abstract_functions_to_constants(analysis)
+    base_preds = base.predicates() if isinstance(base, Instance) else set(base)
 
     try:
-        bprime = critical_instance(analysis, base, typed, schema, fixpoint_limits.max_facts)
+        bprime = critical_instance(
+            analysis, base_preds & wanted, typed, schema, fixpoint_limits.max_facts
+        )
         aux = reflexivity_axioms(analysis, bprime.predicates()) + sym_trans()
         fixpoint = naive_fixpoint(
             tuple(analysis.rules) + tuple(aux), bprime, fixpoint_limits
@@ -220,9 +245,8 @@ def relevance(
                         queue.append(g)
 
     out = []
-    for idx, rule in enumerate(program.rules):
-        if idx not in kept:
-            continue
+    for idx in sorted(kept):
+        rule = program.rules[needed[idx]]
         unblocked = [
             j
             for j, a in enumerate(rule.body)

@@ -6,8 +6,10 @@ Runs each round-trip property of `tests/test_frontend.py` on 1000 draws from
 each of the seeds 1 and 2, 2000 draws per grammar: rule files through
 `repr` and `parse_rules`, terms, atoms and rules through `repr` and the
 parsers, program dumps through `serialize_program` and `parse_program`,
-and CSV tables through `csv.writer` and `parse_instance`.  Tier-1 runs the same properties on its default example
-count.  Exits 1 at the first property that fails."""
+and CSV tables through `csv.writer` and `parse_instance`, once as read and
+once in 8-character blocks of the split reader.  Tier-1 runs the same
+properties on its default example count.  Exits 1 at the first property
+that fails."""
 
 import sys
 from pathlib import Path
@@ -23,6 +25,7 @@ PROPERTIES = (
     test_frontend.test_repr_reads_back_to_an_equal_value,
     test_frontend.test_programs_round_trip_through_serialize,
     test_frontend.test_csv_tables_round_trip_through_parse_instance,
+    test_frontend.test_csv_tables_round_trip_across_small_blocks,
 )
 SEEDS = (1, 2)
 DRAWS = 1000

@@ -7,10 +7,14 @@ Builds the ontology workload of `bench/workloads.py` at the rule tier
 397 rules), set on the imported module at run time, runs `run_pipeline` in
 each mode and prints the derived facts, `magic` rules and final (`desg`)
 rules per mode.  It also reads every stage dump from `sk` to `desg` back
-with `parse_program` and serializes it again.  Exits 1 unless the four
-answer sets are equal, every dump reads back to its own text and every
-demand predicate in a body of a `magic` stage is the head of some rule of
-that stage.  Takes a few seconds."""
+with `parse_program` and serializes it again.  Then it appends rules over
+fresh predicates that no query trace reaches (a diverging existential loop
+and a 5-ary family of rules with 11 constants, each with a base fact) and
+runs `rel` and `all` again.  Exits 1 unless the four answer sets are equal,
+every dump reads back to its own text, every demand predicate in a body of
+a `magic` stage is the head of some rule of that stage, and with the
+unreachable rules every dump from `rel` on is byte-identical to the plain
+run's and neither run retried relevance.  Takes a few seconds."""
 
 import sys
 import tempfile
@@ -28,24 +32,36 @@ from chasegoal import (  # noqa: E402
     run_pipeline,
     serialize_program,
 )
-from chasegoal.driver import MODES, STAGES  # noqa: E402
+from chasegoal.driver import MODE_STAGES, MODES, STAGES  # noqa: E402
 from chasegoal.kernel import MagicPredicate, pred_label  # noqa: E402
 
 TIER = {"LEVELS": 6, "CONCEPTS": 12, "ROLES": 6, "EXISTENTIALS": 6}
+# Rules over predicates the tier does not use, and their base facts.
+UNREACHABLE_RULES = "F(?x) -> G(?x,?y), F(?y)\n" + "".join(
+    "P(?a,?b,?c,?d,?e) -> K(?a,c%d)\n" % i for i in range(1, 12)
+)
+UNREACHABLE_FACTS = {"F.csv": "f1\n", "P.csv": "p,p,p,p,p\n"}
 
 
 def main() -> int:
     for name, value in TIER.items():
         setattr(workloads, name, value)
     with tempfile.TemporaryDirectory() as tmp:
+        rules, data = Path(tmp) / "rules.txt", Path(tmp) / "data"
         w = workloads.ontology(Path(tmp), 0)
-        sc = load_scenario(Path(tmp) / "rules.txt", Path(tmp) / "data", w.query, una_known=w.una)
+        sc = load_scenario(rules, data, w.query, una_known=w.una)
+        with open(rules, "a", encoding="utf-8") as fh:
+            fh.write(UNREACHABLE_RULES)
+        for name, text in UNREACHABLE_FACTS.items():
+            (data / name).write_text(text, encoding="utf-8")
+        extended = load_scenario(rules, data, w.query, una_known=w.una)
     print("%d rules, %d base facts" % (len(sc.rules), len(sc.instance)))
     answers = {}
+    reports = {}
     unread = []
     underived = []
     for mode in MODES:
-        rep = run_pipeline(sc, PipelineConfig(mode=mode))
+        rep = reports[mode] = run_pipeline(sc, PipelineConfig(mode=mode))
         answers[mode] = set(rep.answers)
         print("%-5s %d answers, %d derived facts, %s magic rules, %d final rules"
               % (mode, len(rep.answers), rep.chase_stats.derived_facts,
@@ -62,11 +78,23 @@ def main() -> int:
                 dump = dump_stage(rep, stage)
                 if serialize_program(parse_program(dump)) != dump:
                     unread.append("%s %s" % (mode, stage))
+    moved = []
+    retried = []
+    for mode in ("rel", "all"):
+        rep = run_pipeline(extended, PipelineConfig(mode=mode))
+        if rep.relevance_retried or reports[mode].relevance_retried:
+            retried.append(mode)
+        moved += [
+            "%s %s" % (mode, stage) for stage in MODE_STAGES[mode][2:]
+            if dump_stage(rep, stage) != dump_stage(reports[mode], stage)
+        ]
     agree = len({frozenset(a) for a in answers.values()}) == 1
     print("four answer sets equal:", agree)
     print("dumps that do not read back:", ", ".join(unread) or "none")
     print("demand read in magic but never derived:", ", ".join(underived) or "none")
-    return 0 if agree and not unread and not underived else 1
+    print("dumps that unreachable rules change:", ", ".join(moved) or "none")
+    print("relevance retried:", ", ".join(retried) or "none")
+    return 0 if agree and not (unread or underived or moved or retried) else 1
 
 
 if __name__ == "__main__":

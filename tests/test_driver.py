@@ -33,7 +33,14 @@ from chasegoal.driver import MODE_STAGES, MODES
 from chasegoal.kernel import Atom, Constant, Instance, Predicate, Program
 from chasegoal.pruning import relevance
 
-from helpers import Q1, campus_fixture, null_chase, running_example, write_memory_probe
+from helpers import (
+    Q1,
+    RUNNING_RULES,
+    campus_fixture,
+    null_chase,
+    running_example,
+    write_memory_probe,
+)
 
 
 def test_all_modes_agree_on_the_worked_example():
@@ -882,17 +889,19 @@ def test_cli_rejects_constant_in_a_query_head_in_every_mode(tmp_path):
         assert "a rule from it into Q" in result.output
 
 
-# One 5-ary base predicate and 11 rule constants: the critical instance
-# would hold (11 + 1)^5 = 248832 facts, past relevance's 100000.
-WIDE_RULES = "P(?a,?b,?c,?d,?e) -> Q(?a)\n" + "".join(
-    "P(?a,?b,?c,?d,?e) -> K(?a,c%d)\n" % i for i in range(1, 12)
-)
+# One 5-ary base predicate and 11 rule constants, in rules into K: once the
+# query reads K, the critical instance would hold (11 + 1)^5 = 248832 facts,
+# past relevance's 100000.
+WIDE_FAMILY = "".join("P(?a,?b,?c,?d,?e) -> K(?a,c%d)\n" % i for i in range(1, 12))
+WIDE_RULES = "P(?a,?b,?c,?d,?e) -> Q(?a)\n" + WIDE_FAMILY
 
 
 def test_critical_instance_past_the_relevance_limit_trips_before_it_is_built(
     tmp_path, monkeypatch
 ):
-    rules_path, data = write_inputs(tmp_path, rules=WIDE_RULES, facts={"P": [("a",) * 5]})
+    rules_path, data = write_inputs(
+        tmp_path, rules=WIDE_RULES + "K(?a,?b) -> Q(?a)\n", facts={"P": [("a",) * 5]}
+    )
     result = CliRunner().invoke(
         main,
         ["run", "--rules", str(rules_path), "--data", str(data),
@@ -911,6 +920,55 @@ def test_critical_instance_past_the_relevance_limit_trips_before_it_is_built(
         run_pipeline(sc, PipelineConfig(mode="rel"))
     assert exc.value.stage == "rel"
     assert isinstance(exc.value.cause, AbstractionFixpointDiverged)
+
+
+# Rules over fresh predicates that no query trace reaches: a diverging
+# existential loop with its base fact, and the 5-ary constant family above.
+UNREACHABLE = {
+    "loop": ("F(?x) -> G(?x,?y), F(?y)\n", {"F": [("f1",)]}),
+    "constants": (WIDE_FAMILY, {"P": [("p",) * 5]}),
+}
+RUNNING_FACTS = {"B": [("a1",)], "S": [("a1", "a2"), ("a2", "a3")]}
+CHAIN_FACTS = {"B": [("a1",)], "S": [("a%d" % i, "a%d" % (i + 1)) for i in range(1, 10)]}
+REACHED = {
+    "worked": (RUNNING_RULES, RUNNING_FACTS),
+    "chain": (RUNNING_RULES, CHAIN_FACTS),
+    # the wide input of the test above, whose query does not read K
+    "wide": ("P(?a,?b,?c,?d,?e) -> Q(?a)\n", {"P": [("p",) * 5]}),
+    # 11 constants in rules the query reads: the critical instance must
+    # leave out the base predicates it does not read, such as P
+    "constants": (
+        "".join("B(?a) -> H(?a,c%d)\n" % i for i in range(1, 12)) + "H(?a,?b) -> Q(?a)\n",
+        {"B": [("b",)]},
+    ),
+}
+
+
+@pytest.mark.parametrize("mode", ["rel", "all"])
+@pytest.mark.parametrize("extra", sorted(UNREACHABLE))
+@pytest.mark.parametrize("name", sorted(REACHED))
+def test_unreachable_rules_leave_relevance_alone(tmp_path, name, extra, mode):
+    rules, facts = REACHED[name]
+    extra_rules, extra_facts = UNREACHABLE[extra]
+    (tmp_path / "plain").mkdir()
+    (tmp_path / "extra").mkdir()
+    plain = chasegoal.load_scenario(*write_inputs(tmp_path / "plain", rules, facts), "Q")
+    rules_path, data = write_inputs(
+        tmp_path / "extra", rules + extra_rules, {**facts, **extra_facts}
+    )
+    sc = chasegoal.load_scenario(rules_path, data, "Q")
+    want = run_pipeline(plain, PipelineConfig(mode=mode))
+    got = run_pipeline(sc, PipelineConfig(mode=mode))
+    assert not want.relevance_retried and not got.relevance_retried
+    for stage in MODE_STAGES[mode][2:]:
+        assert dump_stage(got, stage) == dump_stage(want, stage), stage
+    assert set(got.answers) == null_chase(plain).answers
+    result = CliRunner().invoke(
+        main,
+        ["run", "--rules", str(rules_path), "--data", str(data),
+         "--query-pred", "Q", "--mode", mode, "--out", str(tmp_path / "out")],
+    )
+    assert result.exit_code == 0, result.output
 
 
 # -- order independence across interpreters ----------------------------------

@@ -33,6 +33,7 @@ from chasegoal import (
     run_pipeline,
     serialize_program,
 )
+from chasegoal import frontend
 from chasegoal.finalize import graph_predicate
 from chasegoal.frontend import _BLOCK, _CHUNK, check_query_predicate, rules_signature
 from chasegoal.kernel import (
@@ -756,6 +757,22 @@ def test_csv_tables_round_trip_through_parse_instance(drawn):
     # Written by csv.writer, at times after a byte-order mark, each file
     # reads as a plain csv.reader reads it, or fails at the physical line
     # of its first row of the wrong size.
+    check_csv_tables(drawn)
+
+
+@given(csv_tables())
+def test_csv_tables_round_trip_across_small_blocks(drawn):
+    # The tables above fit in one block of the split reader.  In blocks of
+    # 8 characters a file with rows spans several, its lines are cut
+    # between blocks, and a quote or carriage return after the first block
+    # hands the rest of the file to csv.reader from a later block (35 of
+    # the 191 files of tier-1's draws).
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(frontend, "_BLOCK", 8)
+        check_csv_tables(drawn)
+
+
+def check_csv_tables(drawn):
     tables, (quoting, end), bom = drawn
     want, error = {pred: set() for pred in CSV_SIGNATURE.values()}, None
     with tempfile.TemporaryDirectory() as tmp:
