@@ -59,7 +59,7 @@ from .kernel import (
     Variable,
     eq,
 )
-from .magicsets import NoAdmissibleOrdering, adorn, magic, reorder
+from .magicsets import NoAdmissibleOrdering, magic
 from .pruning import (
     AbstractionFixpointDiverged,
     abstract_functions_to_constants,
@@ -77,7 +77,7 @@ __all__ = [
     "SortMismatch", "UnboundFrontierVariable", "UnknownPredicate", "load_scenario",
     "parse_instance", "parse_program", "parse_rules", "parse_schema", "serialize_program",
     "Atom", "Constant", "Functional", "Instance", "MagicPredicate", "Predicate", "Program",
-    "Rule", "TGD", "Variable", "eq", "NoAdmissibleOrdering", "adorn", "magic", "reorder",
+    "Rule", "TGD", "Variable", "eq", "NoAdmissibleOrdering", "magic",
     "AbstractionFixpointDiverged", "abstract_functions_to_constants", "critical_instance",
     "relevance",
 ]

@@ -9,7 +9,7 @@ import time
 from dataclasses import asdict, dataclass
 from functools import partial
 from pathlib import Path
-from typing import Optional
+from typing import ClassVar, Optional
 
 from .engine import ChaseResult, ChaseStats, Limits, chase, extract_answers
 from .eqprep import check_eq_safety, singularize, skolemize
@@ -46,12 +46,13 @@ class PipelineError(RuntimeError):
 @dataclass(frozen=True)
 class PipelineConfig:
     mode: str = "all"
-    una_known: Optional[bool] = None          # None: take the scenario's flag
-    typed_critical: Optional[bool] = None     # None: typed iff a schema exists
-    defun_abstraction: bool = False           # abstract functions before relevance
     limits: Limits = Limits()
-    relevance_limits: Limits = FIXPOINT_LIMITS
     seed: Optional[int] = None
+    # Fixed, not options: bench/child.py's copy of the pipeline reads them.
+    una_known: ClassVar[Optional[bool]] = None
+    typed_critical: ClassVar[Optional[bool]] = None
+    defun_abstraction: ClassVar[bool] = False
+    relevance_limits: ClassVar[Limits] = FIXPOINT_LIMITS
 
 
 @dataclass
@@ -70,8 +71,6 @@ class RunReport:
 def run_pipeline(scenario: Scenario, cfg: PipelineConfig = PipelineConfig()) -> RunReport:
     if cfg.mode not in MODES:
         raise ValueError("unknown mode %r" % (cfg.mode,))
-    una = scenario.una_known if cfg.una_known is None else cfg.una_known
-    typed = (scenario.schema is not None) if cfg.typed_critical is None else cfg.typed_critical
     timings: dict[str, float] = {}
     stages: dict[str, object] = {}
 
@@ -94,15 +93,15 @@ def run_pipeline(scenario: Scenario, cfg: PipelineConfig = PipelineConfig()) -> 
     program = stage("sk", skolemize, sg, scenario.query)
     retried = False
     if "rel" in MODE_STAGES[cfg.mode]:
-        rel = partial(relevance, program, scenario.instance, una_known=una, typed=typed,
-                      schema=scenario.schema, fixpoint_limits=cfg.relevance_limits)
+        rel = partial(relevance, program, scenario.instance, una_known=scenario.una_known,
+                      typed=scenario.schema is not None, schema=scenario.schema)
         t0 = time.perf_counter()
         try:
-            program = stage("rel", rel, abstract_functions=cfg.defun_abstraction)
+            program = stage("rel", rel, abstract_functions=False)
         except PipelineError as err:
             # A diverging abstract fixpoint is retried once with function
             # symbols abstracted to constants; the time spans both attempts.
-            if cfg.defun_abstraction or not isinstance(err.cause, AbstractionFixpointDiverged):
+            if not isinstance(err.cause, AbstractionFixpointDiverged):
                 raise
             retried = True
             program = stage("rel", rel, abstract_functions=True)

@@ -98,8 +98,8 @@ def answers_of(instance: Instance, query: Predicate) -> "set[tuple[str, ...]]":
     return {tuple(c.name for c in t) for t in constant_answers(instance, query)}
 
 
-def pipeline_answers(scenario: Scenario, mode: str, **cfg) -> "set[tuple[str, ...]]":
-    report = run_pipeline(scenario, PipelineConfig(mode=mode, **cfg))
+def pipeline_answers(scenario: Scenario, mode: str) -> "set[tuple[str, ...]]":
+    report = run_pipeline(scenario, PipelineConfig(mode=mode))
     return {tuple(a) for a in report.answers}
 
 

@@ -39,6 +39,7 @@ from helpers import (
     campus_fixture,
     null_chase,
     running_example,
+    scenario_draws,
     write_memory_probe,
 )
 
@@ -270,10 +271,9 @@ def test_relevance_divergence_falls_back_to_abstraction():
     rep = run_pipeline(sc, PipelineConfig(mode="rel"))
     assert rep.relevance_retried
     assert rep.answers == (("a",),)
-    # asking for the abstraction up front gives the same rules, no retry
-    direct = run_pipeline(sc, PipelineConfig(mode="rel", defun_abstraction=True))
-    assert not direct.relevance_retried
-    assert direct.answers == rep.answers
+    # the retried stage is what relevance keeps with functions abstracted at once
+    direct = relevance(rep.stages["sk"], sc.instance, abstract_functions=True)
+    assert dump_stage(rep, "rel") == serialize_program(direct)
 
 
 def test_relevance_time_spans_both_attempts(monkeypatch):
@@ -291,24 +291,6 @@ def test_relevance_time_spans_both_attempts(monkeypatch):
     assert attempts == [False, True] and rep.relevance_retried
     assert rep.timings["rel"] >= 0.1
     assert list(rep.timings) == ["sg", "sk", "rel", "defun", "desg", "chase"]
-
-
-def test_abstraction_asked_for_up_front_is_not_retried(monkeypatch):
-    # With the abstraction asked for, a fixpoint that still passes its
-    # limits fails stage rel at once.
-    attempts = []
-
-    def counted(*args, **kwargs):
-        attempts.append(kwargs["abstract_functions"])
-        return relevance(*args, **kwargs)
-
-    monkeypatch.setattr(driver, "relevance", counted)
-    cfg = PipelineConfig(mode="rel", defun_abstraction=True, relevance_limits=Limits(max_facts=5))
-    with pytest.raises(PipelineError) as exc:
-        run_pipeline(running_example(3), cfg)
-    assert exc.value.stage == "rel"
-    assert isinstance(exc.value.cause, AbstractionFixpointDiverged)
-    assert attempts == [True]
 
 
 def test_run_pipeline_rejects_an_unknown_mode():
@@ -337,7 +319,7 @@ def test_relevance_fixpoint_past_its_limits_fails_stage_rel(monkeypatch):
 
     def traced(*args, **kwargs):
         try:
-            return relevance(*args, **kwargs)
+            return relevance(*args, **kwargs, fixpoint_limits=Limits(max_facts=5))
         except AbstractionFixpointDiverged as err:
             rule = None if err.rule is None else repr(err.rule)
             trips.append((kwargs["abstract_functions"], str(err), rule))
@@ -345,10 +327,7 @@ def test_relevance_fixpoint_past_its_limits_fails_stage_rel(monkeypatch):
 
     monkeypatch.setattr(driver, "relevance", traced)
     with pytest.raises(PipelineError) as exc:
-        run_pipeline(
-            running_example(3),
-            PipelineConfig(mode="rel", relevance_limits=Limits(max_facts=5)),
-        )
+        run_pipeline(running_example(3), PipelineConfig(mode="rel"))
     assert exc.value.stage == "rel"
     assert isinstance(exc.value.cause, AbstractionFixpointDiverged)
     assert trips == [
@@ -367,17 +346,19 @@ def test_a_trip_in_the_retried_relevance_fixpoint_names_its_rule(monkeypatch):
 
     def counted(*args, **kwargs):
         attempts.append(kwargs["abstract_functions"])
-        return relevance(*args, **kwargs)
+        return relevance(*args, **kwargs, fixpoint_limits=Limits(max_facts=max_facts))
 
     monkeypatch.setattr(driver, "relevance", counted)
     sc = Scenario(tuple(parse_rules(DIVERGING)), Instance([Atom(Predicate("S", 1), (Constant("a"),))]), Q1)
+    max_facts = 2
     with pytest.raises(PipelineError) as exc:
-        run_pipeline(sc, PipelineConfig(mode="rel", relevance_limits=Limits(max_facts=2)))
+        run_pipeline(sc, PipelineConfig(mode="rel"))
     assert attempts == [False, True]
     assert isinstance(exc.value.cause, AbstractionFixpointDiverged)
     assert str(exc.value) == "stage rel: more than 2 facts, applying R(?x,_fn_sk_0_y) :- S(?x)."
+    max_facts = 1
     with pytest.raises(PipelineError) as exc:
-        run_pipeline(sc, PipelineConfig(mode="rel", relevance_limits=Limits(max_facts=1)))
+        run_pipeline(sc, PipelineConfig(mode="rel"))
     assert str(exc.value) == "stage rel: critical instance of 2 facts, more than 1"
 
 
@@ -703,7 +684,7 @@ def test_cli_rejects_rule_constant_of_two_sorts(tmp_path):
     assert "constant c has sort dept at D(c) and sort student at E(c)" in result.output
 
 
-def test_cli_defun_abstraction_with_a_schema(tmp_path):
+def test_cli_types_relevance_by_a_schema(tmp_path):
     # A schema types the relevance abstraction by sort.  The first rule's
     # Skolem term sits at T's t position and at A's u position; the typed
     # analysis still keeps both rules.
@@ -971,6 +952,42 @@ def test_unreachable_rules_leave_relevance_alone(tmp_path, name, extra, mode):
     assert result.exit_code == 0, result.output
 
 
+# random_scenario draws the predicates E, F, P, R, S and Q; for its draws,
+# UNREACHABLE's families move to predicates it never draws.
+FRESH = {"F": "U", "G": "V", "P": "W"}
+
+
+def unreachable_for_draws():
+    rules, facts = [], []
+    for text, base in (UNREACHABLE["loop"], UNREACHABLE["constants"]):
+        rules += parse_rules(re.sub(r"\b[FGP]\(", lambda m: FRESH[m.group()[0]] + "(", text))
+        facts += [
+            Atom(Predicate(FRESH[name], len(row)), tuple(map(Constant, row)))
+            for name, rows in base.items()
+            for row in rows
+        ]
+    return tuple(rules), facts
+
+
+def test_unreachable_rules_leave_relevance_alone_on_drawn_inputs():
+    # The relation of the test above on 40 drawn scenarios: with both
+    # unreachable families and their base facts appended, every dump from
+    # rel on, the retry and the answers stay as they were.
+    extra_rules, extra_facts = unreachable_for_draws()
+    for i, plain in enumerate(scenario_draws(16, 40)):
+        sc = Scenario(
+            plain.rules + extra_rules, Instance(list(plain.instance) + extra_facts),
+            plain.query, None, plain.una_known,
+        )
+        for mode in ("rel", "all"):
+            want = run_pipeline(plain, PipelineConfig(mode=mode))
+            got = run_pipeline(sc, PipelineConfig(mode=mode))
+            assert got.relevance_retried == want.relevance_retried, (i, mode)
+            for stage in MODE_STAGES[mode][2:]:
+                assert dump_stage(got, stage) == dump_stage(want, stage), (i, mode, stage)
+            assert got.answers == want.answers, (i, mode)
+
+
 # -- order independence across interpreters ----------------------------------
 
 # Terms and predicates hash by identity, so set iteration order follows
@@ -1034,10 +1051,13 @@ def test_benchmark_uses_the_package_as_it_is():
     # bench/child.py mirrors run_pipeline on the package's public API and
     # bench/reference.py recomputes the ontology answers with it; importing
     # both resolves every name they take from chasegoal.  The files are only
-    # read: the configuration fields and report fields child.py uses must
-    # exist.
+    # read: every configuration name and report field child.py uses must
+    # exist.  Of its configuration, a caller sets only mode, limits and
+    # seed; the relevance values child.py also reads are fixed class
+    # attributes, equal to what run_pipeline uses.
     import ast
     import dataclasses
+    import inspect
     import sys
 
     bench = Path(__file__).resolve().parent.parent / "bench"
@@ -1049,16 +1069,19 @@ def test_benchmark_uses_the_package_as_it_is():
     finally:
         sys.path[:] = saved  # reference.py adds bench/ to the path itself
 
+    def config_reads(tree):
+        return {
+            node.attr
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)
+            and (
+                (isinstance(node.value, ast.Name) and node.value.id == "cfg")
+                or (isinstance(node.value, ast.Attribute) and node.value.attr == "cfg")
+            )
+        }
+
     tree = ast.parse((bench / "child.py").read_text(encoding="utf-8"))
-    config_reads = {
-        node.attr
-        for node in ast.walk(tree)
-        if isinstance(node, ast.Attribute)
-        and (
-            (isinstance(node.value, ast.Name) and node.value.id == "cfg")
-            or (isinstance(node.value, ast.Attribute) and node.value.attr == "cfg")
-        )
-    }
+    bench_reads = config_reads(tree)
     report_keywords = {
         kw.arg
         for node in ast.walk(tree)
@@ -1067,7 +1090,19 @@ def test_benchmark_uses_the_package_as_it_is():
         and node.func.id == "RunReport"
         for kw in node.keywords
     }
-    assert {"mode", "limits", "una_known"} <= config_reads
-    assert config_reads <= {f.name for f in dataclasses.fields(PipelineConfig)}
+    assert {"mode", "limits", "una_known"} <= bench_reads
+    assert all(hasattr(PipelineConfig(), name) for name in bench_reads), bench_reads
+    assert [f.name for f in dataclasses.fields(PipelineConfig)] == ["mode", "limits", "seed"]
+    assert config_reads(ast.parse(inspect.getsource(run_pipeline))) == {"mode", "limits", "seed"}
+    fixed = {
+        "una_known": None,  # the scenario's flag
+        "typed_critical": None,  # typed exactly when a schema is given
+        "defun_abstraction": False,  # the exact analysis first
+        "relevance_limits": inspect.signature(relevance).parameters["fixpoint_limits"].default,
+    }
+    assert {name: getattr(PipelineConfig, name) for name in fixed} == fixed
+    for name in fixed:
+        with pytest.raises(TypeError):
+            PipelineConfig(**{name: fixed[name]})
     assert {"answers", "chase_stats"} <= report_keywords
     assert report_keywords <= {f.name for f in dataclasses.fields(chasegoal.RunReport)}

@@ -8,14 +8,12 @@ from chasegoal import (
     NoAdmissibleOrdering,
     PipelineConfig,
     Scenario,
-    adorn,
     load_scenario,
     magic,
     naive_fixpoint,
     parse_program,
     parse_rules,
     relevance,
-    reorder,
     run_pipeline,
     singularize,
     skolemize,
@@ -38,7 +36,7 @@ from chasegoal.kernel import (
     Variable,
     eq,
 )
-from chasegoal.magicsets import _derived_demand_only, _subsumed_demand
+from chasegoal.magicsets import _derived_demand_only, _subsumed_demand, adorn, reorder
 
 from helpers import (
     ORACLE_LIMITS,
