@@ -16,7 +16,6 @@ from typing import Iterable, Iterator, Optional
 
 from .kernel import (
     EQUALITY,
-    FRESH_PREFIX,
     Atom,
     Constant,
     Functional,
@@ -27,7 +26,7 @@ from .kernel import (
     TGD,
     Variable,
     eq,
-    is_ground,
+    equality_fault,
     iter_vars,
     pred_label,
     program_predicates,
@@ -49,11 +48,12 @@ def singularize(rules: Iterable[TGD], query: Optional[Predicate] = None):
     variables decoupled: each head argument x (a variable, as the query
     contract of `check_query_predicate` requires) becomes a fresh x' with
     x = x' appended to the body, so that answers are closed under the
-    equalities the program derives.  The new variables are `_s1`, `_s2`,
-    ...: the parsers reserve their prefix (`FRESH_PREFIX`), so no parsed
-    name can clash with them.  Every rule must pass `frontend.check_rule`.
+    equalities the program derives.  The new variables are `s#1`, `s#2`,
+    ...: `#` marks a generated name, which no input name holds.  A body
+    equality with a constant on the left is written variable first.  Every
+    rule must pass `frontend.check_rule`.
     """
-    fresh = (Variable("%ss%d" % (FRESH_PREFIX, n)) for n in itertools.count(1))
+    fresh = (Variable("s#%d" % n) for n in itertools.count(1))
     out = []
     for r in rules:
         check_rule(r)
@@ -82,7 +82,7 @@ def _singularize_rule(r: TGD, fresh: Iterator[Variable]) -> TGD:
     body: list[Atom] = []
     for atom in r.body:
         if atom.is_equality:
-            body.append(atom)
+            body.append(atom if isinstance(atom.args[0], Variable) else eq(*atom.args[::-1]))
             continue
         args = list(atom.args)
         extras = []
@@ -231,11 +231,7 @@ def check_eq_safety(p) -> "list[tuple]":
             continue
         relational_vars = vars_of([a for a in r.body if not a.is_equality])
         for a in equalities:
-            s, t = a.args
-            if not isinstance(s, Variable):
-                bad.append((r, a, "left side is not a variable"))
-            elif not (isinstance(t, Variable) or is_ground(t)):
-                bad.append((r, a, "right side is neither a variable nor ground"))
-            elif not (vars_of(a) & relational_vars):
-                bad.append((r, a, "no variable shared with a relational body atom"))
+            fault = equality_fault(a, relational_vars)
+            if fault:
+                bad.append((r, a, fault))
     return bad

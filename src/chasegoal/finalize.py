@@ -38,14 +38,14 @@ _NOT_BARE = re.compile(r"[^A-Za-z0-9_]")
 
 
 def graph_predicate(t: "Constant | Functional") -> Predicate:
-    """The graph predicate of a constant, unary, or of a function term's
-    symbol, with one argument more than the term.  A constant's text keeps
-    the characters of a bare constant (`Constant._bare`) and writes each
-    other one as its code point in hex between apostrophes (`'a b'` gets
-    `con_a'20'b`): an injective code whose names the program grammar reads."""
+    """The graph predicate `con_<text>#` of a constant, unary, or
+    `fun_<symbol>#` of a function symbol, with one argument more than the
+    term.  Each character of the text outside a bare constant's
+    (`Constant._bare`) is its code point in hex between apostrophes (`'a b'`
+    gets `con_a'20'b#`): an injective code the program grammar reads."""
     if isinstance(t, Constant):
-        return Predicate("con_" + _NOT_BARE.sub(lambda m: "'%x'" % ord(m.group()), t.name), 1)
-    return Predicate("fun_" + t.symbol, len(t.args) + 1)
+        return Predicate("con_%s#" % _NOT_BARE.sub(lambda m: "'%x'" % ord(m.group()), t.name), 1)
+    return Predicate("fun_%s#" % t.symbol, len(t.args) + 1)
 
 
 def _head_functionals(atom: Atom):
@@ -66,11 +66,11 @@ def _head_functionals(atom: Atom):
 
 def defunctionalize(program: Program) -> Program:
     """Replace body occurrences of constants and function terms by fresh
-    variables bound through graph atoms (con_c(z), fun_f(args,z)) placed
+    variables bound through graph atoms (con_c#(z), fun_f#(args,z)) placed
     right before the atom that contained the occurrence, innermost term
     first.  For every function symbol that occurred in some body, each rule
     with that symbol in its head additionally yields a companion rule
-    deriving the graph fact fun_f(args, f(args)).  One fact rule con_c(c)
+    deriving the graph fact fun_f#(args, f(args)).  One fact rule con_c#(c)
     per constant closes the construction."""
     body_symbols: set[str] = set()
     fact_rules: dict[str, Rule] = {}

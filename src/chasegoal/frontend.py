@@ -5,9 +5,9 @@ Rule, program and schema files are line based and share one tokenizer:
 one compiled regex splits a line into (kind, text, column) tuples, which a
 recursive-descent parser walks by index (a schema line is matched whole, up
 to the comment the tokenizer finds).  A `#` starts a comment when it opens
-the line or follows a space or tab; inside a token (magic predicate names
-such as `m_R#bf`, generated variables such as `?z#1`, quoted constants) it
-is part of the token.  An apostrophe inside a name (`?x'`, `a'`) opens no
+the line or follows a space or tab; inside a token (quoted constants, and
+the generated names it marks, such as `m_R#bf`, `con_c#` and `?s#1`) it is
+part of the token.  An apostrophe inside a name (`?x'`, `a'`) opens no
 quote.
 
 A base instance is read one CSV file per predicate, a chunk of rows at a
@@ -33,7 +33,6 @@ from .kernel import (
     EQUALITY,
     Atom,
     Constant,
-    FRESH_PREFIX,
     Functional,
     Instance,
     MagicPredicate,
@@ -45,6 +44,7 @@ from .kernel import (
     Term,
     Variable,
     eq,
+    equality_fault,
     pred_label,
     program_predicates,
     rule_atoms,
@@ -149,14 +149,9 @@ def _expect(toks: list, i: int, kind: str) -> int:
 def _parse_term(toks: list, i: int, dump: bool) -> "tuple[Term, int]":
     kind, text, col = toks[i]
     if kind == "VAR":
-        name = text[1:]
-        if not dump and name.startswith(FRESH_PREFIX):
-            raise MalformedRule(
-                "variable name %s uses the reserved prefix %r" % (text, FRESH_PREFIX), col=col
-            )
-        if not dump and "#" in name:
-            raise MalformedRule("variable name %s uses the reserved character '#'" % text, col=col)
-        return Variable(name), i + 1
+        if not dump:
+            _check_variable_name(text[1:], col)
+        return Variable(text[1:]), i + 1
     if kind == "QUOTED":
         return Constant(text[1:-1].replace("''", "'")), i + 1
     if kind == "NAME":
@@ -174,17 +169,16 @@ def _parse_term(toks: list, i: int, dump: bool) -> "tuple[Term, int]":
 
 
 def _check_predicate_name(name: str, col: int = 0):
-    """Raise unless `name` can name an input predicate.  The pipeline names
-    magic predicates with `#` and graph predicates with the prefixes `fun_`
-    and `con_` (`finalize.graph_predicate`); an input predicate named so
-    would be taken for one of them."""
+    """Raise unless `name` can name an input predicate: it holds no `#`,
+    which marks the magic and graph predicates the pipeline generates."""
     if "#" in name:
         raise MalformedRule("'#' is not allowed in predicate names", col=col)
-    if name.startswith(("fun_", "con_")):
-        raise MalformedRule(
-            "predicate name %s is reserved: fun_* and con_* name generated predicates" % name,
-            col=col,
-        )
+
+
+def _check_variable_name(name: str, col: int = 0):
+    """Raise unless `name` can name an input variable: it holds no `#`."""
+    if "#" in name:
+        raise MalformedRule("variable name ?%s uses the reserved character '#'" % name, col=col)
 
 
 def _predicate(name: str, arity: int, col: int, dump: bool) -> PredicateId:
@@ -204,8 +198,8 @@ def _predicate(name: str, arity: int, col: int, dump: bool) -> PredicateId:
         if not ok or arity != adornment.count("b"):
             raise MalformedRule("malformed magic predicate %s/%d" % (name, arity), col=col)
         return MagicPredicate(base, adornment)
-    if "#" in name:
-        raise MalformedRule("'#' is only allowed in magic predicate names: %s" % name, col=col)
+    if "#" in name and not (name.startswith(("fun_", "con_")) and name.endswith("#")):
+        raise MalformedRule("'#' is only allowed in magic and graph predicate names: %s" % name, col=col)
     return Predicate(name, arity)
 
 
@@ -315,10 +309,10 @@ def parse_rules(text: str, source: str = "<rules>") -> "list[TGD]":
     existential) or a single equality `?x = ?y` / `?x = c` (an
     equality-generating rule).  Input rules are function free, and a body
     may hold equality atoms.  A predicate keeps the arity of its first use,
-    its name is not reserved (`_check_predicate_name`), and every rule
-    passes `check_rule`.  No stage dump reads back through this parser:
-    `sg` prints variables with the reserved prefix, and the later stages
-    are logic programs for `parse_program`.
+    no predicate or variable name holds `#`, and every rule passes
+    `check_rule`.  No stage dump reads back through this parser: `sg`
+    prints the variables it generates, which hold `#`, and the later
+    stages are logic programs for `parse_program`.
     """
     rules: list[TGD] = []
     arities: dict[str, tuple[int, int]] = {}
@@ -361,8 +355,8 @@ def parse_program(text: str, source: str = "<program>") -> Program:
     """Parse a logic program, one rule per line: `head :- body.` or `head.`.
 
     Only magic predicate names are decoded: `m_R#bf`, `m_A#` and the
-    equality's `m_eq#eqb`.  Every other name, the graph predicates `fun_f`
-    and `con_c` among them, is an ordinary predicate.
+    equality's `m_eq#eqb`.  The graph predicates `fun_f#` and `con_c#` and
+    every name without `#` are ordinary predicates; no other name holds `#`.
     """
     return Program(tuple(rule for _, rule in _parse_lines(text, source, _parse_program_rule)))
 
@@ -659,7 +653,8 @@ _QUERY_WORKAROUND = "; use a non-query predicate and a rule from it into %s"
 
 def check_query_predicate(rules: "Iterable[TGD]", query: Predicate):
     """The query predicate may appear in rule heads only, never in a body and
-    never with an existential variable or a constant in its arguments."""
+    never with an existential variable, a constant, or a variable that only
+    body equalities bind in its arguments."""
     for r in rules:
         for a in r.body:
             if a.predicate == query:
@@ -676,14 +671,38 @@ def check_query_predicate(rules: "Iterable[TGD]", query: Predicate):
                     "query predicate %s has a constant argument in rule %r"
                     % (query.name, r) + _QUERY_WORKAROUND % query.name
                 )
+            if vars_of(a) - vars_of([b for b in r.body if not b.is_equality]):
+                raise MalformedRule(
+                    "query predicate %s has an argument that only body equalities bind in rule %r"
+                    % (query.name, r) + _QUERY_WORKAROUND % query.name
+                )
+
+
+def _check_input_rule(r: TGD):
+    """Raise unless a rule holds only what `parse_rules` reads, no function
+    term and no `#` in a variable name, and only body equalities the
+    pipeline takes: written variable first, as `singularize` writes them,
+    each keeps equality safety (`kernel.equality_fault`)."""
+    for a in rule_atoms(r):
+        for t in a.args:
+            if isinstance(t, Functional):
+                raise MalformedRule("function terms are not allowed in input rules: %r" % r)
+            if isinstance(t, Variable):
+                _check_variable_name(t.name)
+    relational = vars_of([a for a in r.body if not a.is_equality])
+    for a in r.body:
+        if a.is_equality:
+            fault = equality_fault(a if isinstance(a.args[0], Variable) else eq(*a.args[::-1]), relational)
+            if fault:
+                raise MalformedRule("body equality %r is not safe in rule %r: %s" % (a, r, fault))
 
 
 def check_scenario(sc: Scenario):
     """Raise `FrontendError` unless a scenario keeps the input contract, on
     which all four modes give the same answers:
-    - every rule keeps `check_rule`, the base holds facts of ordinary
-      predicates only, and no predicate of the rules or the base has a
-      reserved name (`_check_predicate_name`);
+    - every rule keeps `check_rule` and `_check_input_rule`, the base holds
+      facts of ordinary predicates only, and no predicate of the rules or
+      the base has a name holding `#` (`_check_predicate_name`);
     - the query predicate keeps `check_query_predicate` and has no base
       facts;
     - a schema entry declares one sort, a name, per argument, and the
@@ -694,6 +713,7 @@ def check_scenario(sc: Scenario):
       rules that derive answers."""
     for r in sc.rules:
         check_rule(r)
+        _check_input_rule(r)
     sig = rules_signature(sc.rules)
     for pred in chain(sig.values(), sc.instance.predicates()):
         if not isinstance(pred, Predicate):

@@ -388,6 +388,20 @@ def eq(t1: Term, t2: Term) -> Atom:
     return Atom(EQUALITY, (t1, t2))
 
 
+def equality_fault(a: Atom, relational_vars: "set[Variable]") -> "str | None":
+    """Why the body equality `a` breaks equality safety, or None: it must
+    be ?x = ?y or ?x = s with s ground, and share a variable with the
+    relational atoms of its body, whose variables are `relational_vars`."""
+    s, t = a.args
+    if not isinstance(s, Variable):
+        return "left side is not a variable" if isinstance(t, Variable) else "neither side is a variable"
+    if not (isinstance(t, Variable) or is_ground(t)):
+        return "right side is neither a variable nor ground"
+    if not (vars_of(a) & relational_vars):
+        return "no variable shared with a relational body atom"
+    return None
+
+
 def pred_label(p: PredicateId) -> str:
     if isinstance(p, Predicate):
         return p.name
@@ -474,11 +488,6 @@ def substitute(sigma: "dict[Variable, Term]", x):
     if isinstance(x, Atom):
         return Atom(x.predicate, tuple(substitute(sigma, a) for a in x.args))
     raise TypeError("cannot substitute into %r" % (x,))
-
-
-# The parsers refuse variable names with this prefix, so a stage may name
-# its variables with it and never meet a parsed one.
-FRESH_PREFIX = "_"
 
 
 def fresh_name(candidates: "Iterable[str]", taken: "set[str]") -> str:

@@ -107,7 +107,7 @@ TRACE = [
     "m_Q#f",
     "m_A#f",
     "A(sk_3_y(a1))",
-    "fun_sk_3_y(a1,sk_3_y(a1))",
+    "fun_sk_3_y#(a1,sk_3_y(a1))",
     "m_eq#eqb(sk_3_y(a1))",
     "m_R#bf(sk_3_y(a1))",
     "m_T#bf(sk_3_y(a1))",

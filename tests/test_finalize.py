@@ -29,13 +29,13 @@ DEFUN_EXPECTED = """
 A(sk_3_y(?x)) :- m_A#f, B(?x).
 Q(?s1) :- m_Q#f, A(?s2), ?s1 = ?s2, R(?s1,?y).
 R(?x,sk_1_y(?x)) :- m_R#bf(?x), S(?x,?z).
-T(?x,sk_3_y(?x)) :- fun_sk_3_y(?x,?u1), m_T#fb(?u1), B(?x).
+T(?x,sk_3_y(?x)) :- fun_sk_3_y#(?x,?u1), m_T#fb(?u1), B(?x).
 T(?x,sk_3_y(?x)) :- m_T#bf(?x), B(?x).
 ?x = ?y :- m_eq#eqb(?x), T(?x,?y).
 ?x = ?y :- m_eq#eqb(?y), T(?x,?y).
-fun_sk_3_y(?x,sk_3_y(?x)) :- fun_sk_3_y(?x,?u1), m_T#fb(?u1), B(?x).
-fun_sk_3_y(?x,sk_3_y(?x)) :- m_A#f, B(?x).
-fun_sk_3_y(?x,sk_3_y(?x)) :- m_T#bf(?x), B(?x).
+fun_sk_3_y#(?x,sk_3_y(?x)) :- fun_sk_3_y#(?x,?u1), m_T#fb(?u1), B(?x).
+fun_sk_3_y#(?x,sk_3_y(?x)) :- m_A#f, B(?x).
+fun_sk_3_y#(?x,sk_3_y(?x)) :- m_T#bf(?x), B(?x).
 m_A#f :- m_Q#f.
 m_Q#f.
 m_R#bf(?s1) :- m_Q#f, A(?s2), ?s1 = ?s2.
@@ -48,13 +48,13 @@ DESG_EXPECTED = """
 A(sk_3_y(?x)) :- m_A#f, B(?x).
 Q(?s2) :- m_Q#f, A(?s2), R(?s2,?y).
 R(?x,sk_1_y(?x)) :- m_R#bf(?x), S(?x,?z).
-T(?x,sk_3_y(?x)) :- fun_sk_3_y(?x,?u1), m_T#fb(?u1), B(?x).
+T(?x,sk_3_y(?x)) :- fun_sk_3_y#(?x,?u1), m_T#fb(?u1), B(?x).
 T(?x,sk_3_y(?x)) :- m_T#bf(?x), B(?x).
 ?x = ?y :- m_eq#eqb(?x), T(?x,?y).
 ?x = ?y :- m_eq#eqb(?y), T(?x,?y).
-fun_sk_3_y(?x,sk_3_y(?x)) :- fun_sk_3_y(?x,?u1), m_T#fb(?u1), B(?x).
-fun_sk_3_y(?x,sk_3_y(?x)) :- m_A#f, B(?x).
-fun_sk_3_y(?x,sk_3_y(?x)) :- m_T#bf(?x), B(?x).
+fun_sk_3_y#(?x,sk_3_y(?x)) :- fun_sk_3_y#(?x,?u1), m_T#fb(?u1), B(?x).
+fun_sk_3_y#(?x,sk_3_y(?x)) :- m_A#f, B(?x).
+fun_sk_3_y#(?x,sk_3_y(?x)) :- m_T#bf(?x), B(?x).
 m_A#f :- m_Q#f.
 m_Q#f.
 m_R#bf(?s2) :- m_Q#f, A(?s2).
@@ -92,18 +92,19 @@ def test_final_block_is_chase_ready():
 
 
 def is_graph(atom) -> bool:
-    return not atom.is_equality and pred_label(atom.predicate).startswith(("fun_", "con_"))
+    label = pred_label(atom.predicate)
+    return not atom.is_equality and label.startswith(("fun_", "con_")) and label.endswith("#")
 
 
 def test_graph_predicate_names_constants_injectively():
     # A constant whose text is a bare name keeps it; every other character
     # is its code point in hex between apostrophes, which no bare character
     # is, so distinct texts get distinct names, each a name of the program
-    # grammar.
+    # grammar and each marked with the '#' that no input name holds.
     texts = ["c", "a b", "a,b", "a#b", "a(b)", "a'", "é", "", "a'20'b", "a 20b", "_"]
     names = [graph_predicate(Constant(t)).name for t in texts]
-    assert names[:7] == ["con_c", "con_a'20'b", "con_a'2c'b", "con_a'23'b", "con_a'28'b'29'", "con_a'27'",
-                         "con_'e9'"]
+    assert names[:8] == ["con_c#", "con_a'20'b#", "con_a'2c'b#", "con_a'23'b#", "con_a'28'b'29'#",
+                         "con_a'27'#", "con_'e9'#", "con_#"]
     assert len(set(names)) == len(texts)
     for t, name in zip(texts, names):
         (fact,) = parse_program("%s(%r)." % (name, Constant(t))).rules
@@ -115,7 +116,7 @@ def test_defunctionalize_replaces_body_function_terms():
     (rule,) = defunctionalize(p).rules
     graph = [a for a in rule.body if is_graph(a)]
     assert len(graph) == 1
-    assert graph[0].predicate == Predicate("fun_sk_3_y", 2)  # args plus result
+    assert graph[0].predicate == Predicate("fun_sk_3_y#", 2)  # args plus result
     # the graph atom comes right before the atom that held the term
     kinds = [type(a.predicate).__name__ for a in rule.body]
     assert rule.body.index(graph[0]) < kinds.index("MagicPredicate")
@@ -127,7 +128,7 @@ def test_defunctionalize_replaces_body_constants():
     p = parse_program("Q(?x) :- R(?x,c).")
     (rule, con_fact) = sorted(defunctionalize(p).rules, key=lambda r: len(r.body), reverse=True)
     graph = [a for a in rule.body if is_graph(a)]
-    assert graph and graph[0].predicate is Predicate("con_c", 1)
+    assert graph and graph[0].predicate is Predicate("con_c#", 1)
     assert all(
         all(isinstance(t, Variable) for t in a.args) for a in rule.body
     )
@@ -141,8 +142,8 @@ def test_defunctionalize_skips_a_variable_name_the_rule_holds():
     # ?z#3.
     p = parse_program("Q(?x) :- P(?x,?z#1), S(a,f(?x)).")
     rule, fact = defunctionalize(p).rules
-    assert repr(rule) == "Q(?x) :- P(?x,?z#1), con_a(?z#2), fun_f(?x,?z#3), S(?z#2,?z#3)."
-    assert repr(fact) == "con_a(a)."
+    assert repr(rule) == "Q(?x) :- P(?x,?z#1), con_a#(?z#2), fun_f#(?x,?z#3), S(?z#2,?z#3)."
+    assert repr(fact) == "con_a#(a)."
 
 
 def test_defunctionalize_companion_rules_only_for_body_symbols():
@@ -150,14 +151,14 @@ def test_defunctionalize_companion_rules_only_for_body_symbols():
     # companion rule is generated for it
     got = defunctionalize(magic_of_running_example())
     companions = {pred_label(r.head.predicate) for r in got.rules if is_graph(r.head)}
-    assert companions == {"fun_sk_3_y"}
+    assert companions == {"fun_sk_3_y#"}
 
 
 def test_defunctionalize_nested_terms_innermost_first():
     p = parse_program("Q(?x) :- P(g(f(?x))).")
     (rule,) = defunctionalize(p).rules
     graph = [a for a in rule.body if is_graph(a)]
-    assert [a.predicate.name for a in graph] == ["fun_f", "fun_g"]
+    assert [a.predicate.name for a in graph] == ["fun_f#", "fun_g#"]
     # g's graph atom consumes the variable f's graph atom produced
     assert graph[0].args[-1] == graph[1].args[0]
 

@@ -53,7 +53,7 @@ from chasegoal.kernel import (
     vars_of,
 )
 
-from helpers import RUNNING_RULES, running_example
+from helpers import BODY_EQUALITY_ERRORS, Q1, RUNNING_RULES, null_chase, running_example
 
 
 def test_parse_rules_running_example_shapes():
@@ -109,7 +109,6 @@ def test_comment_and_blank_lines_skipped():
         ("P(?x) -> ?y = ?z", UnboundFrontierVariable),
         ("P(?x) -> 'a' = 'b'", MalformedRule),          # no variable side
         ("P(?x) -> ?x = ?y, Q(?x)", MalformedRule),     # equality not alone
-        ("P(?_s1) -> Q(?_s1)", MalformedRule),          # reserved prefix
         ("P(f(?x)) -> Q(?x)", MalformedRule),           # input rules are function free
         ("P#x(?x) -> Q(?x)", MalformedRule),            # '#' in a predicate name
         ("P(?x), N#x -> Q(?x)", MalformedRule),         # '#' in a nullary predicate name
@@ -120,6 +119,18 @@ def test_comment_and_blank_lines_skipped():
 def test_parse_rules_rejects(bad, err):
     with pytest.raises(err):
         parse_rules(bad)
+
+
+@pytest.mark.parametrize(
+    "text", ["P(?_s1) -> Q(?_s1)", "fun_g(?x,?y) -> Q(?x)", "P(?x), con_c(?x) -> Q(?x)"]
+)
+def test_parse_rules_accepts_names_without_the_generated_mark(text):
+    # Only '#' marks a generated name, so a leading '_' on a variable and the
+    # prefixes fun_ and con_ on a predicate are ordinary; graph predicates
+    # are fun_g# and con_c#.
+    (rule,) = parse_rules(text)
+    assert parse_rules(repr(rule)) == [rule]
+    assert all(type(a.predicate) is Predicate for a in rule.body + rule.head)
 
 
 def test_error_message_carries_location():
@@ -145,17 +156,11 @@ PINNED_ERRORS = [
      "<rules>:1:1: at least one side of an equality head must be a variable"),
     ("rules", "P(?x) -> ?x = ?y, Q(?x)", MalformedRule,
      "<rules>:1:1: an equality head must be the only head atom"),
-    ("rules", "P(?_s1) -> Q(?_s1)", MalformedRule,
-     "<rules>:1:3: variable name ?_s1 uses the reserved prefix '_'"),
     ("rules", "P(f(?x)) -> Q(?x)", MalformedRule,
      "<rules>:1:3: function terms are not allowed in input rules"),
     ("rules", "P#x(?x) -> Q(?x)", MalformedRule, "<rules>:1:1: '#' is not allowed in predicate names"),
     ("rules", "P(?x), N#x -> Q(?x)", MalformedRule,
      "<rules>:1:8: '#' is not allowed in predicate names"),
-    ("rules", "fun_g(?x,?y) -> Q(?x)", MalformedRule,
-     "<rules>:1:1: predicate name fun_g is reserved: fun_* and con_* name generated predicates"),
-    ("rules", "P(?x), con_c(?x) -> Q(?x)", MalformedRule,
-     "<rules>:1:8: predicate name con_c is reserved: fun_* and con_* name generated predicates"),
     ("rules", "P(a#b) -> Q(?x)", MalformedRule, "<rules>:1:3: '#' is not allowed in constants"),
     ("rules", "P(?x#1) -> Q(?x#1)", MalformedRule,
      "<rules>:1:3: variable name ?x#1 uses the reserved character '#'"),
@@ -171,7 +176,12 @@ PINNED_ERRORS = [
     ("program", "m_R#bf(?x,?y) :- R(?x,?y).", MalformedRule,
      "<program>:1:1: malformed magic predicate m_R#bf/2"),
     ("program", "R#b(?x) :- S(?x).", MalformedRule,
-     "<program>:1:1: '#' is only allowed in magic predicate names: R#b"),
+     "<program>:1:1: '#' is only allowed in magic and graph predicate names: R#b"),
+    ("program", "fun_g#b(a).", MalformedRule,
+     "<program>:1:1: '#' is only allowed in magic and graph predicate names: fun_g#b"),
+    ("program", "Q(?x) :- con_#c(?x).", MalformedRule,
+     "<program>:1:10: '#' is only allowed in magic and graph predicate names: con_#c"),
+    ("program", "P#(a).", MalformedRule, "<program>:1:1: '#' is only allowed in magic and graph predicate names: P#"),
     ("program", "Q(?x) :- m_R#eqb(?x).", MalformedRule,
      "<program>:1:10: malformed magic predicate m_R#eqb/1"),
     ("program", "Q(?x) :- R(?x) & S(?x).", MalformedRule, "<program>:1:16: unexpected character '&'"),
@@ -230,23 +240,26 @@ def test_program_grammar_decodes_special_predicates():
 def test_program_grammar_round_trips_generated_shapes():
     # a constant's graph predicate, a function's graph predicate and a
     # function term of two arguments
-    text = "Q(?x) :- con_c(?x), fun_g(?x,?y), R(?x,f(?x,?y)).\n"
+    text = "Q(?x) :- con_c#(?x), fun_g#(?x,?y), R(?x,f(?x,?y)).\n"
     prog = parse_program(text)
     assert serialize_program(prog) == text
     con, fun, r = prog.rules[0].body
-    assert con.predicate is graph_predicate(Constant("c")) is Predicate("con_c", 1)
-    assert fun.predicate is graph_predicate(Functional("g", (Variable("x"),))) is Predicate("fun_g", 2)
+    assert con.predicate is graph_predicate(Constant("c")) is Predicate("con_c#", 1)
+    assert fun.predicate is graph_predicate(Functional("g", (Variable("x"),))) is Predicate("fun_g#", 2)
     assert r.args[1] == Functional("f", (Variable("x"), Variable("y")))
 
 
 def test_program_grammar_decodes_magic_names_only():
     # The equality's demand is known by its adornment, so an input predicate
     # named eq keeps its own demand; a graph predicate's name is an ordinary
-    # name, of any arity.
-    (rule,) = parse_program("m_eq#bf(?x) :- m_eq#eqb(?x), con_c(?x,?y), fun_g(?x).").rules
+    # name, of any arity, and so is a name with its prefix but no '#'.
+    text = "m_eq#bf(?x) :- m_eq#eqb(?x), con_c#(?x,?y), fun_g#(?x), con_c(?x), m_fun_g#b(?x)."
+    (rule,) = parse_program(text).rules
     assert rule.head.predicate is MagicPredicate(Predicate("eq", 2), "bf")
     assert [a.predicate for a in rule.body] == [
-        MagicPredicate(EQUALITY, "eqb"), Predicate("con_c", 2), Predicate("fun_g", 1)]
+        MagicPredicate(EQUALITY, "eqb"), Predicate("con_c#", 2), Predicate("fun_g#", 1),
+        Predicate("con_c", 1), MagicPredicate(Predicate("fun_g", 1), "b")]
+
 
 
 def test_serialize_program_is_deterministic():
@@ -590,8 +603,10 @@ def named(first: str, rest: str = "ab_'"):
 
 
 # A predicate name ends in its arity, so a rule file uses each with one.
-predicate_names = named("PQR")
-input_terms = st.one_of(named("xyzXY1").map(Variable), constants)
+# Input names may start as generated ones do but for their '#': a variable
+# with '_', a predicate with fun_ or con_.
+predicate_names = st.builds(lambda a, b: a + b, st.sampled_from(["", "fun_", "con_"]), named("PQR"))
+input_terms = st.one_of(named("_xyzXY1").map(Variable), constants)
 
 
 @st.composite
@@ -648,10 +663,14 @@ def test_rules_round_trip_through_render(drawn):
     assert parse_rules(text) == rules
 
 
-# Dumps hold generated variables (`?_s1`, `?z#1`), function terms, and the
+# Dumps hold generated variables (`?s#1`, `?z#1`), function terms, and the
 # magic, function graph and constant graph predicates.  A graph predicate is
 # named as defunctionalization names it, from any constant text.
-dump_leaves = st.one_of(named("xyz_", "x1_'#").map(Variable), constants)
+dump_leaves = st.one_of(
+    named("xyz_", "x1_'#").map(Variable),
+    st.integers(1, 12).map(lambda n: Variable("s#%d" % n)),
+    constants,
+)
 symbols = named("fgs", "k_0'")
 # A function term may have no argument, as the Skolem term of a rule with no
 # frontier variable has.
@@ -907,26 +926,84 @@ def test_scenario_built_in_code_rejects_a_sort_that_is_not_a_name():
             Scenario(rules, facts("S(a,b)"), Predicate("Q", 1), {("S", 2): sorts})
 
 
-@pytest.mark.parametrize("name", ["fun_g", "con_c", "P#b"])
-def test_scenario_built_in_code_rejects_a_reserved_predicate_name(name):
-    # Unchecked, fun_g would be the graph predicate of a function g: a
-    # stage dump of it read back and chased over the same base answered
-    # nothing.
+def through_a_predicate(name):
+    """`A(?x,?y) -> <name>(?x,?y)` and `<name>(?x,?y) -> Q(?x)`."""
     rel, args = Predicate(name, 2), (Variable("x"), Variable("y"))
     rule = TGD((Atom(Predicate("A", 2), args),), (Atom(rel, args),))
-    query = TGD((Atom(rel, args),), (Atom(Predicate("Q", 1), args[:1]),))
-    with pytest.raises(MalformedRule, match="predicate name"):
-        Scenario((rule, query), facts("A(a,b)"), Predicate("Q", 1))
+    return rule, TGD((Atom(rel, args),), (Atom(Q1, args[:1]),))
+
+
+@pytest.mark.parametrize("name", ["P#b"])
+def test_scenario_built_in_code_rejects_a_reserved_predicate_name(name):
+    # '#' marks the predicates the pipeline generates: unchecked, the dumps
+    # of P#b would not read back, and an m_P#b would read back as magic.
+    with pytest.raises(MalformedRule, match="'#' is not allowed in predicate names"):
+        Scenario(through_a_predicate(name), facts("A(a,b)"), Q1)
+
+
+@pytest.mark.parametrize("name", ["fun_g", "con_c"])
+def test_scenario_built_in_code_accepts_fun_and_con_predicate_names(name):
+    # Graph predicates are named fun_g# and con_c#, so these input names
+    # collide with none; refused until then.
+    sc = Scenario(through_a_predicate(name), facts("A(a,b)"), Q1)
+    assert null_chase(sc).answers == {("a",)}
+    for mode in ("mat", "rel", "magic", "all"):
+        assert run_pipeline(sc, PipelineConfig(mode=mode)).answers == (("a",),), mode
+
+
+def test_scenario_built_in_code_rejects_a_function_term():
+    # Unchecked, every mode answered a and the null chase x, the name of a
+    # variable: input like this lies outside what the reference can check.
+    x = Variable("x")
+    fx = Functional("f", (x,))
+    A, B = Predicate("A", 1), Predicate("B", 1)
+    rules = (TGD((Atom(A, (x,)),), (Atom(B, (fx,)),)), TGD((Atom(B, (fx,)),), (Atom(Q1, (x,)),)))
+    with pytest.raises(MalformedRule) as err:
+        Scenario(rules, facts("A(a)"), Q1)
+    assert str(err.value) == "function terms are not allowed in input rules: A(?x) -> B(f(?x))"
+
+
+def with_a_variable_named(name):
+    """`A(?x), B(?x,c), C(?<name>) -> Q(?x)`, built in code: sg gives the
+    constant c a variable of its own."""
+    x = Variable("x")
+    body = (Atom(Predicate("A", 1), (x,)), Atom(Predicate("B", 2), (x, Constant("c"))),
+            Atom(Predicate("C", 1), (Variable(name),)))
+    return (TGD(body, (Atom(Q1, (x,)),)),)
+
+
+def test_scenario_built_in_code_keeps_its_variables_apart_from_generated_ones():
+    # sg once named its variables ?_s1, ?_s2, ... and captured this rule's
+    # ?_s1: every mode answered nothing, the null chase a.
+    sc = Scenario(with_a_variable_named("_s1"), facts("A(a), B(a,c), C(z)"), Q1)
+    assert null_chase(sc).answers == {("a",)}
+    for mode in ("mat", "rel", "magic", "all"):
+        assert run_pipeline(sc, PipelineConfig(mode=mode)).answers == (("a",),), mode
+
+
+def test_scenario_built_in_code_rejects_a_variable_with_the_generated_mark():
+    # sg names its variables ?s#1, ?s#2, ...: '#' marks a generated name.
+    with pytest.raises(MalformedRule) as err:
+        Scenario(with_a_variable_named("s#1"), facts("A(a), B(a,c), C(z)"), Q1)
+    assert str(err.value) == "variable name ?s#1 uses the reserved character '#'"
+
+
+@pytest.mark.parametrize("text, message", BODY_EQUALITY_ERRORS, ids=["no-variable", "unbound", "query-head"])
+def test_scenario_rejects_a_body_equality_the_pipeline_cannot_take(text, message):
+    rules = tuple(parse_rules(text))
+    with pytest.raises(MalformedRule) as err:
+        Scenario(rules, facts("A(a)"), Q1)
+    assert str(err.value) == message
 
 
 def test_scenario_built_in_code_rejects_base_facts_of_a_generated_predicate():
-    # Unchecked, con_c(d) would be the graph fact of the constant c, and
+    # Unchecked, con_c#(d) would be the graph fact of the constant c, and
     # every mode would answer u; the rules ask for B(u,c), which is not in
     # the base.
     rules = tuple(parse_rules("A(?x), B(?x,c) -> Q(?x)"))
     u, d = Constant("u"), Constant("d")
     base = list(facts("A(u), B(u,d)"))
-    with pytest.raises(MalformedRule, match="predicate name con_c is reserved"):
+    with pytest.raises(MalformedRule, match="'#' is not allowed in predicate names"):
         Scenario(rules, Instance(base + [Atom(graph_predicate(Constant("c")), (d,))]), Predicate("Q", 1))
     for fact, label in [(Atom(MagicPredicate(Predicate("A", 1), "b"), (u,)), "m_A#b"), (eq(u, d), "eq")]:
         with pytest.raises(FrontendError, match="base facts of %s, which is not an input predicate" % label):

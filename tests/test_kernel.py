@@ -5,10 +5,14 @@ import copy
 import functools
 import itertools
 import linecache
+import os
 import pickle
 import random
 import re
+import subprocess
+import sys
 import traceback
+from pathlib import Path
 
 import pytest
 from hypothesis import given
@@ -404,21 +408,36 @@ def test_plans_that_differ_only_in_predicates_and_constants_share_a_shape():
     assert out == [(f(d).id,)]
 
 
+_BIND_IN_A_FRESH_INTERPRETER = """
+from chasegoal.kernel import Atom, Constant, Functional, JoinPlan, Predicate, Variable
+a, b, x, y = Constant("a"), Constant("b"), Variable("x"), Variable("y")
+P1, R2 = Predicate("P", 1), Predicate("R", 2)
+f = lambda *args: Functional("f", args)
+g = lambda *args: Functional("g", args)
+plans = [
+    JoinPlan((Atom(R2, (x, f(y))), Atom(P1, (y,))), entry=Atom(P1, (x,)), emit=(Atom(R2, (g(x), a)),)),
+    JoinPlan((Atom(R2, (x, b)), Atom(R2, (b, y))), entry=Atom(R2, (y, x)), old=1),
+]
+for plan in plans:
+    plan.run, plan.steps
+names = [*Constant._table, *(name for name, _ in Predicate._table), *(name for (name,) in Variable._table)]
+print(repr([name for name in names if name.startswith("\\0")]))
+"""
+
+
 def test_binding_kernels_interns_no_placeholder_names():
     # A kernel takes its plan's own objects as arguments, so binding one
     # enters no stand-in predicate, constant or variable in the tables.
-    plans = [
-        JoinPlan((Atom(R2, (x, f(y))), Atom(P1, (y,))), entry=Atom(P1, (x,)), emit=(Atom(R2, (g(x), a)),)),
-        JoinPlan((Atom(R2, (x, b)), Atom(R2, (b, y))), entry=Atom(R2, (y, x)), old=1),
-    ]
-    for plan in plans:
-        plan.run, plan.steps
-    names = (
-        [name for name in Constant._table]
-        + [name for name, _ in Predicate._table]
-        + [name for (name,) in Variable._table]
+    # Other tests may intern any text, so the plans are bound in a fresh
+    # interpreter, whose tables hold only what binding them enters.
+    src = Path(__file__).resolve().parent.parent / "src"
+    run = subprocess.run(
+        [sys.executable, "-c", _BIND_IN_A_FRESH_INTERPRETER],
+        env=dict(os.environ, PYTHONPATH=str(src)),
+        capture_output=True, text=True, timeout=120,
     )
-    assert not [name for name in names if name.startswith("\0")]
+    assert run.returncode == 0, run.stderr
+    assert run.stdout == "[]\n"
 
 
 def test_a_plan_too_deep_for_one_function_continues_in_another():
@@ -719,7 +738,7 @@ def test_equal_values_are_one_object(v):
 def test_function_graph_predicate_is_not_a_constant_graph():
     # A function symbol and a constant of one text and arity get distinct
     # graph predicates.
-    assert graph_predicate(Functional("f", ())) is Predicate("fun_f", 1)
+    assert graph_predicate(Functional("f", ())) is Predicate("fun_f#", 1)
     assert graph_predicate(Functional("f", ())) is not graph_predicate(Constant("f"))
 
 
