@@ -13,10 +13,10 @@ included: a body equality is demanded only when some rule has an equality
 head.  A demand rule that a freer demand rule on the same predicate always
 outruns is left out of the output (subsumptive demand, Tekle and Liu,
 SIGMOD 2011), so demand on a predicate stays as free as the freest demand
-that reaches it.  A predicate that the seed demands in full, through
-nullary demand flags alone, gets no bound demand at all.  Last, a rule
-guarded by demand that no rule of the output derives is dropped: such a
-copy never fires, and the copy under the freer demand covers it.
+that reaches it.  A predicate that the seed demands in full gets no
+bound demand at all.  Last, a rule guarded by demand that no rule of the
+output derives is dropped: such a copy never fires, and the copy under
+the freer demand covers it.
 """
 
 from __future__ import annotations
@@ -78,6 +78,14 @@ def magic(program: Program) -> Program:
     predicate.  Magic rules are emitted for body atoms whose predicate
     occurs in some head of the program, the equality predicate included; an
     equality demand bound on one side is processed under both orientations.
+
+    Before any demand is explored, `magic` finds the predicates the seed
+    demands in full: the query, and each derived predicate that, with no
+    ground argument, is the first relational body atom of a rule for one of
+    them.  Their all-free demand holds in every run, and the copies under it
+    answer any bound call, as magic sets allow (Beeri and Ramakrishnan, "On
+    the power of magic", JLP 1991): no demand binding one is generated.
+
     The rules `_subsumed_demand` finds are dropped from the output, and then
     the copies and demand rules guarded by demand that no rule left derives
     (`_derived_demand_only`); the rest keep the order they were emitted in."""
@@ -92,6 +100,17 @@ def magic(program: Program) -> Program:
     out: dict[Rule, None] = {}
     emit = out.setdefault
 
+    # Under all-free demand `reorder` binds nothing and puts the first
+    # relational atom first: its demand rule's body is the nullary guard.
+    full, todo = {program.query}, [program.query]
+    while todo:
+        for rule in by_head.get(todo.pop(), ()):
+            first = next((a for a in rule.body if not a.is_equality), None)
+            if first is not None and first.predicate in by_head and first.predicate not in full:
+                if "b" not in adorn(first, set()):
+                    full.add(first.predicate)
+                    todo.append(first.predicate)
+
     seed = MagicPredicate(program.query, "f" * program.query.arity)
     emit(Rule(Atom(seed, ()), ()))
     queued = {seed}
@@ -104,8 +123,8 @@ def magic(program: Program) -> Program:
         emit(Rule(rule.head, (magic_atom,) + ordered))
         bound = vars_of(bound_terms)
         for i, b in enumerate(ordered):
-            if b.predicate in by_head:
-                raw = adorn(b, bound)
+            raw = adorn(b, bound)
+            if b.predicate in by_head and not (b.predicate in full and "b" in raw):
                 if b.is_equality:
                     # Body equality sides are variables or constants, and
                     # `reorder` placed the equality after a binder of one of
@@ -153,34 +172,13 @@ def _subsumed_demand(rules: "Iterable[Rule]") -> "set[Rule]":
     Whenever the first rule fires, the second fires on the same facts and
     demands R with fewer positions fixed, and `magic` copies every rule of R
     under each demand m_R#β it emits, so each rule the demand m_R#α would
-    feed has a copy that fires on the freer demand.
-
-    The same holds for a whole predicate P whose all-free flag m_P#f…f
-    holds in every run, as it does when rules whose bodies hold such flags
-    alone derive it from the bodiless seed: `_derived_demand_only`, run on
-    those rules, keeps the ones deriving it.  A rule whose body also holds
-    a relational atom, a nullary one included, waits on a fact and takes no
-    part.  P's all-free copy of each rule fires on every body match, and
-    with the demand it emits it is the rewriting that answers each bound
-    demand m_P#α by demanding P in full: a freer choice of bound positions,
-    which magic sets allow at any call (Beeri and Ramakrishnan, "On the
-    power of magic", JLP 1991).  So once a rule derives an m_P#α that binds
-    a position, every rule deriving it goes; `_derived_demand_only` then
-    drops the copies of P's rules it guards and the demand those copies
-    emit."""
-    rules = tuple(rules)
-    demand = [r for r in rules if isinstance(r.head.predicate, MagicPredicate)]
-    flags = [r for r in demand if not r.head.predicate.arity and all(
-        isinstance(a.predicate, MagicPredicate) and not a.predicate.arity for a in r.body)]
-    full = {r.head.predicate.base for r in _derived_demand_only(flags)}
-    doomed = {r.head.predicate for r in demand if r.head.predicate.arity and r.head.predicate.base in full}
-    out = {r for r in demand if r.head.predicate in doomed}
-    demand = [r for r in demand if r not in out]
+    feed has a copy that fires on the freer demand."""
     by_base: dict = {}
-    for r in demand:
+    for r in rules:
         p = r.head.predicate
-        if p.adornment != "eqb" and _freezable(r):
+        if isinstance(p, MagicPredicate) and p.adornment != "eqb" and _freezable(r):
             by_base.setdefault(p.base, []).append(r)
+    out = set()
     for group in by_base.values():
         for r in group:
             alpha = r.head.predicate.adornment

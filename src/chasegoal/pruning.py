@@ -171,9 +171,12 @@ def relevance(
     built from the needed rules alone, so only they can diverge or make
     the critical instance too large.
 
-    With the unique name assumption, trivial equalities c = c are skipped
-    while tracing; body equality atoms that no trace ever needed are then
-    removed from the kept rules by inlining x = t.
+    A body equality atom that some trace step matched is blocked; the
+    others are removed from the kept rules by inlining x = t.  With the
+    unique name assumption, a match on a trivial equality c = c between
+    constants blocks nothing.  The trace still follows that fact back to
+    the rules deriving it: every base constant the rules do not name is
+    the star, so * = * can stand for a merge of two named constants.
     """
     if program.query is None:
         raise ValueError("relevance needs a program with a query predicate")
@@ -234,11 +237,9 @@ def relevance(
                 if len(preds) == 1:
                     body = (body,)
                 for i, g in enumerate(zip(preds, body)):
-                    if g[0] is EQUALITY:
+                    if g[0] is EQUALITY and idx is not None:
                         s, t = g[1]
-                        if una_known and s == t and not DEPTH[s]:
-                            continue
-                        if idx is not None:
+                        if not (una_known and s == t and not DEPTH[s]):
                             blocked.add((idx, i))
                     if g not in seen:
                         seen.add(g)

@@ -32,6 +32,7 @@ from chasegoal.kernel import (
     Instance,
     MagicPredicate,
     Predicate,
+    Program,
     Rule,
     Variable,
     eq,
@@ -176,12 +177,28 @@ def ontology_fixture(root):
     return load_scenario(root / "rules.txt", root / "data", w.query, una_known=w.una)
 
 
+def demanded_in_full_by_flags(program):
+    """Bases whose all-free demand the program's flag rules derive from the
+    seed.  A flag rule's head and body atoms are all nullary demand atoms,
+    so such a demand holds in every run."""
+    flags = [
+        r for r in program.rules
+        if isinstance(r.head.predicate, MagicPredicate) and not r.head.predicate.arity
+        and all(isinstance(a.predicate, MagicPredicate) and not a.predicate.arity for a in r.body)
+    ]
+    return {r.head.predicate.base for r in _derived_demand_only(flags)}
+
+
 def test_every_demand_a_rule_reads_is_derived_by_a_rule(tmp_path):
+    # Nor does any rule hold bound demand on a predicate that the output's
+    # own flags demand in full.
     fixtures = [running_example(151), campus_fixture(), ontology_fixture(tmp_path)]
     for sc in fixtures + [d.scenario for d in scenario_stream(2323, 100)]:
         for mode in ("magic", "all"):
-            rep = run_pipeline(sc, PipelineConfig(mode=mode))
-            assert demand_read_but_not_derived(rep.stages["magic"]) == set(), sc.rules
+            got = run_pipeline(sc, PipelineConfig(mode=mode)).stages["magic"]
+            assert demand_read_but_not_derived(got) == set(), sc.rules
+            full = demanded_in_full_by_flags(got)
+            assert [r for p in full for r in bound_demand_on(got, p)] == [], sc.rules
 
 
 def test_chain_magic_derived_facts():
@@ -203,12 +220,21 @@ E(?x,?y), E(?x,?z) -> ?y = ?z
 """
 FLAGS_FIRST = "G(?y), A(?x), P(?x,?w)"
 RELATIONAL_FIRST = "A(?x), G(?y), P(?x,?w)"
-HAND_DEMAND = """\
+# The call P(?x,?w) binds a position of P, whose all-free demand m_P#ff
+# follows from m_G#f, the demand on the first atom of the %s rule.
+FLAGGED_CALL = """
+%s(?x) :- G(?y), A(?x), P(?x,?w).
+G(?y) :- P(?y,?z).
+P(?x,?y) :- E(?x,?y).
+"""
+# Its rewriting when %s is Q: P's rule is copied under full demand alone.
+FLAGGED_CALL_MAGIC = """
 m_Q#f.
-m_G#f :- %s.
+Q(?x) :- m_Q#f, G(?y), A(?x), P(?x,?w).
+m_G#f :- m_Q#f.
+G(?y) :- m_G#f, P(?y,?z).
 m_P#ff :- m_G#f.
-m_P#bf(?x) :- m_Q#f, A(?x).
-P(?x,?y) :- m_P#bf(?x), E(?x,?y).
+P(?x,?y) :- m_P#ff, E(?x,?y).
 """
 
 
@@ -241,13 +267,11 @@ def test_predicate_demanded_in_full_gets_no_bound_demand():
     assert bound_demand_on(got, P) == []
     # The equality's one-sided demand is never all-free and stays.
     assert MagicPredicate(EQUALITY, "eqb") in heads
-    # The bound demand rule goes, and with nothing left to derive m_P#bf,
-    # so does the copy it guards.
-    hand = parse_program(HAND_DEMAND % "m_Q#f").rules
-    subsumed = _subsumed_demand(hand)
-    kept = _derived_demand_only(r for r in hand if r not in subsumed)
-    assert {r.head.predicate for r in subsumed} == {MagicPredicate(P, "bf")}
-    assert [r for r in hand if r not in kept] == [hand[3], hand[4]]
+    # Neither the bound demand m_P#bf(?x) :- m_Q#f, G(?y), A(?x) nor the
+    # copy of P's rule it would guard is generated: the all-free copy
+    # answers the call.
+    got = magic(Program(parse_program(FLAGGED_CALL % "Q").rules, Q1))
+    assert canon_rules(got) == canon_rules(parse_program(FLAGGED_CALL_MAGIC))
 
 
 def test_bound_demand_stays_when_the_full_flag_waits_on_a_fact():
@@ -256,9 +280,37 @@ def test_bound_demand_stays_when_the_full_flag_waits_on_a_fact():
     got = magic(skolemize(singularize(sc.rules, Q1), Q1))
     assert MagicPredicate(P, "ff") in {r.head.predicate for r in got.rules}
     assert bound_demand_on(got, P)
-    # A flag reached through a bound demand is not always true either.
-    hand = "m_T#b(?x) :- m_Q#f, A(?x).\n" + HAND_DEMAND % "m_T#b(?x)"
-    assert _subsumed_demand(parse_program(hand).rules) == set()
+    # A flag reached through a bound demand is not always true either: with
+    # T demanded bound, m_G#f and m_P#ff wait on A, and P's call stays bound.
+    got = magic(Program(parse_program("Q(?x) :- A(?x), T(?x)." + FLAGGED_CALL % "T").rules, Q1))
+    assert MagicPredicate(P, "ff") in {r.head.predicate for r in got.rules}
+    assert MagicPredicate(P, "bf") in {r.head.predicate for r in got.rules}
+
+
+def arity_probe(n):
+    """n rules A(?xi), P(?x1,...,?xn) -> P(?x1,...,?xn), one per position
+    i, and P(?x1,...,?xn) -> Q(?x1), over A(a), A(b) and P(a,b,...,b).
+    Bound demand on P could take each of its 2^n - 1 bound adornments."""
+    xs = ",".join("?x%d" % i for i in range(1, n + 1))
+    text = "".join("A(?x%d), P(%s) -> P(%s)\n" % (i, xs, xs) for i in range(1, n + 1))
+    A, P = Predicate("A", 1), Predicate("P", n)
+    a, b = Constant("a"), Constant("b")
+    base = Instance([Atom(A, (a,)), Atom(A, (b,)), Atom(P, (a,) + (b,) * (n - 1))])
+    return Scenario(tuple(parse_rules(text + "P(%s) -> Q(?x1)\n" % xs)), base, Q1, None)
+
+
+def test_arity_probe_generates_no_bound_demand():
+    # P is demanded in full, so magic explores P under its all-free
+    # adornment alone: a seed, the query rule, one flag and a copy of each
+    # of P's 16 rules, where exploring bound demand would reach all 2^16
+    # adornments of P.
+    P = Predicate("P", 16)
+    sc = arity_probe(16)
+    for mode in ("magic", "all"):
+        rep = run_pipeline(sc, PipelineConfig(mode=mode))
+        assert rep.answers == (("a",),)
+        assert len(rep.stages["magic"].rules) == 19
+        assert bound_demand_on(rep.stages["magic"], P) == []
 
 
 def test_a_nullary_relational_atom_keeps_its_flag_rule_from_full_demand():

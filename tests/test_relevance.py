@@ -1,6 +1,7 @@
 """Relevance pruning over the critical instance."""
 
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -23,7 +24,15 @@ from chasegoal import (
 from chasegoal.frontend import rules_signature
 from chasegoal.kernel import Atom, Constant, Functional, Instance, Predicate
 
-from helpers import RUNNING_RULES, Q1, canon_rules, running_example, scenario_stream
+from helpers import (
+    RUNNING_RULES,
+    Q1,
+    canon_rules,
+    random_scenario,
+    running_example,
+    scenario_stream,
+    stale_merge_scenario,
+)
 
 B1, S2 = Predicate("B", 1), Predicate("S", 2)
 
@@ -72,6 +81,34 @@ def test_unreachable_egd_dropped_either_way():
         rel = relevance(sk, running_example(3).instance, una_known=una)
         eq_rules = [r for r in rel.rules if r.head.is_equality]
         assert len(eq_rules) == 1  # only T(x,y) -> x = y survives
+
+
+def test_una_trace_follows_the_egd_behind_a_trivial_equality():
+    # Under UNA the abstract run equates the star with itself where the
+    # real run merges a and b.  That c = c fact blocks no body equality, but
+    # the trace follows it back to the EGD, so rel keeps the merge and
+    # answers as mat does.  Without following it, rel answered b alone on
+    # the two-rule input and differed on 31 of the dishonest draws below.
+    R, P = Predicate("R", 2), Predicate("P", 1)
+    a, b = Constant("a"), Constant("b")
+    two_rules = Scenario(
+        tuple(parse_rules("R(?x,?y) -> ?x = ?y\nP(?x) -> Q(?x)\n")),
+        Instance([Atom(R, (a, b)), Atom(P, (b,))]),
+        Q1,
+        None,
+        una_known=True,
+    )
+    dishonest = [
+        replace(d.scenario, una_known=True)
+        for seed, draw in ((1, random_scenario), (2, stale_merge_scenario))
+        for d in scenario_stream(seed, 200, draw=draw)
+        if d.merged
+    ]
+    assert len(dishonest) == 204
+    for sc in [two_rules] + dishonest:
+        mat = run_pipeline(sc, PipelineConfig(mode="mat")).answers
+        assert run_pipeline(sc, PipelineConfig(mode="rel")).answers == mat, sc
+    assert run_pipeline(two_rules, PipelineConfig(mode="rel")).answers == (("a",), ("b",))
 
 
 def test_relevance_requires_query():
