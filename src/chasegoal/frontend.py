@@ -310,9 +310,10 @@ def parse_rules(text: str, source: str = "<rules>") -> "list[TGD]":
     equality-generating rule).  Input rules are function free, and a body
     may hold equality atoms.  A predicate keeps the arity of its first use,
     no predicate or variable name holds `#`, and every rule passes
-    `check_rule`.  No stage dump reads back through this parser: `sg`
-    prints the variables it generates, which hold `#`, and the later
-    stages are logic programs for `parse_program`.
+    `check_rule` and `_check_input_rule`, so an error names its line.  No
+    stage dump reads back through this parser: `sg` prints the variables it
+    generates, which hold `#`, and the later stages are logic programs for
+    `parse_program`.
     """
     rules: list[TGD] = []
     arities: dict[str, tuple[int, int]] = {}
@@ -332,6 +333,7 @@ def parse_rules(text: str, source: str = "<rules>") -> "list[TGD]":
             arities.setdefault(a.predicate.name, (a.predicate.arity, lineno))
         try:
             check_rule(rule)
+            _check_input_rule(rule)
         except FrontendError as e:
             raise type(e)(e.msg, lineno, 1, source) from None
         rules.append(rule)

@@ -14,9 +14,9 @@ head.  A demand rule that a freer demand rule on the same predicate always
 outruns is left out of the output (subsumptive demand, Tekle and Liu,
 SIGMOD 2011), so demand on a predicate stays as free as the freest demand
 that reaches it.  A predicate that the seed demands in full gets no
-bound demand at all.  Last, a rule guarded by demand that no rule of the
-output derives is dropped: such a copy never fires, and the copy under
-the freer demand covers it.
+bound demand at all.  Subsumption is decided one demand predicate at a
+time, before that demand is explored, and only demand that a kept rule
+derives is explored, so every demand the output reads is derived.
 """
 
 from __future__ import annotations
@@ -86,19 +86,19 @@ def magic(program: Program) -> Program:
     answer any bound call, as magic sets allow (Beeri and Ramakrishnan, "On
     the power of magic", JLP 1991): no demand binding one is generated.
 
-    The rules `_subsumed_demand` finds are dropped from the output, and then
-    the copies and demand rules guarded by demand that no rule left derives
-    (`_derived_demand_only`); the rest keep the order they were emitted in."""
+    Each demand predicate's turn makes the rule copies and demand rules it
+    guards.  `_subsumed_demand` drops from that batch the demand rules that
+    freer ones of the batch outrun: a demand rule's only magic atom is its
+    guard, and a subsumer's body maps into the subsumee's, so the two share
+    a guard and are made in the same turn.  The rest are emitted in the
+    order they were made, and a demand predicate is queued once a kept rule
+    derives it."""
     if program.query is None:
         raise ValueError("magic needs a program with a query predicate")
 
     by_head: dict[PredicateId, list[Rule]] = {}
     for r in program.rules:
         by_head.setdefault(r.head.predicate, []).append(r)
-
-    # The rules emitted so far, each once, in the order of first emission.
-    out: dict[Rule, None] = {}
-    emit = out.setdefault
 
     # Under all-free demand `reorder` binds nothing and puts the first
     # relational atom first: its demand rule's body is the nullary guard.
@@ -112,15 +112,17 @@ def magic(program: Program) -> Program:
                     todo.append(first.predicate)
 
     seed = MagicPredicate(program.query, "f" * program.query.arity)
-    emit(Rule(Atom(seed, ()), ()))
+    out = [Rule(Atom(seed, ()), ())]
     queued = {seed}
-    work = [seed]  # `process` appends to it while the loop below reads it
+    work = [seed]  # the loop below appends to it while it reads it
 
     def process(rule: Rule, m: MagicPredicate, beta: str):
+        """The copy of `rule` guarded by demand `m` under head adornment
+        `beta`, then the demand rules of its body in body order."""
         bound_terms = tuple(t for t, a in zip(rule.head.args, beta) if a == "b")
         magic_atom = Atom(m, bound_terms)
         ordered = reorder(rule.body, bound_terms)
-        emit(Rule(rule.head, (magic_atom,) + ordered))
+        yield Rule(rule.head, (magic_atom,) + ordered)
         bound = vars_of(bound_terms)
         for i, b in enumerate(ordered):
             raw = adorn(b, bound)
@@ -144,20 +146,23 @@ def magic(program: Program) -> Program:
                     sub = MagicPredicate(b.predicate, raw)
                     demands = [tuple(t for t, a in zip(b.args, raw) if a == "b")]
                 for args in demands:
-                    emit(Rule(Atom(sub, args), (magic_atom,) + ordered[:i]))
-                if sub not in queued:
-                    queued.add(sub)
-                    work.append(sub)
+                    yield Rule(Atom(sub, args), (magic_atom,) + ordered[:i])
             bound |= vars_of(b)
 
     for m in work:
         betas = ("bf", "fb") if m.adornment == "eqb" else (m.adornment,)
-        for rule in by_head.get(m.base, ()):
-            for beta in betas:
-                process(rule, m, beta)
-
-    subsumed = _subsumed_demand(out)
-    return Program(_derived_demand_only(r for r in out if r not in subsumed), program.query)
+        batch = dict.fromkeys(
+            r for rule in by_head.get(m.base, ()) for beta in betas for r in process(rule, m, beta)
+        )
+        subsumed = _subsumed_demand(batch)
+        for r in batch:
+            if r not in subsumed:
+                out.append(r)
+                p = r.head.predicate
+                if isinstance(p, MagicPredicate) and p not in queued:
+                    queued.add(p)
+                    work.append(p)
+    return Program(tuple(out), program.query)
 
 
 def _subsumed_demand(rules: "Iterable[Rule]") -> "set[Rule]":
@@ -170,9 +175,11 @@ def _subsumed_demand(rules: "Iterable[Rule]") -> "set[Rule]":
     the second body's join plan, entered at its head, on the first body
     frozen into an instance (`_freeze`).
     Whenever the first rule fires, the second fires on the same facts and
-    demands R with fewer positions fixed, and `magic` copies every rule of R
-    under each demand m_R#β it emits, so each rule the demand m_R#α would
-    feed has a copy that fires on the freer demand."""
+    demands R with fewer positions fixed.  A subsumer dropped in turn has a
+    kept subsumer of its own, since the test composes and each step frees a
+    position, and `magic` copies every rule of R under each demand it keeps:
+    each rule the demand m_R#α would feed has a copy that fires on a freer
+    demand.  `magic` runs the test on one demand predicate's batch."""
     by_base: dict = {}
     for r in rules:
         p = r.head.predicate
@@ -200,40 +207,6 @@ def _subsumed_demand(rules: "Iterable[Rule]") -> "set[Rule]":
                     out.add(r)
                     break
     return out
-
-
-def _derived_demand_only(rules: "Iterable[Rule]") -> "tuple[Rule, ...]":
-    """The rules, in their order, that can fire: the least set holding each
-    rule whose every demand body atom has a predicate that some rule of the
-    set derives.  A rule guarded by demand that no rule derives never fires,
-    since no base fact is a demand fact.  The cover `_subsumed_demand`
-    relies on holds: a rule it drops reads every demand predicate its
-    subsumer reads, so a subsumer dropped here covered a rule that could
-    not fire either.
-
-    One worklist pass: each rule counts the demand predicates of its body
-    that no kept rule derives yet, and a predicate's readers are released
-    once, when the first kept rule derives it."""
-    rules = tuple(rules)
-    unmet = []
-    readers: dict = {}
-    ready = []
-    for i, r in enumerate(rules):
-        need = {a.predicate for a in r.body if isinstance(a.predicate, MagicPredicate)}
-        unmet.append(len(need))
-        for p in need:
-            readers.setdefault(p, []).append(i)
-        if not need:
-            ready.append(i)
-    kept = [False] * len(rules)
-    while ready:
-        i = ready.pop()
-        kept[i] = True
-        for j in readers.pop(rules[i].head.predicate, ()):
-            unmet[j] -= 1
-            if not unmet[j]:
-                ready.append(j)
-    return tuple(r for r, k in zip(rules, kept) if k)
 
 
 def _freezable(rule: Rule) -> bool:

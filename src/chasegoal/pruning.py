@@ -5,8 +5,9 @@ The base instance is abstracted into a critical instance (every tuple over
 the constants of the remaining rules plus a star constant, typed per sort
 when a schema is available).  Those rules run forward on that abstraction,
 then the query facts are traced backwards through them; rules never reached
-are dropped.  Equality body atoms that no backward trace ever needed are inlined
-away, which is what lets the magic-set stage bind through them later.
+are dropped.  Equality body atoms are inlined away only under the unique name
+assumption, when every trace match of one is a constant equal to itself:
+without it, each trace match of a kept rule matches all its body equalities.
 """
 
 from __future__ import annotations
@@ -50,8 +51,8 @@ FIXPOINT_LIMITS = Limits(max_depth=10, max_facts=100_000)
 
 
 class AbstractionFixpointDiverged(RuntimeError):
-    """The critical instance or the forward fixpoint on it hit a guard;
-    retry with function symbols abstracted to constants."""
+    """The forward fixpoint on the critical instance hit a guard; retry with
+    function symbols abstracted to constants."""
 
     rule: "Optional[Rule]" = None  # the rule the fixpoint's guard tripped in
 
@@ -196,10 +197,12 @@ def relevance(
         analysis = abstract_functions_to_constants(analysis)
     base_preds = base.predicates() if isinstance(base, Instance) else set(base)
 
+    # Abstraction only adds constants, so a critical instance too large
+    # here is too large on a retry as well: its `FactLimitExceeded` is final.
+    bprime = critical_instance(
+        analysis, base_preds & wanted, typed, schema, fixpoint_limits.max_facts
+    )
     try:
-        bprime = critical_instance(
-            analysis, base_preds & wanted, typed, schema, fixpoint_limits.max_facts
-        )
         aux = reflexivity_axioms(analysis, bprime.predicates()) + sym_trans()
         fixpoint = naive_fixpoint(
             tuple(analysis.rules) + tuple(aux), bprime, fixpoint_limits

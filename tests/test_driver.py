@@ -31,6 +31,7 @@ from chasegoal import (
 from chasegoal import driver
 from chasegoal.cli import main
 from chasegoal.driver import MODE_STAGES, MODES
+from chasegoal.engine import FactLimitExceeded
 from chasegoal.kernel import Atom, Constant, Instance, Predicate, Program
 from chasegoal.pruning import relevance
 
@@ -338,25 +339,25 @@ def test_relevance_fixpoint_past_its_limits_fails_stage_rel(monkeypatch):
     # The first attempt passes the critical instance of 2 facts and trips
     # inside the fixpoint, naming the rule it was applying.  The retry, with
     # function symbols abstracted to constants, has a critical instance of
-    # 12 facts and trips its size check, which applies no rule.
+    # 12 facts and trips its size check, which applies no rule and is final.
     trips = []
 
     def traced(*args, **kwargs):
         try:
             return relevance(*args, **kwargs, fixpoint_limits=Limits(max_facts=5))
-        except AbstractionFixpointDiverged as err:
+        except (AbstractionFixpointDiverged, FactLimitExceeded) as err:
             rule = None if err.rule is None else repr(err.rule)
-            trips.append((kwargs["abstract_functions"], str(err), rule))
+            trips.append((kwargs["abstract_functions"], type(err), str(err), rule))
             raise
 
     monkeypatch.setattr(driver, "relevance", traced)
     with pytest.raises(PipelineError) as exc:
         run_pipeline(running_example(3), PipelineConfig(mode="rel"))
     assert exc.value.stage == "rel"
-    assert isinstance(exc.value.cause, AbstractionFixpointDiverged)
+    assert isinstance(exc.value.cause, FactLimitExceeded)
     assert trips == [
-        (False, "more than 5 facts", "?x1 = ?x1 :- B(?x1)."),
-        (True, "critical instance of 12 facts, more than 5", None),
+        (False, AbstractionFixpointDiverged, "more than 5 facts", "?x1 = ?x1 :- B(?x1)."),
+        (True, FactLimitExceeded, "critical instance of 12 facts, more than 5", None),
     ]
     assert str(exc.value) == "stage rel: critical instance of 12 facts, more than 5"
 
@@ -861,14 +862,17 @@ def test_cli_accepts_names_without_the_generated_mark(tmp_path):
 @pytest.mark.parametrize("rules, message", BODY_EQUALITY_ERRORS, ids=["no-variable", "unbound", "query-head"])
 def test_cli_rejects_a_body_equality_the_pipeline_cannot_take(tmp_path, rules, message):
     # Once these exited 1 in stage sg, "equality safety lost after sg".
+    # An unsafe body equality is found while the rule file is read, so its
+    # error names the file and line; the query check comes later.
     rules_path, data = write_inputs(tmp_path, rules=rules, facts={"A": [("a",)]})
     result = CliRunner().invoke(
         main,
         ["run", "--rules", str(rules_path), "--data", str(data), "--query-pred", "Q",
          "--out", str(tmp_path / "out")],
     )
+    where = "%s:1:1: " % rules_path if message.startswith("body equality") else ""
     assert result.exit_code == 1
-    assert result.stderr == "error: %s\n" % message
+    assert result.stderr == "error: %s%s\n" % (where, message)
 
 
 def test_cli_dump_of_a_skipped_stage_exits_one(tmp_path):
@@ -953,7 +957,27 @@ def test_critical_instance_past_the_relevance_limit_trips_before_it_is_built(
     with pytest.raises(PipelineError) as exc:
         run_pipeline(sc, PipelineConfig(mode="rel"))
     assert exc.value.stage == "rel"
-    assert isinstance(exc.value.cause, AbstractionFixpointDiverged)
+    assert isinstance(exc.value.cause, FactLimitExceeded)
+
+
+def test_a_critical_instance_too_large_is_not_retried(monkeypatch):
+    # Abstraction only adds constants, so a retry could not shrink the
+    # critical instance of this 5-ary family over 11 constants: relevance
+    # runs once.
+    attempts = []
+
+    def counted(*args, **kwargs):
+        attempts.append(kwargs["abstract_functions"])
+        return relevance(*args, **kwargs)
+
+    monkeypatch.setattr(driver, "relevance", counted)
+    base = Instance([Atom(Predicate("P", 5), (Constant("a"),) * 5)])
+    sc = Scenario(tuple(parse_rules(WIDE_RULES + "K(?a,?b) -> Q(?a)\n")), base, Q1)
+    with pytest.raises(PipelineError) as exc:
+        run_pipeline(sc, PipelineConfig(mode="rel"))
+    assert attempts == [False]
+    assert isinstance(exc.value.cause, FactLimitExceeded)
+    assert str(exc.value) == "stage rel: critical instance of 248832 facts, more than 100000"
 
 
 # Rules over fresh predicates that no query trace reaches: a diverging
