@@ -36,21 +36,24 @@ generated function of nested loops that builds the row of the rule's head
 at each match (see `kernel.JoinPlan`).  One routine (`_match`) matches
 every conjunction with them, one kernel call per plan and round.  The first
 round is naive: it joins each rule once in full, entered at the body atom
-whose relation is smallest at that moment.  Every later round is
-semi-naive: it visits only the rules with a body predicate in the previous
-round's delta, and finds each new match once, at the first body atom whose
-fact that delta holds.  Every round joins only the facts present when it
-began, so a match holding a fact the round adds is left to the next round,
-which finds it once.  A part of a body that no chain of shared variables
-links to the head is only checked for one witness: the rule fires for the
-matches of the rest once it holds, never once per witness.  A round's
-delta and the previous one's, which its joins enter at, hold only facts of
-the instance: a merge takes the facts it rewrites away out of both.
+with the fewest facts present when the round began, so a join over a
+relation that only the round has filled reads nothing and builds no index.
+Every later round is semi-naive: it visits only the rules with a body
+predicate in the previous round's delta, and finds each new match once, at
+the first body atom whose fact that delta holds.  Every round joins only
+the facts present when it began, so a match holding a fact the round adds
+is left to the next round, which finds it once.  A part of a body that no
+chain of shared variables links to the head is only checked for one
+witness: the rule fires for the matches of the rest once it holds, never
+once per witness.  A round's delta and the previous one's, which its joins
+enter at, hold only facts of the instance: a merge takes the facts it
+rewrites away out of both.
 
 A round is evaluated a set at a time.  A rule's matches are collected,
 then applied as one batch: a relational batch is one write
-(`Instance.add_all`), which tests membership and drops duplicates in C,
-and then updates the indexes once per new fact and checks the limits, the
+(`Instance.add_all`), which tests each row's membership in Python once
+the relation holds rows, keeps the new ones for the round's delta, and
+then updates the indexes once per new fact and checks the limits, the
 depth limit row by row only while the term table holds a deeper term.  An
 equality batch first merges each head's classes in the union-find, in
 order, then rewrites each fact holding a merged-away term once, straight
@@ -451,14 +454,16 @@ def _match(plans: tuple, entries: "dict | None", new, instance: Instance, out, r
     over the facts outside `new` (the facts the current round has added so
     far).  Each plan's kernel runs once, over all its entry facts.
 
-    Full mode (`entries` None): every match, entered at the atom whose
-    predicate has the fewest facts, its facts in an order `rng` shuffles.
+    Full mode (`entries` None): every match, entered at the first atom
+    whose predicate has the fewest facts outside `new`, its facts in an
+    order `rng` shuffles.  The choice reads only facts, never which
+    indexes exist, so a run does not depend on what an earlier one built.
     Semi-naive mode: every match holding a fact of `entries` (the previous
     round's delta, less the facts merges have since rewritten away), found
     once, by the plan of the first of its atoms whose fact is in `entries`;
     that plan keeps the atoms before it off `entries`."""
     if entries is None:
-        pred, plan = min(plans, key=lambda p: len(instance.rows(p[0])))
+        pred, plan = min(plans, key=lambda p: len(instance.rows(p[0])) - len(new.get(p[0], ())))
         added = new.get(pred, ())
         facts = instance.rows(pred)
         if added or rng is not None:

@@ -13,7 +13,7 @@ quote.
 A base instance is read one CSV file per predicate, a chunk of rows at a
 time: C code checks the rows' sizes, looks their cells up in the term
 table's constants and groups their ids into the rows of one batch write
-(`Instance.add_all`).  No Python code runs per row or cell.  A file's
+(`Instance.extend`).  No Python code runs per row or cell.  A file's
 blocks of plain text are split at `\\n` and `,`; from the first block
 holding a quote, a carriage return or NUL on, `csv.reader` reads it.
 """
@@ -315,7 +315,12 @@ def parse_rules(text: str, source: str = "<rules>") -> "list[TGD]":
     generates, which hold `#`, and the later stages are logic programs for
     `parse_program`.
     """
-    rules: list[TGD] = []
+    return [rule for _, rule in _numbered_rules(text, source)]
+
+
+def _numbered_rules(text: str, source: str) -> "list[tuple[int, TGD]]":
+    """The rules `parse_rules` reads, each with its line number."""
+    rules: list[tuple[int, TGD]] = []
     arities: dict[str, tuple[int, int]] = {}
     for lineno, rule in _parse_lines(text, source, _parse_existential_rule):
         for a in rule.body + rule.head:
@@ -336,7 +341,7 @@ def parse_rules(text: str, source: str = "<rules>") -> "list[TGD]":
             _check_input_rule(rule)
         except FrontendError as e:
             raise type(e)(e.msg, lineno, 1, source) from None
-        rules.append(rule)
+        rules.append((lineno, rule))
     return rules
 
 
@@ -404,9 +409,9 @@ def parse_schema(text: str, source: str = "<schema>") -> "dict[tuple[str, int], 
 # seldom live through a collection.  Lists that do are promoted and bring
 # full collections sooner: at 1024 rows, warm campus `rel` queries ran 0.35
 # full collections each, against 0.06 at 128 and 0.04 when each list died
-# with its row.  Both readers cut a file into the same batches: a set's
-# iteration order depends on the sizes of its updates, so the instance
-# would otherwise depend on the reader.
+# with its row.  Batch sizes decide nothing else: a batch's write
+# (`Instance.extend`) adds its rows one after another in C, so a set's
+# iteration order follows the sequence of rows, however it is cut.
 _CHUNK = 128
 # Characters read by the split reader per block, which bounds the text it
 # holds beyond one batch.
@@ -454,7 +459,7 @@ def _add_rows(instance: Instance, pred: Predicate, lines, path: Path):
             if not all(map(arity.__eq__, map(len, rows))):
                 _first_error(path, pred)
             columns = [map(ident, map(intern, col)) for col in zip(*rows)]
-            instance.add_all(pred, zip(*columns) if arity else [()])
+            instance.extend(pred, zip(*columns) if arity else [()])
     except csv.Error:
         _first_error(path, pred)
 
@@ -475,7 +480,7 @@ def _add_lines(instance: Instance, pred: Predicate, lines: "list[str]", path: Pa
     if not ok:
         _first_error(path, pred)
     ids = map(attrgetter("id"), map(Constant._table.__getitem__, cells))
-    instance.add_all(pred, zip(*[ids] * arity))
+    instance.extend(pred, zip(*[ids] * arity))
 
 
 def _add_plain_blocks(instance: Instance, pred: Predicate, fh, path: Path):
@@ -552,10 +557,10 @@ def parse_instance(data_dir, signature: "dict[str, Predicate]") -> Instance:
     bounded by one block, up to the first block holding a quote, a carriage
     return or NUL, or a line longer than `csv.field_size_limit()`.
     `csv.reader` reads the rest, and a nullary predicate's whole file.  Both
-    readers give the same facts, in the same batches, and intern their
-    cells in the same order, so an instance does not depend on which read
-    it.  A batch holding a row of the wrong size, or a row `csv.reader`
-    rejects, has the file read again (`_first_error`)."""
+    readers give the same rows in the same order, and intern their cells
+    in the same order, so an instance does not depend on which read it.  A
+    batch holding a row of the wrong size, or a row `csv.reader` rejects,
+    has the file read again (`_first_error`)."""
     instance = Instance()
     for path in sorted(Path(data_dir).glob("*.csv")):
         pred = signature.get(path.stem)
@@ -754,15 +759,23 @@ def load_scenario(
     una_known: bool = False,
 ) -> Scenario:
     """Parse a rule file, a directory of CSV facts and an optional schema
-    into a `Scenario`, which checks the input contract as it is built."""
+    into a `Scenario`, which checks the input contract as it is built.  A
+    rule that breaks `check_query_predicate` is reported at its line,
+    before the facts are read."""
     rules_path = Path(rules_path)
-    rules = parse_rules(_read_text(rules_path), source=str(rules_path))
+    numbered = _numbered_rules(_read_text(rules_path), str(rules_path))
+    rules = [rule for _, rule in numbered]
     sig = rules_signature(rules)
     if query_pred not in sig:
         raise UnknownPredicate(
             "query predicate %s does not occur in the rules" % query_pred,
             source=str(rules_path),
         )
+    for lineno, rule in numbered:
+        try:
+            check_query_predicate((rule,), sig[query_pred])
+        except FrontendError as e:
+            raise type(e)(e.msg, lineno, 1, str(rules_path)) from None
     schema = None
     if schema_path is not None:
         schema_path = Path(schema_path)

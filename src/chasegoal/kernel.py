@@ -602,9 +602,9 @@ class Instance:
     ids (see the term table), so a stored fact is one tuple of ints that
     the cyclic collector stops tracking, and the predicate appears only as
     the relation's key.  The engine reads and writes rows (`rows`,
-    `add_all`, `remove`, `index_at`); atoms come back only at this
-    boundary: building an instance from atoms, iterating it, and `in`,
-    `add`, `discard` and `with_predicate`.
+    `add_all`, `extend`, `remove`, `index_at`); atoms come back only at
+    this boundary: building an instance from atoms, iterating it, and
+    `in`, `add`, `discard` and `with_predicate`.
 
     A relation also holds an index for each argument position some join or
     merge has looked up (`index_at`), from each term id to the rows holding
@@ -637,7 +637,7 @@ class Instance:
         for f in facts:
             by_pred.setdefault(f[0], []).append(row_of(f))
         for pred, rows in by_pred.items():
-            self.add_all(pred, rows)
+            self.extend(pred, rows)
 
     def _share(self, cls) -> "Instance":
         new = object.__new__(cls)
@@ -668,11 +668,12 @@ class Instance:
     # -- rows ----------------------------------------------------------------
 
     def add_all(self, pred: PredicateId, rows: Iterable) -> dict:
-        """Add in one write the rows of `pred` this instance lacks, testing
-        membership and dropping duplicates in C; returns them once each, in
-        order, as the keys of a dict.  Only rows of a relation that holds
-        some are tested one by one.  A shared relation that holds every row
-        is not cloned."""
+        """Add in one write the rows of `pred` this instance lacks; returns
+        them once each, in order, as the keys of a dict.  Into an empty
+        relation the rows go in C; once it holds rows, a Python
+        comprehension tests each one.  A shared relation that holds every
+        row is not cloned.  A writer that does not read the new rows calls
+        `extend`."""
         rel = self._mine.get(pred)
         current = self._rels.get(pred) if rel is None else rel
         have = _EMPTY if current is None else current.facts
@@ -685,6 +686,19 @@ class Instance:
             for pos, index in rel.index.items():
                 _index_rows(index, pos, new)
         return new
+
+    def extend(self, pred: PredicateId, rows: Iterable) -> None:
+        """Add the rows of `pred` in one write that reports nothing: set
+        operations in C, on a clone if the relation is shared.  Only a
+        relation with an index has its new rows found, to index them."""
+        rel = self._mine.get(pred) or self._own(pred)
+        if rel.index:
+            rows = set(rows).difference(rel.facts)
+            for pos, index in rel.index.items():
+                _index_rows(index, pos, rows)
+        n = len(rel.facts)
+        rel.facts.update(rows)
+        self._size += len(rel.facts) - n
 
     def remove(self, pred: PredicateId, row) -> bool:
         rel = self._rels.get(pred)
@@ -757,10 +771,13 @@ class Instance:
 
 class ReadOnlyInstance(Instance):
     """An instance whose facts never change, made by `Instance.snapshot`:
-    `add`, `add_all`, `discard` and `remove` raise `TypeError`, and `copy`
-    gives a writable instance."""
+    `add`, `add_all`, `extend`, `discard` and `remove` raise `TypeError`,
+    and `copy` gives a writable instance."""
 
     def add_all(self, pred: PredicateId, rows: Iterable) -> dict:
+        raise TypeError("a read-only instance cannot change; write to a copy()")
+
+    def extend(self, pred: PredicateId, rows: Iterable) -> None:
         raise TypeError("a read-only instance cannot change; write to a copy()")
 
     def remove(self, pred: PredicateId, row) -> bool:

@@ -223,7 +223,7 @@ def _freeze(rule: Rule) -> "tuple[Instance, dict[Term, int]]":
     ids = {t: -1 - i if t.id is None else t.id for i, t in enumerate(terms)}
     frozen = Instance()
     for a in rule.body:
-        frozen.add_all(a[0], [tuple([ids[t] for t in a[1]])])
+        frozen.extend(a[0], [tuple([ids[t] for t in a[1]])])
     return frozen, ids
 
 

@@ -118,7 +118,7 @@ def critical_instance(
         )
     out = Instance()
     for pred, p in pools.items():
-        out.add_all(pred, product(*[[c.id for c in pool] for pool in p]))
+        out.extend(pred, product(*[[c.id for c in pool] for pool in p]))
     return out
 
 

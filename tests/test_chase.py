@@ -60,6 +60,7 @@ from helpers import (
     scenario_stream,
     stale_merge_scenario,
 )
+from test_magic import ontology_fixture
 
 a, b, c = Constant("a"), Constant("b"), Constant("c")
 x, y, z = Variable("x"), Variable("y"), Variable("z")
@@ -403,6 +404,22 @@ def test_seeded_chase_statistics_repeat_across_interpreters():
     # the lookup must not let object addresses or hash seeds decide it.
     digests = digests_across_interpreters((2,), 100, interpreters=2)
     assert digests[0] == digests[1]
+
+
+def test_a_second_run_on_one_scenario_repeats_the_first(tmp_path):
+    # The base's relations keep the indexes a run's joins build on them, so
+    # a second run starts with indexes the first did not have.  Nothing a
+    # run computes may depend on them: its statistics, the order of every
+    # relation's rows and the term map's order repeat exactly.
+    def outcome(sc, mode, seed):
+        result = run_pipeline(sc, PipelineConfig(mode=mode, seed=seed)).chase_result
+        rows = [(pred, list(stored)) for pred, stored in result.instance.relations()]
+        return result.stats, rows, list(result.mu.items())
+
+    for sc in (running_example(151), campus_fixture(), ontology_fixture(tmp_path)):
+        for mode in MODES:
+            for seed in (None, 3):
+                assert outcome(sc, mode, seed) == outcome(sc, mode, seed), (mode, seed)
 
 
 # -- semi-naive evaluation ----------------------------------------------------
@@ -950,6 +967,31 @@ def test_a_chase_without_a_merge_builds_no_index_and_leaves_parents_alone():
     assert kernel._parented == len(kernel.TERMS)
     assert kernel.PARENTS[a.id].count(Functional("sk_no_merge", (a,)).id) == 1
     assert set(result.instance._rels[B].index) == {0, 1}
+
+
+def test_a_first_round_join_enters_where_the_round_has_added_nothing():
+    # R is derived in full by the first rule of round one; the second rule
+    # of that round joins it with B, which holds fewer facts than R does by
+    # then.  Entered at B, the join would index R at position 0 and match
+    # nothing, since every R fact is the round's own; entered at R, whose
+    # old facts are none, it reads nothing.  Round two enters at R's delta
+    # and finds B(?x) bound at every position, so no index is built at all.
+    A, B, R, H = (Predicate(n, k) for n, k in (("A", 1), ("B", 1), ("R", 2), ("H", 1)))
+    prog = parse_program("R(?x,?x) :- A(?x).\nH(?y) :- R(?x,?y), B(?x).\n")
+    names = [Constant("e%d" % i) for i in range(6)]
+    base = Instance([Atom(A, (n,)) for n in names] + [Atom(B, (n,)) for n in names[:2]])
+    for seed in (None, 0, 1):
+        result = chase(prog, base, seed=seed)
+        assert result.instance.with_predicate(H) == {Atom(H, (n,)) for n in names[:2]}, seed
+        assert result.stats.iterations == 3 and result.stats.derived_facts == 8, seed
+        assert not any(rel.index for rel in result.instance._rels.values()), seed
+        assert not any(rel.index for rel in base._rels.values()), seed
+    # The campus query rule's first-round join enters at advisedBy, all of
+    # it derived that round: the base's enrolled relation is indexed only
+    # where the advisedBy rule probes it, at position 0.
+    sc = campus_fixture()
+    assert len(run_pipeline(sc, PipelineConfig(mode="mat")).answers) == 100
+    assert set(sc.instance._rels[Predicate("enrolled", 2)].index) == {0}
 
 
 # -- contract checks ---------------------------------------------------------

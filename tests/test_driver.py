@@ -862,17 +862,45 @@ def test_cli_accepts_names_without_the_generated_mark(tmp_path):
 @pytest.mark.parametrize("rules, message", BODY_EQUALITY_ERRORS, ids=["no-variable", "unbound", "query-head"])
 def test_cli_rejects_a_body_equality_the_pipeline_cannot_take(tmp_path, rules, message):
     # Once these exited 1 in stage sg, "equality safety lost after sg".
-    # An unsafe body equality is found while the rule file is read, so its
-    # error names the file and line; the query check comes later.
+    # An unsafe body equality is found while the rule file is read, and a
+    # query head bound only through equalities while the rules are checked
+    # against the query, so each error names the file and line.
     rules_path, data = write_inputs(tmp_path, rules=rules, facts={"A": [("a",)]})
     result = CliRunner().invoke(
         main,
         ["run", "--rules", str(rules_path), "--data", str(data), "--query-pred", "Q",
          "--out", str(tmp_path / "out")],
     )
-    where = "%s:1:1: " % rules_path if message.startswith("body equality") else ""
     assert result.exit_code == 1
-    assert result.stderr == "error: %s%s\n" % (where, message)
+    assert result.stderr == "error: %s:1:1: %s\n" % (rules_path, message)
+
+
+@pytest.mark.parametrize(
+    "rule, message",
+    [
+        ("B(?x), Q(?x) -> C(?x)", "query predicate Q occurs in a rule body"),
+        ("A(?x) -> Q(?y)", "query predicate Q has an existential argument"),
+        ("A(?x) -> Q('c')", "query predicate Q has a constant argument in rule A(?x) -> Q(c)"
+         "; use a non-query predicate and a rule from it into Q"),
+        ("A(?x), ?x = ?y -> Q(?y)", "query predicate Q has an argument that only body equalities "
+         "bind in rule A(?x), ?x = ?y -> Q(?y); use a non-query predicate and a rule from it into Q"),
+    ],
+    ids=["body", "existential", "constant", "equality-only"],
+)
+def test_cli_names_the_line_of_a_rule_that_breaks_the_query_contract(tmp_path, rule, message):
+    # Once these named no line: the query check ran on the built scenario.
+    # Reported before the facts are read, so an unreadable CSV file does
+    # not hide it.
+    rules_path, data = write_inputs(tmp_path, rules="A(?x) -> B(?x)\n%s\n" % rule, facts={"A": [("a",)]})
+    (data / "B.csv").write_bytes(b"\xff\n")
+    result = CliRunner().invoke(
+        main,
+        ["run", "--rules", str(rules_path), "--data", str(data), "--query-pred", "Q",
+         "--out", str(tmp_path / "out")],
+    )
+    assert result.exit_code == 1
+    assert result.stderr == "error: %s:2:1: %s\n" % (rules_path, message)
+    assert not (tmp_path / "out").exists()
 
 
 def test_cli_dump_of_a_skipped_stage_exits_one(tmp_path):

@@ -506,14 +506,14 @@ def test_a_block_boundary_cuts_nothing_csv_reads(tmp_path, monkeypatch, end, shi
     assert len(want) == 1801 + (end == "quote")
     with open(tmp_path / "S.csv", newline="", encoding="utf-8") as fh:
         records = list(csv.reader(fh))
-    batches, add_all = [], Instance.add_all
+    batches, extend = [], Instance.extend
 
     def record_batch(self, pred, rows):
         rows = list(rows)
         batches.append(len(rows))
-        return add_all(self, pred, rows)
+        return extend(self, pred, rows)
 
-    monkeypatch.setattr(Instance, "add_all", record_batch)
+    monkeypatch.setattr(Instance, "extend", record_batch)
     inst = parse_instance(tmp_path, sig)
     assert set(inst) == set(want) and len(inst) == len(want)
     sizes = [sum(map(bool, records[i : i + _CHUNK])) for i in range(0, len(records), _CHUNK)]

@@ -475,10 +475,25 @@ def test_copy_shares_relations_until_one_side_writes():
     assert Atom(P1, (a,)) in new and len(new) == 3 and len(base) == 1
 
 
+def test_a_write_that_reports_nothing_stays_on_its_side_of_a_copy():
+    base = Instance([Atom(P1, (a,))])
+    new = base.copy()
+    assert new.extend(P1, [(a.id,), (b.id,), (b.id,)]) is None
+    assert new._rels[P1] is not base._rels[P1]
+    assert set(new) == {Atom(P1, (a,)), Atom(P1, (b,))} and len(new) == 2
+    assert set(base) == {Atom(P1, (a,))} and len(base) == 1
+    # an indexed relation indexes the rows it did not hold
+    base.index_at(P1, 0)
+    base.extend(P1, iter([(a.id,), (d.id,)]))
+    assert index_view(base, P1, 0) == {a: {Atom(P1, (a,))}, d: {Atom(P1, (d,))}} and len(base) == 2
+    assert set(new) == {Atom(P1, (a,)), Atom(P1, (b,))}
+
+
 def test_snapshot_refuses_writes_and_copies_to_a_writable_instance():
     inst = Instance([Atom(P1, (a,))])
     snap = inst.snapshot()
-    for write in (snap.add, snap.discard, lambda fact: snap.add_all(P1, [fact])):
+    rows = (lambda fact: snap.add_all(P1, [fact]), lambda fact: snap.extend(P1, [fact]))
+    for write in (snap.add, snap.discard, *rows):
         with pytest.raises(TypeError, match="read-only"):
             write(Atom(P1, (a,)))
     inst.add(Atom(P1, (b,)))
@@ -499,7 +514,7 @@ store_facts = st.one_of(
 store_ops = st.lists(
     st.one_of(
         st.tuples(st.sampled_from(["add", "discard"]), st.integers(0, 1), store_facts),
-        st.tuples(st.just("add_all"), st.integers(0, 1), st.lists(store_facts, max_size=6)),
+        st.tuples(st.sampled_from(["add_all", "extend"]), st.integers(0, 1), st.lists(store_facts, max_size=6)),
         st.tuples(st.just("copy"), st.integers(0, 1), st.integers(0, 1)),
         st.tuples(st.just("index"), st.integers(0, 1), st.sampled_from([(P1, 0), (R2, 0), (R2, 1), (T3, 2)])),
         st.tuples(st.just("lookup"), st.integers(0, 1), st.none()),
@@ -551,16 +566,19 @@ def test_store_agrees_with_a_set_on_both_sides_of_a_copy(start, ops):
         elif op == "discard":
             assert insts[i].discard(arg) == (arg in models[i])
             models[i].discard(arg)
-        elif op == "add_all":
+        elif op in ("add_all", "extend"):
             # one predicate's batch of rows, with duplicates
             pred = arg[0].predicate if arg else P1
             batch = [fact for fact in arg if fact.predicate is pred]
             batch += batch[::2]
-            want = list(dict.fromkeys(row_of(fact) for fact in batch if fact not in models[i]))
-            before = insts[i]._rels.get(pred)
-            assert list(insts[i].add_all(pred, map(row_of, batch))) == want
-            if not want:  # a relation, shared or not, is cloned only to be written
-                assert insts[i]._rels.get(pred) is before
+            if op == "extend":
+                insts[i].extend(pred, map(row_of, batch))
+            else:
+                want = list(dict.fromkeys(row_of(fact) for fact in batch if fact not in models[i]))
+                before = insts[i]._rels.get(pred)
+                assert list(insts[i].add_all(pred, map(row_of, batch))) == want
+                if not want:  # a relation, shared or not, is cloned only to be written
+                    assert insts[i]._rels.get(pred) is before
             models[i].update(batch)
         elif op == "copy":
             insts[arg], models[arg] = insts[i].copy(), set(models[i])
