@@ -86,7 +86,12 @@ class UnboundFrontierVariable(FrontendError):
 
 
 class SortMismatch(FrontendError):
-    """A constant occurs at positions of two different sorts."""
+    """A constant occurs at positions of two different sorts, one in each
+    of `atoms`."""
+
+    def __init__(self, msg: str, line: int = 0, col: int = 0, source: str = "", atoms=()):
+        super().__init__(msg, line, col, source)
+        self.atoms = atoms
 
 
 # ---------------------------------------------------------------------------
@@ -747,7 +752,8 @@ def check_scenario(sc: Scenario):
             (s1, a1), (s2, a2) = sorted(sorts.items())[:2]
             raise SortMismatch(
                 "constant %s has sort %s at %r and sort %s at %r"
-                % (c.name, s1, a1, s2, a2)
+                % (c.name, s1, a1, s2, a2),
+                atoms=(a1, a2),
             )
 
 
@@ -761,7 +767,9 @@ def load_scenario(
     """Parse a rule file, a directory of CSV facts and an optional schema
     into a `Scenario`, which checks the input contract as it is built.  A
     rule that breaks `check_query_predicate` is reported at its line,
-    before the facts are read."""
+    before the facts are read.  A constant of two sorts is reported at the
+    first rule holding one of the two atoms, and an atom no rule holds is
+    named with the CSV file of its fact."""
     rules_path = Path(rules_path)
     numbered = _numbered_rules(_read_text(rules_path), str(rules_path))
     rules = [rule for _, rule in numbered]
@@ -781,4 +789,13 @@ def load_scenario(
         schema_path = Path(schema_path)
         schema = parse_schema(_read_text(schema_path), source=str(schema_path))
     instance = parse_instance(data_dir, sig)
-    return Scenario(tuple(rules), instance, sig[query_pred], schema, una_known)
+    try:
+        return Scenario(tuple(rules), instance, sig[query_pred], schema, una_known)
+    except SortMismatch as e:
+        line_of = {a: lineno for lineno, rule in reversed(numbered) for a in rule_atoms(rule)}
+        lines = [line_of[a] for a in e.atoms if a in line_of]
+        msg = e.msg + "".join(
+            "; %r is a fact in %s" % (a, Path(data_dir) / ("%s.csv" % a.predicate.name))
+            for a in e.atoms if a not in line_of
+        )
+        raise SortMismatch(msg, min(lines, default=0), 1, str(rules_path) if lines else "", e.atoms) from None

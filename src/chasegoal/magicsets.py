@@ -13,10 +13,11 @@ included: a body equality is demanded only when some rule has an equality
 head.  A demand rule that a freer demand rule on the same predicate always
 outruns is left out of the output (subsumptive demand, Tekle and Liu,
 SIGMOD 2011), so demand on a predicate stays as free as the freest demand
-that reaches it.  A predicate that the seed demands in full gets no
-bound demand at all.  Subsumption is decided one demand predicate at a
-time, before that demand is explored, and only demand that a kept rule
-derives is explored, so every demand the output reads is derived.
+that reaches it.  A predicate that the seed demands in full gets no bound
+demand at all, and no rule copy makes a demand that its own guard makes.
+Subsumption is decided one demand predicate at a time, before that demand
+is explored, and only demand that a kept rule derives is explored, so
+every demand the output reads is derived.
 """
 
 from __future__ import annotations
@@ -85,14 +86,16 @@ def magic(program: Program) -> Program:
     them.  Their all-free demand holds in every run, and the copies under it
     answer any bound call, as magic sets allow (Beeri and Ramakrishnan, "On
     the power of magic", JLP 1991): no demand binding one is generated.
+    Nor does the copy under m_P#β, β not eqb, demand a body atom on P with
+    the head's terms wherever β binds, as its guard covers that call: nine
+    rules A(?xi), P(x̄) -> P(x̄) under B(?z), P(x̄) -> Q(?x1) make 12, not 9219.
 
     Each demand predicate's turn makes the rule copies and demand rules it
     guards.  `_subsumed_demand` drops from that batch the demand rules that
-    freer ones of the batch outrun: a demand rule's only magic atom is its
-    guard, and a subsumer's body maps into the subsumee's, so the two share
-    a guard and are made in the same turn.  The rest are emitted in the
-    order they were made, and a demand predicate is queued once a kept rule
-    derives it."""
+    freer ones of it outrun: a demand rule's only magic atom is its guard,
+    and a subsumer's body maps into the subsumee's, so both share a turn.
+    The rest are emitted in order, and a demand predicate is queued once a
+    kept rule derives it."""
     if program.query is None:
         raise ValueError("magic needs a program with a query predicate")
 
@@ -126,7 +129,9 @@ def magic(program: Program) -> Program:
         bound = vars_of(bound_terms)
         for i, b in enumerate(ordered):
             raw = adorn(b, bound)
-            if b.predicate in by_head and not (b.predicate in full and "b" in raw):
+            covered = (b.predicate in full and "b" in raw) or (m.adornment != "eqb" and b.predicate == m.base
+                and all(b.args[j] == rule.head.args[j] for j in _bound_positions(beta)))
+            if b.predicate in by_head and not covered:
                 if b.is_equality:
                     # Body equality sides are variables or constants, and
                     # `reorder` placed the equality after a binder of one of

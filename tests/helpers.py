@@ -641,6 +641,30 @@ def write_memory_probe(root) -> "list[str]":
             "--query-pred", "Q", "--mode", "all", "--out", str(root / "out")]
 
 
+def arity_probe_rules(n: int, query_body: str = "") -> str:
+    """n rules A(?xi), P(?x1,...,?xn) -> P(?x1,...,?xn), one per position
+    i, and the query rule `query_body`P(?x1,...,?xn) -> Q(?x1).  Bound
+    demand on P could take each of its 2^n - 1 bound adornments."""
+    xs = ",".join("?x%d" % i for i in range(1, n + 1))
+    text = "".join("A(?x%d), P(%s) -> P(%s)\n" % (i, xs, xs) for i in range(1, n + 1))
+    return text + "%sP(%s) -> Q(?x1)\n" % (query_body, xs)
+
+
+def write_fact_waiting_probe(root, n: int) -> "list[str]":
+    """Write the fact-waiting probe under `root`: `arity_probe_rules(n,
+    "B(?z), ")` as `rules.txt`, where P's all-free demand waits on a B fact,
+    and the facts A(a), A(b), P(a,b,...,b) and B(c) under `data/`.  Return
+    the arguments of `chasegoal run` on it, without a mode, writing its
+    reports to `root/out`.  Its one answer is a."""
+    root = Path(root)
+    (root / "data").mkdir(parents=True, exist_ok=True)
+    (root / "rules.txt").write_text(arity_probe_rules(n, "B(?z), "), encoding="utf-8")
+    for name, rows in (("A", "a\nb\n"), ("P", ",".join("a" + "b" * (n - 1)) + "\n"), ("B", "c\n")):
+        (root / "data" / ("%s.csv" % name)).write_text(rows, encoding="utf-8")
+    return ["run", "--rules", str(root / "rules.txt"), "--data", str(root / "data"),
+            "--query-pred", "Q", "--out", str(root / "out")]
+
+
 # ---------------------------------------------------------------------------
 # Recursive application of the representative map (merges rewrite argument
 # positions only, so nested occurrences are normalized here for comparisons)

@@ -43,6 +43,7 @@ from helpers import (
     null_chase,
     running_example,
     scenario_draws,
+    write_fact_waiting_probe,
     write_memory_probe,
 )
 
@@ -199,6 +200,16 @@ def test_a_memory_error_in_a_round_names_its_rule(tmp_path):
     assert done.returncode == 2, done.stderr
     (line,) = done.stderr.splitlines()
     assert line.startswith("error: stage chase: MemoryError, applying m_E#bbbbbb("), line
+
+
+@pytest.mark.parametrize("mode", ["magic", "all"])
+def test_cli_answers_the_fact_waiting_probe(tmp_path, mode):
+    # P's all-free demand waits on the B fact, so P is not demanded in full;
+    # magic makes no demand its guard covers, and stays linear in P's arity.
+    result = CliRunner().invoke(main, write_fact_waiting_probe(tmp_path, 14) + ["--mode", mode])
+    assert result.exit_code == 0, result.output
+    with open(tmp_path / "out" / "answers.csv", newline="", encoding="utf-8") as fh:
+        assert [tuple(r) for r in csv.reader(fh)] == [("a",)]
 
 
 def test_each_mode_dumps_its_stages_one_rule_repr_a_line():
@@ -707,6 +718,32 @@ def test_cli_rejects_rule_constant_of_two_sorts(tmp_path):
     )
     assert result.exit_code == 1, result.output
     assert "constant c has sort dept at D(c) and sort student at E(c)" in result.output
+
+
+@pytest.mark.parametrize(
+    "rules, facts, fact_file",
+    [
+        ("A(?x) -> Q(?x)\nD(?x) -> A(c)\nE(?x) -> B(c)\n", {}, None),
+        ("A(?x) -> Q(?x)\nD(?x) -> A(c)\nE(?x) -> B(?x)\n", {"B": [("c",)]}, "B.csv"),
+    ],
+    ids=["two-rules", "rule-and-fact"],
+)
+def test_cli_names_the_place_of_a_constant_of_two_sorts(tmp_path, rules, facts, fact_file):
+    # Sorts are checked when the Scenario is built, after the rule file is
+    # read, so load_scenario places the error: at the first rule holding one
+    # of the two atoms, and at the CSV file of an atom that is a fact.
+    rules_path, data = write_inputs(tmp_path, rules=rules, facts=facts)
+    schema = tmp_path / "schema.txt"
+    schema.write_text("A/1: s1\nB/1: s2\n", encoding="utf-8")
+    result = CliRunner().invoke(
+        main,
+        ["run", "--rules", str(rules_path), "--data", str(data), "--schema", str(schema),
+         "--query-pred", "Q", "--out", str(tmp_path / "out")],
+    )
+    assert result.exit_code == 1
+    where = "; B(c) is a fact in %s" % (data / fact_file) if fact_file else ""
+    assert result.stderr == "error: %s:2:1: constant c has sort s1 at A(c) and sort s2 at B(c)%s\n" % (
+        rules_path, where)
 
 
 def test_cli_types_relevance_by_a_schema(tmp_path):

@@ -38,13 +38,14 @@ from chasegoal.kernel import (
     Variable,
     eq,
 )
-from chasegoal.magicsets import _subsumed_demand, adorn, reorder
+from chasegoal.magicsets import _bound_positions, _subsumed_demand, adorn, reorder
 
 from helpers import (
     ORACLE_LIMITS,
     RUNNING_RULES,
     Q1,
     answers_of,
+    arity_probe_rules,
     campus_fixture,
     canon_rules,
     null_chase,
@@ -204,9 +205,25 @@ def demanded_in_full_by_flags(program):
     return {p.base for p in full}
 
 
+def demand_its_guard_covers(program):
+    """Demand rules deriving demand on their guard's base that binds every
+    position the guard binds, to the guard's own terms: demand that the
+    guard, the rule's first body atom, already makes.  The one-sided
+    equality demand eqb takes no part."""
+    def bound_args(atom):
+        return dict(zip(_bound_positions(atom.predicate.adornment), atom.args))
+
+    return [
+        r for r in program.rules
+        if isinstance(r.head.predicate, MagicPredicate) and r.body
+        and r.body[0].predicate.adornment != "eqb" and r.head.predicate.base == r.body[0].predicate.base
+        and bound_args(r.body[0]).items() <= bound_args(r.head).items()
+    ]
+
+
 def test_every_demand_a_rule_reads_is_derived_by_a_rule(tmp_path):
     # Nor does any rule hold bound demand on a predicate that the output's
-    # own flags demand in full.
+    # own flags demand in full, or derive demand that its guard covers.
     fixtures = [running_example(151), campus_fixture(), ontology_fixture(tmp_path)]
     for sc in fixtures + [d.scenario for d in scenario_stream(2323, 100)]:
         for mode in ("magic", "all"):
@@ -214,6 +231,7 @@ def test_every_demand_a_rule_reads_is_derived_by_a_rule(tmp_path):
             assert demand_read_but_not_derived(got) == set(), sc.rules
             full = demanded_in_full_by_flags(got)
             assert [r for p in full for r in bound_demand_on(got, p)] == [], sc.rules
+            assert demand_its_guard_covers(got) == [], sc.rules
 
 
 def test_chain_magic_derived_facts():
@@ -303,17 +321,12 @@ def test_bound_demand_stays_when_the_full_flag_waits_on_a_fact():
 
 
 def arity_probe(n, query_body=""):
-    """n rules A(?xi), P(?x1,...,?xn) -> P(?x1,...,?xn), one per position
-    i, and `query_body` P(?x1,...,?xn) -> Q(?x1), over A(a), A(b) and
-    P(a,b,...,b).  Bound demand on P could take each of its 2^n - 1 bound
-    adornments."""
-    xs = ",".join("?x%d" % i for i in range(1, n + 1))
-    text = "".join("A(?x%d), P(%s) -> P(%s)\n" % (i, xs, xs) for i in range(1, n + 1))
-    A, P = Predicate("A", 1), Predicate("P", n)
+    """`arity_probe_rules(n, query_body)` over A(a), A(b), P(a,b,...,b) and
+    B(c)."""
+    A, P, B = Predicate("A", 1), Predicate("P", n), Predicate("B", 1)
     a, b = Constant("a"), Constant("b")
-    base = Instance([Atom(A, (a,)), Atom(A, (b,)), Atom(P, (a,) + (b,) * (n - 1))])
-    rules = parse_rules(text + "%sP(%s) -> Q(?x1)\n" % (query_body, xs))
-    return Scenario(tuple(rules), base, Q1, None)
+    base = Instance([Atom(A, (a,)), Atom(A, (b,)), Atom(P, (a,) + (b,) * (n - 1)), Atom(B, (Constant("c"),))])
+    return Scenario(tuple(parse_rules(arity_probe_rules(n, query_body))), base, Q1, None)
 
 
 def test_arity_probe_generates_no_bound_demand():
@@ -330,18 +343,76 @@ def test_arity_probe_generates_no_bound_demand():
         assert bound_demand_on(rep.stages["magic"], P) == []
 
 
-def test_fact_waiting_probe_takes_time_that_follows_its_output():
+def test_fact_waiting_probe_makes_no_demand_its_guard_covers():
     # Read as B(?z), P(...) -> Q(?x1), the query rule's demand on P waits on
-    # a fact, so P is not demanded in full and every bound adornment of P is
-    # reached: the output holds 9219 rules.  Subsumption tested per demand
-    # predicate takes the stage about 0.4 s; one pairwise pass over all the
-    # demand rules on P took 18.8 s (2 cores, Python 3.11).
-    sc = arity_probe(9, "B(?z), ")
-    program = skolemize(singularize(sc.rules, Q1), Q1)
-    t0 = time.perf_counter()
-    got = magic(program)
-    assert time.perf_counter() - t0 < 5
-    assert len(got.rules) == 9219
+    # a fact, so P is not demanded in full.  Every call on P in a copy of a
+    # rule of P is then one its guard m_P#f...f already makes, so no bound
+    # demand on P is made: a seed, the query rule, its demand on P and a
+    # copy of each of P's n rules, where bound demand could reach each of
+    # P's 2^n - 1 bound adornments.
+    P = Predicate("P", 9)
+    got = magic(skolemize(singularize(arity_probe(9, "B(?z), ").rules, Q1), Q1))
+    assert len(got.rules) == 9 + 3
+    assert bound_demand_on(got, P) == []
+    assert demand_its_guard_covers(got) == []
+    sc = arity_probe(16, "B(?z), ")
+    for mode in ("magic", "all"):
+        t0 = time.perf_counter()
+        rep = run_pipeline(sc, PipelineConfig(mode=mode))
+        assert time.perf_counter() - t0 < 1, mode
+        assert rep.answers == (("a",),), mode
+        assert len(rep.stages["magic"].rules) == 16 + 3
+    for n in (4, 6):
+        sc = arity_probe(n, "B(?z), ")
+        expect = null_chase(sc).answers
+        assert expect == {("a",)}
+        for mode in ("magic", "all"):
+            assert pipeline_answers(sc, mode) == expect, (n, mode)
+
+
+# The call P(?s#1,?x) binds both positions, but its first argument is not
+# the head's: no guard on P covers it, and m_P#bb stays.
+SWAPPING_RULES = """\
+A(?y), P(?y,?x) -> P(?x,?y)
+B(?x), P(?x,?y) -> Q(?x)
+"""
+# An EGD's demand turn, m_eq#eqb, is never read as a guard on a call.
+EGD_RULES = """\
+A(?x), P(?x,?y), P(?x,?z) -> ?y = ?z
+E(?x,?y) -> P(?x,?y)
+B(?y), P(?x,?y) -> Q(?x)
+"""
+# Under m_eq#eqb(?x), the call ?x = c holds the guard's term, but it also
+# demands the class of c: read as covered, it would lose that demand.
+EGD_CONSTANT_RULES = """\
+F(?x,?y), ?x = c -> ?x = ?y
+H(?v) -> ?v = c
+B(?x), C(?y), ?x = ?y -> Q(?x)
+"""
+
+
+@pytest.mark.parametrize(
+    "rules, facts, kept, size, answers",
+    [
+        (SWAPPING_RULES, "A(a), P(a,b), B(a), B(b)", "m_P#bb(?s#1,?x) :- m_P#bb(?x,?y), ?y = ?s#1, A(?y).",
+         7, {("a",), ("b",)}),
+        (EGD_RULES, "A(a), E(a,b), E(a,c), E(e,c), B(b)",
+         "m_P#bf(?s#2) :- m_eq#eqb(?y), A(?x), ?x = ?s#1, ?x = ?s#2, P(?s#1,?y).", 15, {("a",), ("e",)}),
+        (EGD_CONSTANT_RULES, "B(a), C(b), F(a,b), H(a)", "m_eq#eqb(c) :- m_eq#eqb(?x).",
+         12, {("a",), ("b",), ("c",)}),
+    ],
+    ids=["swapping", "egd", "egd-constant"],
+)
+def test_demand_the_guard_does_not_cover_stays(rules, facts, kept, size, answers):
+    rules = tuple(parse_rules(rules))
+    (fact_rule,) = parse_rules("Z(?x) -> " + facts)
+    sc = Scenario(rules, Instance(fact_rule.head), Q1, None)
+    got = magic(skolemize(singularize(rules, Q1), Q1))
+    assert kept in map(repr, got.rules)
+    assert len(got.rules) == size
+    assert null_chase(sc).answers == answers
+    for mode in MODES:
+        assert pipeline_answers(sc, mode) == answers, mode
 
 
 def test_a_nullary_relational_atom_keeps_its_flag_rule_from_full_demand():
